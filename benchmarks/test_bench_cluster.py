@@ -27,7 +27,7 @@ import os
 from conftest import ARTIFACT_DIR, SCALE, scaled, write_bench_artifact
 
 from repro.analysis.metrics import throughput_scaling
-from repro.runtime import HybridSwarm
+from repro.runtime import LiveSwarm
 from repro.runtime.cluster import run_cluster
 from repro.scenarios import builtin_scenario
 
@@ -151,7 +151,7 @@ def test_bench_hybrid_100k(benchmark):
     )
 
     def run():
-        return HybridSwarm(spec, core_peers=HYBRID_CORE, clock="virtual").run()
+        return LiveSwarm(spec, fidelity="hybrid", core_peers=HYBRID_CORE, clock="virtual").run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     fid = result.fidelity or {}

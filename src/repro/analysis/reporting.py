@@ -9,7 +9,7 @@ and can be diffed against ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.system import SimulationResult
 from repro.net.message import MessageKind

@@ -16,7 +16,7 @@ Defaults follow Section 5.2 of the paper exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.net.churn import ChurnSchedule

@@ -20,7 +20,7 @@ to the scheduler to avoid a pre-fetch traffic storm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 
 @dataclass(frozen=True)

@@ -150,24 +150,6 @@ def run_prefetch_limit_ablation(
     ]
 
 
-def run_churn_sensitivity(
-    churn_fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
-    base_config: Optional[SystemConfig] = None,
-) -> List[AblationPoint]:
-    """Continuity of both systems as the per-round churn grows."""
-    config = base_config or SystemConfig(num_nodes=200, rounds=30)
-    points: List[AblationPoint] = []
-    for fraction in churn_fractions:
-        churned = replace(
-            config, leave_fraction=fraction, join_fraction=fraction
-        )
-        points.append(_run(f"coolstreaming churn={fraction:g}", churned, "coolstreaming"))
-        points.append(
-            _run(f"continustreaming churn={fraction:g}", churned, "continustreaming")
-        )
-    return points
-
-
 def format_ablation(points: Sequence[AblationPoint]) -> str:
     """Plain-text rendering of an ablation sweep."""
     header = (

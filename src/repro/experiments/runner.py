@@ -26,6 +26,7 @@ Usage (installed as ``continustreaming-experiments``)::
     # sharded multi-process cluster over TCP (see docs/cluster.md):
     continustreaming-experiments cluster --shards 4            # 1000 peers
     continustreaming-experiments cluster --shards 2 --nodes 100 --rounds 20
+    continustreaming-experiments runtime --shards 2 --nodes 100  # same engine
     continustreaming-experiments runtime --parity-matrix --backend cluster --nodes 60
     continustreaming-experiments campaign --backend cluster --shards 2 --nodes 80
 
@@ -79,43 +80,32 @@ def _obs_config(args: argparse.Namespace):
     )
 
 
-def _telemetry_plane(args: argparse.Namespace, swarm, rounds: int):
-    """Attach the live telemetry consumers to a single-process swarm.
+def _run_options(args: argparse.Namespace, command: str, shards: int):
+    """The flags as the live runtime's one options record.
 
-    Chains the swarm's telemetry sink through a
-    :class:`~repro.obs.health.HealthEngine` (sharing the swarm's own
-    recorder, so alerts and the breach postmortem land in the obs
-    export) and, with ``--telemetry-out``, a streaming
-    :class:`~repro.obs.live.TelemetryWriter`.  With ``--slo`` the sink
-    raises :class:`~repro.obs.health.SloViolation` on breach, aborting
-    the run early.  Returns ``(engine, writer)`` (both ``None`` when no
-    telemetry consumer was requested).
+    Every combination the runtime cannot run (virtual clock on a sharded
+    run, ``--core-peers`` without ``--fidelity hybrid``, ...) is rejected
+    by the record itself, a malformed ``--slo`` by its parser; the CLI
+    only turns that ``ValueError`` into a one-line exit.
     """
-    from repro.obs import HealthEngine, SloViolation, TelemetryWriter, parse_slo
+    from repro.obs import parse_slo
+    from repro.runtime import RunOptions
 
-    slo = parse_slo(args.slo)
-    if slo is None and not args.telemetry_out:
-        return None, None
-    grace = (
-        slo.grace if slo is not None and slo.grace is not None else max(2, rounds // 3)
-    )
-    engine = HealthEngine(
-        slo=slo, recorder=swarm.obs, grace=grace, expected_shards=1
-    )
-    writer = TelemetryWriter(args.telemetry_out) if args.telemetry_out else None
-
-    def sink(body):
-        engine.observe_frame(body)
-        if writer is not None:
-            writer.frame(body)
-        for alert in engine.drain_alerts():
-            if writer is not None:
-                writer.alert(alert)
-        if slo is not None and engine.breach is not None:
-            raise SloViolation(engine.breach)
-
-    swarm.telemetry_sink = sink
-    return engine, writer
+    try:
+        return RunOptions(
+            shards=shards,
+            time_scale=args.time_scale,
+            clock=args.clock,
+            batching=not args.no_batch,
+            delta_maps=not args.no_delta,
+            obs=_obs_config(args),
+            slo=parse_slo(args.slo),
+            telemetry_out=args.telemetry_out,
+            fidelity=args.fidelity,
+            core_peers=args.core_peers,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"{command} error: {exc}") from exc
 
 
 def _fidelity_lines(result) -> List[str]:
@@ -320,10 +310,10 @@ def cmd_campaign(args: argparse.Namespace) -> str:
         )
     results_path = None
     summary_path = None
-    obs_cfg = _obs_config(args)
+    options = _run_options(args, "campaign", 1 if args.shards is None else args.shards)
     # For campaigns --metrics-out names a *directory*: each grid cell
     # writes its own collision-free obs JSONL there.
-    obs_dir = args.metrics_out or (args.out if obs_cfg is not None else None)
+    obs_dir = args.metrics_out or (args.out if options.obs is not None else None)
     if args.out:
         from pathlib import Path
 
@@ -340,12 +330,8 @@ def cmd_campaign(args: argparse.Namespace) -> str:
             workers=args.workers,
             results_path=results_path,
             backend=args.backend,
-            time_scale=args.time_scale,
-            shards=args.shards,
-            obs=obs_cfg,
+            options=options,
             obs_dir=obs_dir,
-            fidelity=args.fidelity,
-            core_peers=args.core_peers,
         )
     except (ValueError, RuntimeError) as exc:
         # ValueError: bad scenario names/specs; RuntimeError: e.g. a YAML
@@ -366,7 +352,7 @@ def cmd_campaign(args: argparse.Namespace) -> str:
     ]
     if not store.is_complete:
         lines.insert(1, store.format_incomplete())
-    if obs_cfg is not None and obs_dir:
+    if options.obs is not None and obs_dir:
         lines.append("")
         lines.append(f"per-cell obs JSONL written to {obs_dir}/")
     if args.out:
@@ -386,82 +372,73 @@ def cmd_campaign(args: argparse.Namespace) -> str:
     return out
 
 
-def cmd_runtime(args: argparse.Namespace) -> str:
-    """Run a scenario as a live asyncio swarm (see docs/runtime.md)."""
+def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, shards: int) -> str:
+    """Run one scenario on the live runtime — the body of both the
+    ``runtime`` and the ``cluster`` command, which differ only in their
+    defaults (50 peers × 20 rounds in-process vs 1000 × 30 on 4 shards)."""
     from repro.analysis.metrics import summarize_ledger
-    from repro.runtime import DEFAULT_TIME_SCALE, LiveSwarm, run_parity
+    from repro.obs import SloViolation
+    from repro.runtime import run, run_parity
     from repro.scenarios import load_scenarios
 
     names = args.scenario or ["static"]
-    time_scale = DEFAULT_TIME_SCALE if args.time_scale is None else args.time_scale
-    if args.fidelity == "hybrid" and (args.parity or args.parity_matrix):
+    parity = args.parity or args.parity_matrix
+    if parity and command == "cluster":
+        raise SystemExit(
+            "cluster error: --parity/--parity-matrix belong to the runtime "
+            "command (runtime --parity-matrix --shards N puts the cluster on "
+            "the live side)"
+        )
+    if parity and args.fidelity == "hybrid":
         raise SystemExit(
             "--fidelity hybrid does not combine with the parity harness "
             "(parity pins the full runtime against the sim; hybrid parity "
             "is pinned by tests/test_runtime_hybrid.py)"
         )
-    if args.core_peers is not None and args.fidelity != "hybrid":
-        raise SystemExit("--core-peers needs --fidelity hybrid")
+    if args.shards is not None:
+        shards = args.shards
     if args.parity_matrix:
-        # Matrix mode defaults to run_parity_matrix's own scale (120
-        # nodes / 40 rounds — what the nightly acceptance runs), not the
-        # single-swarm smoke scale.
+        # The campaign-oriented --backend flag doubles as the matrix's
+        # cluster axis (4 shards unless --shards says otherwise); matrix
+        # mode defaults to run_parity_matrix's own scale (120 nodes / 40
+        # rounds — what the nightly acceptance runs).
+        if args.backend == "cluster" and args.shards is None:
+            shards = 4
         return _parity_matrix(
-            args, names, args.nodes or 120, args.rounds or 40, time_scale
+            args, names, args.nodes or 120, args.rounds or 40,
+            _run_options(args, command, shards),
         )
-    nodes = args.nodes or 50
-    rounds = args.rounds or 20
+    nodes = args.nodes or nodes
+    rounds = args.rounds or rounds
     if len(names) > 1:
         raise SystemExit(
-            f"runtime runs one scenario per invocation, got {len(names)}: "
+            f"{command} runs one scenario per invocation, got {len(names)}: "
             f"{' '.join(names)} (campaigns sweep multiple scenarios)"
         )
+    options = _run_options(args, command, shards)
     try:
         (spec,) = load_scenarios(names)
-    except (ValueError, RuntimeError) as exc:
-        raise SystemExit(f"runtime error: {exc}") from exc
-    result = None
-    if args.parity:
-        report = run_parity(
-            spec, num_nodes=nodes, rounds=rounds, seed=args.seed,
-            time_scale=time_scale, clock=args.clock,
-        )
-        continuity = report.runtime_stable_continuity
-        out = report.formatted()
-    else:
-        from repro.obs import SloViolation
-
-        spec = spec.scaled(num_nodes=nodes, rounds=rounds, seed=args.seed)
-        swarm_kwargs = dict(
-            time_scale=time_scale,
-            clock=args.clock,
-            batching=not args.no_batch,
-            delta_maps=not args.no_delta,
-            obs=_obs_config(args),
-        )
-        if args.fidelity == "hybrid":
-            from repro.runtime.slim import HybridSwarm
-
-            try:
-                swarm = HybridSwarm(spec, core_peers=args.core_peers, **swarm_kwargs)
-            except ValueError as exc:
-                raise SystemExit(f"runtime error: {exc}") from exc
+        if args.parity:
+            report = run_parity(spec, num_nodes=nodes, rounds=rounds, seed=args.seed, options=options)
+            result = report.runtime_result
+            out = report.formatted()
         else:
-            swarm = LiveSwarm(spec, **swarm_kwargs)
-        engine, writer = _telemetry_plane(args, swarm, rounds)
-        try:
-            result = swarm.run()
-        except SloViolation as exc:
-            _print_slo_breach(exc)
-            raise SystemExit(f"runtime SLO breach: {exc}") from exc
-        finally:
-            if writer is not None:
-                writer.close()
-        continuity = result.stable_continuity()
+            result = run(spec.scaled(num_nodes=nodes, rounds=rounds, seed=args.seed), options)
+    except SloViolation as exc:
+        _print_slo_breach(exc)
+        raise SystemExit(f"{command} SLO breach: {exc}") from exc
+    except (ValueError, RuntimeError) as exc:
+        # ValueError: a bad scenario or an option combination the record
+        # rejects; RuntimeError: the cluster failed to come up.
+        raise SystemExit(f"{command} error: {exc}") from exc
+    continuity = result.stable_continuity()
+    if not args.parity:
         ledger = summarize_ledger(result.ledger, transport=result.transport)
+        cluster = result.cluster
+        placement = f"shards={result.shards} " if cluster else ""
         lines = [
-            f"runtime {spec.name} n={nodes} rounds={rounds} "
-            f"time_scale={time_scale} clock={args.clock} ({spec.system}):",
+            f"{command} {spec.name} n={nodes} rounds={rounds} {placement}"
+            f"time_scale={result.time_scale:.3g} clock={result.clock} ({spec.system}):",
             f"  stable continuity {continuity:.4f}  "
             f"(final {result.continuity_series()[-1]:.4f})",
             f"  control overhead {ledger['control_overhead']:.4f}, "
@@ -478,123 +455,47 @@ def cmd_runtime(args: argparse.Namespace) -> str:
             f"(+{result.clock_dilation_s:.2f}s), "
             f"wall {result.wall_time_s:.2f}s",
         ]
+        if cluster:
+            socket = cluster["socket"]
+            lines.append(
+                f"  sockets: {socket.get('frames_out', 0)} frames out / "
+                f"{socket.get('frames_in', 0)} in, {socket.get('bytes_out', 0)} bytes out, "
+                f"{socket.get('sheds', 0)} shed, {socket.get('disconnects', 0)} disconnects, "
+                f"shards lost {cluster['shards_lost']}"
+            )
+            lines.append(
+                "  shards: "
+                + ", ".join(
+                    f"#{row['shard']}{'*' if row['hosts_source'] else ''}"
+                    f" {row['hosted_peers']} peers"
+                    for row in cluster["per_shard"]
+                )
+                + "  (* hosts the source)"
+            )
         lines.extend(_fidelity_lines(result))
         lines.extend(_obs_lines(result, args))
-        lines.extend(
-            _telemetry_lines(args, engine.snapshot() if engine is not None else None)
-        )
+        lines.extend(_telemetry_lines(args, result.health))
         out = "\n".join(lines)
-    if args.assert_continuity is not None and continuity < args.assert_continuity:
-        print(out)
-        if result is not None:
-            postmortems = _obs_postmortems(result)
-            if postmortems:
-                print(postmortems, file=sys.stderr)
-        raise SystemExit(
-            f"runtime stable continuity {continuity:.4f} is below the "
-            f"required {args.assert_continuity}"
-        )
-    return out
-
-
-def cmd_cluster(args: argparse.Namespace) -> str:
-    """Run a scenario as a sharded multi-process swarm (docs/cluster.md)."""
-    from repro.analysis.metrics import summarize_ledger
-    from repro.runtime.cluster import run_cluster
-    from repro.scenarios import load_scenarios
-
-    names = args.scenario or ["static"]
-    if len(names) > 1:
-        raise SystemExit(
-            f"cluster runs one scenario per invocation, got {len(names)}: "
-            f"{' '.join(names)} (campaigns sweep multiple scenarios)"
-        )
-    try:
-        (spec,) = load_scenarios(names)
-    except (ValueError, RuntimeError) as exc:
-        raise SystemExit(f"cluster error: {exc}") from exc
-    from repro.obs import SloViolation, parse_slo
-
-    nodes = args.nodes or 1000
-    rounds = args.rounds or 30
-    spec = spec.scaled(num_nodes=nodes, rounds=rounds, seed=args.seed)
-    try:
-        slo = parse_slo(args.slo)
-    except ValueError as exc:
-        raise SystemExit(f"cluster error: {exc}") from exc
-    try:
-        result = run_cluster(
-            spec,
-            shards=args.shards,
-            rounds=rounds,
-            time_scale=args.time_scale,
-            batching=not args.no_batch,
-            delta_maps=not args.no_delta,
-            obs=_obs_config(args),
-            slo=slo,
-            telemetry_out=args.telemetry_out,
-            fidelity=args.fidelity,
-            core_peers=args.core_peers,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"cluster error: {exc}") from exc
-    except SloViolation as exc:
-        _print_slo_breach(exc)
-        raise SystemExit(f"cluster SLO breach: {exc}") from exc
-    except RuntimeError as exc:
-        raise SystemExit(f"cluster error: {exc}") from exc
-    continuity = result.stable_continuity()
-    ledger = summarize_ledger(result.ledger, transport=result.transport)
-    cluster = result.cluster or {}
-    socket = cluster.get("socket", {})
-    lines = [
-        f"cluster {spec.name} n={nodes} rounds={rounds} shards={args.shards} "
-        f"time_scale={result.time_scale:.3g} ({spec.system}):",
-        f"  stable continuity {continuity:.4f}  "
-        f"(final {result.continuity_series()[-1]:.4f})",
-        f"  control overhead {ledger['control_overhead']:.4f}, "
-        f"prefetch overhead {ledger['prefetch_overhead']:.4f}",
-        f"  {result.messages_sent} wire messages "
-        f"({result.messages_per_wall_second():.0f}/s wall), "
-        f"{result.segments_delivered()} segments "
-        f"({result.segments_per_wall_second():.0f}/s wall)",
-        f"  sockets: {socket.get('frames_out', 0)} frames out / "
-        f"{socket.get('frames_in', 0)} in, {socket.get('bytes_out', 0)} bytes out, "
-        f"{socket.get('sheds', 0)} shed, {socket.get('disconnects', 0)} disconnects",
-        f"  {result.bytes_on_wire} bytes on wire (loopback tails included)",
-        f"  transport: {result.transport.formatted()}",
-        f"  peers +{result.peers_joined}/-{result.peers_left}, "
-        f"{result.messages_dropped} frames dropped, "
-        f"schedule dilated {result.clock_dilations}x "
-        f"(+{result.clock_dilation_s:.2f}s), "
-        f"shards lost {cluster.get('shards_lost', 0)}, "
-        f"wall {result.wall_time_s:.2f}s",
-    ]
-    per_shard = cluster.get("per_shard", [])
-    if per_shard:
-        lines.append(
-            "  shards: "
-            + ", ".join(
-                f"#{row['shard']}{'*' if row.get('hosts_source') else ''}"
-                f" {row['hosted_peers']} peers"
-                for row in per_shard
-            )
-            + "  (* hosts the source)"
-        )
-    lines.extend(_fidelity_lines(result))
-    lines.extend(_obs_lines(result, args))
-    lines.extend(_telemetry_lines(args, cluster.get("health")))
-    out = "\n".join(lines)
     if args.assert_continuity is not None and continuity < args.assert_continuity:
         print(out)
         postmortems = _obs_postmortems(result)
         if postmortems:
             print(postmortems, file=sys.stderr)
         raise SystemExit(
-            f"cluster stable continuity {continuity:.4f} is below the "
+            f"{command} stable continuity {continuity:.4f} is below the "
             f"required {args.assert_continuity}"
         )
     return out
+
+
+def cmd_runtime(args: argparse.Namespace) -> str:
+    """Run a scenario as a live swarm in this process (docs/runtime.md)."""
+    return _cmd_swarm(args, "runtime", nodes=50, rounds=20, shards=1)
+
+
+def cmd_cluster(args: argparse.Namespace) -> str:
+    """Run a scenario as a sharded multi-process swarm (docs/cluster.md)."""
+    return _cmd_swarm(args, "cluster", nodes=1000, rounds=30, shards=4)
 
 
 def cmd_obs(args: argparse.Namespace) -> str:
@@ -678,11 +579,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> str:
 
 
 def _parity_matrix(
-    args: argparse.Namespace,
-    names: List[str],
-    nodes: int,
-    rounds: int,
-    time_scale: float,
+    args: argparse.Namespace, names: List[str], nodes: int, rounds: int, options
 ) -> str:
     """Run the sim-vs-live parity matrix over several scenarios."""
     from repro.runtime.parity import PARITY_TOLERANCE, run_parity_matrix
@@ -691,19 +588,8 @@ def _parity_matrix(
     tolerance = (
         PARITY_TOLERANCE if args.tolerance is None else args.tolerance
     )
-    # The campaign-oriented --backend flag doubles as the parity-matrix
-    # axis: "cluster" puts sharded multi-process swarms on the live side;
-    # anything else keeps the standard single-process runtime.
-    backend = "cluster" if args.backend == "cluster" else "runtime"
     matrix = run_parity_matrix(
-        scenarios=scenarios,
-        num_nodes=nodes,
-        rounds=rounds,
-        seed=args.seed,
-        time_scale=time_scale,
-        clock=args.clock,
-        backend=backend,
-        shards=args.shards,
+        scenarios=scenarios, num_nodes=nodes, rounds=rounds, seed=args.seed, options=options
     )
     out = matrix.formatted(tolerance)
     failures = matrix.failures(tolerance)
@@ -806,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_group.add_argument(
         "--time-scale", type=float, default=None, metavar="S",
         help="wall seconds per simulated second for the live runtime "
-        "(default: 0.1; an overloaded wall-clock swarm stretches its "
+        "(default: 0.1 in-process, sized on the peers per core when "
+        "sharded; an overloaded wall-clock swarm stretches its "
         "schedule coherently instead of collapsing)")
     runtime_group.add_argument(
         "--clock", choices=("wall", "virtual"), default="wall",
@@ -918,10 +805,11 @@ def build_parser() -> argparse.ArgumentParser:
         "regressions (default is warn-only)")
     cluster_group = parser.add_argument_group("cluster options")
     cluster_group.add_argument(
-        "--shards", type=int, default=4,
-        help="worker processes for the cluster command, cluster-backend "
-        "campaigns and the cluster parity axis (default: 4; the cluster "
-        "command defaults to 1000 peers — see docs/cluster.md)")
+        "--shards", type=int, default=None,
+        help="worker processes hosting the swarm: 1 runs in-process, more "
+        "run sharded over TCP (default: 1 for runtime, 4 for cluster — which "
+        "also defaults to 1000 peers, see docs/cluster.md — and for "
+        "--backend cluster parity matrices, 2 for cluster-backend campaigns)")
     return parser
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.analysis.theory import (
-    playback_continuity_delta,
     playback_continuity_new,
     playback_continuity_old,
 )

@@ -9,7 +9,7 @@ graph can be exported to networkx for analysis.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class OverlayTopology:
     def nodes(self) -> List[int]:
         """Sorted list of node ids."""
         return sorted(self._adj)
-
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(self._adj)
 
     def add_node(self, node: int) -> None:
         """Add a node (no-op if already present)."""
@@ -157,15 +154,6 @@ class OverlayTopology:
                         stack.append(w)
             sizes.append(size)
         return sorted(sizes, reverse=True)
-
-    def to_networkx(self):  # pragma: no cover - convenience only
-        """Export to a :class:`networkx.Graph` (requires networkx)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
-        graph.add_edges_from(self.edges())
-        return graph
 
     def copy(self) -> "OverlayTopology":
         """Deep copy of the topology."""

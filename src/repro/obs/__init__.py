@@ -1,21 +1,24 @@
 """The observability plane: metrics, traces, flight recorder, live telemetry.
 
-Opt-in instrumentation for the live runtime and the cluster
-(``docs/observability.md``).  Pass an :class:`ObsConfig` to
-``LiveSwarm``/``run_swarm``/``run_cluster`` (CLI: ``--obs`` /
-``--metrics-out``) and the run exports ``RuntimeResult.obs``: a
-per-period metric registry, sampled request→ship→deliver→play/miss
-trace spans that cross shard sockets, and flight-recorder postmortems
-dumped on stalls, shard death or crashes.  Disabled (the default), the
-plane is the no-op :data:`NULL_OBS` and runs are bit-identical to an
-uninstrumented build.
+Opt-in instrumentation for the live runtime, in-process or sharded
+(``docs/observability.md``).  Set ``obs=ObsConfig()`` on the run's
+``RunOptions`` (``run(spec, obs=...)`` / ``LiveSwarm(spec, obs=...)``;
+CLI: ``--obs`` / ``--metrics-out``) and the run exports
+``RuntimeResult.obs``: a per-period metric registry, sampled
+request→ship→deliver→play/miss trace spans that cross shard sockets, and
+flight-recorder postmortems dumped on stalls, shard death or crashes.
+Disabled (the default), the plane is the no-op :data:`NULL_OBS` and runs
+are bit-identical to an uninstrumented build.
 
-On top of the recorder sits the live plane: shards stream uncharged
-``TelemetryFrame``s to the coordinator every period, a
-:class:`HealthEngine` folds them into run-level SLO verdicts (``--slo``
-aborts on budget burn via :class:`SloViolation`), and the stream feeds
-``--telemetry-out`` JSONL + Prometheus exposition files and the
-``obs --live`` :class:`Cockpit`.
+On top of the recorder sits the live plane: every swarm emits one
+telemetry frame body per period (shards ship them to the coordinator as
+uncharged ``TelemetryFrame``s), and one :class:`TelemetryPlane` — used
+alike by an in-process run and by the cluster coordinator — folds them
+through a :class:`HealthEngine` into run-level SLO verdicts (``--slo``
+aborts on budget burn via :class:`SloViolation`), feeds the
+``--telemetry-out`` JSONL + Prometheus exposition files and leaves its
+snapshot in ``RuntimeResult.health``; the ``obs --live``
+:class:`Cockpit` renders the stream.
 """
 
 from repro.obs.diff import diff_obs, render_diff
@@ -29,6 +32,7 @@ from repro.obs.health import (
 )
 from repro.obs.live import (
     Cockpit,
+    TelemetryPlane,
     TelemetryWriter,
     load_telemetry_jsonl,
     run_live,
@@ -62,6 +66,7 @@ __all__ = [
     "ObsRecorder",
     "SloSpec",
     "SloViolation",
+    "TelemetryPlane",
     "TelemetryWriter",
     "TopologyObserver",
     "diff_obs",

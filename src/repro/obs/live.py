@@ -1,7 +1,9 @@
-"""The live telemetry surface: streaming writers and the run cockpit.
+"""The live telemetry surface: the plane, streaming writers, the cockpit.
 
-Two consumers sit on the telemetry stream (``docs/observability.md`` →
-*Live telemetry & SLOs*):
+:class:`TelemetryPlane` is the one consumer a *run* attaches to its
+telemetry stream (health engine + writer + SLO abort).  Two more
+consumers sit on the stream (``docs/observability.md`` → *Live telemetry
+& SLOs*):
 
 * :class:`TelemetryWriter` — appends one JSON line per frame/alert to a
   streaming JSONL file (flushed per record so ``tail -f`` and
@@ -27,10 +29,10 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, IO, Iterator, List, Optional, Union
 
-from repro.obs.health import Alert
+from repro.obs.health import Alert, HealthEngine, SloSpec, SloViolation
 from repro.obs.report import _sparkline
 
-__all__ = ["TelemetryWriter", "Cockpit", "run_live", "load_telemetry_jsonl"]
+__all__ = ["TelemetryPlane", "TelemetryWriter", "Cockpit", "run_live", "load_telemetry_jsonl"]
 
 
 def _prom_escape(value: str) -> str:
@@ -181,6 +183,77 @@ class _ShardView:
         self.continuity.append(float(body.get("continuity", 1.0)))
         self.last = body
         self.periods += 1
+
+
+class TelemetryPlane:
+    """The consumer side of one run's telemetry stream.
+
+    Folds every frame body into a :class:`~repro.obs.health.HealthEngine`,
+    streams frames and freshly raised alerts to a :class:`TelemetryWriter`
+    (with ``telemetry_out``) and, with an ``slo``, turns a confirmed
+    breach into :class:`~repro.obs.health.SloViolation`.  The in-process
+    swarm attaches :meth:`sink` directly and shares its own recorder, so
+    alerts and the breach postmortem land in the run's obs export; the
+    cluster coordinator feeds :meth:`frame` from its control pipes and
+    checks the SLO at its own barriers.
+
+    Args:
+        rounds: the run's period count (sizes the default SLO grace: a
+            third of the run, at least 2 periods, is start-up).
+        shards: the fleet size — no period closes before every shard has
+            reported or died.
+        recorder: the :class:`~repro.obs.recorder.ObsRecorder` alerts
+            and postmortems are written to.
+    """
+
+    def __init__(
+        self,
+        rounds: int,
+        shards: int,
+        recorder: Any,
+        slo: Optional[SloSpec] = None,
+        telemetry_out: Optional[Union[str, Path]] = None,
+    ) -> None:
+        grace = slo.grace if slo is not None and slo.grace is not None else max(2, rounds // 3)
+        self.health = HealthEngine(
+            slo=slo, recorder=recorder, grace=grace, expected_shards=shards
+        )
+        self.writer = TelemetryWriter(telemetry_out) if telemetry_out else None
+
+    def frame(self, body: Dict[str, Any]) -> None:
+        """Fold one frame body into the health engine and the stream."""
+        self.health.observe_frame(body)
+        if self.writer is not None:
+            self.writer.frame(body)
+        self.flush_alerts()
+
+    def flush_alerts(self) -> None:
+        """Drain newly raised alerts into the streaming writer."""
+        for alert in self.health.drain_alerts():
+            if self.writer is not None:
+                self.writer.alert(alert)
+
+    def shard_dead(self, shard: int) -> None:
+        """A shard's control channel died mid-run."""
+        self.health.mark_shard_dead(shard)
+        self.flush_alerts()
+
+    def check_slo(self) -> None:
+        """Raise :class:`SloViolation` once the SLO's budget has breached."""
+        health = self.health
+        if health.slo is not None and health.breach is not None:
+            raise SloViolation(health.breach, obs=health.recorder.export())
+
+    def sink(self, body: Dict[str, Any]) -> None:
+        """A swarm's ``telemetry_sink``: fold the frame, abort on breach."""
+        self.frame(body)
+        self.check_slo()
+
+    def close(self) -> None:
+        """Flush pending alerts and close the stream (idempotent)."""
+        self.flush_alerts()
+        if self.writer is not None:
+            self.writer.close()
 
 
 class Cockpit:

@@ -13,8 +13,12 @@ frames over in-process loopback transports:
   actor adapting :class:`~repro.core.node.StreamingNode` to an
   event-driven inbox with per-link latency and send-budget pacing;
 * :mod:`repro.runtime.swarm` — :class:`~repro.runtime.swarm.LiveSwarm`,
-  the orchestrator booting a scenario's peers, driving live churn and
-  collecting continuity/overhead metrics;
+  the one swarm class (booting a scenario's peers, driving live churn,
+  collecting continuity/overhead metrics), the
+  :class:`~repro.runtime.swarm.RunOptions` record every run option is
+  declared in, and :func:`~repro.runtime.swarm.run`, the single entry;
+* :mod:`repro.runtime.slim` — the array-backed statistical tier a
+  hybrid-fidelity swarm holds around its live core;
 * :mod:`repro.runtime.parity` — the sim-vs-runtime parity harness.
 
 Deployment at scale lives in :mod:`repro.runtime.cluster`: the same
@@ -24,12 +28,7 @@ sockets behind the same codec (``docs/cluster.md``); see
 """
 
 from repro.runtime.clock import VirtualClockEventLoop, run_on_virtual_clock
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ClusterCoordinator,
-    LinkConfig,
-    run_cluster,
-)
+from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
 from repro.runtime.parity import (
     PARITY_TOLERANCE,
     ParityMatrix,
@@ -37,18 +36,16 @@ from repro.runtime.parity import (
     run_parity,
     run_parity_matrix,
 )
-from repro.runtime.slim import (
-    HybridShardSwarm,
-    HybridSwarm,
-    SlimTier,
-    default_core_peers,
-)
+from repro.runtime.slim import SlimTier, default_core_peers
 from repro.runtime.swarm import (
     CLOCKS,
     DEFAULT_TIME_SCALE,
     LiveSwarm,
+    RunOptions,
     RuntimeResult,
-    run_swarm,
+    ShardResult,
+    merge_results,
+    run,
 )
 from repro.runtime.transport import (
     BoundedInbox,
@@ -84,7 +81,6 @@ __all__ = [
     "BufferMapDelta",
     "BufferMapMsg",
     "CLOCKS",
-    "ClusterConfig",
     "ClusterCoordinator",
     "CreditGrant",
     "LinkConfig",
@@ -95,17 +91,17 @@ __all__ = [
     "FrameBatch",
     "FrameDecoder",
     "Handover",
-    "HybridShardSwarm",
-    "HybridSwarm",
     "LiveSwarm",
     "PARITY_TOLERANCE",
     "ParityMatrix",
     "ParityReport",
     "Ping",
     "Pong",
+    "RunOptions",
     "RuntimeResult",
     "SegmentData",
     "SegmentRequest",
+    "ShardResult",
     "SlimTier",
     "TransportConfig",
     "TransportStats",
@@ -120,8 +116,9 @@ __all__ = [
     "encode_batch",
     "frame_count",
     "ledger_entry",
+    "merge_results",
+    "run",
     "run_on_virtual_clock",
     "run_parity",
     "run_parity_matrix",
-    "run_swarm",
 ]

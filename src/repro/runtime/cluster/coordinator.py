@@ -5,7 +5,8 @@ swarm:
 
 * **spawn** — one worker process per shard
   (:func:`~repro.runtime.cluster.worker.run_shard_worker`), each handed
-  the spec, its ring range and the run token over a control pipe;
+  the spec, the resolved :class:`~repro.runtime.swarm.RunOptions`, its
+  shard index and the run token over a control pipe;
 * **wire** — collects every shard's listening port, broadcasts the port
   map, and waits for the full mesh of handshaken socket links (the
   *start barrier*: no peer frame flies before every link is up);
@@ -21,10 +22,11 @@ swarm:
   whole cluster's clock coherently instead of letting shards drift
   apart (churn events replicate deterministically from the shared seed
   and ride the same boundaries);
-* **stop** — collects every shard's :class:`~repro.runtime.cluster.
-  worker.ShardResult`, broadcasts the close barrier (links are only torn
-  down once every shard has finished), and merges samples, ledgers and
-  transport stats into one standard
+* **stop** — collects every shard's :class:`~repro.runtime.swarm.
+  ShardResult` partial, broadcasts the close barrier (links are only torn
+  down once every shard has finished), and folds the partials through
+  :func:`~repro.runtime.swarm.merge_results` — the same merge an
+  in-process run applies to its single partial — into one standard
   :class:`~repro.runtime.swarm.RuntimeResult`.
 
 A worker that dies mid-run (crash, kill -9) is detected through its
@@ -36,122 +38,28 @@ the shard's peers dead (see ``docs/cluster.md`` on failure semantics).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import secrets
 import sys
 import time
-from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import (
-    HealthEngine,
-    ObsConfig,
-    ObsRecorder,
-    SloSpec,
-    SloViolation,
-    TelemetryWriter,
-    merge_obs,
-)
+from repro.obs import HealthEngine, ObsRecorder, SloViolation, TelemetryPlane
 from repro.runtime import wire
-from repro.runtime.cluster.links import LinkConfig
-from repro.runtime.cluster.worker import ShardResult, run_shard_worker
-from repro.runtime.swarm import DEFAULT_TIME_SCALE, RuntimeResult
-from repro.runtime.transport import TransportConfig, TransportSummary
+from repro.runtime.cluster.worker import run_shard_worker
+from repro.runtime.swarm import RunOptions, RuntimeResult, ShardResult, merge_results, run
 from repro.scenarios.spec import ScenarioSpec
-from repro.streaming.playback import ContinuityTracker
 
+#: How far in the future the agreed start instant lies (covers the
+#: broadcast latency to every worker).
+START_MARGIN_S = 0.5
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+#: Budget for spawn → listen → mesh → ready.
+SETUP_TIMEOUT_S = 90.0
 
-
-def adaptive_time_scale(num_nodes: int, shards: int) -> float:
-    """A wall-clock compression that gives each shard's loop headroom.
-
-    ~2.5 ms of wall time per peer per simulated second, divided by the
-    *effective* parallelism — ``min(shards, cpus)``, because four shard
-    processes time-slicing one core buy zero wall headroom: at 1000
-    peers over 4 shards on 4 cores the paper's 1 s scheduling period
-    runs in ~0.6 s, while the same swarm on a 1-core box gets a 2.5 s
-    period instead of a schedule it cannot possibly keep.  Still
-    optimistic by design — the coherent cluster-wide dilation stretches
-    the schedule to the sustainable rate when a machine can't keep up,
-    which beats hard-coding everyone to the slowest box.
-    """
-    parallelism = max(1, min(shards, _available_cpus()))
-    return max(DEFAULT_TIME_SCALE, 0.0025 * num_nodes / parallelism)
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Knobs of a cluster run.
-
-    Attributes:
-        shards: worker processes to spawn (>= 1).
-        time_scale: wall seconds per simulated second; ``None`` picks
-            :func:`adaptive_time_scale` from the swarm size.
-        transport: per-peer flow-control knobs (shared by every shard).
-        link: TCP link knobs (queue bound, reconnect budget).
-        start_margin_s: how far in the future the agreed start instant
-            lies (covers the broadcast latency to every worker).
-        setup_timeout_s: budget for spawn → listen → mesh → ready.
-        mp_context: ``multiprocessing`` start method (``"spawn"`` keeps
-            workers independent of the parent's threads and event loops).
-    """
-
-    shards: int = 2
-    time_scale: Optional[float] = None
-    transport: Optional[TransportConfig] = None
-    link: LinkConfig = field(default_factory=LinkConfig)
-    start_margin_s: float = 0.5
-    setup_timeout_s: float = 90.0
-    mp_context: str = "spawn"
-    #: Wire fast-path switches, broadcast to every shard (see
-    #: :class:`~repro.runtime.swarm.LiveSwarm`).
-    batching: bool = True
-    delta_maps: bool = True
-    #: Observability plane (:mod:`repro.obs`), broadcast to every shard;
-    #: ``None`` keeps the zero-overhead no-op recorder.
-    obs: Optional[ObsConfig] = None
-    #: Abort the run early once this SLO's error budget burns too fast
-    #: (:mod:`repro.obs.health`); requires telemetry (``obs`` with
-    #: ``metrics`` and ``telemetry`` on).
-    slo: Optional[SloSpec] = None
-    #: Stream decoded telemetry frames and alerts to this JSONL path (a
-    #: Prometheus text exposition file appears next to it as
-    #: ``<path>.prom``); requires telemetry.
-    telemetry_out: Optional[str] = None
-    #: ``"full"`` runs every peer as a live task; ``"hybrid"`` hosts a
-    #: full-fidelity core of ``core_peers`` live peers plus an
-    #: array-backed slim tier for the rest (:mod:`repro.runtime.slim`).
-    fidelity: str = "full"
-    #: Live-core size for hybrid runs; ``None`` picks
-    #: :func:`~repro.runtime.slim.default_core_peers`.
-    core_peers: Optional[int] = None
-
-    @property
-    def telemetry_on(self) -> bool:
-        """Whether shards stream :class:`~repro.runtime.wire.TelemetryFrame`s."""
-        return self.obs is not None and self.obs.metrics and self.obs.telemetry
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if (self.slo is not None or self.telemetry_out is not None) and not self.telemetry_on:
-            raise ValueError(
-                "slo/telemetry_out need the telemetry stream: pass an ObsConfig "
-                "with metrics=True and telemetry=True"
-            )
-        if self.fidelity not in ("full", "hybrid"):
-            raise ValueError(f"fidelity must be 'full' or 'hybrid', got {self.fidelity!r}")
-        if self.core_peers is not None and self.fidelity != "hybrid":
-            raise ValueError("core_peers only applies to fidelity='hybrid'")
+#: ``multiprocessing`` start method: ``"spawn"`` keeps workers independent
+#: of the parent's threads and event loops.
+MP_CONTEXT = "spawn"
 
 
 class _Channel:
@@ -177,38 +85,15 @@ class ClusterCoordinator:
 
     Args:
         spec: the workload (identical spec goes to every shard).
-        rounds: scheduling periods; ``None`` uses the spec's.
-        config: cluster knobs; ``config.shards`` picks the process count.
+        options: the run's :class:`~repro.runtime.swarm.RunOptions`;
+            ``options.shards`` picks the process count.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        rounds: Optional[int] = None,
-        config: Optional[ClusterConfig] = None,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, options: RunOptions) -> None:
         self.spec = spec
-        self.config = config if config is not None else ClusterConfig()
-        self.rounds = int(spec.rounds if rounds is None else rounds)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        #: Hybrid runs only spawn live tasks for the core, so the adaptive
-        #: clock (and nothing else) sizes by the core, not the population.
-        self.core_peers: Optional[int] = None
-        if self.config.fidelity == "hybrid":
-            from repro.runtime.slim import default_core_peers
-
-            self.core_peers = (
-                self.config.core_peers
-                if self.config.core_peers is not None
-                else default_core_peers(spec.num_nodes)
-            )
-        live_nodes = spec.num_nodes if self.core_peers is None else self.core_peers
-        self.time_scale = (
-            self.config.time_scale
-            if self.config.time_scale is not None
-            else adaptive_time_scale(live_nodes, self.config.shards)
-        )
+        #: Resolved once here, so every worker receives the same rounds,
+        #: clock compression and hybrid core size.
+        self.options = options.resolved(spec)
         self.token = secrets.randbits(32)
         #: Live phase marker: ``"init" → "setup" → "running" → "done"``
         #: (tests and progress displays poll it).
@@ -220,27 +105,15 @@ class ClusterCoordinator:
         #: Decoded telemetry frame bodies in arrival order (bounded ring;
         #: the cockpit and tests read this).
         self.telemetry_frames: List[Dict[str, Any]] = []
-        self.health: Optional[HealthEngine] = None
-        self._health_obs: Optional[ObsRecorder] = None
-        self._writer: Optional[TelemetryWriter] = None
+        #: The telemetry consumer (``None`` with telemetry off), created at
+        #: :meth:`run`; :attr:`health` is its engine.
+        self.plane: Optional[TelemetryPlane] = None
         self._aborted = False
-        cfg = self.config
-        if cfg.telemetry_on:
-            self._health_obs = ObsRecorder(cfg.obs)
-            grace = (
-                cfg.slo.grace
-                if cfg.slo is not None and cfg.slo.grace is not None
-                else max(2, self.rounds // 3)
-            )
-            self.health = HealthEngine(
-                slo=cfg.slo,
-                recorder=self._health_obs,
-                grace=grace,
-                expected_shards=cfg.shards,
-            )
-            # Alert flight events inherit the newest telemetry sim-time
-            # stamp, so coordinator-side obs merges on the shards' clock.
-            self._health_obs.bind_clock(lambda: self.health._last_t)
+
+    @property
+    def health(self) -> Optional[HealthEngine]:
+        """The live health engine, once the run has started."""
+        return None if self.plane is None else self.plane.health
 
     # ----------------------------------------------------------------- messaging
     def _broadcast(self, msg: Tuple) -> None:
@@ -255,9 +128,8 @@ class ClusterCoordinator:
     def _mark_dead(self, channel: _Channel) -> None:
         if channel.alive:
             channel.alive = False
-            if self.health is not None and self.phase == "running":
-                self.health.mark_shard_dead(channel.shard)
-                self._flush_alerts()
+            if self.plane is not None and self.phase == "running":
+                self.plane.shard_dead(channel.shard)
 
     def _live(self) -> List[_Channel]:
         return [c for c in self.channels if c.alive]
@@ -312,29 +184,13 @@ class ClusterCoordinator:
         self.telemetry_frames.append(body)
         if len(self.telemetry_frames) > self.TELEMETRY_RETAIN:
             del self.telemetry_frames[0]
-        if self.health is not None:
-            self.health.observe_frame(body)
-        if self._writer is not None:
-            self._writer.frame(body)
-        self._flush_alerts()
-
-    def _flush_alerts(self) -> None:
-        """Drain newly emitted alerts into the streaming writer."""
-        if self.health is None:
-            return
-        for alert in self.health.drain_alerts():
-            if self._writer is not None:
-                self._writer.alert(alert)
+        if self.plane is not None:
+            self.plane.frame(body)
 
     def _check_slo(self) -> None:
         """Abort (raise :class:`SloViolation`) once the SLO budget breaches."""
-        if self.config.slo is None or self.health is None:
-            return
-        breach = self.health.breach
-        if breach is None:
-            return
-        obs = self._health_obs.export() if self._health_obs is not None else None
-        raise SloViolation(breach, obs=obs)
+        if self.plane is not None:
+            self.plane.check_slo()
 
     def _collect_tag(self, tag: str, timeout: float) -> Dict[int, Tuple]:
         """One ``tag`` message from every live worker (or fewer, if some
@@ -361,40 +217,36 @@ class ClusterCoordinator:
     # ----------------------------------------------------------------------- run
     def run(self) -> RuntimeResult:
         """Spawn the shards, drive the run, merge and return the result."""
-        cfg = self.config
-        ctx = multiprocessing.get_context(cfg.mp_context)
+        options = self.options
+        ctx = multiprocessing.get_context(MP_CONTEXT)
         self.phase = "setup"
-        base_payload = {
-            "spec": self.spec.to_dict(),
-            "num_shards": cfg.shards,
-            "rounds": self.rounds,
-            "time_scale": self.time_scale,
-            "transport": cfg.transport,
-            "link_config": cfg.link,
-            "token": self.token,
-            "batching": cfg.batching,
-            "delta_maps": cfg.delta_maps,
-            "obs": cfg.obs,
-            "fidelity": cfg.fidelity,
-            "core_peers": self.core_peers,
-        }
-        if cfg.telemetry_out:
-            self._writer = TelemetryWriter(cfg.telemetry_out)
+        health_obs: Optional[ObsRecorder] = None
+        if options.telemetry_on:
+            health_obs = ObsRecorder(options.obs)
+            self.plane = plane = TelemetryPlane(
+                options.rounds,
+                options.shards,
+                health_obs,
+                slo=options.slo,
+                telemetry_out=options.telemetry_out,
+            )
+            # Alert flight events inherit the newest telemetry sim-time
+            # stamp, so coordinator-side obs merges on the shards' clock.
+            health_obs.bind_clock(lambda: plane.health._last_t)
+        payload = {"spec": self.spec.to_dict(), "options": options, "token": self.token}
         try:
-            for shard in range(cfg.shards):
+            for shard in range(options.shards):
                 parent_conn, child_conn = ctx.Pipe()
-                payload = dict(base_payload, shard_index=shard)
                 process = ctx.Process(
                     target=run_shard_worker,
-                    args=(child_conn, payload),
+                    args=(child_conn, dict(payload, shard_index=shard)),
                     name=f"continustreaming-shard-{shard}",
                 )
                 process.start()
                 child_conn.close()
                 self.channels.append(_Channel(shard, parent_conn, process))
             self._setup_barrier()
-            start_at = time.monotonic() + cfg.start_margin_s
-            self._broadcast(("start", start_at))
+            self._broadcast(("start", time.monotonic() + START_MARGIN_S))
             self.phase = "running"
             self._relay_lateness()
             results = self._collect_results()
@@ -408,54 +260,40 @@ class ClusterCoordinator:
             self.phase = "done"
             self._broadcast(("close",))
             self._shutdown_processes()
-            self._flush_alerts()
-            if self._writer is not None:
-                self._writer.close()
+            if self.plane is not None:
+                self.plane.close()
         if not results:
             errors = [c.error for c in self.channels if c.error]
             detail = f":\n{errors[0]}" if errors else ""
             raise RuntimeError(f"every cluster shard failed{detail}")
-        lost = sorted(c.shard for c in self.channels if c.shard not in results)
-        fidelity = None
-        if self.config.fidelity == "hybrid":
-            rows = list(results.values())
-            fidelity = {
-                "mode": "hybrid",
-                "core_peers": self.core_peers,
-                "slim_peers": sum(r.slim_peers for r in rows),
-                "slim_memory_bytes": sum(r.slim_memory_bytes for r in rows),
-                "total_peers": int(self.spec.num_nodes),
-            }
-        return merge_shard_results(
+        return merge_results(
             list(results.values()),
-            self.spec,
-            self.config.shards,
-            lost,
-            extra_obs=self._health_obs.export() if self._health_obs is not None else None,
-            health=self.health.snapshot() if self.health is not None else None,
-            fidelity=fidelity,
+            shards=options.shards,
+            lost_shards=sorted(c.shard for c in self.channels if c.shard not in results),
+            extra_obs=None if health_obs is None else health_obs.export(),
+            health=None if self.plane is None else self.plane.health.snapshot(),
         )
 
     def _setup_barrier(self) -> None:
-        cfg = self.config
-        listening = self._collect_tag("listening", cfg.setup_timeout_s)
-        if len(listening) < cfg.shards:
+        shards = self.options.shards
+        listening = self._collect_tag("listening", SETUP_TIMEOUT_S)
+        if len(listening) < shards:
             raise RuntimeError(self._setup_failure("start listening", listening))
         self.shard_infos = {shard: msg[2] for shard, msg in listening.items()}
         ports = {shard: info["port"] for shard, info in self.shard_infos.items()}
         self._broadcast(("peers", ports))
-        ready = self._collect_tag("ready", cfg.setup_timeout_s)
-        if len(ready) < cfg.shards:
+        ready = self._collect_tag("ready", SETUP_TIMEOUT_S)
+        if len(ready) < shards:
             raise RuntimeError(self._setup_failure("establish links", ready))
 
     def _setup_failure(self, what: str, got: Dict[int, Tuple]) -> str:
-        missing = sorted(set(range(self.config.shards)) - set(got))
+        missing = sorted(set(range(self.options.shards)) - set(got))
         errors = "\n".join(
             f"shard {c.shard}: {c.error}" for c in self.channels if c.error
         )
         return (
             f"cluster setup failed: shards {missing} did not {what} within "
-            f"{self.config.setup_timeout_s}s" + (f"\n{errors}" if errors else "")
+            f"{SETUP_TIMEOUT_S}s" + (f"\n{errors}" if errors else "")
         )
 
     def _relay_lateness(self) -> None:
@@ -469,7 +307,7 @@ class ClusterCoordinator:
         """
         scaled = max(1e-6, self._scaled_period())
         round_timeout = max(20.0, 40.0 * scaled)
-        for round_index in range(self.rounds):
+        for round_index in range(self.options.rounds):
             if not self._live():
                 return
             reports = self._collect_round_lateness(round_index, round_timeout)
@@ -478,7 +316,7 @@ class ClusterCoordinator:
             self._check_slo()
 
     def _scaled_period(self) -> float:
-        return self.spec.to_config().scheduling_period * self.time_scale
+        return self.spec.to_config().scheduling_period * self.options.time_scale
 
     def _collect_round_lateness(
         self, round_index: int, timeout: float
@@ -511,7 +349,7 @@ class ClusterCoordinator:
     def _collect_results(self) -> Dict[int, ShardResult]:
         # Generous: the shards already ran their rounds during the relay
         # phase; what remains is the completion wait and shutdown.
-        timeout = max(120.0, 4.0 * self.rounds * self._scaled_period() + 60.0)
+        timeout = max(120.0, 4.0 * self.options.rounds * self._scaled_period() + 60.0)
         collected = self._collect_tag("result", timeout)
         return {shard: msg[2] for shard, msg in collected.items()}
 
@@ -532,133 +370,8 @@ class ClusterCoordinator:
                 )
 
 
-# ======================================================================== merge
-def merge_shard_results(
-    results: List[ShardResult],
-    spec: ScenarioSpec,
-    shards: int,
-    lost_shards: List[int],
-    extra_obs: Optional[Dict[str, Any]] = None,
-    health: Optional[Dict[str, Any]] = None,
-    fidelity: Optional[Dict[str, Any]] = None,
-) -> RuntimeResult:
-    """Fold per-shard results into one :class:`RuntimeResult`.
-
-    Playback samples are summed per tick *before* the trailing-empty trim
-    (a shard that stopped sampling early must not truncate the merged
-    series), ledgers merge like any concurrent accumulation, transport
-    summaries aggregate with the standard sum/max rules, and the
-    cluster-only facts (socket traffic, lost shards, per-shard rows) ride
-    in ``RuntimeResult.cluster``.  ``extra_obs`` joins the obs merge (the
-    coordinator's own recorder: alert flight events, the SLO breach
-    postmortem) and ``health`` — a
-    :meth:`~repro.obs.health.HealthEngine.snapshot` — lands in
-    ``cluster["health"]``.
-    """
-    if not results:
-        raise ValueError("merge_shard_results needs at least one shard result")
-    results = sorted(results, key=lambda r: r.shard_index)
-    first = results[0]
-    per_tick: Dict[int, List[int]] = {}
-    for shard in results:
-        for tick, playing, total in shard.samples:
-            bucket = per_tick.setdefault(tick, [0, 0])
-            bucket[0] += playing
-            bucket[1] += total
-    samples = [(tick, *per_tick[tick]) for tick in sorted(per_tick)]
-    while samples and samples[-1][2] == 0 and len(samples) > 1:
-        samples.pop()
-    tracker = ContinuityTracker(round_duration=first.config.scheduling_period)
-    for tick, playing, total in samples:
-        tracker.record_round((tick + 1) * first.config.scheduling_period, playing, total)
-    per_peer = {}
-    for shard in results:
-        per_peer.update(shard.per_peer_ledgers)
-    from repro.net.message import MessageLedger
-
-    ledger = MessageLedger.merged(list(per_peer.values()))
-    transport = TransportSummary.aggregate(r.transport for r in results)
-    socket_totals: Dict[str, int] = {}
-    for shard in results:
-        for key, value in shard.socket.items():
-            socket_totals[key] = socket_totals.get(key, 0) + int(value)
-    cluster = {
-        "shards": shards,
-        "shards_lost": len(lost_shards),
-        "lost_shards": list(lost_shards),
-        "socket": socket_totals,
-        "worst_lateness_s": max(r.worst_lateness_s for r in results),
-        "per_shard": [
-            {
-                "shard": r.shard_index,
-                "hosted_peers": r.hosted_peers,
-                "hosts_source": r.hosts_source,
-                "messages_sent": r.messages_sent,
-                "messages_dropped": r.messages_dropped,
-                "wall_time_s": round(r.wall_time_s, 4),
-                "clock_dilations": r.clock_dilations,
-                "socket": dict(r.socket),
-            }
-            for r in results
-        ],
-    }
-    if health is not None:
-        cluster["health"] = health
-    if fidelity is not None:
-        cluster["fidelity"] = fidelity
-    obs = merge_obs([r.obs for r in results] + ([extra_obs] if extra_obs else []))
-    return RuntimeResult(
-        system=spec.system,
-        config=first.config,
-        rounds=first.rounds,
-        time_scale=first.time_scale,
-        tracker=tracker,
-        ledger=ledger,
-        per_peer_ledgers=per_peer,
-        messages_sent=sum(r.messages_sent for r in results),
-        messages_dropped=sum(r.messages_dropped for r in results),
-        bytes_on_wire=sum(r.bytes_on_wire for r in results),
-        peers_joined=sum(r.peers_joined for r in results),
-        peers_left=sum(r.peers_left for r in results),
-        wall_time_s=max(r.wall_time_s for r in results),
-        transport=transport,
-        clock="wall",
-        clock_dilation_s=max(r.clock_dilation_s for r in results),
-        clock_dilations=max(r.clock_dilations for r in results),
-        shards=shards,
-        cluster=cluster,
-        obs=obs,
-        fidelity=fidelity,
-    )
-
-
-def run_cluster(
-    spec: ScenarioSpec,
-    shards: int = 2,
-    rounds: Optional[int] = None,
-    time_scale: Optional[float] = None,
-    transport: Optional[TransportConfig] = None,
-    link: Optional[LinkConfig] = None,
-    batching: bool = True,
-    delta_maps: bool = True,
-    obs: Optional[ObsConfig] = None,
-    slo: Optional[SloSpec] = None,
-    telemetry_out: Optional[str] = None,
-    fidelity: str = "full",
-    core_peers: Optional[int] = None,
-) -> RuntimeResult:
-    """Convenience wrapper: run ``spec`` as a ``shards``-process cluster."""
-    config = ClusterConfig(
-        shards=shards,
-        time_scale=time_scale,
-        transport=transport,
-        link=link if link is not None else LinkConfig(),
-        batching=batching,
-        delta_maps=delta_maps,
-        obs=obs,
-        slo=slo,
-        telemetry_out=telemetry_out,
-        fidelity=fidelity,
-        core_peers=core_peers,
-    )
-    return ClusterCoordinator(spec, rounds=rounds, config=config).run()
+def run_cluster(spec: ScenarioSpec, shards: int = 2, **overrides: Any) -> RuntimeResult:
+    """:func:`~repro.runtime.swarm.run` with a 2-shard default; ``overrides``
+    are :class:`~repro.runtime.swarm.RunOptions` fields (``rounds=``,
+    ``time_scale=``, ``obs=``, ...)."""
+    return run(spec, shards=shards, **overrides)

@@ -7,9 +7,9 @@ implementation carries the frame:
 * :class:`LoopbackLink` — the in-process path, hoisted out of
   ``swarm.py``: model latency injected per pair, scenario ``loss_rate``
   applied to data frames, bounded-inbox delivery with credit refunds for
-  shed or lost frames.  :class:`~repro.runtime.swarm.LiveSwarm` uses it
-  for every pair; a :class:`~repro.runtime.cluster.shard.ShardSwarm` uses
-  it for intra-shard pairs *and* as the local tail of every cross-shard
+  shed or lost frames.  A one-shard :class:`~repro.runtime.swarm.
+  LiveSwarm` uses it for every pair; a cluster shard uses it for
+  intra-shard pairs *and* as the local tail of every cross-shard
   delivery, so the delay/loss injection exists exactly once.
 * :class:`SocketLink` — one TCP stream to a peer shard, multiplexing
   :class:`~repro.runtime.wire.RoutedFrame` envelopes over the standard

@@ -5,7 +5,8 @@ ClusterCoordinator`, a worker
 
 1. builds the full overlay from the scenario spec (deterministic — every
    shard builds the same one) and instantiates live peers for its own
-   ring range (:class:`~repro.runtime.cluster.shard.ShardSwarm`);
+   ring range (a :class:`~repro.runtime.swarm.LiveSwarm` placed at its
+   ``shard_index``);
 2. listens on an ephemeral localhost TCP port, reports it, receives the
    cluster's port map and establishes one handshaken
    :class:`~repro.runtime.cluster.links.SocketLink` per peer shard
@@ -13,7 +14,8 @@ ClusterCoordinator`, a worker
 3. waits for the coordinator's agreed start instant, runs the swarm, and
    exchanges per-boundary lateness reports with the coordinator so the
    overload dilation stays coherent across every shard;
-4. ships its :class:`ShardResult` back over the control pipe and holds
+4. ships its :class:`~repro.runtime.swarm.ShardResult` partial back over
+   the control pipe and holds
    its links open until the coordinator's ``close`` barrier — a shard
    that finished early must not tear down streams its slower peers are
    still delivering on.
@@ -27,11 +29,8 @@ from __future__ import annotations
 
 import asyncio
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.config import SystemConfig
-from repro.net.message import MessageLedger
 from repro.runtime import wire
 from repro.runtime.cluster.links import (
     LinkConfig,
@@ -40,8 +39,7 @@ from repro.runtime.cluster.links import (
     read_handshake,
     validate_hello,
 )
-from repro.runtime.cluster.shard import ShardSwarm
-from repro.runtime.transport import TransportConfig, TransportSummary
+from repro.runtime.swarm import LiveSwarm, RunOptions
 from repro.scenarios.spec import ScenarioSpec
 
 #: Budget for each setup step (listen → ports → links → start).
@@ -50,40 +48,6 @@ SETUP_TIMEOUT_S = 60.0
 #: How long a finished worker waits for the coordinator's close barrier
 #: before tearing its links down anyway.
 CLOSE_TIMEOUT_S = 30.0
-
-
-@dataclass
-class ShardResult:
-    """Everything one shard contributes to the merged cluster result."""
-
-    shard_index: int
-    hosted_peers: int
-    hosts_source: bool
-    config: SystemConfig
-    rounds: int
-    time_scale: float
-    #: Untrimmed per-tick ``(tick, playing, total)`` over hosted peers.
-    samples: List[Tuple[int, int, int]]
-    per_peer_ledgers: Dict[int, MessageLedger]
-    transport: TransportSummary
-    messages_sent: int
-    messages_dropped: int
-    peers_joined: int
-    peers_left: int
-    wall_time_s: float
-    clock_dilation_s: float
-    clock_dilations: int
-    worst_lateness_s: float
-    socket: Dict[str, int] = field(default_factory=dict)
-    lost_shards: List[int] = field(default_factory=list)
-    #: Physical bytes this shard's loopback tail delivered (post-batch).
-    bytes_on_wire: int = 0
-    #: This shard's exported observability plane (``None`` when disabled).
-    obs: Optional[Dict[str, Any]] = None
-    #: Hybrid-fidelity facts: slim peers this shard modeled and the bytes
-    #: their array state held (0 for full-fidelity shards).
-    slim_peers: int = 0
-    slim_memory_bytes: int = 0
 
 
 class _Mailbox:
@@ -150,13 +114,14 @@ class ShardWorker:
 
     def __init__(self, conn, payload: Dict[str, Any]) -> None:
         self.conn = conn
-        self.payload = payload
+        self.spec = ScenarioSpec.from_dict(payload["spec"])
+        self.options: RunOptions = payload["options"]
         self.shard_index: int = payload["shard_index"]
-        self.num_shards: int = payload["num_shards"]
+        self.num_shards: int = self.options.shards
         self.token: int = payload["token"]
-        self.link_config: LinkConfig = payload.get("link_config") or LinkConfig()
+        self.link_config: LinkConfig = self.options.link or LinkConfig()
         self.mail = _Mailbox(conn)
-        self.swarm: Optional[ShardSwarm] = None
+        self.swarm: Optional[LiveSwarm] = None
         self.hello: Optional[wire.ShardHello] = None
 
     def _send(self, msg: Tuple) -> None:
@@ -238,7 +203,7 @@ class ShardWorker:
 
     # ------------------------------------------------------------- cluster control
     async def exchange_lateness(self, round_index: int, worst: float) -> float:
-        """The :class:`~repro.runtime.cluster.shard.ClusterControl` hook.
+        """The :class:`~repro.runtime.swarm.ClusterControl` hook.
 
         Falls back to the shard's own lateness whenever the coordinator
         is unreachable or slow — a missing relay degrades coherence, it
@@ -275,32 +240,7 @@ class ShardWorker:
 
     # ------------------------------------------------------------------------ run
     async def main(self) -> None:
-        payload = self.payload
-        spec = ScenarioSpec.from_dict(payload["spec"])
-        transport: Optional[TransportConfig] = payload.get("transport")
-        swarm_kwargs = dict(
-            rounds=payload.get("rounds"),
-            time_scale=payload["time_scale"],
-            transport=transport,
-            link_config=self.link_config,
-            batching=payload.get("batching", True),
-            delta_maps=payload.get("delta_maps", True),
-            obs=payload.get("obs"),
-        )
-        if payload.get("fidelity", "full") == "hybrid":
-            from repro.runtime.slim import HybridShardSwarm
-
-            swarm = self.swarm = HybridShardSwarm(
-                spec,
-                self.shard_index,
-                self.num_shards,
-                core_peers=payload.get("core_peers"),
-                **swarm_kwargs,
-            )
-        else:
-            swarm = self.swarm = ShardSwarm(
-                spec, self.shard_index, self.num_shards, **swarm_kwargs
-            )
+        swarm = self.swarm = LiveSwarm(self.spec, self.options, shard_index=self.shard_index)
         swarm.build()
         self.hello = wire.ShardHello(
             shard_index=self.shard_index,
@@ -312,14 +252,13 @@ class ShardWorker:
         server = await asyncio.start_server(self._on_connection, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         self.mail.start()
-        hosted = len(swarm.peers)
         self._send(
             (
                 "listening",
                 self.shard_index,
                 {
                     "port": port,
-                    "hosted_peers": hosted,
+                    "hosted_peers": len(swarm.peers),
                     "hosts_source": swarm.hosts(swarm.manager.source_id),
                 },
             )
@@ -331,40 +270,7 @@ class ShardWorker:
         swarm.start_at = float(start_at)
         swarm.control = self
         swarm.telemetry_sink = self._ship_telemetry
-        result = await swarm.run_async()
-        wall_time = max(0.0, asyncio.get_running_loop().time() - swarm.start_at)
-        fid = result.fidelity or {}
-        self._send(
-            (
-                "result",
-                self.shard_index,
-                ShardResult(
-                    shard_index=self.shard_index,
-                    hosted_peers=hosted,
-                    hosts_source=swarm.hosts(swarm.manager.source_id),
-                    config=swarm.config,
-                    rounds=swarm.rounds,
-                    time_scale=swarm.time_scale,
-                    samples=swarm.playback_samples(),
-                    per_peer_ledgers=result.per_peer_ledgers,
-                    transport=result.transport,
-                    messages_sent=result.messages_sent,
-                    messages_dropped=result.messages_dropped,
-                    peers_joined=result.peers_joined,
-                    peers_left=result.peers_left,
-                    wall_time_s=wall_time,
-                    clock_dilation_s=result.clock_dilation_s,
-                    clock_dilations=result.clock_dilations,
-                    worst_lateness_s=swarm.worst_lateness_s,
-                    socket=swarm.socket_summary(),
-                    lost_shards=sorted(swarm.lost_shards),
-                    bytes_on_wire=result.bytes_on_wire,
-                    obs=result.obs,
-                    slim_peers=int(fid.get("slim_peers", 0)),
-                    slim_memory_bytes=int(fid.get("slim_memory_bytes", 0)),
-                ),
-            )
-        )
+        self._send(("result", self.shard_index, await swarm.run_async()))
         # Hold the links until every shard has finished (close barrier):
         # peers elsewhere may still be draining frames this shard relays.
         try:

@@ -17,20 +17,16 @@ rather than any individual round sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.system import SimulationResult
-from repro.runtime.swarm import DEFAULT_TIME_SCALE, LiveSwarm, RuntimeResult
+from repro.runtime.swarm import RunOptions, RuntimeResult, run
 from repro.scenarios.spec import ScenarioSpec, load_scenarios
 
 #: The |Δ stable continuity| bar the full-matrix parity acceptance uses:
 #: every built-in scenario — churn spikes, blackouts and lossy swarms
 #: included — must agree between the engines within three points.
 PARITY_TOLERANCE = 0.03
-
-#: Live engines the harness can put on the runtime side of a comparison:
-#: the single-process swarm or the sharded multi-process cluster.
-PARITY_BACKENDS = ("runtime", "cluster")
 
 
 @dataclass(frozen=True)
@@ -73,44 +69,32 @@ def run_parity(
     num_nodes: int = 200,
     rounds: int = 40,
     seed: int = 0,
-    time_scale: float = DEFAULT_TIME_SCALE,
-    clock: str = "wall",
-    backend: str = "runtime",
-    shards: int = 2,
+    options: Optional[RunOptions] = None,
+    **overrides: Any,
 ) -> ParityReport:
-    """Run one scenario through the simulator and a live engine.
+    """Run one scenario through the simulator and the live runtime.
 
     Args:
         scenario: built-in scenario name, spec file path, or spec object.
         num_nodes: overlay size for both runs.
         rounds: scheduling periods for both runs.
         seed: root seed (identical construction on both sides).
-        time_scale: wall seconds per simulated second for the swarm side.
-        clock: the swarm's clock — ``"wall"`` for real time, ``"virtual"``
-            for the deterministic virtual clock (fast, machine-independent;
-            what the matrix acceptance runs on).  The cluster backend
-            always runs on the wall clock (sockets are real I/O).
-        backend: the live side — ``"runtime"`` (single-process swarm) or
-            ``"cluster"`` (``shards`` worker processes over TCP, the
-            small-scale cluster-vs-sim parity check).
-        shards: worker processes for the cluster backend.
+        options: how the live side runs (``overrides`` set
+            :class:`~repro.runtime.swarm.RunOptions` fields in place):
+            ``clock="virtual"`` for the deterministic virtual clock (fast,
+            machine-independent; what the matrix acceptance runs on),
+            ``shards=N`` to put a sharded multi-process cluster on the
+            live side (the small-scale cluster-vs-sim parity check).
     """
-    if backend not in PARITY_BACKENDS:
-        raise ValueError(f"backend must be one of {PARITY_BACKENDS}, got {backend!r}")
     (spec,) = load_scenarios([scenario]) if not isinstance(scenario, ScenarioSpec) else (scenario,)
     spec = spec.scaled(num_nodes=num_nodes, rounds=rounds, seed=seed)
     sim_result = spec.run()
-    if backend == "cluster":
-        from repro.runtime.cluster import run_cluster
-
-        runtime_result = run_cluster(spec, shards=shards, time_scale=time_scale)
-    else:
-        runtime_result = LiveSwarm(spec, time_scale=time_scale, clock=clock).run()
+    runtime_result = run(spec, options, **overrides)
     return ParityReport(
         scenario=spec.name,
         num_nodes=num_nodes,
         rounds=rounds,
-        backend=backend,
+        backend="cluster" if runtime_result.shards > 1 else "runtime",
         sim_stable_continuity=float(sim_result.stable_continuity()),
         runtime_stable_continuity=float(runtime_result.stable_continuity()),
         sim_prefetch_overhead=float(sim_result.prefetch_overhead()),
@@ -159,36 +143,30 @@ def run_parity_matrix(
     num_nodes: int = 120,
     rounds: int = 40,
     seed: int = 0,
-    time_scale: float = DEFAULT_TIME_SCALE,
-    clock: str = "virtual",
-    backend: str = "runtime",
-    shards: int = 2,
+    options: Optional[RunOptions] = None,
+    **overrides: Any,
 ) -> ParityMatrix:
     """Run the sim-vs-live parity harness across several scenarios.
 
     ``scenarios=None`` covers every built-in scenario — the full matrix
-    the nightly CI job runs at |Δ| ≤ :data:`PARITY_TOLERANCE`.  Defaults
-    to the **virtual clock**, which makes the matrix deterministic and
-    wall-wait-free (runtime cost is CPU only), so the acceptance bar does
-    not depend on how loaded the machine is.  ``backend="cluster"`` puts
-    sharded multi-process swarms on the live side instead (wall clock,
-    real sockets — slower and noisier, which is exactly what the optional
-    cluster axis of ``runtime --parity-matrix`` is for).
+    the nightly CI job runs at |Δ| ≤ :data:`PARITY_TOLERANCE`.  Without
+    ``options`` an in-process matrix runs on the **virtual clock**, which
+    makes it deterministic and wall-wait-free (runtime cost is CPU only),
+    so the acceptance bar does not depend on how loaded the machine is.
+    ``shards=N`` puts sharded multi-process swarms on the live side
+    instead (wall clock, real sockets — slower and noisier, which is
+    exactly what the optional cluster axis of ``runtime --parity-matrix``
+    is for).
     """
     if scenarios is None:
         from repro.scenarios.library import builtin_names
 
         scenarios = list(builtin_names())
+    if options is None:
+        options = RunOptions(clock="wall" if overrides.get("shards", 1) > 1 else "virtual")
     reports = tuple(
         run_parity(
-            scenario,
-            num_nodes=num_nodes,
-            rounds=rounds,
-            seed=seed,
-            time_scale=time_scale,
-            clock=clock,
-            backend=backend,
-            shards=shards,
+            scenario, num_nodes=num_nodes, rounds=rounds, seed=seed, options=options, **overrides
         )
         for scenario in scenarios
     )

@@ -247,8 +247,8 @@ class LivePeer:
                     )
                 return
             if msg.trace_id and self.obs.tracing:
-                via = self.swarm.hop_of(dst)
-                if via is None:
+                via = self.swarm.shard_of(dst)
+                if via == self.swarm.shard_index:
                     self.obs.span(
                         "ship", msg.trace_id, self.peer_id, msg.segment_id, dst=dst
                     )

@@ -46,13 +46,13 @@ contract (|Δ stable continuity| ≤ 0.03 vs the full runtime at
 overlapping sizes, ``tests/test_runtime_hybrid.py``) bounds what that
 approximation costs.
 
-Composition is by MRO: :class:`HybridSwarm` mixes the tier into
-:class:`~repro.runtime.swarm.LiveSwarm`, :class:`HybridShardSwarm` into
-:class:`~repro.runtime.cluster.shard.ShardSwarm` — the tier hooks the
-swarm's single aggregation point (``_period_playback_counts``) so
+Composition is by holding: a :class:`~repro.runtime.swarm.LiveSwarm` run
+with ``fidelity="hybrid"`` owns one :class:`SlimTier`, steps it at every
+period boundary with the live core's counts, and adds its sample at the
+swarm's single aggregation point (``_period_playback_counts``) — so
 telemetry frames, playback samples, the merged tracker, campaigns and
-the PR 8 health engine all see core + slim as **one population** with no
-changes of their own.
+the health engine all see core + slim as **one population**.  A cluster
+shard holds its near-even slice of the tier the same way.
 """
 
 from __future__ import annotations
@@ -63,17 +63,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.net.churn import ChurnSchedule
-from repro.runtime.cluster.shard import ShardSwarm
-from repro.runtime.swarm import LiveSwarm
-from repro.scenarios.spec import ScenarioSpec
-from repro.sim.rng import derive_seed
 
-__all__ = [
-    "SlimTier",
-    "HybridSwarm",
-    "HybridShardSwarm",
-    "default_core_peers",
-]
+__all__ = ["SlimTier", "default_core_peers"]
 
 #: Core sizes below this lose the gossip fan-out the statistics lean on.
 MIN_CORE_PEERS = 2
@@ -174,6 +165,17 @@ class SlimTier:
             return self.history[tick]
         return (0, 0)
 
+    def facts(self) -> Dict[str, int]:
+        """The tier's additive ``slim_*`` facts of ``RuntimeResult.fidelity``
+        (a sharded run sums them over its shards' slices)."""
+        return {
+            "slim_peers": self.count,
+            "slim_alive": self.alive_count,
+            "slim_joined": self.joined,
+            "slim_left": self.left,
+            "slim_memory_bytes": self.memory_bytes,
+        }
+
     # ------------------------------------------------------------------- step
     def step(self, round_index: int, core_playing: int, core_total: int) -> None:
         """Advance one period: churn first, then this period's sample.
@@ -262,120 +264,3 @@ class SlimTier:
         if demand <= 0:
             return 1.0
         return min(1.0, supply / demand)
-
-
-class _HybridTierMixin:
-    """Folds a :class:`SlimTier` into a live swarm's aggregation seams.
-
-    Mixes in *before* the swarm class so the MRO routes the swarm's
-    period aggregation (``_period_playback_counts``), live-peer gauge and
-    fidelity export through the tier, while ``super()`` keeps the
-    unmodified core-only views available internally.
-    """
-
-    slim: SlimTier
-    full_spec: ScenarioSpec
-    core_peers: int
-
-    def _init_slim(
-        self, full_spec: ScenarioSpec, core_peers: int, slim_count: int, shard: int = 0
-    ) -> None:
-        self.full_spec = full_spec
-        self.core_peers = int(core_peers)
-        self.slim = SlimTier(
-            count=slim_count,
-            config=self.config,
-            churn=full_spec.churn,
-            loss_rate=full_spec.loss_rate,
-            seed=derive_seed(full_spec.seed, f"slim-tier/{shard}"),
-        )
-
-    async def _boundary_sync(self, round_index: int, own_lateness: float) -> None:
-        """Step the slim tier at every boundary, after the core syncs.
-
-        Runs before the telemetry emit in ``_churn_loop``, so the frame
-        for ``round_index`` already carries the tier's fresh sample.  The
-        tier conditions on the core's *own* period counts (``super()``'s
-        view), never on its own output.
-        """
-        await super()._boundary_sync(round_index, own_lateness)
-        core_playing, core_total = super()._period_playback_counts(round_index)
-        self.slim.step(round_index, core_playing, core_total)
-
-    def _period_playback_counts(self, tick: int) -> Tuple[int, int]:
-        playing, total = super()._period_playback_counts(tick)
-        slim_playing, slim_total = self.slim.sample_for(tick)
-        return playing + slim_playing, total + slim_total
-
-    def _peers_live(self) -> int:
-        return super()._peers_live() + self.slim.alive_count
-
-    def _fidelity_export(self) -> Optional[Dict[str, Any]]:
-        return {
-            "mode": "hybrid",
-            "core_peers": self.core_peers,
-            "slim_peers": self.slim.count,
-            "slim_alive": self.slim.alive_count,
-            "slim_joined": self.slim.joined,
-            "slim_left": self.slim.left,
-            "slim_memory_bytes": self.slim.memory_bytes,
-            "total_peers": int(self.full_spec.num_nodes),
-        }
-
-
-def _core_size(spec: ScenarioSpec, core_peers: Optional[int]) -> int:
-    core = default_core_peers(spec.num_nodes) if core_peers is None else int(core_peers)
-    if core < MIN_CORE_PEERS:
-        raise ValueError(f"core_peers must be >= {MIN_CORE_PEERS}, got {core}")
-    if core > spec.num_nodes:
-        raise ValueError(
-            f"core_peers ({core}) cannot exceed the swarm size ({spec.num_nodes})"
-        )
-    return core
-
-
-class HybridSwarm(_HybridTierMixin, LiveSwarm):
-    """A single-process hybrid swarm: live core + slim statistical bulk.
-
-    Accepts every :class:`~repro.runtime.swarm.LiveSwarm` knob; the spec's
-    ``num_nodes`` is the *total* population, of which ``core_peers`` run
-    as full-fidelity live peers (default :func:`default_core_peers`).
-    """
-
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        core_peers: Optional[int] = None,
-        **swarm_kwargs: Any,
-    ) -> None:
-        core = _core_size(spec, core_peers)
-        super().__init__(spec.scaled(num_nodes=core), **swarm_kwargs)
-        self._init_slim(spec, core, spec.num_nodes - core, shard=0)
-
-
-class HybridShardSwarm(_HybridTierMixin, ShardSwarm):
-    """A cluster shard hosting its slice of both tiers.
-
-    The core swarm shards exactly as before (contiguous ring ranges over
-    ``core_peers`` nodes); the slim population is split near-evenly
-    across shards, each slice with its own derived RNG stream so the
-    cluster total is deterministic for a given seed and shard count.
-    """
-
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        shard_index: int,
-        num_shards: int,
-        core_peers: Optional[int] = None,
-        **swarm_kwargs: Any,
-    ) -> None:
-        core = _core_size(spec, core_peers)
-        super().__init__(
-            spec.scaled(num_nodes=core), shard_index, num_shards, **swarm_kwargs
-        )
-        slim_total = spec.num_nodes - core
-        share = slim_total // num_shards + (
-            1 if shard_index < slim_total % num_shards else 0
-        )
-        self._init_slim(spec, core, share, shard=shard_index)

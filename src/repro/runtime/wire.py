@@ -1139,15 +1139,6 @@ def decode(
     return decoder(view, start + 1, start + length), start + length
 
 
-def _decode_body(kind: WireKind, body: bytes) -> WireMessage:
-    """Decode a bare body for a known ``kind`` (test/back-compat shim)."""
-    decoder = _DECODERS.get(int(kind))
-    if decoder is None:
-        raise WireError(f"unhandled wire kind {kind!r}")
-    view = memoryview(body)
-    return decoder(view, 0, len(view))
-
-
 class FrameDecoder:
     """Incremental decoder for a byte stream of concatenated frames.
 

@@ -31,14 +31,16 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs import ObsConfig
 from repro.scenarios.results import CellResult, ResultsStore
 from repro.scenarios.spec import ScenarioSpec, load_scenarios
 from repro.sim.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime imports this package's spec module
+    from repro.runtime.swarm import RunOptions
 
 #: The engines a campaign can fan its grid over: the lock-step round
 #: simulator, live asyncio swarms on the deterministic virtual clock, or
@@ -78,12 +80,11 @@ def cell_obs_filename(payload: Mapping[str, Any]) -> str:
         f"_n{payload['num_nodes']}_s{payload['seed']}"
         f"_{payload.get('backend', 'sim')}"
     )
-    fidelity = payload.get("fidelity") or "full"
-    if fidelity != "full":
-        raw += f"_{fidelity}"
-        core_peers = payload.get("core_peers")
-        if core_peers is not None:
-            raw += f"-c{core_peers}"
+    options = payload.get("options")
+    if options is not None and options.fidelity != "full":
+        raw += f"_{options.fidelity}"
+        if options.core_peers is not None:
+            raw += f"-c{options.core_peers}"
     return f"obs_{re.sub(r'[^A-Za-z0-9._-]+', '-', raw)}.jsonl"
 
 
@@ -110,44 +111,18 @@ def run_cell(payload: Mapping[str, Any]) -> Dict[str, Any]:
         seed=payload["cell_seed"],
         system=payload["system"],
     )
-    obs_cfg = payload.get("obs")
-    fidelity = payload.get("fidelity") or "full"
     start = time.perf_counter()
-    if backend == "runtime":
-        from repro.runtime.swarm import DEFAULT_TIME_SCALE, LiveSwarm
-
-        time_scale = payload.get("time_scale") or DEFAULT_TIME_SCALE
-        if fidelity == "hybrid":
-            from repro.runtime.slim import HybridSwarm
-
-            result = HybridSwarm(
-                spec,
-                core_peers=payload.get("core_peers"),
-                time_scale=time_scale,
-                clock="virtual",
-                obs=obs_cfg,
-            ).run()
-        else:
-            result = LiveSwarm(
-                spec, time_scale=time_scale, clock="virtual", obs=obs_cfg
-            ).run()
-        joined, left = float(result.peers_joined), float(result.peers_left)
-    elif backend == "cluster":
-        from repro.runtime.cluster import run_cluster
-
-        result = run_cluster(
-            spec,
-            shards=payload.get("shards") or 2,
-            time_scale=payload.get("time_scale"),
-            obs=obs_cfg,
-            fidelity=fidelity,
-            core_peers=payload.get("core_peers"),
-        )
-        joined, left = float(result.peers_joined), float(result.peers_left)
-    else:
+    if backend == "sim":
         result = spec.run()
         joined = float(sum(r.nodes_joined for r in result.rounds))
         left = float(sum(r.nodes_left for r in result.rounds))
+    else:
+        from repro.runtime.swarm import run
+
+        # The payload's options already carry the backend's placement and
+        # clock (see CampaignSpec.cell_options).
+        result = run(spec, payload.get("options"))
+        joined, left = float(result.peers_joined), float(result.peers_left)
     wall_time = time.perf_counter() - start
     obs_dir = payload.get("obs_dir")
     if obs_dir and getattr(result, "obs", None):
@@ -208,24 +183,16 @@ class CampaignSpec:
             seeds are backend-independent so sweeps of the same grid pair
             on identical overlays.  Cluster cells carry wall-clock noise
             in their metrics — they measure scale, not determinism.
-        time_scale: runtime/cluster-backend period compression; ``None``
-            uses each backend's default (irrelevant to the sim backend;
-            on the virtual clock it shifts relative link-latency
-            granularity only, not wall time).
-        shards: worker processes per cluster-backend cell (ignored by
-            the other backends).
-        obs: observability plane for runtime/cluster-backend cells
-            (:class:`~repro.obs.ObsConfig` is picklable, so it ships in
-            the cell payloads); the sim backend has no obs plane and
-            rejects it.
+        options: how runtime/cluster-backend cells run — the live
+            runtime's one :class:`~repro.runtime.swarm.RunOptions` record
+            (picklable, so it ships in the cell payloads): period
+            compression, obs plane, hybrid fidelity, shard count.  The
+            backend fixes placement and clock (:meth:`cell_options`);
+            ``None`` is the default record.  The sim backend has no live
+            runtime: it rejects an obs plane or a hybrid tier.
         obs_dir: directory for per-cell obs JSONL exports, named by
             :func:`cell_obs_filename` so grid cells never collide;
-            requires ``obs``.
-        fidelity: ``"full"`` (default) runs every peer live;
-            ``"hybrid"`` runs a live core plus an array-backed slim tier
-            (:mod:`repro.runtime.slim`) on the runtime/cluster backends.
-        core_peers: live-core size for hybrid cells; ``None`` picks the
-            default (requires ``fidelity="hybrid"``).
+            requires ``options.obs``.
     """
 
     scenarios: Tuple[ScenarioSpec, ...]
@@ -234,12 +201,8 @@ class CampaignSpec:
     systems: Optional[Tuple[str, ...]] = None
     rounds: Optional[int] = None
     backend: str = "sim"
-    time_scale: Optional[float] = None
-    shards: int = 2
-    obs: Optional[ObsConfig] = None
+    options: Optional[RunOptions] = None
     obs_dir: Optional[str] = None
-    fidelity: str = "full"
-    core_peers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -250,31 +213,20 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown campaign backend {self.backend!r}; known: {BACKENDS}"
             )
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.obs is not None and self.backend == "sim":
-            raise ValueError(
-                "the sim backend has no observability plane; obs campaigns "
-                "need --backend runtime or cluster"
-            )
-        if self.obs_dir is not None and self.obs is None:
+        options = self.cell_options()  # rejects options the backend cannot run
+        if self.backend == "sim":
+            if options.obs is not None:
+                raise ValueError(
+                    "the sim backend has no observability plane; obs campaigns "
+                    "need --backend runtime or cluster"
+                )
+            if options.fidelity == "hybrid":
+                raise ValueError(
+                    "the sim backend has no hybrid tier; hybrid campaigns need "
+                    "--backend runtime or cluster"
+                )
+        if self.obs_dir is not None and options.obs is None:
             raise ValueError("obs_dir needs an obs config")
-        if self.fidelity not in ("full", "hybrid"):
-            raise ValueError(
-                f"fidelity must be 'full' or 'hybrid', got {self.fidelity!r}"
-            )
-        if self.fidelity == "hybrid" and self.backend == "sim":
-            raise ValueError(
-                "the sim backend has no hybrid tier; hybrid campaigns need "
-                "--backend runtime or cluster"
-            )
-        if self.core_peers is not None:
-            if self.fidelity != "hybrid":
-                raise ValueError("core_peers only applies to fidelity='hybrid'")
-            if self.core_peers < 2:
-                raise ValueError("core_peers must be >= 2")
         names = [scenario.name for scenario in self.scenarios]
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
@@ -293,9 +245,27 @@ class CampaignSpec:
         if self.systems is not None:
             object.__setattr__(self, "systems", tuple(self.systems))
 
+    def cell_options(self) -> RunOptions:
+        """The record every cell runs under: ``options`` placed by backend.
+
+        ``"runtime"`` cells run in-process on the virtual clock (as
+        deterministic and machine-independent as a simulator cell);
+        ``"cluster"`` cells run sharded over TCP on the wall clock, 2
+        shards unless ``options.shards`` asks for more.
+        """
+        from repro.runtime.swarm import RunOptions
+
+        options = self.options if self.options is not None else RunOptions()
+        if self.backend == "runtime":
+            return replace(options, shards=1, clock="virtual")
+        if self.backend == "cluster":
+            return replace(options, shards=max(2, options.shards), clock="wall")
+        return options
+
     def cell_payloads(self) -> List[Dict[str, Any]]:
         """Every cell of the grid, in deterministic grid order."""
         payloads: List[Dict[str, Any]] = []
+        options = self.cell_options()
         for scenario in self.scenarios:
             scenario_dict = scenario.to_dict()
             systems = self.systems or (scenario.system,)
@@ -315,12 +285,8 @@ class CampaignSpec:
                                     seed, scenario.name, num_nodes
                                 ),
                                 "backend": self.backend,
-                                "time_scale": self.time_scale,
-                                "shards": self.shards,
-                                "obs": self.obs,
+                                "options": options,
                                 "obs_dir": self.obs_dir,
-                                "fidelity": self.fidelity,
-                                "core_peers": self.core_peers,
                             }
                         )
         return payloads
@@ -400,12 +366,8 @@ def run_campaign(
     workers: int = 1,
     results_path: Optional[Union[str, Path]] = None,
     backend: str = "sim",
-    time_scale: Optional[float] = None,
-    shards: int = 2,
-    obs: Optional[ObsConfig] = None,
+    options: Optional[RunOptions] = None,
     obs_dir: Optional[Union[str, Path]] = None,
-    fidelity: str = "full",
-    core_peers: Optional[int] = None,
 ) -> ResultsStore:
     """Convenience wrapper: resolve scenarios, build the grid, run it.
 
@@ -413,8 +375,9 @@ def run_campaign(
     and built-in scenario names.  ``backend="runtime"`` fans the same grid
     over live virtual-clock swarms instead of the simulator (identical
     per-cell seeding, JSONL schema and summaries); ``backend="cluster"``
-    runs each cell as a ``shards``-process swarm over real TCP (cells run
-    serially — each one already owns several processes).
+    runs each cell as a sharded swarm over real TCP (cells run serially —
+    each one already owns several processes).  ``options`` is the live
+    backends' :class:`~repro.runtime.swarm.RunOptions`.
     """
     campaign = CampaignSpec(
         scenarios=load_scenarios(scenarios),
@@ -423,12 +386,8 @@ def run_campaign(
         systems=None if systems is None else tuple(systems),
         rounds=rounds,
         backend=backend,
-        time_scale=time_scale,
-        shards=shards,
-        obs=obs,
+        options=options,
         obs_dir=None if obs_dir is None else str(obs_dir),
-        fidelity=fidelity,
-        core_peers=core_peers,
     )
     store = ResultsStore(path=results_path)
     return CampaignRunner(campaign, workers=workers).run(store)

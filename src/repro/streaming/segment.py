@@ -9,7 +9,7 @@ materialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional
 
 #: Default segment payload size used for overhead accounting (Section 5.2):

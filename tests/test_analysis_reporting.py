@@ -11,7 +11,7 @@ from repro.analysis.reporting import (
     per_round_table,
     sparkline,
 )
-from repro.core.system import StreamingSystem, run_comparison
+from repro.core.system import run_comparison
 
 
 @pytest.fixture(scope="module")

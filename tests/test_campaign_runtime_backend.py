@@ -13,12 +13,12 @@ import json
 
 import pytest
 
+from repro.runtime import RunOptions
 from repro.scenarios import (
     BACKENDS,
     CampaignSpec,
     CellResult,
     METRIC_NAMES,
-    ResultsStore,
     builtin_scenario,
     run_campaign,
     run_cell,
@@ -47,7 +47,9 @@ class TestBackendValidation:
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ValueError, match="shards"):
-            CampaignSpec(scenarios=(tiny_spec(),), backend="cluster", shards=0)
+            CampaignSpec(
+                scenarios=(tiny_spec(),), backend="cluster", options=RunOptions(shards=0)
+            )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -55,7 +57,10 @@ class TestBackendValidation:
 
     def test_bad_time_scale_rejected(self):
         with pytest.raises(ValueError, match="time_scale"):
-            CampaignSpec(scenarios=(tiny_spec(),), backend="runtime", time_scale=0.0)
+            CampaignSpec(
+                scenarios=(tiny_spec(),), backend="runtime",
+                options=RunOptions(time_scale=0.0),
+            )
 
     def test_run_cell_rejects_unknown_backend(self):
         payload = {
@@ -230,7 +235,7 @@ class TestClusterBackend:
             [tiny_spec(num_nodes=24, rounds=6)],
             seeds=[0],
             backend="cluster",
-            shards=2,
+            options=RunOptions(shards=2),
             # Pool workers are daemonic and cannot host shard processes;
             # the runner must fall back to serial cells on its own.
             workers=4,
@@ -253,7 +258,7 @@ class TestCampaignObs:
             [tiny_spec(num_nodes=20, rounds=4)],
             seeds=(0, 1),
             backend="runtime",
-            obs=ObsConfig(trace_sample=8),
+            options=RunOptions(obs=ObsConfig(trace_sample=8)),
             obs_dir=tmp_path,
         )
         assert store.is_complete
@@ -299,14 +304,16 @@ class TestCampaignObs:
         cell = {"scenario": {"name": "static"}, "system": "continustreaming",
                 "num_nodes": 20, "seed": 0, "backend": "runtime"}
         full = cell_obs_filename(cell)
-        hybrid = cell_obs_filename({**cell, "fidelity": "hybrid", "core_peers": 50})
-        hybrid_default = cell_obs_filename({**cell, "fidelity": "hybrid"})
+        hybrid = cell_obs_filename(
+            {**cell, "options": RunOptions(fidelity="hybrid", core_peers=50)}
+        )
+        hybrid_default = cell_obs_filename({**cell, "options": RunOptions(fidelity="hybrid")})
         assert len({full, hybrid, hybrid_default}) == 3, (full, hybrid, hybrid_default)
         # The full-fidelity name is pinned: adding the fidelity knob must
         # not rename every obs artifact ever written by earlier releases.
         assert full == "obs_static_continustreaming_n20_s0_runtime.jsonl"
         assert hybrid == "obs_static_continustreaming_n20_s0_runtime_hybrid-c50.jsonl"
-        assert cell_obs_filename({**cell, "fidelity": "full"}) == full
+        assert cell_obs_filename({**cell, "options": RunOptions()}) == full
 
     def test_sim_backend_rejects_obs(self):
         from repro.obs import ObsConfig
@@ -314,7 +321,7 @@ class TestCampaignObs:
         with pytest.raises(ValueError, match="sim backend"):
             CampaignSpec(
                 scenarios=(tiny_spec(),), backend="sim",
-                obs=ObsConfig(),
+                options=RunOptions(obs=ObsConfig()),
             )
 
     def test_obs_dir_requires_obs(self):

@@ -26,17 +26,17 @@ from repro.obs import (
     load_telemetry_jsonl,
     write_obs_jsonl,
 )
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ClusterCoordinator,
-    LinkConfig,
-    ShardSwarm,
-    merge_shard_results,
-    run_cluster,
-    shard_of,
+from repro.runtime import (
+    LiveSwarm,
+    RunOptions,
+    RuntimeResult,
+    ShardResult,
+    merge_results,
 )
-from repro.runtime.cluster.worker import ShardResult
+from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
 from repro.runtime.parity import run_parity
+from repro.runtime.swarm import shard_of
+from repro.streaming.playback import ContinuityTracker
 from repro.runtime.transport import TransportSummary
 from repro.scenarios.library import builtin_scenario
 
@@ -61,7 +61,9 @@ class TestShardPartition:
 
     def test_shard_swarm_hosts_only_its_range(self):
         spec = builtin_scenario("static").scaled(num_nodes=24, rounds=2)
-        swarms = [ShardSwarm(spec, i, 3, time_scale=SMALL_SCALE) for i in range(3)]
+        swarms = [
+            LiveSwarm(spec, shards=3, shard_index=i, time_scale=SMALL_SCALE) for i in range(3)
+        ]
         for swarm in swarms:
             swarm.build()
         all_nodes = set(swarms[0].manager.nodes)
@@ -78,11 +80,11 @@ class TestShardPartition:
     def test_invalid_parameters_are_rejected(self):
         spec = builtin_scenario("static")
         with pytest.raises(ValueError):
-            ShardSwarm(spec, 2, 2)
+            LiveSwarm(spec, shards=2, shard_index=2)
         with pytest.raises(ValueError):
-            ClusterConfig(shards=0)
+            RunOptions(shards=0)
         with pytest.raises(ValueError):
-            ClusterConfig(shards=2, time_scale=0.0)
+            RunOptions(shards=2, time_scale=0.0)
         with pytest.raises(ValueError):
             LinkConfig(queue_limit=0)
 
@@ -90,35 +92,39 @@ class TestShardPartition:
 def _shard_result(shard_index, samples, msgs=100, lateness=0.0):
     ledger = MessageLedger()
     ledger.record(MessageKind.DATA_SCHEDULED, 1000.0, 2)
+    config = SystemConfig(num_nodes=10, rounds=len(samples))
     return ShardResult(
         shard_index=shard_index,
         hosted_peers=5,
         hosts_source=shard_index == 0,
-        config=SystemConfig(num_nodes=10, rounds=len(samples)),
-        rounds=len(samples),
-        time_scale=0.5,
         samples=samples,
-        per_peer_ledgers={shard_index * 100: ledger},
-        transport=TransportSummary(send_stalls=1, link_resets=shard_index),
-        messages_sent=msgs,
-        messages_dropped=3,
-        peers_joined=1,
-        peers_left=2,
-        wall_time_s=1.5 + shard_index,
-        clock_dilation_s=0.25,
-        clock_dilations=2,
+        result=RuntimeResult(
+            system="continustreaming",
+            config=config,
+            rounds=len(samples),
+            time_scale=0.5,
+            tracker=ContinuityTracker(round_duration=config.scheduling_period),
+            ledger=ledger,
+            per_peer_ledgers={shard_index * 100: ledger},
+            transport=TransportSummary(send_stalls=1, link_resets=shard_index),
+            messages_sent=msgs,
+            messages_dropped=3,
+            peers_joined=1,
+            peers_left=2,
+            wall_time_s=1.5 + shard_index,
+            clock_dilation_s=0.25,
+            clock_dilations=2,
+        ),
         worst_lateness_s=lateness,
         socket={"frames_out": 10, "frames_in": 9},
-        lost_shards=[],
     )
 
 
 class TestMergeShardResults:
     def test_samples_sum_per_tick_before_trimming(self):
-        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=3)
         a = _shard_result(0, [(0, 2, 4), (1, 3, 4), (2, 0, 0)])
         b = _shard_result(1, [(0, 1, 5), (1, 5, 5), (2, 0, 0)], lateness=0.5)
-        merged = merge_shard_results([a, b], spec, shards=2, lost_shards=[])
+        merged = merge_results([a, b], shards=2)
         series = merged.continuity_series()
         # tick 2 sampled nobody on either shard: trimmed, not perfect
         assert len(series) == 2
@@ -136,16 +142,14 @@ class TestMergeShardResults:
         assert merged.ledger.count_of(MessageKind.DATA_SCHEDULED) == 4
 
     def test_lost_shards_are_reported(self):
-        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=2)
         a = _shard_result(0, [(0, 1, 2), (1, 2, 2)])
-        merged = merge_shard_results([a], spec, shards=2, lost_shards=[1])
+        merged = merge_results([a], shards=2, lost_shards=[1])
         assert merged.cluster["shards_lost"] == 1
         assert merged.cluster["lost_shards"] == [1]
 
     def test_merge_requires_at_least_one_shard(self):
-        spec = builtin_scenario("static")
         with pytest.raises(ValueError):
-            merge_shard_results([], spec, shards=2, lost_shards=[0, 1])
+            merge_results([], shards=2, lost_shards=[0, 1])
 
 
 class TestClusterSmoke:
@@ -279,16 +283,15 @@ class TestClusterParity:
             rounds=20,
             seed=0,
             time_scale=SMALL_SCALE,
-            backend="cluster",
             shards=2,
         )
         assert report.backend == "cluster"
         assert report.sim_stable_continuity > 0.9
         assert report.continuity_delta <= 0.03, report.formatted()
 
-    def test_unknown_parity_backend_is_rejected(self):
-        with pytest.raises(ValueError):
-            run_parity("static", num_nodes=10, rounds=2, backend="quantum")
+    def test_virtual_clock_cannot_drive_the_cluster_side(self):
+        with pytest.raises(ValueError, match="virtual clock"):
+            run_parity("static", num_nodes=10, rounds=2, shards=2, clock="virtual")
 
 
 class TestKillOneShard:
@@ -298,9 +301,9 @@ class TestKillOneShard:
         spec = builtin_scenario("static").scaled(num_nodes=30, rounds=12)
         coordinator = ClusterCoordinator(
             spec,
-            rounds=12,
-            config=ClusterConfig(
+            RunOptions(
                 shards=2,
+                rounds=12,
                 time_scale=SMALL_SCALE,
                 link=LinkConfig(
                     reconnect_attempts=1, reconnect_delay_s=0.1, reconnect_grace_s=0.5

@@ -6,7 +6,6 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.baseline import CoolStreamingNode
 from repro.core.system import StreamingSystem, run_comparison

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.dht.peer_table import (
-    DhtPeerEntry,
     NeighborEntry,
     OverheardEntry,
     PeerTable,

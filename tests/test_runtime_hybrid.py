@@ -5,19 +5,22 @@ fidelity*:
 
 * the :class:`SlimTier` is deterministic — same seed ⇒ bit-identical
   per-period samples — and costs ~5 bytes of state per slim peer;
-* a virtual-clock :class:`HybridSwarm` run is bit-identical across
-  repeats, and its telemetry frames count core + slim as one population
-  (so the health engine and cockpit see a single swarm);
+* a virtual-clock ``fidelity="hybrid"`` :class:`LiveSwarm` run is
+  bit-identical across repeats, and its telemetry frames count core +
+  slim as one population (so the health engine and cockpit see a single
+  swarm);
 * parity: at overlapping sizes the hybrid swarm's stable continuity
   tracks the full runtime within ``PARITY_DELTA`` on both a static and a
   churning scenario (slow-marked — two full n=200 runs);
-* ``--fidelity full`` (i.e. plain :class:`LiveSwarm`) is untouched: the
-  hybrid classes are opt-in composition, not a rewrite.
+* ``--fidelity full`` is untouched: the tier is an optional object the one
+  swarm class holds, not a second class;
+* a sharded hybrid run reports the same ``fidelity`` key set as an
+  in-process one, summed across shards.
 """
 
 import pytest
 
-from repro.runtime import HybridShardSwarm, HybridSwarm, LiveSwarm, SlimTier
+from repro.runtime import LiveSwarm, RunOptions, SlimTier, run
 from repro.runtime.slim import DEFAULT_CORE_PEERS, default_core_peers
 from repro.scenarios import CampaignSpec
 from repro.scenarios.library import builtin_scenario
@@ -35,7 +38,9 @@ def spec_for(name="static", num_nodes=300, rounds=10, seed=0):
 
 
 def run_hybrid(spec, core_peers=20, **kwargs):
-    return HybridSwarm(spec, core_peers=core_peers, clock="virtual", **kwargs).run()
+    return LiveSwarm(
+        spec, fidelity="hybrid", core_peers=core_peers, clock="virtual", **kwargs
+    ).run()
 
 
 class TestSlimTier:
@@ -99,18 +104,19 @@ class TestCoreSizing:
 
     def test_core_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="core_peers"):
-            HybridSwarm(spec_for(num_nodes=100), core_peers=1)
+            LiveSwarm(spec_for(num_nodes=100), fidelity="hybrid", core_peers=1)
 
     def test_core_exceeding_swarm_rejected(self):
         with pytest.raises(ValueError, match="cannot exceed"):
-            HybridSwarm(spec_for(num_nodes=100), core_peers=101)
+            LiveSwarm(spec_for(num_nodes=100), fidelity="hybrid", core_peers=101)
 
 
 class TestHybridSwarm:
     def test_same_seed_runs_are_bit_identical(self):
         spec = spec_for("flash-crowd", num_nodes=300, rounds=10, seed=5)
         swarms = [
-            HybridSwarm(spec, core_peers=20, clock="virtual") for _ in range(2)
+            LiveSwarm(spec, fidelity="hybrid", core_peers=20, clock="virtual")
+            for _ in range(2)
         ]
         first, second = (swarm.run() for swarm in swarms)
         assert first.continuity_series() == second.continuity_series()
@@ -137,8 +143,9 @@ class TestHybridSwarm:
         from repro.obs import ObsConfig
 
         spec = spec_for("static", num_nodes=300, rounds=8)
-        swarm = HybridSwarm(
-            spec, core_peers=20, clock="virtual", obs=ObsConfig(trace_sample=8)
+        swarm = LiveSwarm(
+            spec, fidelity="hybrid", core_peers=20, clock="virtual",
+            obs=ObsConfig(trace_sample=8),
         )
         frames = []
         swarm.telemetry_sink = frames.append
@@ -161,7 +168,7 @@ class TestHybridSwarm:
     def test_shard_slices_partition_the_slim_tier(self):
         spec = spec_for("static", num_nodes=1003, rounds=4)
         shards = [
-            HybridShardSwarm(spec, shard_index=i, num_shards=3, core_peers=9)
+            LiveSwarm(spec, shards=3, shard_index=i, fidelity="hybrid", core_peers=9)
             for i in range(3)
         ]
         sizes = [s.slim.count for s in shards]
@@ -169,6 +176,20 @@ class TestHybridSwarm:
         assert max(sizes) - min(sizes) <= 1
         seeds = {derive_seed(spec.seed, f"slim-tier/{i}") for i in range(3)}
         assert len(seeds) == 3, "each shard draws from its own stream"
+
+    def test_sharded_run_reports_the_in_process_key_set_summed(self):
+        """A 2-shard hybrid run used to drop ``slim_alive`` / ``slim_joined``
+        / ``slim_left`` (the coordinator hand-built a 5-key dict)."""
+        spec = spec_for("flash-crowd", num_nodes=120, rounds=6)
+        local = run_hybrid(spec, core_peers=12)
+        sharded = run(spec, shards=2, fidelity="hybrid", core_peers=12, time_scale=0.25)
+        assert set(sharded.fidelity) == set(local.fidelity)
+        fid = sharded.fidelity
+        assert (fid["mode"], fid["core_peers"], fid["total_peers"]) == ("hybrid", 12, 120)
+        # the slim_* facts are sums over the two shards' slices
+        assert fid["slim_peers"] == 108 + fid["slim_joined"]
+        assert fid["slim_alive"] == fid["slim_peers"] - fid["slim_left"]
+        assert fid["slim_memory_bytes"] == fid["slim_peers"] * 5
 
 
 class TestCampaignValidation:
@@ -178,31 +199,33 @@ class TestCampaignValidation:
     def test_hybrid_rejected_on_the_sim_backend(self):
         with pytest.raises(ValueError, match="sim backend"):
             CampaignSpec(
-                scenarios=self.scenarios(), backend="sim", fidelity="hybrid"
+                scenarios=self.scenarios(), backend="sim",
+                options=RunOptions(fidelity="hybrid"),
             )
 
     def test_core_peers_requires_hybrid(self):
         with pytest.raises(ValueError, match="core_peers"):
             CampaignSpec(
-                scenarios=self.scenarios(), backend="runtime", core_peers=10
+                scenarios=self.scenarios(), backend="runtime",
+                options=RunOptions(core_peers=10),
             )
 
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(ValueError, match="fidelity"):
             CampaignSpec(
-                scenarios=self.scenarios(), backend="runtime", fidelity="cubist"
+                scenarios=self.scenarios(), backend="runtime",
+                options=RunOptions(fidelity="cubist"),
             )
 
     def test_payloads_carry_the_fidelity_coordinates(self):
         spec = CampaignSpec(
             scenarios=self.scenarios(),
             backend="runtime",
-            fidelity="hybrid",
-            core_peers=10,
+            options=RunOptions(fidelity="hybrid", core_peers=10),
         )
         for payload in spec.cell_payloads():
-            assert payload["fidelity"] == "hybrid"
-            assert payload["core_peers"] == 10
+            assert payload["options"].fidelity == "hybrid"
+            assert payload["options"].core_peers == 10
 
 
 @pytest.mark.slow

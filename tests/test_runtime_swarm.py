@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.net.message import MessageKind, MessageLedger
-from repro.runtime import LiveSwarm, run_parity, run_swarm
+from repro.runtime import LiveSwarm, run, run_parity
 from repro.scenarios.library import builtin_scenario
 
 #: Wall seconds per simulated second for the tests in this module; CI can
@@ -27,7 +27,7 @@ class TestLiveSwarmStatic:
     @pytest.fixture(scope="class")
     def static_result(self):
         spec = builtin_scenario("static").scaled(num_nodes=40, rounds=15)
-        return run_swarm(spec, time_scale=SMALL_SCALE)
+        return run(spec, time_scale=SMALL_SCALE)
 
     def test_continuity_climbs_to_stable_playback(self, static_result):
         series = static_result.continuity_series()
@@ -66,7 +66,7 @@ class TestLiveSwarmStatic:
 class TestLiveSwarmDynamic:
     def test_live_churn_kills_and_admits_peers(self):
         spec = builtin_scenario("paper-dynamic").scaled(num_nodes=30, rounds=10)
-        result = run_swarm(spec, time_scale=SMALL_SCALE)
+        result = run(spec, time_scale=SMALL_SCALE)
         assert result.peers_left > 0
         assert result.peers_joined > 0
         # joiners announce themselves over the wire: PING/PONG traffic
@@ -77,14 +77,14 @@ class TestLiveSwarmDynamic:
         spec = builtin_scenario("static").scaled(
             num_nodes=25, rounds=8, system="coolstreaming"
         )
-        result = run_swarm(spec, time_scale=SMALL_SCALE)
+        result = run(spec, time_scale=SMALL_SCALE)
         assert result.ledger.count_of(MessageKind.DHT_ROUTING) == 0
         assert result.ledger.count_of(MessageKind.DATA_PREFETCH) == 0
         assert result.ledger.count_of(MessageKind.DATA_SCHEDULED) > 0
 
     def test_lossy_scenario_drops_frames(self):
         spec = builtin_scenario("hetero-swarm").scaled(num_nodes=25, rounds=8)
-        result = run_swarm(spec, time_scale=SMALL_SCALE)
+        result = run(spec, time_scale=SMALL_SCALE)
         assert result.messages_dropped > 0
 
 
