@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
-from repro.dht.hashing import backup_keys
+from repro.dht.hashing import is_backup_responsible
 from repro.dht.ring import IdRing
 from repro.streaming.segment import Segment, SegmentStore
 
@@ -46,12 +46,11 @@ class VodBackupStore:
                 the node knows no DHT peer it conservatively takes
                 responsibility for everything it receives (it may be alone).
         """
-        if successor_id is None or successor_id == self.node_id:
+        if successor_id is None:
             return True
-        for key in backup_keys(segment_id, self.replicas, self.ring.size):
-            if self.ring.in_clockwise_interval(key, self.node_id, successor_id):
-                return True
-        return False
+        return is_backup_responsible(
+            segment_id, self.replicas, self.ring.size, self.node_id, successor_id
+        )
 
     def maybe_store(
         self, segment: Segment, successor_id: Optional[int]

@@ -14,8 +14,9 @@ budgets; the node only *decides* (which segments to request from whom).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -255,33 +256,30 @@ class StreamingNode:
         buffer does not hold it, and it falls inside the interest window.
         """
         lo, hi = self.interest_window(newest_available_id, window)
-        if hi < lo:
+        missing = self.buffer.missing_in_range(lo, hi + 1)
+        if not missing:
             return []
-        rates = {
-            neighbor_id: self.rate_controller.rate_of(neighbor_id)
-            for neighbor_id in neighbor_maps
-        }
-        candidates: List[SegmentCandidate] = []
-        for segment_id in range(lo, hi + 1):
-            if segment_id in self.buffer:
+        # Each neighbour's map is walked once (a C-level set intersection
+        # with the missing ids), so the work scales with the offers made, not
+        # with window x neighbours.  Offers of one segment stay in neighbour
+        # order — Algorithm 1 breaks supplier ties by that order — and
+        # candidates come out in ascending id.
+        rate_of = self.rate_controller.rate_of
+        offers_of: Dict[int, List[SupplierOffer]] = defaultdict(list)
+        for neighbor_id, neighbor_map in neighbor_maps.items():
+            offered = neighbor_map.present.intersection(missing)
+            if not offered:
                 continue
-            offers: List[SupplierOffer] = []
-            for neighbor_id, neighbor_map in neighbor_maps.items():
-                if segment_id in neighbor_map.present:
-                    offers.append(
-                        SupplierOffer(
-                            supplier_id=neighbor_id,
-                            position_from_tail=neighbor_map.position_from_tail(
-                                segment_id
-                            ),
-                            rate=rates[neighbor_id],
-                        )
-                    )
-            if offers:
-                candidates.append(
-                    SegmentCandidate(segment_id=segment_id, offers=tuple(offers))
+            rate = rate_of(neighbor_id)
+            tail = neighbor_map.effective_tail
+            for segment_id in offered:
+                offers_of[segment_id].append(
+                    SupplierOffer(neighbor_id, tail - segment_id, rate)
                 )
-        return candidates
+        return [
+            SegmentCandidate(segment_id, tuple(offers_of[segment_id]))
+            for segment_id in sorted(offers_of)
+        ]
 
     def plan_requests(
         self,

@@ -15,6 +15,7 @@ segment transfer.  The expected completion latency is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -138,8 +139,6 @@ class OnDemandRetriever:
     @staticmethod
     def expected_routing_messages(replicas: int, num_nodes: int) -> float:
         """Section 5.4.3 estimate: ``k · (log2(n)/2 + 1) + 1`` messages."""
-        import math
-
         n = max(2, num_nodes)
         return replicas * (math.log2(n) / 2.0 + 1.0) + 1.0
 

@@ -15,7 +15,7 @@ new protocols plug in without this module changing.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class OverlayManager:
         self.overhearing = OverhearingService(
             latency_of=self.latency_ms, is_alive=self.is_alive
         )
+        #: node id -> (its table's candidate tuple, the alive ones among them);
+        #: dropped whenever liveness changes (see :meth:`alive_routing_peers`).
+        self._alive_peers: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         self._built = False
 
     # ======================================================================= build
@@ -200,12 +203,11 @@ class OverlayManager:
         )
         if not added_a:
             return False
-        if not node_b.peer_table.add_neighbor(
-            NeighborEntry(peer_id=a, latency_ms=latency)
-        ):
-            # Overflow path: force the reciprocal entry so the relation stays
-            # symmetric even when b is already at capacity.
-            node_b.peer_table.neighbors[a] = NeighborEntry(peer_id=a, latency_ms=latency)
+        # Overflow path: the reciprocal entry is forced so the relation stays
+        # symmetric even when b is already at capacity.
+        node_b.peer_table.add_neighbor(
+            NeighborEntry(peer_id=a, latency_ms=latency), allow_overflow=True
+        )
         self.overlay.add_edge(a, b)
         # Optimistic rate priors: a TCP pull takes whatever the supplier's
         # uplink has to spare; contention is enforced by the per-period
@@ -220,15 +222,13 @@ class OverlayManager:
         if node_a is None or node_b is None or a == b:
             return
         latency = self.latency_ms(a, b)
-        if not node_b.peer_table.has_neighbor(a):
-            entry = NeighborEntry(peer_id=a, latency_ms=latency)
-            if not node_b.peer_table.add_neighbor(entry):
-                node_b.peer_table.neighbors[a] = entry
+        if node_b.peer_table.add_neighbor(
+            NeighborEntry(peer_id=a, latency_ms=latency), allow_overflow=True
+        ):
             node_b.rate_controller.register_neighbor(a, node_a.outbound_rate, 1)
-        if not node_a.peer_table.has_neighbor(b):
-            entry = NeighborEntry(peer_id=b, latency_ms=latency)
-            if not node_a.peer_table.add_neighbor(entry):
-                node_a.peer_table.neighbors[b] = entry
+        if node_a.peer_table.add_neighbor(
+            NeighborEntry(peer_id=b, latency_ms=latency), allow_overflow=True
+        ):
             node_a.rate_controller.register_neighbor(b, node_b.outbound_rate, 1)
         self.overlay.add_edge(a, b)
 
@@ -268,24 +268,44 @@ class OverlayManager:
     # ================================================================ small helpers
     def latency_ms(self, a: int, b: int) -> float:
         """One-way latency between two nodes (default when unmodelled)."""
-        if self.latency is None or a not in self.latency or b not in self.latency:
+        if self.latency is None:
             return 50.0
-        return self.latency.one_way_ms(a, b)
+        try:
+            return self.latency.one_way_ms(a, b)
+        except KeyError:  # either end unmodelled
+            return 50.0
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` exists and has not departed."""
         node = self.nodes.get(node_id)
         return node is not None and node.alive
 
-    def _routing_peers_of(self, node_id: int) -> Sequence[int]:
+    def _routing_peers_of(self, node_id: int) -> Tuple[int, ...]:
         node = self.nodes.get(node_id)
         if node is None or not node.alive:
             return ()
-        return [
-            peer
-            for peer in node.peer_table.routing_candidates()
-            if self.is_alive(peer)
-        ]
+        return self.alive_routing_peers(node)
+
+    def alive_routing_peers(self, node: StreamingNode) -> Tuple[int, ...]:
+        """``node``'s routing candidates that are currently alive.
+
+        Cached per node.  The entry is reused only while the table still
+        hands back the same candidate tuple (it builds a new one after any
+        mutation), and the whole cache is dropped when liveness changes —
+        :meth:`admit_node` and :meth:`mark_departed` are the only two places.
+        """
+        candidates = node.peer_table.routing_candidates()
+        cached = self._alive_peers.get(node.node_id)
+        if cached is not None and cached[0] is candidates:
+            return cached[1]
+        alive = tuple(peer for peer in candidates if self.is_alive(peer))
+        self._alive_peers[node.node_id] = (candidates, alive)
+        return alive
+
+    def mark_departed(self, node_id: int) -> None:
+        """Flip ``node_id`` to dead (every departure must come through here)."""
+        self.nodes[node_id].mark_departed()
+        self._alive_peers.clear()
 
     def alive_node_ids(self, include_source: bool = True) -> List[int]:
         """Ids of the currently alive nodes."""
@@ -324,7 +344,7 @@ class OverlayManager:
                 succ_node = self.nodes.get(successor)
                 if isinstance(succ_node, ContinuStreamingNode):
                     succ_node.absorb_handover(node.handover_backup())
-        node.mark_departed()
+        self.mark_departed(node_id)
         self.overlay.remove_node(node_id)
         if self.latency is not None:
             self.latency.remove_node(node_id)
@@ -361,6 +381,7 @@ class OverlayManager:
         node = self.node_factory(ring_id)
         node.join_time = now
         self.nodes[ring_id] = node
+        self._alive_peers.clear()
 
         # Contact the closest alive contacts (PING), adopt the nearest one's
         # peer table as a base, and wire up overlay edges.

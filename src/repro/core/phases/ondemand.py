@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.core.continu import ContinuStreamingNode
@@ -41,42 +42,47 @@ class OnDemandRetrievalPhase(Phase):
             return self.report(nodes_triggered=0)
         order = list(ctx.predictions)
         ctx.rng.shuffle(order)
+        # One retriever serves every triggered node of the round; its origin
+        # is set per node in ``_retrieve_for_node``.
+        assert ctx.manager is not None, "on-demand retrieval needs an OverlayManager"
+        retriever = OnDemandRetriever(
+            node_id=ctx.source_id,
+            router=ctx.manager.router,
+            replicas=ctx.config.backup_replicas,
+            has_segment=partial(self._holder_has_segment, ctx),
+            available_rate=partial(self._holder_rate, ctx),
+        )
         if ctx.sim is None:
             # Minimal synthetic contexts (unit tests) run inline.
             for nid in order:
-                self._retrieve_for_node(ctx, nid)
+                self._retrieve_for_node(ctx, nid, retriever)
         else:
             delay = min(self._fetch_time(ctx), ctx.period)
             for nid in order:
                 ctx.sim.schedule_at(
-                    ctx.round_start + delay, self._retrieve_event, (ctx, nid)
+                    ctx.round_start + delay, self._retrieve_event, (ctx, nid, retriever)
                 )
         return self.report(nodes_triggered=len(order))
 
     # ------------------------------------------------------------- internals
     def _retrieve_event(self, sim: Simulator, payload: Any) -> None:
-        ctx, nid = payload
-        self._retrieve_for_node(ctx, nid)
+        self._retrieve_for_node(*payload)
 
     def _fetch_time(self, ctx: RoundContext) -> float:
         if ctx.manager is not None:
             return ctx.manager.fetch_time_s
         return ctx.config.expected_fetch_time(0.05)
 
-    def _retrieve_for_node(self, ctx: RoundContext, nid: int) -> None:
+    def _retrieve_for_node(
+        self, ctx: RoundContext, nid: int, retriever: OnDemandRetriever
+    ) -> None:
         """Run Algorithm 2 for one triggered node and execute the downloads."""
-        assert ctx.manager is not None, "on-demand retrieval needs an OverlayManager"
         manager = ctx.manager
+        assert manager is not None
         cfg = ctx.config
         node = ctx.nodes[nid]
         assert isinstance(node, ContinuStreamingNode)
-        retriever = OnDemandRetriever(
-            node_id=nid,
-            router=manager.router,
-            replicas=cfg.backup_replicas,
-            has_segment=self._holder_has_segment_fn(ctx),
-            available_rate=lambda holder: self._holder_rate(ctx, holder),
-        )
+        retriever.node_id = nid
         plans = retriever.retrieve(ctx.predictions[nid])
         for plan in plans:
             ctx.ledger.record(
@@ -115,16 +121,13 @@ class OnDemandRetrievalPhase(Phase):
         node.settle_prefetches(ctx.round_end)
 
     @staticmethod
-    def _holder_has_segment_fn(ctx: RoundContext):
-        def has_segment(holder_id: int, segment_id: int) -> bool:
-            holder = ctx.nodes.get(holder_id)
-            if holder is None or not holder.alive:
-                return False
-            if isinstance(holder, ContinuStreamingNode):
-                return holder.serves_segment(segment_id)
-            return holder.has_segment(segment_id)
-
-        return has_segment
+    def _holder_has_segment(ctx: RoundContext, holder_id: int, segment_id: int) -> bool:
+        holder = ctx.nodes.get(holder_id)
+        if holder is None or not holder.alive:
+            return False
+        if isinstance(holder, ContinuStreamingNode):
+            return holder.serves_segment(segment_id)
+        return holder.has_segment(segment_id)
 
     @staticmethod
     def _holder_rate(ctx: RoundContext, holder_id: int) -> float:
@@ -140,11 +143,10 @@ class OnDemandRetrievalPhase(Phase):
     def _overhear_paths(ctx: RoundContext, plan: PrefetchPlan) -> None:
         """Every node on a routing path overhears the other nodes on it."""
         assert ctx.manager is not None
+        overhear = ctx.manager.overhearing.overhear_path
+        nodes = ctx.nodes
         for path in plan.routing_paths:
             for hop in path:
-                node = ctx.nodes.get(hop)
-                if node is None or not node.alive:
-                    continue
-                ctx.manager.overhearing.overhear_path(
-                    node.peer_table, path, now=ctx.round_start
-                )
+                node = nodes.get(hop)
+                if node is not None and node.alive:
+                    overhear(node.peer_table, path, now=ctx.round_start)

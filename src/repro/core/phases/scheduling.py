@@ -78,11 +78,19 @@ class DataSchedulingPhase(Phase):
                 ctx.outbound_budget[supplier] -= 1.0
                 node.receive_segment(request.segment_id)
                 ctx.consider_backup(node, request.segment_id)
-                ctx.ledger.record(MessageKind.DATA_SCHEDULED, cfg.segment_bits)
                 delivered_per_neighbor[supplier] = (
                     delivered_per_neighbor.get(supplier, 0) + 1
                 )
-                delivered_total += 1
+            delivered = sum(delivered_per_neighbor.values())
+            if delivered:
+                # One ledger row per consumer: segment sizes are whole bits,
+                # so the float total equals the per-segment running sum.
+                ctx.ledger.record(
+                    MessageKind.DATA_SCHEDULED,
+                    cfg.segment_bits * delivered,
+                    count=delivered,
+                )
+                delivered_total += delivered
             node.observe_deliveries(delivered_per_neighbor)
         ctx.segments_scheduled = delivered_total
         return self.report(segments_delivered=delivered_total)

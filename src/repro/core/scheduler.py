@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +40,12 @@ import numpy as np
 MAX_URGENCY = 1.0e9
 
 
-@dataclass(frozen=True)
-class SupplierOffer:
+class SupplierOffer(NamedTuple):
     """One neighbour's offer of one segment.
+
+    (These four records are created per offer / per candidate every period,
+    so they are named tuples: same fields, a fraction of the construction
+    cost of a frozen dataclass.)
 
     Attributes:
         supplier_id: the neighbour that advertises the segment.
@@ -56,12 +59,11 @@ class SupplierOffer:
     rate: float
 
 
-@dataclass(frozen=True)
-class SegmentCandidate:
+class SegmentCandidate(NamedTuple):
     """A fresh segment together with every neighbour able to supply it."""
 
     segment_id: int
-    offers: tuple[SupplierOffer, ...]
+    offers: Tuple[SupplierOffer, ...]
 
     def supplier_ids(self) -> List[int]:
         return [offer.supplier_id for offer in self.offers]
@@ -70,8 +72,7 @@ class SegmentCandidate:
         return max((offer.rate for offer in self.offers), default=0.0)
 
 
-@dataclass(frozen=True)
-class ScheduledRequest:
+class ScheduledRequest(NamedTuple):
     """Output row of Algorithm 1: fetch ``segment_id`` from ``supplier_id``."""
 
     segment_id: int
@@ -80,8 +81,7 @@ class ScheduledRequest:
     priority: float
 
 
-@dataclass(frozen=True)
-class PriorityBreakdown:
+class PriorityBreakdown(NamedTuple):
     """Urgency, rarity and combined priority of one candidate (for inspection)."""
 
     segment_id: int
@@ -171,22 +171,34 @@ def prioritize_candidates(
     playback_rate: float,
     buffer_capacity: int,
 ) -> List[PriorityBreakdown]:
-    """Compute the full urgency/rarity/priority breakdown for every candidate."""
+    """Compute the full urgency/rarity/priority breakdown for every candidate.
+
+    One pass over the offers of each candidate yields both the best rate
+    (for :func:`compute_urgency`) and the rarity product of
+    :func:`compute_rarity` — the same operations in the same order as those
+    two scalar definitions, so the floats are bit-identical to them.
+    """
+    if playback_rate <= 0:
+        raise ValueError("playback_rate must be positive")
+    if buffer_capacity <= 0:
+        raise ValueError("buffer_capacity must be positive")
     breakdown: List[PriorityBreakdown] = []
-    for candidate in candidates:
-        urgency = compute_urgency(
-            candidate.segment_id, play_id, playback_rate, candidate.best_rate()
-        )
-        rarity = compute_rarity(
-            [offer.position_from_tail for offer in candidate.offers],
-            buffer_capacity,
-        )
+    for segment_id, offers in candidates:
+        best_rate = 0.0
+        rarity = 1.0
+        for _, position, rate in offers:
+            if rate > best_rate:
+                best_rate = rate
+            if position < buffer_capacity:  # else the factor is B / B == 1.0
+                rarity *= (position if position > 0 else 0) / buffer_capacity
+        urgency = MAX_URGENCY
+        if best_rate > 0:
+            slack = (segment_id - play_id) / playback_rate - 1.0 / best_rate
+            if slack > 0:
+                urgency = 1.0 / slack
         breakdown.append(
             PriorityBreakdown(
-                segment_id=candidate.segment_id,
-                urgency=urgency,
-                rarity=rarity,
-                priority=compute_priority(urgency, rarity),
+                segment_id, urgency, rarity, rarity if rarity > urgency else urgency
             )
         )
     return breakdown
@@ -230,35 +242,32 @@ def schedule_requests(
     if inbound_rate < 0:
         raise ValueError("inbound_rate must be >= 0")
 
+    ids = [candidate.segment_id for candidate in candidates]
     if tiebreak_rng is None:
-        tiebreak = {c.segment_id: float(c.segment_id) for c in candidates}
+        tiebreak = {sid: float(sid) for sid in ids}
     else:
-        tiebreak = {
-            c.segment_id: float(tiebreak_rng.random()) for c in candidates
-        }
-    ordered = sorted(
-        candidates,
-        key=lambda c: (
-            -priorities.get(c.segment_id, 0.0),
-            tiebreak[c.segment_id],
-            c.segment_id,
-        ),
-    )
-    max_requests = min(len(ordered), int(inbound_rate * period))
+        # One vectorised draw: ``Generator.random(n)`` consumes the bit
+        # generator exactly like ``n`` scalar draws, in the same order.
+        tiebreak = dict(zip(ids, tiebreak_rng.random(len(ids)).tolist()))
+    priority_of = priorities.get
+    keys = [(-priority_of(sid, 0.0), tiebreak[sid], sid) for sid in ids]
+    # Sorting positions by key is the stable sort of the candidates by key.
+    order = sorted(range(len(ids)), key=keys.__getitem__)
+    max_requests = min(len(order), int(inbound_rate * period))
     queue_time: Dict[int, float] = {}
     requests: List[ScheduledRequest] = []
 
-    for candidate in ordered[:max_requests] if max_requests else []:
+    for index in order[:max_requests]:
+        segment_id, offers = candidates[index]
         best_time = math.inf
         best_supplier: Optional[int] = None
-        for offer in candidate.offers:
+        for offer in offers:
             rate = offer.rate if supplier_rate is None else supplier_rate(
-                candidate.segment_id, offer
+                segment_id, offer
             )
             if rate <= 0:
                 continue
-            transfer_time = 1.0 / rate
-            ready_at = transfer_time + queue_time.get(offer.supplier_id, 0.0)
+            ready_at = 1.0 / rate + queue_time.get(offer.supplier_id, 0.0)
             # The completion must both beat the best alternative and fit the
             # scheduling period, exactly as in Algorithm 1's double condition.
             if ready_at < best_time and ready_at < period:
@@ -268,10 +277,7 @@ def schedule_requests(
             queue_time[best_supplier] = best_time
             requests.append(
                 ScheduledRequest(
-                    segment_id=candidate.segment_id,
-                    supplier_id=best_supplier,
-                    expected_time=best_time,
-                    priority=priorities.get(candidate.segment_id, 0.0),
+                    segment_id, best_supplier, best_time, priority_of(segment_id, 0.0)
                 )
             )
     return requests

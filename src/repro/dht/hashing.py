@@ -13,7 +13,8 @@ built-in ``hash``) and fast enough to be called millions of times per run.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import Tuple
 
 
 def _mix64(value: int) -> int:
@@ -35,17 +36,20 @@ def segment_hash(value: int, id_space: int) -> int:
     return _mix64(int(value)) % int(id_space)
 
 
-def backup_keys(segment_id: int, replicas: int, id_space: int) -> List[int]:
+@lru_cache(maxsize=4096)
+def backup_keys(segment_id: int, replicas: int, id_space: int) -> Tuple[int, ...]:
     """The ``k`` ring keys where ``segment_id`` must be backed up.
 
     Key ``i`` (1-based) is ``hash(segment_id * i) % N``.  Keys may collide for
     small id spaces; callers that need distinct holders should deduplicate.
+    Memoised: every node asks for the keys of the same few hundred live
+    segments, and the bound keeps a long run from growing the cache.
     """
     if segment_id < 0:
         raise ValueError("segment_id must be >= 0")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    return [segment_hash(segment_id * i, id_space) for i in range(1, replicas + 1)]
+    return tuple(segment_hash(segment_id * i, id_space) for i in range(1, replicas + 1))
 
 
 def is_backup_responsible(
@@ -55,21 +59,17 @@ def is_backup_responsible(
     node_id: int,
     successor_id: int,
 ) -> bool:
-    """True if the node owning ``[node_id, successor_id)`` must back up the segment.
+    """Equation (5): must the node owning ``[node_id, successor_id)`` back up the segment?
 
     ``successor_id`` is the node's clockwise-closest DHT peer (``n1`` in the
     paper).  When a node is alone on the ring (``node_id == successor_id``)
-    it owns everything.
+    it owns everything.  This is the only implementation of the rule;
+    :meth:`repro.core.backup.VodBackupStore.is_responsible` calls it.
     """
-    node_id %= id_space
-    successor_id %= id_space
-    if node_id == successor_id:
+    span = (successor_id - node_id) % id_space
+    if span == 0:
         return True
     for key in backup_keys(segment_id, replicas, id_space):
-        if _in_clockwise_interval(key, node_id, successor_id, id_space):
+        if (key - node_id) % id_space < span:
             return True
     return False
-
-
-def _in_clockwise_interval(x: int, start: int, end: int, size: int) -> bool:
-    return (x - start) % size < (end - start) % size

@@ -110,7 +110,7 @@ class DhtNetwork:
     def rebuild_fingers(self) -> None:
         """(Re)build every node's finger table from the current population."""
         for table in self._tables.values():
-            table.dht_peers.clear()
+            table.clear_dht_peers()
             self._fill_fingers(table)
 
     def _fill_fingers(self, table: PeerTable) -> None:

@@ -15,19 +15,16 @@ from typing import Iterable, List, Optional, Sequence
 class IdRing:
     """Modular arithmetic helpers on an identifier space of size ``N``."""
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "bits")
 
     def __init__(self, size: int) -> None:
         if size < 2:
             raise ValueError(f"ID space must have at least 2 ids, got {size}")
         self.size = int(size)
+        #: Number of levels ``log2(N)`` (rounded up) a peer table needs.
+        self.bits = max(1, math.ceil(math.log2(self.size)))
 
     # ------------------------------------------------------------------- basics
-    @property
-    def bits(self) -> int:
-        """Number of levels ``log2(N)`` (rounded up) a peer table needs."""
-        return max(1, math.ceil(math.log2(self.size)))
-
     def normalize(self, identifier: int) -> int:
         """Map any integer onto the ring."""
         return int(identifier) % self.size

@@ -9,10 +9,39 @@ The appendix bounds the walk by ``log N / log(4/3) ≈ 2.41 log N`` hops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Collection, Iterable, List, Optional, Sequence
 
 from repro.dht.ring import IdRing
+
+
+def next_hop(
+    current: int,
+    target: int,
+    candidates: Iterable[int],
+    size: int,
+    visited: Collection[int] = (),
+) -> Optional[int]:
+    """The greedy forwarding rule: the candidate clockwise-closest to ``target``.
+
+    Forward only to a peer *strictly* closer to the key than ``current`` and
+    not in ``visited``; ``None`` means the walk stops at ``current``.  The
+    first of several equally close candidates wins, so callers must pass
+    them in a fixed order (``PeerTable.routing_candidates`` is sorted).  This
+    is the one implementation of the rule: the simulator's
+    :meth:`GreedyRouter.route` and the live peer's per-message forwarding
+    both call it.  ``current`` and ``target`` must already be on the ring.
+    """
+    best: Optional[int] = None
+    best_dist = (target - current) % size
+    for peer in candidates:
+        dist = (target - peer) % size
+        if dist < best_dist:
+            peer %= size
+            if peer not in visited:
+                best, best_dist = peer, dist
+    return best
 
 
 @dataclass(frozen=True)
@@ -81,24 +110,15 @@ class GreedyRouter:
                 (used to score success exactly as Figure 3 does); when
                 ``None`` success is judged by normal termination alone.
         """
+        size = self.ring.size
         target_key = self.ring.normalize(target_key)
         current = self.ring.normalize(origin)
         path: List[int] = [current]
         visited = {current}
         for _ in range(self.max_hops):
-            current_dist = self.ring.clockwise_distance(current, target_key)
-            if current_dist == 0:
+            if current == target_key:
                 break
-            candidates = self.peers_of(current)
-            best: Optional[int] = None
-            best_dist = current_dist
-            for peer in candidates:
-                peer = self.ring.normalize(peer)
-                if peer in visited:
-                    continue
-                dist = self.ring.clockwise_distance(peer, target_key)
-                if dist < best_dist:
-                    best, best_dist = peer, dist
+            best = next_hop(current, target_key, self.peers_of(current), size, visited)
             if best is None:
                 break  # no peer closer to the target: the walk stops here
             current = best
@@ -117,8 +137,6 @@ class GreedyRouter:
     @staticmethod
     def hop_upper_bound(id_space: int) -> float:
         """The appendix bound ``log N / log(4/3) ≈ 2.41 log N`` (log base 2)."""
-        import math
-
         if id_space < 2:
             return 0.0
         return math.log2(id_space) / math.log2(4.0 / 3.0)

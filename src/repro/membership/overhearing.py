@@ -39,34 +39,24 @@ class OverhearingService:
         Returns the number of entries recorded.  The owner itself and dead
         nodes are skipped.
         """
+        owner = table.owner_id
         recorded = 0
         for node_id in path:
-            if node_id == table.owner_id or not self.is_alive(node_id):
+            if node_id == owner or not self.is_alive(node_id):
                 continue
             table.record_overheard(
-                OverheardEntry(
-                    peer_id=node_id,
-                    latency_ms=self.latency_of(table.owner_id, node_id),
-                    overheard_at=now,
-                )
+                OverheardEntry(node_id, self.latency_of(owner, node_id), now)
             )
             recorded += 1
         return recorded
 
     def refresh(self, table: PeerTable) -> int:
-        """Refresh DHT peers from the overheard list; returns levels updated."""
-        self._purge_dead(table)
-        return table.refresh_dht_peers_from_overheard()
+        """Purge dead nodes, then refresh DHT peers from the overheard list.
 
-    def _purge_dead(self, table: PeerTable) -> None:
-        """Drop dead nodes from every part of the table."""
-        for peer_id in list(table.neighbors):
-            if not self.is_alive(peer_id):
-                table.remove_neighbor(peer_id)
-        for level in list(table.dht_peers):
-            if not self.is_alive(table.dht_peers[level].peer_id):
-                del table.dht_peers[level]
-        table.overheard = [e for e in table.overheard if self.is_alive(e.peer_id)]
+        Returns the number of levels updated.
+        """
+        table.purge(self.is_alive)
+        return table.refresh_dht_peers_from_overheard()
 
     def replace_failed_neighbor(
         self,

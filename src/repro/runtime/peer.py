@@ -48,6 +48,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
+from repro.dht.hashing import backup_keys
+from repro.dht.routing import next_hop
 from repro.net.message import MessageLedger
 from repro.runtime import wire
 from repro.runtime.transport import (
@@ -575,27 +577,19 @@ class LivePeer:
     def _closer_hop(self, target_key: int, exclude: Tuple[int, ...]) -> Optional[int]:
         """The routing candidate clockwise-closest to ``target_key``.
 
-        Greedy rule of :class:`~repro.dht.routing.GreedyRouter`: forward only
+        The greedy rule of :func:`~repro.dht.routing.next_hop`: forward only
         to a peer strictly closer than this node; ``None`` means the walk
         terminates here.  Dead peers are skipped — the stand-in for the probe
         a real node would fail.
         """
         size = self.swarm.ring.size
-        target = target_key % size
-        current_dist = (target - self.peer_id) % size
-        if current_dist == 0:
-            return None
-        best: Optional[int] = None
-        best_dist = current_dist
-        excluded = set(exclude)
-        is_alive = self.swarm.is_alive
-        for peer in self.node.peer_table.routing_candidates():
-            if peer in excluded or not is_alive(peer):
-                continue
-            dist = (target - peer) % size
-            if dist < best_dist:
-                best, best_dist = peer, dist
-        return best
+        return next_hop(
+            self.peer_id,
+            target_key % size,
+            self.swarm.routing_peers(self.node),
+            size,
+            exclude,
+        )
 
     def _on_dht_lookup(self, msg: wire.DhtLookup) -> None:
         self.swarm.overhear(self.node.peer_table, msg.path)
@@ -644,8 +638,6 @@ class LivePeer:
     def _start_lookup(self, segment_id: int) -> None:
         if segment_id in self._dht_pending or self.node.has_segment(segment_id):
             return
-        from repro.dht.hashing import backup_keys
-
         keys = backup_keys(segment_id, self.config.backup_replicas, self.swarm.id_space)
         pending = _PendingLookup(
             segment_id=segment_id, expected=0, started_tick=self.ticks_run

@@ -546,6 +546,10 @@ class LiveSwarm:
         """The counter-clockwise closest alive node (handover target)."""
         return self.manager.counter_clockwise_closest(node_id)
 
+    def routing_peers(self, node):
+        """``node``'s alive routing candidates (next-hop choices, sorted)."""
+        return self.manager.alive_routing_peers(node)
+
     def overhear(self, peer_table, path) -> None:
         """Every node on a routing path overhears the others on it."""
         self.manager.overhearing.overhear_path(peer_table, path, now=self.sim_now())
@@ -734,9 +738,8 @@ class LiveSwarm:
         self.obs.flight("link_lost", remote_shard=shard)
         self.obs.postmortem(f"shard {shard} presumed dead (link recovery exhausted)")
         for rid in self.shard_ring_ids(shard):
-            node = self.manager.nodes.get(rid)
-            if node is not None and node.alive:
-                node.mark_departed()
+            if self.manager.is_alive(rid):
+                self.manager.mark_departed(rid)
         self.on_link_interrupted(shard)
         # Survivors re-partner: drop the dead shard's peers from every
         # neighbour table and refill the slots from the alive population,

@@ -117,7 +117,7 @@ class SegmentBuffer:
             return sum(1 for sid in range(start_id, end_id) if sid in self._present)
         return sum(1 for sid in self._present if start_id <= sid < end_id)
 
-    # ------------------------------------------------------------------ rarity
+    # ----------------------------------------------------------------- extremes
     def newest_id(self) -> Optional[int]:
         """Largest held id, or ``None`` if empty."""
         return max(self._present) if self._present else None
@@ -125,17 +125,6 @@ class SegmentBuffer:
     def oldest_id(self) -> Optional[int]:
         """Smallest held id, or ``None`` if empty."""
         return min(self._present) if self._present else None
-
-    def position_from_tail(self, segment_id: int) -> Optional[int]:
-        """Distance of ``segment_id`` from the buffer tail (``p_ij`` in eq. 2).
-
-        The tail is the newest end of the FIFO window, so a large distance
-        means the segment is close to eviction.  Returns ``None`` when the
-        segment is not held.
-        """
-        if segment_id not in self._present:
-            return None
-        return self.tail_id - 1 - segment_id
 
     def update_from(self, segment_ids: Iterable[int]) -> int:
         """Bulk-add segment ids; returns how many were accepted."""

@@ -11,6 +11,7 @@ neighbour costs ``620`` bits of control traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List
 
 import numpy as np
@@ -67,22 +68,33 @@ class BufferMap:
         """Wire size of this buffer map in bits (``B`` bits + 20-bit anchor)."""
         return buffer_map_bits(self.capacity)
 
+    @cached_property
+    def effective_tail(self) -> int:
+        """The *effective* newest end of the supplier's FIFO buffer.
+
+        The newest segment it actually holds, capped by the window edge.
+        Computed once per snapshot (the snapshot is immutable) instead of once
+        per offer.  Raises ``ValueError`` on an empty map, like ``max``.
+        """
+        return min(self.head_id + self.capacity - 1, max(self.present))
+
     def position_from_tail(self, segment_id: int) -> int:
         """Distance of ``segment_id`` from the buffer tail (``p_ij`` in eq. 2).
 
-        The tail is the *effective* newest end of the supplier's FIFO buffer —
-        the newest segment it actually holds — so the distance measures how
-        soon the segment will be pushed out once the window starts sliding.
-        (Using the nominal window edge instead would make every segment look
-        equally close to eviction while the buffer is still filling up.)
+        This is the one definition of ``p_ij``: the distance from the
+        :attr:`effective_tail`, so it measures how soon the segment will be
+        pushed out once the window starts sliding.  (Using the nominal window
+        edge instead would make every segment look equally close to eviction
+        while the buffer is still filling up — ``SegmentBuffer`` used to carry
+        such a variant; it was deleted.)
 
         Raises:
-            KeyError: if the segment is not advertised.
+            KeyError: if the segment is not advertised (checked before the
+                tail is computed, so an empty map raises ``KeyError`` too).
         """
         if segment_id not in self.present:
             raise KeyError(segment_id)
-        effective_tail = min(self.tail_id - 1, max(self.present))
-        return effective_tail - segment_id
+        return self.effective_tail - segment_id
 
     def available_after(self, segment_id: int) -> List[int]:
         """Advertised ids strictly greater than ``segment_id`` (ascending)."""

@@ -92,7 +92,7 @@ class TestDhtPeers:
     def test_routing_candidates_union(self, table):
         table.add_neighbor(NeighborEntry(peer_id=7, latency_ms=1))
         table.set_dht_peer(101, 1)
-        assert table.routing_candidates() == [7, 101]
+        assert table.routing_candidates() == (7, 101)
 
 
 class TestOverheard:

@@ -92,7 +92,7 @@ class TestOverhearingService:
         table.add_neighbor(NeighborEntry(peer_id=99, latency_ms=1))
         table.add_neighbor(NeighborEntry(peer_id=2, latency_ms=1))
         table.set_dht_peer(3, 1)
-        table.dht_peers[5] = table.dht_peers.pop(list(table.dht_peers)[0])
+        table.set_dht_peer(99, 1)  # a dead finger for the purge to find
         table.record_overheard(OverheardEntry(peer_id=98, latency_ms=1))
         svc.refresh(table)
         assert table.neighbor_ids() == [2]

@@ -114,10 +114,3 @@ class TestQueries:
         buffer.update_from([2, 7])
         assert buffer.oldest_id() == 2
         assert buffer.newest_id() == 7
-
-    def test_position_from_tail(self):
-        buffer = SegmentBuffer(capacity=10)
-        buffer.add(0)
-        # window is [0, 10): tail slot is 9, so segment 0 is 9 slots away.
-        assert buffer.position_from_tail(0) == 9
-        assert buffer.position_from_tail(5) is None
