@@ -45,9 +45,14 @@ class DhtPeerEntry:
     latency_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OverheardEntry:
-    """A recently overheard node (from routing messages passing by)."""
+    """A recently overheard node (from routing messages passing by).
+
+    A value like its frozen siblings, but slotted instead: one is built
+    per node of every overheard routing path, and a frozen ``__init__``
+    pays an ``object.__setattr__`` call per field.
+    """
 
     peer_id: int
     latency_ms: float

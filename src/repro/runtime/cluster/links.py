@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, Tuple
 
 from collections import deque
 
@@ -57,14 +57,7 @@ class Link(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class _FlushGroup:
-    """Frames towards one ``(src, dst, lane)`` awaiting a single flush."""
-
-    __slots__ = ("born", "frames")
-
-    def __init__(self, born: float, frame: bytes) -> None:
-        self.born = born
-        self.frames = [frame]
+_BATCH_KIND = int(wire.WireKind.BATCH)
 
 
 class LoopbackLink:
@@ -98,50 +91,53 @@ class LoopbackLink:
 
     def __init__(self, host: "LiveSwarm") -> None:
         self.host = host
-        #: Pending coalescing groups keyed by ``(src, dst, data)``.
-        self._groups: dict = {}
+        #: Pending coalescing groups keyed by ``(src, dst, data)``: the
+        #: loop time the group was born at and its frames so far.
+        self._groups: Dict[Tuple[int, int, bool], Tuple[float, List[bytes]]] = {}
 
     def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
         """Ship one frame with link latency (and loss, for data frames)."""
         host = self.host
-        is_batch = len(frame) > 4 and frame[4] == wire.WireKind.BATCH
-        lossy = host.loss_rng is not None and host.spec.loss_rate > 0.0
-        if data and lossy and is_batch:
-            # A routed batch from a peer shard: the network loses *inner*
-            # frames independently, exactly as if they travelled loose.
-            frame = self._lose_from_batch(src, dst, frame)
-            if frame is None:
+        is_batch = len(frame) > 4 and frame[4] == _BATCH_KIND
+        if data and host.loss_rng is not None and host.spec.loss_rate > 0.0:
+            if is_batch:
+                # A routed batch from a peer shard: the network loses
+                # *inner* frames independently, exactly as if they
+                # travelled loose.
+                frame = self._lose_from_batch(src, dst, frame)
+                if frame is None:
+                    return
+                is_batch = frame[4] == _BATCH_KIND
+            elif host.loss_rng.random() < host.spec.loss_rate:
+                host.messages_dropped += 1
+                self._refund_lost(src, dst)
                 return
-            is_batch = len(frame) > 4 and frame[4] == wire.WireKind.BATCH
-        elif data and lossy and host.loss_rng.random() < host.spec.loss_rate:
-            host.messages_dropped += 1
-            self._refund_lost(src, dst)
-            return
         peer = host.peers.get(dst)
         if peer is None or peer.stopped or not peer.node.alive:
             host.messages_dropped += 1
             return
-        loop = asyncio.get_running_loop()
-        if not host.batching or is_batch:
-            delay = host.manager.latency_ms(src, dst) / 1000.0 * host.time_scale
-            loop.call_later(delay, self._deliver_now, src, dst, frame, data)
-            return
-        now = loop.time()
-        key = (src, dst, data)
-        group = self._groups.get(key)
-        if group is not None and (group.born == now or host.clock != "virtual"):
-            group.frames.append(frame)
-            return
-        group = _FlushGroup(now, frame)
-        self._groups[key] = group
+        loop = host.loop
+        if host.batching and not is_batch:
+            now = loop.time()
+            key = (src, dst, data)
+            group = self._groups.get(key)
+            if group is not None and (group[0] == now or host.clock != "virtual"):
+                group[1].append(frame)
+                return
+            group = self._groups[key] = (now, [frame])
+            delivery = (self._flush_group, key, group)
+        else:
+            delivery = (self._deliver_now, src, dst, frame, data)
         delay = host.manager.latency_ms(src, dst) / 1000.0 * host.time_scale
-        loop.call_later(delay, self._flush_group, key, group)
+        loop.call_later(delay, *delivery)
 
-    def _flush_group(self, key: Tuple[int, int, bool], group: _FlushGroup) -> None:
+    def _flush_group(
+        self, key: Tuple[int, int, bool], group: Tuple[float, List[bytes]]
+    ) -> None:
         if self._groups.get(key) is group:
             del self._groups[key]
         src, dst, data = key
-        for chunk in wire.encode_batch(group.frames):
+        for chunk in wire.encode_batch(group[1]):
             self._deliver_now(src, dst, chunk, data)
 
     def _deliver_now(self, src: int, dst: int, frame: bytes, data: bool) -> None:

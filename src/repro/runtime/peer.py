@@ -1,4 +1,4 @@
-"""The live peer actor: one asyncio task per overlay node.
+"""The live peer actor: one period task and one inbox callback per overlay node.
 
 A :class:`LivePeer` adapts the passive :class:`~repro.core.node.StreamingNode`
 state machine (and its ContinuStreaming specialisation) to an event-driven
@@ -6,10 +6,11 @@ life: instead of a global round barrier, each peer owns
 
 * a **bounded inbox** (:class:`~repro.runtime.transport.BoundedInbox`) of
   raw wire frames — control frames on a priority lane ahead of segment
-  data — drained by a reader task that decodes frames in place (links
-  deliver complete frames, so no stream reassembly happens here; a
+  data — drained by a plain callback the inbox schedules with one
+  ``loop.call_soon`` per burst; frames decode in place (links deliver
+  complete frames, so no stream reassembly happens here; a
   :class:`~repro.runtime.wire.FrameBatch` entry is unwrapped and each
-  inner frame dispatched and credit-accounted individually);
+  inner message dispatched and credit-accounted individually);
 * a **credit-gated send window per link**
   (:class:`~repro.runtime.transport.SendWindowSet`): at most
   ``data_window`` unconsumed segments in flight towards any one receiver;
@@ -44,6 +45,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
@@ -64,24 +66,7 @@ from repro.streaming.segment import Segment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.swarm import LiveSwarm
 
-#: Kind bytes (right after the 4-byte length prefix) of the control
-#: frames that carry one-shot state and therefore must survive an inbox
-#: shed: credit grants (window state the granting side already reset),
-#: graceful-leave handovers (the sender dies right after sending), and
-#: full buffer maps — under delta gossip a full map is no longer
-#: repeated every period but the *anchor* every subsequent delta is
-#: decoded against, so losing one breaks the chain until a desync
-#: round-trip completes.  Deltas ride along: an absorbed in-sequence
-#: delta applies normally, an out-of-sequence one triggers the usual
-#: PING resync — whereas silently dropping it would leave this peer's
-#: view of the sender a full desync round-trip staler than the old
-#: repeat-every-period full maps ever were.
-_UNSHEDDABLE_KIND_BYTES = (
-    bytes([wire.WireKind.CREDIT]),
-    bytes([wire.WireKind.HANDOVER]),
-    bytes([wire.WireKind.BUFFER_MAP]),
-    bytes([wire.WireKind.MAP_DELTA]),
-)
+_BATCH_KIND = int(wire.WireKind.BATCH)
 
 
 @dataclass
@@ -120,6 +105,8 @@ class LivePeer:
 
     def __init__(self, node: StreamingNode, swarm: "LiveSwarm", first_tick: int = 0) -> None:
         self.node = node
+        self.peer_id: int = node.node_id
+        self.is_source: bool = node.is_source
         self.swarm = swarm
         self.config = swarm.config
         self.first_tick = int(first_tick)
@@ -165,7 +152,7 @@ class LivePeer:
         self._dht_pending: Dict[int, _PendingLookup] = {}
         self._prefetch_deadlines: Dict[int, float] = {}
         self._ping_nonce = itertools.count(1)
-        self._tasks: List[asyncio.Task] = []
+        self._task: Optional[asyncio.Task] = None
         self.ticks_run = 0
         self.stopped = False
         #: The swarm's observability plane (the no-op ``NULL_OBS`` when
@@ -176,34 +163,25 @@ class LivePeer:
         #: segment id: resolved to play/miss at the period boundary.
         self._trace_live: Dict[int, Dict[str, Any]] = {}
 
-    # ------------------------------------------------------------------ identity
-    @property
-    def peer_id(self) -> int:
-        return self.node.node_id
-
-    @property
-    def is_source(self) -> bool:
-        return self.node.is_source
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "source" if self.is_source else "peer"
         return f"<LivePeer {role} id={self.peer_id} ticks={self.ticks_run}>"
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Spawn the reader and period-loop tasks on the running loop."""
-        self._tasks = [
-            asyncio.create_task(self._read_loop(), name=f"peer-{self.peer_id}-read"),
-            asyncio.create_task(self._period_loop(), name=f"peer-{self.peer_id}-tick"),
-        ]
+        """Arm the inbox drain and spawn the period task on the swarm's loop."""
+        loop = self.swarm.loop
+        self.inbox.bind_ready(partial(loop.call_soon, self._drain_inbox))
+        self._task = loop.create_task(self._period_loop(), name=f"peer-{self.peer_id}-tick")
 
     async def stop(self) -> None:
-        """Cancel both tasks and wait for them to unwind."""
+        """Cancel the period task and wait for it to unwind; a drain
+        still scheduled finds ``stopped`` set and drops its burst."""
         self.stopped = True
-        for task in self._tasks:
+        task, self._task = self._task, None
+        if task is not None:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+            await asyncio.gather(task, return_exceptions=True)
 
     def announce_join(self) -> None:
         """Membership traffic of a newly joined peer: PING every neighbour."""
@@ -229,41 +207,37 @@ class LivePeer:
 
     # ------------------------------------------------------------------- sending
     def _send(self, dst: int, msg: wire.WireMessage) -> None:
-        """Encode and ship one message, respecting the link's flow control.
+        """Encode and ship one control message (never credit-gated)."""
+        self._ship(dst, wire.encode(msg), wire.ledger_entry(msg), False)
 
-        Control frames ship immediately (and are charged to the ledger);
-        segment data must hold a link credit first — without one it waits
+    def _send_segment(self, dst: int, msg: wire.SegmentData) -> None:
+        """Encode and ship one segment, respecting the link's flow control.
+
+        Segment data must hold a link credit first — without one it waits
         in the bounded pending queue and is only charged when it actually
         leaves (:meth:`_on_credit` releases it), so shed segments never
         distort the overhead metrics.
         """
         entry = wire.ledger_entry(msg)
         frame = wire.encode(msg)
-        if isinstance(msg, wire.SegmentData):
-            if not self.send_windows.acquire(dst, (frame, entry)):
-                if msg.trace_id and self.obs.tracing:
-                    # Credit-starved: parked in the pending queue; the
-                    # deliver span's gap attributes the wait.
-                    self.obs.span(
-                        "queue", msg.trace_id, self.peer_id, msg.segment_id, dst=dst
-                    )
-                return
+        if not self.send_windows.acquire(dst, (frame, entry)):
             if msg.trace_id and self.obs.tracing:
-                via = self.swarm.shard_of(dst)
-                if via == self.swarm.shard_index:
-                    self.obs.span(
-                        "ship", msg.trace_id, self.peer_id, msg.segment_id, dst=dst
-                    )
-                else:
-                    self.obs.span(
-                        "ship", msg.trace_id, self.peer_id, msg.segment_id,
-                        dst=dst, via_shard=via,
-                    )
-            self._ship(dst, frame, entry, data=True)
+                # Credit-starved: parked in the pending queue; the
+                # deliver span's gap attributes the wait.
+                self.obs.span("queue", msg.trace_id, self.peer_id, msg.segment_id, dst=dst)
             return
-        self._ship(dst, frame, entry, data=False)
+        if msg.trace_id and self.obs.tracing:
+            via = self.swarm.shard_of(dst)
+            if via == self.swarm.shard_index:
+                self.obs.span("ship", msg.trace_id, self.peer_id, msg.segment_id, dst=dst)
+            else:
+                self.obs.span(
+                    "ship", msg.trace_id, self.peer_id, msg.segment_id,
+                    dst=dst, via_shard=via,
+                )
+        self._ship(dst, frame, entry, True)
 
-    def _ship(self, dst, frame, entry, data: bool) -> None:
+    def _ship(self, dst: int, frame: bytes, entry, data: bool) -> None:
         if data:
             # The uplink budget is spent when a segment actually leaves —
             # a frame parked in the pending queue (and possibly shed
@@ -274,34 +248,46 @@ class LivePeer:
             self.outbound_tokens -= 1.0
         if entry is not None:
             self.ledger.record(entry[0], entry[1])
-        self.swarm.deliver(self.peer_id, dst, frame, data=data)
+        self.swarm.deliver(self.peer_id, dst, frame, data)
 
     def _broadcast(self, dsts, msg: wire.WireMessage) -> None:
         """Send one control message to many peers, encoding it only once."""
         entry = wire.ledger_entry(msg)
         frame = wire.encode(msg)
         for dst in dsts:
-            self._ship(dst, frame, entry, data=False)
+            self._ship(dst, frame, entry, False)
 
     # ------------------------------------------------------------------ receiving
-    async def _read_loop(self) -> None:
-        # Inbox entries are complete frames (the links guarantee it), so
-        # they decode directly — no stream reassembly buffer on this path.
-        decode = wire.decode
-        batch_kind = wire.WireKind.BATCH
-        while True:
-            for src, chunk, was_control in await self.inbox.get_batch():
-                if chunk[4] == batch_kind:
-                    for frame in decode(chunk)[0].frames:
-                        self._dispatch(decode(frame)[0])
-                        if not was_control:
-                            self._consume_data_credit(src)
-                else:
-                    self._dispatch(decode(chunk)[0])
-                    if not was_control:
-                        # One data frame consumed: owe its sender a credit
-                        # and return a batch once enough have accumulated.
-                        self._consume_data_credit(src)
+    def _drain_inbox(self) -> None:
+        """Decode and dispatch everything queued — the inbox's burst callback.
+
+        Runs one ``call_soon`` hop after the first frame of a burst
+        landed.  Inbox entries are complete frames (the links guarantee
+        it), so they decode directly — no stream reassembly buffer on
+        this path.  An exception from a handler is not caught here: it
+        fails the run (see ``LiveSwarm.run_async``) instead of leaving
+        this peer deaf.
+        """
+        if self.stopped:
+            return
+        node = self.node
+        handler_of = _DISPATCH.get
+        for src, chunk, was_control in self.inbox.take_batch():
+            if chunk[4] == _BATCH_KIND:
+                messages = wire.decode_batch(chunk)
+            else:
+                messages = (wire.decode(chunk)[0],)
+            for msg in messages:
+                if node.alive:
+                    # Anything unhandled (PONG liveness confirmations)
+                    # is ignored.
+                    handler = handler_of(type(msg))
+                    if handler is not None:
+                        handler(self, msg)
+                if not was_control:
+                    # One data frame consumed: owe its sender a credit
+                    # and return a batch once enough have accumulated.
+                    self._consume_data_credit(src)
 
     def _consume_data_credit(self, src: int) -> None:
         if self._credit_ledger.consume(src):
@@ -355,26 +341,21 @@ class LivePeer:
         Handover` (the gracefully leaving sender stops right after
         shipping its backup store), and the buffer-map gossip family
         (under delta encoding gossip is *stateful*: full maps are the
-        chain anchors, deltas the links — see ``_UNSHEDDABLE_KIND_BYTES``).
+        chain anchors, deltas the links — see ``_ABSORBED_KINDS``).
         Those are applied as if delivered (the loopback stand-in for a
         real transport's reliable control channel); everything else just
         stays dropped.  A shed :class:`~repro.runtime.wire.FrameBatch`
         is unwrapped so any one-shot frames *inside* it survive too.
         """
-        if frame[4] == wire.WireKind.BATCH:
-            for inner in wire.decode(frame)[0].frames:
-                self.absorb_shed_control(inner)
+        # Shedding means overload: peek the kind byte, decode only those.
+        if frame[4] == _BATCH_KIND:
+            messages = wire.decode_batch(frame, only=_ABSORBED_KINDS)
+        elif frame[4] in _ABSORBED_KINDS:
+            messages = (wire.decode(frame)[0],)
+        else:
             return
-        if frame[4:5] in _UNSHEDDABLE_KIND_BYTES:
-            msg, _ = wire.decode(frame)
-            if isinstance(msg, wire.CreditGrant):
-                self._on_credit(msg)
-            elif isinstance(msg, wire.BufferMapMsg):
-                self._on_buffer_map(msg)
-            elif isinstance(msg, wire.BufferMapDelta):
-                self._on_map_delta(msg)
-            else:
-                self._on_handover(msg)
+        for msg in messages:
+            _DISPATCH[type(msg)](self, msg)
 
     def _grant_credits(self, src: int) -> None:
         self._emit_grant(src, self._credit_ledger.take(src))
@@ -392,14 +373,6 @@ class LivePeer:
         """
         for src, owed in self._credit_ledger.drain().items():
             self._emit_grant(src, owed)
-
-    def _dispatch(self, msg: wire.WireMessage) -> None:
-        if not self.node.alive:
-            return
-        handler = _DISPATCH.get(type(msg))
-        if handler is not None:
-            handler(self, msg)
-        # Anything unhandled (PONG liveness confirmations) is ignored.
 
     def _on_ping(self, msg: wire.Ping) -> None:
         self._send(msg.sender, wire.Pong(sender=self.peer_id, nonce=msg.nonce))
@@ -433,7 +406,7 @@ class LivePeer:
     def _on_credit(self, msg: wire.CreditGrant) -> None:
         """Returned link credits: ship the pending segments they unblock."""
         for frame, entry in self.send_windows.grant(msg.sender, msg.credits):
-            self._ship(msg.sender, frame, entry, data=True)
+            self._ship(msg.sender, frame, entry, True)
 
     def _on_buffer_map(self, msg: wire.BufferMapMsg) -> None:
         self.neighbor_maps[msg.sender] = msg.buffer_map()
@@ -487,14 +460,14 @@ class LivePeer:
                 ),
             )
             return
-        self._send(
+        self._send_segment(
             msg.sender,
             wire.SegmentData(
-                sender=self.peer_id,
-                segment_id=msg.segment_id,
-                size_bits=self.config.segment_bits,
-                prefetch=msg.prefetch,
-                trace_id=msg.trace_id,
+                self.peer_id,
+                msg.segment_id,
+                self.config.segment_bits,
+                msg.prefetch,
+                msg.trace_id,
             ),
         )
 
@@ -737,7 +710,7 @@ class LivePeer:
 
     async def _period_loop(self) -> None:
         scaled = self.config.scheduling_period * self.swarm.time_scale
-        loop = asyncio.get_running_loop()
+        loop = self.swarm.loop
         tick = self.first_tick
         while not self.stopped:
             # Deadlines come from the swarm's shared clock every
@@ -853,7 +826,7 @@ class LivePeer:
         self._maps_this_period = set()
         self.outbound_tokens = node.outbound_rate * cfg.scheduling_period
         self._timed_gossip()
-        loop = asyncio.get_running_loop()
+        loop = self.swarm.loop
         scaled = cfg.scheduling_period * self.swarm.time_scale
         remaining = self.swarm.wall_deadline_of(tick + 1) - loop.time()
         self._period_span = max(min(scaled, remaining), 0.05 * scaled)
@@ -887,7 +860,7 @@ class LivePeer:
         if self.stopped or not self.node.alive or tick != self._current_tick:
             return
         span = self._period_span
-        loop = asyncio.get_running_loop()
+        loop = self.swarm.loop
         if rechecks < self.MAX_RECHECKS and not self._map_quorum_met():
             loop.call_later(
                 self.RECHECK_PHASE * span,
@@ -1032,7 +1005,7 @@ class LivePeer:
             stats.gossip_bytes += len(frame)
             stats.gossip_bytes_full += len(full_frame)
             synced[dst] = seq
-            self._ship(dst, frame, entry, data=False)
+            self._ship(dst, frame, entry, False)
 
     def _schedule_requests(self) -> None:
         node = self.node
@@ -1090,9 +1063,9 @@ class LivePeer:
         )
 
 
-#: Reader-loop dispatch table, keyed by decoded message type.  PONG is
+#: Inbox dispatch table, keyed by decoded message type.  PONG is
 #: deliberately absent — liveness confirmations need no handling — and
-#: FrameBatch never reaches here (the read loop unwraps envelopes).
+#: FrameBatch never reaches here (the drain unwraps envelopes).
 _DISPATCH = {
     wire.BufferMapMsg: LivePeer._on_buffer_map,
     wire.BufferMapDelta: LivePeer._on_map_delta,
@@ -1105,3 +1078,18 @@ _DISPATCH = {
     wire.Handover: LivePeer._on_handover,
     wire.CreditGrant: LivePeer._on_credit,
 }
+
+#: The control messages that carry one-shot state and therefore must
+#: survive an inbox shed (:meth:`LivePeer.absorb_shed_control`): credit
+#: grants (window state the granting side already reset), graceful-leave
+#: handovers (the sender dies right after sending), and full buffer maps
+#: — under delta gossip a full map is no longer repeated every period but
+#: the *anchor* every subsequent delta is decoded against, so losing one
+#: breaks the chain until a desync round-trip completes.  Deltas ride
+#: along: an absorbed in-sequence delta applies normally, an
+#: out-of-sequence one triggers the usual PING resync — whereas silently
+#: dropping it would leave this peer's view of the sender a full desync
+#: round-trip staler than the old repeat-every-period full maps ever were.
+_ABSORBED_KINDS = frozenset(
+    wire.WireKind[name] for name in ("CREDIT", "HANDOVER", "BUFFER_MAP", "MAP_DELTA")
+)

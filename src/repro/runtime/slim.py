@@ -2,7 +2,7 @@
 
 Full-fidelity :class:`~repro.runtime.peer.LivePeer` tasks cap the runtime
 at roughly a thousand peers per host — every peer carries an asyncio
-task, a reader loop, bounded inboxes and per-link credit windows.  The
+task, an inbox callback, bounded inboxes and per-link credit windows.  The
 paper's claims, however, are about *swarm-scale* continuity.  This module
 scales the runtime to six-figure populations the way large-swarm
 streaming studies do: the bulk of the swarm is modeled **statistically**

@@ -58,6 +58,7 @@ import asyncio
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -460,6 +461,12 @@ class LiveSwarm:
         #: every shard the same agreed start instant).
         self.start_at: Optional[float] = None
         self._start_wall = 0.0
+        #: The event loop driving this swarm, bound by :meth:`run_async`
+        #: (a swarm poked by hand inside a running loop assigns it).
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        #: First exception a loop callback (an inbox drain, a period
+        #: timer) raised on the wall clock — re-raised at shutdown.
+        self._callback_error: Optional[BaseException] = None
         self._built = False
         #: Coherent overload dilation: wall seconds added to every future
         #: period deadline (swarm-wide, so peers stay phase-aligned).
@@ -565,9 +572,7 @@ class LiveSwarm:
     def sim_now(self) -> float:
         """Current simulated time in seconds (dilation-adjusted wall time,
         un-scaled; monotone even across dilation steps)."""
-        now = (
-            asyncio.get_running_loop().time() - self._start_wall - self._wall_offset
-        ) / self.time_scale
+        now = (self.loop.time() - self._start_wall - self._wall_offset) / self.time_scale
         if now > self._sim_floor:
             self._sim_floor = now
         return max(0.0, self._sim_floor)
@@ -788,7 +793,15 @@ class LiveSwarm:
         """Boot every hosted peer, drive churn, stop after ``rounds``
         periods; returns this shard's partial (see :func:`merge_results`)."""
         self.build()
-        loop = asyncio.get_running_loop()
+        self.loop = loop = asyncio.get_running_loop()
+        # A callback that raises must fail the run, not leave one peer
+        # deaf behind a log line.  The virtual-clock loop lets it
+        # propagate out of ``run()`` by itself; the stock loop hands it
+        # to this handler (chained in front of whatever the embedding
+        # application installed), and the first one is re-raised at shutdown.
+        if self.clock != "virtual":
+            outer_handler = loop.get_exception_handler()
+            loop.set_exception_handler(partial(self._note_callback_error, outer_handler))
         self._start_wall = loop.time() if self.start_at is None else self.start_at
         # The wall stopwatch starts at the schedule anchor, so a shard
         # waiting out the coordinator's start margin does not count it.
@@ -806,6 +819,8 @@ class LiveSwarm:
         )
         try:
             await self._churn_loop()
+            if self._callback_error is not None:
+                raise self._callback_error
         except SloViolation as exc:
             # The HealthEngine already recorded the breach postmortem;
             # attach this swarm's obs export so the CLI can print it.
@@ -824,12 +839,31 @@ class LiveSwarm:
                 except asyncio.CancelledError:
                     pass
             await self._shutdown()
+            if self.clock != "virtual":
+                loop.set_exception_handler(outer_handler)
         wall_time = time.perf_counter() - wall_start
         return self._collect(wall_time)
 
+    def _note_callback_error(
+        self,
+        outer_handler: Optional[Callable[..., object]],
+        loop: asyncio.AbstractEventLoop,
+        context: Dict[str, Any],
+    ) -> None:
+        """Loop exception handler for the run: remember the first
+        exception raised by a *callback* (asyncio tags those with their
+        ``handle``), then report it the way the loop would have."""
+        exc = context.get("exception")
+        if exc is not None and "handle" in context and self._callback_error is None:
+            self._callback_error = exc
+        if outer_handler is None:
+            loop.default_exception_handler(context)
+        else:
+            outer_handler(loop, context)
+
     async def _obs_lag_probe(self) -> None:
         """Sample event-loop lag: how late a twice-per-period timer fires."""
-        loop = asyncio.get_running_loop()
+        loop = self.loop
         interval = 0.5 * self.config.scheduling_period * self.time_scale
         while True:
             before = loop.time()
@@ -849,7 +883,7 @@ class LiveSwarm:
         rng = self.system.streams.get("runtime-churn")
         for round_index in range(self.rounds):
             deadline = self.wall_deadline_of(round_index + 1) + 0.5 * scaled
-            delay = deadline - asyncio.get_running_loop().time()
+            delay = deadline - self.loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             # A busy loop wakes the controller late; fold the worst
@@ -859,7 +893,7 @@ class LiveSwarm:
             # shards through the coordinator, so every shard applies the
             # same (maximal) dilation at the same boundary and the overlay
             # stays phase-aligned *across* processes.
-            own_lateness = max(0.0, asyncio.get_running_loop().time() - deadline)
+            own_lateness = max(0.0, self.loop.time() - deadline)
             worst = max(self._worst_lateness, own_lateness)
             if self.control is not None:
                 worst = max(worst, await self.control.exchange_lateness(round_index, worst))

@@ -8,7 +8,8 @@ allows.  This module replaces that queue with explicit flow control:
 
 * :class:`TransportConfig` — the knobs: the per-peer inbox watermark, the
   per-link DATA credit window and the sender-side pending limit;
-* :class:`BoundedInbox` — a two-lane bounded receive queue.  **Control
+* :class:`BoundedInbox` — a two-lane bounded receive queue, drained by a
+  callback its owner schedules once per burst.  **Control
   frames (buffer maps, requests, PING/PONG, DHT, credits) ride a priority
   lane** that is always drained before segment data, so the gossip and
   membership planes never starve behind bulk transfer — the classic
@@ -30,11 +31,10 @@ and total buffered frames are bounded regardless of swarm size or load.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -167,15 +167,21 @@ class TransportSummary:
 class BoundedInbox:
     """A bounded, two-lane receive queue with control priority.
 
-    Frames arrive tagged ``control`` or ``data``; :meth:`get` always
-    drains the control lane first, so buffer maps, credits and membership
-    probes cross the swarm even when bulk segment data has filled the
-    data lane.  Each lane holds at most ``watermark`` frames — an
-    arriving frame finding its lane full is *shed* (``put`` returns
+    Frames arrive tagged ``control`` or ``data``; :meth:`take_batch`
+    always drains the control lane first, so buffer maps, credits and
+    membership probes cross the swarm even when bulk segment data has
+    filled the data lane.  Each lane holds at most ``watermark`` frames —
+    an arriving frame finding its lane full is *shed* (``put`` returns
     ``False``) rather than queued, which together with the sender-side
     credit window bounds the whole swarm's buffered memory.
 
-    Single-consumer: exactly one reader task may block in :meth:`get`.
+    The consumer is a callback, not a task: the owner binds ``on_ready``
+    (:meth:`bind_ready`) and :meth:`put` calls it once per burst — when a
+    frame is queued and no drain is pending — so the owner can schedule
+    one ``loop.call_soon`` drain that empties the inbox with
+    :meth:`take_batch`.  Frames landing while that drain is pending ride
+    along with it; the next burst after the drain fires the callback
+    again.
     """
 
     def __init__(self, watermark: int, stats: TransportStats) -> None:
@@ -191,10 +197,19 @@ class BoundedInbox:
         self._data: Deque[Tuple[int, bytes, int]] = deque()
         self._control_depth = 0
         self._data_depth = 0
-        self._ready = asyncio.Event()
+        self._on_ready: Optional[Callable[[], Any]] = None
+        #: ``on_ready`` has fired and :meth:`take_batch` has not run yet.
+        self._drain_pending = False
 
     def __len__(self) -> int:
         return self._control_depth + self._data_depth
+
+    def bind_ready(self, on_ready: Callable[[], Any]) -> None:
+        """Install the burst callback (fired at once if frames already wait)."""
+        self._on_ready = on_ready
+        if len(self) and not self._drain_pending:
+            self._drain_pending = True
+            on_ready()
 
     def put(self, src: int, frame: bytes, control: bool, weight: int = 1) -> bool:
         """Enqueue one frame; returns ``False`` if the lane shed it.
@@ -202,48 +217,31 @@ class BoundedInbox:
         ``weight`` is the logical frame count of the entry (a batch of
         *k* frames fills *k* watermark slots).
         """
+        stats = self.stats
         if control:
             if self._control_depth >= self.watermark:
-                self.stats.inbox_dropped_control += weight
+                stats.inbox_dropped_control += weight
                 return False
             self._control.append((src, frame, weight))
             self._control_depth += weight
         else:
             if self._data_depth >= self.watermark:
-                self.stats.inbox_dropped_data += weight
+                stats.inbox_dropped_data += weight
                 return False
             self._data.append((src, frame, weight))
             self._data_depth += weight
-        depth = len(self)
-        if depth > self.stats.inbox_high_watermark:
-            self.stats.inbox_high_watermark = depth
-        self._ready.set()
+        depth = self._control_depth + self._data_depth
+        if depth > stats.inbox_high_watermark:
+            stats.inbox_high_watermark = depth
+        if not self._drain_pending and self._on_ready is not None:
+            self._drain_pending = True
+            self._on_ready()
         return True
 
-    async def get(self) -> Tuple[int, bytes, bool]:
-        """Dequeue ``(src, frame, was_control)``, control lane first."""
-        while not self._control and not self._data:
-            self._ready.clear()
-            await self._ready.wait()
-        if self._control:
-            src, frame, weight = self._control.popleft()
-            self._control_depth -= weight
-            return src, frame, True
-        src, frame, weight = self._data.popleft()
-        self._data_depth -= weight
-        return src, frame, False
-
-    async def get_batch(self) -> "list[Tuple[int, bytes, bool]]":
-        """Dequeue everything queued right now, control lane first.
-
-        One task wake-up per *burst* instead of per frame — the reader
-        loop's throughput lever: under load the per-frame ``await`` (a
-        full event-loop cycle each) dominated the runtime's messages/sec
-        ceiling.
-        """
-        while not self._control and not self._data:
-            self._ready.clear()
-            await self._ready.wait()
+    def take_batch(self) -> "list[Tuple[int, bytes, bool]]":
+        """Dequeue everything queued right now as ``(src, frame,
+        was_control)``, control lane first, and re-arm ``on_ready``."""
+        self._drain_pending = False
         batch = [(src, frame, True) for src, frame, _ in self._control]
         self._control.clear()
         self._control_depth = 0

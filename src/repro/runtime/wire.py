@@ -44,7 +44,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.net.message import (
     PING_MESSAGE_BITS,
@@ -97,7 +97,13 @@ class WireKind(IntEnum):
 
 
 # ===================================================================== messages
-@dataclass(frozen=True)
+#
+# Messages are values — nothing mutates one after construction — but they
+# are slotted rather than frozen dataclasses: a frozen ``__init__`` stores
+# every field through ``object.__setattr__``, and the runtime builds ~3.5
+# messages per frame it moves.  Equality is by class and field values, so
+# ``Ping(1, 0) != Pong(1, 0)``.
+@dataclass(slots=True)
 class BufferMapMsg:
     """Periodic buffer-map gossip: window anchor + packed availability bits.
 
@@ -135,7 +141,7 @@ class BufferMapMsg:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BufferMapDelta:
     """Incremental buffer-map gossip: changed-bit runs against a base map.
 
@@ -197,19 +203,15 @@ class BufferMapDelta:
     def apply(self, base: BufferMap) -> BufferMap:
         """Rebuild the sender's new map from the receiver's stored ``base``."""
         head = self.head_id
-        tail = head + self.capacity
-        present = {s for s in base.present if head <= s < tail}
-        toggles: set = set()
+        present = set(base.present)
+        present.intersection_update(range(head, head + self.capacity))
         for offset, length in self.runs:
             first = head + offset
-            toggles.update(range(first, first + length))
-        present ^= toggles
-        return BufferMap(
-            head_id=head, capacity=self.capacity, present=frozenset(present)
-        )
+            present.symmetric_difference_update(range(first, first + length))
+        return BufferMap(head, self.capacity, frozenset(present))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentRequest:
     """Pull request for one segment (``prefetch`` = on-demand path).
 
@@ -227,7 +229,7 @@ class SegmentRequest:
     trace_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentData:
     """One delivered segment; the payload is represented by its size."""
 
@@ -238,7 +240,7 @@ class SegmentData:
     trace_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentNack:
     """Refusal of a :class:`SegmentRequest` (uplink saturated or no data).
 
@@ -253,7 +255,7 @@ class SegmentNack:
     trace_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DhtLookup:
     """A DHT routing message walking greedily towards ``target_key``.
 
@@ -268,7 +270,7 @@ class DhtLookup:
     path: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DhtResponse:
     """The terminal node's reply, sent directly back to the lookup origin."""
 
@@ -281,7 +283,7 @@ class DhtResponse:
     path: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ping:
     """Membership probe (join-time neighbour contact)."""
 
@@ -289,7 +291,7 @@ class Ping:
     nonce: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pong:
     """Reply to a :class:`Ping` (echoes the nonce)."""
 
@@ -297,7 +299,7 @@ class Pong:
     nonce: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Handover:
     """Graceful-leave handover of a VoD backup store to the successor."""
 
@@ -306,7 +308,7 @@ class Handover:
     segment_ids: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CreditGrant:
     """Flow-control credit return: the receiver has consumed ``credits``
     data frames from this link, the sender may put that many more in
@@ -320,7 +322,7 @@ class CreditGrant:
     credits: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShardHello:
     """Shard-to-shard handshake, the first frame on a cluster TCP stream.
 
@@ -337,7 +339,7 @@ class ShardHello:
     ring_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoutedFrame:
     """One peer-to-peer frame in transit between shards.
 
@@ -361,7 +363,7 @@ class RoutedFrame:
     data: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrameBatch:
     """Several complete frames coalesced into one physical frame.
 
@@ -377,7 +379,7 @@ class FrameBatch:
     frames: Tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TelemetryFrame:
     """One shard's live-telemetry push (observability plane, uncharged).
 
@@ -432,7 +434,8 @@ WireMessage = Union[
 #
 # One precompiled Struct per kind packs the length prefix, kind byte and
 # fixed header in a single call; out-of-range fields surface as
-# ``struct.error`` and are re-raised as :class:`WireError`.  Variable tails
+# ``struct.error``, which :func:`encode` re-raises as :class:`WireError`
+# (one translation for every kind).  Variable tails
 # (bitmaps, paths, batch entries) are appended with cached per-count
 # Structs (:func:`_ids_struct` / :func:`_u16s_struct`).
 
@@ -511,18 +514,15 @@ def _enc_buffer_map(msg: BufferMapMsg) -> bytes:
             f"bitmap of capacity {msg.capacity} needs {nbytes} bytes, "
             f"got {len(msg.bitmap)}"
         )
-    try:
-        head = _BM_FRAME.pack(
-            1 + _BM_BODY.size + nbytes,
-            WireKind.BUFFER_MAP,
-            msg.sender,
-            msg.newest_id,
-            msg.head_id,
-            msg.capacity,
-            msg.seq,
-        )
-    except struct.error as exc:
-        raise WireError(f"buffer-map field out of range: {exc}") from exc
+    head = _BM_FRAME.pack(
+        1 + _BM_BODY.size + nbytes,
+        WireKind.BUFFER_MAP,
+        msg.sender,
+        msg.newest_id,
+        msg.head_id,
+        msg.capacity,
+        msg.seq,
+    )
     return head + msg.bitmap
 
 
@@ -536,208 +536,149 @@ def _enc_map_delta(msg: BufferMapDelta) -> bytes:
     for start, length in msg.runs:
         flat.append(start)
         flat.append(length)
-    try:
-        head = _MD_FRAME.pack(
-            1 + _MD_BODY.size + 4 * len(msg.runs),
-            WireKind.MAP_DELTA,
-            msg.sender,
-            msg.seq,
-            msg.newest_id,
-            msg.head_id,
-            msg.capacity,
-            len(msg.runs),
-        )
-        return head + _u16s_struct(len(flat)).pack(*flat)
-    except struct.error as exc:
-        raise WireError(f"map-delta field out of range: {exc}") from exc
+    head = _MD_FRAME.pack(
+        1 + _MD_BODY.size + 4 * len(msg.runs),
+        WireKind.MAP_DELTA,
+        msg.sender,
+        msg.seq,
+        msg.newest_id,
+        msg.head_id,
+        msg.capacity,
+        len(msg.runs),
+    )
+    return head + _u16s_struct(len(flat)).pack(*flat)
 
 
-def _enc_request(msg: SegmentRequest) -> bytes:
-    try:
+def _pull_encoder(kind: WireKind) -> Callable[..., bytes]:
+    """Encoder of a request-shaped frame (``SegmentRequest`` / ``SegmentNack``)."""
+
+    def encode_pull(msg: Union[SegmentRequest, SegmentNack]) -> bytes:
         if not msg.trace_id:
             return _REQ_FRAME.pack(
-                1 + _REQ_BODY.size,
-                WireKind.SEGMENT_REQUEST,
-                msg.sender,
-                msg.segment_id,
-                1 if msg.prefetch else 0,
+                1 + _REQ_BODY.size, kind, msg.sender, msg.segment_id, 1 if msg.prefetch else 0
             )
         head = _REQ_FRAME.pack(
             1 + _REQ_BODY.size + _TRACE_TAIL.size,
-            WireKind.SEGMENT_REQUEST,
+            kind,
             msg.sender,
             msg.segment_id,
             (1 if msg.prefetch else 0) | _TRACED_FLAG,
         )
         return head + _TRACE_TAIL.pack(msg.trace_id)
-    except struct.error as exc:
-        raise WireError(f"segment-request field out of range: {exc}") from exc
 
-
-def _enc_nack(msg: SegmentNack) -> bytes:
-    try:
-        if not msg.trace_id:
-            return _REQ_FRAME.pack(
-                1 + _REQ_BODY.size,
-                WireKind.SEGMENT_NACK,
-                msg.sender,
-                msg.segment_id,
-                1 if msg.prefetch else 0,
-            )
-        head = _REQ_FRAME.pack(
-            1 + _REQ_BODY.size + _TRACE_TAIL.size,
-            WireKind.SEGMENT_NACK,
-            msg.sender,
-            msg.segment_id,
-            (1 if msg.prefetch else 0) | _TRACED_FLAG,
-        )
-        return head + _TRACE_TAIL.pack(msg.trace_id)
-    except struct.error as exc:
-        raise WireError(f"segment-nack field out of range: {exc}") from exc
+    return encode_pull
 
 
 def _enc_data(msg: SegmentData) -> bytes:
-    try:
-        if not msg.trace_id:
-            return _DATA_FRAME.pack(
-                1 + _DATA_BODY.size,
-                WireKind.SEGMENT_DATA,
-                msg.sender,
-                msg.segment_id,
-                msg.size_bits,
-                1 if msg.prefetch else 0,
-            )
-        head = _DATA_FRAME.pack(
-            1 + _DATA_BODY.size + _TRACE_TAIL.size,
+    if not msg.trace_id:
+        return _DATA_FRAME.pack(
+            1 + _DATA_BODY.size,
             WireKind.SEGMENT_DATA,
             msg.sender,
             msg.segment_id,
             msg.size_bits,
-            (1 if msg.prefetch else 0) | _TRACED_FLAG,
+            1 if msg.prefetch else 0,
         )
-        return head + _TRACE_TAIL.pack(msg.trace_id)
-    except struct.error as exc:
-        raise WireError(f"segment-data field out of range: {exc}") from exc
+    head = _DATA_FRAME.pack(
+        1 + _DATA_BODY.size + _TRACE_TAIL.size,
+        WireKind.SEGMENT_DATA,
+        msg.sender,
+        msg.segment_id,
+        msg.size_bits,
+        (1 if msg.prefetch else 0) | _TRACED_FLAG,
+    )
+    return head + _TRACE_TAIL.pack(msg.trace_id)
 
 
 def _enc_lookup(msg: DhtLookup) -> bytes:
     count = len(msg.path)
-    try:
-        head = _LOOKUP_FRAME.pack(
-            1 + _LOOKUP_BODY.size + 4 * count,
-            WireKind.DHT_LOOKUP,
-            msg.origin,
-            msg.target_key,
-            msg.segment_id,
-            count,
-        )
-        return head + _ids_struct(count).pack(*msg.path)
-    except struct.error as exc:
-        raise WireError(f"dht-lookup field out of range: {exc}") from exc
+    head = _LOOKUP_FRAME.pack(
+        1 + _LOOKUP_BODY.size + 4 * count,
+        WireKind.DHT_LOOKUP,
+        msg.origin,
+        msg.target_key,
+        msg.segment_id,
+        count,
+    )
+    return head + _ids_struct(count).pack(*msg.path)
 
 
 def _enc_response(msg: DhtResponse) -> bytes:
     count = len(msg.path)
-    try:
-        head = _RESP_FRAME.pack(
-            1 + _RESP_BODY.size + 4 * count,
-            WireKind.DHT_RESPONSE,
-            msg.responder,
-            msg.origin,
-            msg.target_key,
-            msg.segment_id,
-            1 if msg.has_data else 0,
-            float(msg.rate),
-            count,
-        )
-        return head + _ids_struct(count).pack(*msg.path)
-    except struct.error as exc:
-        raise WireError(f"dht-response field out of range: {exc}") from exc
+    head = _RESP_FRAME.pack(
+        1 + _RESP_BODY.size + 4 * count,
+        WireKind.DHT_RESPONSE,
+        msg.responder,
+        msg.origin,
+        msg.target_key,
+        msg.segment_id,
+        1 if msg.has_data else 0,
+        float(msg.rate),
+        count,
+    )
+    return head + _ids_struct(count).pack(*msg.path)
 
 
-def _enc_ping(msg: Ping) -> bytes:
-    try:
-        return _PINGPONG_FRAME.pack(
-            1 + _PINGPONG_BODY.size, WireKind.PING, msg.sender, msg.nonce
-        )
-    except struct.error as exc:
-        raise WireError(f"ping field out of range: {exc}") from exc
+def _probe_encoder(kind: WireKind) -> Callable[..., bytes]:
+    def encode_probe(msg: Union[Ping, Pong]) -> bytes:
+        return _PINGPONG_FRAME.pack(1 + _PINGPONG_BODY.size, kind, msg.sender, msg.nonce)
 
-
-def _enc_pong(msg: Pong) -> bytes:
-    try:
-        return _PINGPONG_FRAME.pack(
-            1 + _PINGPONG_BODY.size, WireKind.PONG, msg.sender, msg.nonce
-        )
-    except struct.error as exc:
-        raise WireError(f"pong field out of range: {exc}") from exc
+    return encode_probe
 
 
 def _enc_handover(msg: Handover) -> bytes:
     count = len(msg.segment_ids)
-    try:
-        head = _HANDOVER_FRAME.pack(
-            1 + _HANDOVER_BODY.size + 4 * count,
-            WireKind.HANDOVER,
-            msg.sender,
-            msg.segment_bits,
-            count,
-        )
-        return head + _ids_struct(count).pack(*msg.segment_ids)
-    except struct.error as exc:
-        raise WireError(f"handover field out of range: {exc}") from exc
+    head = _HANDOVER_FRAME.pack(
+        1 + _HANDOVER_BODY.size + 4 * count,
+        WireKind.HANDOVER,
+        msg.sender,
+        msg.segment_bits,
+        count,
+    )
+    return head + _ids_struct(count).pack(*msg.segment_ids)
 
 
 def _enc_credit(msg: CreditGrant) -> bytes:
     if msg.credits < 1:
         raise WireError(f"credit grant must carry >= 1 credit, got {msg.credits}")
-    try:
-        return _CREDIT_FRAME.pack(
-            1 + _CREDIT_BODY.size, WireKind.CREDIT, msg.sender, msg.credits
-        )
-    except struct.error as exc:
-        raise WireError(f"credit-grant field out of range: {exc}") from exc
+    return _CREDIT_FRAME.pack(
+        1 + _CREDIT_BODY.size, WireKind.CREDIT, msg.sender, msg.credits
+    )
 
 
 def _enc_hello(msg: ShardHello) -> bytes:
     if msg.num_shards < 1:
         raise WireError(f"num_shards must be >= 1, got {msg.num_shards}")
-    try:
-        return _HELLO_FRAME.pack(
-            1 + _HELLO_BODY.size,
-            WireKind.SHARD_HELLO,
-            msg.shard_index,
-            msg.num_shards,
-            msg.token,
-            msg.ring_size,
-        )
-    except struct.error as exc:
-        raise WireError(f"shard-hello field out of range: {exc}") from exc
+    return _HELLO_FRAME.pack(
+        1 + _HELLO_BODY.size,
+        WireKind.SHARD_HELLO,
+        msg.shard_index,
+        msg.num_shards,
+        msg.token,
+        msg.ring_size,
+    )
 
 
 def _enc_route(msg: RoutedFrame) -> bytes:
     payload = msg.payload
     flags = _RF_DATA if msg.data else 0
-    try:
-        if len(payload) >= 9 and payload[5:9] == _U32.pack(msg.src):
-            head = _ROUTE_E_FRAME.pack(
-                6 + len(payload), WireKind.ROUTE, flags | _RF_SRC_ELIDED, msg.dst
-            )
-        else:
-            head = _ROUTE_FRAME.pack(
-                10 + len(payload), WireKind.ROUTE, flags, msg.src, msg.dst
-            )
-    except struct.error as exc:
-        raise WireError(f"routed-frame field out of range: {exc}") from exc
+    if len(payload) >= 9 and payload[5:9] == _U32.pack(msg.src):
+        head = _ROUTE_E_FRAME.pack(
+            6 + len(payload), WireKind.ROUTE, flags | _RF_SRC_ELIDED, msg.dst
+        )
+    else:
+        head = _ROUTE_FRAME.pack(
+            10 + len(payload), WireKind.ROUTE, flags, msg.src, msg.dst
+        )
     return head + payload
 
 
-def _enc_batch(msg: FrameBatch) -> bytes:
-    frames = msg.frames
+def _pack_batch(frames: Sequence[bytes]) -> bytes:
+    """One BATCH frame around already-encoded ``frames`` (each validated)."""
     if not frames:
         raise WireError("a frame batch must hold at least one frame")
     length = 3  # kind byte counted by the prefix + u16 count
-    parts: List[Union[bytes, memoryview]] = []
+    parts: List[bytes] = []
     for frame in frames:
         payload_len = len(frame) - _LEN.size
         if payload_len < 1:
@@ -748,39 +689,43 @@ def _enc_batch(msg: FrameBatch) -> bytes:
             raise WireError("frame batches must not nest")
         if payload_len > _U16_MAX:
             raise WireError(f"batch entry too large: {payload_len}")
-        parts.append(_U16.pack(payload_len))
-        parts.append(memoryview(frame)[4:])
+        # The entry's u16 length is the low half of the frame's own u32
+        # prefix (just checked equal, and <= 0xFFFF): one slice, no repack.
+        parts.append(frame[2:])
         length += 2 + payload_len
     try:
         head = _BATCH_FRAME.pack(length, WireKind.BATCH, len(frames))
     except struct.error as exc:
         raise WireError(f"too many frames in one batch: {len(frames)}") from exc
+    if length > MAX_FRAME_PAYLOAD:
+        raise WireError(f"frame payload too large: {length}")
     return head + b"".join(parts)
 
 
+def _enc_batch(msg: FrameBatch) -> bytes:
+    return _pack_batch(msg.frames)
+
+
 def _enc_telemetry(msg: TelemetryFrame) -> bytes:
-    try:
-        head = _TELEM_FRAME.pack(
-            1 + _TELEM_BODY.size + len(msg.payload),
-            WireKind.TELEMETRY,
-            msg.shard,
-            msg.period,
-        )
-    except struct.error as exc:
-        raise WireError(f"telemetry field out of range: {exc}") from exc
+    head = _TELEM_FRAME.pack(
+        1 + _TELEM_BODY.size + len(msg.payload),
+        WireKind.TELEMETRY,
+        msg.shard,
+        msg.period,
+    )
     return head + msg.payload
 
 
 _ENCODERS: Dict[type, Callable[..., bytes]] = {
     BufferMapMsg: _enc_buffer_map,
     BufferMapDelta: _enc_map_delta,
-    SegmentRequest: _enc_request,
-    SegmentNack: _enc_nack,
+    SegmentRequest: _pull_encoder(WireKind.SEGMENT_REQUEST),
+    SegmentNack: _pull_encoder(WireKind.SEGMENT_NACK),
     SegmentData: _enc_data,
     DhtLookup: _enc_lookup,
     DhtResponse: _enc_response,
-    Ping: _enc_ping,
-    Pong: _enc_pong,
+    Ping: _probe_encoder(WireKind.PING),
+    Pong: _probe_encoder(WireKind.PONG),
     Handover: _enc_handover,
     CreditGrant: _enc_credit,
     ShardHello: _enc_hello,
@@ -795,7 +740,10 @@ def encode(msg: WireMessage) -> bytes:
     encoder = _ENCODERS.get(type(msg))
     if encoder is None:
         raise WireError(f"cannot encode {type(msg).__name__}")
-    frame = encoder(msg)
+    try:
+        frame = encoder(msg)
+    except struct.error as exc:
+        raise WireError(f"{type(msg).__name__} field out of range: {exc}") from exc
     if len(frame) - _LEN.size > MAX_FRAME_PAYLOAD:
         raise WireError(f"frame payload too large: {len(frame) - _LEN.size}")
     return frame
@@ -825,7 +773,7 @@ def encode_batch(
         if len(group) == 1:
             out.append(group[0])
         elif group:
-            out.append(encode(FrameBatch(frames=tuple(group))))
+            out.append(_pack_batch(group))
         group = []
         group_len = 3
 
@@ -864,12 +812,7 @@ def _dec_buffer_map(view: memoryview, start: int, end: int) -> BufferMapMsg:
             f"got {end - start - _BM_BODY.size}"
         )
     return BufferMapMsg(
-        sender=sender,
-        newest_id=newest,
-        head_id=head,
-        capacity=capacity,
-        bitmap=bytes(view[start + _BM_BODY.size : end]),
-        seq=seq,
+        sender, newest, head, capacity, bytes(view[start + _BM_BODY.size : end]), seq
     )
 
 
@@ -887,14 +830,7 @@ def _dec_map_delta(view: memoryview, start: int, end: int) -> BufferMapDelta:
     flat = _u16s_struct(2 * count).unpack_from(view, start + _MD_BODY.size)
     runs = tuple(zip(flat[::2], flat[1::2]))
     _check_runs(runs, capacity)
-    return BufferMapDelta(
-        sender=sender,
-        seq=seq,
-        newest_id=newest,
-        head_id=head,
-        capacity=capacity,
-        runs=runs,
-    )
+    return BufferMapDelta(sender, seq, newest, head, capacity, runs)
 
 
 def _trace_tail(
@@ -910,24 +846,15 @@ def _trace_tail(
     return _TRACE_TAIL.unpack_from(view, start + body_size)[0]
 
 
-def _dec_request(view: memoryview, start: int, end: int) -> SegmentRequest:
-    if end - start < _REQ_BODY.size:
-        raise WireError("segment-request body size mismatch")
-    sender, segment_id, flags = _REQ_BODY.unpack_from(view, start)
-    trace_id = _trace_tail(view, start, end, _REQ_BODY.size, flags, "segment-request")
-    return SegmentRequest(
-        sender=sender, segment_id=segment_id, prefetch=bool(flags & 1), trace_id=trace_id
-    )
+def _pull_decoder(cls: type, what: str) -> Callable[[memoryview, int, int], WireMessage]:
+    def decode_pull(view: memoryview, start: int, end: int) -> WireMessage:
+        if end - start < _REQ_BODY.size:
+            raise WireError(f"{what} body size mismatch")
+        sender, segment_id, flags = _REQ_BODY.unpack_from(view, start)
+        trace_id = _trace_tail(view, start, end, _REQ_BODY.size, flags, what)
+        return cls(sender, segment_id, bool(flags & 1), trace_id)
 
-
-def _dec_nack(view: memoryview, start: int, end: int) -> SegmentNack:
-    if end - start < _REQ_BODY.size:
-        raise WireError("segment-nack body size mismatch")
-    sender, segment_id, flags = _REQ_BODY.unpack_from(view, start)
-    trace_id = _trace_tail(view, start, end, _REQ_BODY.size, flags, "segment-nack")
-    return SegmentNack(
-        sender=sender, segment_id=segment_id, prefetch=bool(flags & 1), trace_id=trace_id
-    )
+    return decode_pull
 
 
 def _dec_data(view: memoryview, start: int, end: int) -> SegmentData:
@@ -935,13 +862,7 @@ def _dec_data(view: memoryview, start: int, end: int) -> SegmentData:
         raise WireError("segment-data body size mismatch")
     sender, segment_id, size_bits, flags = _DATA_BODY.unpack_from(view, start)
     trace_id = _trace_tail(view, start, end, _DATA_BODY.size, flags, "segment-data")
-    return SegmentData(
-        sender=sender,
-        segment_id=segment_id,
-        size_bits=size_bits,
-        prefetch=bool(flags & 1),
-        trace_id=trace_id,
-    )
+    return SegmentData(sender, segment_id, size_bits, bool(flags & 1), trace_id)
 
 
 def _dec_ids(
@@ -959,7 +880,7 @@ def _dec_lookup(view: memoryview, start: int, end: int) -> DhtLookup:
         raise WireError("dht-lookup body too short")
     origin, key, segment_id, count = _LOOKUP_BODY.unpack_from(view, start)
     path = _dec_ids(view, start + _LOOKUP_BODY.size, end, count, "dht-lookup path")
-    return DhtLookup(origin=origin, target_key=key, segment_id=segment_id, path=path)
+    return DhtLookup(origin, key, segment_id, path)
 
 
 def _dec_response(view: memoryview, start: int, end: int) -> DhtResponse:
@@ -969,29 +890,17 @@ def _dec_response(view: memoryview, start: int, end: int) -> DhtResponse:
         view, start
     )
     path = _dec_ids(view, start + _RESP_BODY.size, end, count, "dht-response path")
-    return DhtResponse(
-        responder=responder,
-        origin=origin,
-        target_key=key,
-        segment_id=segment_id,
-        has_data=bool(flags & 1),
-        rate=rate,
-        path=path,
-    )
+    return DhtResponse(responder, origin, key, segment_id, bool(flags & 1), rate, path)
 
 
-def _dec_ping(view: memoryview, start: int, end: int) -> Ping:
-    if end - start != _PINGPONG_BODY.size:
-        raise WireError("ping/pong body size mismatch")
-    sender, nonce = _PINGPONG_BODY.unpack_from(view, start)
-    return Ping(sender=sender, nonce=nonce)
+def _probe_decoder(cls: type) -> Callable[[memoryview, int, int], WireMessage]:
+    def decode_probe(view: memoryview, start: int, end: int) -> WireMessage:
+        if end - start != _PINGPONG_BODY.size:
+            raise WireError("ping/pong body size mismatch")
+        sender, nonce = _PINGPONG_BODY.unpack_from(view, start)
+        return cls(sender, nonce)
 
-
-def _dec_pong(view: memoryview, start: int, end: int) -> Pong:
-    if end - start != _PINGPONG_BODY.size:
-        raise WireError("ping/pong body size mismatch")
-    sender, nonce = _PINGPONG_BODY.unpack_from(view, start)
-    return Pong(sender=sender, nonce=nonce)
+    return decode_probe
 
 
 def _dec_handover(view: memoryview, start: int, end: int) -> Handover:
@@ -1008,7 +917,7 @@ def _dec_credit(view: memoryview, start: int, end: int) -> CreditGrant:
     sender, credits = _CREDIT_BODY.unpack_from(view, start)
     if credits < 1:
         raise WireError("credit grant must carry >= 1 credit")
-    return CreditGrant(sender=sender, credits=credits)
+    return CreditGrant(sender, credits)
 
 
 def _dec_hello(view: memoryview, start: int, end: int) -> ShardHello:
@@ -1048,19 +957,25 @@ def _dec_route(view: memoryview, start: int, end: int) -> RoutedFrame:
     )
 
 
-def _dec_batch(view: memoryview, start: int, end: int) -> FrameBatch:
+def _batch_spans(view: memoryview, start: int, end: int) -> List[Tuple[int, int]]:
+    """Validate a whole batch body; return each entry's ``(start, end)``.
+
+    The spans cover kind byte + body of every inner frame, in order.
+    Nothing is decoded (or dispatched) from a malformed envelope: entry
+    headers, sizes, nesting and trailing bytes are all checked first.
+    """
     if end - start < 2:
         raise WireError("frame-batch body too short")
     (count,) = _U16.unpack_from(view, start)
     if count < 1:
         raise WireError("a frame batch must hold at least one frame")
     pos = start + 2
-    frames: List[bytes] = []
-    pack_len = _LEN.pack
+    spans: List[Tuple[int, int]] = []
+    unpack_len = _U16.unpack_from
     for _ in range(count):
         if end - pos < 2:
             raise WireError("frame-batch entry header truncated")
-        (entry_len,) = _U16.unpack_from(view, pos)
+        (entry_len,) = unpack_len(view, pos)
         pos += 2
         if entry_len < 1:
             raise WireError("frame-batch entry must hold a kind byte")
@@ -1068,11 +983,21 @@ def _dec_batch(view: memoryview, start: int, end: int) -> FrameBatch:
             raise WireError("frame-batch entry truncated")
         if view[pos] == WireKind.BATCH:
             raise WireError("frame batches must not nest")
-        frames.append(pack_len(entry_len) + bytes(view[pos : pos + entry_len]))
+        spans.append((pos, pos + entry_len))
         pos += entry_len
     if pos != end:
         raise WireError("frame batch has trailing bytes")
-    return FrameBatch(frames=tuple(frames))
+    return spans
+
+
+def _dec_batch(view: memoryview, start: int, end: int) -> FrameBatch:
+    pack_len = _LEN.pack
+    return FrameBatch(
+        tuple(
+            pack_len(stop - first) + bytes(view[first:stop])
+            for first, stop in _batch_spans(view, start, end)
+        )
+    )
 
 
 def _dec_telemetry(view: memoryview, start: int, end: int) -> TelemetryFrame:
@@ -1088,14 +1013,14 @@ def _dec_telemetry(view: memoryview, start: int, end: int) -> TelemetryFrame:
 
 _DECODERS: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
     WireKind.BUFFER_MAP: _dec_buffer_map,
-    WireKind.SEGMENT_REQUEST: _dec_request,
+    WireKind.SEGMENT_REQUEST: _pull_decoder(SegmentRequest, "segment-request"),
     WireKind.SEGMENT_DATA: _dec_data,
     WireKind.DHT_LOOKUP: _dec_lookup,
     WireKind.DHT_RESPONSE: _dec_response,
-    WireKind.PING: _dec_ping,
-    WireKind.PONG: _dec_pong,
+    WireKind.PING: _probe_decoder(Ping),
+    WireKind.PONG: _probe_decoder(Pong),
     WireKind.HANDOVER: _dec_handover,
-    WireKind.SEGMENT_NACK: _dec_nack,
+    WireKind.SEGMENT_NACK: _pull_decoder(SegmentNack, "segment-nack"),
     WireKind.CREDIT: _dec_credit,
     WireKind.SHARD_HELLO: _dec_hello,
     WireKind.ROUTE: _dec_route,
@@ -1106,20 +1031,11 @@ _DECODERS: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
 _DECODERS = {int(kind): fn for kind, fn in _DECODERS.items()}
 
 
-def decode(
-    buffer: Union[bytes, bytearray, memoryview], offset: int = 0
-) -> Tuple[WireMessage, int]:
-    """Decode one frame starting at ``offset``.
-
-    Returns ``(message, next_offset)``.  Operates on a ``memoryview`` of
-    ``buffer``: fixed fields are unpacked in place and only final field
-    values (a bitmap, a routed payload) are materialised as ``bytes``.
-
-    Raises:
-        TruncatedFrameError: the buffer ends mid-frame (feed more bytes).
-        WireError: the frame is malformed (unknown kind, bad sizes).
-    """
-    view = buffer if type(buffer) is memoryview else memoryview(buffer)
+def _frame_decoder(
+    view: memoryview, offset: int
+) -> Tuple[Callable[[memoryview, int, int], WireMessage], int, int]:
+    """Check the frame prologue at ``offset`` (length prefix, size bound,
+    completeness, kind); return its decoder and body ``(start, end)``."""
     total = len(view)
     if total - offset < _LEN.size:
         raise TruncatedFrameError("incomplete length prefix")
@@ -1136,7 +1052,54 @@ def decode(
     decoder = _DECODERS.get(view[start])
     if decoder is None:
         raise WireError(f"unknown wire kind {view[start]}")
-    return decoder(view, start + 1, start + length), start + length
+    return decoder, start + 1, start + length
+
+
+def decode(
+    buffer: Union[bytes, bytearray, memoryview], offset: int = 0
+) -> Tuple[WireMessage, int]:
+    """Decode one frame starting at ``offset``.
+
+    Returns ``(message, next_offset)``.  Operates on a ``memoryview`` of
+    ``buffer``: fixed fields are unpacked in place and only final field
+    values (a bitmap, a routed payload) are materialised as ``bytes``.
+
+    Raises:
+        TruncatedFrameError: the buffer ends mid-frame (feed more bytes).
+        WireError: the frame is malformed (unknown kind, bad sizes).
+    """
+    view = buffer if type(buffer) is memoryview else memoryview(buffer)
+    decoder, start, end = _frame_decoder(view, offset)
+    return decoder(view, start, end), end
+
+
+def decode_batch(
+    frame: Union[bytes, bytearray, memoryview], only: Optional[Container[int]] = None
+) -> List[WireMessage]:
+    """Decode every inner message of one :class:`FrameBatch` frame, in order.
+
+    The receive path's unwrap.  ``frame`` must be exactly one complete
+    BATCH frame (what a link delivers); its envelope is validated whole,
+    then the inner frames are decoded straight out of the same memory —
+    no :class:`FrameBatch` object, no per-entry ``bytes`` copy, no
+    length-prefix check per entry.  All or nothing: a malformed envelope
+    *or* inner frame raises :class:`WireError` before any message is
+    returned, so a caller dispatches none of a bad batch.  With ``only``
+    (wire kind numbers), entries of any other kind are skipped undecoded.
+    """
+    view = frame if type(frame) is memoryview else memoryview(frame)
+    decoder, start, end = _frame_decoder(view, 0)
+    if decoder is not _dec_batch or end != len(view):
+        raise WireError("decode_batch needs exactly one complete frame-batch frame")
+    messages: List[WireMessage] = []
+    for first, stop in _batch_spans(view, start, end):
+        if only is not None and view[first] not in only:
+            continue
+        decoder = _DECODERS.get(view[first])
+        if decoder is None:
+            raise WireError(f"unknown wire kind {view[first]}")
+        messages.append(decoder(view, first + 1, stop))
+    return messages
 
 
 class FrameDecoder:
@@ -1223,28 +1186,36 @@ def ledger_entry(msg: WireMessage) -> Optional[Tuple[MessageKind, float]]:
     and a :class:`TelemetryFrame` — pure observability, no protocol
     effect — is never charged at all.
     """
-    if isinstance(msg, BufferMapMsg):
+    kind = type(msg)
+    if kind is SegmentData:
+        return (
+            MessageKind.DATA_PREFETCH if msg.prefetch else MessageKind.DATA_SCHEDULED,
+            float(msg.size_bits),
+        )
+    if kind is BufferMapMsg or kind is BufferMapDelta:
         return (MessageKind.BUFFER_MAP, float(buffer_map_bits(msg.capacity)))
-    if isinstance(msg, BufferMapDelta):
-        return (MessageKind.BUFFER_MAP, float(buffer_map_bits(msg.capacity)))
-    if isinstance(msg, SegmentData):
-        kind = MessageKind.DATA_PREFETCH if msg.prefetch else MessageKind.DATA_SCHEDULED
-        return (kind, float(msg.size_bits))
-    if isinstance(msg, (DhtLookup, DhtResponse)):
-        return (MessageKind.DHT_ROUTING, float(ROUTING_MESSAGE_BITS))
-    if isinstance(msg, (Ping, Pong, Handover)):
-        return (MessageKind.MEMBERSHIP, float(PING_MESSAGE_BITS))
-    if isinstance(
-        msg,
-        (
-            SegmentRequest,
-            SegmentNack,
-            CreditGrant,
-            ShardHello,
-            RoutedFrame,
-            FrameBatch,
-            TelemetryFrame,
-        ),
-    ):
-        return None
-    raise WireError(f"no ledger rule for {type(msg).__name__}")
+    try:
+        return _FIXED_LEDGER_ENTRIES[kind]
+    except KeyError:
+        raise WireError(f"no ledger rule for {kind.__name__}") from None
+
+
+_ROUTING_ENTRY = (MessageKind.DHT_ROUTING, float(ROUTING_MESSAGE_BITS))
+_MEMBERSHIP_ENTRY = (MessageKind.MEMBERSHIP, float(PING_MESSAGE_BITS))
+
+#: :func:`ledger_entry` of every kind whose charge does not depend on the
+#: message's fields (``None`` = free signalling / uncharged envelope).
+_FIXED_LEDGER_ENTRIES: Dict[type, Optional[Tuple[MessageKind, float]]] = {
+    DhtLookup: _ROUTING_ENTRY,
+    DhtResponse: _ROUTING_ENTRY,
+    Ping: _MEMBERSHIP_ENTRY,
+    Pong: _MEMBERSHIP_ENTRY,
+    Handover: _MEMBERSHIP_ENTRY,
+    SegmentRequest: None,
+    SegmentNack: None,
+    CreditGrant: None,
+    ShardHello: None,
+    RoutedFrame: None,
+    FrameBatch: None,
+    TelemetryFrame: None,
+}

@@ -51,6 +51,7 @@ from repro.dht.hashing import backup_keys, is_backup_responsible, segment_hash
 from repro.dht.peer_table import NeighborEntry, OverheardEntry, PeerTable
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter, RouteOutcome, next_hop
+from repro.obs import ObsConfig
 from repro.runtime import LiveSwarm
 from repro.scenarios import builtin_scenario
 from repro.streaming.buffermap import BufferMap
@@ -756,11 +757,15 @@ def sim_fingerprint(system: str) -> str:
     )
 
 
-def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
+def _runtime_spec(scenario: str, nodes: int, loss_rate: Optional[float]):
     spec = builtin_scenario(scenario).scaled(num_nodes=nodes, rounds=20, seed=0)
     if loss_rate is not None:
         spec = dataclasses.replace(spec, loss_rate=loss_rate)
-    result = LiveSwarm(spec, clock="virtual").run()
+    return spec
+
+
+def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
+    result = LiveSwarm(_runtime_spec(scenario, nodes, loss_rate), clock="virtual").run()
     return _digest(
         {
             "continuity": [repr(c) for c in result.continuity_series()],
@@ -771,6 +776,44 @@ def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -
             },
             "messages_sent": result.messages_sent,
             "bytes_on_wire": result.bytes_on_wire,
+        }
+    )
+
+
+#: Transport-level facts pinned beside the fingerprints: a reordering of
+#: deliveries that leaves the continuity series alone still moves these.
+TRANSPORT_FACTS = (
+    "credits_granted", "inbox_high_watermark", "send_stalls", "map_desyncs", "link_resets",
+)
+
+
+def runtime_transport_facts(scenario: str, nodes: int, loss_rate: Optional[float]) -> dict:
+    result = LiveSwarm(_runtime_spec(scenario, nodes, loss_rate), clock="virtual").run()
+    return {
+        "messages_dropped": result.messages_dropped,
+        **{name: getattr(result.transport, name) for name in TRANSPORT_FACTS},
+    }
+
+
+def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
+    """One obs-enabled run (every 4th request traced): the trace ids ride
+    the frames, so bytes differ from the untraced golden — and the span
+    stream, stamped with virtual time, pins the order things happened in."""
+    result = LiveSwarm(
+        _runtime_spec(scenario, nodes, loss_rate), clock="virtual", obs=ObsConfig(trace_sample=4)
+    ).run()
+    spans = [
+        {key: repr(value) if isinstance(value, float) else value for key, value in span.items()}
+        for span in result.obs["spans"]
+    ]
+    return _digest(
+        {
+            "continuity": [repr(c) for c in result.continuity_series()],
+            "messages_sent": result.messages_sent,
+            "messages_dropped": result.messages_dropped,
+            "bytes_on_wire": result.bytes_on_wire,
+            "transport": result.transport.to_dict(),
+            "spans": spans,
         }
     )
 
@@ -802,4 +845,31 @@ class TestGoldenFingerprints:
     def test_runtime_paper_dynamic_with_loss_40x20(self):
         assert runtime_fingerprint("paper-dynamic", 40, 0.02) == (
             "b4462e0902fcb8d86025da3c2179491be58aa648d5ab8b9bd847ff993fe50363"
+        )
+
+    # The three below were captured at commit ``669309f`` (the parent of
+    # the purpose-built virtual-clock loop), before any edit.
+    def test_runtime_static_50x20_transport_facts(self):
+        assert runtime_transport_facts("static", 50, None) == {
+            "messages_dropped": 0,
+            "credits_granted": 2594,
+            "inbox_high_watermark": 24,
+            "send_stalls": 0,
+            "map_desyncs": 0,
+            "link_resets": 0,
+        }
+
+    def test_runtime_paper_dynamic_with_loss_40x20_transport_facts(self):
+        assert runtime_transport_facts("paper-dynamic", 40, 0.02) == {
+            "messages_dropped": 462,
+            "credits_granted": 2525,
+            "inbox_high_watermark": 28,
+            "send_stalls": 0,
+            "map_desyncs": 0,
+            "link_resets": 165,
+        }
+
+    def test_traced_runtime_paper_dynamic_with_loss_40x20(self):
+        assert traced_runtime_fingerprint("paper-dynamic", 40, 0.02) == (
+            "34e9ad2d3abd6d3e656932f1f64fabf48267e9ec0a5f305161ffa61a377a08af"
         )

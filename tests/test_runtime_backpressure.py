@@ -59,11 +59,7 @@ class TestBoundedInbox:
         inbox.put(2, b"ctl-1", control=True)
         inbox.put(3, b"data-2", control=False)
         inbox.put(4, b"ctl-2", control=True)
-
-        async def drain():
-            return [await inbox.get() for _ in range(4)]
-
-        order = asyncio.run(drain())
+        order = inbox.take_batch()
         assert [frame for _, frame, _ in order] == [
             b"ctl-1", b"ctl-2", b"data-1", b"data-2",
         ]
@@ -85,32 +81,56 @@ class TestBoundedInbox:
         assert stats.inbox_high_watermark == 4
         assert len(inbox) == 4
 
-    def test_get_batch_returns_everything_control_first(self):
+    def test_take_batch_returns_everything_and_empties_the_inbox(self):
         stats = TransportStats()
         inbox = BoundedInbox(watermark=8, stats=stats)
         inbox.put(1, b"d", control=False)
-        inbox.put(2, b"c", control=True)
-
-        async def drain():
-            return await inbox.get_batch()
-
-        batch = asyncio.run(drain())
-        assert [frame for _, frame, _ in batch] == [b"c", b"d"]
+        inbox.put(2, b"c", control=True, weight=3)
+        assert len(inbox) == 4
+        batch = inbox.take_batch()
+        assert batch == [(2, b"c", True), (1, b"d", False)]
         assert len(inbox) == 0
+        assert inbox.take_batch() == []
+        # the drained lanes have their full watermark back
+        assert inbox.put(3, b"d2", control=False)
 
-    def test_get_blocks_until_put(self):
-        stats = TransportStats()
-        inbox = BoundedInbox(watermark=4, stats=stats)
+    def test_ready_callback_fires_once_per_burst(self):
+        """One call per empty -> non-empty burst: not again while the
+        drain it asked for is pending, again after that drain ran."""
+        inbox = BoundedInbox(watermark=8, stats=TransportStats())
+        fired = []
+        inbox.bind_ready(lambda: fired.append(len(inbox)))
+        assert fired == []  # nothing queued at bind time
+        inbox.put(1, b"a", control=True)
+        inbox.put(1, b"b", control=False)
+        inbox.put(2, b"c", control=True)
+        assert fired == [1]  # the first frame of the burst, only
+        assert len(inbox.take_batch()) == 3
+        assert fired == [1]  # draining does not fire it
+        inbox.put(1, b"d", control=False)
+        inbox.put(1, b"e", control=False)
+        assert fired == [1, 1]  # the next burst does, once
 
-        async def scenario():
-            getter = asyncio.create_task(inbox.get())
-            await asyncio.sleep(0.01)
-            assert not getter.done()
-            inbox.put(9, b"late", control=True)
-            return await asyncio.wait_for(getter, timeout=1.0)
+    def test_binding_the_callback_late_fires_for_frames_already_queued(self):
+        inbox = BoundedInbox(watermark=8, stats=TransportStats())
+        inbox.put(1, b"early", control=True)  # no consumer yet: just queues
+        fired = []
+        inbox.bind_ready(lambda: fired.append("ready"))
+        assert fired == ["ready"]
+        inbox.put(1, b"more", control=True)
+        assert fired == ["ready"]  # that drain is still pending
+        assert [frame for _, frame, _ in inbox.take_batch()] == [b"early", b"more"]
 
-        src, frame, was_control = asyncio.run(scenario())
-        assert (src, frame, was_control) == (9, b"late", True)
+    def test_shed_frames_do_not_fire_the_ready_callback(self):
+        inbox = BoundedInbox(watermark=1, stats=TransportStats())
+        fired = []
+        inbox.bind_ready(lambda: fired.append("ready"))
+        assert inbox.put(1, b"kept", control=False)
+        assert not inbox.put(1, b"shed", control=False)  # lane full
+        assert inbox.put(1, b"ctl", control=True)
+        assert not inbox.put(1, b"shed too", control=True)
+        assert fired == ["ready"]
+        assert [frame for _, frame, _ in inbox.take_batch()] == [b"ctl", b"kept"]
 
     def test_zero_watermark_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +309,7 @@ class TestSwarmBoundedness:
         grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=1))
 
         async def shed():
+            swarm.loop = asyncio.get_running_loop()
             peer.absorb_shed_control(grant)
 
         asyncio.run(shed())

@@ -15,9 +15,11 @@ fast path must preserve and the savings it must deliver:
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 
+from repro.runtime import peer as peer_module
 from repro.runtime import wire
 from repro.runtime.swarm import LiveSwarm
 from repro.runtime.transport import TransportConfig
@@ -154,10 +156,55 @@ class TestBatchShedding:
         batch = wire.encode(wire.FrameBatch(frames=(ping, grant)))
 
         async def shed():
+            swarm.loop = asyncio.get_running_loop()
             receiver.absorb_shed_control(batch)
 
         asyncio.run(shed())
         assert receiver.send_windows.pending_count() == 0
+
+    def test_shed_control_decodes_only_the_one_shot_kinds(self):
+        """Shedding is the overload path: a kind byte that is not a
+        credit, handover or map is skipped without decoding its body —
+        here a body-less PING that ``decode`` itself would reject."""
+        swarm, receiver, other = self._swarm_and_peers()
+        bad_ping = struct.pack(">IB", 1, wire.WireKind.PING)
+        with pytest.raises(wire.WireError):
+            wire.decode(bad_ping)
+        grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=2))
+        batch = wire.encode(wire.FrameBatch(frames=(bad_ping, grant)))
+        link = receiver.send_windows.link(other.peer_id)
+        assert receiver.send_windows.acquire(other.peer_id, (b"f1", None))
+        assert receiver.send_windows.acquire(other.peer_id, (b"f2", None))
+        spent = link.credits
+
+        async def shed():
+            swarm.loop = asyncio.get_running_loop()
+            receiver.absorb_shed_control(bad_ping)
+            receiver.absorb_shed_control(batch)
+
+        asyncio.run(shed())
+        assert link.credits == spent + 2
+
+    def test_a_malformed_batch_dispatches_none_of_its_inner_frames(self, monkeypatch):
+        """The reader validates a whole batch before acting on any of it:
+        two good pings ahead of a corrupt entry are not answered."""
+        swarm, receiver, sender = self._swarm_and_peers()
+        ping = wire.encode(wire.Ping(sender=sender.peer_id, nonce=1))
+        batch = bytearray(wire.encode(wire.FrameBatch(frames=(ping, ping, ping))))
+        batch[-len(ping) + 4] = 0xEE  # the last entry's kind byte
+        handled = []
+        monkeypatch.setitem(
+            peer_module._DISPATCH, wire.Ping, lambda peer, msg: handled.append(msg)
+        )
+        receiver.inbox.put(sender.peer_id, bytes(batch), control=True, weight=3)
+        with pytest.raises(wire.WireError):
+            receiver._drain_inbox()
+        assert handled == []
+        # the same batch, undamaged, dispatches all three
+        good = wire.encode(wire.FrameBatch(frames=(ping, ping, ping)))
+        receiver.inbox.put(sender.peer_id, good, control=True, weight=3)
+        receiver._drain_inbox()
+        assert handled == [wire.Ping(sender.peer_id, 1)] * 3
 
     def test_weighted_inbox_admits_then_bounds(self):
         """Check-then-admit: a batch is admitted while the lane is under

@@ -6,12 +6,14 @@ tests assert generous envelopes (and the parity test compares stable-phase
 slows the swarm clock down on busy machines.
 """
 
+import asyncio
 import os
 
 import pytest
 
 from repro.net.message import MessageKind, MessageLedger
-from repro.runtime import LiveSwarm, run, run_parity
+from repro.runtime import LiveSwarm, run, run_parity, wire
+from repro.runtime import peer as peer_module
 from repro.scenarios.library import builtin_scenario
 
 #: Wall seconds per simulated second for the tests in this module; CI can
@@ -102,7 +104,7 @@ class TestLiveSwarmLifecycle:
         swarm.run()
         for peer in swarm.peers.values():
             assert peer.stopped
-            assert peer._tasks == []
+            assert peer._task is None
 
     def test_build_is_idempotent_and_reuses_sim_construction(self):
         spec = builtin_scenario("static").scaled(num_nodes=12, rounds=2)
@@ -114,6 +116,57 @@ class TestLiveSwarmLifecycle:
         # identical overlay construction to the simulator's
         assert set(swarm.peers) == set(swarm.manager.nodes)
         assert swarm.manager.source_id in swarm.peers
+
+
+class TestHandlerFailuresAreLoud:
+    """A handler that raises used to kill that peer's reader task, which
+    nobody awaited: the run finished with one peer deaf and a quietly
+    lower continuity.  With the callback reader the run fails instead."""
+
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_a_handler_exception_fails_the_run(self, clock, monkeypatch):
+        seen = {"requests": 0}
+        handle_request = peer_module._DISPATCH[wire.SegmentRequest]
+
+        def flaky(peer, msg):
+            seen["requests"] += 1
+            if seen["requests"] == 25:
+                raise RuntimeError("handler blew up on request 25")
+            handle_request(peer, msg)
+
+        monkeypatch.setitem(peer_module._DISPATCH, wire.SegmentRequest, flaky)
+        spec = builtin_scenario("static").scaled(num_nodes=12, rounds=4)
+        swarm = LiveSwarm(spec, clock=clock, time_scale=SMALL_SCALE)
+        with pytest.raises(RuntimeError, match="request 25") as failure:
+            swarm.run()
+        # the traceback still points at the handler that raised
+        frames = [entry.name for entry in failure.traceback]
+        assert "flaky" in frames
+        assert all(peer.stopped for peer in swarm.peers.values())
+
+    def test_the_embedding_loops_exception_handler_is_chained_and_restored(
+        self, monkeypatch
+    ):
+        def broken(peer, msg):
+            raise RuntimeError("handler blew up")
+
+        monkeypatch.setitem(peer_module._DISPATCH, wire.SegmentRequest, broken)
+        spec = builtin_scenario("static").scaled(num_nodes=12, rounds=3)
+        reported = []
+
+        def outer_handler(loop, context):
+            reported.append(context["exception"])
+
+        async def embed():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(outer_handler)
+            with pytest.raises(RuntimeError, match="handler blew up") as failure:
+                await LiveSwarm(spec, time_scale=SMALL_SCALE).run_async()
+            assert loop.get_exception_handler() is outer_handler
+            return failure.value
+
+        raised = asyncio.run(embed())
+        assert reported and reported[0] is raised
 
 
 @pytest.mark.slow

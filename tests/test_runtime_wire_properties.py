@@ -184,6 +184,37 @@ class TestRoundTripProperty:
         assert decoded == msgs
 
 
+class TestValueEquality:
+    """Messages are slotted (not frozen) dataclasses: equality must still
+    be by *class and* field values."""
+
+    @given(sender=u32, nonce=u32)
+    def test_ping_and_pong_with_equal_fields_differ(self, sender, nonce):
+        assert wire.Ping(sender, nonce) == wire.Ping(sender=sender, nonce=nonce)
+        assert wire.Ping(sender, nonce) != wire.Pong(sender, nonce)
+        assert wire.Ping(sender, nonce) != (sender, nonce)
+
+    @given(sender=u32, segment_id=u32, prefetch=flags, trace_id=trace_ids)
+    def test_request_and_nack_with_equal_fields_differ(
+        self, sender, segment_id, prefetch, trace_id
+    ):
+        request = wire.SegmentRequest(sender, segment_id, prefetch, trace_id)
+        nack = wire.SegmentNack(sender, segment_id, prefetch, trace_id)
+        assert request != nack
+        assert wire.decode(wire.encode(request))[0] == request
+        assert wire.decode(wire.encode(nack))[0] == nack
+        assert wire.decode(wire.encode(nack))[0] != request
+
+    @given(msg=wire_messages, other=wire_messages)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_implies_same_class_and_same_bytes(self, msg, other):
+        if msg == other:
+            assert type(msg) is type(other)
+            assert wire.encode(msg) == wire.encode(other)
+        else:
+            assert type(msg) is not type(other) or wire.encode(msg) != wire.encode(other)
+
+
 class TestGarbageResilience:
     @given(garbage=st.binary(max_size=4096))
     @settings(max_examples=300, deadline=None)
@@ -362,3 +393,52 @@ class TestFrameBatchProperty:
             else:
                 unpacked.append(f)
         assert unpacked == frames
+
+    @given(msgs=st.lists(_batchable_messages, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_decode_batch_unwraps_to_the_inner_messages(self, msgs):
+        frame = wire.encode(wire.FrameBatch(frames=tuple(wire.encode(m) for m in msgs)))
+        assert wire.decode_batch(frame) == msgs
+        assert wire.decode_batch(memoryview(frame)) == msgs
+
+    @given(
+        msgs=st.lists(_batchable_messages, min_size=1, max_size=6),
+        damage=st.sampled_from(
+            ["trailing byte", "truncated entry", "unknown inner kind", "nested"]
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_malformed_batch_yields_none_of_its_inner_messages(self, msgs, damage, data):
+        """All or nothing: whichever entry is bad — the envelope's
+        framing or one inner frame, first or last — ``decode_batch``
+        raises before returning a single message, so the reader
+        dispatches none of them."""
+        frames = [wire.encode(m) for m in msgs]
+        victim = data.draw(st.integers(0, len(frames) - 1), label="victim entry")
+        if damage == "unknown inner kind":
+            broken = bytearray(frames[victim])
+            broken[4] = 0xEE
+            frames[victim] = bytes(broken)
+        entries = b"".join(len(f[4:]).to_bytes(2, "big") + f[4:] for f in frames)
+        count = len(frames)
+        if damage == "trailing byte":
+            entries += b"\x00"
+        elif damage == "truncated entry":
+            entries = entries[:-1]
+        elif damage == "nested":
+            inner = wire.encode(wire.FrameBatch(frames=(wire.encode(wire.Ping(1, 2)),)))
+            entries += len(inner[4:]).to_bytes(2, "big") + inner[4:]
+            count += 1
+        body = bytes([wire.WireKind.BATCH]) + count.to_bytes(2, "big") + entries
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(wire.WireError):
+            wire.decode_batch(frame)
+
+    def test_decode_batch_refuses_anything_but_one_whole_batch(self):
+        ping = wire.encode(wire.Ping(1, 2))
+        batch = wire.encode(wire.FrameBatch(frames=(ping, ping)))
+        assert wire.decode_batch(batch) == [wire.Ping(1, 2), wire.Ping(1, 2)]
+        for bad in (ping, batch + b"\x00", batch[:-1], batch + batch, b"", batch[:4]):
+            with pytest.raises(wire.WireError):
+                wire.decode_batch(bad)
