@@ -5,51 +5,19 @@ the suite runnable on a laptop, the default node counts are scaled down from
 the paper's (hundreds instead of thousands of nodes); set the environment
 variable ``CONTINU_BENCH_SCALE=paper`` to run at the paper's sizes (slow —
 expect tens of minutes).  The benchmarked callables return the data they
-produce, and each benchmark also prints a short summary so the regenerated
-rows/series can be compared against EXPERIMENTS.md by eye.
+produce, and each benchmark also prints a short summary of the regenerated
+rows/series; the assertions in each ``test_bench_fig*`` /
+``test_bench_table_theory`` module state the paper's shape they must match.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-
-import pytest
 
 #: "small" (default) or "paper".
 SCALE = os.environ.get("CONTINU_BENCH_SCALE", "small")
-
-#: The repository root — the anchor for artifact placement, so artifacts
-#: land in the same place no matter what directory pytest is invoked from.
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Where BENCH_*.json artifacts land (default: the repo root, where the
-#: CI upload steps and .gitignore expect them).
-ARTIFACT_DIR = Path(os.environ.get("CONTINU_BENCH_ARTIFACT_DIR", _REPO_ROOT))
 
 
 def scaled(small_value, paper_value):
     """Pick the small or paper-scale variant of a parameter."""
     return paper_value if SCALE == "paper" else small_value
-
-
-def write_bench_artifact(name: str, payload) -> Path:
-    """Write a machine-readable benchmark artifact as ``BENCH_<name>.json``.
-
-    Benchmarks that produce data worth tracking across commits (wall
-    times, continuity aggregates) emit it here in addition to their
-    printed summary; ``CONTINU_BENCH_ARTIFACT_DIR`` redirects the output
-    directory (default: the repository root).
-    """
-    ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
-    path = ARTIFACT_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> str:
-    """The active benchmark scale ("small" or "paper")."""
-    return SCALE

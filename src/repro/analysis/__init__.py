@@ -1,6 +1,6 @@
 """Analysis: the paper's theory (Section 5.1) and metric aggregation helpers."""
 
-from repro.analysis.metrics import ExperimentRecord, summarize_runs
+from repro.analysis.metrics import summarize_runs
 from repro.analysis.theory import (
     coverage_ratio_at_distance,
     dht_hop_upper_bound,
@@ -25,6 +25,5 @@ __all__ = [
     "gossip_coverage_probability",
     "coverage_ratio_at_distance",
     "dht_hop_upper_bound",
-    "ExperimentRecord",
     "summarize_runs",
 ]

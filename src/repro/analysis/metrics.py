@@ -2,40 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.net.message import MessageLedger
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One row of an experiment result table.
-
-    Attributes:
-        experiment: experiment identifier (e.g. ``"figure5"``).
-        label: row label (e.g. ``"continustreaming/static"``).
-        values: named scalar results of the row.
-        series: optional named time series (e.g. the continuity track).
-    """
-
-    experiment: str
-    label: str
-    values: Mapping[str, float]
-    series: Mapping[str, Sequence[float]] = field(default_factory=dict)
-
-    def value(self, name: str) -> float:
-        """A named scalar value of this row."""
-        return float(self.values[name])
-
-    def formatted(self, precision: int = 4) -> str:
-        """Human-readable one-line rendering of the row."""
-        parts = ", ".join(
-            f"{key}={value:.{precision}f}" for key, value in sorted(self.values.items())
-        )
-        return f"[{self.experiment}] {self.label}: {parts}"
 
 
 def summarize_runs(values: Iterable[float]) -> Dict[str, float]:
@@ -58,9 +29,9 @@ def summarize_ledger(
     """Named scalar facts of one traffic ledger.
 
     One flat dict per ledger — bits and message counts per kind plus the
-    paper's two overhead ratios — shared by the live-runtime CLI, the
-    runtime benchmarks and ad-hoc analysis so every surface reports the
-    same numbers under the same names.
+    paper's two overhead ratios — shared by the live-runtime CLI and
+    ad-hoc analysis so every surface reports the same numbers under the
+    same names.
 
     When a runtime :class:`~repro.runtime.transport.TransportSummary` (or
     anything with a compatible ``to_dict``) is given, its flow-control
@@ -85,45 +56,6 @@ def summarize_ledger(
     return summary
 
 
-def throughput_scaling(
-    throughput_by_shards: Mapping[int, float]
-) -> Dict[int, Dict[str, float]]:
-    """Speedup and parallel efficiency of a shard-count scaling sweep.
-
-    Given ``{shard_count: aggregate throughput}`` (e.g. the cluster
-    benchmark's messages/sec at 1/2/4 shards), returns per shard count
-    the ``speedup`` over the smallest swept count and the ``efficiency``
-    (speedup divided by the shard-count ratio — 1.0 is perfect linear
-    scaling).  The baseline is the smallest shard count, which makes the
-    numbers read as "what did adding processes buy".
-    """
-    if not throughput_by_shards:
-        return {}
-    base_shards = min(throughput_by_shards)
-    base = throughput_by_shards[base_shards]
-    scaling: Dict[int, Dict[str, float]] = {}
-    for shards in sorted(throughput_by_shards):
-        speedup = throughput_by_shards[shards] / base if base > 0 else 0.0
-        ratio = shards / base_shards
-        scaling[shards] = {
-            "speedup": float(speedup),
-            "efficiency": float(speedup / ratio) if ratio > 0 else 0.0,
-        }
-    return scaling
-
-
-def moving_average(series: Sequence[float], window: int) -> List[float]:
-    """Simple trailing moving average (window clipped at the series start)."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    result: List[float] = []
-    for index in range(len(series)):
-        start = max(0, index - window + 1)
-        chunk = series[start : index + 1]
-        result.append(float(sum(chunk) / len(chunk)))
-    return result
-
-
 def stable_phase_mean(series: Sequence[float], skip_fraction: float = 2 / 3) -> float:
     """Mean of the trailing part of a time series (the "stable phase")."""
     if not series:
@@ -133,39 +65,3 @@ def stable_phase_mean(series: Sequence[float], skip_fraction: float = 2 / 3) -> 
     start = int(len(series) * skip_fraction)
     tail = list(series[start:]) or [series[-1]]
     return float(sum(tail) / len(tail))
-
-
-def time_to_threshold(
-    times: Sequence[float], series: Sequence[float], threshold: float
-) -> Optional[float]:
-    """First time the series reaches ``threshold`` (None if it never does)."""
-    for time, value in zip(times, series):
-        if value >= threshold:
-            return float(time)
-    return None
-
-
-def render_table(
-    records: Sequence[ExperimentRecord], columns: Sequence[str], precision: int = 4
-) -> str:
-    """Render experiment records as a plain-text table (for EXPERIMENTS.md)."""
-    header = ["label", *columns]
-    rows = [
-        [record.label]
-        + [
-            f"{record.values.get(col, float('nan')):.{precision}f}"
-            for col in columns
-        ]
-        for record in records
-    ]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        " | ".join(header[i].ljust(widths[i]) for i in range(len(header))),
-        "-|-".join("-" * widths[i] for i in range(len(header))),
-    ]
-    for row in rows:
-        lines.append(" | ".join(row[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines)

@@ -196,18 +196,3 @@ def expected_control_overhead(
         raise ValueError("num_neighbors must be >= 1")
     map_bits = buffer_capacity + anchor_bits
     return (map_bits * num_neighbors) / (segment_bits * playback_rate)
-
-
-def expected_prefetch_cost_bits(
-    replicas: int,
-    num_nodes: int,
-    routing_message_bits: int = 80,
-    segment_bits: int = 30 * 1024,
-) -> float:
-    """Section 5.4.3's estimate of the cost of pre-fetching one segment:
-    ``(k·(log2(n)/2 + 1) + 1)·80 + 30·1024`` bits."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    n = max(2, num_nodes)
-    messages = replicas * (math.log2(n) / 2.0 + 1.0) + 1.0
-    return messages * routing_message_bits + segment_bits

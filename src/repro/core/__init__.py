@@ -13,8 +13,9 @@
 * :mod:`repro.core.backup` — the per-node VoD Data Backup store and the
   responsibility rule of equation (5), including leave-time handover.
 * :mod:`repro.core.rate_controller` — per-neighbour receive-rate estimation.
-* :mod:`repro.core.node` / :mod:`repro.core.baseline` /
-  :mod:`repro.core.continu` — node state machines.
+* :mod:`repro.core.node` / :mod:`repro.core.continu` — node state
+  machines (the CoolStreaming baseline is a plain
+  :class:`~repro.core.node.StreamingNode` with the ``rarest_first`` policy).
 * :mod:`repro.core.phases` — the pluggable round pipeline: one
   :class:`~repro.core.phases.base.Phase` per step of the scheduling period,
   the shared :class:`~repro.core.phases.base.RoundContext`, and the
@@ -27,7 +28,6 @@
   reports.
 """
 
-from repro.core.baseline import CoolStreamingNode
 from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -44,7 +44,6 @@ from repro.core.system import SimulationResult, StreamingSystem
 __all__ = [
     "SystemConfig",
     "StreamingNode",
-    "CoolStreamingNode",
     "ContinuStreamingNode",
     "StreamingSystem",
     "SimulationResult",

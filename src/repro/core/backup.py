@@ -102,10 +102,6 @@ class VodBackupStore:
             count += 1
         return count
 
-    def prune_expired(self, oldest_useful_id: int) -> int:
-        """Drop backups older than ``oldest_useful_id`` (past every deadline)."""
-        return self.store.prune_older_than(oldest_useful_id)
-
     def total_bits(self) -> int:
         """Total stored payload size in bits."""
         return self.store.total_bits()

@@ -178,13 +178,6 @@ class SystemConfig:
         n = max(2, self.num_nodes)
         return (math.log2(n) / 2.0 + 3.0) * hop_latency_s
 
-    def initial_alpha(self, hop_latency_s: float) -> float:
-        """Lower bound / initial value of the urgent ratio ``α`` (eq. (9))."""
-        t_fetch = self.expected_fetch_time(hop_latency_s)
-        return (self.playback_rate / self.buffer_capacity) * max(
-            self.scheduling_period, t_fetch
-        )
-
     def alpha_step(self, hop_latency_s: float) -> float:
         """Per-adjustment increment/decrement of ``α``: ``p · t_hop / B``."""
         return self.playback_rate * hop_latency_s / self.buffer_capacity
@@ -202,10 +195,6 @@ class SystemConfig:
             self, leave_fraction=fraction, join_fraction=fraction,
             churn_schedule=None,
         )
-
-    def homogeneous_variant(self) -> "SystemConfig":
-        """Copy with every node given the mean inbound/outbound rate."""
-        return replace(self, heterogeneous=False)
 
     def with_seed(self, seed: int) -> "SystemConfig":
         """Copy with a different root seed."""

@@ -28,9 +28,6 @@ from repro.streaming.segment import Segment
 class ContinuStreamingNode(StreamingNode):
     """A node running the full ContinuStreaming protocol."""
 
-    POLICY = "continustreaming"
-    SUPPORTS_PREFETCH = True
-
     def __init__(
         self,
         node_id: int,
@@ -137,10 +134,6 @@ class ContinuStreamingNode(StreamingNode):
         player needs the segment by ``deadline``."""
         self.stats.prefetch_attempts += 1
         self._prefetch_arrivals[segment_id] = (float(arrival_time), float(deadline))
-
-    def pending_prefetches(self) -> List[int]:
-        """Segment ids with a pre-fetch currently in flight."""
-        return sorted(self._prefetch_arrivals)
 
     def settle_prefetches(self, now: float) -> tuple[int, int]:
         """Resolve completed pre-fetches and adapt ``α``.

@@ -2,10 +2,10 @@
 
 A :class:`StreamingNode` owns everything in Figure 1 of the paper that is
 common to both systems: the Peer Table (via the P2P Overlay Manager), the
-playback Buffer, the Data Scheduler and the Rate Controller.  The
-CoolStreaming baseline and the ContinuStreaming node specialise the
-scheduling policy and (for ContinuStreaming) add the Urgent Line, the
-on-demand retrieval and the VoD Data Backup.
+playback Buffer, the Data Scheduler and the Rate Controller.  A
+CoolStreaming node is a plain :class:`StreamingNode` with the
+``rarest_first`` scheduling policy; the ContinuStreaming node adds the
+Urgent Line, the on-demand retrieval and the VoD Data Backup.
 
 The node is a passive state machine: the :class:`~repro.core.system.
 StreamingSystem` drives it round by round and enforces global bandwidth
@@ -63,9 +63,6 @@ class StreamingNode:
         is_source: True only for the media source node.
     """
 
-    #: scheduling policy used by this node class (overridden by subclasses)
-    POLICY = "continustreaming"
-
     def __init__(
         self,
         node_id: int,
@@ -80,7 +77,7 @@ class StreamingNode:
         overheard_capacity: int = 20,
         playback_lag: Optional[int] = None,
         stall_on_miss: bool = True,
-        policy: Optional[str] = None,
+        policy: str = "continustreaming",
         is_source: bool = False,
     ) -> None:
         self.node_id = int(node_id)
@@ -105,7 +102,7 @@ class StreamingNode:
             playback_rate=playback_rate,
             buffer_capacity=buffer_capacity,
             period=period,
-            policy=policy or self.POLICY,
+            policy=policy,
             tiebreak_rng=np.random.default_rng(0xC0FFEE ^ self.node_id),
         )
         self.period = float(period)

@@ -141,14 +141,3 @@ class OnDemandRetriever:
         """Section 5.4.3 estimate: ``k · (log2(n)/2 + 1) + 1`` messages."""
         n = max(2, num_nodes)
         return replicas * (math.log2(n) / 2.0 + 1.0) + 1.0
-
-    @staticmethod
-    def expected_fetch_bits(
-        replicas: int, num_nodes: int, segment_bits: int
-    ) -> float:
-        """Estimated total cost of pre-fetching one segment, in bits."""
-        return (
-            OnDemandRetriever.expected_routing_messages(replicas, num_nodes)
-            * ROUTING_MESSAGE_BITS
-            + segment_bits
-        )

@@ -29,7 +29,6 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Dict, Tuple, Type
 
-from repro.core.baseline import CoolStreamingNode
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
 from repro.core.phases.base import Phase
@@ -103,11 +102,6 @@ class ProtocolRegistry:
         """Whether ``name`` is registered."""
         return name in cls._protocols
 
-    @classmethod
-    def unregister(cls, name: str) -> None:
-        """Remove a registration (mainly for tests); unknown names are a no-op."""
-        cls._protocols.pop(name, None)
-
 
 @ProtocolRegistry.register("continustreaming")
 class ContinuStreamingProtocol(StreamingProtocol):
@@ -154,7 +148,7 @@ class CoolStreamingProtocol(StreamingProtocol):
     def make_node(self, env: "OverlayManager", ring_id: int) -> StreamingNode:
         cfg = env.config
         capacity = env.bandwidth.of(ring_id)
-        return CoolStreamingNode(
+        return StreamingNode(
             ring_id,
             env.ring,
             buffer_capacity=cfg.buffer_capacity,
@@ -166,6 +160,7 @@ class CoolStreamingProtocol(StreamingProtocol):
             overheard_capacity=cfg.overheard_capacity,
             playback_lag=cfg.playback_lag_segments,
             stall_on_miss=cfg.stall_on_miss,
+            policy="rarest_first",
             is_source=ring_id == env.source_id,
         )
 

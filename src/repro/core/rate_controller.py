@@ -111,10 +111,3 @@ class RateController:
         ids = self.known_neighbors() if neighbor_ids is None else neighbor_ids
         rates = [self.rate_of(n) for n in ids]
         return max(rates) if rates else self.min_rate
-
-    def total_estimated_inbound(self) -> float:
-        """Sum of estimates, capped by the local inbound capacity."""
-        total = sum(self._estimates.values())
-        if self.local_inbound > 0:
-            return min(total, self.local_inbound)
-        return total

@@ -31,10 +31,6 @@ class MissPrediction:
     missed_segment_ids: tuple[int, ...]
     triggered: bool
 
-    @property
-    def miss_count(self) -> int:
-        return len(self.missed_segment_ids)
-
 
 @dataclass
 class UrgentLine:

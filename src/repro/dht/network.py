@@ -59,10 +59,6 @@ class DhtNetwork:
         """Sorted ids of the joined nodes."""
         return list(self._sorted_ids)
 
-    def table_of(self, node_id: int) -> PeerTable:
-        """Peer table of a joined node."""
-        return self._tables[node_id]
-
     def _peers_of(self, node_id: int) -> Sequence[int]:
         table = self._tables.get(node_id)
         if table is None:

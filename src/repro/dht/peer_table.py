@@ -148,14 +148,6 @@ class PeerTable:
         if entry is not None:
             self._neighbors[peer_id] = entry.with_supply_rate(rate)
 
-    def worst_neighbor(self) -> Optional[int]:
-        """The connected neighbour with the lowest recent supply rate."""
-        if not self._neighbors:
-            return None
-        return min(
-            self._neighbors.values(), key=lambda e: (e.recent_supply_rate, e.peer_id)
-        ).peer_id
-
     def replace_neighbor(self, old_id: int, new_entry: NeighborEntry) -> bool:
         """Replace a failed/unproductive neighbour with a new one."""
         if new_entry.peer_id == self.owner_id or new_entry.peer_id in self._neighbors:
@@ -167,9 +159,6 @@ class PeerTable:
     def dht_peer_ids(self) -> List[int]:
         """Ids of the current DHT peers (ordered by level)."""
         return [self._dht_peers[level].peer_id for level in sorted(self._dht_peers)]
-
-    def dht_peer_at_level(self, level: int) -> Optional[DhtPeerEntry]:
-        return self._dht_peers.get(level)
 
     def _install_dht_peer(self, level: int, peer_id: int, latency_ms: float) -> None:
         current = self._dht_peers.get(level)

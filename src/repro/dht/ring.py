@@ -9,7 +9,7 @@ one must travel clockwise from ``a`` to reach ``b``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class IdRing:
@@ -48,21 +48,6 @@ class IdRing:
         return self.clockwise_distance(start, x) < self.clockwise_distance(start, end)
 
     # ---------------------------------------------------------------- selection
-    def clockwise_closest(self, target: int, candidates: Iterable[int]) -> Optional[int]:
-        """The candidate with the smallest clockwise distance *from itself to*
-        ``target`` — i.e. the candidate that is counter-clockwise closest to the
-        target, which is the node responsible for the key.
-
-        Returns ``None`` when ``candidates`` is empty.
-        """
-        best: Optional[int] = None
-        best_dist: Optional[int] = None
-        for candidate in candidates:
-            dist = self.clockwise_distance(candidate, target)
-            if best_dist is None or dist < best_dist:
-                best, best_dist = self.normalize(candidate), dist
-        return best
-
     def responsible_node(self, key: int, node_ids: Sequence[int]) -> Optional[int]:
         """Node responsible for ``key``: the one counter-clockwise closest to it.
 
@@ -110,10 +95,3 @@ class IdRing:
         start = self.normalize(node + start_offset)
         end = self.normalize(node + end_offset)
         return start, end
-
-    def spread_ids(self, count: int) -> List[int]:
-        """``count`` ids spread (approximately) evenly around the ring."""
-        if count <= 0:
-            return []
-        step = self.size / count
-        return sorted({self.normalize(round(i * step)) for i in range(count)})

@@ -4,12 +4,12 @@ Routing a message towards a key is a simple greedy walk (Section 4.1): every
 intermediate node forwards to the peer in its table that is clockwise closest
 to the destination, until no closer peer exists.  The node at which the walk
 stops is the one responsible for the key (counter-clockwise closest to it).
-The appendix bounds the walk by ``log N / log(4/3) ≈ 2.41 log N`` hops.
+The appendix bounds the walk by ``log N / log(4/3) ≈ 2.41 log N`` hops
+(:func:`repro.analysis.theory.dht_hop_upper_bound`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, List, Optional, Sequence
 
@@ -133,10 +133,3 @@ class GreedyRouter:
         else:
             success = True
         return RouteOutcome(target_key=target_key, path=tuple(path), success=success)
-
-    @staticmethod
-    def hop_upper_bound(id_space: int) -> float:
-        """The appendix bound ``log N / log(4/3) ≈ 2.41 log N`` (log base 2)."""
-        if id_space < 2:
-            return 0.0
-        return math.log2(id_space) / math.log2(4.0 / 3.0)

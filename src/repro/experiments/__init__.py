@@ -2,8 +2,10 @@
 
 Every experiment function takes a scale knob so it can run both at the
 paper's sizes (hundreds to thousands of nodes, 30+ rounds) and at a
-laptop-friendly scale for CI and the benchmark suite; `EXPERIMENTS.md`
-records which scale each reported number was produced at.
+laptop-friendly scale for CI and the benchmark suite.  The
+``benchmarks/test_bench_fig*`` and ``test_bench_table_theory`` modules
+regenerate each figure/table at either scale (``CONTINU_BENCH_SCALE``)
+and assert the shape the paper reports.
 """
 
 from repro.experiments.fig3_dht import Fig3Point, run_fig3_dht

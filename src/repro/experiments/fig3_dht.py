@@ -35,14 +35,6 @@ class Fig3Point:
     success_rate: float
     expected_hops: float  # the paper's log2(n)/2 reference line
 
-    def as_row(self) -> dict:
-        return {
-            "n": self.num_nodes,
-            "avg_hops": self.average_hops,
-            "success_rate": self.success_rate,
-            "log2(n)/2": self.expected_hops,
-        }
-
 
 def run_fig3_dht(
     node_counts: Optional[Sequence[int]] = None,

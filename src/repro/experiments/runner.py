@@ -96,8 +96,6 @@ def _run_options(args: argparse.Namespace, command: str, shards: int):
             shards=shards,
             time_scale=args.time_scale,
             clock=args.clock,
-            batching=not args.no_batch,
-            delta_maps=not args.no_delta,
             obs=_obs_config(args),
             slo=parse_slo(args.slo),
             telemetry_out=args.telemetry_out,
@@ -724,14 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--assert-continuity", type=float, default=None, metavar="X",
         help="exit non-zero unless the runtime's stable continuity reaches X "
         "(used by the CI runtime smoke step)")
-    runtime_group.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the wire fast path's frame batching (one frame per "
-        "delivery/envelope, the pre-batching wire behaviour)")
-    runtime_group.add_argument(
-        "--no-delta", action="store_true",
-        help="disable buffer-map delta gossip (every gossip ships the "
-        "full map, the pre-delta wire behaviour)")
     obs_group = parser.add_argument_group("observability options")
     obs_group.add_argument(
         "--obs", action="store_true",

@@ -43,15 +43,6 @@ class RendezvousPoint:
         """Replace the id-assignment random stream (for reproducibility)."""
         self._rng = rng
 
-    @property
-    def known_nodes(self) -> List[int]:
-        """Sorted ids the RP currently believes are alive."""
-        return sorted(self._known)
-
-    def register_existing(self, node_id: int) -> None:
-        """Record a node that is already part of the overlay."""
-        self._known.add(self.ring.normalize(node_id))
-
     def report_failure(self, node_id: int) -> None:
         """A member reported ``node_id`` as dead; forget it."""
         self._known.discard(self.ring.normalize(node_id))
@@ -88,7 +79,3 @@ class RendezvousPoint:
         contacts = self._closest_contacts(node_id, self.contact_list_size)
         self._known.add(node_id)
         return JoinTicket(node_id=node_id, contacts=tuple(contacts))
-
-    def handle_departure(self, node_id: int) -> None:
-        """A node announced a graceful leave."""
-        self._known.discard(self.ring.normalize(node_id))

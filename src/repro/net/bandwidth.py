@@ -133,16 +133,6 @@ class BandwidthModel:
             return 0.0
         return float(np.mean([c.inbound for c in self._capacity.values()]))
 
-    @staticmethod
-    def kbps_to_segments_per_s(kbps: float, segment_bits: int = 30 * 1024) -> float:
-        """Convert a rate in Kbps to segments per second."""
-        return kbps * 1000.0 / segment_bits
-
-    @staticmethod
-    def segments_per_s_to_kbps(rate: float, segment_bits: int = 30 * 1024) -> float:
-        """Convert a rate in segments per second to Kbps."""
-        return rate * segment_bits / 1000.0
-
 
 @dataclass(frozen=True)
 class BandwidthClass:
@@ -214,7 +204,6 @@ class ClassMixBandwidthModel(BandwidthModel):
         )
         self.classes = class_list
         self._cumulative = np.cumsum([c.fraction for c in class_list])
-        self._class_of: Dict[int, str] = {}
 
     # ---------------------------------------------------------------- assignment
     def _draw_class(self, rng: np.random.Generator) -> BandwidthClass:
@@ -228,7 +217,6 @@ class ClassMixBandwidthModel(BandwidthModel):
         outbound = float(rng.uniform(out_lo, out_hi))
         capacity = NodeBandwidth(inbound, outbound)
         self._capacity[int(node_id)] = capacity
-        self._class_of[int(node_id)] = klass.name
         return capacity
 
     def assign(
@@ -241,27 +229,6 @@ class ClassMixBandwidthModel(BandwidthModel):
             self._assign_from_class(int(node), rng)
         if source_id is not None:
             self._capacity[int(source_id)] = NodeBandwidth(0.0, self.source_outbound)
-            self._class_of[int(source_id)] = "source"
 
     def assign_one(self, node_id: int, rng: np.random.Generator) -> NodeBandwidth:
         return self._assign_from_class(node_id, rng)
-
-    # ------------------------------------------------------------------ queries
-    def remove(self, node_id: int) -> None:
-        super().remove(node_id)
-        self._class_of.pop(node_id, None)
-
-    def class_name_of(self, node_id: int) -> str:
-        """The access class assigned to ``node_id``.
-
-        Raises:
-            KeyError: if the node has no assigned class.
-        """
-        return self._class_of[node_id]
-
-    def class_census(self) -> Dict[str, int]:
-        """How many currently assigned nodes each class holds."""
-        census: Dict[str, int] = {}
-        for name in self._class_of.values():
-            census[name] = census.get(name, 0) + 1
-        return census

@@ -41,10 +41,6 @@ class LatencyModel:
         """Forget a departed node (no-op if unknown)."""
         self._ping_ms.pop(node, None)
 
-    def ping_of(self, node: int) -> float:
-        """Ping time of ``node`` in milliseconds."""
-        return self._ping_ms[node]
-
     def one_way_ms(self, a: int, b: int) -> float:
         """One-way latency between ``a`` and ``b`` in milliseconds.
 
@@ -56,14 +52,6 @@ class LatencyModel:
             return 0.0
         delta = abs(self._ping_ms[a] - self._ping_ms[b]) / 2.0
         return max(self.floor_ms, delta)
-
-    def one_way_s(self, a: int, b: int) -> float:
-        """One-way latency in seconds."""
-        return self.one_way_ms(a, b) / 1000.0
-
-    def rtt_ms(self, a: int, b: int) -> float:
-        """Round-trip time between ``a`` and ``b`` in milliseconds."""
-        return 2.0 * self.one_way_ms(a, b)
 
     def mean_hop_latency_ms(
         self,

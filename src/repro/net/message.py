@@ -125,14 +125,6 @@ class MessageLedger:
         clone.counts = dict(self.counts)
         return clone
 
-    def delta_since(self, earlier: "MessageLedger") -> "MessageLedger":
-        """Ledger containing only the traffic recorded after ``earlier``."""
-        delta = MessageLedger()
-        for kind in MessageKind:
-            delta.bits[kind] = self.bits[kind] - earlier.bits[kind]
-            delta.counts[kind] = self.counts[kind] - earlier.counts[kind]
-        return delta
-
     def reset(self) -> None:
         """Zero every counter."""
         for kind in MessageKind:

@@ -1,10 +1,10 @@
 """Undirected overlay topology.
 
 A thin adjacency-set graph specialised for the simulator's needs: node
-addition/removal under churn, random edge densification to a target degree,
-and neighbour sampling.  We intentionally do not depend on :mod:`networkx`
-for the hot path (the simulator touches adjacency sets every round), but the
-graph can be exported to networkx for analysis.
+addition/removal under churn and random edge densification to a target
+degree.  We intentionally do not depend on :mod:`networkx` for the hot
+path (the simulator touches adjacency sets every round), but the graph can
+be exported to networkx for analysis.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ class OverlayTopology:
         self._adj[a].add(b)
         self._adj[b].add(a)
         return True
-
-    def remove_edge(self, a: int, b: int) -> bool:
-        """Remove the edge if present; returns whether it existed."""
-        if a in self._adj and b in self._adj[a]:
-            self._adj[a].discard(b)
-            self._adj[b].discard(a)
-            return True
-        return False
 
     def has_edge(self, a: int, b: int) -> bool:
         return a in self._adj and b in self._adj[a]
@@ -122,38 +114,6 @@ class OverlayTopology:
             added += 1
             deficient = [u for u in deficient if self.degree(u) < max_possible]
         return added
-
-    def random_neighbor_sample(
-        self, node: int, count: int, rng: np.random.Generator
-    ) -> List[int]:
-        """Up to ``count`` distinct random neighbours of ``node``."""
-        neigh = sorted(self._adj.get(node, set()))
-        if not neigh or count <= 0:
-            return []
-        if count >= len(neigh):
-            return neigh
-        idx = rng.choice(len(neigh), size=count, replace=False)
-        return [neigh[i] for i in idx]
-
-    def connected_component_sizes(self) -> List[int]:
-        """Sizes of connected components, descending — useful for sanity checks."""
-        seen: Set[int] = set()
-        sizes: List[int] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            size = 0
-            while stack:
-                v = stack.pop()
-                size += 1
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            sizes.append(size)
-        return sorted(sizes, reverse=True)
 
     def copy(self) -> "OverlayTopology":
         """Deep copy of the topology."""

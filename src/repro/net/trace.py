@@ -56,10 +56,6 @@ class TraceTopology:
     records: tuple[TraceNodeRecord, ...]
     graph: OverlayTopology
 
-    def ping_times(self) -> dict[int, float]:
-        """Mapping node id -> ping time in milliseconds."""
-        return {rec.node_id: rec.ping_ms for rec in self.records}
-
     def node_ids(self) -> List[int]:
         return [rec.node_id for rec in self.records]
 
@@ -177,18 +173,6 @@ class TraceTopologyGenerator:
         records = self.generate_records(num_nodes, rng)
         graph = self._crawl_graph(num_nodes, average_degree, rng)
         return TraceTopology(records=tuple(records), graph=graph)
-
-    def generate_suite(
-        self,
-        sizes: Sequence[int],
-        traces_per_size: int = 1,
-    ) -> List[TraceTopology]:
-        """Generate a suite of traces mimicking the paper's 30-trace corpus."""
-        suite: List[TraceTopology] = []
-        for size in sizes:
-            for _ in range(traces_per_size):
-                suite.append(self.generate(size))
-        return suite
 
 
 def build_streaming_overlay(

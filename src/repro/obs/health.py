@@ -31,7 +31,20 @@ import re
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-__all__ = ["Alert", "SloSpec", "SloViolation", "HealthEngine", "parse_slo"]
+__all__ = ["Alert", "SloSpec", "SloViolation", "HealthEngine", "parse_slo", "frame_shard"]
+
+
+def frame_shard(body: Dict[str, Any]) -> Optional[int]:
+    """A telemetry frame's shard id, or ``None`` when it has no valid one.
+
+    Only a non-negative ``int`` counts (``bool`` is an ``int`` subclass and
+    does not): a torn or foreign frame must be rejected by every consumer,
+    not coerced onto shard 0 or 1 where it would pollute a real series.
+    """
+    shard = body.get("shard")
+    if isinstance(shard, bool) or not isinstance(shard, int) or shard < 0:
+        return None
+    return shard
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,13 +264,13 @@ class HealthEngine:
     def observe_frame(self, body: Dict[str, Any]) -> None:
         """Fold one telemetry frame body (a plain dict) into the rollup.
 
-        Frames without a valid integer ``shard`` id are rejected (counted
-        in :attr:`rejected_frames`) rather than coerced onto shard 0 —
-        a torn or foreign frame must not pollute another shard's
-        continuity series or trip its watchdogs.
+        Frames without a valid shard id (:func:`frame_shard`) are
+        rejected (counted in :attr:`rejected_frames`) — a torn or
+        foreign frame must not pollute another shard's continuity series
+        or trip its watchdogs.
         """
-        shard = body.get("shard")
-        if isinstance(shard, bool) or not isinstance(shard, int) or shard < 0:
+        shard = frame_shard(body)
+        if shard is None:
             self.rejected_frames += 1
             return
         period = int(body.get("period", 0))

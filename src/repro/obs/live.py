@@ -29,7 +29,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, IO, Iterator, List, Optional, Union
 
-from repro.obs.health import Alert, HealthEngine, SloSpec, SloViolation
+from repro.obs.health import Alert, HealthEngine, SloSpec, SloViolation, frame_shard
 from repro.obs.report import _sparkline
 
 __all__ = ["TelemetryPlane", "TelemetryWriter", "Cockpit", "run_live", "load_telemetry_jsonl"]
@@ -64,7 +64,9 @@ class TelemetryWriter:
     ...alert fields}``.  The exposition file (``<path>.prom`` by
     default) is atomically rewritten after every frame with the latest
     gauge levels and cumulative counters per shard, in the standard
-    ``# TYPE`` / ``name{shard="N"} value`` text format.
+    ``# TYPE`` / ``name{shard="N"} value`` text format.  A frame without
+    a valid shard id (:func:`~repro.obs.health.frame_shard`) is still
+    streamed to the JSONL but never folded into the exposition.
     """
 
     def __init__(
@@ -88,7 +90,9 @@ class TelemetryWriter:
     def frame(self, body: Dict[str, Any]) -> None:
         """Append one telemetry frame body and refresh the exposition."""
         self._write_line({"type": "telemetry", **body})
-        shard = int(body.get("shard") or 0)
+        shard = frame_shard(body)
+        if shard is None:
+            return
         gauges = self._gauges.setdefault(shard, {})
         # Names are sanitized at fold time, so two raw names colliding
         # after sanitization merge here instead of producing duplicate
@@ -273,7 +277,11 @@ class Cockpit:
 
     # ------------------------------------------------------------------ intake
     def feed(self, body: Dict[str, Any]) -> None:
-        shard = int(body.get("shard") or 0)
+        shard = frame_shard(body)
+        if shard is None:
+            # Torn or foreign frame: counted, never charged to a shard.
+            self.skipped += 1
+            return
         view = self.shards.get(shard)
         if view is None:
             view = self.shards[shard] = _ShardView(self.window)

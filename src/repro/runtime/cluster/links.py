@@ -73,16 +73,14 @@ class LoopbackLink:
     frame's credit flows back to its sender, a shed one-shot control
     frame is applied as if delivered.
 
-    With the host's ``batching`` flag on, frames towards the same
-    ``(src, dst, lane)`` that would flush in the same instant coalesce
-    into one :class:`~repro.runtime.wire.FrameBatch` delivery: on the
-    virtual clock only frames born at the same loop time join a group
-    (the batch's deadline is then bit-identical to every member's
-    unbatched deadline, keeping parity runs exact); on the wall clock a
-    frame joins any still-pending group for its key (bounded early
-    delivery — real transports coalesce the same way).  Loss draws stay
-    per *logical* frame, before grouping, so the loss stream is
-    identical with batching on or off.
+    Frames towards the same ``(src, dst, lane)`` that would flush in the
+    same instant coalesce into one :class:`~repro.runtime.wire.FrameBatch`
+    delivery: on the virtual clock only frames born at the same loop
+    time join a group (the batch's deadline is then bit-identical to
+    every member's own deadline, keeping parity runs exact); on the wall
+    clock a frame joins any still-pending group for its key (bounded
+    early delivery — real transports coalesce the same way).  Loss draws
+    stay per *logical* frame, before grouping.
 
     ``host`` is the owning swarm; the link reads its peer table, latency
     model, loss stream and drop counters directly — it is the swarm's
@@ -117,7 +115,7 @@ class LoopbackLink:
             host.messages_dropped += 1
             return
         loop = host.loop
-        if host.batching and not is_batch:
+        if not is_batch:
             now = loop.time()
             key = (src, dst, data)
             group = self._groups.get(key)
@@ -304,10 +302,6 @@ class SocketLink:
         self.hello = hello
         self.stats = SocketLinkStats()
         self.state = _CONNECTING
-        #: Coalesce same-pair frames drained in one write-loop pass into
-        #: FrameBatch payloads (one RoutedFrame envelope per burst).
-        #: Stub hosts in tests carry no flag and default to batching.
-        self.batching = bool(getattr(host, "batching", True))
         self._writer: Optional[asyncio.StreamWriter] = None
         self._queue: Deque[Tuple[bytes, int, int, bool]] = deque()
         self._wakeup = asyncio.Event()
@@ -359,9 +353,8 @@ class SocketLink:
         Frames towards the same ``(src, dst, lane)`` drained in one pass
         coalesce into FrameBatch payloads — one envelope per burst
         instead of one per frame — in first-appearance order, so
-        per-pair FIFO survives.  With batching off (or a single frame
-        per pair) each frame rides its own envelope, byte-identical to
-        the unbatched wire format.
+        per-pair FIFO survives.  A lone frame per pair rides its own
+        envelope unwrapped.
         """
         groups: dict = {}
         while self._queue:
@@ -371,14 +364,11 @@ class SocketLink:
         envelopes: List[bytes] = []
         limit = wire.MAX_FRAME_PAYLOAD - self._ENVELOPE_HEADROOM
         for (src, dst, data), frames in groups.items():
-            chunks = (
-                wire.encode_batch(frames, limit=limit) if self.batching else frames
-            )
             envelopes.extend(
                 wire.encode(
                     wire.RoutedFrame(src=src, dst=dst, payload=chunk, data=data)
                 )
-                for chunk in chunks
+                for chunk in wire.encode_batch(frames, limit=limit)
             )
         return envelopes
 

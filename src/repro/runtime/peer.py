@@ -250,13 +250,6 @@ class LivePeer:
             self.ledger.record(entry[0], entry[1])
         self.swarm.deliver(self.peer_id, dst, frame, data)
 
-    def _broadcast(self, dsts, msg: wire.WireMessage) -> None:
-        """Send one control message to many peers, encoding it only once."""
-        entry = wire.ledger_entry(msg)
-        frame = wire.encode(msg)
-        for dst in dsts:
-            self._ship(dst, frame, entry, False)
-
     # ------------------------------------------------------------------ receiving
     def _drain_inbox(self) -> None:
         """Decode and dispatch everything queued — the inbox's burst callback.
@@ -340,8 +333,8 @@ class LivePeer:
         to that receiver forever), a :class:`~repro.runtime.wire.
         Handover` (the gracefully leaving sender stops right after
         shipping its backup store), and the buffer-map gossip family
-        (under delta encoding gossip is *stateful*: full maps are the
-        chain anchors, deltas the links — see ``_ABSORBED_KINDS``).
+        (delta gossip is *stateful*: full maps are the chain anchors,
+        deltas the links — see ``_ABSORBED_KINDS``).
         Those are applied as if delivered (the loopback stand-in for a
         real transport's reliable control channel); everything else just
         stays dropped.  A shed :class:`~repro.runtime.wire.FrameBatch`
@@ -383,7 +376,7 @@ class LivePeer:
         # with a full buffer map so the partner can schedule within this
         # period — the live analogue of the simulator's joiners seeing
         # all partner snapshots in their first round.
-        if self.swarm.delta_maps and self._last_gossip is not None:
+        if self._last_gossip is not None:
             # Ship the *gossiped snapshot* (not the live buffer): the
             # next periodic delta is diffed against that snapshot, so
             # anchoring the partner anywhere else would break its chain.
@@ -951,30 +944,19 @@ class LivePeer:
     def _gossip_buffer_map(self) -> None:
         """Boundary gossip: advertise this peer's buffer map to partners.
 
-        With delta encoding on, partners whose stored snapshot is in sync
-        (they received the previous gossip, full or via an unbroken delta
-        chain) get a :class:`~repro.runtime.wire.BufferMapDelta` — the
-        changed-bit runs against the previous snapshot — while everyone
-        else (first contact, reset link, missed gossip) gets the full
-        map.  A delta that would not beat the full encoding falls back to
-        the full map for every partner.  Either form is ledger-charged as
-        a full ``capacity + 20``-bit map (the paper's Section 5.4 cost);
-        the physical savings show up in the ``gossip_bytes`` counters.
+        Partners whose stored snapshot is in sync (they received the
+        previous gossip, full or via an unbroken delta chain) get a
+        :class:`~repro.runtime.wire.BufferMapDelta` — the changed-bit
+        runs against the previous snapshot — while everyone else (first
+        contact, reset link, missed gossip) gets the full map.  A delta
+        that would not beat the full encoding falls back to the full map
+        for every partner.  Either form is ledger-charged as a full
+        ``capacity + 20``-bit map (the paper's Section 5.4 cost); the
+        physical savings show up in the ``gossip_bytes`` counters.
         """
         targets = self.node.neighbors
         bm = self.node.buffer_map()
         stats = self.transport_stats
-        if not self.swarm.delta_maps:
-            msg = wire.BufferMapMsg.from_buffer_map(
-                self.peer_id, self.known_newest, bm
-            )
-            frame_len = len(wire.encode(msg))
-            count = len(targets)
-            stats.map_fulls_sent += count
-            stats.gossip_bytes += count * frame_len
-            stats.gossip_bytes_full += count * frame_len
-            self._broadcast(targets, msg)
-            return
         seq = self._gossip_seq = self._gossip_seq + 1
         prev = self._last_gossip
         self._last_gossip = (seq, bm)

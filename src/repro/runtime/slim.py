@@ -70,8 +70,8 @@ __all__ = ["SlimTier", "default_core_peers"]
 MIN_CORE_PEERS = 2
 
 #: Default full-fidelity core: 50 live peers is the documented sweet spot
-#: (a 50-peer swarm already exhibits the paper's stable-phase continuity,
-#: see BENCH_runtime.json) and stays cheap enough for 100k-peer totals.
+#: (a 50-peer swarm already exhibits the paper's stable-phase continuity)
+#: and stays cheap enough for 100k-peer totals.
 DEFAULT_CORE_PEERS = 50
 
 

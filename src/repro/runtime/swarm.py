@@ -158,10 +158,6 @@ class RunOptions:
             budget); ``None`` uses the ``LinkConfig`` defaults.
         clock: ``"wall"`` (real time) or ``"virtual"`` (deterministic
             virtual time, no wall waiting — the campaign/parity backend).
-        batching / delta_maps: the wire fast-path switches
-            (``--no-batch`` / ``--no-delta``): coalesce same-turn frames
-            into FrameBatch envelopes, and gossip buffer maps as
-            changed-bit deltas against the last-acked map.
         obs: observability plane config; ``None`` installs the no-op
             recorder, leaves ``RuntimeResult.obs`` as ``None`` and keeps
             the run bit-identical to an uninstrumented build.
@@ -182,8 +178,6 @@ class RunOptions:
     transport: Optional[TransportConfig] = None
     link: Optional[LinkConfig] = None
     clock: str = "wall"
-    batching: bool = True
-    delta_maps: bool = True
     obs: Optional[ObsConfig] = None
     slo: Optional[SloSpec] = None
     telemetry_out: Optional[str] = None
@@ -403,8 +397,6 @@ class LiveSwarm:
         core = options.core_peers
         #: The *live* workload: a hybrid run's peers-as-tasks are its core.
         self.spec = spec if core is None else spec.scaled(num_nodes=core)
-        self.batching = options.batching
-        self.delta_maps = options.delta_maps
         self.rounds: int = options.rounds
         self.time_scale: float = options.time_scale
         self.transport = options.transport if options.transport is not None else TransportConfig()
@@ -594,7 +586,7 @@ class LiveSwarm:
         event loop stretches wall time uniformly instead of letting peers'
         period clocks drift apart — the drift is what used to collapse
         continuity at aggressive ``time_scale`` settings (the 200-peer
-        ``BENCH_runtime.json`` anomaly).
+        anomaly ``tests/test_runtime_backpressure.py`` pins fixed).
         """
         if seconds > self._worst_lateness:
             self._worst_lateness = seconds

@@ -2,9 +2,9 @@
 
 PR 3's runtime shipped every frame into an *unbounded* ``asyncio.Queue``
 per peer.  That can neither deadlock nor drop — but it also means an
-overloaded swarm silently buffers without limit, and the throughput
-numbers in ``BENCH_runtime.json`` measure a regime no real deployment
-allows.  This module replaces that queue with explicit flow control:
+overloaded swarm silently buffers without limit, and its throughput
+numbers measure a regime no real deployment allows.  This module
+replaces that queue with explicit flow control:
 
 * :class:`TransportConfig` — the knobs: the per-peer inbox watermark, the
   per-link DATA credit window and the sender-side pending limit;

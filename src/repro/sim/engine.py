@@ -230,17 +230,6 @@ class Simulator:
             )
         return self.queue.push(time, callback, payload)
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[["Simulator", Any], None],
-        payload: Any = None,
-    ) -> Event:
-        """Schedule an event ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.queue.push(self.now + delay, callback, payload)
-
     def cancel(self, event: Event) -> None:
         """Cancel a pending event."""
         self.queue.cancel(event)

@@ -111,12 +111,6 @@ class SegmentBuffer:
         """True if all of ``start_id .. start_id+count-1`` are held."""
         return all((start_id + offset) in self._present for offset in range(count))
 
-    def count_in_range(self, start_id: int, end_id: int) -> int:
-        """Number of held ids inside ``[start_id, end_id)``."""
-        if end_id - start_id < len(self._present):
-            return sum(1 for sid in range(start_id, end_id) if sid in self._present)
-        return sum(1 for sid in self._present if start_id <= sid < end_id)
-
     # ----------------------------------------------------------------- extremes
     def newest_id(self) -> Optional[int]:
         """Largest held id, or ``None`` if empty."""

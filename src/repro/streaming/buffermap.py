@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class BufferMap:
         if segment_id not in self.present:
             raise KeyError(segment_id)
         return self.effective_tail - segment_id
-
-    def available_after(self, segment_id: int) -> List[int]:
-        """Advertised ids strictly greater than ``segment_id`` (ascending)."""
-        return sorted(sid for sid in self.present if sid > segment_id)
 
     def to_bitmap(self) -> np.ndarray:
         """Dense ``uint8`` availability vector of length ``capacity``.

@@ -113,13 +113,6 @@ class PlaybackState:
             self.catchup_skips += 1
             self.play_id = int(play_id)
 
-    def continuity_index(self) -> float:
-        """Fraction of consumed segments that arrived before their deadline."""
-        total = self.segments_played + self.segments_missed
-        if total == 0:
-            return 1.0
-        return self.segments_played / total
-
 
 @dataclass
 class ContinuityTracker:

@@ -90,17 +90,6 @@ class SegmentStore:
         """Sorted list of stored segment ids."""
         return sorted(self._segments)
 
-    def prune_older_than(self, min_segment_id: int) -> int:
-        """Drop every segment with id strictly below ``min_segment_id``.
-
-        Returns the number of segments removed.  The VoD backup store uses
-        this to discard data that has passed every node's playback deadline.
-        """
-        stale = [sid for sid in self._segments if sid < min_segment_id]
-        for sid in stale:
-            del self._segments[sid]
-        return len(stale)
-
     def total_bits(self) -> int:
         """Total payload size of all stored segments, in bits."""
         return sum(segment.size_bits for segment in self._segments.values())

@@ -6,14 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.metrics import (
-    ExperimentRecord,
-    moving_average,
-    render_table,
-    stable_phase_mean,
-    summarize_runs,
-    time_to_threshold,
-)
+from repro.analysis.metrics import stable_phase_mean, summarize_runs
 from repro.analysis.theory import (
     coverage_ratio_at_distance,
     dht_hop_upper_bound,
@@ -21,7 +14,6 @@ from repro.analysis.theory import (
     expected_dht_lookup_hops,
     expected_fetch_time,
     expected_missed_segments,
-    expected_prefetch_cost_bits,
     gossip_coverage_probability,
     playback_continuity_delta,
     playback_continuity_new,
@@ -160,12 +152,6 @@ class TestCoverageAndDhtFormulas:
         with pytest.raises(ValueError):
             expected_control_overhead(0)
 
-    def test_expected_prefetch_cost_paper_example(self):
-        """Section 5.4.3: about 33000 bits per pre-fetched segment at n≤8000."""
-        assert expected_prefetch_cost_bits(4, 8000) == pytest.approx(33000, rel=0.05)
-        with pytest.raises(ValueError):
-            expected_prefetch_cost_bits(0, 8000)
-
 
 class TestMetricsHelpers:
     def test_summarize_runs(self):
@@ -177,36 +163,9 @@ class TestMetricsHelpers:
     def test_summarize_empty(self):
         assert summarize_runs([])["count"] == 0
 
-    def test_moving_average(self):
-        assert moving_average([1, 2, 3, 4], window=2) == [1.0, 1.5, 2.5, 3.5]
-        with pytest.raises(ValueError):
-            moving_average([1.0], window=0)
-
     def test_stable_phase_mean(self):
         series = [0.0] * 10 + [1.0] * 5
         assert stable_phase_mean(series) == pytest.approx(1.0)
         assert stable_phase_mean([]) == 0.0
         with pytest.raises(ValueError):
             stable_phase_mean([1.0], skip_fraction=1.0)
-
-    def test_time_to_threshold(self):
-        times = [1.0, 2.0, 3.0]
-        series = [0.1, 0.5, 0.9]
-        assert time_to_threshold(times, series, 0.5) == 2.0
-        assert time_to_threshold(times, series, 0.95) is None
-
-    def test_experiment_record(self):
-        record = ExperimentRecord(
-            experiment="fig7", label="n=100", values={"continuity": 0.9}
-        )
-        assert record.value("continuity") == pytest.approx(0.9)
-        assert "fig7" in record.formatted()
-
-    def test_render_table(self):
-        records = [
-            ExperimentRecord("fig7", "n=100", {"a": 1.0, "b": 2.0}),
-            ExperimentRecord("fig7", "n=200", {"a": 3.0, "b": 4.0}),
-        ]
-        table = render_table(records, columns=["a", "b"])
-        assert "n=100" in table and "n=200" in table
-        assert "3.0000" in table

@@ -1,7 +1,8 @@
 """Cluster-runtime integration tests: real processes, real TCP sockets.
 
 The smoke test is the satellite acceptance: 2 shards × 50 peers over
-localhost TCP reach stable continuity ≥ 0.9.  The kill test is the
+localhost TCP reach stable continuity ≥ 0.9; a 4-shard run shows every
+ordered shard pair's socket carrying frames.  The kill test is the
 failure-semantics acceptance: SIGKILL one shard mid-run and the
 survivors refund their in-flight credits (``link_resets``), re-partner,
 and finish every round — no wedge, no hang.  ``CONTINU_RUNTIME_TIME_SCALE``
@@ -185,6 +186,35 @@ class TestClusterSmoke:
         assert len(rows) == 2
         assert all(row["hosted_peers"] > 0 for row in rows)
         assert sum(1 for row in rows if row["hosts_source"]) == 1
+
+
+class TestFourShardSmoke:
+    """4 shards × 15 peers: each shard holds three remote links, so all 12
+    ordered shard pairs ride their own socket."""
+
+    @pytest.fixture(scope="class")
+    def four_shard_result(self):
+        spec = builtin_scenario("static").scaled(num_nodes=60, rounds=8)
+        # Metrics only: the export carries the per-pair socket rows.
+        obs = ObsConfig(tracing=False, telemetry=False, flows=False, topo=False)
+        return run_cluster(spec, shards=4, rounds=8, time_scale=SMALL_SCALE, obs=obs)
+
+    def test_no_shard_is_lost(self, four_shard_result):
+        assert four_shard_result.shards == 4
+        assert four_shard_result.cluster["shards_lost"] == 0
+
+    def test_every_ordered_shard_pair_moved_frames(self, four_shard_result):
+        rows = four_shard_result.obs["socket_links"]
+        pairs = {(row["src_shard"], row["dst_shard"]) for row in rows}
+        assert pairs == {(a, b) for a in range(4) for b in range(4) if a != b}
+        for row in rows:
+            assert row["frames_out"] > 0 and row["frames_in"] > 0, row
+
+    def test_merged_ledger_is_non_empty(self, four_shard_result):
+        ledger = four_shard_result.ledger
+        assert ledger.total_count() > 0
+        assert ledger.count_of(MessageKind.DATA_SCHEDULED) > 0
+        assert len(four_shard_result.per_peer_ledgers) >= 60
 
 
 class TestClusterObs:

@@ -89,18 +89,6 @@ class TestDerivedFormulas:
         # Paper's own worked example: ~8 hops * 50 ms = ~0.4 s.
         assert cfg.expected_fetch_time(0.05) == pytest.approx(0.4, abs=0.05)
 
-    def test_initial_alpha_matches_equation_9(self):
-        cfg = SystemConfig(num_nodes=1000)
-        # max(tau, t_fetch) = 1 s, so alpha = p/B = 10/600 = 1/60.
-        assert cfg.initial_alpha(0.05) == pytest.approx(10 / 600)
-
-    def test_initial_alpha_uses_fetch_time_when_larger(self):
-        cfg = SystemConfig(num_nodes=1000, scheduling_period=0.2)
-        t_fetch = cfg.expected_fetch_time(0.05)
-        assert cfg.initial_alpha(0.05) == pytest.approx(
-            cfg.playback_rate / cfg.buffer_capacity * t_fetch
-        )
-
     def test_alpha_step(self):
         cfg = SystemConfig(num_nodes=1000)
         assert cfg.alpha_step(0.05) == pytest.approx(10 * 0.05 / 600)
@@ -113,9 +101,6 @@ class TestVariants:
         dynamic = SystemConfig(num_nodes=50).dynamic_variant(0.1)
         assert dynamic.leave_fraction == 0.1
         assert dynamic.join_fraction == 0.1
-
-    def test_homogeneous_variant(self):
-        assert not SystemConfig(num_nodes=50).homogeneous_variant().heterogeneous
 
     def test_with_seed_and_scaled(self):
         cfg = SystemConfig(num_nodes=50, rounds=10, seed=1)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baseline import CoolStreamingNode
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
 from repro.dht.peer_table import NeighborEntry
@@ -45,12 +44,11 @@ class TestPolicies:
         assert make_node(ContinuStreamingNode).scheduler.policy == "continustreaming"
 
     def test_baseline_uses_rarest_first(self):
-        node = make_node(CoolStreamingNode)
-        assert node.scheduler.policy == "rarest_first"
-        assert node.SUPPORTS_PREFETCH is False
+        assert make_node(policy="rarest_first").scheduler.policy == "rarest_first"
 
-    def test_continu_supports_prefetch(self):
-        assert make_node(ContinuStreamingNode).SUPPORTS_PREFETCH is True
+    def test_unknown_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            make_node(policy="fifo")
 
 
 class TestReceiveAndBookkeeping:
@@ -256,7 +254,9 @@ class TestContinuSpecifics:
         node = make_node(ContinuStreamingNode)
         node.record_prefetch(12, arrival_time=5.0, deadline=9.0)
         assert node.settle_prefetches(now=1.0) == (0, 0)
-        assert node.pending_prefetches() == [12]
+        node.receive_segment(12)  # the scheduler delivers it meanwhile
+        # Still pending at the first settlement, so it settles now as repeated.
+        assert node.settle_prefetches(now=6.0) == (0, 1)
 
     def test_deadline_of(self):
         node = make_node(ContinuStreamingNode)

@@ -13,7 +13,6 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.core.baseline import CoolStreamingNode
 from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -182,7 +181,7 @@ class TestUrgentLinePredictionPhase:
         assert ctx.predictions == {}
 
     def test_coolstreaming_nodes_are_skipped(self):
-        node = make_node(2, cls=CoolStreamingNode)
+        node = make_node(2, cls=StreamingNode)
         ctx = make_ctx({2: node}, source_id=1, newest_segment_id=50)
         ctx.consumers = [2]
         UrgentLinePredictionPhase().execute(ctx)
@@ -359,6 +358,11 @@ class TestPipelineHook:
 
 
 class TestProtocolRegistry:
+    @pytest.fixture(autouse=True)
+    def isolated_registry(self, monkeypatch):
+        """Registrations made by a test vanish with it (the registry is global)."""
+        monkeypatch.setattr(ProtocolRegistry, "_protocols", dict(ProtocolRegistry._protocols))
+
     def test_unknown_protocol_raises(self):
         with pytest.raises(ValueError, match="unknown system"):
             ProtocolRegistry.get("bittorrent")
@@ -367,15 +371,35 @@ class TestProtocolRegistry:
         assert ProtocolRegistry.known("continustreaming")
         assert ProtocolRegistry.known("coolstreaming")
 
+    @pytest.mark.parametrize(
+        "system, node_class, policy",
+        [
+            ("continustreaming", ContinuStreamingNode, "continustreaming"),
+            ("coolstreaming", StreamingNode, "rarest_first"),
+        ],
+    )
+    def test_builtin_builds_every_node_with_its_policy(
+        self, tiny_config, system, node_class, policy
+    ):
+        nodes = StreamingSystem(tiny_config, system=system).build().nodes
+        assert nodes
+        assert {type(node) for node in nodes.values()} == {node_class}
+        assert {node.scheduler.policy for node in nodes.values()} == {policy}
+
+    def test_coolstreaming_never_prefetches(self, tiny_config):
+        """The baseline is a plain node: no miss prediction, no DHT fetch."""
+        result = StreamingSystem(tiny_config, system="coolstreaming").run()
+        totals = result.traffic.cumulative()
+        assert totals.bits_of(MessageKind.DATA_PREFETCH) == 0
+        assert totals.bits_of(MessageKind.DHT_ROUTING) == 0
+        assert totals.bits_of(MessageKind.DATA_SCHEDULED) > 0
+
     def test_alias_registration_does_not_relabel_the_original(self):
         from repro.core.phases.registry import CoolStreamingProtocol
 
         ProtocolRegistry.register("cool-alias")(CoolStreamingProtocol)
-        try:
-            assert ProtocolRegistry.get("cool-alias").name == "cool-alias"
-            assert ProtocolRegistry.get("coolstreaming").name == "coolstreaming"
-        finally:
-            ProtocolRegistry.unregister("cool-alias")
+        assert ProtocolRegistry.get("cool-alias").name == "cool-alias"
+        assert ProtocolRegistry.get("coolstreaming").name == "coolstreaming"
 
     def test_third_protocol_registers_without_touching_system(self, tiny_config):
         """A no-prefetch ablation variant plugs in from one file/test."""
@@ -390,14 +414,9 @@ class TestProtocolRegistry:
                     not in ("urgent-line-prediction", "on-demand-retrieval")
                 )
 
-        try:
-            result = StreamingSystem(tiny_config, system="noprefetch").run()
-            assert result.system == "noprefetch"
-            totals = result.traffic.cumulative()
-            assert totals.bits_of(MessageKind.DHT_ROUTING) == 0
-            assert totals.bits_of(MessageKind.DATA_PREFETCH) == 0
-            assert totals.bits_of(MessageKind.DATA_SCHEDULED) > 0
-        finally:
-            ProtocolRegistry.unregister("noprefetch")
-        with pytest.raises(ValueError):
-            StreamingSystem(tiny_config, system="noprefetch")
+        result = StreamingSystem(tiny_config, system="noprefetch").run()
+        assert result.system == "noprefetch"
+        totals = result.traffic.cumulative()
+        assert totals.bits_of(MessageKind.DHT_ROUTING) == 0
+        assert totals.bits_of(MessageKind.DATA_PREFETCH) == 0
+        assert totals.bits_of(MessageKind.DATA_SCHEDULED) > 0

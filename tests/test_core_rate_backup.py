@@ -70,13 +70,12 @@ class TestRateController:
         assert controller.known_neighbors() == []
         assert controller.rate_of(1) == controller.min_rate
 
-    def test_best_rate_and_total(self):
+    def test_best_rate(self):
         controller = RateController(local_inbound=12)
         controller.register_neighbor(1, 4, 1)
         controller.register_neighbor(2, 9, 1)
         assert controller.best_rate() == pytest.approx(9)
         assert controller.best_rate([1]) == pytest.approx(4)
-        assert controller.total_estimated_inbound() == pytest.approx(12)  # capped
 
     def test_best_rate_empty(self):
         controller = RateController(local_inbound=12)
@@ -128,12 +127,6 @@ class TestVodBackupStore:
         absorbed = other.absorb_handover(store.handover_contents())
         assert absorbed == 3
         assert other.ids() == [1, 2, 3]
-
-    def test_prune_expired(self, store):
-        for sid in range(10):
-            store.force_store(Segment(segment_id=sid))
-        assert store.prune_expired(5) == 5
-        assert store.ids() == [5, 6, 7, 8, 9]
 
     def test_get_and_total_bits(self, store):
         store.force_store(Segment(segment_id=4, size_bits=100))

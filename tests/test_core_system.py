@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core.continu import ContinuStreamingNode
-from repro.core.baseline import CoolStreamingNode
+from repro.core.node import StreamingNode
 from repro.core.system import StreamingSystem, run_comparison
 from repro.net.message import MessageKind
 
@@ -34,7 +34,10 @@ class TestBuild:
         conti = StreamingSystem(tiny_config, system="continustreaming").build()
         cool = StreamingSystem(tiny_config, system="coolstreaming").build()
         assert all(isinstance(n, ContinuStreamingNode) for n in conti.nodes.values())
-        assert all(isinstance(n, CoolStreamingNode) for n in cool.nodes.values())
+        assert all(
+            type(n) is StreamingNode and n.scheduler.policy == "rarest_first"
+            for n in cool.nodes.values()
+        )
 
     def test_partnerships_are_symmetric(self, tiny_config):
         system = StreamingSystem(tiny_config).build()

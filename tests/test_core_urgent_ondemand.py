@@ -82,7 +82,7 @@ class TestUrgentLinePrediction:
         prediction = line.predict(
             head_id=100, held_ids=range(90, 200), newest_available_id=300
         )
-        assert prediction.miss_count == 0
+        assert prediction.missed_segment_ids == ()
         assert not prediction.triggered
 
     def test_small_miss_count_triggers(self):
@@ -95,7 +95,7 @@ class TestUrgentLinePrediction:
     def test_large_miss_count_not_triggered(self):
         line = make_line(prefetch_limit=3)
         prediction = line.predict(100, set(), newest_available_id=300)
-        assert prediction.miss_count > 3
+        assert len(prediction.missed_segment_ids) > 3
         assert not prediction.triggered
 
     def test_never_predicts_ungenerated_segments(self):
@@ -199,11 +199,9 @@ class TestOnDemandRetriever:
         assert retriever.last_plans == plans
 
     def test_expected_costs_match_section_5_4_3(self):
-        # k(log2(n)/2 + 1) + 1 messages; the paper's example: ~33000 bits at n<=8000.
+        # k(log2(n)/2 + 1) + 1 messages per located segment.
         messages = OnDemandRetriever.expected_routing_messages(4, 8000)
         assert messages == pytest.approx(4 * (np.log2(8000) / 2 + 1) + 1)
-        bits = OnDemandRetriever.expected_fetch_bits(4, 8000, 30 * 1024)
-        assert bits == pytest.approx(33000, rel=0.05)
 
     def test_prefetch_plan_routing_bits(self):
         plan = PrefetchPlan(

@@ -41,16 +41,15 @@ class TestConnectedNeighbors:
         assert removed.peer_id == 5
         assert table.remove_neighbor(5) is None
 
-    def test_record_supply_and_worst(self, table):
+    def test_record_supply(self, table):
         table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
         table.add_neighbor(NeighborEntry(peer_id=6, latency_ms=1))
         table.record_supply(5, 30.0)
         table.record_supply(6, 10.0)
-        assert table.worst_neighbor() == 6
+        assert table.neighbors[5].recent_supply_rate == 30.0
+        assert table.neighbors[6].recent_supply_rate == 10.0
         table.record_supply(99, 5.0)  # unknown: ignored
-
-    def test_worst_neighbor_empty(self, table):
-        assert table.worst_neighbor() is None
+        assert 99 not in table.neighbors
 
     def test_replace_neighbor(self, table):
         table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
@@ -63,7 +62,7 @@ class TestDhtPeers:
     def test_set_dht_peer_assigns_level(self, table, ring):
         level = table.set_dht_peer(101, latency_ms=10)  # distance 1 -> level 1
         assert level == 1
-        assert table.dht_peer_at_level(1).peer_id == 101
+        assert table.dht_peers[1].peer_id == 101
 
     def test_set_dht_peer_rejects_self(self, table):
         assert table.set_dht_peer(100, latency_ms=1) is None
@@ -133,14 +132,14 @@ class TestRefresh:
         table.record_overheard(OverheardEntry(peer_id=104, latency_ms=1))
         updated = table.refresh_dht_peers_from_overheard()
         assert updated == 2
-        assert table.dht_peer_at_level(1).peer_id == 101
-        assert table.dht_peer_at_level(3).peer_id == 104
+        assert table.dht_peers[1].peer_id == 101
+        assert table.dht_peers[3].peer_id == 104
 
     def test_refresh_does_not_replace_other_peer(self, table):
         table.set_dht_peer(102, 1)  # level 2
         table.record_overheard(OverheardEntry(peer_id=103, latency_ms=1))  # also level 2
         table.refresh_dht_peers_from_overheard()
-        assert table.dht_peer_at_level(2).peer_id == 102
+        assert table.dht_peers[2].peer_id == 102
 
     def test_adopt_base_table(self, ring):
         base = PeerTable(owner_id=10, ring=ring, max_neighbors=3)

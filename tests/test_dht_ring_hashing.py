@@ -55,12 +55,6 @@ class TestIdRing:
         ring = IdRing(100)
         assert not ring.in_clockwise_interval(5, 5, 5)
 
-    def test_clockwise_closest(self):
-        ring = IdRing(100)
-        # Candidate with smallest clockwise distance from itself to the target.
-        assert ring.clockwise_closest(50, [10, 45, 60]) == 45
-        assert ring.clockwise_closest(50, []) is None
-
     def test_responsible_node_wraps(self):
         ring = IdRing(100)
         nodes = [10, 40, 80]
@@ -95,12 +89,6 @@ class TestIdRing:
             while probe != end:
                 assert ring.level_of(node, probe) == level
                 probe = ring.normalize(probe + 1)
-
-    def test_spread_ids(self):
-        ring = IdRing(100)
-        ids = ring.spread_ids(4)
-        assert ids == [0, 25, 50, 75]
-        assert ring.spread_ids(0) == []
 
 
 class TestSegmentHash:

@@ -79,12 +79,6 @@ class TestGreedyRouterEdgeCases:
         assert not outcome.success
         assert outcome.hops <= 3
 
-    def test_hop_upper_bound_helper(self):
-        assert GreedyRouter.hop_upper_bound(8192) == pytest.approx(
-            dht_hop_upper_bound(8192)
-        )
-        assert GreedyRouter.hop_upper_bound(1) == 0.0
-
 
 class TestDhtNetwork:
     def test_populate_assigns_distinct_ids(self):
@@ -119,7 +113,7 @@ class TestDhtNetwork:
         network.populate(200)
         ring = network.ring
         for node_id in network.node_ids()[:50]:
-            table = network.table_of(node_id)
+            table = network._tables[node_id]
             for level, entry in table.dht_peers.items():
                 start, end = ring.level_interval(node_id, level)
                 assert ring.in_clockwise_interval(entry.peer_id, start, end)

@@ -51,11 +51,6 @@ class TestFig3:
         text = format_fig3(points)
         assert "avg hops" in text and "50" in text
 
-    def test_as_row(self):
-        point = run_fig3_dht(node_counts=[50], lookups_per_size=20, seed=1)[0]
-        row = point.as_row()
-        assert row["n"] == 50 and "success_rate" in row
-
 
 class TestTheoryTable:
     def test_theoretical_rows_match_paper(self):

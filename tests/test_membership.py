@@ -27,7 +27,7 @@ class TestRendezvousPoint:
     def test_contacts_are_close_existing_nodes(self, ring):
         rp = RendezvousPoint(ring=ring, contact_list_size=3)
         for node_id in (10, 20, 30, 500, 900):
-            rp.register_existing(node_id)
+            rp.admit(requested_id=node_id)
         ticket = rp.admit(requested_id=25)
         assert len(ticket.contacts) == 3
         assert set(ticket.contacts) == {10, 20, 30}
@@ -38,16 +38,11 @@ class TestRendezvousPoint:
 
     def test_failure_reports_remove_nodes(self, ring):
         rp = RendezvousPoint(ring=ring)
-        rp.register_existing(7)
+        rp.admit(requested_id=7)
         rp.report_failure(7)
-        assert 7 not in rp.known_nodes
         rp.report_failure(7)  # idempotent
-
-    def test_departure(self, ring):
-        rp = RendezvousPoint(ring=ring)
-        ticket = rp.admit()
-        rp.handle_departure(ticket.node_id)
-        assert ticket.node_id not in rp.known_nodes
+        # The forgotten id is free again.
+        assert rp.admit(requested_id=7).node_id == 7
 
     def test_id_space_exhaustion(self):
         rp = RendezvousPoint(ring=IdRing(4))

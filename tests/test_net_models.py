@@ -20,7 +20,6 @@ class TestLatencyModel:
     def test_one_way_is_half_ping_difference(self):
         model = LatencyModel({1: 100.0, 2: 40.0}, floor_ms=5.0)
         assert model.one_way_ms(1, 2) == pytest.approx(30.0)
-        assert model.rtt_ms(1, 2) == pytest.approx(60.0)
 
     def test_floor_applies_to_similar_pings(self):
         model = LatencyModel({1: 100.0, 2: 101.0}, floor_ms=5.0)
@@ -30,15 +29,11 @@ class TestLatencyModel:
         model = LatencyModel({1: 100.0})
         assert model.one_way_ms(1, 1) == 0.0
 
-    def test_seconds_conversion(self):
-        model = LatencyModel({1: 100.0, 2: 0.0}, floor_ms=0.0)
-        assert model.one_way_s(1, 2) == pytest.approx(0.05)
-
     def test_add_remove_node(self):
         model = LatencyModel({1: 50.0})
         model.add_node(2, 70.0)
         assert 2 in model
-        assert model.ping_of(2) == 70.0
+        assert model.one_way_ms(1, 2) == pytest.approx(10.0)
         model.remove_node(2)
         assert 2 not in model
         model.remove_node(2)  # no error
@@ -107,13 +102,6 @@ class TestBandwidthModel:
         with pytest.raises(ValueError):
             NodeBandwidth(inbound=-1, outbound=5)
 
-    def test_rate_conversions_round_trip(self):
-        kbps = 300.0
-        segments = BandwidthModel.kbps_to_segments_per_s(kbps)
-        assert BandwidthModel.segments_per_s_to_kbps(segments) == pytest.approx(kbps)
-        # 300 Kbps at 30 Kbit segments is very close to 10 segments/s.
-        assert segments == pytest.approx(300 * 1000 / (30 * 1024))
-
 
 class TestMessageLedger:
     def test_record_and_totals(self):
@@ -149,13 +137,12 @@ class TestMessageLedger:
         assert ledger.control_overhead() == 0.0
         assert ledger.prefetch_overhead() == 0.0
 
-    def test_merge_and_snapshot_and_delta(self):
+    def test_merge_and_snapshot(self):
         a = MessageLedger()
         a.record(MessageKind.DATA_SCHEDULED, 100)
         snapshot = a.snapshot()
         a.record(MessageKind.DATA_SCHEDULED, 50)
-        delta = a.delta_since(snapshot)
-        assert delta.bits_of(MessageKind.DATA_SCHEDULED) == 50
+        assert snapshot.bits_of(MessageKind.DATA_SCHEDULED) == 100
         b = MessageLedger()
         b.merge(a)
         assert b.bits_of(MessageKind.DATA_SCHEDULED) == 150

@@ -26,6 +26,7 @@ from repro.obs import (
     parse_slo,
     run_live,
 )
+from repro.obs.health import frame_shard
 from repro.runtime import LiveSwarm
 from repro.scenarios.library import builtin_scenario
 
@@ -492,6 +493,126 @@ class TestRunLive:
         assert cockpit.skipped >= 1
         assert "live cockpit" in out.getvalue()
         assert "continuity_burn" in out.getvalue()
+
+
+class TestFramesWithoutAValidShard:
+    """A string, boolean or missing shard id is rejected by every consumer
+    — never a crash, never coerced onto shard 0 (missing) or 1 (``True``)."""
+
+    def bad_frames(self):
+        missing = frame(period=5, counters={"messages_sent": 100})
+        del missing["shard"]
+        return [
+            frame(shard="abc", period=5, counters={"messages_sent": 100}),
+            frame(shard=True, period=5, counters={"messages_sent": 100}),
+            missing,
+        ]
+
+    def write_stream(self, path):
+        with TelemetryWriter(path) as writer:
+            writer.frame(frame(shard=0, period=0, counters={"messages_sent": 2}))
+            for body in self.bad_frames():
+                writer.frame(body)
+        return writer
+
+    def test_writer_streams_them_but_leaves_them_out_of_the_exposition(self, tmp_path):
+        writer = self.write_stream(tmp_path / "telemetry.jsonl")
+        records = list(load_telemetry_jsonl(writer.path))
+        assert [r["type"] for r in records] == ["telemetry"] * 4
+        prom = writer.exposition_path.read_text()
+        labels = {line.split("{", 1)[1].split("}", 1)[0]
+                  for line in prom.splitlines() if line and not line.startswith("# ")}
+        assert labels == {'shard="0"'}
+        assert 'continu_messages_sent{shard="0"} 2' in prom
+        assert 'continu_telemetry_period{shard="0"} 0' in prom
+
+    def test_live_cockpit_counts_them_as_skipped(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        bodies = [frame(shard=0, period=0), *self.bad_frames()]
+        path.write_text("".join(
+            json.dumps({"type": "telemetry", **body}) + "\n" for body in bodies
+        ))
+        out = io.StringIO()
+        cockpit = run_live(path, once=True, out=out)
+        assert cockpit.frames == 1
+        assert cockpit.skipped == 3
+        assert set(cockpit.shards) == {0}
+        assert "period 0, 1 shard(s), 1 frame(s)" in out.getvalue()
+
+    def test_health_engine_rejects_them(self):
+        engine = HealthEngine(expected_shards=1)
+        for body in self.bad_frames():
+            engine.observe_frame(body)
+        assert engine.rejected_frames == 3
+        assert engine.shards == {}
+
+
+_MISSING = object()
+
+#: Shard ids no consumer may accept, by case name (``_MISSING`` = no key).
+INVALID_SHARDS = {
+    "string": "abc",
+    "numeric-string": "2",
+    "true": True,
+    "false": False,
+    "none": None,
+    "negative": -1,
+    "float": 2.0,
+    "list": [0],
+    "missing": _MISSING,
+}
+
+
+def frame_with_shard(shard, **kw):
+    body = frame(**kw)
+    if shard is _MISSING:
+        del body["shard"]
+    else:
+        body["shard"] = shard
+    return body
+
+
+class TestFrameShard:
+    """The one shard-id check every telemetry consumer goes through."""
+
+    @pytest.mark.parametrize("shard", [0, 1, 3, 65535])
+    def test_a_non_negative_int_is_the_shard(self, shard):
+        assert frame_shard(frame(shard=shard)) == shard
+
+    @pytest.mark.parametrize("case", INVALID_SHARDS)
+    def test_anything_else_is_no_shard(self, case):
+        assert frame_shard(frame_with_shard(INVALID_SHARDS[case])) is None
+
+
+class TestEveryConsumerRejectsAnInvalidShard:
+    """Per invalid shard id: nothing is charged to any shard, in any consumer."""
+
+    @pytest.mark.parametrize("case", INVALID_SHARDS)
+    def test_cockpit_skips_it(self, case):
+        cockpit = Cockpit()
+        cockpit.feed(frame_with_shard(INVALID_SHARDS[case], miss_causes={"lost_or_queued": 2}))
+        assert (cockpit.frames, cockpit.skipped) == (0, 1)
+        assert cockpit.shards == {}
+        assert cockpit.miss_causes == {}
+
+    @pytest.mark.parametrize("case", INVALID_SHARDS)
+    def test_writer_leaves_it_out_of_the_exposition(self, tmp_path, case):
+        with TelemetryWriter(tmp_path / "telemetry.jsonl") as writer:
+            writer.frame(frame(shard=1, counters={"messages_sent": 2}))
+            writer.frame(frame_with_shard(INVALID_SHARDS[case], counters={"messages_sent": 5}))
+        assert writer.frames == 1
+        assert len(list(load_telemetry_jsonl(writer.path))) == 2
+        prom = writer.exposition_path.read_text()
+        assert 'continu_messages_sent{shard="1"} 2' in prom
+        samples = [line for line in prom.splitlines() if line and not line.startswith("# ")]
+        assert all('{shard="1"}' in line for line in samples)
+
+    @pytest.mark.parametrize("case", INVALID_SHARDS)
+    def test_health_engine_rejects_it(self, case):
+        engine = HealthEngine(expected_shards=1)
+        engine.observe_frame(frame_with_shard(INVALID_SHARDS[case], playing=0, total=10))
+        assert engine.rejected_frames == 1
+        assert engine.shards == {}
 
 
 class TestSwarmTelemetry:

@@ -175,6 +175,22 @@ class TestTheRecordValidates:
         with pytest.raises(TypeError):
             run(toy_spec(), start_margin_s=1.0)
 
+    def test_the_record_has_eleven_fields(self):
+        assert [f.name for f in dataclasses.fields(RunOptions)] == [
+            "shards", "rounds", "time_scale", "transport", "link", "clock",
+            "obs", "slo", "telemetry_out", "fidelity", "core_peers",
+        ]
+
+    @pytest.mark.parametrize("field", ["batching", "delta_maps"])
+    def test_the_retired_wire_switches_are_type_errors_everywhere(self, field):
+        """The fast path is the only wire path: switching it off is not a knob."""
+        with pytest.raises(TypeError):
+            RunOptions(**{field: False})
+        with pytest.raises(TypeError):
+            run(toy_spec(), **{field: False})
+        with pytest.raises(TypeError):
+            LiveSwarm(toy_spec(), **{field: False})
+
 
 CLI_REJECTS = {
     "cluster --clock virtual": ["cluster", "--clock", "virtual"],
@@ -200,6 +216,14 @@ class TestCliSurfacesTheRecord:
         message = str(excinfo.value)
         assert message.startswith(f"{argv[0]} error: "), message
         assert "\n" not in message
+
+    @pytest.mark.parametrize("command", ["runtime", "cluster", "campaign"])
+    @pytest.mark.parametrize("flag", ["--no-batch", "--no-delta"])
+    def test_retired_wire_flags_are_unknown_arguments(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, nodes, rounds, shards",

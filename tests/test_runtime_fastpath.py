@@ -5,9 +5,9 @@ in ``test_runtime_wire*``; this file pins the *transport* behaviour the
 fast path must preserve and the savings it must deliver:
 
 * steady-state delta gossip ships at most half the full-map bytes
-  (the tier-1 guard for the PR's headline byte saving);
-* the ``--no-batch`` / ``--no-delta`` escape hatches change physical
-  bytes only — continuity is unaffected within parity tolerance;
+  (the tier-1 guard for the headline byte saving), and a broken delta
+  chain heals through the PING resync — a partner's PING is answered
+  with the gossiped snapshot, or the live map before the first gossip;
 * a shed data *batch* refunds every inner frame's credit, and a shed
   control batch still applies the one-shot frames inside it.
 """
@@ -26,47 +26,16 @@ from repro.runtime.transport import TransportConfig
 from repro.scenarios import builtin_scenario
 
 
-def _run(batching: bool = True, delta_maps: bool = True, **spec_kw):
-    spec = builtin_scenario("static").scaled(
-        num_nodes=spec_kw.pop("num_nodes", 20),
-        rounds=spec_kw.pop("rounds", 12),
-    )
-    return LiveSwarm(
-        spec,
-        clock="virtual",
-        batching=batching,
-        delta_maps=delta_maps,
-        **spec_kw,
-    ).run()
-
-
 class TestDeltaGossip:
     def test_steady_state_delta_bytes_at_most_half_of_full(self):
         """The headline saving: once partners sync, gossip ships deltas
         and the physical gossip bytes drop under half the full-map cost
         on a static (no churn, no loss) steady state."""
-        result = _run()
-        t = result.transport
+        spec = builtin_scenario("static").scaled(num_nodes=20, rounds=12)
+        t = LiveSwarm(spec, clock="virtual").run().transport
         assert t.map_deltas_sent > t.map_fulls_sent
         assert t.gossip_bytes_full > 0
         assert t.gossip_bytes <= 0.5 * t.gossip_bytes_full
-
-    def test_no_delta_ships_full_maps_only(self):
-        result = _run(delta_maps=False)
-        t = result.transport
-        assert t.map_deltas_sent == 0
-        assert t.map_fulls_sent > 0
-        assert t.gossip_bytes == t.gossip_bytes_full
-
-    def test_delta_toggle_preserves_continuity(self):
-        """Delta encoding is a wire-size optimisation: every peer must
-        see the same neighbour maps, so continuity cannot move."""
-        on = _run(delta_maps=True)
-        off = _run(delta_maps=False)
-        assert on.stable_continuity() == pytest.approx(
-            off.stable_continuity(), abs=0.005
-        )
-        assert on.segments_delivered() > 0
 
     def test_desync_heals_through_ping_resync(self):
         """Losing delta chain state mid-run (peer churn resets partner
@@ -80,37 +49,57 @@ class TestDeltaGossip:
         assert result.stable_continuity() > 0.5
 
 
-class TestBatching:
-    def test_batching_toggle_preserves_continuity(self):
-        # Batched delivery hands the reader whole bursts, so the exact
-        # interleaving (and with it the odd request) shifts slightly —
-        # the stream itself must not move beyond parity tolerance.
-        on = _run(batching=True)
-        off = _run(batching=False)
-        assert on.stable_continuity() == pytest.approx(
-            off.stable_continuity(), abs=0.005
-        )
-        assert on.segments_delivered() == pytest.approx(
-            off.segments_delivered(), rel=0.02
-        )
+class TestPingResync:
+    """A partner's PING is answered with a full map that anchors its chain."""
 
-    def test_fast_path_reduces_bytes_on_wire(self):
-        """Batching + delta gossip together must shrink physical bytes
-        meaningfully below the loose-frame, full-map baseline."""
-        fast = _run(batching=True, delta_maps=True)
-        plain = _run(batching=False, delta_maps=False)
-        assert fast.bytes_on_wire > 0
-        assert plain.bytes_on_wire > 0
-        assert fast.bytes_on_wire <= 0.85 * plain.bytes_on_wire
+    def _peer_partner_outbox(self, monkeypatch):
+        swarm = LiveSwarm(
+            builtin_scenario("static").scaled(num_nodes=10, rounds=2), clock="virtual"
+        ).build()
+        peer = next(p for p in swarm.peers.values() if not p.is_source and p.node.neighbors)
+        partner = next(iter(peer.node.neighbors))
+        sent = []
+        monkeypatch.setattr(peer, "_send", lambda dst, msg: sent.append((dst, msg)))
+        return peer, partner, sent
 
-    def test_messages_sent_counts_logical_frames(self):
-        """Batching is invisible to the paper-facing message count: the
-        same logical traffic flows (within the interleaving wiggle), yet
-        the physical bytes drop — the envelope itself is never counted."""
-        on = _run(batching=True)
-        off = _run(batching=False)
-        assert on.messages_sent == pytest.approx(off.messages_sent, rel=0.02)
-        assert on.bytes_on_wire < off.bytes_on_wire
+    def test_before_first_gossip_the_reply_is_the_live_map(self, monkeypatch):
+        peer, partner, sent = self._peer_partner_outbox(monkeypatch)
+        assert peer._last_gossip is None
+        peer._on_ping(wire.Ping(sender=partner, nonce=7))
+        expected = wire.BufferMapMsg.from_buffer_map(
+            peer.peer_id, peer.known_newest, peer.node.buffer_map()
+        )
+        assert sent == [
+            (partner, wire.Pong(sender=peer.peer_id, nonce=7)),
+            (partner, expected),
+        ]
+        # no gossiped snapshot yet, so no delta chain is anchored
+        assert partner not in peer._map_synced
+        stats = peer.transport_stats
+        assert stats.map_fulls_sent == 1
+        assert stats.gossip_bytes == stats.gossip_bytes_full == len(wire.encode(expected))
+
+    def test_after_gossip_the_reply_is_the_gossiped_snapshot(self, monkeypatch):
+        peer, partner, sent = self._peer_partner_outbox(monkeypatch)
+        snapshot = peer.node.buffer_map()
+        peer._last_gossip = (4, snapshot)
+        peer._on_ping(wire.Ping(sender=partner, nonce=1))
+        (_, reply) = sent[-1]
+        assert reply == wire.BufferMapMsg.from_buffer_map(
+            peer.peer_id, peer.known_newest, snapshot, seq=4
+        )
+        # the next periodic delta (seq 5) now applies at the partner
+        assert peer._map_synced[partner] == 4
+
+    def test_a_stranger_gets_only_a_pong(self, monkeypatch):
+        peer, _, sent = self._peer_partner_outbox(monkeypatch)
+        stranger = next(
+            pid for pid in peer.swarm.peers
+            if pid != peer.peer_id and pid not in peer.node.neighbors
+        )
+        peer._on_ping(wire.Ping(sender=stranger, nonce=3))
+        assert sent == [(stranger, wire.Pong(sender=peer.peer_id, nonce=3))]
+        assert peer.transport_stats.map_fulls_sent == 0
 
 
 class TestBatchShedding:

@@ -213,17 +213,6 @@ class TestSimulator:
         sim.run()
         assert hits == [(1.5, "x")]
 
-    def test_schedule_in_is_relative(self):
-        sim = Simulator(start_time=10.0)
-        times = []
-        sim.schedule_in(2.5, lambda s, p: times.append(s.now))
-        sim.run()
-        assert times == [12.5]
-
-    def test_schedule_in_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1.0, lambda s, p: None)
-
     def test_schedule_at_past_time_rejected(self):
         sim = Simulator(start_time=5.0)
         with pytest.raises(SimulationError):
@@ -268,7 +257,7 @@ class TestSimulator:
         def chain(s: Simulator, payload: int) -> None:
             hits.append(payload)
             if payload < 3:
-                s.schedule_in(1.0, chain, payload + 1)
+                s.schedule_at(s.now + 1.0, chain, payload + 1)
 
         sim.schedule_at(0.0, chain, 1)
         sim.run()

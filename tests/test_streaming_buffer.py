@@ -101,12 +101,6 @@ class TestQueries:
         assert buffer.has_range(3, 3)
         assert not buffer.has_range(3, 4)
 
-    def test_count_in_range(self):
-        buffer = SegmentBuffer(capacity=10)
-        buffer.update_from([0, 1, 5])
-        assert buffer.count_in_range(0, 6) == 3
-        assert buffer.count_in_range(2, 5) == 0
-
     def test_oldest_and_newest(self):
         buffer = SegmentBuffer(capacity=10)
         assert buffer.oldest_id() is None

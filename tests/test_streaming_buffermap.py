@@ -48,11 +48,6 @@ class TestSnapshot:
         buffer.add(2)
         assert 2 not in snapshot
 
-    def test_available_after(self):
-        snapshot = BufferMap(head_id=0, capacity=20, present=frozenset({1, 5, 9}))
-        assert snapshot.available_after(1) == [5, 9]
-        assert snapshot.available_after(9) == []
-
 
 class TestPositionFromTail:
     def test_position_uses_effective_tail(self):

@@ -72,17 +72,6 @@ class TestSegmentStore:
         store = SegmentStore([Segment(segment_id=i) for i in (5, 1, 3)])
         assert store.ids() == [1, 3, 5]
 
-    def test_prune_older_than(self):
-        store = SegmentStore([Segment(segment_id=i) for i in range(10)])
-        removed = store.prune_older_than(6)
-        assert removed == 6
-        assert store.ids() == [6, 7, 8, 9]
-
-    def test_prune_noop_when_everything_is_new(self):
-        store = SegmentStore([Segment(segment_id=10)])
-        assert store.prune_older_than(5) == 0
-        assert 10 in store
-
     def test_total_bits(self):
         store = SegmentStore(
             [Segment(segment_id=0, size_bits=100), Segment(segment_id=1, size_bits=50)]

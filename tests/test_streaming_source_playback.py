@@ -124,14 +124,12 @@ class TestPlaybackState:
         playback.skip_forward_to(30)  # backwards: ignored
         assert playback.play_id == 50
 
-    def test_continuity_index(self):
+    def test_non_stalling_round_counts_played_and_missed(self):
         playback = PlaybackState(playback_rate=10, stall_on_miss=False)
         playback.start(0)
-        playback.advance_round(self._buffer_with(range(5)), 1.0)
-        assert playback.continuity_index() == pytest.approx(0.5)
-
-    def test_continuity_index_empty_is_one(self):
-        assert PlaybackState(playback_rate=10).continuity_index() == 1.0
+        assert not playback.advance_round(self._buffer_with(range(5)), 1.0)
+        assert playback.segments_played == 5
+        assert playback.segments_missed == 5
 
     def test_segments_per_round(self):
         playback = PlaybackState(playback_rate=10)
