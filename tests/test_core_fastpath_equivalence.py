@@ -742,8 +742,9 @@ def _ledger(ledger) -> dict:
     }
 
 
-def sim_fingerprint(system: str) -> str:
-    config = SystemConfig(num_nodes=60, rounds=25, seed=0).static_variant()
+def sim_fingerprint(system: str, dynamic: bool = False) -> str:
+    config = SystemConfig(num_nodes=60, rounds=25, seed=0)
+    config = config.dynamic_variant() if dynamic else config.static_variant()
     result = StreamingSystem(config, system=system).run()
     return _digest(
         {
@@ -836,6 +837,21 @@ class TestGoldenFingerprints:
     )
     def test_simulator_60x25(self, system, golden):
         assert sim_fingerprint(system) == golden
+
+    # Captured at commit ``115327b`` (the parent of the column-pass
+    # Algorithm 1 and the whole-path overheard list), before any edit.  The
+    # static goldens never read the overheard list back; under churn it
+    # feeds ``lowest_latency_overheard`` (neighbour replacement), ``purge``,
+    # the finger refresh and ``adopt_base_table`` (joins).
+    @pytest.mark.parametrize(
+        "system, golden",
+        [
+            ("coolstreaming", "d1012685131bf35b9b2c860212ee59c3d598afea4adfb5abe85b5a87ee3c02ab"),
+            ("continustreaming", "58bc0152ec80be9c629e25d2561b2bc4e9f7617ca0bc5c1ca6e49ee5c2b81cde"),
+        ],
+    )
+    def test_simulator_dynamic_60x25(self, system, golden):
+        assert sim_fingerprint(system, dynamic=True) == golden
 
     def test_runtime_static_50x20(self):
         assert runtime_fingerprint("static", 50, None) == (
