@@ -14,19 +14,13 @@ budgets; the node only *decides* (which segments to request from whom).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
 from repro.core.rate_controller import RateController
-from repro.core.scheduler import (
-    DataScheduler,
-    ScheduledRequest,
-    SegmentCandidate,
-    SupplierOffer,
-)
+from repro.core.scheduler import DataScheduler, ScheduledRequest
 from repro.dht.peer_table import PeerTable
 from repro.dht.ring import IdRing
 from repro.streaming.buffer import SegmentBuffer
@@ -241,64 +235,35 @@ class StreamingNode:
         hi = min(newest_available_id, lo + max(1, window) - 1)
         return lo, hi
 
-    def build_candidates(
-        self,
-        neighbor_maps: Mapping[int, BufferMap],
-        newest_available_id: int,
-        window: int,
-    ) -> List[SegmentCandidate]:
-        """Collect the fresh segments offered by the connected neighbours.
-
-        A segment is *fresh* when some neighbour advertises it, the local
-        buffer does not hold it, and it falls inside the interest window.
-        """
-        lo, hi = self.interest_window(newest_available_id, window)
-        missing = self.buffer.missing_in_range(lo, hi + 1)
-        if not missing:
-            return []
-        # Each neighbour's map is walked once (a C-level set intersection
-        # with the missing ids), so the work scales with the offers made, not
-        # with window x neighbours.  Offers of one segment stay in neighbour
-        # order — Algorithm 1 breaks supplier ties by that order — and
-        # candidates come out in ascending id.
-        rate_of = self.rate_controller.rate_of
-        offers_of: Dict[int, List[SupplierOffer]] = defaultdict(list)
-        for neighbor_id, neighbor_map in neighbor_maps.items():
-            offered = neighbor_map.present.intersection(missing)
-            if not offered:
-                continue
-            rate = rate_of(neighbor_id)
-            tail = neighbor_map.effective_tail
-            for segment_id in offered:
-                offers_of[segment_id].append(
-                    SupplierOffer(neighbor_id, tail - segment_id, rate)
-                )
-        return [
-            SegmentCandidate(segment_id, tuple(offers_of[segment_id]))
-            for segment_id in sorted(offers_of)
-        ]
-
     def plan_requests(
         self,
         neighbor_maps: Mapping[int, BufferMap],
         newest_available_id: int,
         window: int,
     ) -> List[ScheduledRequest]:
-        """Run the data-scheduling algorithm for this round."""
-        candidates = self.build_candidates(neighbor_maps, newest_available_id, window)
+        """Run the data-scheduling algorithm for this round.
+
+        A segment is *fresh* when some neighbour advertises it, the local
+        buffer does not hold it, and it falls inside the interest window.
+        """
+        lo, hi = self.interest_window(newest_available_id, window)
         play_ref = (
             self.playback.play_id if self.playback.started else self.buffer.head_id
         )
-        requests = self.scheduler.schedule(candidates, play_ref, self.inbound_rate)
+        requests = self.scheduler.schedule(
+            neighbor_maps,
+            self.buffer.missing_in_range(lo, hi + 1),
+            self.rate_controller.rate_of,
+            play_ref,
+            self.inbound_rate,
+        )
         self.pending_requests = {req.segment_id for req in requests}
         self.stats.segments_scheduled += len(requests)
         return requests
 
     def observe_deliveries(self, delivered_per_neighbor: Mapping[int, int]) -> None:
         """Feed this round's per-neighbour delivery counts to the rate controller."""
-        self.rate_controller.observe_round(dict(delivered_per_neighbor))
-        for neighbor_id, count in delivered_per_neighbor.items():
-            self.peer_table.record_supply(neighbor_id, count / self.period)
+        self.rate_controller.observe_round(delivered_per_neighbor)
 
     # ------------------------------------------------------------------- churn
     def mark_departed(self) -> None:

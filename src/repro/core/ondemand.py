@@ -16,7 +16,7 @@ segment transfer.  The expected completion latency is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.dht.hashing import backup_keys
@@ -76,7 +76,6 @@ class OnDemandRetriever:
     has_segment: Callable[[int, int], bool]
     available_rate: Callable[[int], float]
     id_space: int = 0
-    last_plans: List[PrefetchPlan] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -131,9 +130,7 @@ class OnDemandRetriever:
         condition (the :class:`~repro.core.urgent_line.UrgentLine` does) and
         for executing the actual downloads against bandwidth budgets.
         """
-        plans = [self.locate(sid) for sid in sorted(missed_segment_ids)]
-        self.last_plans = plans
-        return plans
+        return [self.locate(sid) for sid in sorted(missed_segment_ids)]
 
     # -------------------------------------------------------------------- costs
     @staticmethod

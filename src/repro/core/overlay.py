@@ -15,6 +15,8 @@ new protocols plug in without this module changing.
 
 from __future__ import annotations
 
+import weakref
+from types import MethodType
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,8 +36,9 @@ from repro.net.topology import OverlayTopology
 from repro.net.trace import TraceTopologyGenerator, build_streaming_overlay
 from repro.sim.rng import RngStreams
 
-#: Builds a protocol-appropriate node for a ring id.
-NodeFactory = Callable[[int], StreamingNode]
+#: Builds a protocol-appropriate node for a ring id in the given overlay
+#: (``StreamingProtocol.make_node``).
+NodeFactory = Callable[["OverlayManager", int], StreamingNode]
 
 
 class OverlayManager:
@@ -45,8 +48,9 @@ class OverlayManager:
         config: the run configuration.
         streams: the run's named random streams (shared with the facade so
             both draw from the same seeded universe).
-        node_factory: creates the protocol-appropriate node for a ring id;
-            assigned by the facade after the protocol is resolved.
+        node_factory: creates the protocol-appropriate node for a ring id
+            in this overlay; assigned by the facade after the protocol is
+            resolved.
     """
 
     def __init__(
@@ -79,9 +83,16 @@ class OverlayManager:
         )
         self.hop_latency_s = 0.05
         self.fetch_time_s = 0.4
-        self.router = GreedyRouter(self.ring, self._routing_peers_of)
+        # The services call back through a weak proxy: bound methods of
+        # ``self`` would make the overlay a reference cycle that only the
+        # cycle collector frees, so a dropped system and all of its nodes
+        # would linger until the next full collection.
+        weak, cls, nodes = weakref.proxy(self), type(self), self.nodes
+        self.router = GreedyRouter(self.ring, MethodType(cls._routing_peers_of, weak))
         self.overhearing = OverhearingService(
-            latency_of=self.latency_ms, is_alive=self.is_alive
+            latency_of=MethodType(cls.latency_ms, weak),
+            is_alive=MethodType(cls.is_alive, weak),
+            table_of=lambda node_id: nodes[node_id].peer_table,
         )
         #: node id -> (its table's candidate tuple, the alive ones among them);
         #: dropped whenever liveness changes (see :meth:`alive_routing_peers`).
@@ -144,7 +155,7 @@ class OverlayManager:
 
         # Node objects, built by the active protocol's factory.
         for ring_id in ring_ids:
-            self.nodes[ring_id] = self.node_factory(ring_id)
+            self.nodes[ring_id] = self.node_factory(self, ring_id)
 
         # Connected neighbours: symmetric partnerships (buffer-map exchange is
         # mutual), ~M partners each, preferring low-latency overlay edges.
@@ -378,7 +389,7 @@ class OverlayManager:
             self.latency.add_node(ring_id, ping_ms)
         self.bandwidth.assign_one(ring_id, self.streams.get("bandwidth"))
         self.overlay.add_node(ring_id)
-        node = self.node_factory(ring_id)
+        node = self.node_factory(self, ring_id)
         node.join_time = now
         self.nodes[ring_id] = node
         self._alive_peers.clear()

@@ -6,7 +6,7 @@ from functools import partial
 from typing import Any
 
 from repro.core.continu import ContinuStreamingNode
-from repro.core.ondemand import OnDemandRetriever, PrefetchPlan
+from repro.core.ondemand import OnDemandRetriever
 from repro.core.phases.base import Phase, PhaseReport, RoundContext
 from repro.net.message import MessageKind
 from repro.sim.engine import Simulator
@@ -84,13 +84,16 @@ class OnDemandRetrievalPhase(Phase):
         assert isinstance(node, ContinuStreamingNode)
         retriever.node_id = nid
         plans = retriever.retrieve(ctx.predictions[nid])
+        overhear = manager.overhearing.overhear_path
         for plan in plans:
             ctx.ledger.record(
                 MessageKind.DHT_ROUTING,
                 plan.routing_bits(),
                 count=plan.routing_messages,
             )
-            self._overhear_paths(ctx, plan)
+            # Every alive node on a routing path overhears the others on it.
+            for path in plan.routing_paths:
+                overhear(path)
             if plan.segment_id in node.buffer:
                 # The data scheduler delivered the segment while the DHT
                 # lookup was in flight — the paper's "repeated data" case.
@@ -138,15 +141,3 @@ class OnDemandRetrievalPhase(Phase):
             0.0,
             min(holder.outbound_rate, ctx.outbound_budget.get(holder_id, 0.0)),
         )
-
-    @staticmethod
-    def _overhear_paths(ctx: RoundContext, plan: PrefetchPlan) -> None:
-        """Every node on a routing path overhears the other nodes on it."""
-        assert ctx.manager is not None
-        overhear = ctx.manager.overhearing.overhear_path
-        nodes = ctx.nodes
-        for path in plan.routing_paths:
-            for hop in path:
-                node = nodes.get(hop)
-                if node is not None and node.alive:
-                    overhear(node.peer_table, path, now=ctx.round_start)

@@ -15,7 +15,7 @@ fresh neighbour is tried rather than starved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 
 @dataclass
@@ -77,7 +77,7 @@ class RateController:
         return max(self.min_rate, self._priors.get(neighbor_id, self.min_rate))
 
     # ------------------------------------------------------------ observations
-    def observe_round(self, delivered: Dict[int, int]) -> None:
+    def observe_round(self, delivered: Mapping[int, int]) -> None:
         """Fold one period's deliveries into the estimates.
 
         Args:

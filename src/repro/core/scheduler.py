@@ -31,45 +31,15 @@ expected completion time stays within the scheduling period; at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.streaming.buffermap import BufferMap
+
 #: Urgency assigned to a segment whose deadline slack is already non-positive.
 MAX_URGENCY = 1.0e9
-
-
-class SupplierOffer(NamedTuple):
-    """One neighbour's offer of one segment.
-
-    (These four records are created per offer / per candidate every period,
-    so they are named tuples: same fields, a fraction of the construction
-    cost of a frozen dataclass.)
-
-    Attributes:
-        supplier_id: the neighbour that advertises the segment.
-        position_from_tail: ``p_ij`` — distance of the segment from the tail
-            of that neighbour's FIFO buffer (large = about to be evicted).
-        rate: estimated receiving rate from that neighbour (segments/s).
-    """
-
-    supplier_id: int
-    position_from_tail: int
-    rate: float
-
-
-class SegmentCandidate(NamedTuple):
-    """A fresh segment together with every neighbour able to supply it."""
-
-    segment_id: int
-    offers: Tuple[SupplierOffer, ...]
-
-    def supplier_ids(self) -> List[int]:
-        return [offer.supplier_id for offer in self.offers]
-
-    def best_rate(self) -> float:
-        return max((offer.rate for offer in self.offers), default=0.0)
 
 
 class ScheduledRequest(NamedTuple):
@@ -79,70 +49,6 @@ class ScheduledRequest(NamedTuple):
     supplier_id: int
     expected_time: float
     priority: float
-
-
-class PriorityBreakdown(NamedTuple):
-    """Urgency, rarity and combined priority of one candidate (for inspection)."""
-
-    segment_id: int
-    urgency: float
-    rarity: float
-    priority: float
-
-
-# --------------------------------------------------------------------------- #
-# Priority computation
-# --------------------------------------------------------------------------- #
-def compute_urgency(
-    segment_id: int,
-    play_id: int,
-    playback_rate: float,
-    best_rate: float,
-) -> float:
-    """Urgency of a segment (equation (1)).
-
-    ``t_i = (id_i - id_play) / p - 1 / R_i``; urgency is ``1 / t_i``, and a
-    segment with no positive slack left gets :data:`MAX_URGENCY`.
-    """
-    if playback_rate <= 0:
-        raise ValueError("playback_rate must be positive")
-    if best_rate <= 0:
-        return MAX_URGENCY
-    slack = (segment_id - play_id) / playback_rate - 1.0 / best_rate
-    if slack <= 0:
-        return MAX_URGENCY
-    return 1.0 / slack
-
-
-def compute_rarity(
-    positions_from_tail: Sequence[int],
-    buffer_capacity: int,
-) -> float:
-    """Rarity of a segment (equation (2)).
-
-    The probability that the segment will be evicted from every supplier's
-    FIFO buffer, estimated as ``∏_j (p_ij / B)``.
-    """
-    if buffer_capacity <= 0:
-        raise ValueError("buffer_capacity must be positive")
-    if not positions_from_tail:
-        return 1.0  # no supplier at all: maximally rare
-    rarity = 1.0
-    for position in positions_from_tail:
-        rarity *= min(max(position, 0), buffer_capacity) / buffer_capacity
-    return rarity
-
-
-def compute_priority(urgency: float, rarity: float) -> float:
-    """Combined requesting priority (equation (3)): ``max(urgency, rarity)``."""
-    return max(urgency, rarity)
-
-
-def rarest_first_priority(supplier_count: int) -> float:
-    """The CoolStreaming baseline priority ``1 / n_i`` (fewer suppliers = rarer)."""
-    if supplier_count <= 0:
-        return MAX_URGENCY
-    return 1.0 / supplier_count
 
 
 def bucket_priority(priority: float, base: float = 8.0) -> float:
@@ -165,68 +71,31 @@ def bucket_priority(priority: float, base: float = 8.0) -> float:
     return float(base ** math.floor(math.log(priority, base)))
 
 
-def prioritize_candidates(
-    candidates: Sequence[SegmentCandidate],
-    play_id: int,
-    playback_rate: float,
-    buffer_capacity: int,
-) -> List[PriorityBreakdown]:
-    """Compute the full urgency/rarity/priority breakdown for every candidate.
-
-    One pass over the offers of each candidate yields both the best rate
-    (for :func:`compute_urgency`) and the rarity product of
-    :func:`compute_rarity` — the same operations in the same order as those
-    two scalar definitions, so the floats are bit-identical to them.
-    """
-    if playback_rate <= 0:
-        raise ValueError("playback_rate must be positive")
-    if buffer_capacity <= 0:
-        raise ValueError("buffer_capacity must be positive")
-    breakdown: List[PriorityBreakdown] = []
-    for segment_id, offers in candidates:
-        best_rate = 0.0
-        rarity = 1.0
-        for _, position, rate in offers:
-            if rate > best_rate:
-                best_rate = rate
-            if position < buffer_capacity:  # else the factor is B / B == 1.0
-                rarity *= (position if position > 0 else 0) / buffer_capacity
-        urgency = MAX_URGENCY
-        if best_rate > 0:
-            slack = (segment_id - play_id) / playback_rate - 1.0 / best_rate
-            if slack > 0:
-                urgency = 1.0 / slack
-        breakdown.append(
-            PriorityBreakdown(
-                segment_id, urgency, rarity, rarity if rarity > urgency else urgency
-            )
-        )
-    return breakdown
-
-
 # --------------------------------------------------------------------------- #
 # Algorithm 1: greedy supplier assignment
 # --------------------------------------------------------------------------- #
 def schedule_requests(
-    candidates: Sequence[SegmentCandidate],
     priorities: Mapping[int, float],
+    suppliers: Mapping[int, Sequence[int]],
+    rates: Mapping[int, float],
     inbound_rate: float,
     period: float,
-    supplier_rate: Optional[Callable[[int, SupplierOffer], float]] = None,
     tiebreak_rng: Optional[np.random.Generator] = None,
 ) -> List[ScheduledRequest]:
     """Greedy supplier assignment (Algorithm 1).
 
     Args:
-        candidates: the fresh segments with their supplier offers.
-        priorities: requesting priority per segment id (any real numbers;
-            higher is scheduled earlier).
+        priorities: requesting priority per fresh segment id (any real
+            numbers; higher is scheduled earlier).  Its iteration order is
+            the order the tie-break values are drawn in.
+        suppliers: the neighbours advertising each of those segments, in
+            neighbour order — of two equally early suppliers the first wins.
+        rates: estimated receiving rate per supplier id (segments/s); a
+            supplier with no positive rate is never chosen.
         inbound_rate: local inbound capacity ``I`` in segments/s; at most
             ``I · period`` segments are scheduled.
         period: the scheduling period ``τ`` in seconds.
-        supplier_rate: optional override of the sending rate used for a given
-            offer (defaults to the offer's own ``rate``).
-        tiebreak_rng: optional random stream used to order candidates of
+        tiebreak_rng: optional random stream used to order segments of
             (near-)equal priority.  The paper does not prescribe a tie-break;
             randomising it keeps the segments fetched by neighbouring nodes
             diverse, which is what lets them trade with each other instead of
@@ -242,44 +111,37 @@ def schedule_requests(
     if inbound_rate < 0:
         raise ValueError("inbound_rate must be >= 0")
 
-    ids = [candidate.segment_id for candidate in candidates]
-    if tiebreak_rng is None:
-        tiebreak = {sid: float(sid) for sid in ids}
-    else:
-        # One vectorised draw: ``Generator.random(n)`` consumes the bit
-        # generator exactly like ``n`` scalar draws, in the same order.
-        tiebreak = dict(zip(ids, tiebreak_rng.random(len(ids)).tolist()))
-    priority_of = priorities.get
-    keys = [(-priority_of(sid, 0.0), tiebreak[sid], sid) for sid in ids]
-    # Sorting positions by key is the stable sort of the candidates by key.
-    order = sorted(range(len(ids)), key=keys.__getitem__)
-    max_requests = min(len(order), int(inbound_rate * period))
-    queue_time: Dict[int, float] = {}
+    ids = list(priorities)
+    # One vectorised draw: ``Generator.random(n)`` consumes the bit generator
+    # exactly like ``n`` scalar draws, in the same order.
+    tiebreak = (
+        [float(sid) for sid in ids]
+        if tiebreak_rng is None
+        else tiebreak_rng.random(len(ids)).tolist()
+    )
+    # Ids are unique, so sorting the key tuples is the stable sort by key.
+    keys = sorted(zip([-p for p in priorities.values()], tiebreak, ids))
+    # When one more segment from each supplier would arrive: its transfer
+    # time ``1 / R`` after its queue ``τ(j)`` (0 at first) drains; never, at
+    # a non-positive rate.
+    ready_at_of = {
+        supplier: 1.0 / rate if rate > 0 else math.inf for supplier, rate in rates.items()
+    }
     requests: List[ScheduledRequest] = []
 
-    for index in order[:max_requests]:
-        segment_id, offers = candidates[index]
-        best_time = math.inf
+    for negated, _, segment_id in keys[: int(inbound_rate * period)]:
+        # Starting from the period is Algorithm 1's double condition: the
+        # completion must beat the best alternative *and* fit the period.
+        best_time = period
         best_supplier: Optional[int] = None
-        for offer in offers:
-            rate = offer.rate if supplier_rate is None else supplier_rate(
-                segment_id, offer
-            )
-            if rate <= 0:
-                continue
-            ready_at = 1.0 / rate + queue_time.get(offer.supplier_id, 0.0)
-            # The completion must both beat the best alternative and fit the
-            # scheduling period, exactly as in Algorithm 1's double condition.
-            if ready_at < best_time and ready_at < period:
+        for supplier in suppliers[segment_id]:
+            ready_at = ready_at_of[supplier]
+            if ready_at < best_time:
                 best_time = ready_at
-                best_supplier = offer.supplier_id
+                best_supplier = supplier
         if best_supplier is not None:
-            queue_time[best_supplier] = best_time
-            requests.append(
-                ScheduledRequest(
-                    segment_id, best_supplier, best_time, priority_of(segment_id, 0.0)
-                )
-            )
+            ready_at_of[best_supplier] = 1.0 / rates[best_supplier] + best_time
+            requests.append(ScheduledRequest(segment_id, best_supplier, best_time, -negated))
     return requests
 
 
@@ -299,41 +161,77 @@ class DataScheduler:
     policy: str = "continustreaming"
     tiebreak_rng: Optional[np.random.Generator] = None
     quantize_priorities: bool = True
-    last_breakdown: List[PriorityBreakdown] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.policy not in ("continustreaming", "rarest_first"):
             raise ValueError(f"unknown scheduling policy {self.policy!r}")
-
-    def priorities_for(
-        self, candidates: Sequence[SegmentCandidate], play_id: int
-    ) -> Dict[int, float]:
-        """Requesting priority per candidate segment id under the policy."""
-        if self.policy == "rarest_first":
-            self.last_breakdown = []
-            return {
-                c.segment_id: rarest_first_priority(len(c.offers)) for c in candidates
-            }
-        breakdown = prioritize_candidates(
-            candidates, play_id, self.playback_rate, self.buffer_capacity
-        )
-        self.last_breakdown = breakdown
-        if self.quantize_priorities:
-            return {b.segment_id: bucket_priority(b.priority) for b in breakdown}
-        return {b.segment_id: b.priority for b in breakdown}
+        if self.playback_rate <= 0:
+            raise ValueError("playback_rate must be positive")
+        if self.buffer_capacity <= 0:
+            raise ValueError("buffer_capacity must be positive")
 
     def schedule(
         self,
-        candidates: Sequence[SegmentCandidate],
+        neighbor_maps: Mapping[int, BufferMap],
+        missing: Collection[int],
+        rate_of: Callable[[int], float],
         play_id: int,
         inbound_rate: float,
     ) -> List[ScheduledRequest]:
-        """Prioritise the candidates and run Algorithm 1."""
-        priorities = self.priorities_for(candidates, play_id)
+        """Prioritise the fresh segments and run Algorithm 1 (once per plan).
+
+        A segment is fresh when it is in ``missing`` and some neighbour's map
+        advertises it.  One pass over each neighbour's map (a C-level set
+        intersection) accumulates, per fresh segment, its supplier list in
+        neighbour order, its best rate and its rarity product — the factors
+        multiplied in neighbour order, so the floats are those of the scalar
+        equations (a factor of ``B / B`` is ``1.0``, an exact no-op).
+        """
+        capacity = self.buffer_capacity
+        rates: Dict[int, float] = {}
+        suppliers: Dict[int, List[int]] = {}
+        best_rate: Dict[int, float] = {}
+        rarity: Dict[int, float] = {}
+        for neighbor_id, neighbor_map in neighbor_maps.items():
+            offered = neighbor_map.present.intersection(missing)
+            if not offered:
+                continue
+            rate = rates[neighbor_id] = rate_of(neighbor_id)
+            tail = neighbor_map.effective_tail
+            for segment_id in offered:
+                position = tail - segment_id
+                if position >= capacity:
+                    factor = 1.0
+                else:
+                    factor = (position if position > 0 else 0) / capacity
+                column = suppliers.get(segment_id)
+                if column is None:
+                    suppliers[segment_id] = [neighbor_id]
+                    best_rate[segment_id] = rate
+                    rarity[segment_id] = factor
+                else:
+                    column.append(neighbor_id)
+                    if rate > best_rate[segment_id]:
+                        best_rate[segment_id] = rate
+                    rarity[segment_id] *= factor
+
+        # Priorities in ascending id: the order the tie-break draws are made in.
+        priorities: Dict[int, float] = {}
+        if self.policy == "rarest_first":
+            for segment_id in sorted(suppliers):
+                priorities[segment_id] = 1.0 / len(suppliers[segment_id])
+        else:
+            playback_rate, quantize = self.playback_rate, self.quantize_priorities
+            for segment_id in sorted(suppliers):
+                best = best_rate[segment_id]
+                urgency = MAX_URGENCY
+                if best > 0:
+                    slack = (segment_id - play_id) / playback_rate - 1.0 / best
+                    if slack > 0:
+                        urgency = 1.0 / slack
+                rare = rarity[segment_id]
+                priority = rare if rare > urgency else urgency
+                priorities[segment_id] = bucket_priority(priority) if quantize else priority
         return schedule_requests(
-            candidates,
-            priorities,
-            inbound_rate,
-            self.period,
-            tiebreak_rng=self.tiebreak_rng,
+            priorities, suppliers, rates, inbound_rate, self.period, self.tiebreak_rng
         )

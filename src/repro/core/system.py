@@ -140,9 +140,7 @@ class StreamingSystem:
             playback_rate=config.playback_rate, segment_bits=config.segment_bits
         )
         self.manager = OverlayManager(config=config, streams=self.streams)
-        self.manager.node_factory = (
-            lambda ring_id: self.protocol.make_node(self.manager, ring_id)
-        )
+        self.manager.node_factory = self.protocol.make_node
         self.pipeline: Tuple[Phase, ...] = tuple(
             pipeline if pipeline is not None else self.protocol.build_pipeline()
         )

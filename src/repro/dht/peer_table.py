@@ -16,7 +16,8 @@ Every node keeps a Peer Table with three parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -29,11 +30,6 @@ class NeighborEntry:
 
     peer_id: int
     latency_ms: float
-    recent_supply_rate: float = 0.0  # segments/s supplied to us recently
-
-    def with_supply_rate(self, rate: float) -> "NeighborEntry":
-        """Copy of the entry with an updated supply rate."""
-        return replace(self, recent_supply_rate=float(rate))
 
 
 @dataclass(frozen=True)
@@ -43,20 +39,6 @@ class DhtPeerEntry:
     level: int
     peer_id: int
     latency_ms: float
-
-
-@dataclass(slots=True)
-class OverheardEntry:
-    """A recently overheard node (from routing messages passing by).
-
-    A value like its frozen siblings, but slotted instead: one is built
-    per node of every overheard routing path, and a frozen ``__init__``
-    pays an ``object.__setattr__`` call per field.
-    """
-
-    peer_id: int
-    latency_ms: float
-    overheard_at: float = 0.0
 
 
 @dataclass
@@ -85,8 +67,8 @@ class PeerTable:
     _dht_peers: Dict[int, DhtPeerEntry] = field(  # level -> entry
         default_factory=dict, init=False, repr=False
     )
-    #: peer id -> entry, oldest first (dicts keep insertion order).
-    _overheard: Dict[int, OverheardEntry] = field(
+    #: peer id -> latency ms, oldest first (dicts keep insertion order).
+    _overheard: Dict[int, float] = field(
         default_factory=dict, init=False, repr=False
     )
     #: cached :meth:`routing_candidates`; ``None`` = recompute on next use.
@@ -105,9 +87,9 @@ class PeerTable:
         return MappingProxyType(self._dht_peers)
 
     @property
-    def overheard(self) -> List[OverheardEntry]:
-        """The overheard nodes, oldest first (a copy)."""
-        return list(self._overheard.values())
+    def overheard(self) -> Dict[int, float]:
+        """The overheard nodes (peer id -> latency ms), oldest first (a copy)."""
+        return dict(self._overheard)
 
     # ------------------------------------------------------- connected neighbours
     def neighbor_ids(self) -> List[int]:
@@ -141,12 +123,6 @@ class PeerTable:
         if removed is not None:
             self._candidates = None
         return removed
-
-    def record_supply(self, peer_id: int, rate: float) -> None:
-        """Update the recent supply rate of a connected neighbour."""
-        entry = self._neighbors.get(peer_id)
-        if entry is not None:
-            self._neighbors[peer_id] = entry.with_supply_rate(rate)
 
     def replace_neighbor(self, old_id: int, new_entry: NeighborEntry) -> bool:
         """Replace a failed/unproductive neighbour with a new one."""
@@ -224,38 +200,37 @@ class PeerTable:
         return candidates
 
     # ------------------------------------------------------------ overheard nodes
-    def overheard_ids(self) -> List[int]:
-        return list(self._overheard)
+    def record_overheard(self, heard: Iterable[Tuple[int, float]]) -> None:
+        """Record overheard ``(peer id, latency ms)`` pairs, in order.
 
-    def record_overheard(self, entry: OverheardEntry) -> None:
-        """Record an overheard node, keeping at most ``max_overheard`` entries.
-
-        Newest entries are kept at the end; re-hearing a node refreshes its
-        position and latency estimate, and the oldest entries are dropped
-        once the list is over capacity.
+        Newest entries are kept at the end: re-hearing a node moves it there
+        and refreshes its latency estimate.  The oldest entries beyond
+        ``max_overheard`` are dropped once, after the whole batch — the same
+        newest ``H`` as dropping after every entry, because trimming only
+        ever removes the oldest end.  The owner itself is never recorded.
         """
-        if entry.peer_id == self.owner_id:
-            return
-        overheard = self._overheard
-        overheard.pop(entry.peer_id, None)
-        overheard[entry.peer_id] = entry
-        while len(overheard) > self.max_overheard:
-            del overheard[next(iter(overheard))]
-
-    def forget_overheard(self, peer_id: int) -> None:
-        """Drop a departed node from the overheard list."""
-        self._overheard.pop(peer_id, None)
+        overheard, owner = self._overheard, self.owner_id
+        for peer_id, latency_ms in heard:
+            if peer_id != owner:
+                overheard.pop(peer_id, None)
+                overheard[peer_id] = latency_ms
+        excess = len(overheard) - self.max_overheard
+        if excess > 0:
+            for peer_id in list(islice(overheard, excess)):
+                del overheard[peer_id]
 
     def lowest_latency_overheard(
         self, exclude: Optional[Iterable[int]] = None
-    ) -> Optional[OverheardEntry]:
-        """The overheard node with the lowest latency, excluding ``exclude``."""
+    ) -> Optional[Tuple[int, float]]:
+        """``(peer id, latency)`` of the lowest-latency overheard node not in
+        ``exclude`` (ties: lowest id), or ``None``."""
         banned = set(exclude or ())
         banned.add(self.owner_id)
-        candidates = [e for e in self._overheard.values() if e.peer_id not in banned]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: (e.latency_ms, e.peer_id))
+        best = min(
+            ((latency, peer) for peer, latency in self._overheard.items() if peer not in banned),
+            default=None,
+        )
+        return None if best is None else (best[1], best[0])
 
     # ------------------------------------------------------------------- refresh
     def purge(self, is_alive: Callable[[int], bool]) -> None:
@@ -283,13 +258,13 @@ class PeerTable:
         """
         updated = 0
         owner, size, bits = self.owner_id, self.ring.size, self.ring.bits
-        for entry in self._overheard.values():
-            level = ((entry.peer_id - owner) % size).bit_length()  # ring.level_of
+        for peer_id, latency_ms in self._overheard.items():
+            level = ((peer_id - owner) % size).bit_length()  # ring.level_of
             if level < 1 or level > bits:
                 continue
             current = self._dht_peers.get(level)
-            if current is None or current.peer_id == entry.peer_id:
-                self._install_dht_peer(level, entry.peer_id, entry.latency_ms)
+            if current is None or current.peer_id == peer_id:
+                self._install_dht_peer(level, peer_id, latency_ms)
                 updated += 1
         return updated
 
@@ -301,11 +276,8 @@ class PeerTable:
         """
         for entry in other._dht_peers.values():
             self.set_dht_peer(entry.peer_id, entry.latency_ms)
-        for neigh in other._neighbors.values():
-            self.record_overheard(
-                OverheardEntry(peer_id=neigh.peer_id, latency_ms=neigh.latency_ms)
-            )
         self.record_overheard(
-            OverheardEntry(peer_id=other.owner_id, latency_ms=0.0)
+            [(neigh.peer_id, neigh.latency_ms) for neigh in other._neighbors.values()]
+            + [(other.owner_id, 0.0)]
         )
         self.refresh_dht_peers_from_overheard()

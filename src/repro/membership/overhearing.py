@@ -12,9 +12,9 @@ node, and empty or stale finger levels are filled from overheard ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.dht.peer_table import NeighborEntry, OverheardEntry, PeerTable
+from repro.dht.peer_table import NeighborEntry, PeerTable
 
 
 @dataclass
@@ -23,32 +23,48 @@ class OverhearingService:
 
     Args:
         latency_of: callable mapping ``(owner_id, peer_id)`` to the one-way
-            latency estimate in milliseconds.
+            latency estimate in milliseconds; symmetric in its arguments.
         is_alive: callable telling whether a node id is currently alive;
             used to avoid promoting departed nodes into the table.
+        table_of: callable mapping an alive node id to its peer table; needed
+            only to let a whole path overhear itself (:meth:`overhear_path`
+            without ``table``).
     """
 
     latency_of: Callable[[int, int], float]
     is_alive: Callable[[int], bool]
+    table_of: Optional[Callable[[int], PeerTable]] = None
 
-    def overhear_path(
-        self, table: PeerTable, path: Iterable[int], now: float = 0.0
-    ) -> int:
-        """Record every node on a routing path as overheard.
+    def overhear_path(self, path: Sequence[int], table: Optional[PeerTable] = None) -> None:
+        """Record the alive nodes of a routing path as overheard.
 
-        Returns the number of entries recorded.  The owner itself and dead
-        nodes are skipped.
+        With ``table``, that one table overhears the path (a live peer
+        handling the message).  Without, every alive node on the path
+        overhears the others — the simulator's whole walk at once.  Each
+        path node's liveness is read once, and each pair's latency is
+        computed once (it is symmetric).  The owner itself is skipped.
         """
-        owner = table.owner_id
-        recorded = 0
-        for node_id in path:
-            if node_id == owner or not self.is_alive(node_id):
-                continue
+        alive = [node_id for node_id in path if self.is_alive(node_id)]
+        latency_of = self.latency_of
+        if table is not None:
+            owner = table.owner_id
             table.record_overheard(
-                OverheardEntry(node_id, self.latency_of(owner, node_id), now)
+                [(node_id, latency_of(owner, node_id)) for node_id in alive if node_id != owner]
             )
-            recorded += 1
-        return recorded
+            return
+        assert self.table_of is not None, "a whole path overhears only through table_of"
+        # heard[i]: what alive[i] hears, in path order — the pairs before it
+        # are appended by the earlier rows, the pairs after it by its own.
+        heard: List[List[Tuple[int, float]]] = [[] for _ in alive]
+        for i, a in enumerate(alive):
+            row = heard[i]
+            for j in range(i + 1, len(alive)):
+                b = alive[j]
+                latency = latency_of(a, b)
+                row.append((b, latency))
+                heard[j].append((a, latency))
+        for owner, row in zip(alive, heard):
+            self.table_of(owner).record_overheard(row)
 
     def refresh(self, table: PeerTable) -> int:
         """Purge dead nodes, then refresh DHT peers from the overheard list.
@@ -73,15 +89,10 @@ class OverhearingService:
         banned = set(exclude or ())
         banned.update(table.neighbor_ids())
         candidate = table.lowest_latency_overheard(exclude=banned)
-        if candidate is None or not self.is_alive(candidate.peer_id):
+        if candidate is None or not self.is_alive(candidate[0]):
             return None
-        entry = NeighborEntry(
-            peer_id=candidate.peer_id,
-            latency_ms=candidate.latency_ms,
-            recent_supply_rate=0.0,
-        )
-        if table.add_neighbor(entry):
-            return candidate.peer_id
+        if table.add_neighbor(NeighborEntry(*candidate)):
+            return candidate[0]
         return None
 
     def fill_neighbor_slots(

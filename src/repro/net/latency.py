@@ -51,7 +51,7 @@ class LatencyModel:
         if a == b:
             return 0.0
         delta = abs(self._ping_ms[a] - self._ping_ms[b]) / 2.0
-        return max(self.floor_ms, delta)
+        return delta if delta > self.floor_ms else self.floor_ms
 
     def mean_hop_latency_ms(
         self,

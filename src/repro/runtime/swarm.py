@@ -550,8 +550,11 @@ class LiveSwarm:
         return self.manager.alive_routing_peers(node)
 
     def overhear(self, peer_table, path) -> None:
-        """Every node on a routing path overhears the others on it."""
-        self.manager.overhearing.overhear_path(peer_table, path, now=self.sim_now())
+        """``peer_table`` overhears the alive nodes of a routing path passing by."""
+        # The overheard list keeps no timestamp, but reading the clock here
+        # raises sim_now()'s monotone floor, which later span timestamps see.
+        self.sim_now()
+        self.manager.overhearing.overhear_path(path, peer_table)
 
     def segment_payload(self, segment_id: int) -> Segment:
         """The segment object offered to a VoD backup store (eq. (5))."""

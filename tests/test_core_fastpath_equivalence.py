@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -33,24 +33,18 @@ from repro.core.backup import VodBackupStore
 from repro.core.config import SystemConfig
 from repro.core.node import StreamingNode
 from repro.core.scheduler import (
-    DataScheduler,
-    PriorityBreakdown,
+    MAX_URGENCY,
     ScheduledRequest,
-    SegmentCandidate,
-    SupplierOffer,
     bucket_priority,
-    compute_priority,
-    compute_rarity,
-    compute_urgency,
-    prioritize_candidates,
-    rarest_first_priority,
     schedule_requests,
 )
 from repro.core.system import StreamingSystem
 from repro.dht.hashing import backup_keys, is_backup_responsible, segment_hash
-from repro.dht.peer_table import NeighborEntry, OverheardEntry, PeerTable
+from repro.dht.peer_table import NeighborEntry, PeerTable
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter, RouteOutcome, next_hop
+from repro.membership.overhearing import OverhearingService
+from repro.net.latency import LatencyModel
 from repro.obs import ObsConfig
 from repro.runtime import LiveSwarm
 from repro.scenarios import builtin_scenario
@@ -60,6 +54,68 @@ from repro.streaming.buffermap import BufferMap
 # =========================================================================== #
 # Oracles: the plain spellings the fast paths replaced
 # =========================================================================== #
+class SupplierOffer(NamedTuple):
+    """One neighbour's offer of one segment: ``p_ij`` and the rate ``R_ij``."""
+
+    supplier_id: int
+    position_from_tail: int
+    rate: float
+
+
+class SegmentCandidate(NamedTuple):
+    """A fresh segment together with every neighbour able to supply it."""
+
+    segment_id: int
+    offers: Tuple[SupplierOffer, ...]
+
+    def supplier_ids(self) -> List[int]:
+        return [offer.supplier_id for offer in self.offers]
+
+    def best_rate(self) -> float:
+        return max((offer.rate for offer in self.offers), default=0.0)
+
+
+class PriorityBreakdown(NamedTuple):
+    segment_id: int
+    urgency: float
+    rarity: float
+    priority: float
+
+
+def compute_urgency(segment_id: int, play_id: int, playback_rate: float, best_rate: float) -> float:
+    """Eq. (1): ``1 / t_i`` with ``t_i = (id_i - id_play) / p - 1 / R_i``."""
+    if playback_rate <= 0:
+        raise ValueError("playback_rate must be positive")
+    if best_rate <= 0:
+        return MAX_URGENCY
+    slack = (segment_id - play_id) / playback_rate - 1.0 / best_rate
+    if slack <= 0:
+        return MAX_URGENCY
+    return 1.0 / slack
+
+
+def compute_rarity(positions_from_tail: Sequence[int], buffer_capacity: int) -> float:
+    """Eq. (2): ``∏_j (p_ij / B)``, each position clamped to ``[0, B]``."""
+    if buffer_capacity <= 0:
+        raise ValueError("buffer_capacity must be positive")
+    rarity = 1.0
+    for position in positions_from_tail:
+        rarity *= min(max(position, 0), buffer_capacity) / buffer_capacity
+    return rarity
+
+
+def compute_priority(urgency: float, rarity: float) -> float:
+    """Eq. (3): ``max(urgency, rarity)``."""
+    return max(urgency, rarity)
+
+
+def rarest_first_priority(supplier_count: int) -> float:
+    """The CoolStreaming baseline ``1 / n_i``."""
+    if supplier_count <= 0:
+        return MAX_URGENCY
+    return 1.0 / supplier_count
+
+
 def ref_position_from_tail(buffer_map: BufferMap, segment_id: int) -> int:
     if segment_id not in buffer_map.present:
         raise KeyError(segment_id)
@@ -136,7 +192,6 @@ def ref_schedule_requests(
     priorities: Mapping[int, float],
     inbound_rate: float,
     period: float,
-    supplier_rate: Optional[Callable[[int, SupplierOffer], float]] = None,
     tiebreak_rng: Optional[np.random.Generator] = None,
 ) -> List[ScheduledRequest]:
     """Algorithm 1 with one scalar tie-break draw per candidate."""
@@ -159,12 +214,9 @@ def ref_schedule_requests(
         best_time = math.inf
         best_supplier: Optional[int] = None
         for offer in candidate.offers:
-            rate = offer.rate if supplier_rate is None else supplier_rate(
-                candidate.segment_id, offer
-            )
-            if rate <= 0:
+            if offer.rate <= 0:
                 continue
-            transfer_time = 1.0 / rate
+            transfer_time = 1.0 / offer.rate
             ready_at = transfer_time + queue_time.get(offer.supplier_id, 0.0)
             if ready_at < best_time and ready_at < period:
                 best_time = ready_at
@@ -180,6 +232,33 @@ def ref_schedule_requests(
                 )
             )
     return requests
+
+
+def ref_plan(
+    node: StreamingNode,
+    neighbor_maps: Mapping[int, BufferMap],
+    newest_available_id: int,
+    window: int,
+    tiebreak_rng: Optional[np.random.Generator],
+) -> List[ScheduledRequest]:
+    """candidates -> eqs. (1)-(3) or ``1 / n_i`` -> Algorithm 1, record by record."""
+    scheduler = node.scheduler
+    candidates = ref_build_candidates(node, neighbor_maps, newest_available_id, window)
+    if scheduler.policy == "rarest_first":
+        priorities = {c.segment_id: rarest_first_priority(len(c.offers)) for c in candidates}
+    else:
+        play_ref = node.playback.play_id if node.playback.started else node.buffer.head_id
+        breakdown = ref_prioritize_candidates(
+            candidates, play_ref, scheduler.playback_rate, scheduler.buffer_capacity
+        )
+        priorities = {
+            b.segment_id: bucket_priority(b.priority) if scheduler.quantize_priorities
+            else b.priority
+            for b in breakdown
+        }
+    return ref_schedule_requests(
+        candidates, priorities, node.inbound_rate, scheduler.period, tiebreak_rng
+    )
 
 
 def ref_route(
@@ -248,16 +327,35 @@ def ref_closer_hop(
 
 
 def ref_record_overheard(
-    overheard: List[OverheardEntry], entry: OverheardEntry, owner_id: int, cap: int
-) -> List[OverheardEntry]:
-    """The overheard list rebuilt by comprehension on every entry."""
-    if entry.peer_id == owner_id:
+    overheard: List[Tuple[int, float]], peer_id: int, latency_ms: float, owner_id: int, cap: int
+) -> List[Tuple[int, float]]:
+    """The overheard list rebuilt by comprehension on every single entry."""
+    if peer_id == owner_id:
         return overheard
-    overheard = [e for e in overheard if e.peer_id != entry.peer_id]
-    overheard.append(entry)
+    overheard = [e for e in overheard if e[0] != peer_id]
+    overheard.append((peer_id, latency_ms))
     if len(overheard) > cap:
         overheard = overheard[-cap:]
     return overheard
+
+
+def ref_overhear_path(
+    lists: Dict[int, List[Tuple[int, float]]],
+    path: Sequence[int],
+    owners: Sequence[int],
+    is_alive: Callable[[int], bool],
+    latency_of: Callable[[int, int], float],
+    cap: int,
+) -> None:
+    """Each owner records each alive path node: one liveness check and one
+    latency per (owner, node), and a trim after every entry."""
+    for owner in owners:
+        for node_id in path:
+            if node_id == owner or not is_alive(node_id):
+                continue
+            lists[owner] = ref_record_overheard(
+                lists[owner], node_id, latency_of(owner, node_id), owner, cap
+            )
 
 
 def ref_is_responsible(
@@ -281,7 +379,7 @@ def ref_routing_candidates(table: PeerTable) -> tuple:
 
 
 # =========================================================================== #
-# K1 — availability: effective tail and candidate building
+# K1 — availability: the effective tail
 # =========================================================================== #
 @st.composite
 def buffer_maps(draw, lo: int = 0, hi: int = 400):
@@ -331,169 +429,165 @@ def _node(buffer_capacity: int = 120, **kwargs) -> StreamingNode:
     )
 
 
-class TestBuildCandidates:
+class TestScalarEquations:
+    """The oracles themselves: eqs. (1)-(3) and ``1 / n_i`` as written."""
+
+    def test_values(self):
+        # t = (20 - 0)/10 - 1/5 = 1.8; rarity = (300/600) * (150/600)
+        assert compute_urgency(20, 0, 10.0, 5.0) == pytest.approx(1 / 1.8)
+        assert compute_urgency(1, 0, 10.0, 2.0) == MAX_URGENCY  # no slack left
+        assert compute_urgency(50, 0, 10.0, 0.0) == MAX_URGENCY  # no rate
+        assert compute_rarity([300, 150], 600) == pytest.approx(0.125)
+        assert compute_rarity([], 600) == 1.0
+        assert compute_rarity([900], 600) == 1.0 and compute_rarity([-5], 600) == 0.0
+        assert rarest_first_priority(4) == 0.25 and rarest_first_priority(0) == MAX_URGENCY
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            compute_urgency(10, 0, 0.0, 5.0)
+        with pytest.raises(ValueError):
+            compute_rarity([1], 0)
+
+    @given(
+        segment_id=st.integers(min_value=0, max_value=10_000),
+        play_id=st.integers(min_value=0, max_value=10_000),
+        rate=st.floats(min_value=0.01, max_value=100.0),
+        positions=st.lists(st.integers(min_value=-10, max_value=900), max_size=8),
+    )
+    def test_ranges(self, segment_id, play_id, rate, positions):
+        urgency = compute_urgency(segment_id, play_id, 10.0, rate)
+        rarity = compute_rarity(positions, 600)
+        assert urgency > 0 and 0.0 <= rarity <= 1.0
+        assert compute_priority(urgency, rarity) in (urgency, rarity)
+        assert compute_priority(urgency, rarity) >= max(urgency, rarity)
+
+
+# =========================================================================== #
+# K1 + K2 — the column pass: candidates, eqs. (1)-(3) and Algorithm 1
+# =========================================================================== #
+class TestColumnPass:
     @given(
         data=st.data(),
         held=st.frozensets(st.integers(min_value=0, max_value=420), max_size=150),
         started=st.booleans(),
-        newest=st.integers(min_value=-1, max_value=430),
         window=st.integers(min_value=0, max_value=160),
+        capacity=st.sampled_from([30, 120, 600]),
+        policy=st.sampled_from(["continustreaming", "rarest_first"]),
+        quantize=st.booleans(),
+        seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_equals_window_times_neighbours_probing(
-        self, data, held, started, newest, window
+    @settings(max_examples=400, deadline=None)
+    def test_plan_equals_the_record_chain(
+        self, data, held, started, window, capacity, policy, quantize, seed
     ):
-        node = _node(buffer_capacity=600, playback_lag=50)
+        """``plan_requests`` == ref_build_candidates -> ref_prioritize_candidates
+        -> ref_schedule_requests, with the same generator state afterwards."""
+        node = _node(buffer_capacity=capacity, playback_lag=min(50, capacity - 10), policy=policy)
         node.buffer.update_from(held)
+        newest = data.draw(st.integers(min_value=-1, max_value=430))
         if started:
-            node.playback.start(data.draw(st.integers(min_value=0, max_value=400)))
+            play_id = data.draw(st.integers(min_value=0, max_value=400))
+            node.playback.start(play_id)
+            newest = play_id + data.draw(st.integers(min_value=-10, max_value=200))
         neighbor_ids = data.draw(
-            st.lists(st.integers(min_value=0, max_value=30), max_size=6, unique=True)
+            st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6, unique=True)
         )
-        maps = {nid: data.draw(buffer_maps()) for nid in neighbor_ids}
+        # Most maps overlap the interest window, so segments have several
+        # suppliers; some are arbitrary (incl. empty) maps.
+        lo, hi = node.interest_window(newest, window)
+        lo, hi = max(0, lo), max(0, lo, hi)
+        near_window = st.builds(
+            BufferMap,
+            head_id=st.integers(min_value=max(0, lo - 40), max_value=hi),
+            capacity=st.integers(min_value=1, max_value=200),
+            present=st.frozensets(
+                st.integers(min_value=max(0, lo - 10), max_value=hi + 10), max_size=60
+            ),
+        )
+        maps = {
+            nid: data.draw(st.one_of(near_window, near_window, near_window, buffer_maps()))
+            for nid in neighbor_ids
+        }
         for nid in neighbor_ids:  # incl. zero and negative rate estimates
             if data.draw(st.booleans()):
                 node.rate_controller._estimates[nid] = data.draw(
                     st.floats(min_value=-5.0, max_value=40.0)
                 )
-        expected = ref_build_candidates(node, maps, newest, window)
-        got = node.build_candidates(maps, newest, window)
-        assert got == expected
-        # ascending ids; offers in neighbour (mapping) order
-        assert [c.segment_id for c in got] == sorted(c.segment_id for c in got)
-        rank = {nid: i for i, nid in enumerate(maps)}
-        for candidate in got:
-            order = [rank[s] for s in candidate.supplier_ids()]
-            assert order == sorted(order)
+        node.inbound_rate = data.draw(st.sampled_from([0.0, 3.0, 15.0, 40.0]))
+        node.scheduler.quantize_priorities = quantize
+        ref_rng = None if seed is None else np.random.default_rng(seed)
+        node.scheduler.tiebreak_rng = None if seed is None else np.random.default_rng(seed)
 
-
-# =========================================================================== #
-# K2 — Algorithm 1
-# =========================================================================== #
-@st.composite
-def candidate_lists(draw, unique_ids: bool = True):
-    """Candidates incl. duplicate offers, zero/negative rates, odd positions."""
-    count = draw(st.integers(min_value=0, max_value=30))
-    if unique_ids:
-        ids = draw(
-            st.lists(st.integers(0, 500), min_size=count, max_size=count, unique=True)
-        )
-    else:
-        ids = draw(st.lists(st.integers(0, 8), min_size=count, max_size=count))
-    candidates = []
-    for segment_id in ids:
-        offers = tuple(
-            SupplierOffer(
-                supplier_id=draw(st.integers(min_value=0, max_value=5)),
-                position_from_tail=draw(st.integers(min_value=-10, max_value=700)),
-                rate=draw(
-                    st.one_of(
-                        st.sampled_from([0.0, -1.0, 0.1, 10.0]),
-                        st.floats(min_value=0.05, max_value=40.0),
-                    )
-                ),
+        expected = ref_plan(node, maps, newest, window, ref_rng)
+        assert node.plan_requests(maps, newest, window) == expected
+        if seed is not None:
+            assert (
+                node.scheduler.tiebreak_rng.bit_generator.state == ref_rng.bit_generator.state
             )
-            for _ in range(draw(st.integers(min_value=0, max_value=5)))
+
+    def test_supplier_order_is_neighbour_order(self):
+        """Two equally fast suppliers: the first in mapping order wins, so the
+        column must keep the order the maps are walked in."""
+        for order in ([3, 9], [9, 3]):
+            node = _node(playback_lag=20)
+            maps = {nid: BufferMap(head_id=0, capacity=120, present=frozenset({90})) for nid in order}
+            for nid in order:
+                node.rate_controller.register_neighbor(nid, 15.0, 1)
+            (request,) = node.plan_requests(maps, newest_available_id=100, window=40)
+            assert request.supplier_id == order[0]
+
+
+@st.composite
+def columns(draw):
+    """Algorithm 1's inputs: priorities (incl. ties), supplier columns in any
+    order, one rate per supplier incl. zero and negative ones."""
+    ids = draw(st.lists(st.integers(0, 500), max_size=30, unique=True))
+    priorities = {sid: draw(st.sampled_from([0.0, 0.125, 1.0, 1.0e9])) for sid in ids}
+    suppliers = {
+        sid: draw(st.lists(st.integers(min_value=0, max_value=5), max_size=5, unique=True))
+        for sid in ids
+    }
+    rates = {
+        supplier: draw(
+            st.one_of(
+                st.sampled_from([0.0, -1.0, 0.1, 10.0]),
+                st.floats(min_value=0.05, max_value=40.0),
+            )
         )
-        candidates.append(SegmentCandidate(segment_id=segment_id, offers=offers))
-    return candidates
+        for supplier in range(6)
+    }
+    return priorities, suppliers, rates
 
 
 class TestAlgorithm1:
     @given(
-        candidates=candidate_lists(),
-        play_id=st.integers(min_value=0, max_value=500),
-        capacity=st.integers(min_value=1, max_value=600),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_breakdown_is_bit_identical_to_the_scalar_equations(
-        self, candidates, play_id, capacity
-    ):
-        assert prioritize_candidates(candidates, play_id, 10.0, capacity) == (
-            ref_prioritize_candidates(candidates, play_id, 10.0, capacity)
-        )
-
-    @given(
-        candidates=st.one_of(candidate_lists(), candidate_lists(unique_ids=False)),
-        data=st.data(),
+        world=columns(),
         inbound=st.floats(min_value=0.0, max_value=40.0),
         period=st.sampled_from([0.5, 1.0, 2.0]),
         seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_assignment_and_generator_state_match(
-        self, candidates, data, inbound, period, seed
-    ):
-        known = sorted({c.segment_id for c in candidates})
-        priorities = {
-            sid: data.draw(st.sampled_from([0.0, 0.125, 1.0, 1.0e9]))
-            for sid in known
-            if data.draw(st.booleans())  # some ids have no priority at all
-        }
+    def test_assignment_and_generator_state_match(self, world, inbound, period, seed):
+        priorities, suppliers, rates = world
+        candidates = [
+            SegmentCandidate(sid, tuple(SupplierOffer(s, 0, rates[s]) for s in suppliers[sid]))
+            for sid in priorities
+        ]
         ref_rng = fast_rng = None
         if seed is not None:
             ref_rng, fast_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = ref_schedule_requests(
             candidates, priorities, inbound, period, tiebreak_rng=ref_rng
         )
-        got = schedule_requests(
-            candidates, priorities, inbound, period, tiebreak_rng=fast_rng
-        )
+        got = schedule_requests(priorities, suppliers, rates, inbound, period, fast_rng)
         assert got == expected
         if seed is not None:
-            # Exactly len(candidates) draws, and the same generator afterwards.
+            # Exactly len(priorities) draws, and the same generator afterwards.
             counted = np.random.default_rng(seed)
-            for _ in candidates:
+            for _ in priorities:
                 counted.random()
             assert fast_rng.bit_generator.state == counted.bit_generator.state
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @given(candidates=candidate_lists(), inbound=st.floats(min_value=0.0, max_value=40.0))
-    @settings(max_examples=100, deadline=None)
-    def test_supplier_rate_override(self, candidates, inbound):
-        def halved(segment_id: int, offer: SupplierOffer) -> float:
-            return offer.rate / 2.0 if segment_id % 2 else offer.rate
-
-        priorities = {c.segment_id: 1.0 for c in candidates}
-        assert schedule_requests(
-            candidates, priorities, inbound, 1.0, supplier_rate=halved
-        ) == ref_schedule_requests(
-            candidates, priorities, inbound, 1.0, supplier_rate=halved
-        )
-
-    @given(
-        candidates=candidate_lists(),
-        policy=st.sampled_from(["continustreaming", "rarest_first"]),
-        quantize=st.booleans(),
-        play_id=st.integers(min_value=0, max_value=500),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_data_scheduler_end_to_end(self, candidates, policy, quantize, play_id, seed):
-        scheduler = DataScheduler(
-            playback_rate=10.0,
-            buffer_capacity=600,
-            period=1.0,
-            policy=policy,
-            tiebreak_rng=np.random.default_rng(seed),
-            quantize_priorities=quantize,
-        )
-        got = scheduler.schedule(candidates, play_id, inbound_rate=15.0)
-        if policy == "rarest_first":
-            breakdown: List[PriorityBreakdown] = []
-            priorities = {
-                c.segment_id: rarest_first_priority(len(c.offers)) for c in candidates
-            }
-        else:
-            breakdown = ref_prioritize_candidates(candidates, play_id, 10.0, 600)
-            priorities = {
-                b.segment_id: bucket_priority(b.priority) if quantize else b.priority
-                for b in breakdown
-            }
-        assert scheduler.last_breakdown == breakdown
-        assert got == ref_schedule_requests(
-            candidates, priorities, 15.0, 1.0, tiebreak_rng=np.random.default_rng(seed)
-        )
 
     def test_vector_draw_is_the_scalar_stream(self):
         """``Generator.random(n)`` == ``n`` x ``Generator.random()`` on PCG64."""
@@ -591,24 +685,115 @@ class TestBackupRule:
 class TestOverheardList:
     @given(
         cap=st.integers(min_value=1, max_value=6),
-        peers=st.lists(st.integers(min_value=0, max_value=12), max_size=60),
-        forgets=st.lists(st.integers(min_value=0, max_value=12), max_size=5),
+        batches=st.lists(
+            st.lists(st.integers(min_value=0, max_value=12), max_size=8), max_size=12
+        ),
+        dead=st.frozensets(st.integers(min_value=0, max_value=12), max_size=5),
     )
     @settings(max_examples=200, deadline=None)
-    def test_refresh_and_truncate_order(self, cap, peers, forgets):
+    def test_batch_trim_equals_per_entry_trim(self, cap, batches, dead):
+        """Recording a batch and trimming once == recording and trimming one
+        entry at a time (repeats, the owner 5 and over-full batches included)."""
         table = PeerTable(owner_id=5, ring=IdRing(64), max_overheard=cap)
-        reference: List[OverheardEntry] = []
-        for step, peer in enumerate(peers):
-            entry = OverheardEntry(peer_id=peer, latency_ms=float(step), overheard_at=step)
-            table.record_overheard(entry)
-            reference = ref_record_overheard(reference, entry, 5, cap)
-            assert table.overheard == reference
-            assert table.overheard_ids() == [e.peer_id for e in reference]
-            assert len(reference) <= cap
-        for peer in forgets:
-            table.forget_overheard(peer)
-            reference = [e for e in reference if e.peer_id != peer]
-            assert table.overheard == reference
+        reference: List[Tuple[int, float]] = []
+        for step, batch in enumerate(batches):
+            heard = [(peer, float(step * 100 + i)) for i, peer in enumerate(batch)]
+            table.record_overheard(heard)
+            for peer, latency in heard:
+                reference = ref_record_overheard(reference, peer, latency, 5, cap)
+            assert list(table.overheard.items()) == reference
+        table.purge(lambda peer: peer not in dead)
+        assert list(table.overheard.items()) == [e for e in reference if e[0] not in dead]
+
+
+def _latency(a: int, b: int) -> float:
+    """Symmetric, like ``LatencyModel.one_way_ms``, and distinct per pair."""
+    return 0.0 if a == b else abs(a - b) * 1.5 + min(a, b) / 7.0
+
+
+class TestWholePathOverhearing:
+    @given(
+        cap=st.integers(min_value=1, max_value=6),
+        prefill=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40
+        ),
+        paths=st.lists(
+            st.lists(st.integers(min_value=0, max_value=15), max_size=7), max_size=10
+        ),
+        dead=st.frozensets(st.integers(min_value=0, max_value=15), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_hop_per_node_recording(self, cap, prefill, paths, dead):
+        """Every table's overheard dict, in order and in value, equals the
+        per-(hop, node) reference: dead hops hear nothing, dead nodes are not
+        heard, an owner on its own path is skipped, full lists trim."""
+        ring = IdRing(64)
+        tables = {nid: PeerTable(owner_id=nid, ring=ring, max_overheard=cap) for nid in range(16)}
+        lists: Dict[int, List[Tuple[int, float]]] = {nid: [] for nid in range(16)}
+        for owner, peer in prefill:  # start from full, mixed lists
+            tables[owner].record_overheard([(peer, -1.0)])
+            lists[owner] = ref_record_overheard(lists[owner], peer, -1.0, owner, cap)
+        is_alive = lambda nid: nid not in dead  # noqa: E731
+        latency_calls: List[Tuple[int, int]] = []
+        liveness_calls: List[int] = []
+
+        def latency_of(a: int, b: int) -> float:
+            latency_calls.append((a, b))
+            return _latency(a, b)
+
+        def counted_is_alive(nid: int) -> bool:
+            liveness_calls.append(nid)
+            return is_alive(nid)
+
+        service = OverhearingService(
+            latency_of=latency_of, is_alive=counted_is_alive, table_of=tables.__getitem__
+        )
+        for path in paths:
+            unique_path = list(dict.fromkeys(path))  # routing walks never revisit
+            latency_calls.clear()
+            liveness_calls.clear()
+            service.overhear_path(unique_path)
+            alive = [nid for nid in unique_path if is_alive(nid)]
+            ref_overhear_path(lists, unique_path, alive, is_alive, _latency, cap)
+            assert liveness_calls == unique_path  # once per path node
+            assert len(latency_calls) == len(alive) * (len(alive) - 1) // 2  # once per pair
+        for nid, table in tables.items():
+            assert list(table.overheard.items()) == lists[nid]
+
+    @given(
+        owner=st.integers(min_value=0, max_value=15),
+        path=st.lists(st.integers(min_value=0, max_value=15), max_size=7),
+        dead=st.frozensets(st.integers(min_value=0, max_value=15), max_size=6),
+        cap=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_table_equals_per_node_recording(self, owner, path, dead, cap):
+        """The live peer's case: one table hears the path passing by."""
+        table = PeerTable(owner_id=owner, ring=IdRing(64), max_overheard=cap)
+        is_alive = lambda nid: nid not in dead  # noqa: E731
+        service = OverhearingService(latency_of=_latency, is_alive=is_alive)
+        lists: Dict[int, List[Tuple[int, float]]] = {owner: []}
+        service.overhear_path(path, table)
+        ref_overhear_path(lists, path, [owner], is_alive, _latency, cap)
+        assert list(table.overheard.items()) == lists[owner]
+
+    @given(
+        pings=st.dictionaries(
+            st.integers(0, 20), st.floats(min_value=0.0, max_value=1500.0), max_size=8
+        ),
+        a=st.integers(0, 22),
+        b=st.integers(0, 22),
+    )
+    def test_latency_is_symmetric(self, pings, a, b):
+        """What computing each pair once relies on, for the model and for
+        the overlay's wrapper (unmodelled ends read 50 ms both ways)."""
+        model = LatencyModel(pings)
+        if a in pings and b in pings:
+            assert model.one_way_ms(a, b) == model.one_way_ms(b, a)
+        config = SystemConfig(num_nodes=12, rounds=2, seed=0).static_variant()
+        manager = StreamingSystem(config, system="continustreaming").manager
+        manager.latency = model
+        assert manager.latency_ms(a, b) == manager.latency_ms(b, a)
 
 
 _ALIVE = frozenset(range(0, 40, 3)) | {1, 2}
@@ -618,10 +803,9 @@ _table_ops = st.lists(
         st.tuples(st.just("add"), st.integers(0, 40), st.booleans()),
         st.tuples(st.just("remove"), st.integers(0, 40)),
         st.tuples(st.just("replace"), st.integers(0, 40), st.integers(0, 40)),
-        st.tuples(st.just("supply"), st.integers(0, 40)),
         st.tuples(st.just("set"), st.integers(0, 63)),
         st.tuples(st.just("unset"), st.integers(0, 63)),
-        st.tuples(st.just("hear"), st.integers(0, 63)),
+        st.tuples(st.just("hear"), st.lists(st.integers(0, 63), max_size=6)),
         st.tuples(st.just("refresh")),
         st.tuples(st.just("adopt"), st.integers(0, 3)),
         st.tuples(st.just("purge")),
@@ -653,14 +837,12 @@ class TestPeerTableCaches:
                 table.remove_neighbor(op[1])
             elif kind == "replace":
                 table.replace_neighbor(op[1], NeighborEntry(peer_id=op[2], latency_ms=1.0))
-            elif kind == "supply":
-                table.record_supply(op[1], 2.0)
             elif kind == "set":
                 table.set_dht_peer(op[1], 1.0)
             elif kind == "unset":
                 table.remove_dht_peer(op[1])
             elif kind == "hear":
-                table.record_overheard(OverheardEntry(peer_id=op[1], latency_ms=1.0))
+                table.record_overheard([(peer, 1.0) for peer in op[1]])
             elif kind == "refresh":
                 table.refresh_dht_peers_from_overheard()
             elif kind == "adopt":
@@ -668,7 +850,7 @@ class TestPeerTableCaches:
             elif kind == "purge":
                 table.purge(_ALIVE.__contains__)
                 assert set(table.routing_candidates()) <= _ALIVE
-                assert set(table.overheard_ids()) <= _ALIVE
+                assert set(table.overheard) <= _ALIVE
             elif kind == "clear":
                 table.clear_dht_peers()
             after = table.routing_candidates()
@@ -684,8 +866,8 @@ class TestPeerTableCaches:
             del table.dht_peers[1]  # type: ignore[misc]
         with pytest.raises(TypeError):
             table.neighbors[3] = NeighborEntry(peer_id=3, latency_ms=1.0)  # type: ignore[index]
-        table.overheard.append(OverheardEntry(peer_id=4, latency_ms=1.0))  # a copy
-        assert table.overheard == []
+        table.overheard[4] = 1.0  # a copy
+        assert table.overheard == {}
 
 
 def _checked_alive_routing_peers(manager, calls: List[int]):

@@ -154,25 +154,26 @@ class TestInterestWindowAndCandidates:
         assert lo == 0
         assert hi == 30
 
-    def test_candidates_exclude_held_segments(self):
+    def test_held_segments_are_not_requested(self):
         node = make_node(playback_lag=50)
         node.buffer.update_from([150, 151])
+        node.rate_controller.register_neighbor(7, 15.0, 1)
         maps = {7: neighbor_map(0, range(140, 160))}
-        candidates = node.build_candidates(maps, newest_available_id=200, window=80)
-        ids = {candidate.segment_id for candidate in candidates}
-        assert 150 not in ids and 151 not in ids
-        assert 152 in ids
+        requests = node.plan_requests(maps, newest_available_id=200, window=80)
+        # The window starts at 150; the held 150 and 151 are not fresh.
+        assert sorted(r.segment_id for r in requests) == list(range(152, 160))
 
-    def test_candidates_collect_all_offers(self):
+    def test_offers_from_every_neighbour_are_considered(self):
         node = make_node(playback_lag=50)
+        node.rate_controller.register_neighbor(7, 10.0, 1)
+        node.rate_controller.register_neighbor(8, 2.0, 1)
         maps = {
             7: neighbor_map(0, {155}),
             8: neighbor_map(0, {155, 156}),
         }
-        candidates = node.build_candidates(maps, newest_available_id=200, window=80)
-        by_id = {candidate.segment_id: candidate for candidate in candidates}
-        assert sorted(by_id[155].supplier_ids()) == [7, 8]
-        assert by_id[156].supplier_ids() == [8]
+        requests = node.plan_requests(maps, newest_available_id=200, window=80)
+        # 155 goes to the faster of its two suppliers, 156 to its only one.
+        assert {r.segment_id: r.supplier_id for r in requests} == {155: 7, 156: 8}
 
     def test_plan_requests_tracks_pending(self):
         node = make_node(playback_lag=50)
@@ -183,12 +184,20 @@ class TestInterestWindowAndCandidates:
         assert node.pending_requests == {request.segment_id for request in requests}
         assert node.stats.segments_scheduled == len(requests)
 
-    def test_observe_deliveries_updates_peer_table_supply(self):
+    def test_plan_requests_without_fresh_segments(self):
+        node = make_node(playback_lag=50)
+        node.buffer.update_from(range(150, 170))
+        maps = {7: neighbor_map(0, range(150, 170))}
+        assert node.plan_requests(maps, newest_available_id=169, window=80) == []
+        assert node.pending_requests == set()
+
+    def test_observe_deliveries_feeds_the_rate_estimate(self):
         node = make_node()
         node.peer_table.add_neighbor(NeighborEntry(peer_id=7, latency_ms=5))
-        node.rate_controller.register_neighbor(7, 15.0, 1)
-        node.observe_deliveries({7: 4})
-        assert node.peer_table.neighbors[7].recent_supply_rate == pytest.approx(4.0)
+        node.rate_controller.register_neighbor(7, 15.0, 3)  # prior min(15, 15/3) = 5
+        node.observe_deliveries({7: 9})
+        assert node.rate_controller.rate_of(7) == pytest.approx(0.5 * 5.0 + 0.5 * 9.0)
+        assert node.peer_table.neighbors[7] == NeighborEntry(peer_id=7, latency_ms=5)
 
 
 class TestContinuSpecifics:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import asdict, replace
 
 import pytest
@@ -231,6 +233,27 @@ class TestDeterminism:
         assert repr(a.rounds) == repr(b.rounds)
         assert a.control_overhead() == pytest.approx(b.control_overhead())
         assert a.prefetch_overhead() == pytest.approx(b.prefetch_overhead())
+
+
+class TestNoReferenceCycles:
+    """A dropped system is freed by reference counting alone: nothing in it
+    points back at the overlay or the facade, so its nodes do not wait for
+    the cycle collector (the benchmark drops several set-up builds)."""
+
+    @pytest.mark.parametrize("system", ["coolstreaming", "continustreaming"])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_built_and_run_systems_free_at_once(self, tiny_config, system, dynamic):
+        config = tiny_config.dynamic_variant(0.1) if dynamic else tiny_config
+        built = StreamingSystem(config, system=system).build()
+        ran = StreamingSystem(config, system=system)
+        result = ran.run()
+        refs = [weakref.ref(obj) for obj in (built, built.manager, ran, ran.manager, result)]
+        gc.disable()
+        try:
+            del built, ran, result
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestEventDrivenClock:

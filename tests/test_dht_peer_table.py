@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dht.peer_table import (
-    NeighborEntry,
-    OverheardEntry,
-    PeerTable,
-)
+from repro.dht.peer_table import NeighborEntry, PeerTable
 from repro.dht.ring import IdRing
 
 
@@ -41,15 +37,11 @@ class TestConnectedNeighbors:
         assert removed.peer_id == 5
         assert table.remove_neighbor(5) is None
 
-    def test_record_supply(self, table):
+    def test_neighbor_entry_is_id_and_latency(self, table):
         table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
-        table.add_neighbor(NeighborEntry(peer_id=6, latency_ms=1))
-        table.record_supply(5, 30.0)
-        table.record_supply(6, 10.0)
-        assert table.neighbors[5].recent_supply_rate == 30.0
-        assert table.neighbors[6].recent_supply_rate == 10.0
-        table.record_supply(99, 5.0)  # unknown: ignored
-        assert 99 not in table.neighbors
+        assert table.neighbors[5] == NeighborEntry(5, 1)
+        with pytest.raises(TypeError):
+            NeighborEntry(peer_id=6, latency_ms=1, recent_supply_rate=2.0)
 
     def test_replace_neighbor(self, table):
         table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
@@ -96,40 +88,35 @@ class TestDhtPeers:
 
 class TestOverheard:
     def test_record_and_cap(self, table):
-        for peer in range(1, 9):
-            table.record_overheard(OverheardEntry(peer_id=peer, latency_ms=peer))
-        assert len(table.overheard) == 5  # capped at max_overheard
-        assert table.overheard_ids() == [4, 5, 6, 7, 8]  # newest kept
+        table.record_overheard([(peer, float(peer)) for peer in range(1, 9)])
+        # Capped at max_overheard, newest kept, oldest first.
+        assert table.overheard == {4: 4.0, 5: 5.0, 6: 6.0, 7: 7.0, 8: 8.0}
 
-    def test_rehearing_refreshes_position(self, table):
-        table.record_overheard(OverheardEntry(peer_id=1, latency_ms=10))
-        table.record_overheard(OverheardEntry(peer_id=2, latency_ms=10))
-        table.record_overheard(OverheardEntry(peer_id=1, latency_ms=5))
-        assert table.overheard_ids() == [2, 1]
-        assert len(table.overheard) == 2
+    def test_rehearing_refreshes_position_and_latency(self, table):
+        table.record_overheard([(1, 10.0), (2, 10.0)])
+        table.record_overheard([(1, 5.0)])
+        assert list(table.overheard.items()) == [(2, 10.0), (1, 5.0)]
 
     def test_owner_not_recorded(self, table):
-        table.record_overheard(OverheardEntry(peer_id=100, latency_ms=1))
-        assert table.overheard == []
+        table.record_overheard([(100, 1.0)])
+        assert table.overheard == {}
 
-    def test_forget_overheard(self, table):
-        table.record_overheard(OverheardEntry(peer_id=3, latency_ms=1))
-        table.forget_overheard(3)
-        assert table.overheard_ids() == []
+    def test_overheard_is_a_copy(self, table):
+        table.record_overheard([(3, 1.0)])
+        table.overheard[4] = 1.0
+        assert table.overheard == {3: 1.0}
 
     def test_lowest_latency_overheard_with_exclusions(self, table):
-        table.record_overheard(OverheardEntry(peer_id=1, latency_ms=30))
-        table.record_overheard(OverheardEntry(peer_id=2, latency_ms=10))
-        table.record_overheard(OverheardEntry(peer_id=3, latency_ms=20))
-        assert table.lowest_latency_overheard().peer_id == 2
-        assert table.lowest_latency_overheard(exclude=[2]).peer_id == 3
-        assert table.lowest_latency_overheard(exclude=[1, 2, 3]) is None
+        table.record_overheard([(1, 30.0), (2, 10.0), (3, 20.0), (4, 10.0)])
+        assert table.lowest_latency_overheard() == (2, 10.0)  # tie: lowest id
+        assert table.lowest_latency_overheard(exclude=[2]) == (4, 10.0)
+        assert table.lowest_latency_overheard(exclude=[2, 4]) == (3, 20.0)
+        assert table.lowest_latency_overheard(exclude=[1, 2, 3, 4]) is None
 
 
 class TestRefresh:
     def test_refresh_fills_levels_from_overheard(self, table):
-        table.record_overheard(OverheardEntry(peer_id=101, latency_ms=1))
-        table.record_overheard(OverheardEntry(peer_id=104, latency_ms=1))
+        table.record_overheard([(101, 1.0), (104, 1.0)])
         updated = table.refresh_dht_peers_from_overheard()
         assert updated == 2
         assert table.dht_peers[1].peer_id == 101
@@ -137,7 +124,7 @@ class TestRefresh:
 
     def test_refresh_does_not_replace_other_peer(self, table):
         table.set_dht_peer(102, 1)  # level 2
-        table.record_overheard(OverheardEntry(peer_id=103, latency_ms=1))  # also level 2
+        table.record_overheard([(103, 1.0)])  # also level 2
         table.refresh_dht_peers_from_overheard()
         assert table.dht_peers[2].peer_id == 102
 
@@ -148,8 +135,7 @@ class TestRefresh:
         newcomer = PeerTable(owner_id=500, ring=ring, max_neighbors=3)
         newcomer.adopt_base_table(base)
         # The bootstrap node and its neighbours become overheard candidates.
-        assert 10 in newcomer.overheard_ids()
-        assert 20 in newcomer.overheard_ids()
+        assert newcomer.overheard == {20: 5, 10: 0.0}
         # The copied DHT peer is re-levelled relative to the newcomer.
         assert 14 in newcomer.dht_peer_ids() or 20 in newcomer.dht_peer_ids() or (
             10 in newcomer.dht_peer_ids()

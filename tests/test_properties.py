@@ -10,15 +10,7 @@ from repro.analysis.theory import (
     playback_continuity_old,
     poisson_cdf,
 )
-from repro.core.scheduler import (
-    SegmentCandidate,
-    SupplierOffer,
-    bucket_priority,
-    compute_priority,
-    compute_rarity,
-    compute_urgency,
-    schedule_requests,
-)
+from repro.core.scheduler import bucket_priority, schedule_requests
 from repro.dht.hashing import backup_keys, segment_hash
 from repro.dht.ring import IdRing
 from repro.streaming.buffer import SegmentBuffer
@@ -124,31 +116,6 @@ def test_buffer_map_round_trip_preserves_window_content(capacity, segment_ids):
 # --------------------------------------------------------------------------- #
 # Scheduling priorities and Algorithm 1
 # --------------------------------------------------------------------------- #
-@given(
-    segment_id=st.integers(min_value=0, max_value=10_000),
-    play_id=st.integers(min_value=0, max_value=10_000),
-    rate=st.floats(min_value=0.01, max_value=100.0),
-)
-def test_urgency_positive(segment_id, play_id, rate):
-    assert compute_urgency(segment_id, play_id, 10.0, rate) > 0
-
-
-@given(
-    positions=st.lists(st.integers(min_value=0, max_value=600), max_size=8),
-)
-def test_rarity_is_a_probability(positions):
-    rarity = compute_rarity(positions, 600)
-    assert 0.0 <= rarity <= 1.0
-
-
-@given(urgency=st.floats(min_value=0, max_value=1e6),
-       rarity=st.floats(min_value=0, max_value=1.0))
-def test_priority_upper_envelope(urgency, rarity):
-    priority = compute_priority(urgency, rarity)
-    assert priority >= urgency and priority >= rarity
-    assert priority in (urgency, rarity)
-
-
 @given(priority=st.floats(min_value=1e-9, max_value=1e6))
 def test_bucket_priority_is_monotone_lower_bound(priority):
     bucket = bucket_priority(priority)
@@ -158,44 +125,41 @@ def test_bucket_priority_is_monotone_lower_bound(priority):
 
 @st.composite
 def candidate_sets(draw):
+    """``(priorities, suppliers, rates)``: up to 25 segments, 1-4 suppliers each."""
     count = draw(st.integers(min_value=0, max_value=25))
-    candidates = []
-    for index in range(count):
-        supplier_count = draw(st.integers(min_value=1, max_value=4))
-        offers = tuple(
-            SupplierOffer(
-                supplier_id=draw(st.integers(min_value=0, max_value=9)),
-                position_from_tail=draw(st.integers(min_value=0, max_value=600)),
-                rate=draw(st.floats(min_value=0.5, max_value=30.0)),
-            )
-            for _ in range(supplier_count)
+    suppliers = {
+        index: draw(
+            st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4, unique=True)
         )
-        candidates.append(SegmentCandidate(segment_id=index, offers=offers))
-    return candidates
+        for index in range(count)
+    }
+    rates = {supplier: draw(st.floats(min_value=0.5, max_value=30.0)) for supplier in range(10)}
+    return suppliers, rates
 
 
 @given(candidates=candidate_sets(), inbound=st.floats(min_value=0, max_value=40))
 @settings(max_examples=60)
 def test_algorithm1_respects_budgets_and_uniqueness(candidates, inbound):
-    priorities = {c.segment_id: 1.0 / (c.segment_id + 1) for c in candidates}
-    requests = schedule_requests(candidates, priorities, inbound, period=1.0)
+    suppliers, rates = candidates
+    priorities = {sid: 1.0 / (sid + 1) for sid in suppliers}
+    requests = schedule_requests(priorities, suppliers, rates, inbound, period=1.0)
     # Never more requests than the inbound budget or the candidate count.
-    assert len(requests) <= min(len(candidates), int(inbound * 1.0))
+    assert len(requests) <= min(len(suppliers), int(inbound * 1.0))
     # A segment is requested at most once and only from one of its suppliers.
     seen = set()
-    by_id = {c.segment_id: c for c in candidates}
     for request in requests:
         assert request.segment_id not in seen
         seen.add(request.segment_id)
-        assert request.supplier_id in by_id[request.segment_id].supplier_ids()
+        assert request.supplier_id in suppliers[request.segment_id]
         assert 0 < request.expected_time < 1.0
 
 
 @given(candidates=candidate_sets())
 @settings(max_examples=60)
 def test_algorithm1_per_supplier_load_fits_in_period(candidates):
-    priorities = {c.segment_id: 1.0 for c in candidates}
-    requests = schedule_requests(candidates, priorities, inbound_rate=100, period=1.0)
+    suppliers, rates = candidates
+    priorities = dict.fromkeys(suppliers, 1.0)
+    requests = schedule_requests(priorities, suppliers, rates, inbound_rate=100, period=1.0)
     # The completion time of the last transfer assigned to a supplier is that
     # supplier's total queue, which Algorithm 1 keeps strictly below tau.
     last_completion = {}
