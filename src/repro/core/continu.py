@@ -96,7 +96,7 @@ class ContinuStreamingNode(StreamingNode):
         )
         return self.urgent_line.predict(
             head_id=head,
-            held_ids=self.buffer.id_set(),
+            held_ids=self.buffer,
             newest_available_id=newest_available_id,
             already_scheduled=self.pending_requests if exclude_scheduled else (),
         )

@@ -246,13 +246,14 @@ class StreamingNode:
         A segment is *fresh* when some neighbour advertises it, the local
         buffer does not hold it, and it falls inside the interest window.
         """
-        lo, hi = self.interest_window(newest_available_id, window)
+        lo, hi = self.interest_window(int(newest_available_id), window)
         play_ref = (
             self.playback.play_id if self.playback.started else self.buffer.head_id
         )
         requests = self.scheduler.schedule(
             neighbor_maps,
-            self.buffer.missing_in_range(lo, hi + 1),
+            lo,
+            self.buffer.missing_bits(lo, hi + 1 - lo),
             self.rate_controller.rate_of,
             play_ref,
             self.inbound_rate,

@@ -105,7 +105,7 @@ class DataSchedulingPhase(Phase):
         best: Optional[int] = None
         best_budget = 1.0
         for neighbor_id, neighbor_map in neighbor_maps.items():
-            if segment_id not in neighbor_map.present:
+            if segment_id not in neighbor_map:
                 continue
             budget = outbound_budget.get(neighbor_id, 0.0)
             if budget >= best_budget:

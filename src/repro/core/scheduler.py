@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.streaming.buffer import realign
 from repro.streaming.buffermap import BufferMap
 
 #: Urgency assigned to a segment whose deadline slack is already non-positive.
@@ -173,37 +174,43 @@ class DataScheduler:
     def schedule(
         self,
         neighbor_maps: Mapping[int, BufferMap],
-        missing: Collection[int],
+        lo: int,
+        wanted: int,
         rate_of: Callable[[int], float],
         play_id: int,
         inbound_rate: float,
     ) -> List[ScheduledRequest]:
         """Prioritise the fresh segments and run Algorithm 1 (once per plan).
 
-        A segment is fresh when it is in ``missing`` and some neighbour's map
-        advertises it.  One pass over each neighbour's map (a C-level set
-        intersection) accumulates, per fresh segment, its supplier list in
-        neighbour order, its best rate and its rarity product — the factors
-        multiplied in neighbour order, so the floats are those of the scalar
-        equations (a factor of ``B / B`` is ``1.0``, an exact no-op).
+        A segment is fresh when ``wanted`` (bit ``j`` ⇔ segment ``lo + j``)
+        asks for it and some neighbour's map advertises it.  One ascending
+        walk over each neighbour's ``aligned bits & wanted`` accumulates, per
+        fresh segment, its supplier list in neighbour order, its best rate
+        and its rarity product — the factors multiplied in neighbour order,
+        so the floats are those of the scalar equations (a factor of
+        ``B / B`` is ``1.0``, an exact no-op).  Every accumulator is per
+        segment, so the walk order inside one neighbour decides nothing.
         """
         capacity = self.buffer_capacity
+        span = wanted.bit_length()
         rates: Dict[int, float] = {}
         suppliers: Dict[int, List[int]] = {}
         best_rate: Dict[int, float] = {}
         rarity: Dict[int, float] = {}
         for neighbor_id, neighbor_map in neighbor_maps.items():
-            offered = neighbor_map.present.intersection(missing)
+            offered = realign(neighbor_map.bits, neighbor_map.head_id - lo, span) & wanted
             if not offered:
                 continue
             rate = rates[neighbor_id] = rate_of(neighbor_id)
             tail = neighbor_map.effective_tail
-            for segment_id in offered:
+            segment_id = lo - 1
+            while offered:
+                skip = (offered & -offered).bit_length()  # lowest set bit + 1
+                offered >>= skip
+                segment_id += skip
+                # ``p_ij >= 0``: the tail is the newest id the map holds.
                 position = tail - segment_id
-                if position >= capacity:
-                    factor = 1.0
-                else:
-                    factor = (position if position > 0 else 0) / capacity
+                factor = 1.0 if position >= capacity else position / capacity
                 column = suppliers.get(segment_id)
                 if column is None:
                     suppliers[segment_id] = [neighbor_id]

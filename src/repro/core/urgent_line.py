@@ -20,7 +20,7 @@ to the scheduler to avoid a pre-fetch traffic storm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Container, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class UrgentLine:
     def predict(
         self,
         head_id: int,
-        held_ids: Iterable[int],
+        held_ids: Container[int],
         newest_available_id: int,
         already_scheduled: Iterable[int] = (),
     ) -> MissPrediction:
@@ -94,7 +94,8 @@ class UrgentLine:
 
         Args:
             head_id: reference id of the buffer head / playback point.
-            held_ids: segment ids currently in the buffer.
+            held_ids: the segment ids currently in the buffer — typically the
+                buffer itself, since only membership is tested.
             newest_available_id: newest segment id that exists in the system
                 (a segment not yet generated cannot be "missed").
             already_scheduled: ids already requested this period by the data
@@ -104,13 +105,12 @@ class UrgentLine:
             The missed ids in ascending order and whether the on-demand
             retrieval should run (``0 < N_miss ≤ l``).
         """
-        held = set(held_ids)
         scheduled = set(already_scheduled)
         upper = min(self.urgent_id(head_id), newest_available_id)
         missed: List[int] = [
             sid
             for sid in range(max(0, head_id), upper + 1)
-            if sid not in held and sid not in scheduled
+            if sid not in held_ids and sid not in scheduled
         ]
         triggered = 0 < len(missed) <= self.prefetch_limit
         return MissPrediction(

@@ -510,7 +510,7 @@ class LivePeer:
         fallback = None
         best_rate = -1.0
         for nbr, neighbor_map in self.neighbor_maps.items():
-            if nbr in tried or nbr not in partners or sid not in neighbor_map.present:
+            if nbr in tried or nbr not in partners or sid not in neighbor_map:
                 continue
             rate = node.rate_controller.rate_of(nbr)
             if rate > best_rate:
@@ -928,7 +928,7 @@ class LivePeer:
             best = None
             best_rate = -1.0
             for nbr, neighbor_map in self.neighbor_maps.items():
-                if nbr not in partners or sid not in neighbor_map.present:
+                if nbr not in partners or sid not in neighbor_map:
                     continue
                 rate = node.rate_controller.rate_of(nbr)
                 if rate > best_rate:

@@ -51,6 +51,7 @@ from repro.net.message import (
     ROUTING_MESSAGE_BITS,
     MessageKind,
 )
+from repro.streaming.buffer import realign
 from repro.streaming.buffermap import BufferMap, buffer_map_bits
 
 #: Upper bound on one frame's payload (kind byte + body).  Generously above
@@ -175,40 +176,32 @@ class BufferMapDelta:
         base: BufferMap,
     ) -> "BufferMapDelta":
         """Delta carrying the toggles that turn ``base`` into ``new``."""
-        head = new.head_id
-        tail = head + new.capacity
-        new_in = {s for s in new.present if head <= s < tail}
-        base_in = {s for s in base.present if head <= s < tail}
+        toggled = new.bits ^ realign(base.bits, base.head_id - new.head_id, new.capacity)
         runs: List[Tuple[int, int]] = []
-        run_start = run_end = -1
-        for sid in sorted(new_in ^ base_in):
-            offset = sid - head
-            if offset == run_end:
-                run_end += 1
-            else:
-                if run_start >= 0:
-                    runs.append((run_start, run_end - run_start))
-                run_start, run_end = offset, offset + 1
-        if run_start >= 0:
-            runs.append((run_start, run_end - run_start))
+        offset = 0
+        while toggled:
+            skip = (toggled & -toggled).bit_length() - 1
+            toggled >>= skip
+            # ``x ^ (x + 1)`` spans the low run of ones plus one bit.
+            length = (toggled ^ (toggled + 1)).bit_length() - 1
+            runs.append((offset + skip, length))
+            toggled >>= length
+            offset += skip + length
         return cls(
             sender=sender,
             seq=seq,
             newest_id=newest_id,
-            head_id=head,
+            head_id=new.head_id,
             capacity=new.capacity,
             runs=tuple(runs),
         )
 
     def apply(self, base: BufferMap) -> BufferMap:
         """Rebuild the sender's new map from the receiver's stored ``base``."""
-        head = self.head_id
-        present = set(base.present)
-        present.intersection_update(range(head, head + self.capacity))
+        bits = realign(base.bits, base.head_id - self.head_id, self.capacity)
         for offset, length in self.runs:
-            first = head + offset
-            present.symmetric_difference_update(range(first, first + length))
-        return BufferMap(head, self.capacity, frozenset(present))
+            bits ^= ((1 << length) - 1) << offset
+        return BufferMap(self.head_id, self.capacity, bits)
 
 
 @dataclass(slots=True)

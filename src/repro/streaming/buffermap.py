@@ -11,15 +11,16 @@ neighbour costs ``620`` bits of control traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import FrozenSet, Iterable
-
-import numpy as np
 
 from repro.streaming.buffer import SegmentBuffer
 
 #: Number of bits used to encode the window anchor (first segment id).
 ANCHOR_BITS = 20
+
+#: Each byte bit-reversed: the wire puts slot ``j`` at bit ``7 - j % 8`` of byte
+#: ``j // 8`` (``numpy.packbits`` order), ``int.to_bytes`` at bit ``j % 8``.
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
 
 #: Control-message size for a buffer of ``B`` segments, in bits.
 def buffer_map_bits(capacity: int) -> int:
@@ -33,50 +34,45 @@ def buffer_map_bits(capacity: int) -> int:
 BUFFER_MAP_BITS = buffer_map_bits(600)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferMap:
     """An immutable snapshot of a neighbour's buffer availability.
 
     Attributes:
         head_id: id of the first (oldest) slot of the advertised window.
         capacity: number of slots advertised (``B``).
-        present: frozen set of segment ids the neighbour holds.
+        bits: availability mask, bit ``j`` ⇔ segment ``head_id + j`` held.
+            ``0 <= bits < 2 ** capacity``: an id outside the window cannot be
+            advertised, so what a map answers is what its wire form says.
     """
 
     head_id: int
     capacity: int
-    present: FrozenSet[int]
+    bits: int = 0
+
+    def __post_init__(self) -> None:
+        if self.bits < 0 or self.bits.bit_length() > self.capacity:
+            raise ValueError(f"bits {self.bits:#x} do not fit {self.capacity} slots")
 
     @classmethod
     def from_buffer(cls, buffer: SegmentBuffer) -> "BufferMap":
-        """Snapshot a live :class:`SegmentBuffer`."""
-        return cls(
-            head_id=buffer.head_id,
-            capacity=buffer.capacity,
-            present=frozenset(buffer.id_set()),
-        )
-
-    @property
-    def tail_id(self) -> int:
-        """One past the newest advertised slot."""
-        return self.head_id + self.capacity
+        """Snapshot a live :class:`SegmentBuffer` (shares its mask, O(1))."""
+        return cls(buffer.head_id, buffer.capacity, buffer.bits)
 
     def __contains__(self, segment_id: int) -> bool:
-        return segment_id in self.present
+        offset = int(segment_id) - self.head_id
+        return offset >= 0 and (self.bits >> offset) & 1 == 1
 
-    def size_bits(self) -> int:
-        """Wire size of this buffer map in bits (``B`` bits + 20-bit anchor)."""
-        return buffer_map_bits(self.capacity)
-
-    @cached_property
+    @property
     def effective_tail(self) -> int:
         """The *effective* newest end of the supplier's FIFO buffer.
 
-        The newest segment it actually holds, capped by the window edge.
-        Computed once per snapshot (the snapshot is immutable) instead of once
-        per offer.  Raises ``ValueError`` on an empty map, like ``max``.
+        The newest segment it actually holds (the window edge bounds it by
+        construction).  Raises ``ValueError`` on an empty map, like ``max``.
         """
-        return min(self.head_id + self.capacity - 1, max(self.present))
+        if not self.bits:
+            raise ValueError("an empty buffer map has no tail")
+        return self.head_id + self.bits.bit_length() - 1
 
     def position_from_tail(self, segment_id: int) -> int:
         """Distance of ``segment_id`` from the buffer tail (``p_ij`` in eq. 2).
@@ -92,42 +88,27 @@ class BufferMap:
             KeyError: if the segment is not advertised (checked before the
                 tail is computed, so an empty map raises ``KeyError`` too).
         """
-        if segment_id not in self.present:
+        if segment_id not in self:
             raise KeyError(segment_id)
         return self.effective_tail - segment_id
-
-    def to_bitmap(self) -> np.ndarray:
-        """Dense ``uint8`` availability vector of length ``capacity``.
-
-        Index ``j`` corresponds to segment ``head_id + j``.
-        """
-        bitmap = np.zeros(self.capacity, dtype=np.uint8)
-        for sid in self.present:
-            offset = sid - self.head_id
-            if 0 <= offset < self.capacity:
-                bitmap[offset] = 1
-        return bitmap
-
-    @classmethod
-    def from_bitmap(cls, head_id: int, bitmap: Iterable[int]) -> "BufferMap":
-        """Rebuild a buffer map from a dense availability vector."""
-        bits = np.asarray(list(bitmap), dtype=np.uint8)
-        present = frozenset(int(head_id + j) for j in np.nonzero(bits)[0])
-        return cls(head_id=int(head_id), capacity=int(bits.size), present=present)
 
     # --------------------------------------------------------------- wire form
     def to_bytes(self) -> bytes:
         """Packed availability bits (8 slots per byte, zero-padded at the end).
 
-        This is the byte payload the live runtime's wire codec ships; the
-        *accounted* size stays :func:`buffer_map_bits` (``B`` bits + anchor),
-        so the overhead metrics are unaffected by the byte padding.
+        Slot ``j`` is bit ``7 - j % 8`` of byte ``j // 8``.  This is the byte
+        payload the live runtime's wire codec ships; the *accounted* size
+        stays :func:`buffer_map_bits` (``B`` bits + anchor), so the overhead
+        metrics are unaffected by the byte padding.
         """
-        return np.packbits(self.to_bitmap()).tobytes()
+        nbytes = (self.capacity + 7) // 8
+        return self.bits.to_bytes(nbytes, "little").translate(_REVERSED_BITS)
 
     @classmethod
     def from_bytes(cls, head_id: int, capacity: int, data: bytes) -> "BufferMap":
         """Rebuild a buffer map from its packed :meth:`to_bytes` payload.
+
+        Padding bits past ``capacity`` are ignored.
 
         Raises:
             ValueError: if ``data`` does not hold exactly ``capacity`` bits
@@ -141,6 +122,5 @@ class BufferMap:
                 f"packed buffer map of capacity {capacity} needs {expected} "
                 f"bytes, got {len(data)}"
             )
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:capacity]
-        present = frozenset((np.nonzero(bits)[0] + int(head_id)).tolist())
-        return cls(head_id=int(head_id), capacity=int(capacity), present=present)
+        bits = int.from_bytes(data.translate(_REVERSED_BITS), "little")
+        return cls(int(head_id), int(capacity), bits & ((1 << capacity) - 1))

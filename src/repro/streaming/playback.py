@@ -92,8 +92,8 @@ class PlaybackState:
             need = max(0, min(need, newest_available_id + 1 - self.play_id))
         if need == 0:
             return True  # caught up with the live edge: nothing to play yet
-        played = sum(1 for off in range(need) if (self.play_id + off) in buffer)
-        missed = need - played
+        missed = buffer.missing_bits(self.play_id, need).bit_count()
+        played = need - missed
         continuous = missed == 0
         if self.stall_on_miss and not continuous:
             self.stall_rounds += 1

@@ -54,7 +54,12 @@ def test_main_exit_status(row, monkeypatch, tmp_path, capsys):
     measured = _as_measured(row)
     monkeypatch.setattr(checker, "measure", lambda workload: measured[workload])
     assert checker.main(["--history", str(history)]) == 0
-    assert repr(row["commit"]) in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert repr(row["commit"]) in out and "sim_static, rt_static, rt_churn" in out
+
+    measured["rt_churn"]["stable_continuity"] -= 0.01
+    assert checker.main(["--history", str(history)]) == 1
+    assert "rt_churn.stable_continuity" in capsys.readouterr().err
 
     measured["rt_static"]["bytes_per_segment"] += 1.0
     assert checker.main(["--history", str(history)]) == 1

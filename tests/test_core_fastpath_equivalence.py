@@ -22,7 +22,10 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+import sys
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.core.config import SystemConfig
 from repro.core.node import StreamingNode
 from repro.core.scheduler import (
     MAX_URGENCY,
+    DataScheduler,
     ScheduledRequest,
     bucket_priority,
     schedule_requests,
@@ -46,8 +50,9 @@ from repro.dht.routing import GreedyRouter, RouteOutcome, next_hop
 from repro.membership.overhearing import OverhearingService
 from repro.net.latency import LatencyModel
 from repro.obs import ObsConfig
-from repro.runtime import LiveSwarm
+from repro.runtime import LiveSwarm, wire
 from repro.scenarios import builtin_scenario
+from repro.streaming.buffer import SegmentBuffer
 from repro.streaming.buffermap import BufferMap
 
 
@@ -116,16 +121,184 @@ def rarest_first_priority(supplier_count: int) -> float:
     return 1.0 / supplier_count
 
 
-def ref_position_from_tail(buffer_map: BufferMap, segment_id: int) -> int:
-    if segment_id not in buffer_map.present:
-        raise KeyError(segment_id)
-    effective_tail = min(buffer_map.tail_id - 1, max(buffer_map.present))
-    return effective_tail - segment_id
+class RefSegmentBuffer:
+    """``SegmentBuffer`` as a set of held ids, its spelling before the
+    window became one integer."""
+
+    def __init__(self, capacity: int, head_id: int = 0) -> None:
+        self.capacity = capacity
+        self.head_id = head_id
+        self.present: Set[int] = set()
+
+    @property
+    def tail_id(self) -> int:
+        return self.head_id + self.capacity
+
+    def advance_head(self, new_head_id: int) -> List[int]:
+        if new_head_id <= self.head_id:
+            return []
+        evicted = [sid for sid in self.present if sid < new_head_id]
+        self.present.difference_update(evicted)
+        self.head_id = int(new_head_id)
+        return sorted(evicted)
+
+    def __len__(self) -> int:
+        return len(self.present)
+
+    def __contains__(self, segment_id: int) -> bool:
+        return segment_id in self.present
+
+    def add(self, segment_id: int) -> bool:
+        if segment_id < self.head_id:
+            return False
+        if segment_id >= self.tail_id:
+            self.advance_head(segment_id - self.capacity + 1)
+        self.present.add(int(segment_id))
+        return True
+
+    def discard(self, segment_id: int) -> None:
+        self.present.discard(segment_id)
+
+    def ids(self) -> List[int]:
+        return sorted(self.present)
+
+    def missing_in_range(self, start_id: int, end_id: int) -> List[int]:
+        return [sid for sid in range(max(start_id, 0), end_id) if sid not in self.present]
+
+    def has_range(self, start_id: int, count: int) -> bool:
+        return all((start_id + offset) in self.present for offset in range(count))
+
+    def newest_id(self) -> Optional[int]:
+        return max(self.present) if self.present else None
+
+    def oldest_id(self) -> Optional[int]:
+        return min(self.present) if self.present else None
+
+
+@dataclasses.dataclass(frozen=True)
+class RefBufferMap:
+    """``BufferMap`` as a frozen set of ids, with ``numpy.packbits`` for its
+    wire form — its spelling before the window became one integer."""
+
+    head_id: int
+    capacity: int
+    present: FrozenSet[int]
+
+    @classmethod
+    def from_buffer(cls, buffer: RefSegmentBuffer) -> "RefBufferMap":
+        return cls(buffer.head_id, buffer.capacity, frozenset(buffer.present))
+
+    def __contains__(self, segment_id: int) -> bool:
+        return segment_id in self.present
+
+    @property
+    def effective_tail(self) -> int:
+        return min(self.head_id + self.capacity - 1, max(self.present))
+
+    def position_from_tail(self, segment_id: int) -> int:
+        if segment_id not in self.present:
+            raise KeyError(segment_id)
+        return self.effective_tail - segment_id
+
+    def to_bytes(self) -> bytes:
+        bitmap = np.zeros(self.capacity, dtype=np.uint8)
+        for sid in self.present:
+            if 0 <= sid - self.head_id < self.capacity:
+                bitmap[sid - self.head_id] = 1
+        return np.packbits(bitmap).tobytes()
+
+    def fast(self) -> BufferMap:
+        """The same window as the integer-mask map the protocol runs on."""
+        return BufferMap(
+            self.head_id, self.capacity, sum(1 << (sid - self.head_id) for sid in self.present)
+        )
+
+
+def ref_delta_runs(new: RefBufferMap, base: RefBufferMap) -> Tuple[Tuple[int, int], ...]:
+    """``BufferMapDelta.from_maps``: the toggled ids of ``new``'s window, in runs."""
+    head = new.head_id
+    tail = head + new.capacity
+    new_in = {s for s in new.present if head <= s < tail}
+    base_in = {s for s in base.present if head <= s < tail}
+    runs: List[Tuple[int, int]] = []
+    run_start = run_end = -1
+    for sid in sorted(new_in ^ base_in):
+        offset = sid - head
+        if offset == run_end:
+            run_end += 1
+        else:
+            if run_start >= 0:
+                runs.append((run_start, run_end - run_start))
+            run_start, run_end = offset, offset + 1
+    if run_start >= 0:
+        runs.append((run_start, run_end - run_start))
+    return tuple(runs)
+
+
+def ref_delta_apply(delta: wire.BufferMapDelta, base: RefBufferMap) -> RefBufferMap:
+    """``BufferMapDelta.apply``: clip ``base`` to the window, toggle each run."""
+    head = delta.head_id
+    present = set(base.present)
+    present.intersection_update(range(head, head + delta.capacity))
+    for offset, length in delta.runs:
+        first = head + offset
+        present.symmetric_difference_update(range(first, first + length))
+    return RefBufferMap(head, delta.capacity, frozenset(present))
+
+
+def ref_column_schedule(
+    scheduler: DataScheduler,
+    neighbor_maps: Mapping[int, RefBufferMap],
+    missing: Sequence[int],
+    rate_of: Callable[[int], float],
+    play_id: int,
+    inbound_rate: float,
+) -> List[ScheduledRequest]:
+    """``DataScheduler.schedule`` as a set intersection per neighbour (ids
+    in set order), before the offered walk became ``aligned bits & wanted``."""
+    capacity = scheduler.buffer_capacity
+    rates: Dict[int, float] = {}
+    suppliers: Dict[int, List[int]] = {}
+    best_rate: Dict[int, float] = {}
+    rarity: Dict[int, float] = {}
+    for neighbor_id, neighbor_map in neighbor_maps.items():
+        offered = neighbor_map.present.intersection(missing)
+        if not offered:
+            continue
+        rate = rates[neighbor_id] = rate_of(neighbor_id)
+        tail = neighbor_map.effective_tail
+        for segment_id in offered:
+            position = tail - segment_id
+            factor = 1.0 if position >= capacity else (position if position > 0 else 0) / capacity
+            if segment_id not in suppliers:
+                suppliers[segment_id] = [neighbor_id]
+                best_rate[segment_id] = rate
+                rarity[segment_id] = factor
+            else:
+                suppliers[segment_id].append(neighbor_id)
+                best_rate[segment_id] = max(best_rate[segment_id], rate)
+                rarity[segment_id] *= factor
+    priorities: Dict[int, float] = {}
+    for segment_id in sorted(suppliers):
+        if scheduler.policy == "rarest_first":
+            priorities[segment_id] = 1.0 / len(suppliers[segment_id])
+            continue
+        urgency = compute_urgency(
+            segment_id, play_id, scheduler.playback_rate, best_rate[segment_id]
+        )
+        priority = compute_priority(urgency, rarity[segment_id])
+        priorities[segment_id] = (
+            bucket_priority(priority) if scheduler.quantize_priorities else priority
+        )
+    return schedule_requests(
+        priorities, suppliers, rates, inbound_rate, scheduler.period, scheduler.tiebreak_rng
+    )
 
 
 def ref_build_candidates(
     node: StreamingNode,
-    neighbor_maps: Mapping[int, BufferMap],
+    held: RefSegmentBuffer,
+    neighbor_maps: Mapping[int, RefBufferMap],
     newest_available_id: int,
     window: int,
 ) -> List[SegmentCandidate]:
@@ -139,17 +312,15 @@ def ref_build_candidates(
     }
     candidates: List[SegmentCandidate] = []
     for segment_id in range(lo, hi + 1):
-        if segment_id in node.buffer:
+        if segment_id in held:
             continue
         offers: List[SupplierOffer] = []
         for neighbor_id, neighbor_map in neighbor_maps.items():
-            if segment_id in neighbor_map.present:
+            if segment_id in neighbor_map:
                 offers.append(
                     SupplierOffer(
                         supplier_id=neighbor_id,
-                        position_from_tail=ref_position_from_tail(
-                            neighbor_map, segment_id
-                        ),
+                        position_from_tail=neighbor_map.position_from_tail(segment_id),
                         rate=rates[neighbor_id],
                     )
                 )
@@ -236,18 +407,19 @@ def ref_schedule_requests(
 
 def ref_plan(
     node: StreamingNode,
-    neighbor_maps: Mapping[int, BufferMap],
+    held: RefSegmentBuffer,
+    neighbor_maps: Mapping[int, RefBufferMap],
     newest_available_id: int,
     window: int,
     tiebreak_rng: Optional[np.random.Generator],
 ) -> List[ScheduledRequest]:
     """candidates -> eqs. (1)-(3) or ``1 / n_i`` -> Algorithm 1, record by record."""
     scheduler = node.scheduler
-    candidates = ref_build_candidates(node, neighbor_maps, newest_available_id, window)
+    candidates = ref_build_candidates(node, held, neighbor_maps, newest_available_id, window)
     if scheduler.policy == "rarest_first":
         priorities = {c.segment_id: rarest_first_priority(len(c.offers)) for c in candidates}
     else:
-        play_ref = node.playback.play_id if node.playback.started else node.buffer.head_id
+        play_ref = node.playback.play_id if node.playback.started else held.head_id
         breakdown = ref_prioritize_candidates(
             candidates, play_ref, scheduler.playback_rate, scheduler.buffer_capacity
         )
@@ -379,41 +551,178 @@ def ref_routing_candidates(table: PeerTable) -> tuple:
 
 
 # =========================================================================== #
-# K1 — availability: the effective tail
+# K1 — availability: one integer per window
 # =========================================================================== #
+#: Segment ids as the protocol sees them, and as NumPy integers: an ``np.int64``
+#: shift wraps past bit 63, so the window coerces at its boundary.
+segment_ids = st.integers(min_value=0, max_value=2000)
+any_segment_ids = st.one_of(segment_ids, segment_ids.map(np.int64))
+capacities = st.one_of(st.sampled_from([1, 7, 8, 13, 64, 65, 600]), st.integers(1, 200))
+
+
 @st.composite
-def buffer_maps(draw, lo: int = 0, hi: int = 400):
-    """Maps incl. empty ones, ids outside any window, holes at the tail."""
-    head = draw(st.integers(min_value=lo, max_value=hi))
-    capacity = draw(st.integers(min_value=1, max_value=120))
-    present = draw(
-        st.frozensets(st.integers(min_value=max(0, head - 20), max_value=head + capacity + 20), max_size=80)
+def ref_maps(draw, head: Optional[int] = None, capacity: Optional[int] = None, hi: int = 400):
+    """Windows incl. empty and full ones; capacities not a multiple of 8."""
+    if head is None:
+        head = draw(st.integers(min_value=0, max_value=hi))
+    if capacity is None:
+        capacity = draw(capacities)
+    offsets = draw(
+        st.one_of(
+            st.frozensets(st.integers(0, capacity - 1), max_size=80),
+            st.just(frozenset(range(capacity))),
+        )
     )
-    return BufferMap(head_id=head, capacity=capacity, present=present)
+    return RefBufferMap(head, capacity, frozenset(head + offset for offset in offsets))
 
 
-class TestEffectiveTail:
-    @given(buffer_map=buffer_maps())
-    @settings(max_examples=150, deadline=None)
-    def test_position_matches_the_per_offer_max(self, buffer_map):
-        for segment_id in buffer_map.present:
-            assert buffer_map.position_from_tail(segment_id) == ref_position_from_tail(
-                buffer_map, segment_id
-            )
+_buffer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), any_segment_ids),
+        st.tuples(st.just("add_past_tail"), st.integers(0, 5000)),
+        st.tuples(st.just("discard"), any_segment_ids),
+        st.tuples(st.just("advance_head"), any_segment_ids),
+        st.tuples(st.just("catch_up"), st.integers(0, 3000)),
+    ),
+    max_size=40,
+)
+
+
+def _assert_same_window(fast: SegmentBuffer, ref: RefSegmentBuffer, lo: int, count: int) -> None:
+    assert (fast.head_id, fast.tail_id) == (ref.head_id, ref.tail_id)
+    assert 0 <= fast.bits < 1 << fast.capacity
+    assert fast.ids() == ref.ids() and len(fast) == len(ref)
+    assert (fast.newest_id(), fast.oldest_id()) == (ref.newest_id(), ref.oldest_id())
+    for sid in range(lo, lo + count):
+        assert (sid in fast) == (np.int64(sid) in fast) == (sid in ref)
+    assert fast.has_range(lo, count) == ref.has_range(lo, count)
+    wanted = fast.missing_bits(lo, count)
+    assert wanted >> count == 0
+    assert [lo + j for j in range(count) if wanted >> j & 1] == ref.missing_in_range(lo, lo + count)
+    snapshot, ref_snapshot = BufferMap.from_buffer(fast), RefBufferMap.from_buffer(ref)
+    assert snapshot == ref_snapshot.fast()
+    assert snapshot.to_bytes() == ref_snapshot.to_bytes()
+
+
+class TestWindowBuffer:
+    @given(
+        capacity=capacities,
+        head=st.integers(min_value=0, max_value=300),
+        ops=_buffer_ops,
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_buffer_equals_the_id_set(self, capacity, head, ops, data):
+        """After every ``add`` (incl. slides far past the tail), ``discard``,
+        ``advance_head`` and catch-up skip: membership, size, extremes,
+        ``has_range``, the wanted mask and the wire bytes equal the set's."""
+        fast, ref = SegmentBuffer(capacity, head), RefSegmentBuffer(capacity, head)
+        for op, value in ops:
+            if op == "add":
+                assert fast.add(value) == ref.add(value)
+            elif op == "add_past_tail":
+                assert fast.add(fast.tail_id + value) == ref.add(ref.tail_id + value)
+            elif op == "discard":
+                fast.discard(value)
+                ref.discard(value)
+            elif op == "advance_head":
+                fast.advance_head(value)
+                ref.advance_head(value)
+            else:  # a viewer far behind the live edge seeks forward; the head follows
+                fast.advance_head(np.int64(fast.head_id + value))
+                ref.advance_head(ref.head_id + value)
+            lo = data.draw(st.integers(max(0, ref.head_id - 70), ref.tail_id + 70))
+            _assert_same_window(fast, ref, lo, data.draw(st.integers(0, 150)))
+
+
+class TestWindowMaps:
+    @given(
+        data=st.data(),
+        capacity=capacities,
+        move=st.one_of(
+            st.integers(-12, 12), st.integers(-700, 700), st.sampled_from([10**6, -(10**6)])
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_delta_and_wire_form_equal_the_id_sets(self, data, capacity, move):
+        """Window forward, back, or jumped past ``capacity``; base maps of
+        another capacity: the runs, the applied map, ``to_bytes`` (against
+        ``numpy.packbits``), ``from_bytes``, ``in`` and ``p_ij`` all agree."""
+        base = data.draw(st.one_of(ref_maps(capacity=capacity), ref_maps()), label="base")
+        new = data.draw(ref_maps(head=max(0, base.head_id + move), capacity=capacity), label="new")
+        delta = wire.BufferMapDelta.from_maps(1, 2, 3, new.fast(), base.fast())
+        assert delta.runs == ref_delta_runs(new, base)
+        assert delta.apply(base.fast()) == ref_delta_apply(delta, base).fast() == new.fast()
+        for ref in (base, new):
+            fast = ref.fast()
+            assert fast.to_bytes() == ref.to_bytes()
+            assert BufferMap.from_bytes(ref.head_id, ref.capacity, ref.to_bytes()) == fast
+            if ref.present:
+                assert fast.effective_tail == ref.effective_tail
+            for sid in range(max(0, ref.head_id - 70), ref.head_id + ref.capacity + 70):
+                assert (sid in fast) == (np.int64(sid) in fast) == (sid in ref)
+                if sid in ref:
+                    assert fast.position_from_tail(sid) == ref.position_from_tail(sid)
+
+    @given(base=ref_maps(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_equals_the_id_set_toggle(self, base, data):
+        """Any well-formed delta on any stored map, as a received frame would be."""
+        capacity = data.draw(capacities)
+        cursor, runs = 0, []
+        for _ in range(data.draw(st.integers(0, 8))):
+            if cursor >= capacity:
+                break
+            start = data.draw(st.integers(cursor, capacity - 1))
+            length = data.draw(st.integers(1, capacity - start))
+            runs.append((start, length))
+            cursor = start + length
+        head = data.draw(st.integers(0, 900))
+        delta = wire.BufferMapDelta(1, 2, 3, head, capacity, tuple(runs))
+        assert delta.apply(base.fast()) == ref_delta_apply(delta, base).fast()
 
     def test_empty_map_raises_keyerror_before_valueerror(self):
-        empty = BufferMap(head_id=0, capacity=10, present=frozenset())
+        empty = BufferMap(head_id=0, capacity=10)
         with pytest.raises(KeyError):
             empty.position_from_tail(3)
         with pytest.raises(ValueError):
             empty.effective_tail  # noqa: B018 - the access is the test
 
     def test_tail_is_not_part_of_equality_or_repr(self):
-        a = BufferMap(head_id=0, capacity=10, present=frozenset({1, 4}))
-        b = BufferMap(head_id=0, capacity=10, present=frozenset({1, 4}))
+        a = BufferMap(head_id=0, capacity=10, bits=0b10010)
+        b = BufferMap(head_id=0, capacity=10, bits=0b10010)
         assert a.effective_tail == 4
         assert a == b and "effective_tail" not in repr(a)
-        assert dataclasses.replace(a, capacity=3).effective_tail == 2
+        assert dataclasses.replace(a, capacity=5).effective_tail == 4
+        with pytest.raises(ValueError):
+            dataclasses.replace(a, capacity=3)
+
+
+class TestWindowMemory:
+    """A window is one integer; these stop a per-id container coming back."""
+
+    def test_a_full_window_is_one_small_int(self):
+        buffer = SegmentBuffer(capacity=600, head_id=864_000)
+        buffer.update_from(range(864_000, 864_600))
+        snapshot = BufferMap.from_buffer(buffer)
+        assert len(buffer) == 600 and snapshot.bits is buffer.bits
+        for window in (buffer, snapshot):
+            assert sys.getsizeof(window) + sys.getsizeof(window.bits) < 512
+            assert not hasattr(window, "__dict__")
+
+    def test_live_peers_store_no_id_sets(self):
+        spec = builtin_scenario("static").scaled(num_nodes=50, rounds=10, seed=0)
+        swarm = LiveSwarm(spec, clock="virtual").build()
+        swarm.run()
+        peers = list(swarm.peers.values())
+        stored = [m for peer in peers for m in peer.neighbor_maps.values()]
+        stored += [peer._last_gossip[1] for peer in peers if peer._last_gossip is not None]
+        assert len(stored) > 5 * len(peers)
+        for buffer_map in stored:
+            assert type(buffer_map) is BufferMap and not hasattr(buffer_map, "__dict__")
+            values = [getattr(buffer_map, field.name) for field in dataclasses.fields(buffer_map)]
+            assert [type(value) for value in values] == [int, int, int]
+        assert all(type(peer.node.buffer.bits) is int for peer in peers)
 
 
 def _node(buffer_capacity: int = 120, **kwargs) -> StreamingNode:
@@ -481,9 +790,13 @@ class TestColumnPass:
         self, data, held, started, window, capacity, policy, quantize, seed
     ):
         """``plan_requests`` == ref_build_candidates -> ref_prioritize_candidates
-        -> ref_schedule_requests, with the same generator state afterwards."""
+        -> ref_schedule_requests == the id-set column pass, with the same
+        generator state afterwards."""
         node = _node(buffer_capacity=capacity, playback_lag=min(50, capacity - 10), policy=policy)
         node.buffer.update_from(held)
+        ref_held = RefSegmentBuffer(capacity)
+        for sid in sorted(held):
+            ref_held.add(sid)
         newest = data.draw(st.integers(min_value=-1, max_value=430))
         if started:
             play_id = data.draw(st.integers(min_value=0, max_value=400))
@@ -495,17 +808,11 @@ class TestColumnPass:
         # Most maps overlap the interest window, so segments have several
         # suppliers; some are arbitrary (incl. empty) maps.
         lo, hi = node.interest_window(newest, window)
-        lo, hi = max(0, lo), max(0, lo, hi)
-        near_window = st.builds(
-            BufferMap,
-            head_id=st.integers(min_value=max(0, lo - 40), max_value=hi),
-            capacity=st.integers(min_value=1, max_value=200),
-            present=st.frozensets(
-                st.integers(min_value=max(0, lo - 10), max_value=hi + 10), max_size=60
-            ),
+        near_window = st.integers(max(0, lo - 40), max(0, lo, hi)).flatmap(
+            lambda head: ref_maps(head=head)
         )
         maps = {
-            nid: data.draw(st.one_of(near_window, near_window, near_window, buffer_maps()))
+            nid: data.draw(st.one_of(near_window, near_window, near_window, ref_maps()))
             for nid in neighbor_ids
         }
         for nid in neighbor_ids:  # incl. zero and negative rate estimates
@@ -515,22 +822,31 @@ class TestColumnPass:
                 )
         node.inbound_rate = data.draw(st.sampled_from([0.0, 3.0, 15.0, 40.0]))
         node.scheduler.quantize_priorities = quantize
-        ref_rng = None if seed is None else np.random.default_rng(seed)
-        node.scheduler.tiebreak_rng = None if seed is None else np.random.default_rng(seed)
+        rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(3)]
+        ref_rng, column_rng, node.scheduler.tiebreak_rng = rngs
+        play_ref = node.playback.play_id if node.playback.started else ref_held.head_id
 
-        expected = ref_plan(node, maps, newest, window, ref_rng)
-        assert node.plan_requests(maps, newest, window) == expected
+        expected = ref_plan(node, ref_held, maps, newest, window, ref_rng)
+        column = ref_column_schedule(
+            dataclasses.replace(node.scheduler, tiebreak_rng=column_rng),
+            maps,
+            ref_held.missing_in_range(lo, hi + 1),
+            node.rate_controller.rate_of,
+            play_ref,
+            node.inbound_rate,
+        )
+        fast_maps = {nid: buffer_map.fast() for nid, buffer_map in maps.items()}
+        assert node.plan_requests(fast_maps, newest, window) == expected == column
         if seed is not None:
-            assert (
-                node.scheduler.tiebreak_rng.bit_generator.state == ref_rng.bit_generator.state
-            )
+            states = [rng.bit_generator.state for rng in rngs]
+            assert states[0] == states[1] == states[2]
 
     def test_supplier_order_is_neighbour_order(self):
         """Two equally fast suppliers: the first in mapping order wins, so the
         column must keep the order the maps are walked in."""
         for order in ([3, 9], [9, 3]):
             node = _node(playback_lag=20)
-            maps = {nid: BufferMap(head_id=0, capacity=120, present=frozenset({90})) for nid in order}
+            maps = {nid: BufferMap(head_id=0, capacity=120, bits=1 << 90) for nid in order}
             for nid in order:
                 node.rate_controller.register_neighbor(nid, 15.0, 1)
             (request,) = node.plan_requests(maps, newest_available_id=100, window=40)

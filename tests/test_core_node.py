@@ -35,7 +35,8 @@ def make_node(node_class=StreamingNode, node_id=100, **overrides):
 
 
 def neighbor_map(head_id, present, capacity=200):
-    return BufferMap(head_id=head_id, capacity=capacity, present=frozenset(present))
+    bits = sum(1 << (sid - head_id) for sid in set(present))
+    return BufferMap(head_id=head_id, capacity=capacity, bits=bits)
 
 
 class TestPolicies:

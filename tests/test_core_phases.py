@@ -140,7 +140,7 @@ class TestBufferMapGossipPhase:
         report = BufferMapGossipPhase().execute(ctx)
         assert ctx.alive_ids == [1, 2]
         assert ctx.consumers == [2]
-        assert 0 in ctx.snapshots[1].present
+        assert 0 in ctx.snapshots[1]
         assert ctx.inbound_budget[2] == pytest.approx(15.0)
         assert ctx.outbound_budget[1] == pytest.approx(100.0)
         assert report.details["nodes_alive"] == 2
@@ -150,7 +150,7 @@ class TestBufferMapGossipPhase:
         ctx = make_ctx({1: node}, source_id=99)
         BufferMapGossipPhase().execute(ctx)
         node.buffer.add(7)  # delivered mid-round
-        assert 7 not in ctx.snapshots[1].present
+        assert 7 not in ctx.snapshots[1]
 
 
 class TestUrgentLinePredictionPhase:

@@ -16,13 +16,16 @@ from repro.streaming.buffermap import BufferMap
 
 def _map(*present, head=0, capacity=600):
     """A neighbour's map; its largest id sets the tail ``p_ij`` is measured from."""
-    return BufferMap(head_id=head, capacity=capacity, present=frozenset(present))
+    return BufferMap(head_id=head, capacity=capacity, bits=sum(1 << (s - head) for s in present))
 
 
 def _plan(maps, missing, rates, play_id=0, inbound_rate=10.0, **scheduler):
     params = dict(playback_rate=10.0, buffer_capacity=600, period=1.0, quantize_priorities=False)
     params.update(scheduler)
-    return DataScheduler(**params).schedule(maps, missing, rates.__getitem__, play_id, inbound_rate)
+    wanted = sum(1 << sid for sid in set(missing))
+    return DataScheduler(**params).schedule(
+        maps, 0, wanted, rates.__getitem__, play_id, inbound_rate
+    )
 
 
 class TestPriorities:
@@ -55,11 +58,11 @@ class TestPriorities:
         assert two < one
 
     def test_positions_clamped_to_buffer(self):
-        # p_ij beyond this node's B counts as B/B; a segment past a
-        # supplier's tail counts as 0.
+        # p_ij beyond this node's B counts as B/B; a supplier's newest
+        # segment (p_ij = 0) counts as 0.
         (request,) = _plan({1: _map(100, 550)}, [100], {1: 5.0}, buffer_capacity=300)
         assert request.priority == 1.0
-        (request,) = _plan({1: _map(150, 300, capacity=200)}, [300], {1: 5.0})
+        (request,) = _plan({1: _map(150, 300, capacity=400)}, [300], {1: 5.0})
         assert request.priority == pytest.approx(1 / 29.8)  # rarity 0 < urgency
 
     def test_rarest_first_uses_supplier_count(self):

@@ -109,8 +109,9 @@ def test_buffer_map_round_trip_preserves_window_content(capacity, segment_ids):
     buffer = SegmentBuffer(capacity=capacity)
     buffer.update_from(segment_ids)
     snapshot = BufferMap.from_buffer(buffer)
-    rebuilt = BufferMap.from_bitmap(snapshot.head_id, snapshot.to_bitmap())
-    assert rebuilt.present == snapshot.present
+    rebuilt = BufferMap.from_bytes(snapshot.head_id, snapshot.capacity, snapshot.to_bytes())
+    assert rebuilt == snapshot
+    assert [sid for sid in range(buffer.head_id, buffer.tail_id) if sid in rebuilt] == buffer.ids()
 
 
 # --------------------------------------------------------------------------- #

@@ -20,10 +20,8 @@ class TestConstruction:
         buffer = SegmentBuffer(capacity=10, head_id=5)
         assert buffer.head_id == 5
         assert buffer.tail_id == 15
-        assert buffer.in_window(5)
-        assert buffer.in_window(14)
-        assert not buffer.in_window(15)
-        assert not buffer.in_window(4)
+        assert buffer.add(14) and 14 in buffer and buffer.head_id == 5
+        assert not buffer.add(4)
 
 
 class TestAddAndEvict:
@@ -50,14 +48,16 @@ class TestAddAndEvict:
     def test_advance_head_evicts_fifo(self):
         buffer = SegmentBuffer(capacity=10)
         buffer.update_from(range(6))
-        evicted = buffer.advance_head(3)
-        assert evicted == [0, 1, 2]
+        buffer.advance_head(3)
         assert buffer.ids() == [3, 4, 5]
+        assert buffer.bits == 0b111
 
     def test_advance_head_backwards_is_noop(self):
         buffer = SegmentBuffer(capacity=10, head_id=5)
-        assert buffer.advance_head(3) == []
+        buffer.add(6)
+        buffer.advance_head(3)
         assert buffer.head_id == 5
+        assert buffer.ids() == [6]
 
     def test_discard(self):
         buffer = SegmentBuffer(capacity=10)
@@ -79,21 +79,24 @@ class TestQueries:
         buffer.update_from([4, 1, 3])
         assert buffer.ids() == [1, 3, 4]
 
-    def test_id_set_is_a_copy(self):
-        buffer = SegmentBuffer(capacity=10)
-        buffer.add(1)
-        copy = buffer.id_set()
-        copy.add(99)
-        assert 99 not in buffer
+    def test_bits_are_the_window(self):
+        buffer = SegmentBuffer(capacity=10, head_id=4)
+        buffer.update_from([4, 6, 13])
+        assert buffer.bits == 0b10_0000_0101  # bit j <=> segment 4 + j
 
-    def test_missing_in_range(self):
+    def test_missing_bits(self):
         buffer = SegmentBuffer(capacity=10)
         buffer.update_from([0, 2, 4])
-        assert buffer.missing_in_range(0, 5) == [1, 3]
+        assert buffer.missing_bits(0, 5) == 0b01010  # 1 and 3
+        assert buffer.missing_bits(2, 3) == 0b010  # 3, anchored at 2
+        assert buffer.missing_bits(0, 0) == 0
 
-    def test_missing_in_range_clamps_negative_start(self):
-        buffer = SegmentBuffer(capacity=10)
-        assert buffer.missing_in_range(-5, 2) == [0, 1]
+    def test_missing_bits_before_the_head_and_past_the_tail(self):
+        buffer = SegmentBuffer(capacity=4, head_id=10)
+        buffer.update_from([10, 11, 12, 13])
+        assert buffer.missing_bits(8, 4) == 0b0011  # 8 and 9 expired
+        assert buffer.missing_bits(12, 4) == 0b1100  # 14 and 15 not yet held
+        assert buffer.missing_bits(0, 3) == 0b111  # far before the head
 
     def test_has_range(self):
         buffer = SegmentBuffer(capacity=10)

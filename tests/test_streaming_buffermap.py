@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.streaming.buffer import SegmentBuffer
@@ -26,10 +25,6 @@ class TestSizes:
         with pytest.raises(ValueError):
             buffer_map_bits(0)
 
-    def test_instance_size(self):
-        snapshot = BufferMap(head_id=0, capacity=600, present=frozenset())
-        assert snapshot.size_bits() == 620
-
 
 class TestSnapshot:
     def test_from_buffer(self):
@@ -38,7 +33,7 @@ class TestSnapshot:
         snapshot = BufferMap.from_buffer(buffer)
         assert snapshot.head_id == 5
         assert snapshot.capacity == 20
-        assert snapshot.present == frozenset({5, 7, 9})
+        assert snapshot.bits == 0b10101
         assert 7 in snapshot and 6 not in snapshot
 
     def test_snapshot_is_immutable_view(self):
@@ -48,36 +43,41 @@ class TestSnapshot:
         buffer.add(2)
         assert 2 not in snapshot
 
+    @pytest.mark.parametrize("bits", [-1, 1 << 10, (1 << 11) - 1])
+    def test_ids_outside_the_window_are_unrepresentable(self, bits):
+        """What ``in`` answers is what ``to_bytes`` ships: no stray ids."""
+        with pytest.raises(ValueError):
+            BufferMap(head_id=0, capacity=10, bits=bits)
+        assert BufferMap(head_id=0, capacity=10, bits=(1 << 10) - 1).bits.bit_count() == 10
+
 
 class TestPositionFromTail:
     def test_position_uses_effective_tail(self):
         # Newest held id is 9, so segment 9 is at distance 0 and segment 4 at 5.
-        snapshot = BufferMap(head_id=0, capacity=600, present=frozenset({4, 9}))
+        snapshot = BufferMap(head_id=0, capacity=600, bits=(1 << 4) | (1 << 9))
         assert snapshot.position_from_tail(9) == 0
         assert snapshot.position_from_tail(4) == 5
 
     def test_position_capped_by_window_tail(self):
-        snapshot = BufferMap(head_id=0, capacity=10, present=frozenset({0, 9}))
+        snapshot = BufferMap(head_id=0, capacity=10, bits=(1 << 0) | (1 << 9))
         assert snapshot.position_from_tail(0) == 9
 
     def test_position_unknown_segment_raises(self):
-        snapshot = BufferMap(head_id=0, capacity=10, present=frozenset({1}))
+        snapshot = BufferMap(head_id=0, capacity=10, bits=1 << 1)
         with pytest.raises(KeyError):
             snapshot.position_from_tail(2)
 
 
-class TestBitmapRoundTrip:
-    def test_to_bitmap(self):
-        snapshot = BufferMap(head_id=10, capacity=5, present=frozenset({10, 12}))
-        bitmap = snapshot.to_bitmap()
-        assert bitmap.tolist() == [1, 0, 1, 0, 0]
-        assert bitmap.dtype == np.uint8
+class TestWireForm:
+    def test_to_bytes_packs_slot_zero_into_the_high_bit(self):
+        snapshot = BufferMap(head_id=10, capacity=10, bits=(1 << 0) | (1 << 2) | (1 << 9))
+        assert snapshot.to_bytes() == bytes([0b1010_0000, 0b0100_0000])
 
     def test_round_trip(self):
-        original = BufferMap(head_id=50, capacity=8, present=frozenset({50, 53, 57}))
-        rebuilt = BufferMap.from_bitmap(50, original.to_bitmap())
-        assert rebuilt == original
+        original = BufferMap(head_id=50, capacity=8, bits=(1 << 0) | (1 << 3) | (1 << 7))
+        assert BufferMap.from_bytes(50, 8, original.to_bytes()) == original
 
-    def test_out_of_window_ids_not_encoded(self):
-        snapshot = BufferMap(head_id=0, capacity=4, present=frozenset({0, 99}))
-        assert snapshot.to_bitmap().tolist() == [1, 0, 0, 0]
+    def test_from_bytes_ignores_padding_and_checks_length(self):
+        assert BufferMap.from_bytes(0, 4, b"\xff").bits == 0b1111
+        with pytest.raises(ValueError):
+            BufferMap.from_bytes(0, 9, b"\xff")
