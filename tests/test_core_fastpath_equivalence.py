@@ -19,6 +19,7 @@ to optimise*).  This module keeps the plain spellings they replaced as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -1263,8 +1264,26 @@ def _runtime_spec(scenario: str, nodes: int, loss_rate: Optional[float]):
     return spec
 
 
+#: The counters that measure frame *length* rather than what was sent.  A
+#: codec change moves these and nothing else, so they are pinned as plain
+#: integers beside the decision hashes, which leave them out.
+def byte_counters(result) -> dict:
+    return {
+        "bytes_on_wire": result.bytes_on_wire,
+        "gossip_bytes": result.transport.gossip_bytes,
+        "gossip_bytes_full": result.transport.gossip_bytes_full,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _runtime_result(scenario: str, nodes: int, loss_rate: Optional[float], traced: bool = False):
+    """One virtual-clock run, shared by the hash, byte and fact pins of a spec."""
+    obs = ObsConfig(trace_sample=4) if traced else None
+    return LiveSwarm(_runtime_spec(scenario, nodes, loss_rate), clock="virtual", obs=obs).run()
+
+
 def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
-    result = LiveSwarm(_runtime_spec(scenario, nodes, loss_rate), clock="virtual").run()
+    result = _runtime_result(scenario, nodes, loss_rate)
     return _digest(
         {
             "continuity": [repr(c) for c in result.continuity_series()],
@@ -1274,7 +1293,6 @@ def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -
                 for peer, ledger in sorted(result.per_peer_ledgers.items())
             },
             "messages_sent": result.messages_sent,
-            "bytes_on_wire": result.bytes_on_wire,
         }
     )
 
@@ -1287,7 +1305,7 @@ TRANSPORT_FACTS = (
 
 
 def runtime_transport_facts(scenario: str, nodes: int, loss_rate: Optional[float]) -> dict:
-    result = LiveSwarm(_runtime_spec(scenario, nodes, loss_rate), clock="virtual").run()
+    result = _runtime_result(scenario, nodes, loss_rate)
     return {
         "messages_dropped": result.messages_dropped,
         **{name: getattr(result.transport, name) for name in TRANSPORT_FACTS},
@@ -1296,22 +1314,21 @@ def runtime_transport_facts(scenario: str, nodes: int, loss_rate: Optional[float
 
 def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
     """One obs-enabled run (every 4th request traced): the trace ids ride
-    the frames, so bytes differ from the untraced golden — and the span
-    stream, stamped with virtual time, pins the order things happened in."""
-    result = LiveSwarm(
-        _runtime_spec(scenario, nodes, loss_rate), clock="virtual", obs=ObsConfig(trace_sample=4)
-    ).run()
+    the frames, and the span stream, stamped with virtual time, pins the
+    order things happened in."""
+    result = _runtime_result(scenario, nodes, loss_rate, traced=True)
     spans = [
         {key: repr(value) if isinstance(value, float) else value for key, value in span.items()}
         for span in result.obs["spans"]
     ]
+    transport = result.transport.to_dict()
+    del transport["gossip_bytes"], transport["gossip_bytes_full"]
     return _digest(
         {
             "continuity": [repr(c) for c in result.continuity_series()],
             "messages_sent": result.messages_sent,
             "messages_dropped": result.messages_dropped,
-            "bytes_on_wire": result.bytes_on_wire,
-            "transport": result.transport.to_dict(),
+            "transport": transport,
             "spans": spans,
         }
     )
@@ -1319,7 +1336,7 @@ def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[fl
 
 class TestGoldenFingerprints:
     """Continuity series, per-round scheduled/prefetched counts, ledger bits
-    and counts by kind, ``messages_sent`` and ``bytes_on_wire`` — hashed.
+    and counts by kind and ``messages_sent`` — hashed.
 
     Captured with numpy 2.4 / CPython 3.11 at commit ``ea4537c``.  A mismatch
     means the protocol took a different decision somewhere; it is a behaviour
@@ -1351,15 +1368,33 @@ class TestGoldenFingerprints:
     def test_simulator_dynamic_60x25(self, system, golden):
         assert sim_fingerprint(system, dynamic=True) == golden
 
+    # The runtime pins are split in two (at commit ``33d0d37``, before any
+    # codec edit): a hash over every decision — continuity, ledgers,
+    # messages, transport facts, spans — and the byte counters as plain
+    # integers.  A frame-format change may edit only the integers.
     def test_runtime_static_50x20(self):
         assert runtime_fingerprint("static", 50, None) == (
-            "532790213a2eb75c6de45e18cd24120cd6cdb4fc1797a3e2e7946a47daf52a44"
+            "25872aee5b5713dc4812999ef9418e634b18d19b83fbc86057f1316d8dc28ebe"
         )
+
+    def test_runtime_static_50x20_bytes(self):
+        assert byte_counters(_runtime_result("static", 50, None)) == {
+            "bytes_on_wire": 1096103,
+            "gossip_bytes": 225844,
+            "gossip_bytes_full": 547428,
+        }
 
     def test_runtime_paper_dynamic_with_loss_40x20(self):
         assert runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "b4462e0902fcb8d86025da3c2179491be58aa648d5ab8b9bd847ff993fe50363"
+            "605c1eec9994b75e174ac1513af6aef1475676f6f74336df245e10c6d60ad0a7"
         )
+
+    def test_runtime_paper_dynamic_with_loss_40x20_bytes(self):
+        assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
+            "bytes_on_wire": 923773,
+            "gossip_bytes": 279668,
+            "gossip_bytes_full": 546938,
+        }
 
     # The three below were captured at commit ``669309f`` (the parent of
     # the purpose-built virtual-clock loop), before any edit.
@@ -1385,5 +1420,12 @@ class TestGoldenFingerprints:
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20(self):
         assert traced_runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "34e9ad2d3abd6d3e656932f1f64fabf48267e9ec0a5f305161ffa61a377a08af"
+            "465d36b7d1556276bc4905b4938f4c10c28a5721fe86e17c9b7a5e04ccddfbd4"
         )
+
+    def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):
+        assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
+            "bytes_on_wire": 976069,
+            "gossip_bytes": 279668,
+            "gossip_bytes_full": 546938,
+        }
