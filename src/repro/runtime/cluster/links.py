@@ -57,9 +57,6 @@ class Link(Protocol):
         ...  # pragma: no cover - protocol
 
 
-_BATCH_KIND = int(wire.WireKind.BATCH)
-
-
 class LoopbackLink:
     """Delivers frames to peers hosted in this process.
 
@@ -96,7 +93,7 @@ class LoopbackLink:
     def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
         """Ship one frame with link latency (and loss, for data frames)."""
         host = self.host
-        is_batch = len(frame) > 4 and frame[4] == _BATCH_KIND
+        is_batch = wire.is_batch(frame)
         if data and host.loss_rng is not None and host.spec.loss_rate > 0.0:
             if is_batch:
                 # A routed batch from a peer shard: the network loses
@@ -105,7 +102,7 @@ class LoopbackLink:
                 frame = self._lose_from_batch(src, dst, frame)
                 if frame is None:
                     return
-                is_batch = frame[4] == _BATCH_KIND
+                is_batch = wire.is_batch(frame)
             elif host.loss_rng.random() < host.spec.loss_rate:
                 host.messages_dropped += 1
                 self._refund_lost(src, dst)
@@ -233,11 +230,6 @@ class LinkConfig:
             raise ValueError("reconnect_attempts must be >= 0")
 
 
-#: Inner-frame kind bytes a full socket queue must never shed: losing a
-#: credit grant wedges the remote window, losing a handover loses a VoD
-#: backup store forever (the sender dies right after shipping it).
-_UNSHEDDABLE = (bytes([wire.WireKind.CREDIT]), bytes([wire.WireKind.HANDOVER]))
-
 #: Link lifecycle states.
 _CONNECTING, _UP, _DOWN, _DEAD = "connecting", "up", "down", "dead"
 
@@ -332,11 +324,11 @@ class SocketLink:
         if self._closing or self.state == _DEAD:
             self.host.note_undeliverable(src, dst, data)
             return
-        if self.state == _DOWN and frame[4:5] not in _UNSHEDDABLE:
+        if self.state == _DOWN and not wire.is_one_shot(frame):
             self.stats.sheds += 1
             self.host.note_undeliverable(src, dst, data)
             return
-        if len(self._queue) >= self.config.queue_limit and frame[4:5] not in _UNSHEDDABLE:
+        if len(self._queue) >= self.config.queue_limit and not wire.is_one_shot(frame):
             self.stats.sheds += 1
             self.host.note_undeliverable(src, dst, data)
             return

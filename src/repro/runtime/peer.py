@@ -66,8 +66,6 @@ from repro.streaming.segment import Segment
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.swarm import LiveSwarm
 
-_BATCH_KIND = int(wire.WireKind.BATCH)
-
 
 @dataclass
 class _PendingLookup:
@@ -266,11 +264,7 @@ class LivePeer:
         node = self.node
         handler_of = _DISPATCH.get
         for src, chunk, was_control in self.inbox.take_batch():
-            if chunk[4] == _BATCH_KIND:
-                messages = wire.decode_batch(chunk)
-            else:
-                messages = (wire.decode(chunk)[0],)
-            for msg in messages:
+            for msg in wire.decode_frame(chunk):
                 if node.alive:
                     # Anything unhandled (PONG liveness confirmations)
                     # is ignored.
@@ -334,20 +328,14 @@ class LivePeer:
         Handover` (the gracefully leaving sender stops right after
         shipping its backup store), and the buffer-map gossip family
         (delta gossip is *stateful*: full maps are the chain anchors,
-        deltas the links — see ``_ABSORBED_KINDS``).
+        deltas the links — see :data:`~repro.runtime.wire.ABSORBED_KINDS`).
         Those are applied as if delivered (the loopback stand-in for a
         real transport's reliable control channel); everything else just
         stays dropped.  A shed :class:`~repro.runtime.wire.FrameBatch`
         is unwrapped so any one-shot frames *inside* it survive too.
         """
-        # Shedding means overload: peek the kind byte, decode only those.
-        if frame[4] == _BATCH_KIND:
-            messages = wire.decode_batch(frame, only=_ABSORBED_KINDS)
-        elif frame[4] in _ABSORBED_KINDS:
-            messages = (wire.decode(frame)[0],)
-        else:
-            return
-        for msg in messages:
+        # Shedding means overload: decode only the absorbed kinds.
+        for msg in wire.decode_frame(frame, only=wire.ABSORBED_KINDS):
             _DISPATCH[type(msg)](self, msg)
 
     def _grant_credits(self, src: int) -> None:
@@ -1060,18 +1048,3 @@ _DISPATCH = {
     wire.Handover: LivePeer._on_handover,
     wire.CreditGrant: LivePeer._on_credit,
 }
-
-#: The control messages that carry one-shot state and therefore must
-#: survive an inbox shed (:meth:`LivePeer.absorb_shed_control`): credit
-#: grants (window state the granting side already reset), graceful-leave
-#: handovers (the sender dies right after sending), and full buffer maps
-#: — under delta gossip a full map is no longer repeated every period but
-#: the *anchor* every subsequent delta is decoded against, so losing one
-#: breaks the chain until a desync round-trip completes.  Deltas ride
-#: along: an absorbed in-sequence delta applies normally, an
-#: out-of-sequence one triggers the usual PING resync — whereas silently
-#: dropping it would leave this peer's view of the sender a full desync
-#: round-trip staler than the old repeat-every-period full maps ever were.
-_ABSORBED_KINDS = frozenset(
-    wire.WireKind[name] for name in ("CREDIT", "HANDOVER", "BUFFER_MAP", "MAP_DELTA")
-)

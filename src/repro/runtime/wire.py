@@ -7,9 +7,11 @@ PING/PONG and the graceful-leave backup handover — has a binary frame:
 ``[u32 length][u8 kind][body]``
 
 with the 4-byte big-endian ``length`` covering the kind byte and the body.
-Peers exchange these frames over in-process loopback transports (see
-:mod:`repro.runtime.swarm`); nothing in the codec assumes loopback, so the
-same frames can later travel over real sockets.
+A peer message whose integers all fit 16 bits ships *narrow*: bit 7 of
+the kind byte (:data:`NARROW`) set, ids and segment numbers in 16 bits
+(see *encoding* below).  Peers exchange these frames over in-process
+loopback transports (see :mod:`repro.runtime.swarm`); nothing in the codec
+assumes loopback, so the same frames can later travel over real sockets.
 
 Two sizes exist per message and must not be confused:
 
@@ -347,7 +349,8 @@ class RoutedFrame:
     field already spells it (every peer frame leads with its sender id
     except forwarded DHT hops) — the codec detects the match at encode
     time, sets a flag bit and re-reads the id from the payload on decode,
-    saving four bytes on the vast majority of routed traffic.
+    at the width the inner kind byte declares (16 bits for a narrow inner
+    frame), saving four bytes on the vast majority of routed traffic.
     """
 
     src: int
@@ -425,36 +428,48 @@ WireMessage = Union[
 
 # ====================================================================== encoding
 #
-# One precompiled Struct per kind packs the length prefix, kind byte and
-# fixed header in a single call; out-of-range fields surface as
+# One precompiled Struct per kind and width packs the length prefix, kind
+# byte and fixed header in a single call; out-of-range fields surface as
 # ``struct.error``, which :func:`encode` re-raises as :class:`WireError`
-# (one translation for every kind).  Variable tails
-# (bitmaps, paths, batch entries) are appended with cached per-count
-# Structs (:func:`_ids_struct` / :func:`_u16s_struct`).
+# (one translation for every kind).  Variable tails (bitmaps, paths, batch
+# entries) are appended with cached per-count Structs (:data:`_IDS`).
+#
+# Every peer message has two widths: the *narrow* layout spells ids,
+# segment numbers, ``seq``, ``newest_id``/``head_id``, sizes and id lists in
+# 16 bits and sets :data:`NARROW` in the kind byte, the *wide* one in 32.
+# :func:`encode` packs narrow first and falls back to wide on
+# ``struct.error``, so a frame is narrow exactly when every integer fits.
+# Each coder is built per width by a factory over ``narrow`` (0 or 1).  A
+# narrow ``newest_id`` rides as ``newest_id + 1`` so the fresh-stream -1
+# fits.  No decision reads a frame's length: the width moves byte counts.
 
-_BM_FRAME = struct.Struct(">IBIiIHI")  # len, kind, sender, newest, head, cap, seq
-_BM_BODY = struct.Struct(">IiIHI")
-_MD_FRAME = struct.Struct(">IBIIiIHH")  # len, kind, sender, seq, newest, head, cap, n
-_MD_BODY = struct.Struct(">IIiIHH")
-_REQ_FRAME = struct.Struct(">IBIIB")  # len, kind, sender, segment, flags
-_REQ_BODY = struct.Struct(">IIB")
-_DATA_FRAME = struct.Struct(">IBIIIB")
-_DATA_BODY = struct.Struct(">IIIB")
+#: Kind-byte bit of a narrow frame (every :class:`WireKind` is below it).
+NARROW = 0x80
+_BATCH_BYTE = bytes([WireKind.BATCH])
+
+
+def _layouts(wide: str, narrow: str) -> Tuple[tuple, tuple]:
+    """A kind's frame Structs and body Structs, each pair indexed by
+    ``narrow``; a frame Struct leads with the length and kind byte."""
+    bodies = (struct.Struct(">" + wide), struct.Struct(">" + narrow))
+    return tuple(struct.Struct(">IB" + body.format[1:]) for body in bodies), bodies
+
+
+_BM_FRAME, _BM_BODY = _layouts("IiIHI", "HHHHH")  # sender, newest, head, cap, seq
+_MD_FRAME, _MD_BODY = _layouts("IIiIHH", "HHHHHH")  # sender, seq, newest, head, cap, runs
+_PULL_FRAME, _PULL_BODY = _layouts("IIB", "HHB")  # sender, segment, flags
+_DATA_FRAME, _DATA_BODY = _layouts("IIIB", "HHHB")  # sender, segment, size_bits, flags
+_LOOKUP_FRAME, _LOOKUP_BODY = _layouts("IIIH", "HHHH")  # origin, key, segment, path len
+# responder, origin, key, segment, flags, rate, path len
+_RESP_FRAME, _RESP_BODY = _layouts("IIIIBfH", "HHHHBfH")
+_PROBE_FRAME, _PROBE_BODY = _layouts("II", "HH")  # sender, nonce
+_HANDOVER_FRAME, _HANDOVER_BODY = _layouts("IIH", "HHH")  # sender, segment_bits, count
+_CREDIT_FRAME, _CREDIT_BODY = _layouts("IH", "HH")  # sender, credits
 #: Optional 8-byte trace-id tail on segment request/data/nack frames
 #: (flag bit 1).  Physical-only: absent when the trace id is zero, never
 #: ledger-charged (:mod:`repro.obs` segment-journey tracing).
 _TRACE_TAIL = struct.Struct(">Q")
 _TRACED_FLAG = 0x2
-_LOOKUP_FRAME = struct.Struct(">IBIIIH")
-_LOOKUP_BODY = struct.Struct(">IIIH")
-_RESP_FRAME = struct.Struct(">IBIIIIBfH")
-_RESP_BODY = struct.Struct(">IIIIBfH")
-_PINGPONG_FRAME = struct.Struct(">IBII")
-_PINGPONG_BODY = struct.Struct(">II")
-_HANDOVER_FRAME = struct.Struct(">IBIIH")
-_HANDOVER_BODY = struct.Struct(">IIH")
-_CREDIT_FRAME = struct.Struct(">IBIH")
-_CREDIT_BODY = struct.Struct(">IH")
 _HELLO_FRAME = struct.Struct(">IBHHII")
 _HELLO_BODY = struct.Struct(">HHII")
 _ROUTE_FRAME = struct.Struct(">IBBII")  # len, kind, flags, src, dst
@@ -471,14 +486,24 @@ _RF_SRC_ELIDED = 0x02
 
 @lru_cache(maxsize=512)
 def _ids_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}I`` Struct (paths, handover id lists)."""
+    """Cached ``>{count}I`` Struct (wide paths and handover id lists)."""
     return struct.Struct(f">{count}I")
 
 
 @lru_cache(maxsize=512)
 def _u16s_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}H`` Struct (delta run pairs)."""
+    """Cached ``>{count}H`` Struct (delta run pairs, narrow id lists)."""
     return struct.Struct(f">{count}H")
+
+
+#: The per-count Struct of a path / handover id list, by width.
+_IDS = (_ids_struct, _u16s_struct)
+
+
+def _packer(frames: tuple, kind: int, narrow: int) -> Tuple[Callable[..., bytes], int, int]:
+    """What a per-width encoder closes over: its frame Struct's ``pack``,
+    the fixed payload length (kind byte + header) and the kind byte."""
+    return frames[narrow].pack, frames[narrow].size - _LEN.size, kind | NARROW * narrow
 
 
 def _check_runs(runs: Tuple[Tuple[int, int], ...], capacity: int) -> None:
@@ -496,65 +521,60 @@ def _check_runs(runs: Tuple[Tuple[int, int], ...], capacity: int) -> None:
         )
 
 
-def _enc_buffer_map(msg: BufferMapMsg) -> bytes:
-    if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
-        raise WireError(f"newest_id out of range: {msg.newest_id}")
-    if msg.capacity < 1:
-        raise WireError("capacity must be >= 1")
-    nbytes = (msg.capacity + 7) // 8
-    if len(msg.bitmap) != nbytes:
-        raise WireError(
-            f"bitmap of capacity {msg.capacity} needs {nbytes} bytes, "
-            f"got {len(msg.bitmap)}"
+def _map_encoder(narrow: int) -> Callable[[BufferMapMsg], bytes]:
+    pack, fixed, kind = _packer(_BM_FRAME, WireKind.BUFFER_MAP, narrow)
+
+    def encode_map(msg: BufferMapMsg) -> bytes:
+        if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
+            raise WireError(f"newest_id out of range: {msg.newest_id}")
+        if msg.capacity < 1:
+            raise WireError("capacity must be >= 1")
+        nbytes = (msg.capacity + 7) // 8
+        if len(msg.bitmap) != nbytes:
+            raise WireError(
+                f"bitmap of capacity {msg.capacity} needs {nbytes} bytes, "
+                f"got {len(msg.bitmap)}"
+            )
+        head = pack(
+            fixed + nbytes, kind, msg.sender, msg.newest_id + narrow, msg.head_id, msg.capacity,
+            msg.seq,
         )
-    head = _BM_FRAME.pack(
-        1 + _BM_BODY.size + nbytes,
-        WireKind.BUFFER_MAP,
-        msg.sender,
-        msg.newest_id,
-        msg.head_id,
-        msg.capacity,
-        msg.seq,
-    )
-    return head + msg.bitmap
+        return head + msg.bitmap
+
+    return encode_map
 
 
-def _enc_map_delta(msg: BufferMapDelta) -> bytes:
-    if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
-        raise WireError(f"newest_id out of range: {msg.newest_id}")
-    if msg.capacity < 1:
-        raise WireError("capacity must be >= 1")
-    _check_runs(msg.runs, msg.capacity)
-    flat: List[int] = []
-    for start, length in msg.runs:
-        flat.append(start)
-        flat.append(length)
-    head = _MD_FRAME.pack(
-        1 + _MD_BODY.size + 4 * len(msg.runs),
-        WireKind.MAP_DELTA,
-        msg.sender,
-        msg.seq,
-        msg.newest_id,
-        msg.head_id,
-        msg.capacity,
-        len(msg.runs),
-    )
-    return head + _u16s_struct(len(flat)).pack(*flat)
+def _delta_encoder(narrow: int) -> Callable[[BufferMapDelta], bytes]:
+    pack, fixed, kind = _packer(_MD_FRAME, WireKind.MAP_DELTA, narrow)
+
+    def encode_delta(msg: BufferMapDelta) -> bytes:
+        if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
+            raise WireError(f"newest_id out of range: {msg.newest_id}")
+        if msg.capacity < 1:
+            raise WireError("capacity must be >= 1")
+        _check_runs(msg.runs, msg.capacity)
+        flat: List[int] = []
+        for start, length in msg.runs:
+            flat.append(start)
+            flat.append(length)
+        head = pack(
+            fixed + 4 * len(msg.runs), kind, msg.sender, msg.seq, msg.newest_id + narrow,
+            msg.head_id, msg.capacity, len(msg.runs),
+        )
+        return head + _u16s_struct(len(flat)).pack(*flat)
+
+    return encode_delta
 
 
-def _pull_encoder(kind: WireKind) -> Callable[..., bytes]:
+def _pull_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
     """Encoder of a request-shaped frame (``SegmentRequest`` / ``SegmentNack``)."""
+    pack, fixed, kind = _packer(_PULL_FRAME, kind, narrow)
 
     def encode_pull(msg: Union[SegmentRequest, SegmentNack]) -> bytes:
         if not msg.trace_id:
-            return _REQ_FRAME.pack(
-                1 + _REQ_BODY.size, kind, msg.sender, msg.segment_id, 1 if msg.prefetch else 0
-            )
-        head = _REQ_FRAME.pack(
-            1 + _REQ_BODY.size + _TRACE_TAIL.size,
-            kind,
-            msg.sender,
-            msg.segment_id,
+            return pack(fixed, kind, msg.sender, msg.segment_id, 1 if msg.prefetch else 0)
+        head = pack(
+            fixed + _TRACE_TAIL.size, kind, msg.sender, msg.segment_id,
             (1 if msg.prefetch else 0) | _TRACED_FLAG,
         )
         return head + _TRACE_TAIL.pack(msg.trace_id)
@@ -562,81 +582,85 @@ def _pull_encoder(kind: WireKind) -> Callable[..., bytes]:
     return encode_pull
 
 
-def _enc_data(msg: SegmentData) -> bytes:
-    if not msg.trace_id:
-        return _DATA_FRAME.pack(
-            1 + _DATA_BODY.size,
-            WireKind.SEGMENT_DATA,
-            msg.sender,
-            msg.segment_id,
-            msg.size_bits,
-            1 if msg.prefetch else 0,
+def _data_encoder(narrow: int) -> Callable[[SegmentData], bytes]:
+    pack, fixed, kind = _packer(_DATA_FRAME, WireKind.SEGMENT_DATA, narrow)
+
+    def encode_data(msg: SegmentData) -> bytes:
+        if not msg.trace_id:
+            return pack(
+                fixed, kind, msg.sender, msg.segment_id, msg.size_bits, 1 if msg.prefetch else 0
+            )
+        head = pack(
+            fixed + _TRACE_TAIL.size, kind, msg.sender, msg.segment_id, msg.size_bits,
+            (1 if msg.prefetch else 0) | _TRACED_FLAG,
         )
-    head = _DATA_FRAME.pack(
-        1 + _DATA_BODY.size + _TRACE_TAIL.size,
-        WireKind.SEGMENT_DATA,
-        msg.sender,
-        msg.segment_id,
-        msg.size_bits,
-        (1 if msg.prefetch else 0) | _TRACED_FLAG,
-    )
-    return head + _TRACE_TAIL.pack(msg.trace_id)
+        return head + _TRACE_TAIL.pack(msg.trace_id)
+
+    return encode_data
 
 
-def _enc_lookup(msg: DhtLookup) -> bytes:
-    count = len(msg.path)
-    head = _LOOKUP_FRAME.pack(
-        1 + _LOOKUP_BODY.size + 4 * count,
-        WireKind.DHT_LOOKUP,
-        msg.origin,
-        msg.target_key,
-        msg.segment_id,
-        count,
-    )
-    return head + _ids_struct(count).pack(*msg.path)
+def _lookup_encoder(narrow: int) -> Callable[[DhtLookup], bytes]:
+    pack, fixed, kind = _packer(_LOOKUP_FRAME, WireKind.DHT_LOOKUP, narrow)
+    ids_struct = _IDS[narrow]
+
+    def encode_lookup(msg: DhtLookup) -> bytes:
+        count = len(msg.path)
+        ids = ids_struct(count)
+        head = pack(
+            fixed + ids.size, kind, msg.origin, msg.target_key, msg.segment_id, count
+        )
+        return head + ids.pack(*msg.path)
+
+    return encode_lookup
 
 
-def _enc_response(msg: DhtResponse) -> bytes:
-    count = len(msg.path)
-    head = _RESP_FRAME.pack(
-        1 + _RESP_BODY.size + 4 * count,
-        WireKind.DHT_RESPONSE,
-        msg.responder,
-        msg.origin,
-        msg.target_key,
-        msg.segment_id,
-        1 if msg.has_data else 0,
-        float(msg.rate),
-        count,
-    )
-    return head + _ids_struct(count).pack(*msg.path)
+def _response_encoder(narrow: int) -> Callable[[DhtResponse], bytes]:
+    pack, fixed, kind = _packer(_RESP_FRAME, WireKind.DHT_RESPONSE, narrow)
+    ids_struct = _IDS[narrow]
+
+    def encode_response(msg: DhtResponse) -> bytes:
+        count = len(msg.path)
+        ids = ids_struct(count)
+        head = pack(
+            fixed + ids.size, kind, msg.responder, msg.origin, msg.target_key, msg.segment_id,
+            1 if msg.has_data else 0, float(msg.rate), count,
+        )
+        return head + ids.pack(*msg.path)
+
+    return encode_response
 
 
-def _probe_encoder(kind: WireKind) -> Callable[..., bytes]:
+def _probe_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
+    pack, fixed, kind = _packer(_PROBE_FRAME, kind, narrow)
+
     def encode_probe(msg: Union[Ping, Pong]) -> bytes:
-        return _PINGPONG_FRAME.pack(1 + _PINGPONG_BODY.size, kind, msg.sender, msg.nonce)
+        return pack(fixed, kind, msg.sender, msg.nonce)
 
     return encode_probe
 
 
-def _enc_handover(msg: Handover) -> bytes:
-    count = len(msg.segment_ids)
-    head = _HANDOVER_FRAME.pack(
-        1 + _HANDOVER_BODY.size + 4 * count,
-        WireKind.HANDOVER,
-        msg.sender,
-        msg.segment_bits,
-        count,
-    )
-    return head + _ids_struct(count).pack(*msg.segment_ids)
+def _handover_encoder(narrow: int) -> Callable[[Handover], bytes]:
+    pack, fixed, kind = _packer(_HANDOVER_FRAME, WireKind.HANDOVER, narrow)
+    ids_struct = _IDS[narrow]
+
+    def encode_handover(msg: Handover) -> bytes:
+        count = len(msg.segment_ids)
+        ids = ids_struct(count)
+        head = pack(fixed + ids.size, kind, msg.sender, msg.segment_bits, count)
+        return head + ids.pack(*msg.segment_ids)
+
+    return encode_handover
 
 
-def _enc_credit(msg: CreditGrant) -> bytes:
-    if msg.credits < 1:
-        raise WireError(f"credit grant must carry >= 1 credit, got {msg.credits}")
-    return _CREDIT_FRAME.pack(
-        1 + _CREDIT_BODY.size, WireKind.CREDIT, msg.sender, msg.credits
-    )
+def _credit_encoder(narrow: int) -> Callable[[CreditGrant], bytes]:
+    pack, fixed, kind = _packer(_CREDIT_FRAME, WireKind.CREDIT, narrow)
+
+    def encode_credit(msg: CreditGrant) -> bytes:
+        if msg.credits < 1:
+            raise WireError(f"credit grant must carry >= 1 credit, got {msg.credits}")
+        return pack(fixed, kind, msg.sender, msg.credits)
+
+    return encode_credit
 
 
 def _enc_hello(msg: ShardHello) -> bytes:
@@ -652,10 +676,17 @@ def _enc_hello(msg: ShardHello) -> bytes:
     )
 
 
+def _sender_span(payload: Union[bytes, memoryview]) -> Tuple[int, int]:
+    """Where an inner frame's first body field sits: ``(offset, end)``
+    at the width its kind byte declares."""
+    return (5, 7) if len(payload) > 4 and payload[4] & NARROW else (5, 9)
+
+
 def _enc_route(msg: RoutedFrame) -> bytes:
     payload = msg.payload
     flags = _RF_DATA if msg.data else 0
-    if len(payload) >= 9 and payload[5:9] == _U32.pack(msg.src):
+    first, stop = _sender_span(payload)
+    if len(payload) >= stop and int.from_bytes(payload[first:stop], "big") == msg.src:
         head = _ROUTE_E_FRAME.pack(
             6 + len(payload), WireKind.ROUTE, flags | _RF_SRC_ELIDED, msg.dst
         )
@@ -709,34 +740,43 @@ def _enc_telemetry(msg: TelemetryFrame) -> bytes:
     return head + msg.payload
 
 
-_ENCODERS: Dict[type, Callable[..., bytes]] = {
-    BufferMapMsg: _enc_buffer_map,
-    BufferMapDelta: _enc_map_delta,
-    SegmentRequest: _pull_encoder(WireKind.SEGMENT_REQUEST),
-    SegmentNack: _pull_encoder(WireKind.SEGMENT_NACK),
-    SegmentData: _enc_data,
-    DhtLookup: _enc_lookup,
-    DhtResponse: _enc_response,
-    Ping: _probe_encoder(WireKind.PING),
-    Pong: _probe_encoder(WireKind.PONG),
-    Handover: _enc_handover,
-    CreditGrant: _enc_credit,
-    ShardHello: _enc_hello,
-    RoutedFrame: _enc_route,
-    FrameBatch: _enc_batch,
-    TelemetryFrame: _enc_telemetry,
+def _widths(factory: Callable[..., Callable], *args) -> Tuple[Callable, Callable]:
+    """The ``(wide, narrow)`` pair of coders a factory builds."""
+    return factory(*args, 0), factory(*args, 1)
+
+
+_ENCODERS: Dict[type, Tuple[Callable[..., bytes], Callable[..., bytes]]] = {
+    BufferMapMsg: _widths(_map_encoder),
+    BufferMapDelta: _widths(_delta_encoder),
+    SegmentRequest: _widths(_pull_encoder, WireKind.SEGMENT_REQUEST),
+    SegmentNack: _widths(_pull_encoder, WireKind.SEGMENT_NACK),
+    SegmentData: _widths(_data_encoder),
+    DhtLookup: _widths(_lookup_encoder),
+    DhtResponse: _widths(_response_encoder),
+    Ping: _widths(_probe_encoder, WireKind.PING),
+    Pong: _widths(_probe_encoder, WireKind.PONG),
+    Handover: _widths(_handover_encoder),
+    CreditGrant: _widths(_credit_encoder),
+    ShardHello: (_enc_hello,) * 2,
+    RoutedFrame: (_enc_route,) * 2,
+    FrameBatch: (_enc_batch,) * 2,
+    TelemetryFrame: (_enc_telemetry,) * 2,
 }
 
 
 def encode(msg: WireMessage) -> bytes:
-    """Serialise one message into a length-prefixed frame."""
-    encoder = _ENCODERS.get(type(msg))
-    if encoder is None:
+    """Serialise one message into a length-prefixed frame, narrow when
+    every integer field fits 16 bits, else wide."""
+    encoders = _ENCODERS.get(type(msg))
+    if encoders is None:
         raise WireError(f"cannot encode {type(msg).__name__}")
     try:
-        frame = encoder(msg)
-    except struct.error as exc:
-        raise WireError(f"{type(msg).__name__} field out of range: {exc}") from exc
+        frame = encoders[1](msg)
+    except struct.error:
+        try:
+            frame = encoders[0](msg)
+        except struct.error as exc:
+            raise WireError(f"{type(msg).__name__} field out of range: {exc}") from exc
     if len(frame) - _LEN.size > MAX_FRAME_PAYLOAD:
         raise WireError(f"frame payload too large: {len(frame) - _LEN.size}")
     return frame
@@ -791,39 +831,82 @@ def frame_count(frame: Union[bytes, bytearray, memoryview]) -> int:
     return 1
 
 
+def is_batch(frame: Union[bytes, bytearray, memoryview]) -> bool:
+    """Whether one frame is a :class:`FrameBatch` envelope."""
+    return frame[4:5] == _BATCH_BYTE
+
+
+#: Control kinds whose loss nothing repairs: a credit grant (the granting
+#: side already reset its owed balance, so the window would stay short)
+#: and a graceful-leave handover (the sender stops right after shipping
+#: it).  A socket link never sheds them.
+ONE_SHOT_KINDS = frozenset({WireKind.CREDIT, WireKind.HANDOVER})
+
+#: The kinds a peer applies even from a frame its inbox shed: the one-shot
+#: kinds plus buffer-map gossip.  Delta gossip is stateful — a full map
+#: anchors the chain, each delta links it — so losing either leaves the
+#: receiver's view of the sender a desync round-trip stale.
+ABSORBED_KINDS = ONE_SHOT_KINDS | {WireKind.BUFFER_MAP, WireKind.MAP_DELTA}
+
+
+def is_one_shot(frame: Union[bytes, bytearray, memoryview]) -> bool:
+    """Whether one frame is of a :data:`ONE_SHOT_KINDS` kind, at either width."""
+    return len(frame) > 4 and frame[4] & ~NARROW in ONE_SHOT_KINDS
+
+
 # ====================================================================== decoding
-def _dec_buffer_map(view: memoryview, start: int, end: int) -> BufferMapMsg:
-    if end - start < _BM_BODY.size:
-        raise WireError("buffer-map body too short")
-    sender, newest, head, capacity, seq = _BM_BODY.unpack_from(view, start)
-    if capacity < 1:
-        raise WireError("capacity must be >= 1")
-    nbytes = (capacity + 7) // 8
-    if end - start - _BM_BODY.size != nbytes:
-        raise WireError(
-            f"bitmap of capacity {capacity} needs {nbytes} bytes, "
-            f"got {end - start - _BM_BODY.size}"
-        )
-    return BufferMapMsg(
-        sender, newest, head, capacity, bytes(view[start + _BM_BODY.size : end]), seq
-    )
+#
+# Each peer kind's decoder is built per width, like its encoder, and
+# registered under both kind bytes.  Every decoder checks the body length
+# exactly, so a narrow kind byte on a wide-length body is a WireError.
+def _unpacker(bodies: tuple, narrow: int) -> Tuple[Callable[..., tuple], int]:
+    """What a per-width decoder closes over: its body Struct's
+    ``unpack_from`` and the body header size."""
+    return bodies[narrow].unpack_from, bodies[narrow].size
 
 
-def _dec_map_delta(view: memoryview, start: int, end: int) -> BufferMapDelta:
-    if end - start < _MD_BODY.size:
-        raise WireError("map-delta body too short")
-    sender, seq, newest, head, capacity, count = _MD_BODY.unpack_from(view, start)
-    if capacity < 1:
-        raise WireError("capacity must be >= 1")
-    if end - start - _MD_BODY.size != 4 * count:
-        raise WireError(
-            f"map-delta with {count} runs needs {4 * count} run bytes, "
-            f"got {end - start - _MD_BODY.size}"
+def _map_decoder(narrow: int) -> Callable[[memoryview, int, int], BufferMapMsg]:
+    unpack, size = _unpacker(_BM_BODY, narrow)
+
+    def decode_map(view: memoryview, start: int, end: int) -> BufferMapMsg:
+        if end - start < size:
+            raise WireError("buffer-map body too short")
+        sender, newest, head, capacity, seq = unpack(view, start)
+        if capacity < 1:
+            raise WireError("capacity must be >= 1")
+        nbytes = (capacity + 7) // 8
+        if end - start - size != nbytes:
+            raise WireError(
+                f"bitmap of capacity {capacity} needs {nbytes} bytes, "
+                f"got {end - start - size}"
+            )
+        return BufferMapMsg(
+            sender, newest - narrow, head, capacity, bytes(view[start + size : end]), seq
         )
-    flat = _u16s_struct(2 * count).unpack_from(view, start + _MD_BODY.size)
-    runs = tuple(zip(flat[::2], flat[1::2]))
-    _check_runs(runs, capacity)
-    return BufferMapDelta(sender, seq, newest, head, capacity, runs)
+
+    return decode_map
+
+
+def _delta_decoder(narrow: int) -> Callable[[memoryview, int, int], BufferMapDelta]:
+    unpack, size = _unpacker(_MD_BODY, narrow)
+
+    def decode_delta(view: memoryview, start: int, end: int) -> BufferMapDelta:
+        if end - start < size:
+            raise WireError("map-delta body too short")
+        sender, seq, newest, head, capacity, count = unpack(view, start)
+        if capacity < 1:
+            raise WireError("capacity must be >= 1")
+        if end - start - size != 4 * count:
+            raise WireError(
+                f"map-delta with {count} runs needs {4 * count} run bytes, "
+                f"got {end - start - size}"
+            )
+        flat = _u16s_struct(2 * count).unpack_from(view, start + size)
+        runs = tuple(zip(flat[::2], flat[1::2]))
+        _check_runs(runs, capacity)
+        return BufferMapDelta(sender, seq, newest - narrow, head, capacity, runs)
+
+    return decode_delta
 
 
 def _trace_tail(
@@ -839,78 +922,105 @@ def _trace_tail(
     return _TRACE_TAIL.unpack_from(view, start + body_size)[0]
 
 
-def _pull_decoder(cls: type, what: str) -> Callable[[memoryview, int, int], WireMessage]:
+def _pull_decoder(
+    cls: type, what: str, narrow: int
+) -> Callable[[memoryview, int, int], WireMessage]:
+    unpack, size = _unpacker(_PULL_BODY, narrow)
+
     def decode_pull(view: memoryview, start: int, end: int) -> WireMessage:
-        if end - start < _REQ_BODY.size:
+        if end - start < size:
             raise WireError(f"{what} body size mismatch")
-        sender, segment_id, flags = _REQ_BODY.unpack_from(view, start)
-        trace_id = _trace_tail(view, start, end, _REQ_BODY.size, flags, what)
+        sender, segment_id, flags = unpack(view, start)
+        trace_id = _trace_tail(view, start, end, size, flags, what)
         return cls(sender, segment_id, bool(flags & 1), trace_id)
 
     return decode_pull
 
 
-def _dec_data(view: memoryview, start: int, end: int) -> SegmentData:
-    if end - start < _DATA_BODY.size:
-        raise WireError("segment-data body size mismatch")
-    sender, segment_id, size_bits, flags = _DATA_BODY.unpack_from(view, start)
-    trace_id = _trace_tail(view, start, end, _DATA_BODY.size, flags, "segment-data")
-    return SegmentData(sender, segment_id, size_bits, bool(flags & 1), trace_id)
+def _data_decoder(narrow: int) -> Callable[[memoryview, int, int], SegmentData]:
+    unpack, size = _unpacker(_DATA_BODY, narrow)
+
+    def decode_data(view: memoryview, start: int, end: int) -> SegmentData:
+        if end - start < size:
+            raise WireError("segment-data body size mismatch")
+        sender, segment_id, size_bits, flags = unpack(view, start)
+        trace_id = _trace_tail(view, start, end, size, flags, "segment-data")
+        return SegmentData(sender, segment_id, size_bits, bool(flags & 1), trace_id)
+
+    return decode_data
 
 
 def _dec_ids(
-    view: memoryview, offset: int, end: int, count: int, what: str
+    view: memoryview, offset: int, end: int, ids: struct.Struct, what: str
 ) -> Tuple[int, ...]:
-    if end - offset != 4 * count:
-        raise WireError(
-            f"{what}: expected {4 * count} bytes of ids, got {end - offset}"
-        )
-    return _ids_struct(count).unpack_from(view, offset)
+    if end - offset != ids.size:
+        raise WireError(f"{what}: expected {ids.size} bytes of ids, got {end - offset}")
+    return ids.unpack_from(view, offset)
 
 
-def _dec_lookup(view: memoryview, start: int, end: int) -> DhtLookup:
-    if end - start < _LOOKUP_BODY.size:
-        raise WireError("dht-lookup body too short")
-    origin, key, segment_id, count = _LOOKUP_BODY.unpack_from(view, start)
-    path = _dec_ids(view, start + _LOOKUP_BODY.size, end, count, "dht-lookup path")
-    return DhtLookup(origin, key, segment_id, path)
+def _lookup_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtLookup]:
+    (unpack, size), ids_struct = _unpacker(_LOOKUP_BODY, narrow), _IDS[narrow]
+
+    def decode_lookup(view: memoryview, start: int, end: int) -> DhtLookup:
+        if end - start < size:
+            raise WireError("dht-lookup body too short")
+        origin, key, segment_id, count = unpack(view, start)
+        path = _dec_ids(view, start + size, end, ids_struct(count), "dht-lookup path")
+        return DhtLookup(origin, key, segment_id, path)
+
+    return decode_lookup
 
 
-def _dec_response(view: memoryview, start: int, end: int) -> DhtResponse:
-    if end - start < _RESP_BODY.size:
-        raise WireError("dht-response body too short")
-    responder, origin, key, segment_id, flags, rate, count = _RESP_BODY.unpack_from(
-        view, start
-    )
-    path = _dec_ids(view, start + _RESP_BODY.size, end, count, "dht-response path")
-    return DhtResponse(responder, origin, key, segment_id, bool(flags & 1), rate, path)
+def _response_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtResponse]:
+    (unpack, size), ids_struct = _unpacker(_RESP_BODY, narrow), _IDS[narrow]
+
+    def decode_response(view: memoryview, start: int, end: int) -> DhtResponse:
+        if end - start < size:
+            raise WireError("dht-response body too short")
+        responder, origin, key, segment_id, flags, rate, count = unpack(view, start)
+        path = _dec_ids(view, start + size, end, ids_struct(count), "dht-response path")
+        return DhtResponse(responder, origin, key, segment_id, bool(flags & 1), rate, path)
+
+    return decode_response
 
 
-def _probe_decoder(cls: type) -> Callable[[memoryview, int, int], WireMessage]:
+def _probe_decoder(cls: type, narrow: int) -> Callable[[memoryview, int, int], WireMessage]:
+    unpack, size = _unpacker(_PROBE_BODY, narrow)
+
     def decode_probe(view: memoryview, start: int, end: int) -> WireMessage:
-        if end - start != _PINGPONG_BODY.size:
+        if end - start != size:
             raise WireError("ping/pong body size mismatch")
-        sender, nonce = _PINGPONG_BODY.unpack_from(view, start)
+        sender, nonce = unpack(view, start)
         return cls(sender, nonce)
 
     return decode_probe
 
 
-def _dec_handover(view: memoryview, start: int, end: int) -> Handover:
-    if end - start < _HANDOVER_BODY.size:
-        raise WireError("handover body too short")
-    sender, segment_bits, count = _HANDOVER_BODY.unpack_from(view, start)
-    ids = _dec_ids(view, start + _HANDOVER_BODY.size, end, count, "handover ids")
-    return Handover(sender=sender, segment_bits=segment_bits, segment_ids=ids)
+def _handover_decoder(narrow: int) -> Callable[[memoryview, int, int], Handover]:
+    (unpack, size), ids_struct = _unpacker(_HANDOVER_BODY, narrow), _IDS[narrow]
+
+    def decode_handover(view: memoryview, start: int, end: int) -> Handover:
+        if end - start < size:
+            raise WireError("handover body too short")
+        sender, segment_bits, count = unpack(view, start)
+        ids = _dec_ids(view, start + size, end, ids_struct(count), "handover ids")
+        return Handover(sender=sender, segment_bits=segment_bits, segment_ids=ids)
+
+    return decode_handover
 
 
-def _dec_credit(view: memoryview, start: int, end: int) -> CreditGrant:
-    if end - start != _CREDIT_BODY.size:
-        raise WireError("credit-grant body size mismatch")
-    sender, credits = _CREDIT_BODY.unpack_from(view, start)
-    if credits < 1:
-        raise WireError("credit grant must carry >= 1 credit")
-    return CreditGrant(sender, credits)
+def _credit_decoder(narrow: int) -> Callable[[memoryview, int, int], CreditGrant]:
+    unpack, size = _unpacker(_CREDIT_BODY, narrow)
+
+    def decode_credit(view: memoryview, start: int, end: int) -> CreditGrant:
+        if end - start != size:
+            raise WireError("credit-grant body size mismatch")
+        sender, credits = unpack(view, start)
+        if credits < 1:
+            raise WireError("credit grant must carry >= 1 credit")
+        return CreditGrant(sender, credits)
+
+    return decode_credit
 
 
 def _dec_hello(view: memoryview, start: int, end: int) -> ShardHello:
@@ -934,9 +1044,10 @@ def _dec_route(view: memoryview, start: int, end: int) -> RoutedFrame:
     if flags & _RF_SRC_ELIDED:
         (dst,) = _U32.unpack_from(view, start + 1)
         payload_start = start + 5
-        if end - payload_start < 9:
-            raise WireError("src-elided routed frame needs >= 9 payload bytes")
-        (src,) = _U32.unpack_from(view, payload_start + 5)
+        first, stop = _sender_span(view[payload_start:end])
+        if end - payload_start < stop:
+            raise WireError(f"src-elided routed frame needs >= {stop} payload bytes")
+        src = int.from_bytes(view[payload_start + first : payload_start + stop], "big")
     else:
         if end - start < 9:
             raise WireError("routed-frame body too short")
@@ -1005,22 +1116,28 @@ def _dec_telemetry(view: memoryview, start: int, end: int) -> TelemetryFrame:
 
 
 _DECODERS: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
-    WireKind.BUFFER_MAP: _dec_buffer_map,
-    WireKind.SEGMENT_REQUEST: _pull_decoder(SegmentRequest, "segment-request"),
-    WireKind.SEGMENT_DATA: _dec_data,
-    WireKind.DHT_LOOKUP: _dec_lookup,
-    WireKind.DHT_RESPONSE: _dec_response,
-    WireKind.PING: _probe_decoder(Ping),
-    WireKind.PONG: _probe_decoder(Pong),
-    WireKind.HANDOVER: _dec_handover,
-    WireKind.SEGMENT_NACK: _pull_decoder(SegmentNack, "segment-nack"),
-    WireKind.CREDIT: _dec_credit,
     WireKind.SHARD_HELLO: _dec_hello,
     WireKind.ROUTE: _dec_route,
     WireKind.BATCH: _dec_batch,
-    WireKind.MAP_DELTA: _dec_map_delta,
     WireKind.TELEMETRY: _dec_telemetry,
 }
+_DECODERS.update(
+    (kind | NARROW * narrow, decoder)
+    for kind, coders in {
+        WireKind.BUFFER_MAP: _widths(_map_decoder),
+        WireKind.SEGMENT_REQUEST: _widths(_pull_decoder, SegmentRequest, "segment-request"),
+        WireKind.SEGMENT_DATA: _widths(_data_decoder),
+        WireKind.DHT_LOOKUP: _widths(_lookup_decoder),
+        WireKind.DHT_RESPONSE: _widths(_response_decoder),
+        WireKind.PING: _widths(_probe_decoder, Ping),
+        WireKind.PONG: _widths(_probe_decoder, Pong),
+        WireKind.HANDOVER: _widths(_handover_decoder),
+        WireKind.SEGMENT_NACK: _widths(_pull_decoder, SegmentNack, "segment-nack"),
+        WireKind.CREDIT: _widths(_credit_decoder),
+        WireKind.MAP_DELTA: _widths(_delta_decoder),
+    }.items()
+    for narrow, decoder in enumerate(coders)
+)
 _DECODERS = {int(kind): fn for kind, fn in _DECODERS.items()}
 
 
@@ -1066,27 +1183,33 @@ def decode(
     return decoder(view, start, end), end
 
 
-def decode_batch(
+def decode_frame(
     frame: Union[bytes, bytearray, memoryview], only: Optional[Container[int]] = None
-) -> List[WireMessage]:
-    """Decode every inner message of one :class:`FrameBatch` frame, in order.
+) -> Sequence[WireMessage]:
+    """Every message one complete frame carries, in order: a
+    :class:`FrameBatch`'s inner messages, or the frame's own.
 
-    The receive path's unwrap.  ``frame`` must be exactly one complete
-    BATCH frame (what a link delivers); its envelope is validated whole,
-    then the inner frames are decoded straight out of the same memory —
-    no :class:`FrameBatch` object, no per-entry ``bytes`` copy, no
-    length-prefix check per entry.  All or nothing: a malformed envelope
-    *or* inner frame raises :class:`WireError` before any message is
-    returned, so a caller dispatches none of a bad batch.  With ``only``
-    (wire kind numbers), entries of any other kind are skipped undecoded.
+    The receive path's unwrap: callers never read the kind byte.  ``frame``
+    must be exactly one complete frame (what a link delivers).  A batch
+    envelope is validated whole, then the inner frames are decoded
+    straight out of the same memory — no :class:`FrameBatch` object, no
+    per-entry ``bytes`` copy, no length-prefix check per entry.  All or
+    nothing: a malformed envelope *or* inner frame raises
+    :class:`WireError` before any message is returned, so a caller
+    dispatches none of a bad batch.  With ``only`` (:class:`WireKind`
+    numbers), messages of any other kind are skipped undecoded.
     """
     view = frame if type(frame) is memoryview else memoryview(frame)
     decoder, start, end = _frame_decoder(view, 0)
-    if decoder is not _dec_batch or end != len(view):
-        raise WireError("decode_batch needs exactly one complete frame-batch frame")
+    if end != len(view):
+        raise WireError("decode_frame needs exactly one complete frame")
+    if decoder is not _dec_batch:
+        if only is not None and view[4] & ~NARROW not in only:
+            return ()
+        return (decoder(view, start, end),)
     messages: List[WireMessage] = []
     for first, stop in _batch_spans(view, start, end):
-        if only is not None and view[first] not in only:
+        if only is not None and view[first] & ~NARROW not in only:
             continue
         decoder = _DECODERS.get(view[first])
         if decoder is None:

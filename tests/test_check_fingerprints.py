@@ -55,7 +55,7 @@ def test_main_exit_status(row, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(checker, "measure", lambda workload: measured[workload])
     assert checker.main(["--history", str(history)]) == 0
     out = capsys.readouterr().out
-    assert repr(row["commit"]) in out and "sim_static, rt_static, rt_churn" in out
+    assert repr(row["commit"]) in out and "sim_static, rt_static, rt_churn, wire_replay" in out
 
     measured["rt_churn"]["stable_continuity"] -= 0.01
     assert checker.main(["--history", str(history)]) == 1
@@ -64,6 +64,16 @@ def test_main_exit_status(row, monkeypatch, tmp_path, capsys):
     measured["rt_static"]["bytes_per_segment"] += 1.0
     assert checker.main(["--history", str(history)]) == 1
     assert "rt_static.bytes_per_segment" in capsys.readouterr().err
+
+    # A frame-format change moves the codec workload's bytes on its own.
+    measured = _as_measured(row)
+    measured["wire_replay"]["bytes_per_segment"] -= 0.5
+    assert checker.main(["--history", str(history)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"check_fingerprints: wire_replay.bytes_per_segment: history "
+        f"{row['workloads']['wire_replay']['bytes_per_segment']!r}, "
+        f"this tree {measured['wire_replay']['bytes_per_segment']!r}"
+    )
 
     def broken(workload):
         raise RuntimeError(f"{workload}: bench/run.py exited 1")

@@ -132,6 +132,30 @@ class TestSocketLinkTransport:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("sender", [7, 70000], ids=["narrow", "wide"])
+    def test_full_queue_takes_one_shot_frames_at_either_width(self, sender):
+        """The unsheddable test reads the kind through the codec: a narrow
+        credit grant or handover (kind byte with the width bit set) must
+        queue past the limit exactly like a wide one."""
+        one_shot = [
+            wire.encode(wire.CreditGrant(sender=sender, credits=2)),
+            wire.encode(wire.Handover(sender=sender, segment_bits=8, segment_ids=(1, 2))),
+        ]
+        assert all(bool(f[4] & wire.NARROW) == (sender < 2**16) for f in one_shot)
+
+        async def scenario():
+            host = FakeHost()
+            link = SocketLink(host, 1, config=LinkConfig(queue_limit=1), hello=HELLO_A)
+            link.send(1, 2, DATA_FRAME, data=True)
+            link.send(1, 2, PING_FRAME, data=False)  # past the limit: shed
+            for frame in one_shot:
+                link.send(1, 2, frame, data=False)
+            assert host.undeliverable == [(1, 2, False)]
+            assert [entry[0] for entry in link._queue] == [DATA_FRAME, *one_shot]
+            link.close()
+
+        asyncio.run(scenario())
+
     def test_dead_link_refunds_every_data_frame(self):
         async def scenario():
             host = FakeHost()

@@ -1379,9 +1379,9 @@ class TestGoldenFingerprints:
 
     def test_runtime_static_50x20_bytes(self):
         assert byte_counters(_runtime_result("static", 50, None)) == {
-            "bytes_on_wire": 1096103,
-            "gossip_bytes": 225844,
-            "gossip_bytes_full": 547428,
+            "bytes_on_wire": 769223,
+            "gossip_bytes": 181156,
+            "gossip_bytes_full": 502740,
         }
 
     def test_runtime_paper_dynamic_with_loss_40x20(self):
@@ -1391,9 +1391,9 @@ class TestGoldenFingerprints:
 
     def test_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
-            "bytes_on_wire": 923773,
-            "gossip_bytes": 279668,
-            "gossip_bytes_full": 546938,
+            "bytes_on_wire": 676473,
+            "gossip_bytes": 235020,
+            "gossip_bytes_full": 502290,
         }
 
     # The three below were captured at commit ``669309f`` (the parent of
@@ -1425,7 +1425,7 @@ class TestGoldenFingerprints:
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
-            "bytes_on_wire": 976069,
-            "gossip_bytes": 279668,
-            "gossip_bytes_full": 546938,
+            "bytes_on_wire": 728769,
+            "gossip_bytes": 235020,
+            "gossip_bytes_full": 502290,
         }

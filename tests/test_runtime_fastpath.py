@@ -24,6 +24,7 @@ from repro.runtime import wire
 from repro.runtime.swarm import LiveSwarm
 from repro.runtime.transport import TransportConfig
 from repro.scenarios import builtin_scenario
+from repro.streaming.buffermap import BufferMap
 
 
 class TestDeltaGossip:
@@ -150,6 +151,36 @@ class TestBatchShedding:
 
         asyncio.run(shed())
         assert receiver.send_windows.pending_count() == 0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["loose", "batched"])
+    def test_shed_narrow_credit_map_and_delta_are_absorbed(self, batched):
+        """Narrow frames (kind byte with the width bit) are absorbed like
+        wide ones: a credit reaches the window, a full map anchors the
+        sender's gossip chain and the delta after it applies."""
+        swarm, receiver, other = self._swarm_and_peers(data_window=1)
+        assert receiver.send_windows.acquire(other.peer_id, (b"f1", None))
+        assert not receiver.send_windows.acquire(other.peer_id, (b"f2", None))
+        base = BufferMap(head_id=0, capacity=600, bits=0b1011)
+        new = BufferMap(head_id=2, capacity=600, bits=0b1110)
+        frames = [
+            wire.encode(wire.CreditGrant(sender=other.peer_id, credits=1)),
+            wire.encode(wire.BufferMapMsg.from_buffer_map(other.peer_id, 5, base, seq=1)),
+            wire.encode(wire.BufferMapDelta.from_maps(other.peer_id, 2, 7, new, base)),
+        ]
+        assert all(frame[4] & wire.NARROW for frame in frames)
+        if batched:
+            frames = [wire.encode(wire.FrameBatch(frames=tuple(frames)))]
+
+        async def shed():
+            swarm.loop = asyncio.get_running_loop()
+            for frame in frames:
+                receiver.absorb_shed_control(frame)
+
+        asyncio.run(shed())
+        assert receiver.send_windows.pending_count() == 0
+        assert receiver.neighbor_maps[other.peer_id] == new
+        assert receiver.transport_stats.map_desyncs == 0
+        assert receiver.known_newest == 7
 
     def test_shed_control_decodes_only_the_one_shot_kinds(self):
         """Shedding is the overload path: a kind byte that is not a

@@ -340,7 +340,7 @@ class TestFrameDecoder:
         # One huge chunk of complete frames plus a partial tail: the dead
         # prefix exceeds _COMPACT_AT inside a single feed, so the buffer
         # must shrink back to (roughly) the partial frame.
-        msgs = [wire.Ping(sender=i, nonce=i) for i in range(6000)]
+        msgs = [wire.Ping(sender=i, nonce=i) for i in range(8000)]  # 9-byte frames
         stream = b"".join(wire.encode(m) for m in msgs)
         assert len(stream) > wire.FrameDecoder._COMPACT_AT
         decoder = wire.FrameDecoder()
@@ -431,3 +431,87 @@ class TestLedgerAccounting:
         assert decoded.shard == 2
         assert decoded.period == 7
         assert decoded.body() == body
+
+
+# One vector per kind byte: every peer message at both widths (the wide one
+# pushed past 16 bits by one field), the four one-width kinds once.  Built
+# from the documented layouts, not from the encoder.
+_PING = wire.encode(wire.Ping(sender=7, nonce=1))
+_CREDIT = wire.encode(wire.CreditGrant(sender=7, credits=4))
+GOLDEN_VECTORS = [
+    (wire.BufferMapMsg(sender=7, newest_id=-1, head_id=0, capacity=13, bitmap=b"\x82\x08", seq=3),
+     "0000000d81000700000000000d00038208"),
+    (wire.BufferMapMsg(sender=7, newest_id=65535, head_id=0, capacity=13, bitmap=b"\x82\x08", seq=3),
+     "0000001501000000070000ffff00000000000d000000038208"),
+    (wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600, runs=((0, 3), (17, 1))),
+     "000000158e0007000400790028025800020000000300110001"),
+    (wire.BufferMapDelta(sender=7, seq=65536, newest_id=120, head_id=40, capacity=600,
+                         runs=((0, 3), (17, 1))),
+     "0000001d0e00000007000100000000007800000028025800020000000300110001"),
+    (wire.SegmentRequest(sender=7, segment_id=300, prefetch=True),
+     "00000006820007012c01"),
+    (wire.SegmentRequest(sender=7, segment_id=65536, prefetch=True),
+     "0000000a02000000070001000001"),
+    (wire.SegmentData(sender=7, segment_id=300, size_bits=30720),
+     "00000008830007012c780000"),
+    (wire.SegmentData(sender=7, segment_id=300, size_bits=65536),
+     "0000000e03000000070000012c0001000000"),
+    (wire.SegmentNack(sender=7, segment_id=300, trace_id=5),
+     "0000000e890007012c020000000000000005"),
+    (wire.SegmentNack(sender=70000, segment_id=300, trace_id=5),
+     "0000001209000111700000012c020000000000000005"),
+    (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 9)),
+     "0000000d8400071000012c000200070009"),
+    (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 65536)),
+     "000000170400000007000010000000012c00020000000700010000"),
+    (wire.DhtResponse(responder=9, origin=7, target_key=4096, segment_id=300, has_data=True,
+                      rate=12.5, path=(7, 9)),
+     "0000001485000900071000012c0141480000000200070009"),
+    (wire.DhtResponse(responder=70000, origin=7, target_key=4096, segment_id=300, has_data=True,
+                      rate=12.5, path=(7, 9)),
+     "00000020050001117000000007000010000000012c014148000000020000000700000009"),
+    (wire.Ping(sender=7, nonce=1), "000000058600070001"),
+    (wire.Ping(sender=7, nonce=65536), "00000009060000000700010000"),
+    (wire.Pong(sender=9, nonce=1), "000000058700090001"),
+    (wire.Pong(sender=70000, nonce=1), "00000009070001117000000001"),
+    (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 301)),
+     "0000000b88000778000002012c012d"),
+    (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 65536)),
+     "0000001308000000070000780000020000012c00010000"),
+    (wire.CreditGrant(sender=7, credits=4), "000000058a00070004"),
+    (wire.CreditGrant(sender=65536, credits=4), "000000070a000100000004"),
+    (wire.ShardHello(shard_index=0, num_shards=2, token=42, ring_size=8192),
+     "0000000d0b000000020000002a00002000"),
+    (wire.RoutedFrame(src=7, dst=9, payload=_PING),  # src elided: the narrow ping spells it
+     "0000000f0c0200000009000000058600070001"),
+    (wire.FrameBatch(frames=(_PING, _CREDIT)),
+     "000000110d00020005860007000100058a00070004"),
+    (wire.TelemetryFrame(shard=1, period=2, payload=b"{}"),
+     "000000090f0001000000027b7d"),
+]
+
+#: The kinds that ship at one width only.
+ONE_WIDTH = {wire.WireKind.SHARD_HELLO, wire.WireKind.ROUTE, wire.WireKind.BATCH,
+             wire.WireKind.TELEMETRY}
+
+
+class TestGoldenVectors:
+    """Byte-exact frames: a declarative codec must reproduce every one."""
+
+    def test_every_kind_byte_has_a_vector(self):
+        kind_bytes = sorted(bytes.fromhex(hex_)[4] for _, hex_ in GOLDEN_VECTORS)
+        expected = sorted(
+            [int(kind) for kind in wire.WireKind]
+            + [kind | wire.NARROW for kind in wire.WireKind if kind not in ONE_WIDTH]
+        )
+        assert kind_bytes == expected
+        assert all(kind < wire.NARROW for kind in wire.WireKind)
+
+    @pytest.mark.parametrize(
+        "msg, hex_", GOLDEN_VECTORS,
+        ids=[f"{type(m).__name__}-{h[8:10]}" for m, h in GOLDEN_VECTORS],
+    )
+    def test_encode_and_decode_match_the_vector(self, msg, hex_):
+        frame = bytes.fromhex(hex_)
+        assert wire.encode(msg) == frame
+        assert wire.decode(frame) == (msg, len(frame))

@@ -16,6 +16,8 @@ Three properties, each over generated rather than hand-picked inputs:
    a frame sequence deliver the same messages in the same order.
 """
 
+import dataclasses
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,12 +27,24 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.runtime import wire  # noqa: E402
 from repro.streaming.buffermap import BufferMap  # noqa: E402
 
-u32 = st.integers(0, 2**32 - 1)
+#: Drawn often: the edges of both widths (a frame goes wide past 65 535).
+EDGES = (0, 2**16 - 1, 2**16, 2**32 - 1)
+u32 = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**32 - 1))
 u16 = st.integers(0, 2**16 - 1)
+#: -1 (fresh stream) and the narrow edge, which sits one lower for
+#: ``newest_id`` because a narrow frame carries ``newest_id + 1``.
+newest_ids = st.one_of(
+    st.sampled_from((-1, 0, 2**16 - 2, 2**16 - 1, 2**31 - 1)), st.integers(-1, 2**31 - 1)
+)
 #: 0 (untraced, the wire-identical fast path) or any u64 trace id.
 trace_ids = st.one_of(st.just(0), st.integers(0, 2**64 - 1))
 flags = st.booleans()
-paths = st.lists(u32, max_size=64).map(tuple)
+#: Empty and 7-hop paths (the longest greedy route) beside arbitrary ones.
+paths = st.one_of(
+    st.just(()),
+    st.lists(u32, min_size=7, max_size=7).map(tuple),
+    st.lists(u32, max_size=64).map(tuple),
+)
 rates = st.floats(
     width=32, min_value=0.0, allow_nan=False, allow_infinity=False
 )
@@ -42,7 +56,7 @@ def buffer_map_msgs(draw):
     nbytes = (capacity + 7) // 8
     return wire.BufferMapMsg(
         sender=draw(u32),
-        newest_id=draw(st.integers(-1, 2**31 - 1)),
+        newest_id=draw(newest_ids),
         head_id=draw(u32),
         capacity=capacity,
         bitmap=draw(st.binary(min_size=nbytes, max_size=nbytes)),
@@ -66,7 +80,7 @@ def buffer_map_deltas(draw):
     return wire.BufferMapDelta(
         sender=draw(u32),
         seq=draw(u32),
-        newest_id=draw(st.integers(-1, 2**31 - 1)),
+        newest_id=draw(newest_ids),
         head_id=draw(u32),
         capacity=capacity,
         runs=tuple(runs),
@@ -101,8 +115,10 @@ def frame_batches(draw):
     return wire.FrameBatch(frames=tuple(wire.encode(m) for m in inner))
 
 
-wire_messages = st.one_of(
+#: Every kind with a narrow form, each at either width.
+peer_messages = st.one_of(
     buffer_map_msgs(),
+    buffer_map_deltas(),
     st.builds(
         wire.SegmentRequest, sender=u32, segment_id=u32, prefetch=flags,
         trace_id=trace_ids,
@@ -137,6 +153,10 @@ wire_messages = st.one_of(
         segment_ids=st.lists(u32, max_size=128).map(tuple),
     ),
     st.builds(wire.CreditGrant, sender=u32, credits=st.integers(1, 2**16 - 1)),
+)
+
+wire_messages = st.one_of(
+    peer_messages,
     st.builds(
         wire.ShardHello,
         shard_index=u16,
@@ -154,7 +174,6 @@ wire_messages = st.one_of(
         payload=st.binary(max_size=512),
         data=flags,
     ),
-    buffer_map_deltas(),
     frame_batches(),
     # Telemetry payloads are opaque bytes on the wire — arbitrary byte
     # strings (not just valid JSON) must round-trip unchanged.
@@ -165,6 +184,94 @@ wire_messages = st.one_of(
         payload=st.binary(max_size=256),
     ),
 )
+
+#: The fields a narrow frame spells in 16 bits, per kind (a narrow
+#: ``newest_id`` rides as ``newest_id + 1``).  Capacities, credits, counts
+#: and delta runs are 16 bits at both widths; trace ids are 64.
+NARROWED = {
+    wire.BufferMapMsg: lambda m: (m.sender, m.newest_id + 1, m.head_id, m.seq),
+    wire.BufferMapDelta: lambda m: (m.sender, m.seq, m.newest_id + 1, m.head_id),
+    wire.SegmentRequest: lambda m: (m.sender, m.segment_id),
+    wire.SegmentNack: lambda m: (m.sender, m.segment_id),
+    wire.SegmentData: lambda m: (m.sender, m.segment_id, m.size_bits),
+    wire.DhtLookup: lambda m: (m.origin, m.target_key, m.segment_id, *m.path),
+    wire.DhtResponse: lambda m: (m.responder, m.origin, m.target_key, m.segment_id, *m.path),
+    wire.Ping: lambda m: (m.sender, m.nonce),
+    wire.Pong: lambda m: (m.sender, m.nonce),
+    wire.Handover: lambda m: (m.sender, m.segment_bits, *m.segment_ids),
+    wire.CreditGrant: lambda m: (m.sender,),
+}
+#: Kinds whose body length does not depend on the message's values.
+FIXED_SIZE = (wire.SegmentRequest, wire.SegmentNack, wire.SegmentData, wire.Ping,
+              wire.Pong, wire.CreditGrant)
+
+
+def wide_frame(msg) -> bytes:
+    """``msg`` in the wide layout, whether or not it would fit narrow."""
+    return wire._ENCODERS[type(msg)][0](msg)
+
+
+def with_body(kind: int, body: bytes) -> bytes:
+    return (1 + len(body)).to_bytes(4, "big") + bytes([kind]) + body
+
+
+class TestWidthProperty:
+    """Narrow exactly when every integer fits; never longer; never misread."""
+
+    @given(msg=peer_messages)
+    @settings(max_examples=400, deadline=None)
+    def test_narrow_form_is_chosen_exactly_when_every_integer_fits(self, msg):
+        frame = wire.encode(msg)
+        fits = all(0 <= value <= 0xFFFF for value in NARROWED[type(msg)](msg))
+        assert bool(frame[4] & wire.NARROW) == fits
+        assert wire.decode(frame) == (msg, len(frame))
+
+    @given(msg=peer_messages)
+    @settings(max_examples=300, deadline=None)
+    def test_the_wide_form_round_trips_and_is_never_shorter(self, msg):
+        frame, wide = wire.encode(msg), wide_frame(msg)
+        assert wire.decode(wide) == (msg, len(wide))
+        if frame[4] & wire.NARROW:
+            assert len(frame) < len(wide)
+        else:
+            assert frame == wide
+
+    @given(msg=peer_messages)
+    @settings(max_examples=300, deadline=None)
+    def test_a_narrow_kind_byte_on_a_wide_length_body_is_rejected(self, msg):
+        frame, wide = wire.encode(msg), wide_frame(msg)
+        if frame[4] & wire.NARROW:
+            # The narrow fields, padded out to the wide body's length.
+            padded = with_body(frame[4], frame[5:] + bytes(len(wide) - len(frame)))
+            with pytest.raises(wire.WireError):
+                wire.decode(padded)
+        # The wide body itself under a narrow kind byte: never the message,
+        # and always an error where the body length is fixed.
+        flipped = with_body(wide[4] | wire.NARROW, wide[5:])
+        try:
+            decoded, _ = wire.decode(flipped)
+        except wire.WireError:
+            return
+        assert not isinstance(msg, FIXED_SIZE)
+        assert decoded != msg
+
+    @given(inner=st.one_of(peer_messages, frame_batches()), src=u32, dst=u32,
+           elide=flags, data=flags)
+    @settings(max_examples=300, deadline=None)
+    def test_routed_frames_round_trip_around_either_width(self, inner, src, dst, elide, data):
+        payload = wire.encode(inner)
+        leading = None
+        if not isinstance(inner, wire.FrameBatch):
+            # Every peer message leads with its sender (origin, responder).
+            leading = getattr(inner, dataclasses.fields(inner)[0].name)
+            if elide:
+                src = leading
+        routed = wire.RoutedFrame(src=src, dst=dst, payload=payload, data=data)
+        frame = wire.encode(routed)
+        assert wire.decode(frame) == (routed, len(frame))
+        if leading is not None:
+            elided = len(frame) == 4 + 6 + len(payload)
+            assert elided == (src == leading)
 
 
 class TestRoundTripProperty:
@@ -390,10 +497,11 @@ class TestFrameBatchProperty:
 
     @given(msgs=st.lists(_batchable_messages, min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
-    def test_decode_batch_unwraps_to_the_inner_messages(self, msgs):
+    def test_decode_frame_unwraps_to_the_inner_messages(self, msgs):
         frame = wire.encode(wire.FrameBatch(frames=tuple(wire.encode(m) for m in msgs)))
-        assert wire.decode_batch(frame) == msgs
-        assert wire.decode_batch(memoryview(frame)) == msgs
+        assert wire.decode_frame(frame) == msgs
+        assert wire.decode_frame(memoryview(frame)) == msgs
+        assert [list(wire.decode_frame(wire.encode(m))) for m in msgs] == [[m] for m in msgs]
 
     @given(
         msgs=st.lists(_batchable_messages, min_size=1, max_size=6),
@@ -405,7 +513,7 @@ class TestFrameBatchProperty:
     @settings(max_examples=300, deadline=None)
     def test_a_malformed_batch_yields_none_of_its_inner_messages(self, msgs, damage, data):
         """All or nothing: whichever entry is bad — the envelope's
-        framing or one inner frame, first or last — ``decode_batch``
+        framing or one inner frame, first or last — ``decode_frame``
         raises before returning a single message, so the reader
         dispatches none of them."""
         frames = [wire.encode(m) for m in msgs]
@@ -427,12 +535,13 @@ class TestFrameBatchProperty:
         body = bytes([wire.WireKind.BATCH]) + count.to_bytes(2, "big") + entries
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(wire.WireError):
-            wire.decode_batch(frame)
+            wire.decode_frame(frame)
 
-    def test_decode_batch_refuses_anything_but_one_whole_batch(self):
+    def test_decode_frame_refuses_anything_but_one_whole_frame(self):
         ping = wire.encode(wire.Ping(1, 2))
         batch = wire.encode(wire.FrameBatch(frames=(ping, ping)))
-        assert wire.decode_batch(batch) == [wire.Ping(1, 2), wire.Ping(1, 2)]
-        for bad in (ping, batch + b"\x00", batch[:-1], batch + batch, b"", batch[:4]):
+        assert wire.decode_frame(batch) == [wire.Ping(1, 2), wire.Ping(1, 2)]
+        assert wire.decode_frame(ping) == (wire.Ping(1, 2),)
+        for bad in (ping + b"\x00", batch + b"\x00", batch[:-1], batch + batch, b"", batch[:4]):
             with pytest.raises(wire.WireError):
-                wire.decode_batch(bad)
+                wire.decode_frame(bad)

@@ -3,10 +3,12 @@
 The simulator and the virtual-clock runtime are deterministic for a seed, so
 their quality numbers repeat to the last digit.  This runs
 ``bench/run.py --workload W --seed 0 --seconds 1 --trace 0`` for ``sim_static``,
-``rt_static`` and ``rt_churn`` and compares ``stable_continuity``,
-``bytes_per_segment`` and ``control_overhead`` with the history's last row,
-exactly.  ``rt_churn`` is the only one that reaches joiners' first maps,
-desync resyncs and window jumps.  A change
+``rt_static``, ``rt_churn`` and ``wire_replay`` and compares
+``stable_continuity``, ``bytes_per_segment`` and ``control_overhead`` with the
+history's last row, exactly.  ``rt_churn`` is the only one that reaches
+joiners' first maps, desync resyncs and window jumps.  ``wire_replay``'s three
+values are fixed by the codec alone (round-trip share, batched bytes per data
+frame, map frame bits), so it is the frame-format gate.  A change
 that moves any of them on purpose (a declared re-pin) commits a new row in
 the same change; anything else that moves them is a behaviour change nobody
 declared.  CPU-time metrics are not checked: they are host-dependent.
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sim_static", "rt_static", "rt_churn")
+WORKLOADS = ("sim_static", "rt_static", "rt_churn", "wire_replay")
 CHECKED = ("stable_continuity", "bytes_per_segment", "control_overhead")
 
 
