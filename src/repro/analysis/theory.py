@@ -175,6 +175,12 @@ def expected_dht_lookup_hops(num_nodes: int) -> float:
     return math.log2(num_nodes) / 2.0
 
 
+def expected_routing_messages(replicas: int, num_nodes: int) -> float:
+    """Section 5.4.3's estimate of the routing messages that locate one
+    segment: ``k · (log2(n)/2 + 1) + 1``."""
+    return replicas * (expected_dht_lookup_hops(max(2, num_nodes)) + 1.0) + 1.0
+
+
 def expected_fetch_time(num_nodes: int, hop_latency: float) -> float:
     """``t_fetch ≈ (log2(n)/2 + 3) · t_hop`` (equation (7))."""
     if hop_latency < 0:

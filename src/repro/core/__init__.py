@@ -8,8 +8,6 @@
 * :mod:`repro.core.urgent_line` — the Urgent Line predictor with its
   adaptively tuned urgent ratio ``alpha`` (equations (4), (8), (9) and the
   overdue/repeated update rules).
-* :mod:`repro.core.ondemand` — Algorithm 2: DHT location of the ``k`` backup
-  holders and selection of the best on-demand supplier.
 * :mod:`repro.core.backup` — the per-node VoD Data Backup store and the
   responsibility rule of equation (5), including leave-time handover.
 * :mod:`repro.core.rate_controller` — per-neighbour receive-rate estimation.

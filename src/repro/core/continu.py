@@ -108,11 +108,9 @@ class ContinuStreamingNode(StreamingNode):
         return self.backup.maybe_store(segment, successor)
 
     def serves_segment(self, segment_id: int) -> bool:
-        """True if this node can serve ``segment_id`` to an on-demand request.
-
-        A holder can answer from its VoD backup *or* from its playback buffer
-        (the paper's case analysis only rules out segments it never received).
-        """
+        """A backup holder answers from its VoD backup *or* its playback
+        buffer (the paper's case analysis only rules out segments it never
+        received)."""
         return segment_id in self.backup or segment_id in self.buffer
 
     # ----------------------------------------------------------------- pre-fetch
@@ -164,9 +162,14 @@ class ContinuStreamingNode(StreamingNode):
         self.urgent_line.update(overdue=overdue, repeated=repeated)
         return overdue, repeated
 
-    def available_sending_rate(self, outbound_budget_left: float) -> float:
-        """Sending rate this node can offer an on-demand requester right now."""
-        return max(0.0, min(self.outbound_rate, outbound_budget_left))
+    def record_repeated_prefetch(self) -> None:
+        """A lookup ended with the segment already delivered by gossip.
+
+        The paper's "repeated data" case: the routing cost is spent, the
+        download is skipped and the urgent ratio ``α`` shrinks one step.
+        """
+        self.stats.prefetch_repeated += 1
+        self.urgent_line.record_repeated(1)
 
     # ------------------------------------------------------------------ handover
     def handover_backup(self) -> List[Segment]:

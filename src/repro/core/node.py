@@ -112,8 +112,6 @@ class StreamingNode:
         self.pending_requests: set[int] = set()
         #: segment ids delivered by the data scheduler this round (reset per round)
         self.scheduled_deliveries: set[int] = set()
-        #: segment ids received via pre-fetch, tagged so repeated-data detection works
-        self.prefetch_tagged: set[int] = set()
 
     # ------------------------------------------------------------------ identity
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -134,13 +132,21 @@ class StreamingNode:
         """True if the playback buffer holds the segment."""
         return segment_id in self.buffer
 
+    # ------------------------------------------------ on-demand holder answer
+    def serves_segment(self, segment_id: int) -> bool:
+        """True if this node can serve ``segment_id`` to an on-demand request."""
+        return segment_id in self.buffer
+
+    def available_sending_rate(self, outbound_budget_left: float) -> float:
+        """Sending rate this node can offer an on-demand requester right now."""
+        return max(0.0, min(self.outbound_rate, outbound_budget_left))
+
     def receive_segment(self, segment_id: int, *, prefetched: bool = False) -> bool:
         """Store a delivered segment; returns False if it was already expired."""
         accepted = self.buffer.add(segment_id)
         if accepted:
             if prefetched:
                 self.stats.segments_received_prefetch += 1
-                self.prefetch_tagged.add(segment_id)
             else:
                 self.stats.segments_received_scheduled += 1
                 self.scheduled_deliveries.add(segment_id)

@@ -11,7 +11,8 @@ one module each:
 3. :class:`UrgentLinePredictionPhase` — eq. (4)/(8) missed-segment prediction;
 4. :class:`DataSchedulingPhase` — Algorithm 1 and the resulting transfers;
 5. :class:`OnDemandRetrievalPhase` — Algorithm 2 over the DHT, in parallel
-   with the scheduler, as delayed intra-round events;
+   with the scheduler, as delayed intra-round events (its ``Lookup`` is the
+   supplier rule the live runtime shares);
 6. :class:`PlaybackPhase` — one period of media, continuity sampled;
 7. :class:`ChurnMaintenancePhase` — departures, arrivals, overlay repair.
 

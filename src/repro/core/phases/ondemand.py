@@ -1,38 +1,91 @@
-"""Phase 5 — on-demand DHT retrieval of predicted-missed segments (Alg. 2)."""
+"""Phase 5 — on-demand DHT retrieval of predicted-missed segments (Algorithm 2).
+
+For each predicted-missed segment the node walks the DHT to the holder of
+each of its ``k`` backup keys; every holder answers whether it has the
+segment and at what rate it can send it, and the best holder becomes the
+on-demand supplier.  That policy is :class:`Lookup` — no clock, socket or
+ledger — and the simulator and the runtime both run it: the phase fills the
+answers synchronously from the greedy router, and
+:class:`~repro.runtime.peer.LivePeer` fills them from ``DhtResponse`` frames.
+Section 5.4.3's cost per segment is
+:func:`~repro.analysis.theory.expected_routing_messages`.
+"""
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any
+from typing import Any, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
-from repro.core.ondemand import OnDemandRetriever
 from repro.core.phases.base import Phase, PhaseReport, RoundContext
-from repro.net.message import MessageKind
+from repro.dht.hashing import backup_keys
+from repro.net.message import ROUTING_MESSAGE_BITS, MessageKind
 from repro.sim.engine import Simulator
+
+#: One holder's answer to one routing message: ``(holder, has_data, rate)``.
+Answer = Tuple[int, bool, float]
+
+
+class Lookup:
+    """One segment's location step: the backup keys and one answer per key.
+
+    ``answers[i]`` is the answer for ``keys[i]``, or ``None`` while it has
+    not arrived (a lost frame, a timeout, a dead holder).  Keys may collide
+    on a small ring; :meth:`answer` fills the first open slot of a key.
+    """
+
+    __slots__ = ("origin", "segment_id", "keys", "answers")
+
+    def __init__(self, origin: int, segment_id: int, replicas: int, id_space: int) -> None:
+        self.origin = origin
+        self.segment_id = segment_id
+        self.keys = backup_keys(segment_id, replicas, id_space)
+        self.answers: List[Optional[Answer]] = [None] * len(self.keys)
+
+    def answer(self, key: int, holder: int, has_data: bool, rate: float) -> None:
+        """Record ``holder``'s answer for backup key ``key``."""
+        for index, wanted in enumerate(self.keys):
+            if wanted == key and self.answers[index] is None:
+                self.answers[index] = (holder, has_data, rate)
+                return
+
+    def supplier(self) -> Optional[int]:
+        """The on-demand supplier, or ``None`` if no holder can serve.
+
+        The answers are walked in key order.  The origin and any holder
+        already seen are skipped; among holders with the data, the first
+        strictly higher rate wins, so a zero rate never does and an exact
+        tie keeps the earlier key's holder.
+        """
+        best: Optional[int] = None
+        best_rate = 0.0
+        seen = set()
+        for answer in self.answers:
+            if answer is None:
+                continue
+            holder, has_data, rate = answer
+            if holder == self.origin or holder in seen:
+                continue
+            seen.add(holder)
+            if has_data and rate > best_rate:
+                best_rate = rate
+                best = holder
+        return best
 
 
 class OnDemandRetrievalPhase(Phase):
     """Locate and download the urgent segments gossip is about to miss.
 
-    The phase fires at the start of the period (the lookups run *in
-    parallel* with the data scheduler) but the actual per-node retrieval is
-    scheduled as a follow-up event on the discrete-event engine at the
-    expected DHT fetch-completion time ``t_fetch`` (eq. (7)), capped at the
-    end of the period.  Triggered nodes are visited in a per-round random
-    order; because their events share one timestamp, the engine's
-    deterministic tie-breaking preserves that order.
+    The phase fires at the start of the period, in parallel with the data
+    scheduler; each triggered node's retrieval is an engine event at the
+    expected fetch-completion time ``t_fetch`` (eq. (7)), capped at the end
+    of the period, in a per-round random node order that the engine's
+    deterministic tie-breaking preserves.
 
-    Per node, each :class:`~repro.core.ondemand.PrefetchPlan`:
-
-    * pays its DHT routing cost and lets every node on the routing paths
-      overhear the others (peer-table maintenance for free);
-    * is dropped as "repeated data" when the data scheduler delivered the
-      segment while the lookup was in flight — the urgent ratio ``α``
-      shrinks;
-    * otherwise downloads from the located backup holder, subject to the
-      shared per-period budgets, and the overdue/on-time outcome feeds the
-      ``α`` adaptation when the node settles its pre-fetches at period end.
+    Per node, every missed segment is located first (ascending id); then
+    each :class:`Lookup` pays its routing cost and lets the nodes on its
+    paths overhear each other, is dropped as "repeated data" when gossip
+    delivered the segment meanwhile (``α`` shrinks), and otherwise downloads
+    from its supplier within the shared per-period budgets.
     """
 
     name = "on-demand-retrieval"
@@ -42,102 +95,79 @@ class OnDemandRetrievalPhase(Phase):
             return self.report(nodes_triggered=0)
         order = list(ctx.predictions)
         ctx.rng.shuffle(order)
-        # One retriever serves every triggered node of the round; its origin
-        # is set per node in ``_retrieve_for_node``.
         assert ctx.manager is not None, "on-demand retrieval needs an OverlayManager"
-        retriever = OnDemandRetriever(
-            node_id=ctx.source_id,
-            router=ctx.manager.router,
-            replicas=ctx.config.backup_replicas,
-            has_segment=partial(self._holder_has_segment, ctx),
-            available_rate=partial(self._holder_rate, ctx),
-        )
-        if ctx.sim is None:
-            # Minimal synthetic contexts (unit tests) run inline.
-            for nid in order:
-                self._retrieve_for_node(ctx, nid, retriever)
-        else:
-            delay = min(self._fetch_time(ctx), ctx.period)
-            for nid in order:
-                ctx.sim.schedule_at(
-                    ctx.round_start + delay, self._retrieve_event, (ctx, nid, retriever)
-                )
+        assert ctx.sim is not None, "on-demand retrieval runs on the event engine"
+        delay = min(ctx.manager.fetch_time_s, ctx.period)
+        for nid in order:
+            ctx.sim.schedule_at(ctx.round_start + delay, self._retrieve_for_node, (ctx, nid))
         return self.report(nodes_triggered=len(order))
 
     # ------------------------------------------------------------- internals
-    def _retrieve_event(self, sim: Simulator, payload: Any) -> None:
-        self._retrieve_for_node(*payload)
-
-    def _fetch_time(self, ctx: RoundContext) -> float:
-        if ctx.manager is not None:
-            return ctx.manager.fetch_time_s
-        return ctx.config.expected_fetch_time(0.05)
-
-    def _retrieve_for_node(
-        self, ctx: RoundContext, nid: int, retriever: OnDemandRetriever
-    ) -> None:
+    def _retrieve_for_node(self, sim: Simulator, payload: Any) -> None:
         """Run Algorithm 2 for one triggered node and execute the downloads."""
+        ctx, nid = payload
         manager = ctx.manager
         assert manager is not None
         cfg = ctx.config
         node = ctx.nodes[nid]
         assert isinstance(node, ContinuStreamingNode)
-        retriever.node_id = nid
-        plans = retriever.retrieve(ctx.predictions[nid])
+        nodes = ctx.nodes
+        outbound = ctx.outbound_budget
+        route = manager.router.route
+        id_space = manager.router.ring.size
+        # Locate every segment before acting on any: overhearing the paths
+        # and the downloads below must not steer the walks or the answers.
+        located = []
+        for sid in sorted(ctx.predictions[nid]):
+            lookup = Lookup(nid, sid, cfg.backup_replicas, id_space)
+            answers = lookup.answers
+            messages = 0
+            paths = []
+            for index, key in enumerate(lookup.keys):
+                path = route(nid, key).path
+                # Each hop of the walk is one routing message; the final
+                # reply back to the requester is one more (the "+1" of
+                # Section 5.4.3).
+                messages += max(1, len(path) - 1) + 1
+                paths.append(path)
+                holder_id = path[-1]
+                holder = nodes.get(holder_id)
+                if holder is not None and holder.alive:
+                    answers[index] = (
+                        holder_id,
+                        holder.serves_segment(sid),
+                        holder.available_sending_rate(outbound.get(holder_id, 0.0)),
+                    )
+            located.append((lookup, messages, paths))
         overhear = manager.overhearing.overhear_path
-        for plan in plans:
+        for lookup, messages, paths in located:
             ctx.ledger.record(
-                MessageKind.DHT_ROUTING,
-                plan.routing_bits(),
-                count=plan.routing_messages,
+                MessageKind.DHT_ROUTING, messages * ROUTING_MESSAGE_BITS, count=messages
             )
             # Every alive node on a routing path overhears the others on it.
-            for path in plan.routing_paths:
+            for path in paths:
                 overhear(path)
-            if plan.segment_id in node.buffer:
+            sid = lookup.segment_id
+            if sid in node.buffer:
                 # The data scheduler delivered the segment while the DHT
-                # lookup was in flight — the paper's "repeated data" case.
-                # The routing cost was already paid; the duplicate
-                # download is skipped and the urgent ratio shrinks.
-                node.stats.prefetch_repeated += 1
-                node.urgent_line.record_repeated(1)
+                # lookup was in flight: the routing cost was already paid
+                # and the duplicate download is skipped.
+                node.record_repeated_prefetch()
                 continue
-            if not plan.located:
+            supplier = lookup.supplier()
+            if supplier is None or ctx.inbound_budget.get(nid, 0.0) < 1.0:
                 continue
-            supplier = plan.supplier_id
-            assert supplier is not None
-            if ctx.inbound_budget.get(nid, 0.0) < 1.0:
-                continue
-            if ctx.outbound_budget.get(supplier, 0.0) < 1.0:
+            if outbound.get(supplier, 0.0) < 1.0:
                 continue
             ctx.inbound_budget[nid] -= 1.0
-            ctx.outbound_budget[supplier] -= 1.0
+            outbound[supplier] -= 1.0
             arrival = ctx.round_start + manager.fetch_time_s
-            deadline = node.deadline_of(plan.segment_id, now=ctx.round_start)
-            node.receive_segment(plan.segment_id, prefetched=True)
-            node.record_prefetch(plan.segment_id, arrival, deadline)
-            ctx.consider_backup(node, plan.segment_id)
+            deadline = node.deadline_of(sid, now=ctx.round_start)
+            node.receive_segment(sid, prefetched=True)
+            node.record_prefetch(sid, arrival, deadline)
+            ctx.consider_backup(node, sid)
             ctx.ledger.record(MessageKind.DATA_PREFETCH, cfg.segment_bits)
             ctx.segments_prefetched += 1
         # Settle at the end of the period: everything launched this period
         # has either met or missed its deadline by then.
         node.settle_prefetches(ctx.round_end)
-
-    @staticmethod
-    def _holder_has_segment(ctx: RoundContext, holder_id: int, segment_id: int) -> bool:
-        holder = ctx.nodes.get(holder_id)
-        if holder is None or not holder.alive:
-            return False
-        if isinstance(holder, ContinuStreamingNode):
-            return holder.serves_segment(segment_id)
-        return holder.has_segment(segment_id)
-
-    @staticmethod
-    def _holder_rate(ctx: RoundContext, holder_id: int) -> float:
-        holder = ctx.nodes.get(holder_id)
-        if holder is None or not holder.alive:
-            return 0.0
-        return max(
-            0.0,
-            min(holder.outbound_rate, ctx.outbound_budget.get(holder_id, 0.0)),
-        )

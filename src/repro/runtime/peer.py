@@ -44,13 +44,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Collection, Dict, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
-from repro.dht.hashing import backup_keys
+from repro.core.phases.ondemand import Lookup
 from repro.dht.routing import next_hop
 from repro.net.message import MessageLedger
 from repro.runtime import wire
@@ -65,17 +65,6 @@ from repro.streaming.segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.swarm import LiveSwarm
-
-
-@dataclass
-class _PendingLookup:
-    """Bookkeeping for one segment's in-flight DHT location step."""
-
-    segment_id: int
-    expected: int
-    started_tick: int
-    responses: List[wire.DhtResponse] = field(default_factory=list)
-    decided: bool = False
 
 
 @dataclass
@@ -147,7 +136,9 @@ class LivePeer:
         self._delivered: Dict[int, int] = {}
         self._requested: set = set()
         self._nack_tried: Dict[int, set] = {}
-        self._dht_pending: Dict[int, _PendingLookup] = {}
+        #: In-flight DHT location steps by segment id:
+        #: ``[lookup, answers awaited, tick started]``.
+        self._dht_pending: Dict[int, List[Any]] = {}
         self._prefetch_deadlines: Dict[int, float] = {}
         self._ping_nonce = itertools.count(1)
         self._task: Optional[asyncio.Task] = None
@@ -422,11 +413,8 @@ class LivePeer:
                 "recv_request", msg.trace_id, self.peer_id, msg.segment_id,
                 requester=msg.sender,
             )
-        if msg.prefetch and isinstance(node, ContinuStreamingNode):
-            available = node.serves_segment(msg.segment_id)
-        else:
-            available = node.has_segment(msg.segment_id)
-        if not available or self.outbound_tokens < 1.0:
+        serves = node.serves_segment if msg.prefetch else node.has_segment
+        if not serves(msg.segment_id) or self.outbound_tokens < 1.0:
             # Saturated uplink (or stale advertisement): refuse explicitly
             # so the requester can reroute within the period, like the
             # simulator's fallback-supplier pass.  A traced request's id
@@ -494,15 +482,7 @@ class LivePeer:
             return
         tried = self._nack_tried.setdefault(sid, set())
         tried.add(msg.sender)
-        partners = set(node.neighbors)
-        fallback = None
-        best_rate = -1.0
-        for nbr, neighbor_map in self.neighbor_maps.items():
-            if nbr in tried or nbr not in partners or sid not in neighbor_map:
-                continue
-            rate = node.rate_controller.rate_of(nbr)
-            if rate > best_rate:
-                best_rate, fallback = rate, nbr
+        fallback = self._best_advertiser(sid, tried)
         if fallback is None:
             return
         # The reroute keeps the original journey's trace id, so the whole
@@ -548,107 +528,67 @@ class LivePeer:
     def _on_dht_lookup(self, msg: wire.DhtLookup) -> None:
         self.swarm.overhear(self.node.peer_table, msg.path)
         nxt = self._closer_hop(msg.target_key, msg.path)
+        path = msg.path + (self.peer_id,)
         if nxt is not None:
-            self._send(
-                nxt,
-                wire.DhtLookup(
-                    origin=msg.origin,
-                    target_key=msg.target_key,
-                    segment_id=msg.segment_id,
-                    path=msg.path + (self.peer_id,),
-                ),
-            )
+            self._send(nxt, wire.DhtLookup(msg.origin, msg.target_key, msg.segment_id, path))
             return
         # Terminal node: this peer is responsible for the key — answer the
         # origin directly with whether it can serve the segment and at what
-        # rate (the requester picks the fastest holder, Algorithm 2).
+        # rate (the requester's Lookup picks the supplier, Algorithm 2).
         node = self.node
-        if isinstance(node, ContinuStreamingNode):
-            has_data = node.serves_segment(msg.segment_id)
-        else:
-            has_data = node.has_segment(msg.segment_id)
-        self._send(
-            msg.origin,
-            wire.DhtResponse(
-                responder=self.peer_id,
-                origin=msg.origin,
-                target_key=msg.target_key,
-                segment_id=msg.segment_id,
-                has_data=has_data,
-                rate=max(0.0, min(node.outbound_rate, self.outbound_tokens)),
-                path=msg.path + (self.peer_id,),
-            ),
-        )
+        self._send(msg.origin, wire.DhtResponse(
+            responder=self.peer_id, origin=msg.origin, target_key=msg.target_key,
+            segment_id=msg.segment_id, has_data=node.serves_segment(msg.segment_id),
+            rate=node.available_sending_rate(self.outbound_tokens), path=path,
+        ))
 
     def _on_dht_response(self, msg: wire.DhtResponse) -> None:
         self.swarm.overhear(self.node.peer_table, msg.path)
         pending = self._dht_pending.get(msg.segment_id)
-        if pending is None or pending.decided:
+        if pending is None:
             return
-        pending.responses.append(msg)
-        if len(pending.responses) >= pending.expected:
-            self._decide_lookup(pending)
+        pending[0].answer(msg.target_key, msg.responder, msg.has_data, msg.rate)
+        pending[1] -= 1
+        if pending[1] == 0:
+            self._decide_lookup(msg.segment_id)
 
     def _start_lookup(self, segment_id: int) -> None:
         if segment_id in self._dht_pending or self.node.has_segment(segment_id):
             return
-        keys = backup_keys(segment_id, self.config.backup_replicas, self.swarm.id_space)
-        pending = _PendingLookup(
-            segment_id=segment_id, expected=0, started_tick=self.ticks_run
+        lookup = Lookup(
+            self.peer_id, segment_id, self.config.backup_replicas, self.swarm.id_space
         )
-        launched = 0
-        for key in keys:
+        awaited = 0
+        for key in lookup.keys:
             nxt = self._closer_hop(key, (self.peer_id,))
             if nxt is None:
                 continue  # this peer is itself responsible — nobody to ask
-            launched += 1
-            self._send(
-                nxt,
-                wire.DhtLookup(
-                    origin=self.peer_id,
-                    target_key=key,
-                    segment_id=segment_id,
-                    path=(self.peer_id,),
-                ),
-            )
-        if launched == 0:
-            return
-        pending.expected = launched
-        self._dht_pending[segment_id] = pending
+            awaited += 1
+            self._send(nxt, wire.DhtLookup(self.peer_id, key, segment_id, (self.peer_id,)))
+        if awaited:
+            self._dht_pending[segment_id] = [lookup, awaited, self.ticks_run]
 
-    def _decide_lookup(self, pending: _PendingLookup) -> None:
-        """Pick the fastest responding holder and request the download."""
-        pending.decided = True
-        self._dht_pending.pop(pending.segment_id, None)
+    def _decide_lookup(self, segment_id: int) -> None:
+        """Close one lookup: request the download from its supplier."""
+        lookup = self._dht_pending.pop(segment_id)[0]
         node = self.node
-        if not isinstance(node, ContinuStreamingNode):
+        assert isinstance(node, ContinuStreamingNode)  # only these predict misses
+        if node.has_segment(segment_id):
+            node.record_repeated_prefetch()
             return
-        if node.has_segment(pending.segment_id):
-            # Delivered by gossip while the lookup was in flight — the
-            # paper's "repeated data" case; the urgent ratio shrinks.
-            node.stats.prefetch_repeated += 1
-            node.urgent_line.record_repeated(1)
+        supplier = lookup.supplier()
+        if supplier is None:
             return
-        holders = {}
-        for resp in pending.responses:
-            if resp.has_data and resp.rate > 0.0:
-                prev = holders.get(resp.responder)
-                if prev is None or resp.rate > prev:
-                    holders[resp.responder] = resp.rate
-        if not holders:
-            return
-        supplier = max(holders, key=lambda h: (holders[h], -h))
-        now = self.swarm.sim_now()
-        self._prefetch_deadlines[pending.segment_id] = node.deadline_of(
-            pending.segment_id, now=now
+        self._prefetch_deadlines[segment_id] = node.deadline_of(
+            segment_id, now=self.swarm.sim_now()
         )
-        self._traced_request(supplier, pending.segment_id, "prefetch", prefetch=True)
+        self._traced_request(supplier, segment_id, "prefetch", prefetch=True)
 
     def _sweep_lookups(self) -> None:
-        """Decide stale lookups with whatever responses arrived (timeout)."""
-        for pending in list(self._dht_pending.values()):
-            if self.ticks_run - pending.started_tick >= 1:
-                self._decide_lookup(pending)
+        """Decide stale lookups with whatever answers arrived (timeout)."""
+        for segment_id, (_, _, started) in list(self._dht_pending.items()):
+            if self.ticks_run - started >= 1:
+                self._decide_lookup(segment_id)
 
     # ------------------------------------------------------------ the period loop
     #: Fraction of a period after which scheduling runs, leaving link
@@ -909,22 +849,30 @@ class LivePeer:
         spr = node.playback.segments_per_round(self.config.scheduling_period)
         lo = node.playback.play_id
         hi = min(lo + 2 * spr - 1, self.known_newest)
-        partners = set(node.neighbors)
         for sid in range(lo, hi + 1):
             if sid in node.buffer or sid in self._requested:
                 continue
-            best = None
-            best_rate = -1.0
-            for nbr, neighbor_map in self.neighbor_maps.items():
-                if nbr not in partners or sid not in neighbor_map:
-                    continue
-                rate = node.rate_controller.rate_of(nbr)
-                if rate > best_rate:
-                    best_rate, best = rate, nbr
+            best = self._best_advertiser(sid)
             if best is None:
                 continue
             self._requested.add(sid)
             self._traced_request(best, sid, "rescue")
+
+    def _best_advertiser(self, sid: int, exclude: Collection[int] = ()) -> Optional[int]:
+        """The partner whose stored map advertises ``sid`` with the best
+        receive rate, skipping ``exclude``; the first of equal rates wins."""
+        node = self.node
+        partners = set(node.neighbors)
+        rate_of = node.rate_controller.rate_of
+        best = None
+        best_rate = -1.0
+        for nbr, neighbor_map in self.neighbor_maps.items():
+            if nbr in exclude or nbr not in partners or sid not in neighbor_map:
+                continue
+            rate = rate_of(nbr)
+            if rate > best_rate:
+                best_rate, best = rate, nbr
+        return best
 
     def _newest_or_none(self) -> Optional[int]:
         return self.known_newest if self.known_newest >= 0 else None

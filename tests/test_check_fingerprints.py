@@ -48,6 +48,61 @@ def test_a_missing_metric_fails(row):
     ]
 
 
+def _recorded_counts(row):
+    return [
+        (workload, count)
+        for workload in checker.WORKLOADS
+        for count in checker.COUNTS
+        if count in row["workloads"][workload]
+    ]
+
+
+def test_the_row_records_the_runtime_and_simulator_counts(row):
+    recorded = _recorded_counts(row)
+    assert ("rt_churn", "swarm.msgs_sent") in recorded
+    assert ("sim_static", "dht.routing_msgs") in recorded
+    assert all(isinstance(row["workloads"][w][c], int) for w, c in recorded)
+
+
+def test_a_perturbed_count_fails(row):
+    for workload, count in _recorded_counts(row):
+        measured = _as_measured(row)
+        measured[workload][count] += 1
+        assert checker.mismatches(row, measured, checker.WORKLOADS) == [
+            f"{workload}.{count}: history {row['workloads'][workload][count]!r}, "
+            f"this tree {measured[workload][count]!r}"
+        ]
+
+
+def test_a_count_the_row_lacks_is_skipped(row):
+    measured = _as_measured(row)
+    older = json.loads(json.dumps(row))
+    for workload, count in _recorded_counts(row):
+        del older["workloads"][workload][count]
+        measured[workload][count] += 1
+    assert checker.mismatches(older, measured, checker.WORKLOADS) == []
+
+
+def test_measure_reads_the_printed_counts(row, monkeypatch):
+    printed = "\n".join([
+        "rt_churn seed=0 scale=full iterations=1 valid_at_bar=False",
+        "  stable_continuity                          0.9 ratio",
+        "  swarm.msgs_sent                         286583 count",
+        "  swarm.bytes_on_wire                    4835508 B",
+        "  dht.routing_msgs_per_prefetch        151.7981 count",
+        "",
+        json.dumps({"correct": True, "metrics": {"stable_continuity": {"value": 0.9}}}),
+    ])
+
+    def run(*args, **kwargs):
+        return checker.subprocess.CompletedProcess(args, 0, stdout=printed, stderr="")
+
+    monkeypatch.setattr(checker.subprocess, "run", run)
+    assert checker.measure("rt_churn") == {
+        "swarm.msgs_sent": 286583, "swarm.bytes_on_wire": 4835508, "stable_continuity": 0.9,
+    }
+
+
 def test_main_exit_status(row, monkeypatch, tmp_path, capsys):
     history = tmp_path / "history.jsonl"
     history.write_text(json.dumps({"commit": "old"}) + "\n" + json.dumps(row) + "\n\n")

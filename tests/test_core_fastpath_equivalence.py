@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.backup import VodBackupStore
 from repro.core.config import SystemConfig
 from repro.core.node import StreamingNode
+from repro.core.phases.ondemand import Lookup
 from repro.core.scheduler import (
     MAX_URGENCY,
     DataScheduler,
@@ -1228,6 +1229,103 @@ class TestCachesUnderChurn:
 
 
 # =========================================================================== #
+# Algorithm 2 — one supplier rule for the simulator and the runtime
+# =========================================================================== #
+def ref_locate_supplier(
+    origin: int,
+    finals: Sequence[Optional[int]],
+    has_segment: Callable[[int], bool],
+    available_rate: Callable[[int], float],
+) -> Optional[int]:
+    """``OnDemandRetriever.locate``'s holder loop as the simulator ran it,
+    over the walks' final nodes in key order."""
+    best_supplier: Optional[int] = None
+    best_rate = 0.0
+    seen_holders: set = set()
+    for holder in finals:
+        if holder is None or holder == origin:
+            continue
+        if holder in seen_holders:
+            continue
+        seen_holders.add(holder)
+        if not has_segment(holder):
+            continue
+        rate = available_rate(holder)
+        if rate > best_rate:
+            best_rate = rate
+            best_supplier = holder
+    return best_supplier
+
+
+def ref_runtime_supplier(answers: Sequence[Tuple[int, bool, float]]) -> Optional[int]:
+    """The live peer's former rule: each holder's best offer, then
+    ``max(rate, -holder)``."""
+    holders: Dict[int, float] = {}
+    for responder, has_data, rate in answers:
+        if has_data and rate > 0.0:
+            prev = holders.get(responder)
+            if prev is None or rate > prev:
+                holders[responder] = rate
+    if not holders:
+        return None
+    return max(holders, key=lambda h: (holders[h], -h))
+
+
+#: Rates with exact ties and zeros, as the budgets produce them.
+offer_rates = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 4.0]), st.floats(0.0, 8.0, allow_nan=False)
+)
+
+
+@st.composite
+def lookups(draw, origin_may_answer: bool = True, consistent: bool = False):
+    """A lookup over 1-6 keys; answers may be missing, repeat a holder (with
+    a different offer unless ``consistent``) or come from the origin."""
+    origin = 3
+    pool = [1, 2, 4, 5, 6] + ([origin] if origin_may_answer else [])
+    lookup = Lookup(origin, draw(st.integers(0, 500)), draw(st.integers(1, 6)), 1024)
+    offers = {h: (draw(st.booleans()), draw(offer_rates)) for h in pool}
+    for index in range(len(lookup.keys)):
+        holder = draw(st.one_of(st.none(), st.sampled_from(pool)))
+        if holder is not None:
+            has_data, rate = offers[holder]
+            if not consistent and draw(st.booleans()):
+                has_data, rate = draw(st.booleans()), draw(offer_rates)
+            lookup.answers[index] = (holder, has_data, rate)
+    return lookup
+
+
+class TestSupplierRule:
+    @given(lookup=lookups())
+    @settings(max_examples=400, deadline=None)
+    def test_lookup_equals_the_simulators_former_retriever(self, lookup):
+        # The retriever asked each holder once, at its first walk; the first
+        # answer of a holder is therefore what it saw.
+        first: Dict[int, Tuple[bool, float]] = {}
+        for answer in lookup.answers:
+            if answer is not None:
+                first.setdefault(answer[0], answer[1:])
+        finals = [None if answer is None else answer[0] for answer in lookup.answers]
+        assert lookup.supplier() == ref_locate_supplier(
+            lookup.origin, finals, lambda h: first[h][0], lambda h: first[h][1]
+        )
+
+    @given(lookup=lookups(origin_may_answer=False, consistent=True))
+    @settings(max_examples=400, deadline=None)
+    def test_runtimes_former_rule_differs_only_on_exact_ties(self, lookup):
+        answers = [answer for answer in lookup.answers if answer is not None]
+        offers = [rate for _, has_data, rate in set(answers) if has_data and rate > 0.0]
+        chosen = lookup.supplier()
+        former = ref_runtime_supplier(answers)
+        if offers.count(max(offers, default=0.0)) <= 1:
+            assert chosen == former
+        else:
+            # An exact tie: both pick a top-rate holder, maybe not the same.
+            rate_of = {holder: rate for holder, _, rate in answers}
+            assert rate_of[chosen] == rate_of[former] == max(offers)
+
+
+# =========================================================================== #
 # Golden fingerprints (captured on the parent commit, before any fast path)
 # =========================================================================== #
 def _digest(payload) -> str:
@@ -1372,6 +1470,12 @@ class TestGoldenFingerprints:
     # codec edit): a hash over every decision — continuity, ledgers,
     # messages, transport facts, spans — and the byte counters as plain
     # integers.  A frame-format change may edit only the integers.
+    #
+    # The five paper-dynamic + loss 0.02 pins were re-pinned once when the
+    # live peer adopted the simulator's supplier rule (``Lookup.supplier``:
+    # the first strictly higher rate in key order, where the runtime took
+    # ``max(rate, -holder)``).  Exact top-rate ties occur under churn only;
+    # the static pins and the simulator pins did not move.
     def test_runtime_static_50x20(self):
         assert runtime_fingerprint("static", 50, None) == (
             "25872aee5b5713dc4812999ef9418e634b18d19b83fbc86057f1316d8dc28ebe"
@@ -1386,14 +1490,14 @@ class TestGoldenFingerprints:
 
     def test_runtime_paper_dynamic_with_loss_40x20(self):
         assert runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "605c1eec9994b75e174ac1513af6aef1475676f6f74336df245e10c6d60ad0a7"
+            "45f330c80bda2c1b80ae3111042a08497a1a605a5c7650a1cbfb83cf57ce0ec8"
         )
 
     def test_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
-            "bytes_on_wire": 676473,
-            "gossip_bytes": 235020,
-            "gossip_bytes_full": 502290,
+            "bytes_on_wire": 682649,
+            "gossip_bytes": 233954,
+            "gossip_bytes_full": 502470,
         }
 
     # The three below were captured at commit ``669309f`` (the parent of
@@ -1410,22 +1514,22 @@ class TestGoldenFingerprints:
 
     def test_runtime_paper_dynamic_with_loss_40x20_transport_facts(self):
         assert runtime_transport_facts("paper-dynamic", 40, 0.02) == {
-            "messages_dropped": 462,
-            "credits_granted": 2525,
+            "messages_dropped": 477,
+            "credits_granted": 2529,
             "inbox_high_watermark": 28,
             "send_stalls": 0,
             "map_desyncs": 0,
-            "link_resets": 165,
+            "link_resets": 170,
         }
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20(self):
         assert traced_runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "465d36b7d1556276bc4905b4938f4c10c28a5721fe86e17c9b7a5e04ccddfbd4"
+            "7cf44f7fb6c12a741437bf7675e7320f64526739072a81a2e778030f201146bc"
         )
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
-            "bytes_on_wire": 728769,
-            "gossip_bytes": 235020,
-            "gossip_bytes_full": 502290,
+            "bytes_on_wire": 735049,
+            "gossip_bytes": 233954,
+            "gossip_bytes_full": 502470,
         }

@@ -59,8 +59,8 @@ class TestReceiveAndBookkeeping:
         assert node.receive_segment(6, prefetched=True)
         assert node.stats.segments_received_scheduled == 1
         assert node.stats.segments_received_prefetch == 1
-        assert 6 in node.prefetch_tagged
-        assert 5 in node.scheduled_deliveries
+        # Only gossip deliveries count towards "repeated data".
+        assert node.scheduled_deliveries == {5}
 
     def test_begin_round_resets_per_round_state(self):
         node = make_node()

@@ -240,18 +240,9 @@ class TestOnDemandRetrievalPhase:
         assert report.details["nodes_triggered"] == 0
         assert ctx.segments_prefetched == 0
 
-    def test_repeated_data_is_detected_inline(self):
-        node = make_node(2)
-        node.buffer.add(5)  # the scheduler delivered it while the DHT looked
-        ctx = self._manager_ctx({2: node})
-        ctx.predictions = {2: [5]}
-        OnDemandRetrievalPhase().execute(ctx)  # ctx.sim is None -> inline
-        assert node.stats.prefetch_repeated == 1
-        assert ctx.segments_prefetched == 0
-
     def test_retrieval_rides_the_event_engine(self):
         node = make_node(2)
-        node.buffer.add(5)
+        node.buffer.add(5)  # the scheduler delivered it while the DHT looked
         sim = Simulator()
         ctx = self._manager_ctx({2: node}, sim=sim)
         ctx.predictions = {2: [5]}
@@ -260,6 +251,7 @@ class TestOnDemandRetrievalPhase:
         assert len(sim.queue) == 1
         sim.run()
         assert node.stats.prefetch_repeated == 1
+        assert ctx.segments_prefetched == 0
         assert sim.now == pytest.approx(ctx.manager.fetch_time_s)
 
 

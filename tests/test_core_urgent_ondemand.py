@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ondemand import OnDemandRetriever, PrefetchPlan
+from repro.analysis.theory import expected_routing_messages
+from repro.core.phases.ondemand import Lookup
 from repro.core.urgent_line import UrgentLine
 from repro.dht.hashing import backup_keys
 from repro.dht.network import DhtNetwork
-from repro.net.message import ROUTING_MESSAGE_BITS
+from repro.runtime import LiveSwarm, wire
+from repro.scenarios import builtin_scenario
 
 
 def make_line(**overrides) -> UrgentLine:
@@ -119,29 +121,27 @@ class TestUrgentLinePrediction:
         )
 
 
-class TestOnDemandRetriever:
+class TestLookup:
+    """Algorithm 2's supplier rule, answered from real greedy walks."""
+
     @pytest.fixture
     def dht(self) -> DhtNetwork:
         network = DhtNetwork(id_space=2048, rng=np.random.default_rng(8))
         network.populate(150)
         return network
 
-    def _retriever(self, dht, origin, holders_with_data, rates=None):
+    def _locate(self, dht, origin, segment_id, holders_with_data, rates=None):
+        """A lookup answered the way the simulator answers it: one walk per key."""
         rates = rates or {}
-        return OnDemandRetriever(
-            node_id=origin,
-            router=dht.router,
-            replicas=4,
-            has_segment=lambda holder, sid: holder in holders_with_data,
-            available_rate=lambda holder: rates.get(holder, 5.0),
-        )
+        lookup = Lookup(origin, segment_id, 4, 2048)
+        for key in lookup.keys:
+            holder = dht.router.route(origin, key).final_node
+            lookup.answer(key, holder, holder in holders_with_data, rates.get(holder, 5.0))
+        return lookup
 
-    def test_validation(self, dht):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            OnDemandRetriever(
-                node_id=1, router=dht.router, replicas=0,
-                has_segment=lambda h, s: True, available_rate=lambda h: 1.0,
-            )
+            Lookup(1, 5, 0, 2048)
 
     def test_locates_holder_that_has_the_segment(self, dht):
         origin = dht.node_ids()[0]
@@ -149,21 +149,14 @@ class TestOnDemandRetriever:
         holders = {
             dht.responsible_node(key) for key in backup_keys(segment_id, 4, 2048)
         }
-        retriever = self._retriever(dht, origin, holders)
-        plan = retriever.locate(segment_id)
-        assert plan.located
-        assert plan.supplier_id in holders
-        assert plan.holders_with_data >= 1
-        assert plan.routing_messages > 0
+        lookup = self._locate(dht, origin, segment_id, holders)
+        assert lookup.keys == backup_keys(segment_id, 4, 2048)
+        assert None not in lookup.answers
+        assert lookup.supplier() in holders
 
     def test_no_holder_has_data(self, dht):
         origin = dht.node_ids()[0]
-        retriever = self._retriever(dht, origin, holders_with_data=set())
-        plan = retriever.locate(7)
-        assert not plan.located
-        assert plan.holders_with_data == 0
-        # Routing cost is still paid.
-        assert plan.routing_bits() == plan.routing_messages * ROUTING_MESSAGE_BITS
+        assert self._locate(dht, origin, 7, holders_with_data=set()).supplier() is None
 
     def test_picks_highest_rate_holder(self, dht):
         origin = dht.node_ids()[0]
@@ -172,14 +165,11 @@ class TestOnDemandRetriever:
             dht.responsible_node(key) for key in backup_keys(segment_id, 4, 2048)
         }
         holders.discard(origin)
-        if len(holders) >= 2:
-            holders = set(holders)
-            rates = {holder: 1.0 for holder in holders}
-            best = max(holders)
-            rates[best] = 50.0
-            retriever = self._retriever(dht, origin, holders, rates)
-            plan = retriever.locate(segment_id)
-            assert plan.supplier_id == best
+        assert len(holders) >= 2
+        rates = {holder: 1.0 for holder in holders}
+        best = max(holders)
+        rates[best] = 50.0
+        assert self._locate(dht, origin, segment_id, holders, rates).supplier() == best
 
     def test_zero_rate_holders_excluded(self, dht):
         origin = dht.node_ids()[0]
@@ -187,26 +177,117 @@ class TestOnDemandRetriever:
         holders = {
             dht.responsible_node(key) for key in backup_keys(segment_id, 4, 2048)
         }
-        retriever = self._retriever(dht, origin, holders, rates={h: 0.0 for h in holders})
-        plan = retriever.locate(segment_id)
-        assert not plan.located
+        lookup = self._locate(dht, origin, segment_id, holders, {h: 0.0 for h in holders})
+        assert lookup.supplier() is None
 
-    def test_retrieve_batch_sorted(self, dht):
-        origin = dht.node_ids()[0]
-        retriever = self._retriever(dht, origin, holders_with_data=set())
-        plans = retriever.retrieve([9, 3, 7])
-        assert [plan.segment_id for plan in plans] == [3, 7, 9]
-        assert plans == [retriever.locate(segment_id) for segment_id in (3, 7, 9)]
+    def test_exact_tie_keeps_the_earlier_key(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        lookup.answers[:] = [(30, True, 4.0), (20, True, 4.0), (10, True, 4.0)]
+        assert lookup.supplier() == 30
+
+    def test_first_answer_of_a_holder_counts(self):
+        # A holder reached by two keys answers twice; its first answer in
+        # key order stands, even when the later one offers more.
+        lookup = Lookup(1, 5, 3, 2048)
+        lookup.answers[:] = [(20, False, 9.0), (30, True, 2.0), (20, True, 8.0)]
+        assert lookup.supplier() == 30
+
+    def test_origin_and_missing_answers_are_skipped(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        lookup.answers[:] = [(1, True, 9.0), None, (40, True, 0.5)]
+        assert lookup.supplier() == 40
+
+    def test_answer_fills_the_first_open_slot_of_its_key(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        lookup.keys = (100, 200, 100)  # colliding keys on a small ring
+        lookup.answer(100, 7, True, 1.0)
+        lookup.answer(100, 8, True, 2.0)
+        lookup.answer(100, 9, True, 3.0)  # no open slot left: dropped
+        lookup.answer(555, 9, True, 3.0)  # not one of this lookup's keys
+        assert lookup.answers == [(7, True, 1.0), None, (8, True, 2.0)]
 
     def test_expected_costs_match_section_5_4_3(self):
         # k(log2(n)/2 + 1) + 1 messages per located segment.
-        messages = OnDemandRetriever.expected_routing_messages(4, 8000)
+        messages = expected_routing_messages(4, 8000)
         assert messages == pytest.approx(4 * (np.log2(8000) / 2 + 1) + 1)
+        assert expected_routing_messages(4, 1) == expected_routing_messages(4, 2)
 
-    def test_prefetch_plan_routing_bits(self):
-        plan = PrefetchPlan(
-            segment_id=1, supplier_id=None, routing_messages=10,
-            routing_paths=(), holders_probed=0, holders_with_data=0,
-        )
-        assert plan.routing_bits() == 10 * ROUTING_MESSAGE_BITS
-        assert not plan.located
+
+def _live_peer(monkeypatch):
+    """A built (not running) virtual-clock peer whose sends are recorded."""
+    swarm = LiveSwarm(
+        builtin_scenario("static").scaled(num_nodes=10, rounds=2), clock="virtual"
+    ).build()
+    monkeypatch.setattr(swarm, "sim_now", lambda: 1.0)
+    peer = next(p for p in swarm.peers.values() if not p.is_source)
+    sent = []
+    monkeypatch.setattr(peer, "_send", lambda dst, msg: sent.append((dst, msg)))
+    return peer, sent
+
+
+def _launch(peer, sent, at_least):
+    """Start the lookup of the first segment that sends ``at_least`` walks."""
+    for segment_id in range(1, 200):
+        sent.clear()
+        peer._start_lookup(segment_id)
+        walks = [(dst, msg) for dst, msg in sent if isinstance(msg, wire.DhtLookup)]
+        if len(walks) >= at_least:
+            sent.clear()
+            return segment_id, walks
+        peer._dht_pending.pop(segment_id, None)
+    raise AssertionError("no segment launched enough walks")
+
+
+def _response(peer, walk, segment_id, has_data=True, rate=3.0):
+    dst, msg = walk
+    return wire.DhtResponse(
+        responder=dst, origin=peer.peer_id, target_key=msg.target_key,
+        segment_id=segment_id, has_data=has_data, rate=rate, path=(peer.peer_id, dst),
+    )
+
+
+class TestLivePeerLookup:
+    """The live peer drives the same :class:`Lookup` from frames."""
+
+    def test_timeout_decides_with_a_missing_answer(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walks = _launch(peer, sent, at_least=2)
+        assert peer._dht_pending[segment_id][1] == len(walks)
+        peer._on_dht_response(_response(peer, walks[0], segment_id))
+        peer._sweep_lookups()  # same tick: still waiting for the rest
+        assert segment_id in peer._dht_pending and sent == []
+        peer.ticks_run += 1
+        peer._sweep_lookups()
+        assert segment_id not in peer._dht_pending
+        assert segment_id in peer._prefetch_deadlines
+        ((dst, request),) = sent
+        assert dst == walks[0][0]
+        assert isinstance(request, wire.SegmentRequest) and request.prefetch
+        assert request.segment_id == segment_id
+
+    def test_last_answer_decides_at_once(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walks = _launch(peer, sent, at_least=1)
+        for walk in walks:
+            peer._on_dht_response(_response(peer, walk, segment_id, has_data=False))
+        assert segment_id not in peer._dht_pending
+        assert sent == []  # nobody had the data: no request
+        # A late answer for a closed lookup is ignored.
+        peer._on_dht_response(_response(peer, walks[0], segment_id))
+        assert sent == []
+
+    def test_repeated_segment_shrinks_alpha_exactly_once(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        node = peer.node
+        segment_id, walks = _launch(peer, sent, at_least=1)
+        node.urgent_line.record_overdue(3)
+        alpha, adjustments = node.urgent_line.alpha, node.urgent_line.adjustments
+        assert node.receive_segment(segment_id)  # gossip delivered it meanwhile
+        for walk in walks:
+            peer._on_dht_response(_response(peer, walk, segment_id))
+        peer.ticks_run += 1
+        peer._sweep_lookups()
+        assert node.stats.prefetch_repeated == 1
+        assert node.urgent_line.adjustments == adjustments + 1
+        assert node.urgent_line.alpha == pytest.approx(alpha - node.urgent_line.alpha_step)
+        assert sent == []  # the duplicate download is skipped

@@ -8,7 +8,10 @@ their quality numbers repeat to the last digit.  This runs
 history's last row, exactly.  ``rt_churn`` is the only one that reaches
 joiners' first maps, desync resyncs and window jumps.  ``wire_replay``'s three
 values are fixed by the codec alone (round-trip share, batched bytes per data
-frame, map frame bits), so it is the frame-format gate.  A change
+frame, map frame bits), so it is the frame-format gate.  The same runs
+also print exact counts — messages and bytes on the wire, DHT routing
+messages, pre-fetched and scheduled segments — and each of ``COUNTS`` is
+compared too wherever the row records it (older rows do not).  A change
 that moves any of them on purpose (a declared re-pin) commits a new row in
 the same change; anything else that moves them is a behaviour change nobody
 declared.  CPU-time metrics are not checked: they are host-dependent.
@@ -32,6 +35,13 @@ from typing import Dict, List, Mapping, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sim_static", "rt_static", "rt_churn", "wire_replay")
 CHECKED = ("stable_continuity", "bytes_per_segment", "control_overhead")
+COUNTS = (
+    "swarm.msgs_sent",
+    "swarm.bytes_on_wire",
+    "dht.routing_msgs",
+    "dht.prefetched_segments",
+    "scheduler.scheduled_segments",
+)
 
 
 def last_row(history: Path) -> Dict:
@@ -41,7 +51,8 @@ def last_row(history: Path) -> Dict:
 
 
 def measure(workload: str) -> Dict[str, float]:
-    """One seed-0 run of ``workload``: its end-to-end metrics by name."""
+    """One seed-0 run of ``workload``: its end-to-end metrics and the
+    ``COUNTS`` it prints (``  name  value  unit`` lines), by name."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
@@ -49,18 +60,27 @@ def measure(workload: str) -> Dict[str, float]:
     )
     if done.returncode != 0:
         raise RuntimeError(f"{workload}: bench/run.py exited {done.returncode}\n{done.stderr}")
-    contract = json.loads(done.stdout.strip().splitlines()[-1])
-    return {name: metric["value"] for name, metric in contract["metrics"].items()}
+    lines = done.stdout.strip().splitlines()
+    measured: Dict[str, float] = {}
+    for line in lines[:-1]:
+        parts = line.split()
+        if parts and parts[0] in COUNTS:
+            measured[parts[0]] = json.loads(parts[1])
+    contract = json.loads(lines[-1])
+    measured.update((name, metric["value"]) for name, metric in contract["metrics"].items())
+    return measured
 
 
 def mismatches(
     row: Mapping, measured: Mapping[str, Mapping[str, float]], workloads: Sequence[str]
 ) -> List[str]:
-    """Every checked metric of ``workloads`` that is not exactly the row's."""
+    """Every checked metric of ``workloads`` that is not exactly the row's;
+    a count the row does not record is skipped."""
     problems = []
     for workload in workloads:
-        for name in CHECKED:
-            want = row["workloads"][workload][name]
+        recorded = row["workloads"][workload]
+        for name in CHECKED + tuple(count for count in COUNTS if count in recorded):
+            want = recorded[name]
             got = measured[workload].get(name)
             if got != want:
                 problems.append(f"{workload}.{name}: history {want!r}, this tree {got!r}")
