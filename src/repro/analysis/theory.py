@@ -177,7 +177,12 @@ def expected_dht_lookup_hops(num_nodes: int) -> float:
 
 def expected_routing_messages(replicas: int, num_nodes: int) -> float:
     """Section 5.4.3's estimate of the routing messages that locate one
-    segment: ``k · (log2(n)/2 + 1) + 1``."""
+    segment: ``k · (log2(n)/2 + 1) + 1``.
+
+    The paper walks all ``k`` backup keys; probing them in turn (as
+    :class:`~repro.core.phases.ondemand.Lookup` does) stops at the first
+    holder that can serve, so this is the upper bound of a lookup that
+    walks every key, and one walk costs ``log2(n)/2 + 1``."""
     return replicas * (expected_dht_lookup_hops(max(2, num_nodes)) + 1.0) + 1.0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.backup import VodBackupStore
-from repro.core.node import StreamingNode
+from repro.core.node import REPEATED, StreamingNode
 from repro.core.urgent_line import MissPrediction, UrgentLine
 from repro.dht.ring import IdRing
 from repro.streaming.segment import Segment
@@ -161,6 +161,16 @@ class ContinuStreamingNode(StreamingNode):
         self.stats.prefetch_repeated += repeated
         self.urgent_line.update(overdue=overdue, repeated=repeated)
         return overdue, repeated
+
+    def record_lookup(self, outcome: str, walks: int) -> None:
+        """Count one decided lookup: its outcome (a ``LOOKUP_OUTCOMES``
+        counter) and the DHT walks it made.  A repeated lookup is also the
+        paper's repeated-data case (:meth:`record_repeated_prefetch`)."""
+        stats = self.stats
+        setattr(stats, outcome, getattr(stats, outcome) + 1)
+        stats.lookup_walks += walks
+        if outcome == REPEATED:
+            self.record_repeated_prefetch()
 
     def record_repeated_prefetch(self) -> None:
         """A lookup ended with the segment already delivered by gossip.

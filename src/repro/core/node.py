@@ -28,6 +28,15 @@ from repro.streaming.buffermap import BufferMap
 from repro.streaming.playback import PlaybackState
 
 
+#: How an Algorithm 2 lookup ended, by its :class:`NodeStats` counter:
+#: every decided lookup counts exactly one.  Round reports and runtime
+#: results sum them (with ``lookup_walks``) under the same names.
+LOOKUP_OUTCOMES = LOCATED, NO_HOLDER, NO_RATE, REPEATED = (
+    "lookups_located", "lookups_no_holder", "lookups_no_rate", "lookups_repeated",
+)
+LOOKUP_COUNTERS = LOOKUP_OUTCOMES + ("lookup_walks",)
+
+
 @dataclass
 class NodeStats:
     """Lifetime counters of one node (exposed for metrics and tests)."""
@@ -38,6 +47,14 @@ class NodeStats:
     prefetch_attempts: int = 0
     prefetch_overdue: int = 0
     prefetch_repeated: int = 0
+    #: Lookups that found a supplier / no holder with the data / holders
+    #: with the data but no rate / a requester that already had the segment.
+    lookups_located: int = 0
+    lookups_no_holder: int = 0
+    lookups_no_rate: int = 0
+    lookups_repeated: int = 0
+    #: DHT walks the decided lookups made (one per backup key probed).
+    lookup_walks: int = 0
     rounds_participated: int = 0
 
 

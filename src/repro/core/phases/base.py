@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
-from repro.core.node import StreamingNode
+from repro.core.node import LOOKUP_COUNTERS, StreamingNode
 from repro.net.message import MessageLedger
 from repro.sim.engine import Simulator
 from repro.streaming.buffermap import BufferMap
@@ -99,6 +99,8 @@ class RoundContext:
     segments_scheduled: int = 0
     segments_prefetched: int = 0
     prefetch_triggers: int = 0
+    #: Algorithm 2 lookup outcomes and walks, by ``LOOKUP_COUNTERS`` name.
+    lookups: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(LOOKUP_COUNTERS, 0))
     nodes_playing: int = 0
     continuity: float = 0.0
     nodes_joined: int = 0

@@ -1,21 +1,24 @@
 """Phase 5 — on-demand DHT retrieval of predicted-missed segments (Algorithm 2).
 
-For each predicted-missed segment the node walks the DHT to the holder of
-each of its ``k`` backup keys; every holder answers whether it has the
-segment and at what rate it can send it, and the best holder becomes the
-on-demand supplier.  That policy is :class:`Lookup` — no clock, socket or
-ledger — and the simulator and the runtime both run it: the phase fills the
-answers synchronously from the greedy router, and
-:class:`~repro.runtime.peer.LivePeer` fills them from ``DhtResponse`` frames.
-Section 5.4.3's cost per segment is
-:func:`~repro.analysis.theory.expected_routing_messages`.
+For each predicted-missed segment the node walks the DHT to the holders of
+its ``k`` backup keys, one key at a time; every holder answers whether it
+has the segment and at what rate it can send it.  Probing stops at the
+first holder with the data and a rate of at least one segment, and the
+best holder answered so far becomes the on-demand supplier.  That policy
+is :class:`Lookup` — no clock, socket or ledger — and the simulator and the
+runtime both run it: the phase fills the answers synchronously from the
+greedy router, and :class:`~repro.runtime.peer.LivePeer` fills them from
+``DhtResponse`` frames.  Section 5.4.3's cost per segment,
+:func:`~repro.analysis.theory.expected_routing_messages`, is the bound for
+a lookup that walks all ``k`` keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
+from repro.core.node import LOCATED, NO_HOLDER, NO_RATE, REPEATED
 from repro.core.phases.base import Phase, PhaseReport, RoundContext
 from repro.dht.hashing import backup_keys
 from repro.net.message import ROUTING_MESSAGE_BITS, MessageKind
@@ -29,17 +32,20 @@ class Lookup:
     """One segment's location step: the backup keys and one answer per key.
 
     ``answers[i]`` is the answer for ``keys[i]``, or ``None`` while it has
-    not arrived (a lost frame, a timeout, a dead holder).  Keys may collide
-    on a small ring; :meth:`answer` fills the first open slot of a key.
+    not arrived (a key not walked yet, a lost frame, a timeout, a dead
+    holder).  Keys may collide on a small ring; :meth:`answer` fills the
+    first open slot of a key.  ``walks`` counts the DHT walks made for
+    this lookup.
     """
 
-    __slots__ = ("origin", "segment_id", "keys", "answers")
+    __slots__ = ("origin", "segment_id", "keys", "answers", "walks")
 
     def __init__(self, origin: int, segment_id: int, replicas: int, id_space: int) -> None:
         self.origin = origin
         self.segment_id = segment_id
         self.keys = backup_keys(segment_id, replicas, id_space)
         self.answers: List[Optional[Answer]] = [None] * len(self.keys)
+        self.walks = 0
 
     def answer(self, key: int, holder: int, has_data: bool, rate: float) -> None:
         """Record ``holder``'s answer for backup key ``key``."""
@@ -47,6 +53,14 @@ class Lookup:
             if wanted == key and self.answers[index] is None:
                 self.answers[index] = (holder, has_data, rate)
                 return
+
+    def _offers(self) -> Iterator[Answer]:
+        """Each holder's first answer in key order; the origin is skipped."""
+        seen = {self.origin}
+        for answer in self.answers:
+            if answer is not None and answer[0] not in seen:
+                seen.add(answer[0])
+                yield answer
 
     def supplier(self) -> Optional[int]:
         """The on-demand supplier, or ``None`` if no holder can serve.
@@ -58,18 +72,41 @@ class Lookup:
         """
         best: Optional[int] = None
         best_rate = 0.0
-        seen = set()
-        for answer in self.answers:
-            if answer is None:
-                continue
-            holder, has_data, rate = answer
-            if holder == self.origin or holder in seen:
-                continue
-            seen.add(holder)
+        for holder, has_data, rate in self._offers():
             if has_data and rate > best_rate:
                 best_rate = rate
                 best = holder
         return best
+
+    def found(self) -> bool:
+        """True once a holder other than the origin offers the data at a
+        rate of at least one segment."""
+        return any(has_data and rate >= 1.0 for _, has_data, rate in self._offers())
+
+    def probing(self, walked: int, has_segment: bool) -> bool:
+        """Algorithm 2's stop rule: whether to walk ``keys[walked]`` next.
+
+        Probing goes on only while no holder was :meth:`found`, the
+        requester still lacks the segment (``has_segment`` false) and keys
+        remain.
+        """
+        return walked < len(self.keys) and not has_segment and not self.found()
+
+    def decide(self, has_segment: bool) -> Tuple[str, Optional[int]]:
+        """Close the lookup: its outcome and, when ``LOCATED``, the supplier.
+
+        ``REPEATED`` when the requester already has the segment; otherwise
+        ``LOCATED`` with :meth:`supplier`, ``NO_RATE`` when holders have the
+        data but none offers a positive rate, and ``NO_HOLDER`` otherwise.
+        """
+        if has_segment:
+            return REPEATED, None
+        supplier = self.supplier()
+        if supplier is not None:
+            return LOCATED, supplier
+        if any(has_data for _, has_data, _ in self._offers()):
+            return NO_RATE, None
+        return NO_HOLDER, None
 
 
 class OnDemandRetrievalPhase(Phase):
@@ -81,11 +118,13 @@ class OnDemandRetrievalPhase(Phase):
     of the period, in a per-round random node order that the engine's
     deterministic tie-breaking preserves.
 
-    Per node, every missed segment is located first (ascending id); then
-    each :class:`Lookup` pays its routing cost and lets the nodes on its
-    paths overhear each other, is dropped as "repeated data" when gossip
-    delivered the segment meanwhile (``α`` shrinks), and otherwise downloads
-    from its supplier within the shared per-period budgets.
+    Per node, every missed segment is located first (ascending id), its
+    backup keys walked in turn until :meth:`Lookup.probing` stops; then
+    each :class:`Lookup` pays the routing cost of the walks it made and
+    lets the nodes on their paths overhear each other, is dropped as
+    "repeated data" when gossip delivered the segment meanwhile (``α``
+    shrinks), and otherwise downloads from its supplier within the shared
+    per-period budgets.
     """
 
     name = "on-demand-retrieval"
@@ -121,26 +160,33 @@ class OnDemandRetrievalPhase(Phase):
         for sid in sorted(ctx.predictions[nid]):
             lookup = Lookup(nid, sid, cfg.backup_replicas, id_space)
             answers = lookup.answers
-            messages = 0
             paths = []
-            for index, key in enumerate(lookup.keys):
-                path = route(nid, key).path
-                # Each hop of the walk is one routing message; the final
-                # reply back to the requester is one more (the "+1" of
-                # Section 5.4.3).
-                messages += max(1, len(path) - 1) + 1
-                paths.append(path)
-                holder_id = path[-1]
-                holder = nodes.get(holder_id)
-                if holder is not None and holder.alive:
-                    answers[index] = (
-                        holder_id,
-                        holder.serves_segment(sid),
-                        holder.available_sending_rate(outbound.get(holder_id, 0.0)),
-                    )
-            located.append((lookup, messages, paths))
+            has_segment = False
+            walked = 0
+            while lookup.probing(walked, has_segment):
+                path = route(nid, lookup.keys[walked]).path
+                # A key the node owns itself routes nowhere: nothing is sent.
+                if len(path) > 1:
+                    paths.append(path)
+                    lookup.walks += 1
+                    holder_id = path[-1]
+                    holder = nodes.get(holder_id)
+                    if holder is not None and holder.alive:
+                        answers[walked] = (
+                            holder_id,
+                            holder.serves_segment(sid),
+                            holder.available_sending_rate(outbound.get(holder_id, 0.0)),
+                        )
+                    has_segment = sid in node.buffer
+                walked += 1
+            if paths:
+                located.append((lookup, paths))
         overhear = manager.overhearing.overhear_path
-        for lookup, messages, paths in located:
+        counts = ctx.lookups
+        for lookup, paths in located:
+            # Each hop of a walk is one routing message; the final reply
+            # back to the requester is one more (the "+1" of Section 5.4.3).
+            messages = sum(len(path) for path in paths)
             ctx.ledger.record(
                 MessageKind.DHT_ROUTING, messages * ROUTING_MESSAGE_BITS, count=messages
             )
@@ -148,13 +194,13 @@ class OnDemandRetrievalPhase(Phase):
             for path in paths:
                 overhear(path)
             sid = lookup.segment_id
-            if sid in node.buffer:
-                # The data scheduler delivered the segment while the DHT
-                # lookup was in flight: the routing cost was already paid
-                # and the duplicate download is skipped.
-                node.record_repeated_prefetch()
-                continue
-            supplier = lookup.supplier()
+            # REPEATED: the data scheduler delivered the segment while the
+            # DHT lookup was in flight; the routing cost was already paid
+            # and the duplicate download is skipped.
+            outcome, supplier = lookup.decide(sid in node.buffer)
+            node.record_lookup(outcome, lookup.walks)
+            counts[outcome] += 1
+            counts["lookup_walks"] += lookup.walks
             if supplier is None or ctx.inbound_budget.get(nid, 0.0) < 1.0:
                 continue
             if outbound.get(supplier, 0.0) < 1.0:

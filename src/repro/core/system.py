@@ -64,6 +64,12 @@ class RoundReport:
     prefetch_triggers: int
     nodes_joined: int
     nodes_left: int
+    #: How this period's Algorithm 2 lookups ended, and the walks they made.
+    lookups_located: int = 0
+    lookups_no_holder: int = 0
+    lookups_no_rate: int = 0
+    lookups_repeated: int = 0
+    lookup_walks: int = 0
 
 
 @dataclass
@@ -317,6 +323,7 @@ class StreamingSystem:
             prefetch_triggers=ctx.prefetch_triggers,
             nodes_joined=ctx.nodes_joined,
             nodes_left=ctx.nodes_left,
+            **ctx.lookups,
         )
         self.reports.append(report)
         self.round_index += 1

@@ -137,7 +137,7 @@ class LivePeer:
         self._requested: set = set()
         self._nack_tried: Dict[int, set] = {}
         #: In-flight DHT location steps by segment id:
-        #: ``[lookup, answers awaited, tick started]``.
+        #: ``[lookup, next key index, tick started]``.
         self._dht_pending: Dict[int, List[Any]] = {}
         self._prefetch_deadlines: Dict[int, float] = {}
         self._ping_nonce = itertools.count(1)
@@ -548,8 +548,7 @@ class LivePeer:
         if pending is None:
             return
         pending[0].answer(msg.target_key, msg.responder, msg.has_data, msg.rate)
-        pending[1] -= 1
-        if pending[1] == 0:
+        if not self._walk_next(pending):
             self._decide_lookup(msg.segment_id)
 
     def _start_lookup(self, segment_id: int) -> None:
@@ -558,25 +557,34 @@ class LivePeer:
         lookup = Lookup(
             self.peer_id, segment_id, self.config.backup_replicas, self.swarm.id_space
         )
-        awaited = 0
-        for key in lookup.keys:
+        pending = [lookup, 0, self.ticks_run]
+        if self._walk_next(pending):
+            self._dht_pending[segment_id] = pending
+
+    def _walk_next(self, pending: List[Any]) -> bool:
+        """Send the walk of the lookup's next backup key while
+        :meth:`Lookup.probing` allows; False if no walk was sent."""
+        lookup, walked = pending[0], pending[1]
+        has_segment = self.node.has_segment(lookup.segment_id)
+        while lookup.probing(walked, has_segment):
+            key = lookup.keys[walked]
+            walked += 1
             nxt = self._closer_hop(key, (self.peer_id,))
             if nxt is None:
                 continue  # this peer is itself responsible — nobody to ask
-            awaited += 1
-            self._send(nxt, wire.DhtLookup(self.peer_id, key, segment_id, (self.peer_id,)))
-        if awaited:
-            self._dht_pending[segment_id] = [lookup, awaited, self.ticks_run]
+            pending[1] = walked
+            lookup.walks += 1
+            self._send(nxt, wire.DhtLookup(self.peer_id, key, lookup.segment_id, (self.peer_id,)))
+            return True
+        return False
 
     def _decide_lookup(self, segment_id: int) -> None:
         """Close one lookup: request the download from its supplier."""
         lookup = self._dht_pending.pop(segment_id)[0]
         node = self.node
         assert isinstance(node, ContinuStreamingNode)  # only these predict misses
-        if node.has_segment(segment_id):
-            node.record_repeated_prefetch()
-            return
-        supplier = lookup.supplier()
+        outcome, supplier = lookup.decide(node.has_segment(segment_id))
+        node.record_lookup(outcome, lookup.walks)
         if supplier is None:
             return
         self._prefetch_deadlines[segment_id] = node.deadline_of(

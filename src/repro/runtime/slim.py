@@ -26,9 +26,12 @@ per-segment:
 * **playback** per period is a binomial draw: each started slim peer
   plays continuously with probability ``core_continuity × capacity``,
   where *core continuity* is the full-fidelity core's measured
-  playing/total for the same period (the core peers *are* the protocol,
-  so their misses — churn wounds, scheduling conflicts, loss — transfer
-  statistically to the tier), and *capacity* is the paper's bandwidth
+  playing/started for the same period — *started* being the same cohort
+  the tier draws for: boot peers and joiners past the startup gate (the
+  core peers *are* the protocol, so their misses — churn wounds,
+  scheduling conflicts, loss — transfer statistically to the tier, while
+  a core joiner still buffering is gated out on both sides, not charged
+  twice to every started slim peer), and *capacity* is the paper's bandwidth
   balance ``min(1, supply/demand)`` with supply
   ``total·I·τ·(1 − loss) + source_outbound·τ`` and demand
   ``started·segments_per_round`` (eq. (1)'s feasibility condition).
@@ -177,8 +180,15 @@ class SlimTier:
         }
 
     # ------------------------------------------------------------------- step
-    def step(self, round_index: int, core_playing: int, core_total: int) -> None:
+    def step(
+        self, round_index: int, core_playing: int, core_total: int, core_started: int
+    ) -> None:
         """Advance one period: churn first, then this period's sample.
+
+        ``core_started`` counts the core peers in the tier's own *started*
+        cohort (boot peers, joiners at least :attr:`startup_rounds` old, and
+        any already playing); the core's continuity is
+        ``core_playing / core_started``.
 
         Mirrors the live churn driver's ordering: the boundary-``r`` churn
         event produces joiners whose first tick is ``r + 1``, and no churn
@@ -198,7 +208,7 @@ class SlimTier:
                 )
             ).sum()
         )
-        core_continuity = (core_playing / core_total) if core_total else 1.0
+        core_continuity = (core_playing / core_started) if core_started else 1.0
         p = (
             core_continuity
             * self._capacity_ratio(total, started)

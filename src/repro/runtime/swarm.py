@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.node import LOOKUP_COUNTERS
 from repro.net.message import MessageKind, MessageLedger
 from repro.obs import (
     NULL_OBS,
@@ -291,6 +292,13 @@ class RuntimeResult:
     #: Physical bytes handed to links (post-batching, post-delta) — the
     #: fast path's savings show up here, never in the paper ledger.
     bytes_on_wire: int = 0
+    #: How the peers' Algorithm 2 lookups ended, and the DHT walks they
+    #: made (``NodeStats`` summed over every peer that ran).
+    lookups_located: int = 0
+    lookups_no_holder: int = 0
+    lookups_no_rate: int = 0
+    lookups_repeated: int = 0
+    lookup_walks: int = 0
     #: Observability export (metrics series, trace spans, flight-recorder
     #: postmortems — see ``docs/observability.md``); ``None`` unless the
     #: run was started with an :class:`~repro.obs.ObsConfig`.  Plain dict
@@ -900,7 +908,11 @@ class LiveSwarm:
                 # The tier conditions on the live core's *own* counts for
                 # this period, never on its own output; stepped before the
                 # telemetry emit so the frame carries its fresh sample.
-                self.slim.step(round_index, *self._period_playback_counts(round_index, slim=False))
+                self.slim.step(
+                    round_index,
+                    *self._period_playback_counts(round_index, slim=False),
+                    self._core_started(round_index),
+                )
             if self.obs.enabled:
                 self._obs_snapshot(round_index)
                 if (
@@ -1099,6 +1111,24 @@ class LiveSwarm:
             return playing + slim_playing, total + slim_total
         return playing, total
 
+    def _core_started(self, tick: int) -> int:
+        """Live core peers in the slim tier's *started* cohort for ``tick``:
+        boot peers, joiners past the tier's startup gate, and any peer
+        already playing (see :meth:`SlimTier.step`)."""
+        gate = self.slim.startup_rounds
+        started = 0
+        for peer in list(self.peers.values()) + self.retired_peers:
+            sample = None if peer.is_source else peer.playback_log.get(tick)
+            if sample is None:
+                continue
+            if (
+                peer.first_tick == 0
+                or tick >= peer.first_tick + gate
+                or (sample.started and sample.continuous)
+            ):
+                started += 1
+        return started
+
     def peers_live(self) -> int:
         """Currently-live peer count (live tasks plus the slim tier)."""
         return len(self.peers) + (0 if self.slim is None else self.slim.alive_count)
@@ -1174,6 +1204,10 @@ class LiveSwarm:
             bytes_on_wire=self.bytes_on_wire,
             obs=obs,
             fidelity=fidelity,
+            **{
+                name: sum(getattr(peer.node.stats, name) for peer in everyone)
+                for name in LOOKUP_COUNTERS
+            },
         )
         return ShardResult(
             shard_index=self.shard_index,
@@ -1187,7 +1221,9 @@ class LiveSwarm:
 
 
 #: ``RuntimeResult`` counters a merge sums over shards / takes the worst of.
-_SUMMED = ("messages_sent", "messages_dropped", "bytes_on_wire", "peers_joined", "peers_left")
+_SUMMED = (
+    "messages_sent", "messages_dropped", "bytes_on_wire", "peers_joined", "peers_left",
+) + LOOKUP_COUNTERS
 _WORST = ("wall_time_s", "clock_dilation_s", "clock_dilations")
 
 

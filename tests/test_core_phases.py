@@ -241,10 +241,11 @@ class TestOnDemandRetrievalPhase:
         assert ctx.segments_prefetched == 0
 
     def test_retrieval_rides_the_event_engine(self):
-        node = make_node(2)
+        node, holder = make_node(2), make_node(3)
+        partner(node, holder)  # node 3 holds every backup key node 2 walks
         node.buffer.add(5)  # the scheduler delivered it while the DHT looked
         sim = Simulator()
-        ctx = self._manager_ctx({2: node}, sim=sim)
+        ctx = self._manager_ctx({2: node, 3: holder}, sim=sim)
         ctx.predictions = {2: [5]}
         OnDemandRetrievalPhase().execute(ctx)
         assert node.stats.prefetch_repeated == 0  # nothing ran yet
@@ -253,6 +254,28 @@ class TestOnDemandRetrievalPhase:
         assert node.stats.prefetch_repeated == 1
         assert ctx.segments_prefetched == 0
         assert sim.now == pytest.approx(ctx.manager.fetch_time_s)
+
+    def test_segment_held_after_the_first_walk_is_charged_that_walk_only(self):
+        node, holder = make_node(2), make_node(3)
+        partner(node, holder)
+        node.buffer.add(5)
+        ctx = self._manager_ctx({2: node, 3: holder}, sim=Simulator())
+        ctx.predictions = {2: [5]}
+        OnDemandRetrievalPhase().execute(ctx)
+        ctx.sim.run()
+        # One walk 2 -> 3 and the reply: two routing messages, not 4 x 2.
+        assert ctx.ledger.count_of(MessageKind.DHT_ROUTING) == 2
+        assert (node.stats.lookup_walks, node.stats.lookups_repeated) == (1, 1)
+        assert (ctx.lookups["lookup_walks"], ctx.lookups["lookups_repeated"]) == (1, 1)
+
+    def test_keys_the_node_owns_itself_cost_nothing(self):
+        node = make_node(2)  # alone: it owns every key, so nothing is sent
+        ctx = self._manager_ctx({2: node}, sim=Simulator())
+        ctx.predictions = {2: [5]}
+        OnDemandRetrievalPhase().execute(ctx)
+        ctx.sim.run()
+        assert ctx.ledger.count_of(MessageKind.DHT_ROUTING) == 0
+        assert node.stats.lookup_walks == node.stats.prefetch_repeated == 0
 
 
 class TestPlaybackPhase:

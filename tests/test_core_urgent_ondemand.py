@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.theory import expected_routing_messages
-from repro.core.phases.ondemand import Lookup
+from repro.core.phases.ondemand import LOCATED, NO_HOLDER, NO_RATE, REPEATED, Lookup
 from repro.core.urgent_line import UrgentLine
 from repro.dht.hashing import backup_keys
 from repro.dht.network import DhtNetwork
@@ -206,11 +208,163 @@ class TestLookup:
         lookup.answer(555, 9, True, 3.0)  # not one of this lookup's keys
         assert lookup.answers == [(7, True, 1.0), None, (8, True, 2.0)]
 
+    def test_origin_with_the_data_does_not_stop_probing(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        lookup.answers[0] = (1, True, 9.0)
+        assert lookup.probing(1, has_segment=False)
+        lookup.answers[1] = (40, True, 1.0)
+        assert lookup.found() and not lookup.probing(2, has_segment=False)
+
+    def test_rate_below_one_probes_on_and_falls_back_to_the_supplier(self):
+        lookup = Lookup(1, 5, 2, 2048)
+        lookup.answers[0] = (40, True, 0.5)
+        assert lookup.probing(1, has_segment=False)
+        lookup.answers[1] = (50, False, 9.0)
+        assert not lookup.probing(2, has_segment=False)  # keys ran out
+        assert lookup.decide(has_segment=False) == (LOCATED, 40)
+
+    def test_decide_names_one_outcome(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        assert lookup.decide(has_segment=False) == (NO_HOLDER, None)
+        lookup.answers[:] = [(20, True, 0.0), (1, True, 9.0), None]
+        assert lookup.decide(has_segment=False) == (NO_RATE, None)
+        assert lookup.decide(has_segment=True) == (REPEATED, None)
+
     def test_expected_costs_match_section_5_4_3(self):
         # k(log2(n)/2 + 1) + 1 messages per located segment.
         messages = expected_routing_messages(4, 8000)
         assert messages == pytest.approx(4 * (np.log2(8000) / 2 + 1) + 1)
         assert expected_routing_messages(4, 1) == expected_routing_messages(4, 2)
+
+
+def _reference_supplier(answers, origin):
+    """The supplier rule written out plainly: each holder's first answer
+    in key order, origin skipped, the first strictly higher positive rate."""
+    best, best_rate, seen = None, 0.0, {origin}
+    for holder, has_data, rate in answers:
+        if holder in seen:
+            continue
+        seen.add(holder)
+        if has_data and rate > best_rate:
+            best, best_rate = holder, rate
+    return best
+
+
+class TestProbingRule:
+    """Algorithm 2 probes backup keys in turn and stops at the first holder
+    that has the data at a rate of at least one segment."""
+
+    ORIGIN = 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        # Few holders (the origin among them) so duplicates are common;
+        # few rates so exact ties are too.
+        answers=st.lists(
+            st.tuples(
+                st.sampled_from([1, 20, 30, 40]),
+                st.booleans(),
+                st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        arrives_after=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    )
+    def test_stop_rule(self, answers, arrives_after):
+        lookup = Lookup(self.ORIGIN, 5, len(answers), 2048)
+        walked, has_segment = 0, False
+        while lookup.probing(walked, has_segment):
+            lookup.answers[walked] = answers[walked]
+            walked += 1
+            has_segment = arrives_after is not None and walked >= arrives_after
+        # The expected stop: right after the first key whose holder's first
+        # answer offers the data at rate >= 1, or when the segment arrived,
+        # or when the keys ran out.
+        stop, seen = len(answers), {self.ORIGIN}
+        for index, (holder, has_data, rate) in enumerate(answers):
+            if holder in seen:
+                continue
+            seen.add(holder)
+            if has_data and rate >= 1.0:
+                stop = index + 1
+                break
+        if arrives_after is not None:
+            stop = min(stop, arrives_after)
+        assert walked == stop
+        # Whatever was walked, the supplier is the unchanged rule over it.
+        supplier = _reference_supplier(answers[:walked], self.ORIGIN)
+        assert lookup.supplier() == supplier
+        outcome, chosen = lookup.decide(has_segment)
+        if has_segment:
+            assert (outcome, chosen) == (REPEATED, None)
+        elif supplier is not None:
+            assert (outcome, chosen) == (LOCATED, supplier)
+        else:
+            assert chosen is None and outcome in (NO_HOLDER, NO_RATE)
+        if outcome == LOCATED and walked < len(answers):
+            # Probing stopped on a holder: the one chosen can send.
+            first_rate = {}
+            for holder, _, rate in answers[:walked]:
+                first_rate.setdefault(holder, rate)
+            assert first_rate[chosen] >= 1.0
+
+
+class TestLivePeerLookup:
+    """The live peer drives the same :class:`Lookup` from frames, one walk
+    at a time."""
+
+    def test_adequate_answer_decides_at_once(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walk = _launch(peer, sent)
+        assert peer._dht_pending[segment_id][0].walks == 1
+        peer._on_dht_response(_response(peer, walk, segment_id, rate=3.0))
+        assert segment_id not in peer._dht_pending
+        assert segment_id in peer._prefetch_deadlines
+        ((dst, request),) = sent  # the download request, and no further walk
+        assert dst == walk[0]
+        assert isinstance(request, wire.SegmentRequest) and request.prefetch
+        assert request.segment_id == segment_id
+        assert peer.node.stats.lookups_located == 1
+        assert peer.node.stats.lookup_walks == 1
+        # A late answer for a closed lookup is ignored.
+        peer._on_dht_response(_response(peer, walk, segment_id))
+        assert len(sent) == 1
+
+    def test_inadequate_answer_walks_the_next_key(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walk = _launch(peer, sent, walkable=2)
+        peer._on_dht_response(_response(peer, walk, segment_id, rate=0.5))
+        ((_, nxt),) = sent
+        assert isinstance(nxt, wire.DhtLookup) and nxt.segment_id == segment_id
+        assert nxt.target_key != walk[1].target_key
+        assert peer._dht_pending[segment_id][0].walks == 2
+
+    def test_segment_arriving_mid_lookup_stops_probing(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        node = peer.node
+        segment_id, walk = _launch(peer, sent, walkable=2)
+        node.urgent_line.record_overdue(3)
+        alpha, adjustments = node.urgent_line.alpha, node.urgent_line.adjustments
+        assert node.receive_segment(segment_id)  # gossip delivered it meanwhile
+        # This answer alone would have sent the next key's walk.
+        peer._on_dht_response(_response(peer, walk, segment_id, has_data=False))
+        assert segment_id not in peer._dht_pending
+        assert sent == []  # no further walk, and the duplicate download is skipped
+        assert node.stats.prefetch_repeated == node.stats.lookups_repeated == 1
+        assert node.urgent_line.adjustments == adjustments + 1
+        assert node.urgent_line.alpha == pytest.approx(alpha - node.urgent_line.alpha_step)
+
+    def test_lost_answer_is_decided_by_the_sweep_after_one_tick(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, _ = _launch(peer, sent)
+        peer._sweep_lookups()  # same tick: still waiting
+        assert segment_id in peer._dht_pending
+        peer.ticks_run += 1
+        peer._sweep_lookups()
+        assert segment_id not in peer._dht_pending
+        assert sent == []
+        assert peer.node.stats.lookups_no_holder == 1
 
 
 def _live_peer(monkeypatch):
@@ -225,17 +379,22 @@ def _live_peer(monkeypatch):
     return peer, sent
 
 
-def _launch(peer, sent, at_least):
-    """Start the lookup of the first segment that sends ``at_least`` walks."""
+def _launch(peer, sent, walkable=1):
+    """Start the lookup of the first segment with ``walkable`` keys that
+    this peer does not own itself; return it and its one walk."""
     for segment_id in range(1, 200):
+        keys = Lookup(
+            peer.peer_id, segment_id, peer.config.backup_replicas, peer.swarm.id_space
+        ).keys
+        if sum(peer._closer_hop(key, (peer.peer_id,)) is not None for key in keys) < walkable:
+            continue
         sent.clear()
         peer._start_lookup(segment_id)
-        walks = [(dst, msg) for dst, msg in sent if isinstance(msg, wire.DhtLookup)]
-        if len(walks) >= at_least:
-            sent.clear()
-            return segment_id, walks
-        peer._dht_pending.pop(segment_id, None)
-    raise AssertionError("no segment launched enough walks")
+        (walk,) = sent
+        assert isinstance(walk[1], wire.DhtLookup)
+        sent.clear()
+        return segment_id, walk
+    raise AssertionError("no segment has enough walkable keys")
 
 
 def _response(peer, walk, segment_id, has_data=True, rate=3.0):
@@ -244,50 +403,3 @@ def _response(peer, walk, segment_id, has_data=True, rate=3.0):
         responder=dst, origin=peer.peer_id, target_key=msg.target_key,
         segment_id=segment_id, has_data=has_data, rate=rate, path=(peer.peer_id, dst),
     )
-
-
-class TestLivePeerLookup:
-    """The live peer drives the same :class:`Lookup` from frames."""
-
-    def test_timeout_decides_with_a_missing_answer(self, monkeypatch):
-        peer, sent = _live_peer(monkeypatch)
-        segment_id, walks = _launch(peer, sent, at_least=2)
-        assert peer._dht_pending[segment_id][1] == len(walks)
-        peer._on_dht_response(_response(peer, walks[0], segment_id))
-        peer._sweep_lookups()  # same tick: still waiting for the rest
-        assert segment_id in peer._dht_pending and sent == []
-        peer.ticks_run += 1
-        peer._sweep_lookups()
-        assert segment_id not in peer._dht_pending
-        assert segment_id in peer._prefetch_deadlines
-        ((dst, request),) = sent
-        assert dst == walks[0][0]
-        assert isinstance(request, wire.SegmentRequest) and request.prefetch
-        assert request.segment_id == segment_id
-
-    def test_last_answer_decides_at_once(self, monkeypatch):
-        peer, sent = _live_peer(monkeypatch)
-        segment_id, walks = _launch(peer, sent, at_least=1)
-        for walk in walks:
-            peer._on_dht_response(_response(peer, walk, segment_id, has_data=False))
-        assert segment_id not in peer._dht_pending
-        assert sent == []  # nobody had the data: no request
-        # A late answer for a closed lookup is ignored.
-        peer._on_dht_response(_response(peer, walks[0], segment_id))
-        assert sent == []
-
-    def test_repeated_segment_shrinks_alpha_exactly_once(self, monkeypatch):
-        peer, sent = _live_peer(monkeypatch)
-        node = peer.node
-        segment_id, walks = _launch(peer, sent, at_least=1)
-        node.urgent_line.record_overdue(3)
-        alpha, adjustments = node.urgent_line.alpha, node.urgent_line.adjustments
-        assert node.receive_segment(segment_id)  # gossip delivered it meanwhile
-        for walk in walks:
-            peer._on_dht_response(_response(peer, walk, segment_id))
-        peer.ticks_run += 1
-        peer._sweep_lookups()
-        assert node.stats.prefetch_repeated == 1
-        assert node.urgent_line.adjustments == adjustments + 1
-        assert node.urgent_line.alpha == pytest.approx(alpha - node.urgent_line.alpha_step)
-        assert sent == []  # the duplicate download is skipped

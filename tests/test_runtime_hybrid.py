@@ -61,7 +61,7 @@ class TestSlimTier:
         for _ in range(2):
             tier = self.make_tier()
             for r in range(12):
-                tier.step(r, core_playing=19, core_total=20)
+                tier.step(r, core_playing=19, core_total=20, core_started=20)
             histories.append(list(tier.history))
         assert histories[0] == histories[1]
 
@@ -70,7 +70,7 @@ class TestSlimTier:
         for seed in (1, 2):
             tier = self.make_tier(seed=seed)
             for r in range(12):
-                tier.step(r, core_playing=19, core_total=20)
+                tier.step(r, core_playing=19, core_total=20, core_started=20)
             samples.append(list(tier.history))
         assert samples[0] != samples[1]
 
@@ -84,16 +84,29 @@ class TestSlimTier:
         spec = spec_for("flash-crowd", rounds=12)
         tier = self.make_tier(count=500, spec=spec)
         for r in range(12):
-            tier.step(r, core_playing=20, core_total=20)
+            tier.step(r, core_playing=20, core_total=20, core_started=20)
         assert tier.joined > 0, "flash-crowd must add slim joiners"
         assert tier.count == 500 + tier.joined
         # Every period's sample stays within its population.
         for playing, total in tier.history:
             assert 0 <= playing <= total
 
+    def test_buffering_core_joiners_do_not_lower_the_draw(self):
+        # 20 of 40 core peers still buffer and 20 play: the started core
+        # plays in full, so the tier draws as for a fully playing core.
+        gated, full, ungated = (
+            self.make_tier(count=500, spec=spec_for("static")) for _ in range(3)
+        )
+        for r in range(10):
+            gated.step(r, core_playing=20, core_total=40, core_started=20)
+            full.step(r, core_playing=40, core_total=40, core_started=40)
+            ungated.step(r, core_playing=20, core_total=40, core_started=40)
+        assert gated.history == full.history
+        assert sum(p for p, _ in ungated.history) < sum(p for p, _ in gated.history)
+
     def test_history_is_indexed_by_tick(self):
         tier = self.make_tier(count=50, spec=spec_for("static"))
-        tier.step(0, core_playing=10, core_total=10)
+        tier.step(0, core_playing=10, core_total=10, core_started=10)
         assert tier.sample_for(0) == tier.history[0]
         assert tier.sample_for(99) == (0, 0)
 
@@ -125,6 +138,18 @@ class TestHybridSwarm:
         assert swarms[0].playback_samples() == swarms[1].playback_samples()
         assert first.messages_sent == second.messages_sent
         assert first.fidelity == second.fidelity
+
+    def test_core_started_is_the_tiers_cohort(self):
+        spec = spec_for("flash-crowd", num_nodes=120, rounds=10)
+        swarm = LiveSwarm(spec, fidelity="hybrid", core_peers=20, clock="virtual")
+        swarm.run()
+        buffering = 0
+        for tick in range(10):
+            playing, total = swarm._period_playback_counts(tick, slim=False)
+            started = swarm._core_started(tick)
+            assert playing <= started <= total
+            buffering += total - started
+        assert buffering > 0, "flash-crowd must add core joiners that still buffer"
 
     def test_fidelity_export_accounts_for_the_whole_population(self):
         spec = spec_for("static", num_nodes=300, rounds=8)
@@ -205,8 +230,10 @@ class TestHybrid100k:
         assert fid["slim_peers"] == 99_950
         assert 0 < fid["slim_memory_bytes"] / fid["slim_peers"] <= 8.0
         assert result.stable_continuity() >= 0.95
-        # Deterministic on the virtual clock: pin seed 0 exactly.
-        assert result.stable_continuity() == 0.9533045330453305
+        # Deterministic on the virtual clock: pin seed 0 exactly (re-pinned
+        # from 0.9533045330453305 when Algorithm 2 began probing backup
+        # keys in turn).
+        assert result.stable_continuity() == 0.9571915719157194
 
 
 class TestCampaignValidation:
@@ -251,8 +278,11 @@ class TestHybridParity:
 
     Both runs are virtual-clock deterministic, so the asserted deltas are
     exact repeatable numbers, not statistical flake surface: at n=200 /
-    rounds=30 / seed=0 the measured gaps are 0.026 (static) and 0.007
-    (flash-crowd) against the 0.03 contract.
+    rounds=30 / seed=0 the measured gaps are 0.021 (static) and 0.020
+    (flash-crowd) against the 0.03 contract.  Flash-crowd exercises the
+    tier's joiner gate: the core's continuity is taken over its started
+    peers only, so a core joiner still buffering is not charged to every
+    started slim peer.
     """
 
     NODES, ROUNDS, SEED, CORE = 200, 30, 0, 50
