@@ -15,7 +15,7 @@ budgets; the node only *decides* (which segments to request from whom).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Collection, List, Mapping, Optional
 
 import numpy as np
 
@@ -284,6 +284,23 @@ class StreamingNode:
         self.pending_requests = {req.segment_id for req in requests}
         self.stats.segments_scheduled += len(requests)
         return requests
+
+    def best_partner_for(
+        self,
+        segment_id: int,
+        maps: Mapping[int, BufferMap],
+        refused: Collection[int] = (),
+    ) -> Optional[int]:
+        """The partner to (re-)request ``segment_id`` from, or ``None``: of
+        the partners whose map in ``maps`` advertises it, less ``refused``,
+        the best estimated receive rate; the first of equal rates wins."""
+        is_partner = self.peer_table.has_neighbor
+        advertisers = [
+            neighbor_id
+            for neighbor_id, neighbor_map in maps.items()
+            if segment_id in neighbor_map and neighbor_id not in refused and is_partner(neighbor_id)
+        ]
+        return max(advertisers, key=self.rate_controller.rate_of, default=None)
 
     def observe_deliveries(self, delivered_per_neighbor: Mapping[int, int]) -> None:
         """Feed this round's per-neighbour delivery counts to the rate controller."""

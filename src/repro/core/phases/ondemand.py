@@ -15,7 +15,7 @@ a lookup that walks all ``k`` keys.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import LOCATED, NO_HOLDER, NO_RATE, REPEATED
@@ -34,17 +34,19 @@ class Lookup:
     ``answers[i]`` is the answer for ``keys[i]``, or ``None`` while it has
     not arrived (a key not walked yet, a lost frame, a timeout, a dead
     holder).  Keys may collide on a small ring; :meth:`answer` fills the
-    first open slot of a key.  ``walks`` counts the DHT walks made for
-    this lookup.
+    first open slot of a key.  ``walked`` is the walk cursor — the keys
+    taken so far, in order — and ``walks`` counts the DHT walks actually
+    sent for them.
     """
 
-    __slots__ = ("origin", "segment_id", "keys", "answers", "walks")
+    __slots__ = ("origin", "segment_id", "keys", "answers", "walked", "walks")
 
     def __init__(self, origin: int, segment_id: int, replicas: int, id_space: int) -> None:
         self.origin = origin
         self.segment_id = segment_id
         self.keys = backup_keys(segment_id, replicas, id_space)
         self.answers: List[Optional[Answer]] = [None] * len(self.keys)
+        self.walked = 0
         self.walks = 0
 
     def answer(self, key: int, holder: int, has_data: bool, rate: float) -> None:
@@ -83,14 +85,33 @@ class Lookup:
         rate of at least one segment."""
         return any(has_data and rate >= 1.0 for _, has_data, rate in self._offers())
 
-    def probing(self, walked: int, has_segment: bool) -> bool:
+    def probing(self, has_segment: bool) -> bool:
         """Algorithm 2's stop rule: whether to walk ``keys[walked]`` next.
 
         Probing goes on only while no holder was :meth:`found`, the
         requester still lacks the segment (``has_segment`` false) and keys
         remain.
         """
-        return walked < len(self.keys) and not has_segment and not self.found()
+        return self.walked < len(self.keys) and not has_segment and not self.found()
+
+    def walk(self, has_segment: bool, send: Callable[[int, int], bool]) -> bool:
+        """Advance the cursor: walk the next key while :meth:`probing` allows.
+
+        ``send(segment_id, key)`` starts one key's walk, or returns False
+        when the requester owns the key itself (that key is passed over).
+        True if a walk left, False if probing stopped first."""
+        while self.probing(has_segment):
+            key = self.keys[self.walked]
+            self.walked += 1
+            if send(self.segment_id, key):
+                self.walks += 1
+                return True
+        return False
+
+    def unanswered(self) -> bool:
+        """True while the last key walked has no answer (a lost frame, a dead
+        holder): the driver passes it over and walks the next (:meth:`walk`)."""
+        return self.walked > 0 and self.answers[self.walked - 1] is None
 
     def decide(self, has_segment: bool) -> Tuple[str, Optional[int]]:
         """Close the lookup: its outcome and, when ``LOCATED``, the supplier.
@@ -157,28 +178,30 @@ class OnDemandRetrievalPhase(Phase):
         # Locate every segment before acting on any: overhearing the paths
         # and the downloads below must not steer the walks or the answers.
         located = []
+
+        def send(segment_id: int, key: int) -> bool:
+            # Walks one key of the ``lookup`` in hand (bound per segment below).
+            path = route(nid, key).path
+            # A key the node owns itself routes nowhere: nothing is sent.
+            if len(path) < 2:
+                return False
+            paths.append(path)
+            holder_id = path[-1]
+            holder = nodes.get(holder_id)
+            if holder is not None and holder.alive:
+                rate = holder.available_sending_rate(outbound.get(holder_id, 0.0))
+                has_data = holder.serves_segment(segment_id)
+                lookup.answers[lookup.walked - 1] = (holder_id, has_data, rate)
+            return True
+
         for sid in sorted(ctx.predictions[nid]):
             lookup = Lookup(nid, sid, cfg.backup_replicas, id_space)
-            answers = lookup.answers
-            paths = []
+            paths: List[Tuple[int, ...]] = []
+            # The first walk leaves before the node looks at its buffer: the
+            # lookup is in flight while gossip delivers (REPEATED below).
             has_segment = False
-            walked = 0
-            while lookup.probing(walked, has_segment):
-                path = route(nid, lookup.keys[walked]).path
-                # A key the node owns itself routes nowhere: nothing is sent.
-                if len(path) > 1:
-                    paths.append(path)
-                    lookup.walks += 1
-                    holder_id = path[-1]
-                    holder = nodes.get(holder_id)
-                    if holder is not None and holder.alive:
-                        answers[walked] = (
-                            holder_id,
-                            holder.serves_segment(sid),
-                            holder.available_sending_rate(outbound.get(holder_id, 0.0)),
-                        )
-                    has_segment = sid in node.buffer
-                walked += 1
+            while lookup.walk(has_segment, send):
+                has_segment = sid in node.buffer
             if paths:
                 located.append((lookup, paths))
         overhear = manager.overhearing.overhear_path

@@ -20,8 +20,9 @@ class DataSchedulingPhase(Phase):
     2. runs the node's scheduling policy over the snapshots (urgency+rarity
        for ContinuStreaming, rarest-first for the baseline);
     3. executes the requests against the shared per-period budgets,
-       rerouting to a fallback supplier when the chosen uplink is already
-       saturated this period;
+       rerouting to the advertiser with the most uplink left when the
+       chosen uplink is already saturated this period (a live peer, blind
+       to partners' budgets, uses ``StreamingNode.best_partner_for``);
     4. feeds the per-supplier delivery counts back into the node's
        receive-rate estimator.
     """

@@ -46,7 +46,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Collection, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -136,9 +136,8 @@ class LivePeer:
         self._delivered: Dict[int, int] = {}
         self._requested: set = set()
         self._nack_tried: Dict[int, set] = {}
-        #: In-flight DHT location steps by segment id:
-        #: ``[lookup, next key index, tick started]``.
-        self._dht_pending: Dict[int, List[Any]] = {}
+        #: In-flight DHT location steps by segment id.
+        self._dht_pending: Dict[int, Lookup] = {}
         self._prefetch_deadlines: Dict[int, float] = {}
         self._ping_nonce = itertools.count(1)
         self._task: Optional[asyncio.Task] = None
@@ -416,9 +415,10 @@ class LivePeer:
         serves = node.serves_segment if msg.prefetch else node.has_segment
         if not serves(msg.segment_id) or self.outbound_tokens < 1.0:
             # Saturated uplink (or stale advertisement): refuse explicitly
-            # so the requester can reroute within the period, like the
-            # simulator's fallback-supplier pass.  A traced request's id
-            # rides the refusal back so the journey records the cause.
+            # so the requester can reroute within the period to its next
+            # best partner (``StreamingNode.best_partner_for``).  A traced
+            # request's id rides the refusal back so the journey records
+            # the cause.
             self._send(
                 msg.sender,
                 wire.SegmentNack(
@@ -482,7 +482,7 @@ class LivePeer:
             return
         tried = self._nack_tried.setdefault(sid, set())
         tried.add(msg.sender)
-        fallback = self._best_advertiser(sid, tried)
+        fallback = node.best_partner_for(sid, self.neighbor_maps, tried)
         if fallback is None:
             return
         # The reroute keeps the original journey's trace id, so the whole
@@ -544,43 +544,33 @@ class LivePeer:
 
     def _on_dht_response(self, msg: wire.DhtResponse) -> None:
         self.swarm.overhear(self.node.peer_table, msg.path)
-        pending = self._dht_pending.get(msg.segment_id)
-        if pending is None:
+        lookup = self._dht_pending.get(msg.segment_id)
+        if lookup is None:
             return
-        pending[0].answer(msg.target_key, msg.responder, msg.has_data, msg.rate)
-        if not self._walk_next(pending):
-            self._decide_lookup(msg.segment_id)
+        lookup.answer(msg.target_key, msg.responder, msg.has_data, msg.rate)
+        if lookup.unanswered() and not lookup.found():
+            return  # a late answer to a key the rescue pass walked past
+        if not lookup.walk(self.node.has_segment(lookup.segment_id), self._send_walk):
+            self._decide_lookup(lookup.segment_id)
 
     def _start_lookup(self, segment_id: int) -> None:
         if segment_id in self._dht_pending or self.node.has_segment(segment_id):
             return
-        lookup = Lookup(
-            self.peer_id, segment_id, self.config.backup_replicas, self.swarm.id_space
-        )
-        pending = [lookup, 0, self.ticks_run]
-        if self._walk_next(pending):
-            self._dht_pending[segment_id] = pending
+        lookup = Lookup(self.peer_id, segment_id, self.config.backup_replicas, self.swarm.id_space)
+        if lookup.walk(False, self._send_walk):
+            self._dht_pending[segment_id] = lookup
 
-    def _walk_next(self, pending: List[Any]) -> bool:
-        """Send the walk of the lookup's next backup key while
-        :meth:`Lookup.probing` allows; False if no walk was sent."""
-        lookup, walked = pending[0], pending[1]
-        has_segment = self.node.has_segment(lookup.segment_id)
-        while lookup.probing(walked, has_segment):
-            key = lookup.keys[walked]
-            walked += 1
-            nxt = self._closer_hop(key, (self.peer_id,))
-            if nxt is None:
-                continue  # this peer is itself responsible — nobody to ask
-            pending[1] = walked
-            lookup.walks += 1
-            self._send(nxt, wire.DhtLookup(self.peer_id, key, lookup.segment_id, (self.peer_id,)))
-            return True
-        return False
+    def _send_walk(self, segment_id: int, key: int) -> bool:
+        """Send one key's walk; False if this peer is itself responsible."""
+        nxt = self._closer_hop(key, (self.peer_id,))
+        if nxt is None:
+            return False
+        self._send(nxt, wire.DhtLookup(self.peer_id, key, segment_id, (self.peer_id,)))
+        return True
 
     def _decide_lookup(self, segment_id: int) -> None:
         """Close one lookup: request the download from its supplier."""
-        lookup = self._dht_pending.pop(segment_id)[0]
+        lookup = self._dht_pending.pop(segment_id)
         node = self.node
         assert isinstance(node, ContinuStreamingNode)  # only these predict misses
         outcome, supplier = lookup.decide(node.has_segment(segment_id))
@@ -593,10 +583,10 @@ class LivePeer:
         self._traced_request(supplier, segment_id, "prefetch", prefetch=True)
 
     def _sweep_lookups(self) -> None:
-        """Decide stale lookups with whatever answers arrived (timeout)."""
-        for segment_id, (_, _, started) in list(self._dht_pending.items()):
-            if self.ticks_run - started >= 1:
-                self._decide_lookup(segment_id)
+        """Decide every lookup of the last period with whatever answers
+        arrived (the timeout; this period's lookups start after it)."""
+        for segment_id in list(self._dht_pending):
+            self._decide_lookup(segment_id)
 
     # ------------------------------------------------------------ the period loop
     #: Fraction of a period after which scheduling runs, leaving link
@@ -605,13 +595,13 @@ class LivePeer:
     #: this round's snapshots" (one dissemination hop per period, not two).
     SCHEDULE_PHASE = 0.4
 
-    #: Fraction of a period after which the deadline-rescue pass runs:
-    #: segments the player needs within the next two periods that are
-    #: advertised by a partner but still missing get re-requested.  The
-    #: simulator's synchronous rounds deliver every granted request within
-    #: its own round; live transfers land mid-period with jitter, and this
-    #: pass is what keeps the tail of that distribution from turning into
-    #: deadline misses.
+    #: Fraction of a period after which the deadline-rescue pass runs: a
+    #: DHT lookup still waiting on its last walked key walks the next one,
+    #: and segments the player needs within two periods that a partner
+    #: advertises but that are still missing get re-requested.  Live
+    #: transfers and answers land mid-period with jitter (or never), where
+    #: the simulator's synchronous rounds settle every request within its
+    #: round; this pass keeps that tail from turning into deadline misses.
     RESCUE_PHASE = 0.8
 
     #: Fraction of this peer's partners whose fresh buffer map must have
@@ -731,7 +721,7 @@ class LivePeer:
         """Boundary work opening period ``tick``: budgets and gossip.
 
         Data scheduling and urgent-line prediction run a fraction of a
-        period later (:meth:`_mid_period`), once the neighbours' boundary
+        period later (:meth:`_mid_period_when_ready`), once the neighbours' boundary
         buffer maps have crossed the wire.
         """
         node = self.node
@@ -747,14 +737,14 @@ class LivePeer:
                 self.known_newest, self.swarm.source.newest_segment_id
             )
             self.outbound_tokens = node.outbound_rate * cfg.scheduling_period
-            self._timed_gossip()
+            self._timed("phase_gossip_s", self._gossip_buffer_map)
             return
         node.begin_round()
         self._nack_tried = {}
         self._requested = set()
         self._maps_this_period = set()
         self.outbound_tokens = node.outbound_rate * cfg.scheduling_period
-        self._timed_gossip()
+        self._timed("phase_gossip_s", self._gossip_buffer_map)
         loop = self.swarm.loop
         scaled = cfg.scheduling_period * self.swarm.time_scale
         remaining = self.swarm.wall_deadline_of(tick + 1) - loop.time()
@@ -775,7 +765,8 @@ class LivePeer:
         return fresh >= self.MAP_QUORUM * len(partners)
 
     def _mid_period_when_ready(self, tick: int, rechecks: int) -> None:
-        """Run the mid-period pass once this period's gossip has arrived.
+        """Mid-period work, once this period's gossip has arrived: Algorithm 1
+        scheduling, the lookup sweep and the urgent-line lookups.
 
         Defers (bounded) while the fresh-map quorum is missing, so an
         overloaded event loop schedules against this period's snapshots
@@ -786,7 +777,8 @@ class LivePeer:
         itself — the newer boundary scheduled its own chain, and running
         both would double-spend requests and supplier credits.
         """
-        if self.stopped or not self.node.alive or tick != self._current_tick:
+        node = self.node
+        if self.stopped or not node.alive or tick != self._current_tick:
             return
         span = self._period_span
         loop = self.swarm.loop
@@ -798,35 +790,7 @@ class LivePeer:
                 rechecks + 1,
             )
             return
-        self._mid_period()
-        loop.call_later(
-            (self.RESCUE_PHASE - self.SCHEDULE_PHASE) * span,
-            self._rescue_pass,
-            tick,
-        )
-
-    def _timed_gossip(self) -> None:
-        """Boundary gossip, with the phase timed when obs is enabled."""
-        obs = self.obs
-        if not obs.enabled:
-            self._gossip_buffer_map()
-            return
-        t0 = time.perf_counter()
-        self._gossip_buffer_map()
-        obs.observe("phase_gossip_s", time.perf_counter() - t0)
-
-    def _mid_period(self) -> None:
-        """Mid-period work: Algorithm 1 scheduling + urgent-line lookups."""
-        node = self.node
-        if self.stopped or not node.alive:
-            return
-        obs = self.obs
-        if obs.enabled:
-            t0 = time.perf_counter()
-            self._schedule_requests()
-            obs.observe("phase_schedule_s", time.perf_counter() - t0)
-        else:
-            self._schedule_requests()
+        self._timed("phase_schedule_s", self._schedule_requests)
         self._sweep_lookups()
         if self.swarm.prediction_enabled and isinstance(node, ContinuStreamingNode):
             if self.known_newest >= 0:
@@ -834,25 +798,35 @@ class LivePeer:
                 if prediction.triggered:
                     for sid in prediction.missed_segment_ids:
                         self._start_lookup(sid)
+        loop.call_later(
+            (self.RESCUE_PHASE - self.SCHEDULE_PHASE) * span,
+            self._timed,
+            "phase_rescue_s",
+            self._rescue_pass,
+            tick,
+        )
 
-    def _rescue_pass(self, tick: int) -> None:
-        """Late-period rescue, with the phase timed when obs is enabled."""
+    def _timed(self, metric: str, phase: Callable[..., None], *args: Any) -> None:
+        """Run one phase, timed into ``metric`` when obs is enabled."""
         obs = self.obs
         if not obs.enabled:
-            self._rescue_body(tick)
+            phase(*args)
             return
         t0 = time.perf_counter()
-        self._rescue_body(tick)
-        obs.observe("phase_rescue_s", time.perf_counter() - t0)
+        phase(*args)
+        obs.observe(metric, time.perf_counter() - t0)
 
-    def _rescue_body(self, tick: int) -> None:
-        """Late-period rescue of imminently needed, partner-held segments."""
+    def _rescue_pass(self, tick: int) -> None:
+        """Late-period rescue: a lookup still waiting on its last walked key
+        walks the next one (:meth:`Lookup.unanswered`), and imminently
+        needed segments a partner advertises are re-requested."""
         node = self.node
-        if self.stopped or not node.alive or not node.playback.started:
-            return
-        if tick != self._current_tick:
-            return  # the period this rescue belonged to has closed
-        if self.known_newest < 0:
+        if self.stopped or not node.alive or tick != self._current_tick:
+            return  # a stale tick: the period this rescue belonged to has closed
+        for lookup in self._dht_pending.values():
+            if lookup.unanswered():
+                lookup.walk(node.has_segment(lookup.segment_id), self._send_walk)
+        if not node.playback.started or self.known_newest < 0:
             return
         spr = node.playback.segments_per_round(self.config.scheduling_period)
         lo = node.playback.play_id
@@ -860,27 +834,11 @@ class LivePeer:
         for sid in range(lo, hi + 1):
             if sid in node.buffer or sid in self._requested:
                 continue
-            best = self._best_advertiser(sid)
+            best = node.best_partner_for(sid, self.neighbor_maps)
             if best is None:
                 continue
             self._requested.add(sid)
             self._traced_request(best, sid, "rescue")
-
-    def _best_advertiser(self, sid: int, exclude: Collection[int] = ()) -> Optional[int]:
-        """The partner whose stored map advertises ``sid`` with the best
-        receive rate, skipping ``exclude``; the first of equal rates wins."""
-        node = self.node
-        partners = set(node.neighbors)
-        rate_of = node.rate_controller.rate_of
-        best = None
-        best_rate = -1.0
-        for nbr, neighbor_map in self.neighbor_maps.items():
-            if nbr in exclude or nbr not in partners or sid not in neighbor_map:
-                continue
-            rate = rate_of(nbr)
-            if rate > best_rate:
-                best_rate, best = rate, nbr
-        return best
 
     def _newest_or_none(self) -> Optional[int]:
         return self.known_newest if self.known_newest >= 0 else None

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -37,6 +39,65 @@ def make_node(node_class=StreamingNode, node_id=100, **overrides):
 def neighbor_map(head_id, present, capacity=200):
     bits = sum(1 << (sid - head_id) for sid in set(present))
     return BufferMap(head_id=head_id, capacity=capacity, bits=bits)
+
+
+def _reference_partner(node, segment_id, maps, refused):
+    """The reroute rule written out plainly: candidates are partners that
+    advertise the segment and did not refuse it; the best rate wins, and
+    the first in map order among equal rates."""
+    candidates = [
+        (nbr, node.rate_controller.rate_of(nbr))
+        for nbr, bm in maps.items()
+        if nbr not in refused and node.peer_table.has_neighbor(nbr) and segment_id in bm
+    ]
+    if not candidates:
+        return None
+    top = max(rate for _, rate in candidates)
+    return next(nbr for nbr, rate in candidates if rate == top)
+
+
+class TestBestPartnerFor:
+    SEGMENT = 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # (map owner, is a partner, advertises the segment, uplink); few
+        # uplinks so equal rates are common.
+        owners=st.lists(
+            st.tuples(
+                st.integers(1, 12),
+                st.booleans(),
+                st.booleans(),
+                st.sampled_from([2.0, 4.0, 8.0]),
+            ),
+            max_size=8,
+            unique_by=lambda owner: owner[0],
+        ),
+        refused=st.sets(st.integers(1, 12), max_size=4),
+    )
+    def test_equals_the_reference(self, owners, refused):
+        node = make_node(max_neighbors=8)
+        maps = {}
+        for owner, is_partner, advertises, uplink in owners:
+            if is_partner:
+                node.peer_table.add_neighbor(NeighborEntry(peer_id=owner, latency_ms=20.0))
+                node.rate_controller.register_neighbor(owner, uplink, 1)
+            maps[owner] = neighbor_map(0, [self.SEGMENT] if advertises else [1])
+        chosen = node.best_partner_for(self.SEGMENT, maps, refused)
+        assert chosen == _reference_partner(node, self.SEGMENT, maps, refused)
+        if chosen is not None:
+            assert chosen not in refused and node.peer_table.has_neighbor(chosen)
+            assert self.SEGMENT in maps[chosen]
+
+    def test_first_of_equal_rates_in_map_order_wins(self):
+        node = make_node()
+        for owner in (30, 20, 10):
+            node.peer_table.add_neighbor(NeighborEntry(peer_id=owner, latency_ms=20.0))
+            node.rate_controller.register_neighbor(owner, 4.0, 1)
+        maps = {owner: neighbor_map(0, [self.SEGMENT]) for owner in (30, 20, 10)}
+        assert node.best_partner_for(self.SEGMENT, maps) == 30
+        assert node.best_partner_for(self.SEGMENT, maps, refused=[30]) == 20
+        assert node.best_partner_for(self.SEGMENT, maps, refused=[30, 20, 10]) is None
 
 
 class TestPolicies:

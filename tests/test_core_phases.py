@@ -17,6 +17,7 @@ from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
 from repro.core.overlay import OverlayManager
+from repro.core.scheduler import ScheduledRequest
 from repro.core.phases import (
     END,
     BufferMapGossipPhase,
@@ -223,6 +224,57 @@ class TestDataSchedulingPhase:
         DataSchedulingPhase().execute(ctx)
         assert ctx.segments_scheduled == 0
         assert len(consumer.buffer) == 0
+
+
+class TestDataSchedulingReroute:
+    """A supplier whose uplink is spent this period cannot serve the pull;
+    the simulator reroutes it to the advertising partner with the most
+    uplink left (``DataSchedulingPhase._fallback_supplier``)."""
+
+    SEGMENT = 4
+
+    def _ctx(self, budgets: Dict[int, float]):
+        """Consumer 2 and suppliers 3, 4, 5 advertising every segment at
+        estimated rates 3, 9 and 6; Algorithm 1 asks supplier 3 for one
+        segment, and ``budgets`` overrides the suppliers' uplinks."""
+        consumer = make_node(2)
+        nodes: Dict[int, StreamingNode] = {2: consumer}
+        for nid, outbound in ((3, 3.0), (4, 9.0), (5, 6.0)):
+            supplier = make_node(nid, inbound=0.0, outbound=outbound)
+            for sid in range(10):
+                supplier.buffer.add(sid)
+            partner(supplier, consumer)
+            nodes[nid] = supplier
+        ctx = make_ctx(nodes, source_id=1)
+        BufferMapGossipPhase().execute(ctx)
+        ctx.newest_segment_id = 9
+        ctx.outbound_budget.update(budgets)
+        consumer.plan_requests = lambda *args: [ScheduledRequest(self.SEGMENT, 3, 0.1, 1.0)]
+        return ctx, consumer
+
+    def test_spent_supplier_goes_to_the_advertiser_with_most_uplink_left(self):
+        # Supplier 5 has more uplink left, though supplier 4's rate is higher.
+        ctx, consumer = self._ctx({3: 0.0, 4: 2.0})
+        DataSchedulingPhase().execute(ctx)
+        assert self.SEGMENT in consumer.buffer
+        assert ctx.outbound_budget[4] == pytest.approx(2.0)
+        assert ctx.outbound_budget[5] == pytest.approx(5.0)
+        assert ctx.inbound_budget[2] == pytest.approx(14.0)
+
+    def test_less_than_one_segment_of_uplink_is_spent(self):
+        ctx, consumer = self._ctx({3: 0.0, 4: 0.5, 5: 1.0})
+        DataSchedulingPhase().execute(ctx)
+        assert self.SEGMENT in consumer.buffer
+        assert ctx.outbound_budget[4] == pytest.approx(0.5)
+        assert ctx.outbound_budget[5] == pytest.approx(0.0)
+
+    def test_no_advertiser_with_budget_skips_the_segment(self):
+        ctx, consumer = self._ctx({3: 0.0, 4: 0.0, 5: 0.9})
+        DataSchedulingPhase().execute(ctx)
+        assert self.SEGMENT not in consumer.buffer
+        assert ctx.segments_scheduled == 0
+        assert ctx.inbound_budget[2] == pytest.approx(15.0)
+        assert ctx.outbound_budget[5] == pytest.approx(0.9)
 
 
 class TestOnDemandRetrievalPhase:

@@ -210,18 +210,35 @@ class TestLookup:
 
     def test_origin_with_the_data_does_not_stop_probing(self):
         lookup = Lookup(1, 5, 3, 2048)
-        lookup.answers[0] = (1, True, 9.0)
-        assert lookup.probing(1, has_segment=False)
-        lookup.answers[1] = (40, True, 1.0)
-        assert lookup.found() and not lookup.probing(2, has_segment=False)
+        lookup.walked, lookup.answers[0] = 1, (1, True, 9.0)
+        assert lookup.probing(has_segment=False)
+        lookup.walked, lookup.answers[1] = 2, (40, True, 1.0)
+        assert lookup.found() and not lookup.probing(has_segment=False)
 
     def test_rate_below_one_probes_on_and_falls_back_to_the_supplier(self):
         lookup = Lookup(1, 5, 2, 2048)
-        lookup.answers[0] = (40, True, 0.5)
-        assert lookup.probing(1, has_segment=False)
-        lookup.answers[1] = (50, False, 9.0)
-        assert not lookup.probing(2, has_segment=False)  # keys ran out
+        lookup.walked, lookup.answers[0] = 1, (40, True, 0.5)
+        assert lookup.probing(has_segment=False)
+        lookup.walked, lookup.answers[1] = 2, (50, False, 9.0)
+        assert not lookup.probing(has_segment=False)  # keys ran out
         assert lookup.decide(has_segment=False) == (LOCATED, 40)
+
+    def test_walk_passes_over_keys_that_route_nowhere(self):
+        lookup = Lookup(1, 5, 3, 2048)
+        asked = []
+
+        def send(segment_id, key):
+            asked.append(key)
+            return len(asked) > 1  # the first key is the requester's own
+
+        assert lookup.walk(False, send)
+        assert asked == list(lookup.keys[:2])
+        assert (lookup.walked, lookup.walks) == (2, 1)
+        assert lookup.unanswered()
+        lookup.answer(lookup.keys[1], 40, True, 0.5)
+        assert not lookup.unanswered()
+        assert not lookup.walk(True, send)  # the requester holds it now
+        assert lookup.walked == 2
 
     def test_decide_names_one_outcome(self):
         lookup = Lookup(1, 5, 3, 2048)
@@ -273,11 +290,16 @@ class TestProbingRule:
     )
     def test_stop_rule(self, answers, arrives_after):
         lookup = Lookup(self.ORIGIN, 5, len(answers), 2048)
-        walked, has_segment = 0, False
-        while lookup.probing(walked, has_segment):
-            lookup.answers[walked] = answers[walked]
-            walked += 1
-            has_segment = arrives_after is not None and walked >= arrives_after
+
+        def send(segment_id, key):
+            lookup.answers[lookup.walked - 1] = answers[lookup.walked - 1]
+            return True
+
+        has_segment = False
+        while lookup.walk(has_segment, send):
+            has_segment = arrives_after is not None and lookup.walked >= arrives_after
+        walked = lookup.walked
+        assert lookup.walks == walked
         # The expected stop: right after the first key whose holder's first
         # answer offers the data at rate >= 1, or when the segment arrived,
         # or when the keys ran out.
@@ -317,7 +339,7 @@ class TestLivePeerLookup:
     def test_adequate_answer_decides_at_once(self, monkeypatch):
         peer, sent = _live_peer(monkeypatch)
         segment_id, walk = _launch(peer, sent)
-        assert peer._dht_pending[segment_id][0].walks == 1
+        assert peer._dht_pending[segment_id].walks == 1
         peer._on_dht_response(_response(peer, walk, segment_id, rate=3.0))
         assert segment_id not in peer._dht_pending
         assert segment_id in peer._prefetch_deadlines
@@ -338,7 +360,7 @@ class TestLivePeerLookup:
         ((_, nxt),) = sent
         assert isinstance(nxt, wire.DhtLookup) and nxt.segment_id == segment_id
         assert nxt.target_key != walk[1].target_key
-        assert peer._dht_pending[segment_id][0].walks == 2
+        assert peer._dht_pending[segment_id].walks == 2
 
     def test_segment_arriving_mid_lookup_stops_probing(self, monkeypatch):
         peer, sent = _live_peer(monkeypatch)
@@ -355,16 +377,66 @@ class TestLivePeerLookup:
         assert node.urgent_line.adjustments == adjustments + 1
         assert node.urgent_line.alpha == pytest.approx(alpha - node.urgent_line.alpha_step)
 
-    def test_lost_answer_is_decided_by_the_sweep_after_one_tick(self, monkeypatch):
+    def test_unanswered_walk_passes_to_the_next_key_at_the_rescue_tick(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walk = _launch(peer, sent, walkable=2)
+        peer._rescue_pass(peer._current_tick - 1)  # a closed period's rescue
+        assert sent == []
+        peer._rescue_pass(peer._current_tick)
+        ((_, nxt),) = sent
+        assert isinstance(nxt, wire.DhtLookup) and nxt.segment_id == segment_id
+        assert nxt.target_key != walk[1].target_key
+        assert peer._dht_pending[segment_id].walks == 2
+
+    def test_sweep_decides_no_holder_when_no_key_answers(self, monkeypatch):
         peer, sent = _live_peer(monkeypatch)
         segment_id, _ = _launch(peer, sent)
-        peer._sweep_lookups()  # same tick: still waiting
-        assert segment_id in peer._dht_pending
-        peer.ticks_run += 1
+        lookup = peer._dht_pending[segment_id]
+        while True:  # every rescue tick passes the silent key over
+            sent.clear()
+            peer._rescue_pass(peer._current_tick)
+            if not sent:
+                break
+        assert segment_id in peer._dht_pending  # keys ran out: left to the sweep
         peer._sweep_lookups()
         assert segment_id not in peer._dht_pending
         assert sent == []
         assert peer.node.stats.lookups_no_holder == 1
+        assert peer.node.stats.lookup_walks == lookup.walks >= 1
+
+    def test_answered_walk_is_not_rewalked(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, walk = _launch(peer, sent, walkable=2)
+        lookup = peer._dht_pending[segment_id]
+        # An answer is in for the last key walked: nothing is passed over.
+        lookup.answer(walk[1].target_key, walk[0], True, 0.5)
+        peer._rescue_pass(peer._current_tick)
+        assert sent == []
+        assert (lookup.walks, segment_id in peer._dht_pending) == (1, True)
+
+    def test_late_answer_after_a_rescue_walk_waits_for_the_walk_in_flight(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, first = _launch(peer, sent, walkable=3)
+        peer._rescue_pass(peer._current_tick)  # the first answer is only late
+        (second,) = sent
+        sent.clear()
+        peer._on_dht_response(_response(peer, first, segment_id, rate=0.5))
+        assert sent == []  # no third walk while the second is in flight
+        assert segment_id in peer._dht_pending  # and nothing decided yet
+        peer._on_dht_response(_response(peer, second, segment_id, rate=0.5))
+        ((_, third),) = sent  # the walk in flight answered: probing goes on
+        assert isinstance(third, wire.DhtLookup)
+        assert third.target_key not in (first[1].target_key, second[1].target_key)
+
+    def test_late_adequate_answer_after_a_rescue_walk_decides_at_once(self, monkeypatch):
+        peer, sent = _live_peer(monkeypatch)
+        segment_id, first = _launch(peer, sent, walkable=2)
+        peer._rescue_pass(peer._current_tick)
+        sent.clear()
+        peer._on_dht_response(_response(peer, first, segment_id, rate=3.0))
+        assert segment_id not in peer._dht_pending
+        ((dst, request),) = sent
+        assert dst == first[0] and isinstance(request, wire.SegmentRequest)
 
 
 def _live_peer(monkeypatch):
