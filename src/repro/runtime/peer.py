@@ -46,7 +46,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -367,12 +367,12 @@ class LivePeer:
             reply = wire.BufferMapMsg.from_buffer_map(
                 self.peer_id, self.known_newest, self.node.buffer_map()
             )
-        frame_len = len(wire.encode(reply))
+        frame = wire.encode(reply)
         stats = self.transport_stats
         stats.map_fulls_sent += 1
-        stats.gossip_bytes += frame_len
-        stats.gossip_bytes_full += frame_len
-        self._send(msg.sender, reply)
+        stats.gossip_bytes += len(frame)
+        stats.gossip_bytes_full += len(frame)
+        self._ship(msg.sender, frame, wire.ledger_entry(reply), False)
 
     def _on_credit(self, msg: wire.CreditGrant) -> None:
         """Returned link credits: ship the pending segments they unblock."""
@@ -406,39 +406,35 @@ class LivePeer:
             self.known_newest = msg.newest_id
 
     def _on_segment_request(self, msg: wire.SegmentRequest) -> None:
+        """Serve the pulled segments in order, each as its own data frame
+        (the credit window counts data frames), and refuse the rest in
+        one :class:`~repro.runtime.wire.SegmentNack`."""
         node = self.node
-        if msg.trace_id and self.obs.tracing:
-            self.obs.span(
-                "recv_request", msg.trace_id, self.peer_id, msg.segment_id,
-                requester=msg.sender,
-            )
+        obs = self.obs
         serves = node.serves_segment if msg.prefetch else node.has_segment
-        if not serves(msg.segment_id) or self.outbound_tokens < 1.0:
-            # Saturated uplink (or stale advertisement): refuse explicitly
-            # so the requester can reroute within the period to its next
-            # best partner (``StreamingNode.best_partner_for``).  A traced
-            # request's id rides the refusal back so the journey records
-            # the cause.
+        refused = []
+        for sid, tid in msg.pulls():
+            if tid and obs.tracing:
+                obs.span("recv_request", tid, self.peer_id, sid, requester=msg.sender)
+            if not serves(sid) or self.outbound_tokens < 1.0:
+                # Saturated uplink (or stale advertisement): refuse
+                # explicitly so the requester can reroute within the
+                # period to its next best partner
+                # (``StreamingNode.best_partner_for``).  A traced pull's
+                # id rides the refusal back so the journey records the
+                # cause.
+                refused.append((sid, tid))
+                continue
+            self._send_segment(
+                msg.sender,
+                wire.SegmentData(self.peer_id, sid, self.config.segment_bits, msg.prefetch, tid),
+            )
+        if refused:
+            (sid, tid), *more = refused
             self._send(
                 msg.sender,
-                wire.SegmentNack(
-                    sender=self.peer_id,
-                    segment_id=msg.segment_id,
-                    prefetch=msg.prefetch,
-                    trace_id=msg.trace_id,
-                ),
+                wire.SegmentNack(self.peer_id, sid, msg.prefetch, tid, tuple(more)),
             )
-            return
-        self._send_segment(
-            msg.sender,
-            wire.SegmentData(
-                self.peer_id,
-                msg.segment_id,
-                self.config.segment_bits,
-                msg.prefetch,
-                msg.trace_id,
-            ),
-        )
 
     def _on_segment_data(self, msg: wire.SegmentData) -> None:
         node = self.node
@@ -464,37 +460,37 @@ class LivePeer:
             node.consider_backup(self.swarm.segment_payload(msg.segment_id))
 
     def _on_segment_nack(self, msg: wire.SegmentNack) -> None:
-        """Reroute a refused pull to the best untried partner advertising it."""
+        """Reroute each refused pull to the best untried partner advertising it."""
         node = self.node
-        sid = msg.segment_id
-        if msg.trace_id and self.obs.tracing:
-            self.obs.span("nack", msg.trace_id, self.peer_id, sid, supplier=msg.sender)
-            state = self._trace_live.get(sid)
-            if state is not None and state["tid"] == msg.trace_id:
-                state["state"] = "nacked"
-                state["nacks"] = state.get("nacks", 0) + 1
-        if msg.prefetch:
-            # The located holder refused (budget spent); the next period's
-            # prediction re-triggers the lookup if the segment still matters.
-            self._prefetch_deadlines.pop(sid, None)
-            return
-        if node.has_segment(sid):
-            return
-        tried = self._nack_tried.setdefault(sid, set())
-        tried.add(msg.sender)
-        fallback = node.best_partner_for(sid, self.neighbor_maps, tried)
-        if fallback is None:
-            return
-        # The reroute keeps the original journey's trace id, so the whole
-        # request → nack → retry → deliver chain reads as one trace.
-        if msg.trace_id and self.obs.tracing:
-            self.obs.span("reroute", msg.trace_id, self.peer_id, sid, dst=fallback)
-        self._send(
-            fallback,
-            wire.SegmentRequest(
-                sender=self.peer_id, segment_id=sid, trace_id=msg.trace_id
-            ),
-        )
+        obs = self.obs
+        reroutes = []
+        for sid, tid in msg.pulls():
+            if tid and obs.tracing:
+                obs.span("nack", tid, self.peer_id, sid, supplier=msg.sender)
+                state = self._trace_live.get(sid)
+                if state is not None and state["tid"] == tid:
+                    state["state"] = "nacked"
+                    state["nacks"] = state.get("nacks", 0) + 1
+            if msg.prefetch:
+                # The located holder refused (budget spent); the next
+                # period's prediction re-triggers the lookup if the
+                # segment still matters.
+                self._prefetch_deadlines.pop(sid, None)
+                continue
+            if node.has_segment(sid):
+                continue
+            tried = self._nack_tried.setdefault(sid, set())
+            tried.add(msg.sender)
+            fallback = node.best_partner_for(sid, self.neighbor_maps, tried)
+            if fallback is None:
+                continue
+            # The reroute keeps the original journey's trace id, so the
+            # whole request → nack → retry → deliver chain reads as one
+            # trace.
+            if tid and obs.tracing:
+                obs.span("reroute", tid, self.peer_id, sid, dst=fallback)
+            reroutes.append((fallback, sid, tid))
+        self._send_pulls(reroutes)
 
     def _on_handover(self, msg: wire.Handover) -> None:
         node = self.node
@@ -551,7 +547,9 @@ class LivePeer:
         if lookup.unanswered() and not lookup.found():
             return  # a late answer to a key the rescue pass walked past
         if not lookup.walk(self.node.has_segment(lookup.segment_id), self._send_walk):
-            self._decide_lookup(lookup.segment_id)
+            supplier = self._decide_lookup(lookup.segment_id)
+            if supplier is not None:
+                self._request([(supplier, lookup.segment_id)], "prefetch", prefetch=True)
 
     def _start_lookup(self, segment_id: int) -> None:
         if segment_id in self._dht_pending or self.node.has_segment(segment_id):
@@ -568,25 +566,28 @@ class LivePeer:
         self._send(nxt, wire.DhtLookup(self.peer_id, key, segment_id, (self.peer_id,)))
         return True
 
-    def _decide_lookup(self, segment_id: int) -> None:
-        """Close one lookup: request the download from its supplier."""
+    def _decide_lookup(self, segment_id: int) -> Optional[int]:
+        """Close one lookup; return the supplier to pre-fetch from, if any."""
         lookup = self._dht_pending.pop(segment_id)
         node = self.node
         assert isinstance(node, ContinuStreamingNode)  # only these predict misses
         outcome, supplier = lookup.decide(node.has_segment(segment_id))
         node.record_lookup(outcome, lookup.walks)
-        if supplier is None:
-            return
-        self._prefetch_deadlines[segment_id] = node.deadline_of(
-            segment_id, now=self.swarm.sim_now()
-        )
-        self._traced_request(supplier, segment_id, "prefetch", prefetch=True)
+        if supplier is not None:
+            self._prefetch_deadlines[segment_id] = node.deadline_of(
+                segment_id, now=self.swarm.sim_now()
+            )
+        return supplier
 
     def _sweep_lookups(self) -> None:
         """Decide every lookup of the last period with whatever answers
         arrived (the timeout; this period's lookups start after it)."""
+        pulls = []
         for segment_id in list(self._dht_pending):
-            self._decide_lookup(segment_id)
+            supplier = self._decide_lookup(segment_id)
+            if supplier is not None:
+                pulls.append((supplier, segment_id))
+        self._request(pulls, "prefetch", prefetch=True)
 
     # ------------------------------------------------------------ the period loop
     #: Fraction of a period after which scheduling runs, leaving link
@@ -831,6 +832,7 @@ class LivePeer:
         spr = node.playback.segments_per_round(self.config.scheduling_period)
         lo = node.playback.play_id
         hi = min(lo + 2 * spr - 1, self.known_newest)
+        pulls = []
         for sid in range(lo, hi + 1):
             if sid in node.buffer or sid in self._requested:
                 continue
@@ -838,7 +840,8 @@ class LivePeer:
             if best is None:
                 continue
             self._requested.add(sid)
-            self._traced_request(best, sid, "rescue")
+            pulls.append((best, sid))
+        self._request(pulls, "rescue")
 
     def _newest_or_none(self) -> Optional[int]:
         return self.known_newest if self.known_newest >= 0 else None
@@ -904,26 +907,29 @@ class LivePeer:
         requests = node.plan_requests(
             maps, self.known_newest, self.config.scheduling_window
         )
+        pulls = []
         for request in requests:
             self._delivered.setdefault(request.supplier_id, 0)
             self._requested.add(request.segment_id)
-            self._traced_request(request.supplier_id, request.segment_id, "schedule")
+            pulls.append((request.supplier_id, request.segment_id))
+        self._request(pulls, "schedule")
 
-    def _traced_request(
-        self, dst: int, sid: int, cause: str, prefetch: bool = False
+    def _request(
+        self, pulls: Sequence[Tuple[int, int]], cause: str, prefetch: bool = False
     ) -> None:
-        """Originate one segment request, sampling it into the trace plane.
+        """Originate ``(supplier, segment id)`` pulls, sampling each into
+        the trace plane, and send them (:meth:`_send_pulls`).
 
-        A sampled request opens a journey: the trace id rides the frame
-        (and the supplier's reply), the requester tracks the journey's
-        state, and the period boundary resolves it to play/miss with a
-        cause (:meth:`_settle_traces`).  Sampling is counter-based — no
-        RNG draw — so traced runs stay deterministic on the virtual clock.
+        A sampled pull opens a journey: the trace id rides the frame (and
+        the supplier's reply), the requester tracks the journey's state,
+        and the period boundary resolves it to play/miss with a cause
+        (:meth:`_settle_traces`).  Sampling is counter-based — no RNG
+        draw — so traced runs stay deterministic on the virtual clock.
         """
-        tid = 0
         obs = self.obs
-        if obs.tracing:
-            tid = obs.sample_trace(self.peer_id)
+        traced = []
+        for dst, sid in pulls:
+            tid = obs.sample_trace(self.peer_id) if obs.tracing else 0
             if tid:
                 node = self.node
                 deadline = (
@@ -939,12 +945,26 @@ class LivePeer:
                     "request", tid, self.peer_id, sid,
                     dst=dst, cause=cause, deadline=deadline,
                 )
-        self._send(
-            dst,
-            wire.SegmentRequest(
-                sender=self.peer_id, segment_id=sid, prefetch=prefetch, trace_id=tid
-            ),
-        )
+            traced.append((dst, sid, tid))
+        self._send_pulls(traced, prefetch)
+
+    def _send_pulls(
+        self, pulls: Sequence[Tuple[int, int, int]], prefetch: bool = False
+    ) -> None:
+        """Send ``(supplier, segment id, trace id)`` pulls as one
+        :class:`~repro.runtime.wire.SegmentRequest` per supplier, suppliers
+        in first-occurrence order and each supplier's segments in order.
+
+        The link delivers a sender's frames to one receiver in the order
+        they were sent, so the supplier handles the same pulls in the
+        same order as when each travelled alone.
+        """
+        by_supplier: Dict[int, List[Tuple[int, int]]] = {}
+        for dst, sid, tid in pulls:
+            by_supplier.setdefault(dst, []).append((sid, tid))
+        for dst, group in by_supplier.items():
+            (sid, tid), *more = group
+            self._send(dst, wire.SegmentRequest(self.peer_id, sid, prefetch, tid, tuple(more)))
 
 
 #: Inbox dispatch table, keyed by decoded message type.  PONG is

@@ -208,20 +208,35 @@ class BufferMapDelta:
 
 @dataclass(slots=True)
 class SegmentRequest:
-    """Pull request for one segment (``prefetch`` = on-demand path).
+    """Pull request for one or more segments from one supplier
+    (``prefetch`` = on-demand path).
+
+    ``segment_id`` is the first segment pulled; ``more`` holds the
+    further ``(segment_id, trace_id)`` pairs, in the order the supplier
+    must handle them (the live peer sends everything one pass pulls from
+    one supplier in one frame); :meth:`pulls` lists them all.  On the wire a
+    non-empty ``more`` sets flag bit 2 and follows the header as a u16
+    count plus the further ids at the frame's width; a one-segment
+    request encodes exactly as before lists existed.
 
     ``trace_id`` is the observability plane's sampled journey id
-    (:mod:`repro.obs`): when non-zero it rides the frame as an 8-byte
-    tail behind flag bit 1 and is echoed by the supplier's
-    :class:`SegmentData`/:class:`SegmentNack` reply.  A zero trace id
-    encodes byte-identically to a pre-obs frame, and the tail is
-    physical-only — :func:`ledger_entry` never charges it.
+    (:mod:`repro.obs`) of the first segment.  When any pulled segment
+    is traced, the frame carries one u64 trace id per segment behind
+    flag bit 1, echoed by the supplier's :class:`SegmentData` /
+    :class:`SegmentNack` replies.  An untraced request encodes
+    byte-identically to a pre-obs frame, and the tail is physical-only —
+    :func:`ledger_entry` never charges it.
     """
 
     sender: int
     segment_id: int
     prefetch: bool = False
     trace_id: int = 0
+    more: Tuple[Tuple[int, int], ...] = ()
+
+    def pulls(self) -> Tuple[Tuple[int, int], ...]:
+        """Every ``(segment_id, trace_id)`` this frame pulls, in order."""
+        return ((self.segment_id, self.trace_id),) + self.more
 
 
 @dataclass(slots=True)
@@ -237,17 +252,25 @@ class SegmentData:
 
 @dataclass(slots=True)
 class SegmentNack:
-    """Refusal of a :class:`SegmentRequest` (uplink saturated or no data).
+    """Refusal of the segments of one :class:`SegmentRequest` that the
+    supplier could not serve (uplink saturated or no data).
 
-    Lets the requester retry with a fallback supplier inside the same
-    period — the wire analogue of the simulator's within-round rerouting
-    when the chosen uplink's per-period budget is spent.
+    Lets the requester retry each with a fallback supplier inside the
+    same period — the wire analogue of the simulator's within-round
+    rerouting when the chosen uplink's per-period budget is spent.  The
+    refused ``(segment_id, trace_id)`` pairs are :meth:`pulls`, in the
+    request's order, with the frame layout of :class:`SegmentRequest`.
     """
 
     sender: int
     segment_id: int
     prefetch: bool = False
     trace_id: int = 0
+    more: Tuple[Tuple[int, int], ...] = ()
+
+    def pulls(self) -> Tuple[Tuple[int, int], ...]:
+        """Every ``(segment_id, trace_id)`` this frame refuses, in order."""
+        return ((self.segment_id, self.trace_id),) + self.more
 
 
 @dataclass(slots=True)
@@ -465,11 +488,15 @@ _RESP_FRAME, _RESP_BODY = _layouts("IIIIBfH", "HHHHBfH")
 _PROBE_FRAME, _PROBE_BODY = _layouts("II", "HH")  # sender, nonce
 _HANDOVER_FRAME, _HANDOVER_BODY = _layouts("IIH", "HHH")  # sender, segment_bits, count
 _CREDIT_FRAME, _CREDIT_BODY = _layouts("IH", "HH")  # sender, credits
-#: Optional 8-byte trace-id tail on segment request/data/nack frames
-#: (flag bit 1).  Physical-only: absent when the trace id is zero, never
-#: ledger-charged (:mod:`repro.obs` segment-journey tracing).
+#: Optional trace-id tail on segment request/data/nack frames (flag bit
+#: 1): one u64 per segment the frame carries.  Physical-only: absent when
+#: no trace id is set, never ledger-charged (:mod:`repro.obs`
+#: segment-journey tracing).
 _TRACE_TAIL = struct.Struct(">Q")
 _TRACED_FLAG = 0x2
+#: Flag bit 2 of a request/nack frame: a u16 count and the further
+#: segment ids (at the frame's width) follow the header.
+_LIST_FLAG = 0x4
 _HELLO_FRAME = struct.Struct(">IBHHII")
 _HELLO_BODY = struct.Struct(">HHII")
 _ROUTE_FRAME = struct.Struct(">IBBII")  # len, kind, flags, src, dst
@@ -486,8 +513,14 @@ _RF_SRC_ELIDED = 0x02
 
 @lru_cache(maxsize=512)
 def _ids_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}I`` Struct (wide paths and handover id lists)."""
+    """Cached ``>{count}I`` Struct (wide paths, handover and pull id lists)."""
     return struct.Struct(f">{count}I")
+
+
+@lru_cache(maxsize=64)
+def _traces_struct(count: int) -> struct.Struct:
+    """Cached ``>{count}Q`` Struct (the trace tail of a pull list)."""
+    return struct.Struct(f">{count}Q")
 
 
 @lru_cache(maxsize=512)
@@ -496,7 +529,7 @@ def _u16s_struct(count: int) -> struct.Struct:
     return struct.Struct(f">{count}H")
 
 
-#: The per-count Struct of a path / handover id list, by width.
+#: The per-count Struct of a path / handover / pull id list, by width.
 _IDS = (_ids_struct, _u16s_struct)
 
 
@@ -569,15 +602,24 @@ def _delta_encoder(narrow: int) -> Callable[[BufferMapDelta], bytes]:
 def _pull_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
     """Encoder of a request-shaped frame (``SegmentRequest`` / ``SegmentNack``)."""
     pack, fixed, kind = _packer(_PULL_FRAME, kind, narrow)
+    ids_struct = _IDS[narrow]
 
     def encode_pull(msg: Union[SegmentRequest, SegmentNack]) -> bytes:
-        if not msg.trace_id:
+        more = msg.more
+        if not (more or msg.trace_id):
             return pack(fixed, kind, msg.sender, msg.segment_id, 1 if msg.prefetch else 0)
-        head = pack(
-            fixed + _TRACE_TAIL.size, kind, msg.sender, msg.segment_id,
-            (1 if msg.prefetch else 0) | _TRACED_FLAG,
-        )
-        return head + _TRACE_TAIL.pack(msg.trace_id)
+        flags = 1 if msg.prefetch else 0
+        tail = b""
+        traces = (msg.trace_id,)
+        if more:
+            ids, more_traces = zip(*more)
+            flags |= _LIST_FLAG
+            tail = _U16.pack(len(ids)) + ids_struct(len(ids)).pack(*ids)
+            traces += more_traces
+        if any(traces):
+            flags |= _TRACED_FLAG
+            tail += _traces_struct(len(traces)).pack(*traces)
+        return pack(fixed + len(tail), kind, msg.sender, msg.segment_id, flags) + tail
 
     return encode_pull
 
@@ -925,14 +967,38 @@ def _trace_tail(
 def _pull_decoder(
     cls: type, what: str, narrow: int
 ) -> Callable[[memoryview, int, int], WireMessage]:
-    unpack, size = _unpacker(_PULL_BODY, narrow)
+    (unpack, size), ids_struct = _unpacker(_PULL_BODY, narrow), _IDS[narrow]
+    id_size = ids_struct(1).size
 
     def decode_pull(view: memoryview, start: int, end: int) -> WireMessage:
         if end - start < size:
             raise WireError(f"{what} body size mismatch")
         sender, segment_id, flags = unpack(view, start)
-        trace_id = _trace_tail(view, start, end, size, flags, what)
-        return cls(sender, segment_id, bool(flags & 1), trace_id)
+        if not flags & (_TRACED_FLAG | _LIST_FLAG):  # one untraced segment: most pulls
+            if end - start != size:
+                raise WireError(f"{what} body size mismatch")
+            return cls(sender, segment_id, bool(flags & 1))
+        if not flags & _LIST_FLAG:
+            trace_id = _trace_tail(view, start, end, size, flags, what)
+            return cls(sender, segment_id, bool(flags & 1), trace_id)
+        pos = start + size + 2
+        if end < pos:
+            raise WireError(f"{what} id list truncated")
+        (count,) = _U16.unpack_from(view, pos - 2)
+        if count < 1:
+            raise WireError(f"{what} id list must hold at least one further id")
+        tail = _TRACE_TAIL.size * (count + 1) if flags & _TRACED_FLAG else 0
+        if end - pos != count * id_size + tail:
+            raise WireError(f"{what} body size mismatch")
+        more_ids = ids_struct(count).unpack_from(view, pos)
+        trace_ids = (
+            _traces_struct(count + 1).unpack_from(view, pos + count * id_size)
+            if tail
+            else (0,) * (count + 1)
+        )
+        return cls(
+            sender, segment_id, bool(flags & 1), trace_ids[0], tuple(zip(more_ids, trace_ids[1:]))
+        )
 
     return decode_pull
 
@@ -1296,8 +1362,8 @@ def ledger_entry(msg: WireMessage) -> Optional[Tuple[MessageKind, float]]:
     transport frames (shard handshakes and routed-frame envelopes) are
     likewise uncharged, and so is a :class:`FrameBatch` envelope: the
     *inner* frames were each charged once, at their originating peer,
-    exactly as on the loopback transport.  An 8-byte observability trace
-    tail (:mod:`repro.obs`) on a segment frame is physical-only too: a
+    exactly as on the loopback transport.  The observability trace tail
+    (:mod:`repro.obs`) of a segment frame is physical-only too: a
     traced :class:`SegmentData` still charges its declared ``size_bits``,
     and a :class:`TelemetryFrame` — pure observability, no protocol
     effect — is never charged at all.

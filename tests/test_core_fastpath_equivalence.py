@@ -1362,14 +1362,19 @@ def _runtime_spec(scenario: str, nodes: int, loss_rate: Optional[float]):
     return spec
 
 
-#: The counters that measure frame *length* rather than what was sent.  A
-#: codec change moves these and nothing else, so they are pinned as plain
-#: integers beside the decision hashes, which leave them out.
-def byte_counters(result) -> dict:
+#: The counters that measure framing — how many frames and how long —
+#: rather than what was decided.  A codec change, or packing the same
+#: messages into fewer frames, moves these and nothing else, so they are
+#: pinned as plain integers beside the decision hashes, which leave them
+#: out.  The inbox watermark counts queued frames, so it is framing too.
+def framing_counters(result) -> dict:
     return {
         "bytes_on_wire": result.bytes_on_wire,
         "gossip_bytes": result.transport.gossip_bytes,
         "gossip_bytes_full": result.transport.gossip_bytes_full,
+        "messages_sent": result.messages_sent,
+        "messages_dropped": result.messages_dropped,
+        "inbox_high_watermark": result.transport.inbox_high_watermark,
     }
 
 
@@ -1390,7 +1395,6 @@ def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -
                 str(peer): _ledger(ledger)
                 for peer, ledger in sorted(result.per_peer_ledgers.items())
             },
-            "messages_sent": result.messages_sent,
         }
     )
 
@@ -1398,16 +1402,13 @@ def runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -
 #: Transport-level facts pinned beside the fingerprints: a reordering of
 #: deliveries that leaves the continuity series alone still moves these.
 TRANSPORT_FACTS = (
-    "credits_granted", "inbox_high_watermark", "send_stalls", "map_desyncs", "link_resets",
+    "credits_granted", "send_stalls", "map_desyncs", "link_resets",
 )
 
 
 def runtime_transport_facts(scenario: str, nodes: int, loss_rate: Optional[float]) -> dict:
     result = _runtime_result(scenario, nodes, loss_rate)
-    return {
-        "messages_dropped": result.messages_dropped,
-        **{name: getattr(result.transport, name) for name in TRANSPORT_FACTS},
-    }
+    return {name: getattr(result.transport, name) for name in TRANSPORT_FACTS}
 
 
 def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[float]) -> str:
@@ -1420,12 +1421,10 @@ def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[fl
         for span in result.obs["spans"]
     ]
     transport = result.transport.to_dict()
-    del transport["gossip_bytes"], transport["gossip_bytes_full"]
+    del transport["gossip_bytes"], transport["gossip_bytes_full"], transport["inbox_high_watermark"]
     return _digest(
         {
             "continuity": [repr(c) for c in result.continuity_series()],
-            "messages_sent": result.messages_sent,
-            "messages_dropped": result.messages_dropped,
             "transport": transport,
             "spans": spans,
         }
@@ -1434,7 +1433,7 @@ def traced_runtime_fingerprint(scenario: str, nodes: int, loss_rate: Optional[fl
 
 class TestGoldenFingerprints:
     """Continuity series, per-round scheduled/prefetched counts, ledger bits
-    and counts by kind and ``messages_sent`` — hashed.
+    and counts by kind — hashed; the runtime's framing counters beside them.
 
     Captured with numpy 2.4 / CPython 3.11 at commit ``ea4537c``.  A mismatch
     means the protocol took a different decision somewhere; it is a behaviour
@@ -1468,8 +1467,13 @@ class TestGoldenFingerprints:
 
     # The runtime pins are split in two (at commit ``33d0d37``, before any
     # codec edit): a hash over every decision — continuity, ledgers,
-    # messages, transport facts, spans — and the byte counters as plain
-    # integers.  A frame-format change may edit only the integers.
+    # transport facts, spans — and the framing counters as plain integers.
+    # A frame-format change may edit only the integers.  ``messages_sent``,
+    # ``messages_dropped`` and the inbox watermark count frames, so they
+    # moved from the hashes to the integers (a behaviour-free re-pin, made
+    # on the unchanged tree) before pull frames began carrying id lists.
+    # Packing each pass's pulls to one supplier into one frame then moved
+    # only those integers.
     #
     # The five paper-dynamic + loss 0.02 pins were re-pinned once when the
     # live peer adopted the simulator's supplier rule (``Lookup.supplier``:
@@ -1489,35 +1493,39 @@ class TestGoldenFingerprints:
     # pins did not move.
     def test_runtime_static_50x20(self):
         assert runtime_fingerprint("static", 50, None) == (
-            "674fb74cf0265f0ed55fa709699b42f6dc752efc4bae061cf6fe4c6875dfcb01"
+            "2f47643fa79e3b6aadfec3aecb82fd37aa7cc4c92d0bac057da583c6967f5bcb"
         )
 
     def test_runtime_static_50x20_bytes(self):
-        assert byte_counters(_runtime_result("static", 50, None)) == {
-            "bytes_on_wire": 597514,
+        assert framing_counters(_runtime_result("static", 50, None)) == {
+            "bytes_on_wire": 495905,
             "gossip_bytes": 181772,
             "gossip_bytes_full": 502740,
+            "messages_sent": 27559,
+            "messages_dropped": 0,
+            "inbox_high_watermark": 12,
         }
 
     def test_runtime_paper_dynamic_with_loss_40x20(self):
         assert runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "59b2bb9e95e11f448cd2b21c26e723ec0f5229de42fbc103d79cefb36779e5b3"
+            "9f1c4031f380363e6fcd81a34521d56fbe0fa9e1fe72c3d5b1e82304a613061d"
         )
 
     def test_runtime_paper_dynamic_with_loss_40x20_bytes(self):
-        assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
-            "bytes_on_wire": 582350,
+        assert framing_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
+            "bytes_on_wire": 502695,
             "gossip_bytes": 235836,
             "gossip_bytes_full": 503010,
+            "messages_sent": 25336,
+            "messages_dropped": 383,
+            "inbox_high_watermark": 17,
         }
 
     # The three below were captured at commit ``669309f`` (the parent of
     # the purpose-built virtual-clock loop), before any edit.
     def test_runtime_static_50x20_transport_facts(self):
         assert runtime_transport_facts("static", 50, None) == {
-            "messages_dropped": 0,
             "credits_granted": 2636,
-            "inbox_high_watermark": 22,
             "send_stalls": 0,
             "map_desyncs": 0,
             "link_resets": 0,
@@ -1525,9 +1533,7 @@ class TestGoldenFingerprints:
 
     def test_runtime_paper_dynamic_with_loss_40x20_transport_facts(self):
         assert runtime_transport_facts("paper-dynamic", 40, 0.02) == {
-            "messages_dropped": 423,
             "credits_granted": 2578,
-            "inbox_high_watermark": 27,
             "send_stalls": 0,
             "map_desyncs": 0,
             "link_resets": 167,
@@ -1535,12 +1541,15 @@ class TestGoldenFingerprints:
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20(self):
         assert traced_runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "5d7ca5a89da269db2a2354a174bac52808f7b21045eda45b1cd1d1498b46f9fa"
+            "f8b4be20cf0ca1fbd66eb6404640ee4a903ab30d416849277fa34a242709a53b"
         )
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):
-        assert byte_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
-            "bytes_on_wire": 633406,
+        assert framing_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
+            "bytes_on_wire": 614839,
             "gossip_bytes": 235836,
             "gossip_bytes_full": 503010,
+            "messages_sent": 25336,
+            "messages_dropped": 383,
+            "inbox_high_watermark": 17,
         }

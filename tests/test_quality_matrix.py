@@ -29,6 +29,14 @@ def test_toy_matrix_has_mean_worst_and_delta_per_row():
             assert stats["worst"] == min(stats["by_seed"])
         expected = entry["continustreaming"]["mean"] - entry["coolstreaming"]["mean"]
         assert entry["delta"] == pytest.approx(expected)
+    for system in quality_matrix.SYSTEMS:
+        # Runtime rows record their wire counts per seed; the simulator sends none.
+        assert not set(quality_matrix.COUNTS) & set(result["cells"]["sim 20x8"][system])
+        stats = result["cells"]["runtime 20x8"][system]
+        for count in quality_matrix.COUNTS:
+            assert len(stats[count]["by_seed"]) == 2
+            assert all(value > 0 for value in stats[count]["by_seed"])
+            assert stats[count]["mean"] == pytest.approx(fmean(stats[count]["by_seed"]))
     lines = quality_matrix.render(result)
     assert sum("Δ continu - cool" in line for line in lines) == 2
 

@@ -9,7 +9,10 @@ fast path must preserve and the savings it must deliver:
   chain heals through the PING resync — a partner's PING is answered
   with the gossiped snapshot, or the live map before the first gossip;
 * a shed data *batch* refunds every inner frame's credit, and a shed
-  control batch still applies the one-shot frames inside it.
+  control batch still applies the one-shot frames inside it;
+* a pass sends one pull frame per supplier, a supplier serves a pull
+  list in order and refuses the rest in one NACK, and a NACK list is
+  rerouted id by id.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import struct
 
 import pytest
 
+from repro.net.message import MessageKind
 from repro.runtime import peer as peer_module
 from repro.runtime import wire
 from repro.runtime.swarm import LiveSwarm
@@ -54,13 +58,17 @@ class TestPingResync:
     """A partner's PING is answered with a full map that anchors its chain."""
 
     def _peer_partner_outbox(self, monkeypatch):
+        """A built peer, one partner, and the ``(dst, frame)`` pairs the
+        peer puts on the wire."""
         swarm = LiveSwarm(
             builtin_scenario("static").scaled(num_nodes=10, rounds=2), clock="virtual"
         ).build()
         peer = next(p for p in swarm.peers.values() if not p.is_source and p.node.neighbors)
         partner = next(iter(peer.node.neighbors))
         sent = []
-        monkeypatch.setattr(peer, "_send", lambda dst, msg: sent.append((dst, msg)))
+        monkeypatch.setattr(
+            swarm, "deliver", lambda src, dst, frame, data=False: sent.append((dst, frame))
+        )
         return peer, partner, sent
 
     def test_before_first_gossip_the_reply_is_the_live_map(self, monkeypatch):
@@ -71,9 +79,10 @@ class TestPingResync:
             peer.peer_id, peer.known_newest, peer.node.buffer_map()
         )
         assert sent == [
-            (partner, wire.Pong(sender=peer.peer_id, nonce=7)),
-            (partner, expected),
+            (partner, wire.encode(wire.Pong(sender=peer.peer_id, nonce=7))),
+            (partner, wire.encode(expected)),
         ]
+        assert peer.ledger.count_of(MessageKind.BUFFER_MAP) == 1
         # no gossiped snapshot yet, so no delta chain is anchored
         assert partner not in peer._map_synced
         stats = peer.transport_stats
@@ -86,8 +95,8 @@ class TestPingResync:
         peer._last_gossip = (4, snapshot)
         peer._on_ping(wire.Ping(sender=partner, nonce=1))
         (_, reply) = sent[-1]
-        assert reply == wire.BufferMapMsg.from_buffer_map(
-            peer.peer_id, peer.known_newest, snapshot, seq=4
+        assert reply == wire.encode(
+            wire.BufferMapMsg.from_buffer_map(peer.peer_id, peer.known_newest, snapshot, seq=4)
         )
         # the next periodic delta (seq 5) now applies at the partner
         assert peer._map_synced[partner] == 4
@@ -99,8 +108,102 @@ class TestPingResync:
             if pid != peer.peer_id and pid not in peer.node.neighbors
         )
         peer._on_ping(wire.Ping(sender=stranger, nonce=3))
-        assert sent == [(stranger, wire.Pong(sender=peer.peer_id, nonce=3))]
+        assert sent == [(stranger, wire.encode(wire.Pong(sender=peer.peer_id, nonce=3)))]
         assert peer.transport_stats.map_fulls_sent == 0
+
+
+class TestPullLists:
+    """One ``SegmentRequest`` per supplier per pass, one ``SegmentNack``
+    per refused request: the same pulls, in the same order, in fewer frames."""
+
+    def _peer(self, monkeypatch, partners=1):
+        """A built peer with ``partners`` partners and the ``(dst, message,
+        data)`` triples it puts on the wire."""
+        swarm = LiveSwarm(
+            builtin_scenario("static").scaled(num_nodes=10, rounds=2), clock="virtual"
+        ).build()
+        peer = next(
+            p for p in swarm.peers.values()
+            if not p.is_source and len(p.node.neighbors) >= partners
+        )
+        sent = []
+
+        def deliver(src, dst, frame, data=False):
+            assert src == peer.peer_id
+            sent.extend((dst, msg, data) for msg in wire.decode_frame(frame))
+
+        monkeypatch.setattr(swarm, "deliver", deliver)
+        return peer, sent
+
+    def test_supplier_ships_what_its_tokens_allow_then_refuses_the_rest_at_once(
+        self, monkeypatch
+    ):
+        supplier, sent = self._peer(monkeypatch)
+        requester = next(pid for pid in supplier.swarm.peers if pid != supplier.peer_id)
+        for sid in range(1, 6):
+            supplier.node.buffer.add(sid)
+        supplier.outbound_tokens = 2.0
+        supplier._on_segment_request(
+            wire.SegmentRequest(sender=requester, segment_id=1, trace_id=7,
+                                more=((2, 0), (3, 8), (4, 0), (5, 0)))
+        )
+        bits = supplier.config.segment_bits
+        assert sent == [
+            (requester, wire.SegmentData(supplier.peer_id, 1, bits, trace_id=7), True),
+            (requester, wire.SegmentData(supplier.peer_id, 2, bits), True),
+            (requester, wire.SegmentNack(supplier.peer_id, 3, trace_id=8,
+                                         more=((4, 0), (5, 0))), False),
+        ]
+        assert supplier.outbound_tokens == 0.0
+
+    def test_a_missing_segment_is_refused_while_later_ones_are_served(self, monkeypatch):
+        supplier, sent = self._peer(monkeypatch)
+        requester = next(pid for pid in supplier.swarm.peers if pid != supplier.peer_id)
+        supplier.node.buffer.add(2)
+        supplier._on_segment_request(
+            wire.SegmentRequest(sender=requester, segment_id=1, more=((2, 0), (3, 0)))
+        )
+        assert sent == [
+            (requester, wire.SegmentData(supplier.peer_id, 2, supplier.config.segment_bits), True),
+            (requester, wire.SegmentNack(supplier.peer_id, 1, more=((3, 0),)), False),
+        ]
+
+    def test_a_nack_list_reroutes_each_id_grouped_by_fallback(self, monkeypatch):
+        peer, sent = self._peer(monkeypatch, partners=3)
+        refuser, first, second = list(peer.node.neighbors)[:3]
+        peer.neighbor_maps = {
+            refuser: BufferMap(0, 16, bits=0b1110),  # segments 1, 2, 3
+            first: BufferMap(0, 16, bits=0b1010),  # 1, 3
+            second: BufferMap(0, 16, bits=0b0100),  # 2
+        }
+        peer._on_segment_nack(
+            wire.SegmentNack(sender=refuser, segment_id=1, more=((2, 0), (3, 5)))
+        )
+        assert sent == [
+            (first, wire.SegmentRequest(peer.peer_id, 1, more=((3, 5),)), False),
+            (second, wire.SegmentRequest(peer.peer_id, 2), False),
+        ]
+        assert peer._nack_tried == {1: {refuser}, 2: {refuser}, 3: {refuser}}
+
+    def test_a_scheduling_pass_sends_one_frame_per_supplier(self, monkeypatch):
+        peer, sent = self._peer(monkeypatch, partners=3)
+        node = peer.node
+        peer.neighbor_maps = {n: BufferMap(0, 60, bits=(1 << 40) - 1) for n in node.neighbors}
+        peer.known_newest = 39
+        plans = []
+        plan = node.plan_requests
+        monkeypatch.setattr(
+            node, "plan_requests", lambda *args: plans.append(plan(*args)) or plans[-1]
+        )
+        peer._schedule_requests()
+        by_supplier = {}
+        for request in plans[0]:
+            by_supplier.setdefault(request.supplier_id, []).append((request.segment_id, 0))
+        assert max(len(pulls) for pulls in by_supplier.values()) > 1
+        assert [(dst, msg.pulls()) for dst, msg, _ in sent] == [
+            (dst, tuple(pulls)) for dst, pulls in by_supplier.items()
+        ]
+        assert all(isinstance(msg, wire.SegmentRequest) for _, msg, _ in sent)
 
 
 class TestBatchShedding:

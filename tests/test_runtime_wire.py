@@ -39,6 +39,11 @@ def sample_messages():
             sender=1, segment_id=2, size_bits=30 * 1024, trace_id=2**64 - 1
         ),
         wire.SegmentNack(sender=9, segment_id=11, prefetch=True, trace_id=77),
+        # -- pull lists (one frame per supplier): narrow, wide, traced
+        wire.SegmentRequest(sender=2, segment_id=3, more=((4, 0), (9, 0))),
+        wire.SegmentRequest(sender=2, segment_id=3, prefetch=True, more=((2**32 - 1, 0),)),
+        wire.SegmentNack(sender=9, segment_id=11, more=((12, 5), (13, 0))),
+        wire.SegmentNack(sender=9, segment_id=11, trace_id=2**64 - 1, more=((12, 0),)),
         # -- DHT plane: empty-ish and long paths
         wire.DhtLookup(origin=5, target_key=1234, segment_id=77, path=(5,)),
         wire.DhtLookup(
@@ -223,6 +228,86 @@ class TestTraceTail:
         frame[flags_offset] |= 0x2
         with pytest.raises(wire.WireError):
             wire.decode(bytes(frame))
+
+
+def with_body(kind: int, body_hex: str) -> bytes:
+    """A frame of ``kind`` around a hand-written body."""
+    body = bytes.fromhex(body_hex)
+    return (1 + len(body)).to_bytes(4, "big") + bytes([kind]) + body
+
+
+#: Pull lists, built from the documented layout: header (sender, first
+#: segment, flags with bit 2 set), a u16 count of further ids, the ids at
+#: the frame's width, then — when any segment is traced (bit 1) — one u64
+#: trace id per segment.
+PULL_LIST_VECTORS = [
+    (wire.SegmentRequest(sender=7, segment_id=300, more=((301, 0), (305, 0))),
+     "0000000c82" "0007012c04" "0002" "012d0131"),
+    (wire.SegmentNack(sender=7, segment_id=300, more=((65536, 0),)),
+     "0000001009" "00000007" "0000012c" "04" "0001" "00010000"),
+    (wire.SegmentRequest(sender=7, segment_id=300, prefetch=True, more=((301, 5),)),
+     "0000001a82" "0007012c07" "0001" "012d" "0000000000000000" "0000000000000005"),
+    (wire.SegmentNack(sender=70000, segment_id=300, trace_id=9, more=((301, 0),)),
+     "0000002009" "00011170" "0000012c" "06" "0001" "0000012d"
+     "0000000000000009" "0000000000000000"),
+]
+
+#: Malformed narrow pull-list bodies: each must raise ``WireError``.
+BAD_PULL_BODIES = {
+    "flag without a count": "0007012c04",
+    "half a count": "0007012c0400",
+    "count of zero": "0007012c040000",
+    "fewer ids than the count": "0007012c040003012d0131",
+    "half an id": "0007012c040002012d01",
+    "trailing byte after the ids": "0007012c040002012d013100",
+    "trace tail one id short": "0007012c060001012d" + "00" * 8,
+    "trace tail one id long": "0007012c060001012d" + "00" * 24,
+    "trace tail missing": "0007012c060001012d",
+}
+
+
+class TestPullLists:
+    """Flag bit 2: one request or refusal frame lists every segment one
+    pass pulls from (or one supplier refuses to) one peer."""
+
+    @pytest.mark.parametrize(
+        "msg, hex_", PULL_LIST_VECTORS,
+        ids=[f"{type(m).__name__}-{h[8:10]}-{len(h) // 2}B" for m, h in PULL_LIST_VECTORS],
+    )
+    def test_encode_and_decode_match_the_vector(self, msg, hex_):
+        frame = bytes.fromhex(hex_)
+        assert wire.encode(msg) == frame
+        assert wire.decode(frame) == (msg, len(frame))
+
+    def test_a_list_is_never_charged(self):
+        more = ((4, 0), (5, 1))
+        assert wire.ledger_entry(wire.SegmentRequest(sender=1, segment_id=3, more=more)) is None
+        assert wire.ledger_entry(wire.SegmentNack(sender=1, segment_id=3, more=more)) is None
+
+    def test_too_many_ids_are_rejected_at_encode(self):
+        more = tuple((sid, 0) for sid in range(1, 2**16 + 1))
+        with pytest.raises(wire.WireError):
+            wire.encode(wire.SegmentRequest(sender=1, segment_id=0, more=more))
+
+    @pytest.mark.parametrize("kind", [0x82, 0x89], ids=["request", "nack"])
+    @pytest.mark.parametrize("body", list(BAD_PULL_BODIES.values()), ids=list(BAD_PULL_BODIES))
+    def test_malformed_list_body_is_rejected_alone_and_in_a_batch(self, kind, body):
+        bad = with_body(kind, body)
+        with pytest.raises(wire.WireError):
+            wire.decode(bad)
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(bad)
+        # Inside a batch: the whole envelope is refused, the good entry too.
+        batch = wire.encode(wire.FrameBatch(frames=(wire.encode(wire.Ping(sender=1)), bad)))
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(batch)
+
+    def test_malformed_wide_list_body_is_rejected(self):
+        good = "00000007" "0000012c" "04" "0002" "0000012d" "00000131"
+        assert wire.decode(with_body(0x02, good))[0].pulls() == ((300, 0), (301, 0), (305, 0))
+        for bad in (good[:-2], good + "00", good[:18] + "0003" + good[22:]):
+            with pytest.raises(wire.WireError):
+                wire.decode(with_body(0x02, bad))
 
 
 class TestTruncationAndCorruption:

@@ -39,6 +39,11 @@ newest_ids = st.one_of(
 #: 0 (untraced, the wire-identical fast path) or any u64 trace id.
 trace_ids = st.one_of(st.just(0), st.integers(0, 2**64 - 1))
 flags = st.booleans()
+#: A pull frame's further ``(segment_id, trace_id)`` pairs: a one-id frame
+#: or a list (flag bit 2).
+more_pulls = st.one_of(
+    st.just(()), st.lists(st.tuples(u32, trace_ids), min_size=1, max_size=12).map(tuple)
+)
 #: Empty and 7-hop paths (the longest greedy route) beside arbitrary ones.
 paths = st.one_of(
     st.just(()),
@@ -121,11 +126,11 @@ peer_messages = st.one_of(
     buffer_map_deltas(),
     st.builds(
         wire.SegmentRequest, sender=u32, segment_id=u32, prefetch=flags,
-        trace_id=trace_ids,
+        trace_id=trace_ids, more=more_pulls,
     ),
     st.builds(
         wire.SegmentNack, sender=u32, segment_id=u32, prefetch=flags,
-        trace_id=trace_ids,
+        trace_id=trace_ids, more=more_pulls,
     ),
     st.builds(
         wire.SegmentData, sender=u32, segment_id=u32, size_bits=u32, prefetch=flags,
@@ -191,8 +196,8 @@ wire_messages = st.one_of(
 NARROWED = {
     wire.BufferMapMsg: lambda m: (m.sender, m.newest_id + 1, m.head_id, m.seq),
     wire.BufferMapDelta: lambda m: (m.sender, m.seq, m.newest_id + 1, m.head_id),
-    wire.SegmentRequest: lambda m: (m.sender, m.segment_id),
-    wire.SegmentNack: lambda m: (m.sender, m.segment_id),
+    wire.SegmentRequest: lambda m: (m.sender, *[sid for sid, _ in m.pulls()]),
+    wire.SegmentNack: lambda m: (m.sender, *[sid for sid, _ in m.pulls()]),
     wire.SegmentData: lambda m: (m.sender, m.segment_id, m.size_bits),
     wire.DhtLookup: lambda m: (m.origin, m.target_key, m.segment_id, *m.path),
     wire.DhtResponse: lambda m: (m.responder, m.origin, m.target_key, m.segment_id, *m.path),
@@ -201,9 +206,9 @@ NARROWED = {
     wire.Handover: lambda m: (m.sender, m.segment_bits, *m.segment_ids),
     wire.CreditGrant: lambda m: (m.sender,),
 }
-#: Kinds whose body length does not depend on the message's values.
-FIXED_SIZE = (wire.SegmentRequest, wire.SegmentNack, wire.SegmentData, wire.Ping,
-              wire.Pong, wire.CreditGrant)
+#: Kinds whose body length does not depend on the message's values (a
+#: request or nack may carry an id list, so its length depends on flags).
+FIXED_SIZE = (wire.SegmentData, wire.Ping, wire.Pong, wire.CreditGrant)
 
 
 def wide_frame(msg) -> bytes:
@@ -272,6 +277,41 @@ class TestWidthProperty:
         if leading is not None:
             elided = len(frame) == 4 + 6 + len(payload)
             assert elided == (src == leading)
+
+
+class TestPullListWidth:
+    """A pull list ships at the width of its widest id."""
+
+    @given(
+        cls=st.sampled_from((wire.SegmentRequest, wire.SegmentNack)),
+        sender=u16,
+        pulls=st.lists(st.tuples(u16, trace_ids), min_size=1, max_size=12),
+        wide_id=st.integers(2**16, 2**32 - 1),
+        prefetch=flags,
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_id_past_16_bits_forces_the_wide_layout(
+        self, cls, sender, pulls, wide_id, prefetch, data
+    ):
+        def frame_of(pulls):
+            (first, trace_id), *more = pulls
+            msg = cls(sender, first, prefetch, trace_id, tuple(more))
+            return msg, wire.encode(msg)
+
+        narrow_msg, narrow = frame_of(pulls)
+        assert narrow[4] & wire.NARROW
+        traced = any(trace_id for _, trace_id in pulls)
+        k = len(pulls)
+        assert len(narrow) == 10 + (2 * k if k > 1 else 0) + (8 * k if traced else 0)
+        assert wire.decode(narrow) == (narrow_msg, len(narrow))
+        at = data.draw(st.integers(0, k), label="position of the wide id")
+        pulls.insert(at, (wide_id, 0))
+        msg, frame = frame_of(pulls)
+        assert not frame[4] & wire.NARROW
+        assert frame == wide_frame(msg)
+        assert wire.decode(frame) == (msg, len(frame))
+        assert msg.pulls() == tuple(pulls)
 
 
 class TestRoundTripProperty:
