@@ -336,8 +336,9 @@ class SocketLink:
         self._wakeup.set()
 
     #: Headroom a batch chunk leaves under :data:`wire.MAX_FRAME_PAYLOAD`
-    #: for the RoutedFrame envelope that will wrap it (flags + ids).
-    _ENVELOPE_HEADROOM = 64
+    #: for the RoutedFrame envelope that will wrap it: the codec's own
+    #: worst-case envelope header (kind, flags, ids, the chunk's prefix).
+    _ENVELOPE_HEADROOM = wire.ROUTE_HEADROOM
 
     def _drain_envelopes(self) -> List[bytes]:
         """Drain the queue into encoded RoutedFrame envelopes.

@@ -4,9 +4,14 @@ Every message the simulated protocol vocabulary knows — buffer-map
 exchanges, segment transfers, DHT routing/lookup traffic, membership
 PING/PONG and the graceful-leave backup handover — has a binary frame:
 
-``[u32 length][u8 kind][body]``
+``[varint length][u8 kind][body]``
 
-with the 4-byte big-endian ``length`` covering the kind byte and the body.
+with ``length`` covering the kind byte and the body.  Every length and
+every count on the wire is a minimal unsigned LEB128 *varint* — seven bits
+per byte, low bits first, bit 7 set on every byte but the last — of at most
+:data:`MAX_PREFIX` bytes: a frame prefix is one byte below 128, two below
+16 384.  A varint with a superfluous zero byte, or longer than three bytes,
+is a :class:`WireError`, so every message has exactly one encoding.
 A peer message whose integers all fit 16 bits ships *narrow*: bit 7 of
 the kind byte (:data:`NARROW`) set, ids and segment numbers in 16 bits
 (see *encoding* below).  Peers exchange these frames over in-process
@@ -29,10 +34,11 @@ frames into one length-prefixed write without being charged itself, and
 :class:`BufferMapDelta` ships a buffer map as changed-bit runs against the
 sender's previous snapshot while the ledger still charges the full
 ``capacity + 20`` bits — physical bytes shrink, paper accounting does not
-move.  Encoding packs each frame's length prefix, kind byte and fixed
-header with one precompiled :class:`struct.Struct`; decoding operates on
-``memoryview`` slices of the receive buffer so steady-state decode performs
-no intermediate payload copies.
+move.  Encoding packs a short frame's one-byte length prefix, kind byte and
+fixed header with one precompiled :class:`struct.Struct`; decoding operates
+on ``memoryview`` slices of the receive buffer so steady-state decode
+performs no intermediate payload copies.  Every reader of the layout finds
+the kind byte through one helper, :func:`prologue`.
 
 Segment payloads are synthetic (the reproduction never ships real media),
 so a :class:`SegmentData` frame carries the declared payload size instead
@@ -62,13 +68,11 @@ from repro.streaming.buffermap import BufferMap, buffer_map_bits
 #: batches are split by :func:`encode_batch` to stay under it.
 MAX_FRAME_PAYLOAD = 1 << 16
 
-#: Struct of the frame header: payload length (kind byte + body).
-_LEN = struct.Struct(">I")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
+#: Longest varint on the wire (a length prefix, a count, a delta run):
+#: three bytes spell up to ``2**21 - 1``, past :data:`MAX_FRAME_PAYLOAD`.
+MAX_PREFIX = 3
 
-_U32_MAX = 0xFFFF_FFFF
-_U16_MAX = 0xFFFF
+_U32 = struct.Struct(">I")
 
 
 class WireError(ValueError):
@@ -159,6 +163,11 @@ class BufferMapDelta:
     Bits of the base map that scrolled out of the new ``[head_id,
     head_id + capacity)`` window are dropped implicitly on both sides —
     runs never reference them.
+
+    On the wire the runs follow the header as a varint run count and one
+    varint pair per run: the gap since the previous run's end (since
+    offset 0 for the first run) and the length.  Most runs are one bit
+    long and close to the previous one, so a run usually costs two bytes.
     """
 
     sender: int
@@ -215,7 +224,7 @@ class SegmentRequest:
     further ``(segment_id, trace_id)`` pairs, in the order the supplier
     must handle them (the live peer sends everything one pass pulls from
     one supplier in one frame); :meth:`pulls` lists them all.  On the wire a
-    non-empty ``more`` sets flag bit 2 and follows the header as a u16
+    non-empty ``more`` sets flag bit 2 and follows the header as a varint
     count plus the further ids at the frame's width; a one-segment
     request encodes exactly as before lists existed.
 
@@ -371,9 +380,11 @@ class RoutedFrame:
     On the wire, ``src`` is elided whenever the inner frame's first body
     field already spells it (every peer frame leads with its sender id
     except forwarded DHT hops) — the codec detects the match at encode
-    time, sets a flag bit and re-reads the id from the payload on decode,
-    at the width the inner kind byte declares (16 bits for a narrow inner
-    frame), saving four bytes on the vast majority of routed traffic.
+    time, sets a flag bit and re-reads the id from the payload on decode:
+    after the payload's own length prefix and kind byte (found by
+    :func:`prologue`), at the width the inner kind byte declares (16 bits
+    for a narrow inner frame), saving four bytes on the vast majority of
+    routed traffic.
     """
 
     src: int
@@ -386,10 +397,13 @@ class RoutedFrame:
 class FrameBatch:
     """Several complete frames coalesced into one physical frame.
 
-    ``frames`` holds fully encoded frames (length prefix included); on the
-    wire each entry is re-framed with a two-byte length, so a batch of *n*
-    frames costs ``7 + sum(len(frame) - 2)`` bytes — cheaper than the loose
-    frames from the second entry on.  Batches must not nest (encode and
+    ``frames`` holds fully encoded frames (length prefix included), and the
+    wire carries them verbatim: ``[varint length][BATCH][varint count]``
+    followed by the entries, each behind its own varint prefix — one
+    framing rule for loose and batched frames.  A batch costs its entries
+    plus a three-byte head (prefix, kind, count) while it stays under 128
+    bytes, a byte more per further varint byte: it saves deliveries, not
+    bytes.  Batches must not nest (encode and
     decode both reject an inner ``BATCH`` kind), and the envelope itself is
     never ledger-charged: inner frames were charged at their origin,
     exactly like :class:`RoutedFrame` payloads.
@@ -451,11 +465,14 @@ WireMessage = Union[
 
 # ====================================================================== encoding
 #
-# One precompiled Struct per kind and width packs the length prefix, kind
-# byte and fixed header in a single call; out-of-range fields surface as
-# ``struct.error``, which :func:`encode` re-raises as :class:`WireError`
-# (one translation for every kind).  Variable tails (bitmaps, paths, batch
-# entries) are appended with cached per-count Structs (:data:`_IDS`).
+# One precompiled Struct per kind and width packs a one-byte length
+# prefix, the kind byte and the fixed header in a single call; out-of-range
+# fields surface as ``struct.error``, which :func:`encode` re-raises as
+# :class:`WireError` (one translation for every kind).  Variable tails
+# (bitmaps, paths, run lists, batch entries) are appended with cached
+# per-count Structs (:data:`_IDS`) behind a varint count.  A frame whose
+# payload reaches 128 bytes is packed the same way and re-prefixed
+# (:func:`_long_frame`); no fixed-size frame ever does.
 #
 # Every peer message has two widths: the *narrow* layout spells ids,
 # segment numbers, ``seq``, ``newest_id``/``head_id``, sizes and id lists in
@@ -464,29 +481,63 @@ WireMessage = Union[
 # ``struct.error``, so a frame is narrow exactly when every integer fits.
 # Each coder is built per width by a factory over ``narrow`` (0 or 1).  A
 # narrow ``newest_id`` rides as ``newest_id + 1`` so the fresh-stream -1
-# fits.  No decision reads a frame's length: the width moves byte counts.
+# fits.  Widths and varints move byte counts only; the one choice that
+# reads a frame's length is the live peer's delta-or-full gossip, whose
+# receiver rebuilds the same map either way.
 
 #: Kind-byte bit of a narrow frame (every :class:`WireKind` is below it).
 NARROW = 0x80
-_BATCH_BYTE = bytes([WireKind.BATCH])
+#: The batch kind as a plain int and as bytes (an enum member costs an
+#: attribute lookup per comparison on the hot paths).
+_BATCH = int(WireKind.BATCH)
+_BATCH_BYTE = bytes([_BATCH])
+
+
+def _varint(value: int) -> bytes:
+    """The minimal varint of ``value`` (at most :data:`MAX_PREFIX` bytes)."""
+    if 0 <= value < 0x80:
+        return bytes((value,))
+    if not 0 <= value < 1 << (7 * MAX_PREFIX):
+        raise WireError(f"varint out of range: {value}")
+    if value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
+    return bytes((value & 0x7F | 0x80, value >> 7 & 0x7F | 0x80, value >> 14))
+
+
+def _long_frame(length: int, head: bytes, tail: bytes) -> bytes:
+    """A frame of payload ``length`` >= 128: ``head`` was packed behind a
+    one-byte placeholder prefix, which the real varint prefix replaces."""
+    if length > MAX_FRAME_PAYLOAD:
+        raise WireError(f"frame payload too large: {length}")
+    return b"".join((_varint(length), head[1:], tail))
+
+
+def _respell(head: bytes, length: int, count: int, tail: bytes) -> bytes:
+    """A frame whose ``head`` ends in a one-byte placeholder for ``count``
+    and whose ``length`` assumed it, once either outgrows one byte."""
+    count_varint = _varint(count)
+    return _long_frame(length + len(count_varint) - 1, head[:-1], count_varint + tail)
 
 
 def _layouts(wide: str, narrow: str) -> Tuple[tuple, tuple]:
     """A kind's frame Structs and body Structs, each pair indexed by
-    ``narrow``; a frame Struct leads with the length and kind byte."""
+    ``narrow``; a frame Struct leads with a one-byte length and the kind
+    byte."""
     bodies = (struct.Struct(">" + wide), struct.Struct(">" + narrow))
-    return tuple(struct.Struct(">IB" + body.format[1:]) for body in bodies), bodies
+    return tuple(struct.Struct(">BB" + body.format[1:]) for body in bodies), bodies
 
 
+# A header ending in a count packs the count's first varint byte: the
+# whole count below 128, a placeholder re-spelled by :func:`_respell` above.
 _BM_FRAME, _BM_BODY = _layouts("IiIHI", "HHHHH")  # sender, newest, head, cap, seq
-_MD_FRAME, _MD_BODY = _layouts("IIiIHH", "HHHHHH")  # sender, seq, newest, head, cap, runs
+_MD_FRAME, _MD_BODY = _layouts("IIiIH", "HHHHH")  # sender, seq, newest, head, cap
 _PULL_FRAME, _PULL_BODY = _layouts("IIB", "HHB")  # sender, segment, flags
 _DATA_FRAME, _DATA_BODY = _layouts("IIIB", "HHHB")  # sender, segment, size_bits, flags
-_LOOKUP_FRAME, _LOOKUP_BODY = _layouts("IIIH", "HHHH")  # origin, key, segment, path len
+_LOOKUP_FRAME, _LOOKUP_BODY = _layouts("IIIB", "HHHB")  # origin, key, segment, path len
 # responder, origin, key, segment, flags, rate, path len
-_RESP_FRAME, _RESP_BODY = _layouts("IIIIBfH", "HHHHBfH")
+_RESP_FRAME, _RESP_BODY = _layouts("IIIIBfB", "HHHHBfB")
 _PROBE_FRAME, _PROBE_BODY = _layouts("II", "HH")  # sender, nonce
-_HANDOVER_FRAME, _HANDOVER_BODY = _layouts("IIH", "HHH")  # sender, segment_bits, count
+_HANDOVER_FRAME, _HANDOVER_BODY = _layouts("IIB", "HHB")  # sender, segment_bits, count
 _CREDIT_FRAME, _CREDIT_BODY = _layouts("IH", "HH")  # sender, credits
 #: Optional trace-id tail on segment request/data/nack frames (flag bit
 #: 1): one u64 per segment the frame carries.  Physical-only: absent when
@@ -494,17 +545,21 @@ _CREDIT_FRAME, _CREDIT_BODY = _layouts("IH", "HH")  # sender, credits
 #: segment-journey tracing).
 _TRACE_TAIL = struct.Struct(">Q")
 _TRACED_FLAG = 0x2
-#: Flag bit 2 of a request/nack frame: a u16 count and the further
+#: Flag bit 2 of a request/nack frame: a varint count and the further
 #: segment ids (at the frame's width) follow the header.
 _LIST_FLAG = 0x4
-_HELLO_FRAME = struct.Struct(">IBHHII")
+_HELLO_FRAME = struct.Struct(">BBHHII")
 _HELLO_BODY = struct.Struct(">HHII")
-_ROUTE_FRAME = struct.Struct(">IBBII")  # len, kind, flags, src, dst
-_ROUTE_E_FRAME = struct.Struct(">IBBI")  # len, kind, flags, dst (src in payload)
+_ROUTE_FRAME = struct.Struct(">BBBII")  # len, kind, flags, src, dst
+_ROUTE_E_FRAME = struct.Struct(">BBBI")  # len, kind, flags, dst (src in payload)
 _ROUTE_IDS = struct.Struct(">II")
-_BATCH_FRAME = struct.Struct(">IBH")  # len, kind, count
-_TELEM_FRAME = struct.Struct(">IBHI")  # len, kind, shard, period
+_TELEM_FRAME = struct.Struct(">BBHI")  # len, kind, shard, period
 _TELEM_BODY = struct.Struct(">HI")
+
+#: How far under :data:`MAX_FRAME_PAYLOAD` a frame's payload must stay for
+#: a :class:`RoutedFrame` to carry the frame: the envelope's kind, flags
+#: and ids, plus the carried frame's own longest prefix.
+ROUTE_HEADROOM = _ROUTE_FRAME.size - 1 + MAX_PREFIX
 
 #: RoutedFrame flag bits.
 _RF_DATA = 0x01
@@ -525,7 +580,7 @@ def _traces_struct(count: int) -> struct.Struct:
 
 @lru_cache(maxsize=512)
 def _u16s_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}H`` Struct (delta run pairs, narrow id lists)."""
+    """Cached ``>{count}H`` Struct (narrow id lists)."""
     return struct.Struct(f">{count}H")
 
 
@@ -536,22 +591,30 @@ _IDS = (_ids_struct, _u16s_struct)
 def _packer(frames: tuple, kind: int, narrow: int) -> Tuple[Callable[..., bytes], int, int]:
     """What a per-width encoder closes over: its frame Struct's ``pack``,
     the fixed payload length (kind byte + header) and the kind byte."""
-    return frames[narrow].pack, frames[narrow].size - _LEN.size, kind | NARROW * narrow
+    return frames[narrow].pack, frames[narrow].size - 1, kind | NARROW * narrow
 
 
-def _check_runs(runs: Tuple[Tuple[int, int], ...], capacity: int) -> None:
-    """Runs must be ascending, disjoint, non-empty and inside the window."""
-    prev_end = 0
+def _run_varints(runs: Tuple[Tuple[int, int], ...], capacity: int) -> bytes:
+    """A delta's run list: the varint count, then (gap since the previous
+    run's end, length) per run.  Runs must be ascending, disjoint,
+    non-empty and inside the window."""
+    out = bytearray(_varint(len(runs)))
+    append = out.append
+    end = 0
     for start, length in runs:
-        if length < 1:
-            raise WireError("delta run length must be >= 1")
-        if start < prev_end:
-            raise WireError("delta runs must be ascending and disjoint")
-        prev_end = start + length
-    if prev_end > capacity:
-        raise WireError(
-            f"delta run ends at offset {prev_end}, past capacity {capacity}"
-        )
+        if start < end or length < 1:
+            raise WireError("delta runs must be non-empty, ascending and disjoint")
+        gap = start - end
+        if gap < 0x80 and length < 0x80:  # one byte each: most runs
+            append(gap)
+            append(length)
+        else:
+            out += _varint(gap)
+            out += _varint(length)
+        end = start + length
+    if end > capacity:
+        raise WireError(f"delta run ends at offset {end}, past capacity {capacity}")
+    return bytes(out)
 
 
 def _map_encoder(narrow: int) -> Callable[[BufferMapMsg], bytes]:
@@ -568,11 +631,12 @@ def _map_encoder(narrow: int) -> Callable[[BufferMapMsg], bytes]:
                 f"bitmap of capacity {msg.capacity} needs {nbytes} bytes, "
                 f"got {len(msg.bitmap)}"
             )
+        length = fixed + nbytes
         head = pack(
-            fixed + nbytes, kind, msg.sender, msg.newest_id + narrow, msg.head_id, msg.capacity,
+            length & 0x7F, kind, msg.sender, msg.newest_id + narrow, msg.head_id, msg.capacity,
             msg.seq,
         )
-        return head + msg.bitmap
+        return head + msg.bitmap if length < 0x80 else _long_frame(length, head, msg.bitmap)
 
     return encode_map
 
@@ -585,16 +649,13 @@ def _delta_encoder(narrow: int) -> Callable[[BufferMapDelta], bytes]:
             raise WireError(f"newest_id out of range: {msg.newest_id}")
         if msg.capacity < 1:
             raise WireError("capacity must be >= 1")
-        _check_runs(msg.runs, msg.capacity)
-        flat: List[int] = []
-        for start, length in msg.runs:
-            flat.append(start)
-            flat.append(length)
+        tail = _run_varints(msg.runs, msg.capacity)
+        length = fixed + len(tail)
         head = pack(
-            fixed + 4 * len(msg.runs), kind, msg.sender, msg.seq, msg.newest_id + narrow,
-            msg.head_id, msg.capacity, len(msg.runs),
+            length & 0x7F, kind, msg.sender, msg.seq, msg.newest_id + narrow, msg.head_id,
+            msg.capacity,
         )
-        return head + _u16s_struct(len(flat)).pack(*flat)
+        return head + tail if length < 0x80 else _long_frame(length, head, tail)
 
     return encode_delta
 
@@ -614,12 +675,14 @@ def _pull_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
         if more:
             ids, more_traces = zip(*more)
             flags |= _LIST_FLAG
-            tail = _U16.pack(len(ids)) + ids_struct(len(ids)).pack(*ids)
+            tail = _varint(len(ids)) + ids_struct(len(ids)).pack(*ids)
             traces += more_traces
         if any(traces):
             flags |= _TRACED_FLAG
             tail += _traces_struct(len(traces)).pack(*traces)
-        return pack(fixed + len(tail), kind, msg.sender, msg.segment_id, flags) + tail
+        length = fixed + len(tail)
+        head = pack(length & 0x7F, kind, msg.sender, msg.segment_id, flags)
+        return head + tail if length < 0x80 else _long_frame(length, head, tail)
 
     return encode_pull
 
@@ -648,10 +711,13 @@ def _lookup_encoder(narrow: int) -> Callable[[DhtLookup], bytes]:
     def encode_lookup(msg: DhtLookup) -> bytes:
         count = len(msg.path)
         ids = ids_struct(count)
+        length = fixed + ids.size
         head = pack(
-            fixed + ids.size, kind, msg.origin, msg.target_key, msg.segment_id, count
+            length & 0x7F, kind, msg.origin, msg.target_key, msg.segment_id, count & 0x7F
         )
-        return head + ids.pack(*msg.path)
+        if length < 0x80:
+            return head + ids.pack(*msg.path)
+        return _respell(head, length, count, ids.pack(*msg.path))
 
     return encode_lookup
 
@@ -663,11 +729,14 @@ def _response_encoder(narrow: int) -> Callable[[DhtResponse], bytes]:
     def encode_response(msg: DhtResponse) -> bytes:
         count = len(msg.path)
         ids = ids_struct(count)
+        length = fixed + ids.size
         head = pack(
-            fixed + ids.size, kind, msg.responder, msg.origin, msg.target_key, msg.segment_id,
-            1 if msg.has_data else 0, float(msg.rate), count,
+            length & 0x7F, kind, msg.responder, msg.origin, msg.target_key, msg.segment_id,
+            1 if msg.has_data else 0, float(msg.rate), count & 0x7F,
         )
-        return head + ids.pack(*msg.path)
+        if length < 0x80:
+            return head + ids.pack(*msg.path)
+        return _respell(head, length, count, ids.pack(*msg.path))
 
     return encode_response
 
@@ -688,8 +757,11 @@ def _handover_encoder(narrow: int) -> Callable[[Handover], bytes]:
     def encode_handover(msg: Handover) -> bytes:
         count = len(msg.segment_ids)
         ids = ids_struct(count)
-        head = pack(fixed + ids.size, kind, msg.sender, msg.segment_bits, count)
-        return head + ids.pack(*msg.segment_ids)
+        length = fixed + ids.size
+        head = pack(length & 0x7F, kind, msg.sender, msg.segment_bits, count & 0x7F)
+        if length < 0x80:
+            return head + ids.pack(*msg.segment_ids)
+        return _respell(head, length, count, ids.pack(*msg.segment_ids))
 
     return encode_handover
 
@@ -718,54 +790,59 @@ def _enc_hello(msg: ShardHello) -> bytes:
     )
 
 
-def _sender_span(payload: Union[bytes, memoryview]) -> Tuple[int, int]:
+def _sender_span(payload: Union[bytes, memoryview]) -> Optional[Tuple[int, int]]:
     """Where an inner frame's first body field sits: ``(offset, end)``
-    at the width its kind byte declares."""
-    return (5, 7) if len(payload) > 4 and payload[4] & NARROW else (5, 9)
+    behind its prologue, at the width its kind byte declares; ``None``
+    when ``payload`` does not start with a valid prefix or is too short."""
+    try:
+        kind_at = prologue(payload)[0]
+    except WireError:
+        return None
+    if len(payload) <= kind_at:
+        return None
+    stop = kind_at + (3 if payload[kind_at] & NARROW else 5)
+    return (kind_at + 1, stop) if len(payload) >= stop else None
 
 
 def _enc_route(msg: RoutedFrame) -> bytes:
     payload = msg.payload
     flags = _RF_DATA if msg.data else 0
-    first, stop = _sender_span(payload)
-    if len(payload) >= stop and int.from_bytes(payload[first:stop], "big") == msg.src:
+    span = _sender_span(payload)
+    if span is not None and int.from_bytes(payload[span[0]:span[1]], "big") == msg.src:
+        length = 6 + len(payload)
         head = _ROUTE_E_FRAME.pack(
-            6 + len(payload), WireKind.ROUTE, flags | _RF_SRC_ELIDED, msg.dst
+            length & 0x7F, WireKind.ROUTE, flags | _RF_SRC_ELIDED, msg.dst
         )
     else:
-        head = _ROUTE_FRAME.pack(
-            10 + len(payload), WireKind.ROUTE, flags, msg.src, msg.dst
-        )
-    return head + payload
+        length = 10 + len(payload)
+        head = _ROUTE_FRAME.pack(length & 0x7F, WireKind.ROUTE, flags, msg.src, msg.dst)
+    return head + payload if length < 0x80 else _long_frame(length, head, payload)
 
 
 def _pack_batch(frames: Sequence[bytes]) -> bytes:
-    """One BATCH frame around already-encoded ``frames`` (each validated)."""
+    """One BATCH frame around already-encoded ``frames`` (each validated),
+    which it carries verbatim."""
     if not frames:
         raise WireError("a frame batch must hold at least one frame")
-    length = 3  # kind byte counted by the prefix + u16 count
-    parts: List[bytes] = []
+    size = 0
     for frame in frames:
-        payload_len = len(frame) - _LEN.size
-        if payload_len < 1:
-            raise WireError("batch entry is not a complete frame")
-        if _LEN.unpack_from(frame, 0)[0] != payload_len:
+        first = frame[0] if frame else 0
+        kind_at, payload_len = (1, first) if 0 < first < 0x80 else prologue(frame)
+        if kind_at + payload_len != len(frame):
             raise WireError("batch entry length prefix mismatch")
-        if frame[4] == WireKind.BATCH:
+        if frame[kind_at] == _BATCH:
             raise WireError("frame batches must not nest")
-        if payload_len > _U16_MAX:
-            raise WireError(f"batch entry too large: {payload_len}")
-        # The entry's u16 length is the low half of the frame's own u32
-        # prefix (just checked equal, and <= 0xFFFF): one slice, no repack.
-        parts.append(frame[2:])
-        length += 2 + payload_len
-    try:
-        head = _BATCH_FRAME.pack(length, WireKind.BATCH, len(frames))
-    except struct.error as exc:
-        raise WireError(f"too many frames in one batch: {len(frames)}") from exc
-    if length > MAX_FRAME_PAYLOAD:
-        raise WireError(f"frame payload too large: {length}")
-    return head + b"".join(parts)
+        size += len(frame)
+    length = 2 + size  # the kind byte and a one-byte count
+    if length < 0x80:
+        head = bytes((length, _BATCH, len(frames)))
+    else:
+        count = _varint(len(frames))
+        length += len(count) - 1
+        if length > MAX_FRAME_PAYLOAD:
+            raise WireError(f"frame payload too large: {length}")
+        head = _varint(length) + _BATCH_BYTE + count
+    return b"".join((head, *frames))
 
 
 def _enc_batch(msg: FrameBatch) -> bytes:
@@ -773,13 +850,9 @@ def _enc_batch(msg: FrameBatch) -> bytes:
 
 
 def _enc_telemetry(msg: TelemetryFrame) -> bytes:
-    head = _TELEM_FRAME.pack(
-        1 + _TELEM_BODY.size + len(msg.payload),
-        WireKind.TELEMETRY,
-        msg.shard,
-        msg.period,
-    )
-    return head + msg.payload
+    length = 1 + _TELEM_BODY.size + len(msg.payload)
+    head = _TELEM_FRAME.pack(length & 0x7F, WireKind.TELEMETRY, msg.shard, msg.period)
+    return head + msg.payload if length < 0x80 else _long_frame(length, head, msg.payload)
 
 
 def _widths(factory: Callable[..., Callable], *args) -> Tuple[Callable, Callable]:
@@ -813,15 +886,17 @@ def encode(msg: WireMessage) -> bytes:
     if encoders is None:
         raise WireError(f"cannot encode {type(msg).__name__}")
     try:
-        frame = encoders[1](msg)
+        return encoders[1](msg)
     except struct.error:
         try:
-            frame = encoders[0](msg)
+            return encoders[0](msg)
         except struct.error as exc:
             raise WireError(f"{type(msg).__name__} field out of range: {exc}") from exc
-    if len(frame) - _LEN.size > MAX_FRAME_PAYLOAD:
-        raise WireError(f"frame payload too large: {len(frame) - _LEN.size}")
-    return frame
+
+
+#: A batch's payload beyond its entries, at most: the kind byte and the
+#: longest count varint.
+_BATCH_HEAD = 1 + MAX_PREFIX
 
 
 def encode_batch(
@@ -841,7 +916,7 @@ def encode_batch(
         return list(frames)
     out: List[bytes] = []
     group: List[bytes] = []
-    group_len = 3
+    group_len = _BATCH_HEAD
 
     def _flush() -> None:
         nonlocal group, group_len
@@ -850,32 +925,78 @@ def encode_batch(
         elif group:
             out.append(_pack_batch(group))
         group = []
-        group_len = 3
+        group_len = _BATCH_HEAD
 
     for frame in frames:
-        payload_len = len(frame) - _LEN.size
-        if payload_len > _U16_MAX or (len(frame) > 4 and frame[4] == WireKind.BATCH):
+        size = len(frame)
+        kind_at = 1 if frame[0] < 0x80 else prologue(frame)[0]  # an encoded frame
+        if size + _BATCH_HEAD > limit or frame[kind_at] == _BATCH:
             _flush()
             out.append(frame)
             continue
-        if group_len + 2 + payload_len > limit:
+        if group_len + size > limit:
             _flush()
         group.append(frame)
-        group_len += 2 + payload_len
+        group_len += size
     _flush()
     return out
 
 
+def prologue(
+    frame: Union[bytes, bytearray, memoryview], offset: int = 0
+) -> Tuple[int, int]:
+    """Read the length prefix of the frame at ``offset``: ``(start,
+    length)`` of its payload, the kind byte first.
+
+    The one parser of the frame layout: the stream decoder, batch entries,
+    :func:`is_batch`, :func:`is_one_shot`, :func:`frame_count` and routed
+    source elision all find the kind byte through it.  Whether the payload
+    is all there is the caller's check.
+
+    Raises:
+        TruncatedFrameError: the buffer ends inside the prefix.
+        WireError: the prefix is not minimal, is longer than
+            :data:`MAX_PREFIX` bytes, or announces an empty payload or one
+            past :data:`MAX_FRAME_PAYLOAD`.
+    """
+    end = len(frame)
+    if offset < end:
+        length = frame[offset]
+        if 0 < length < 0x80:
+            return offset + 1, length
+    # A prefix ends at its first byte below 0x80.
+    head = frame[offset:offset + MAX_PREFIX]
+    if len(head) < MAX_PREFIX and all(byte & 0x80 for byte in head):
+        raise TruncatedFrameError("incomplete length prefix")
+    length, start = _varint_at(frame, offset, end, "length prefix")
+    if length < 1:
+        raise WireError("frame payload must hold at least the kind byte")
+    if length > MAX_FRAME_PAYLOAD:
+        raise WireError(f"frame payload too large: {length}")
+    return start, length
+
+
+# The frame helpers below run once per frame a link moves: each reads the
+# kind byte behind a one-byte prefix inline and calls :func:`prologue`
+# only for a longer one.  A frame without a valid prefix and kind byte is
+# none of the things they test for.
 def frame_count(frame: Union[bytes, bytearray, memoryview]) -> int:
     """Logical frames carried by one physical frame (batch count, else 1)."""
-    if len(frame) >= 7 and frame[4] == WireKind.BATCH:
-        return _U16.unpack_from(frame, 5)[0]
-    return 1
+    try:
+        kind_at = 1 if 0 < frame[0] < 0x80 else prologue(frame)[0]
+        if frame[kind_at] != _BATCH:
+            return 1
+    except (IndexError, WireError):
+        return 1
+    return _varint_at(frame, kind_at + 1, len(frame), "frame-batch count")[0]
 
 
 def is_batch(frame: Union[bytes, bytearray, memoryview]) -> bool:
     """Whether one frame is a :class:`FrameBatch` envelope."""
-    return frame[4:5] == _BATCH_BYTE
+    try:
+        return (frame[1] if 0 < frame[0] < 0x80 else frame[prologue(frame)[0]]) == _BATCH
+    except (IndexError, WireError):
+        return False
 
 
 #: Control kinds whose loss nothing repairs: a credit grant (the granting
@@ -893,7 +1014,11 @@ ABSORBED_KINDS = ONE_SHOT_KINDS | {WireKind.BUFFER_MAP, WireKind.MAP_DELTA}
 
 def is_one_shot(frame: Union[bytes, bytearray, memoryview]) -> bool:
     """Whether one frame is of a :data:`ONE_SHOT_KINDS` kind, at either width."""
-    return len(frame) > 4 and frame[4] & ~NARROW in ONE_SHOT_KINDS
+    try:
+        kind = frame[1] if 0 < frame[0] < 0x80 else frame[prologue(frame)[0]]
+    except (IndexError, WireError):
+        return False
+    return kind & ~NARROW in ONE_SHOT_KINDS
 
 
 # ====================================================================== decoding
@@ -901,6 +1026,50 @@ def is_one_shot(frame: Union[bytes, bytearray, memoryview]) -> bool:
 # Each peer kind's decoder is built per width, like its encoder, and
 # registered under both kind bytes.  Every decoder checks the body length
 # exactly, so a narrow kind byte on a wide-length body is a WireError.
+def _varint_at(
+    buf: Union[bytes, bytearray, memoryview], pos: int, end: int, what: str
+) -> Tuple[int, int]:
+    """The varint at ``pos`` and the position after it; it must be
+    minimal, at most :data:`MAX_PREFIX` bytes and end before ``end``."""
+    value = shift = 0
+    while pos < end:
+        byte = buf[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if shift and not byte:
+                raise WireError(f"{what} is not a minimal varint")
+            return value, pos
+        shift += 7
+        if shift == 7 * MAX_PREFIX:
+            raise WireError(f"{what} is longer than {MAX_PREFIX} bytes")
+    raise WireError(f"{what} truncated")
+
+
+def _varints(raw: bytes, what: str) -> List[int]:
+    """Every varint in ``raw``, which must end with one: the rules of
+    :func:`_varint_at` in one pass (a delta's run list, read whole)."""
+    values: List[int] = []
+    append = values.append
+    value = shift = 0
+    for byte in raw:
+        if not shift and byte < 0x80:  # a one-byte varint: most of them
+            append(byte)
+        elif byte & 0x80:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if shift == 7 * MAX_PREFIX:
+                raise WireError(f"{what} is longer than {MAX_PREFIX} bytes")
+        else:
+            if not byte:
+                raise WireError(f"{what} is not a minimal varint")
+            append(value | byte << shift)
+            value = shift = 0
+    if shift:
+        raise WireError(f"{what} truncated")
+    return values
+
+
 def _unpacker(bodies: tuple, narrow: int) -> Tuple[Callable[..., tuple], int]:
     """What a per-width decoder closes over: its body Struct's
     ``unpack_from`` and the body header size."""
@@ -933,20 +1102,31 @@ def _delta_decoder(narrow: int) -> Callable[[memoryview, int, int], BufferMapDel
     unpack, size = _unpacker(_MD_BODY, narrow)
 
     def decode_delta(view: memoryview, start: int, end: int) -> BufferMapDelta:
-        if end - start < size:
+        if end - start <= size:
             raise WireError("map-delta body too short")
-        sender, seq, newest, head, capacity, count = unpack(view, start)
+        sender, seq, newest, head, capacity = unpack(view, start)
         if capacity < 1:
             raise WireError("capacity must be >= 1")
-        if end - start - size != 4 * count:
+        values = bytes(view[start + size : end])
+        if not values.isascii():  # some varint is longer than one byte
+            values = _varints(values, "map-delta run")
+        count = values[0]
+        if len(values) != 1 + 2 * count:
             raise WireError(
-                f"map-delta with {count} runs needs {4 * count} run bytes, "
-                f"got {end - start - size}"
+                f"map-delta with {count} runs needs {2 * count} run varints, "
+                f"got {len(values) - 1}"
             )
-        flat = _u16s_struct(2 * count).unpack_from(view, start + size)
-        runs = tuple(zip(flat[::2], flat[1::2]))
-        _check_runs(runs, capacity)
-        return BufferMapDelta(sender, seq, newest - narrow, head, capacity, runs)
+        runs = []
+        offset = 0
+        for gap, length in zip(values[1::2], values[2::2]):
+            if length < 1:
+                raise WireError("delta run length must be >= 1")
+            offset += gap
+            runs.append((offset, length))
+            offset += length
+        if offset > capacity:
+            raise WireError(f"delta run ends at offset {offset}, past capacity {capacity}")
+        return BufferMapDelta(sender, seq, newest - narrow, head, capacity, tuple(runs))
 
     return decode_delta
 
@@ -969,6 +1149,7 @@ def _pull_decoder(
 ) -> Callable[[memoryview, int, int], WireMessage]:
     (unpack, size), ids_struct = _unpacker(_PULL_BODY, narrow), _IDS[narrow]
     id_size = ids_struct(1).size
+    count_what = what + " id count"
 
     def decode_pull(view: memoryview, start: int, end: int) -> WireMessage:
         if end - start < size:
@@ -981,10 +1162,12 @@ def _pull_decoder(
         if not flags & _LIST_FLAG:
             trace_id = _trace_tail(view, start, end, size, flags, what)
             return cls(sender, segment_id, bool(flags & 1), trace_id)
-        pos = start + size + 2
-        if end < pos:
-            raise WireError(f"{what} id list truncated")
-        (count,) = _U16.unpack_from(view, pos - 2)
+        pos = start + size
+        count = view[pos] if pos < end else 0x80
+        if count < 0x80:
+            pos += 1
+        else:
+            count, pos = _varint_at(view, pos, end, count_what)
         if count < 1:
             raise WireError(f"{what} id list must hold at least one further id")
         tail = _TRACE_TAIL.size * (count + 1) if flags & _TRACED_FLAG else 0
@@ -1017,34 +1200,39 @@ def _data_decoder(narrow: int) -> Callable[[memoryview, int, int], SegmentData]:
 
 
 def _dec_ids(
-    view: memoryview, offset: int, end: int, ids: struct.Struct, what: str
+    view: memoryview, pos: int, end: int, count: int, narrow: int, what: str
 ) -> Tuple[int, ...]:
-    if end - offset != ids.size:
-        raise WireError(f"{what}: expected {ids.size} bytes of ids, got {end - offset}")
-    return ids.unpack_from(view, offset)
+    """Exactly ``count`` ids from ``pos`` to ``end``.  ``count`` is the
+    header's last byte; from 128 on it begins a longer varint, read here."""
+    if count >= 0x80:
+        count, pos = _varint_at(view, pos - 1, end, what + " length")
+    need = count * (4 - 2 * narrow)
+    if end - pos != need:
+        raise WireError(f"{what}: {count} ids need {need} bytes, got {end - pos}")
+    return _IDS[narrow](count).unpack_from(view, pos)
 
 
 def _lookup_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtLookup]:
-    (unpack, size), ids_struct = _unpacker(_LOOKUP_BODY, narrow), _IDS[narrow]
+    unpack, size = _unpacker(_LOOKUP_BODY, narrow)
 
     def decode_lookup(view: memoryview, start: int, end: int) -> DhtLookup:
         if end - start < size:
             raise WireError("dht-lookup body too short")
         origin, key, segment_id, count = unpack(view, start)
-        path = _dec_ids(view, start + size, end, ids_struct(count), "dht-lookup path")
+        path = _dec_ids(view, start + size, end, count, narrow, "dht-lookup path")
         return DhtLookup(origin, key, segment_id, path)
 
     return decode_lookup
 
 
 def _response_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtResponse]:
-    (unpack, size), ids_struct = _unpacker(_RESP_BODY, narrow), _IDS[narrow]
+    unpack, size = _unpacker(_RESP_BODY, narrow)
 
     def decode_response(view: memoryview, start: int, end: int) -> DhtResponse:
         if end - start < size:
             raise WireError("dht-response body too short")
         responder, origin, key, segment_id, flags, rate, count = unpack(view, start)
-        path = _dec_ids(view, start + size, end, ids_struct(count), "dht-response path")
+        path = _dec_ids(view, start + size, end, count, narrow, "dht-response path")
         return DhtResponse(responder, origin, key, segment_id, bool(flags & 1), rate, path)
 
     return decode_response
@@ -1063,13 +1251,13 @@ def _probe_decoder(cls: type, narrow: int) -> Callable[[memoryview, int, int], W
 
 
 def _handover_decoder(narrow: int) -> Callable[[memoryview, int, int], Handover]:
-    (unpack, size), ids_struct = _unpacker(_HANDOVER_BODY, narrow), _IDS[narrow]
+    unpack, size = _unpacker(_HANDOVER_BODY, narrow)
 
     def decode_handover(view: memoryview, start: int, end: int) -> Handover:
         if end - start < size:
             raise WireError("handover body too short")
         sender, segment_bits, count = unpack(view, start)
-        ids = _dec_ids(view, start + size, end, ids_struct(count), "handover ids")
+        ids = _dec_ids(view, start + size, end, count, narrow, "handover ids")
         return Handover(sender=sender, segment_bits=segment_bits, segment_ids=ids)
 
     return decode_handover
@@ -1110,10 +1298,10 @@ def _dec_route(view: memoryview, start: int, end: int) -> RoutedFrame:
     if flags & _RF_SRC_ELIDED:
         (dst,) = _U32.unpack_from(view, start + 1)
         payload_start = start + 5
-        first, stop = _sender_span(view[payload_start:end])
-        if end - payload_start < stop:
-            raise WireError(f"src-elided routed frame needs >= {stop} payload bytes")
-        src = int.from_bytes(view[payload_start + first : payload_start + stop], "big")
+        span = _sender_span(view[payload_start:end])
+        if span is None:
+            raise WireError("src-elided routed frame needs a payload that spells its sender")
+        src = int.from_bytes(view[payload_start + span[0] : payload_start + span[1]], "big")
     else:
         if end - start < 9:
             raise WireError("routed-frame body too short")
@@ -1127,47 +1315,49 @@ def _dec_route(view: memoryview, start: int, end: int) -> RoutedFrame:
     )
 
 
-def _batch_spans(view: memoryview, start: int, end: int) -> List[Tuple[int, int]]:
-    """Validate a whole batch body; return each entry's ``(start, end)``.
+def _batch_spans(view: memoryview, start: int, end: int) -> List[Tuple[int, int, int]]:
+    """Validate a whole batch body; return each entry's ``(start,
+    kind_at, end)``: where its prefix, its kind byte and the entry end.
 
-    The spans cover kind byte + body of every inner frame, in order.
+    Entries are parsed with :func:`prologue`, exactly like loose frames.
     Nothing is decoded (or dispatched) from a malformed envelope: entry
-    headers, sizes, nesting and trailing bytes are all checked first.
+    prefixes, sizes, nesting and trailing bytes are all checked first.
     """
-    if end - start < 2:
-        raise WireError("frame-batch body too short")
-    (count,) = _U16.unpack_from(view, start)
+    if start < end and view[start] < 0x80:
+        count, pos = view[start], start + 1
+    else:
+        count, pos = _varint_at(view, start, end, "frame-batch count")
     if count < 1:
         raise WireError("a frame batch must hold at least one frame")
-    pos = start + 2
-    spans: List[Tuple[int, int]] = []
-    unpack_len = _U16.unpack_from
+    if end != len(view):
+        view = view[:end]  # an entry's prefix must not run past the batch
+    spans: List[Tuple[int, int, int]] = []
     for _ in range(count):
-        if end - pos < 2:
+        if pos == end:
             raise WireError("frame-batch entry header truncated")
-        (entry_len,) = unpack_len(view, pos)
-        pos += 2
-        if entry_len < 1:
-            raise WireError("frame-batch entry must hold a kind byte")
-        if end - pos < entry_len:
+        length = view[pos]
+        if 0 < length < 0x80:
+            kind_at = pos + 1
+        else:
+            try:
+                kind_at, length = prologue(view, pos)
+            except TruncatedFrameError:
+                raise WireError("frame-batch entry header truncated") from None
+        stop = kind_at + length
+        if stop > end:
             raise WireError("frame-batch entry truncated")
-        if view[pos] == WireKind.BATCH:
+        if view[kind_at] == _BATCH:
             raise WireError("frame batches must not nest")
-        spans.append((pos, pos + entry_len))
-        pos += entry_len
+        spans.append((pos, kind_at, stop))
+        pos = stop
     if pos != end:
         raise WireError("frame batch has trailing bytes")
     return spans
 
 
 def _dec_batch(view: memoryview, start: int, end: int) -> FrameBatch:
-    pack_len = _LEN.pack
-    return FrameBatch(
-        tuple(
-            pack_len(stop - first) + bytes(view[first:stop])
-            for first, stop in _batch_spans(view, start, end)
-        )
-    )
+    spans = _batch_spans(view, start, end)
+    return FrameBatch(tuple(bytes(view[first:stop]) for first, _, stop in spans))
 
 
 def _dec_telemetry(view: memoryview, start: int, end: int) -> TelemetryFrame:
@@ -1213,14 +1403,11 @@ def _frame_decoder(
     """Check the frame prologue at ``offset`` (length prefix, size bound,
     completeness, kind); return its decoder and body ``(start, end)``."""
     total = len(view)
-    if total - offset < _LEN.size:
-        raise TruncatedFrameError("incomplete length prefix")
-    (length,) = _LEN.unpack_from(view, offset)
-    if length < 1:
-        raise WireError("frame payload must hold at least the kind byte")
-    if length > MAX_FRAME_PAYLOAD:
-        raise WireError(f"frame payload too large: {length}")
-    start = offset + _LEN.size
+    length = view[offset] if offset < total else 0
+    if 0 < length < 0x80:  # a one-byte prefix: almost every frame
+        start = offset + 1
+    else:
+        start, length = prologue(view, offset)
     if total - start < length:
         raise TruncatedFrameError(
             f"frame needs {length} payload bytes, have {total - start}"
@@ -1259,28 +1446,29 @@ def decode_frame(
     must be exactly one complete frame (what a link delivers).  A batch
     envelope is validated whole, then the inner frames are decoded
     straight out of the same memory — no :class:`FrameBatch` object, no
-    per-entry ``bytes`` copy, no length-prefix check per entry.  All or
-    nothing: a malformed envelope *or* inner frame raises
-    :class:`WireError` before any message is returned, so a caller
-    dispatches none of a bad batch.  With ``only`` (:class:`WireKind`
-    numbers), messages of any other kind are skipped undecoded.
+    per-entry ``bytes`` copy.  All or nothing: a malformed envelope *or*
+    inner frame raises :class:`WireError` before any message is returned,
+    so a caller dispatches none of a bad batch.  With ``only``
+    (:class:`WireKind` numbers), messages of any other kind are skipped
+    undecoded.
     """
     view = frame if type(frame) is memoryview else memoryview(frame)
     decoder, start, end = _frame_decoder(view, 0)
     if end != len(view):
         raise WireError("decode_frame needs exactly one complete frame")
     if decoder is not _dec_batch:
-        if only is not None and view[4] & ~NARROW not in only:
+        if only is not None and view[start - 1] & ~NARROW not in only:
             return ()
         return (decoder(view, start, end),)
     messages: List[WireMessage] = []
-    for first, stop in _batch_spans(view, start, end):
-        if only is not None and view[first] & ~NARROW not in only:
+    for _, kind_at, stop in _batch_spans(view, start, end):
+        kind = view[kind_at]
+        if only is not None and kind & ~NARROW not in only:
             continue
-        decoder = _DECODERS.get(view[first])
+        decoder = _DECODERS.get(kind)
         if decoder is None:
-            raise WireError(f"unknown wire kind {view[first]}")
-        messages.append(decoder(view, first + 1, stop))
+            raise WireError(f"unknown wire kind {kind}")
+        messages.append(decoder(view, kind_at + 1, stop))
     return messages
 
 
@@ -1318,12 +1506,20 @@ class FrameDecoder:
         offset = self._offset
         available = len(buffer)
         messages: List[WireMessage] = []
-        # Peek the length prefix so the common "buffer drained" exit is a
-        # cheap comparison rather than a raised TruncatedFrameError.
-        while available - offset >= _LEN.size:
-            (length,) = _LEN.unpack_from(buffer, offset)
-            if length <= MAX_FRAME_PAYLOAD and available - offset - _LEN.size < length:
-                break
+        # Peek the length prefix so a partial frame at the end is a cheap
+        # comparison rather than a raised TruncatedFrameError.
+        while offset < available:
+            length = buffer[offset]
+            if 0 < length < 0x80:
+                if available - offset <= length:
+                    break
+            else:
+                try:
+                    start, length = prologue(buffer, offset)
+                except TruncatedFrameError:
+                    break
+                if available - start < length:
+                    break
             msg, offset = decode(buffer, offset)
             messages.append(msg)
         if offset == available:

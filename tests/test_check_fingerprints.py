@@ -135,3 +135,69 @@ def test_main_exit_status(row, monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(checker, "measure", broken)
     assert checker.main(["--history", str(history)]) == 2
+
+
+def _matrix_history(tmp_path, row):
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(row) + "\n")
+    return history
+
+
+def test_an_equal_matrix_passes(row, tmp_path, capsys):
+    history = _matrix_history(tmp_path, row)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(row["matrix"]))
+    assert checker.matrix_mismatches(row["matrix"], json.loads(json.dumps(row["matrix"]))) == []
+    assert checker.main(["--history", str(history), "--matrix", str(matrix)]) == 0
+    assert repr(row["commit"]) in capsys.readouterr().out
+
+
+def test_a_differing_matrix_fails(row, tmp_path, capsys):
+    history = _matrix_history(tmp_path, row)
+    runtime = next(name for name in row["matrix"]["cells"] if name.startswith("runtime"))
+    for path, label in (
+        (("by_seed",), "continuity"),
+        (("bytes_on_wire", "by_seed"), "bytes_on_wire"),
+        (("messages_sent", "by_seed"), "messages_sent"),
+    ):
+        measured = json.loads(json.dumps(row["matrix"]))
+        stats = measured["cells"][runtime]["continustreaming"]
+        for key in path:
+            stats = stats[key]
+        stats[-1] = stats[-1] + 1
+        (problem,) = checker.matrix_mismatches(row["matrix"], measured)
+        assert problem.startswith(f"matrix[{runtime!r}].continustreaming.{label}: history ")
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps(measured))
+        assert checker.main(["--history", str(history), "--matrix", str(matrix)]) == 1
+        assert f"{label}: history" in capsys.readouterr().err
+
+
+def test_a_matrix_missing_a_cell_or_a_count_fails(row):
+    measured = json.loads(json.dumps(row["matrix"]))
+    sim = next(name for name in measured["cells"] if name.startswith("sim"))
+    del measured["cells"][sim]
+    runtime = next(name for name in measured["cells"] if name.startswith("runtime"))
+    del measured["cells"][runtime]["coolstreaming"]["bytes_on_wire"]
+    problems = checker.matrix_mismatches(row["matrix"], measured)
+    assert any(p.startswith(f"matrix[{sim!r}].continustreaming.continuity") for p in problems)
+    assert f"matrix[{runtime!r}].coolstreaming.bytes_on_wire" in " ".join(problems)
+    measured["cells"]["runtime 9x9"] = {}
+    assert "matrix['runtime 9x9']: not in the history row" in checker.matrix_mismatches(
+        row["matrix"], measured
+    )
+
+
+def test_a_count_the_row_matrix_lacks_is_skipped(row):
+    older = json.loads(json.dumps(row["matrix"]))
+    measured = json.loads(json.dumps(row["matrix"]))
+    for cell in older["cells"].values():
+        for stats in cell.values():
+            if isinstance(stats, dict):
+                for count in [k for k, v in stats.items() if isinstance(v, dict)]:
+                    del stats[count]
+    for cell in measured["cells"].values():
+        for stats in cell.values():
+            if isinstance(stats, dict) and "bytes_on_wire" in stats:
+                stats["bytes_on_wire"]["by_seed"][0] += 1
+    assert checker.matrix_mismatches(older, measured) == []

@@ -141,7 +141,9 @@ class TestSocketLinkTransport:
             wire.encode(wire.CreditGrant(sender=sender, credits=2)),
             wire.encode(wire.Handover(sender=sender, segment_bits=8, segment_ids=(1, 2))),
         ]
-        assert all(bool(f[4] & wire.NARROW) == (sender < 2**16) for f in one_shot)
+        assert all(
+            bool(f[wire.prologue(f)[0]] & wire.NARROW) == (sender < 2**16) for f in one_shot
+        )
 
         async def scenario():
             host = FakeHost()

@@ -1473,7 +1473,8 @@ class TestGoldenFingerprints:
     # moved from the hashes to the integers (a behaviour-free re-pin, made
     # on the unchanged tree) before pull frames began carrying id lists.
     # Packing each pass's pulls to one supplier into one frame then moved
-    # only those integers.
+    # only those integers, and so did spelling every length and count as a
+    # varint (the byte counters only: the same frames, fewer bytes).
     #
     # The five paper-dynamic + loss 0.02 pins were re-pinned once when the
     # live peer adopted the simulator's supplier rule (``Lookup.supplier``:
@@ -1498,9 +1499,9 @@ class TestGoldenFingerprints:
 
     def test_runtime_static_50x20_bytes(self):
         assert framing_counters(_runtime_result("static", 50, None)) == {
-            "bytes_on_wire": 495905,
-            "gossip_bytes": 181772,
-            "gossip_bytes_full": 502740,
+            "bytes_on_wire": 376183,
+            "gossip_bytes": 127082,
+            "gossip_bytes_full": 485982,
             "messages_sent": 27559,
             "messages_dropped": 0,
             "inbox_high_watermark": 12,
@@ -1513,9 +1514,9 @@ class TestGoldenFingerprints:
 
     def test_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert framing_counters(_runtime_result("paper-dynamic", 40, 0.02)) == {
-            "bytes_on_wire": 502695,
-            "gossip_bytes": 235836,
-            "gossip_bytes_full": 503010,
+            "bytes_on_wire": 379104,
+            "gossip_bytes": 169838,
+            "gossip_bytes_full": 486243,
             "messages_sent": 25336,
             "messages_dropped": 383,
             "inbox_high_watermark": 17,
@@ -1546,9 +1547,9 @@ class TestGoldenFingerprints:
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):
         assert framing_counters(_runtime_result("paper-dynamic", 40, 0.02, traced=True)) == {
-            "bytes_on_wire": 614839,
-            "gossip_bytes": 235836,
-            "gossip_bytes_full": 503010,
+            "bytes_on_wire": 491261,
+            "gossip_bytes": 169838,
+            "gossip_bytes_full": 486243,
             "messages_sent": 25336,
             "messages_dropped": 383,
             "inbox_high_watermark": 17,

@@ -35,10 +35,31 @@ def test_toy_matrix_has_mean_worst_and_delta_per_row():
         stats = result["cells"]["runtime 20x8"][system]
         for count in quality_matrix.COUNTS:
             assert len(stats[count]["by_seed"]) == 2
-            assert all(value > 0 for value in stats[count]["by_seed"])
+            assert all(isinstance(value, int) and value >= 0 for value in stats[count]["by_seed"])
             assert stats[count]["mean"] == pytest.approx(fmean(stats[count]["by_seed"]))
+        for count in quality_matrix.WIRE_COUNTS:
+            assert all(value > 0 for value in stats[count]["by_seed"])
+    # Algorithm 2's lookups: ContinuStreaming decides some and walks the
+    # DHT for them; CoolStreaming has no on-demand phase.
+    lookups = result["cells"]["runtime 20x8"]
+    assert all(value > 0 for value in lookups["continustreaming"]["lookup_walks"]["by_seed"])
+    assert all(
+        value > 0 for value in lookups["continustreaming"]["lookups_located"]["by_seed"]
+    )
+    assert all(
+        lookups["coolstreaming"][count]["by_seed"] == [0, 0]
+        for count in quality_matrix.COUNTS if count not in quality_matrix.WIRE_COUNTS
+    )
     lines = quality_matrix.render(result)
     assert sum("Δ continu - cool" in line for line in lines) == 2
+
+
+def test_the_runtime_counts_are_the_wire_and_lookup_counters():
+    assert quality_matrix.COUNTS == (
+        "messages_sent", "bytes_on_wire",
+        "lookups_located", "lookups_no_holder", "lookups_no_rate", "lookups_repeated",
+        "lookup_walks",
+    )
 
 
 def test_a_cell_repeats_exactly():

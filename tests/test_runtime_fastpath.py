@@ -18,7 +18,6 @@ fast path must preserve and the savings it must deliver:
 from __future__ import annotations
 
 import asyncio
-import struct
 
 import pytest
 
@@ -270,7 +269,7 @@ class TestBatchShedding:
             wire.encode(wire.BufferMapMsg.from_buffer_map(other.peer_id, 5, base, seq=1)),
             wire.encode(wire.BufferMapDelta.from_maps(other.peer_id, 2, 7, new, base)),
         ]
-        assert all(frame[4] & wire.NARROW for frame in frames)
+        assert all(frame[wire.prologue(frame)[0]] & wire.NARROW for frame in frames)
         if batched:
             frames = [wire.encode(wire.FrameBatch(frames=tuple(frames)))]
 
@@ -290,7 +289,7 @@ class TestBatchShedding:
         credit, handover or map is skipped without decoding its body —
         here a body-less PING that ``decode`` itself would reject."""
         swarm, receiver, other = self._swarm_and_peers()
-        bad_ping = struct.pack(">IB", 1, wire.WireKind.PING)
+        bad_ping = bytes([1, wire.WireKind.PING])  # a one-byte payload: the kind alone
         with pytest.raises(wire.WireError):
             wire.decode(bad_ping)
         grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=2))
@@ -314,7 +313,7 @@ class TestBatchShedding:
         swarm, receiver, sender = self._swarm_and_peers()
         ping = wire.encode(wire.Ping(sender=sender.peer_id, nonce=1))
         batch = bytearray(wire.encode(wire.FrameBatch(frames=(ping, ping, ping))))
-        batch[-len(ping) + 4] = 0xEE  # the last entry's kind byte
+        batch[-len(ping) + 1] = 0xEE  # the last entry's kind byte, after its prefix
         handled = []
         monkeypatch.setitem(
             peer_module._DISPATCH, wire.Ping, lambda peer, msg: handled.append(msg)

@@ -230,39 +230,51 @@ class TestTraceTail:
             wire.decode(bytes(frame))
 
 
+def varint(value: int) -> bytes:
+    """Minimal unsigned LEB128: seven bits per byte, low bits first."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
 def with_body(kind: int, body_hex: str) -> bytes:
     """A frame of ``kind`` around a hand-written body."""
     body = bytes.fromhex(body_hex)
-    return (1 + len(body)).to_bytes(4, "big") + bytes([kind]) + body
+    return varint(1 + len(body)) + bytes([kind]) + body
 
 
 #: Pull lists, built from the documented layout: header (sender, first
-#: segment, flags with bit 2 set), a u16 count of further ids, the ids at
-#: the frame's width, then — when any segment is traced (bit 1) — one u64
-#: trace id per segment.
+#: segment, flags with bit 2 set), a varint count of further ids, the ids
+#: at the frame's width, then — when any segment is traced (bit 1) — one
+#: u64 trace id per segment.
 PULL_LIST_VECTORS = [
     (wire.SegmentRequest(sender=7, segment_id=300, more=((301, 0), (305, 0))),
-     "0000000c82" "0007012c04" "0002" "012d0131"),
+     "0b82" "0007012c04" "02" "012d0131"),
     (wire.SegmentNack(sender=7, segment_id=300, more=((65536, 0),)),
-     "0000001009" "00000007" "0000012c" "04" "0001" "00010000"),
+     "0f09" "00000007" "0000012c" "04" "01" "00010000"),
     (wire.SegmentRequest(sender=7, segment_id=300, prefetch=True, more=((301, 5),)),
-     "0000001a82" "0007012c07" "0001" "012d" "0000000000000000" "0000000000000005"),
+     "1982" "0007012c07" "01" "012d" "0000000000000000" "0000000000000005"),
     (wire.SegmentNack(sender=70000, segment_id=300, trace_id=9, more=((301, 0),)),
-     "0000002009" "00011170" "0000012c" "06" "0001" "0000012d"
+     "1f09" "00011170" "0000012c" "06" "01" "0000012d"
      "0000000000000009" "0000000000000000"),
 ]
 
 #: Malformed narrow pull-list bodies: each must raise ``WireError``.
 BAD_PULL_BODIES = {
     "flag without a count": "0007012c04",
-    "half a count": "0007012c0400",
-    "count of zero": "0007012c040000",
-    "fewer ids than the count": "0007012c040003012d0131",
-    "half an id": "0007012c040002012d01",
-    "trailing byte after the ids": "0007012c040002012d013100",
-    "trace tail one id short": "0007012c060001012d" + "00" * 8,
-    "trace tail one id long": "0007012c060001012d" + "00" * 24,
-    "trace tail missing": "0007012c060001012d",
+    "half a count": "0007012c0480",
+    "non-minimal count": "0007012c048100012d",
+    "four-byte count": "0007012c0481808000012d",
+    "count of zero": "0007012c0400",
+    "fewer ids than the count": "0007012c0403012d0131",
+    "half an id": "0007012c0402012d01",
+    "trailing byte after the ids": "0007012c0402012d013100",
+    "trace tail one id short": "0007012c0601012d" + "00" * 8,
+    "trace tail one id long": "0007012c0601012d" + "00" * 24,
+    "trace tail missing": "0007012c0601012d",
 }
 
 
@@ -272,7 +284,7 @@ class TestPullLists:
 
     @pytest.mark.parametrize(
         "msg, hex_", PULL_LIST_VECTORS,
-        ids=[f"{type(m).__name__}-{h[8:10]}-{len(h) // 2}B" for m, h in PULL_LIST_VECTORS],
+        ids=[f"{type(m).__name__}-{h[2:4]}-{len(h) // 2}B" for m, h in PULL_LIST_VECTORS],
     )
     def test_encode_and_decode_match_the_vector(self, msg, hex_):
         frame = bytes.fromhex(hex_)
@@ -303,9 +315,9 @@ class TestPullLists:
             wire.decode_frame(batch)
 
     def test_malformed_wide_list_body_is_rejected(self):
-        good = "00000007" "0000012c" "04" "0002" "0000012d" "00000131"
+        good = "00000007" "0000012c" "04" "02" "0000012d" "00000131"
         assert wire.decode(with_body(0x02, good))[0].pulls() == ((300, 0), (301, 0), (305, 0))
-        for bad in (good[:-2], good + "00", good[:18] + "0003" + good[22:]):
+        for bad in (good[:-2], good + "00", good[:18] + "03" + good[20:]):
             with pytest.raises(wire.WireError):
                 wire.decode(with_body(0x02, bad))
 
@@ -322,23 +334,27 @@ class TestTruncationAndCorruption:
 
     def test_unknown_kind_rejected(self):
         frame = bytearray(wire.encode(wire.Ping(sender=1)))
-        frame[4] = 0xEE  # the kind byte
+        frame[1] = 0xEE  # the kind byte, behind a one-byte prefix
         with pytest.raises(wire.WireError):
             wire.decode(bytes(frame))
 
     def test_zero_length_frame_rejected(self):
         with pytest.raises(wire.WireError):
-            wire.decode(b"\x00\x00\x00\x00")
+            wire.decode(b"\x00\x01")
 
     def test_oversized_length_prefix_rejected(self):
-        header = (wire.MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big")
+        # MAX_FRAME_PAYLOAD + 1 fits the three-byte prefix but not the bound.
+        header = varint(wire.MAX_FRAME_PAYLOAD + 1)
+        assert len(header) == wire.MAX_PREFIX
         with pytest.raises(wire.WireError):
             wire.decode(header + b"\x00" * 16)
+        with pytest.raises(wire.WireError):
+            wire.FrameDecoder().feed(header)
 
     def test_body_size_mismatch_rejected(self):
         # A ping frame whose declared length covers one extra byte.
         good = wire.encode(wire.Ping(sender=1, nonce=2))
-        bad = (len(good) - 4 + 1).to_bytes(4, "big") + good[4:] + b"\x00"
+        bad = varint(len(good) - 1 + 1) + good[1:] + b"\x00"
         with pytest.raises(wire.WireError):
             wire.decode(bad)
 
@@ -346,12 +362,10 @@ class TestTruncationAndCorruption:
         msg = wire.BufferMapMsg.from_buffer_map(
             1, 5, BufferMap(head_id=0, capacity=16, bits=0b10)
         )
-        frame = bytearray(wire.encode(msg))
-        frame[-2:] = b""  # drop a bitmap byte
-        frame[0:4] = (len(frame) - 4 - 2 + 2).to_bytes(4, "big")
-        frame[0:4] = (len(frame) - 4).to_bytes(4, "big")
+        frame = wire.encode(msg)
+        payload = frame[1:-1]  # drop a bitmap byte
         with pytest.raises(wire.WireError):
-            wire.decode(bytes(frame))
+            wire.decode(varint(len(payload)) + payload)
 
     def test_out_of_range_fields_rejected_at_encode(self):
         with pytest.raises(wire.WireError):
@@ -403,7 +417,7 @@ class TestFrameDecoder:
     def test_malformed_frame_poisons_the_stream(self):
         decoder = wire.FrameDecoder()
         with pytest.raises(wire.WireError):
-            decoder.feed(b"\x00\x00\x00\x01\xee")
+            decoder.feed(b"\x01\xee")
 
     def test_one_byte_chunks_keep_the_receive_buffer_compacted(self):
         # Regression for the quadratic re-slicing decoder: a long stream
@@ -425,7 +439,7 @@ class TestFrameDecoder:
         # One huge chunk of complete frames plus a partial tail: the dead
         # prefix exceeds _COMPACT_AT inside a single feed, so the buffer
         # must shrink back to (roughly) the partial frame.
-        msgs = [wire.Ping(sender=i, nonce=i) for i in range(8000)]  # 9-byte frames
+        msgs = [wire.Ping(sender=i, nonce=i) for i in range(12000)]  # 6-byte frames
         stream = b"".join(wire.encode(m) for m in msgs)
         assert len(stream) > wire.FrameDecoder._COMPACT_AT
         decoder = wire.FrameDecoder()
@@ -436,6 +450,176 @@ class TestFrameDecoder:
         decoded.extend(decoder.feed(stream[-2:]))
         assert decoded == msgs
         assert decoder.pending_bytes == 0
+
+
+def non_minimal(value: int, size: int) -> bytes:
+    """``value`` spelled as a ``size``-byte varint, padded with zero groups."""
+    spelled = bytearray(varint(value))
+    while len(spelled) < size:
+        spelled[-1] |= 0x80
+        spelled.append(0)
+    return bytes(spelled)
+
+
+def telemetry_of_payload(length: int) -> wire.TelemetryFrame:
+    """A telemetry frame whose payload (kind byte + body) is ``length`` bytes."""
+    return wire.TelemetryFrame(shard=1, period=2, payload=b"x" * (length - 7))
+
+
+#: A narrow map whose bitmap pushes its payload past 127 bytes.
+LONG_MAP = wire.BufferMapMsg.from_buffer_map(
+    7, 1300, BufferMap(head_id=100, capacity=1200, bits=(1 << 1200) - 1 - (1 << 5)), seq=9
+)
+
+
+class TestVarintFraming:
+    """Every length and count is a minimal varint of at most three bytes."""
+
+    @pytest.mark.parametrize(
+        "length, prefix",
+        [(127, "7f"), (128, "8001"), (16383, "ff7f"), (16384, "808001"),
+         (wire.MAX_FRAME_PAYLOAD, "808004")],
+    )
+    def test_the_prefix_grows_a_byte_at_each_boundary(self, length, prefix):
+        msg = telemetry_of_payload(length)
+        frame = wire.encode(msg)
+        assert frame.startswith(bytes.fromhex(prefix))
+        assert len(frame) == len(prefix) // 2 + length
+        assert wire.prologue(frame) == (len(prefix) // 2, length)
+        assert wire.decode(frame) == (msg, len(frame))
+        assert wire.decode_frame(frame) == (msg,)
+        assert wire.FrameDecoder().feed(frame) == [msg]
+
+    def test_one_byte_past_the_bound_is_refused_at_encode(self):
+        with pytest.raises(wire.WireError):
+            wire.encode(telemetry_of_payload(wire.MAX_FRAME_PAYLOAD + 1))
+
+    #: Spellings of a ping's payload length (6) that are not the one byte
+    #: ``06``, and three-byte spellings that continue past the third byte.
+    BAD_PREFIXES = {
+        "two bytes for 6": "8600",
+        "three bytes for 6": "868000",
+        "three bytes for 128": "808100",
+        "four bytes for 6": "86808000",
+        "continued past three bytes": "80808001",
+    }
+
+    @pytest.mark.parametrize("prefix", list(BAD_PREFIXES.values()), ids=list(BAD_PREFIXES))
+    def test_a_bad_prefix_is_rejected_loose_and_inside_a_batch(self, prefix):
+        ping = wire.encode(wire.Ping(sender=7, nonce=1))
+        bad = bytes.fromhex(prefix) + ping[1:]
+        with pytest.raises(wire.WireError) as caught:
+            wire.decode(bad)
+        assert not isinstance(caught.value, wire.TruncatedFrameError)
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(bad)
+        with pytest.raises(wire.WireError):
+            wire.FrameDecoder().feed(bad)
+        batch = with_body(wire.WireKind.BATCH, (varint(2) + ping + bad).hex())
+        with pytest.raises(wire.WireError):
+            wire.decode(batch)
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(batch)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_a_respelled_count_is_rejected(self, size):
+        msgs = [
+            wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 9)),
+            wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 301)),
+            wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600,
+                                runs=((0, 3), (17, 1))),
+            wire.SegmentNack(sender=7, segment_id=300, more=((301, 0),)),
+        ]
+        # The count follows the narrow header: 6, 4, 10 and 5 bytes.
+        for msg, header in zip(msgs, (6, 4, 10, 5)):
+            frame = wire.encode(msg)
+            count_at = 2 + header
+            count = frame[count_at]
+            body = frame[2:count_at] + non_minimal(count, size) + frame[count_at + 1:]
+            with pytest.raises(wire.WireError):
+                wire.decode(with_body(frame[1], body.hex()))
+        batch = wire.encode(wire.FrameBatch(frames=(wire.encode(msgs[0]),) * 2))
+        respelled = batch[2:3] + non_minimal(2, size) + batch[4:]
+        with pytest.raises(wire.WireError):
+            wire.decode(varint(len(respelled)) + respelled)
+
+    def test_a_stream_split_inside_a_two_byte_prefix(self):
+        ping = wire.Ping(sender=7, nonce=1)
+        stream = wire.encode(ping) + wire.encode(LONG_MAP) + wire.encode(ping)
+        inside = len(wire.encode(ping)) + 1  # between the map's two prefix bytes
+        assert stream[inside - 1] & 0x80 and not stream[inside] & 0x80
+        decoder = wire.FrameDecoder()
+        assert decoder.feed(stream[:inside]) == [ping]
+        assert decoder.pending_bytes == 1
+        with pytest.raises(wire.TruncatedFrameError):
+            wire.decode(stream[:inside], inside - 1)
+        assert decoder.feed(stream[inside:]) == [LONG_MAP, ping]
+        assert decoder.pending_bytes == 0
+
+    def test_a_stream_split_after_each_byte_of_a_three_byte_prefix(self):
+        msg = telemetry_of_payload(20000)
+        frame = wire.encode(msg)
+        for cut in (1, 2, 3):
+            decoder = wire.FrameDecoder()
+            assert decoder.feed(frame[:cut]) == []
+            assert decoder.feed(frame[cut:]) == [msg]
+
+    def test_a_batch_carries_one_and_two_byte_entry_prefixes_verbatim(self):
+        ping = wire.encode(wire.Ping(sender=7, nonce=1))
+        long_map = wire.encode(LONG_MAP)
+        credit = wire.encode(wire.CreditGrant(sender=7, credits=2))
+        assert wire.prologue(ping)[0] == 1 and wire.prologue(long_map)[0] == 2
+        batch = wire.encode(wire.FrameBatch(frames=(ping, long_map, credit)))
+        assert wire.prologue(batch) == (2, len(batch) - 2)
+        assert batch[2:4] == bytes([wire.WireKind.BATCH, 3])
+        assert batch[4:] == ping + long_map + credit
+        assert wire.decode(batch)[0].frames == (ping, long_map, credit)
+        assert wire.decode_frame(batch) == [
+            wire.Ping(sender=7, nonce=1), LONG_MAP, wire.CreditGrant(sender=7, credits=2),
+        ]
+        assert wire.decode_frame(batch, only=wire.ABSORBED_KINDS) == [
+            LONG_MAP, wire.CreditGrant(sender=7, credits=2),
+        ]
+
+    def test_frame_helpers_read_past_a_two_byte_prefix(self):
+        long_map = wire.encode(LONG_MAP)
+        batch = wire.encode(wire.FrameBatch(frames=(long_map,) * 3))
+        assert wire.prologue(batch)[0] == 2
+        assert wire.is_batch(batch) and wire.frame_count(batch) == 3
+        assert not wire.is_one_shot(batch)
+        assert not wire.is_batch(long_map) and wire.frame_count(long_map) == 1
+        handover = wire.encode(
+            wire.Handover(sender=7, segment_bits=8, segment_ids=tuple(range(100)))
+        )
+        assert wire.prologue(handover)[0] == 2
+        assert wire.is_one_shot(handover) and not wire.is_batch(handover)
+        assert wire.encode_batch([long_map, batch, handover]) == [long_map, batch, handover]
+
+    def test_routed_source_elision_reads_past_a_two_byte_prefix(self):
+        batch = wire.encode(wire.FrameBatch(frames=(wire.encode(LONG_MAP),) * 2))
+        # A wide kind byte: the four bytes after it are what elision compares.
+        spelled = int.from_bytes(batch[3:7], "big")
+        for src in (spelled, spelled + 1):
+            routed = wire.RoutedFrame(src=src, dst=9, payload=batch, data=True)
+            frame = wire.encode(routed)
+            assert wire.decode(frame) == (routed, len(frame))
+            assert wire.prologue(frame)[1] == (6 if src == spelled else 10) + len(batch)
+        long_map = wire.encode(LONG_MAP)  # narrow, led by its sender
+        routed = wire.RoutedFrame(src=LONG_MAP.sender, dst=9, payload=long_map)
+        frame = wire.encode(routed)
+        assert wire.prologue(frame)[1] == 6 + len(long_map)
+        assert wire.decode(frame) == (routed, len(frame))
+
+    def test_the_route_headroom_is_exact(self):
+        limit = wire.MAX_FRAME_PAYLOAD - wire.ROUTE_HEADROOM
+        for length, fits in ((limit, True), (limit + 1, False)):
+            inner = wire.encode(telemetry_of_payload(length))
+            routed = wire.RoutedFrame(src=1, dst=2, payload=inner)
+            if fits:
+                assert wire.prologue(wire.encode(routed))[1] == wire.MAX_FRAME_PAYLOAD
+            else:
+                with pytest.raises(wire.WireError):
+                    wire.encode(routed)
 
 
 class TestLedgerAccounting:
@@ -520,59 +704,62 @@ class TestLedgerAccounting:
 
 # One vector per kind byte: every peer message at both widths (the wide one
 # pushed past 16 bits by one field), the four one-width kinds once.  Built
-# from the documented layouts, not from the encoder.
+# from the documented layouts, not from the encoder.  Each is shorter than
+# 128 bytes, so its prefix is one byte and its kind byte is the second.
 _PING = wire.encode(wire.Ping(sender=7, nonce=1))
 _CREDIT = wire.encode(wire.CreditGrant(sender=7, credits=4))
 GOLDEN_VECTORS = [
     (wire.BufferMapMsg(sender=7, newest_id=-1, head_id=0, capacity=13, bitmap=b"\x82\x08", seq=3),
-     "0000000d81000700000000000d00038208"),
+     "0d81000700000000000d00038208"),
     (wire.BufferMapMsg(sender=7, newest_id=65535, head_id=0, capacity=13, bitmap=b"\x82\x08", seq=3),
-     "0000001501000000070000ffff00000000000d000000038208"),
+     "1501000000070000ffff00000000000d000000038208"),
+    # Runs as a varint count, then (gap since the previous run's end, length).
     (wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600, runs=((0, 3), (17, 1))),
-     "000000158e0007000400790028025800020000000300110001"),
+     "108e00070004007900280258" "02" "0003" "0e01"),
     (wire.BufferMapDelta(sender=7, seq=65536, newest_id=120, head_id=40, capacity=600,
                          runs=((0, 3), (17, 1))),
-     "0000001d0e00000007000100000000007800000028025800020000000300110001"),
+     "180e00000007000100000000007800000028" "0258" "02" "0003" "0e01"),
     (wire.SegmentRequest(sender=7, segment_id=300, prefetch=True),
-     "00000006820007012c01"),
+     "06820007012c01"),
     (wire.SegmentRequest(sender=7, segment_id=65536, prefetch=True),
-     "0000000a02000000070001000001"),
+     "0a02000000070001000001"),
     (wire.SegmentData(sender=7, segment_id=300, size_bits=30720),
-     "00000008830007012c780000"),
+     "08830007012c780000"),
     (wire.SegmentData(sender=7, segment_id=300, size_bits=65536),
-     "0000000e03000000070000012c0001000000"),
+     "0e03000000070000012c0001000000"),
     (wire.SegmentNack(sender=7, segment_id=300, trace_id=5),
-     "0000000e890007012c020000000000000005"),
+     "0e890007012c020000000000000005"),
     (wire.SegmentNack(sender=70000, segment_id=300, trace_id=5),
-     "0000001209000111700000012c020000000000000005"),
+     "1209000111700000012c020000000000000005"),
     (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 9)),
-     "0000000d8400071000012c000200070009"),
+     "0c8400071000012c" "02" "00070009"),
     (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 65536)),
-     "000000170400000007000010000000012c00020000000700010000"),
+     "160400000007000010000000012c" "02" "0000000700010000"),
     (wire.DhtResponse(responder=9, origin=7, target_key=4096, segment_id=300, has_data=True,
                       rate=12.5, path=(7, 9)),
-     "0000001485000900071000012c0141480000000200070009"),
+     "1385000900071000012c0141480000" "02" "00070009"),
     (wire.DhtResponse(responder=70000, origin=7, target_key=4096, segment_id=300, has_data=True,
                       rate=12.5, path=(7, 9)),
-     "00000020050001117000000007000010000000012c014148000000020000000700000009"),
-    (wire.Ping(sender=7, nonce=1), "000000058600070001"),
-    (wire.Ping(sender=7, nonce=65536), "00000009060000000700010000"),
-    (wire.Pong(sender=9, nonce=1), "000000058700090001"),
-    (wire.Pong(sender=70000, nonce=1), "00000009070001117000000001"),
+     "1f050001117000000007000010000000012c0141480000" "02" "0000000700000009"),
+    (wire.Ping(sender=7, nonce=1), "058600070001"),
+    (wire.Ping(sender=7, nonce=65536), "09060000000700010000"),
+    (wire.Pong(sender=9, nonce=1), "058700090001"),
+    (wire.Pong(sender=70000, nonce=1), "09070001117000000001"),
     (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 301)),
-     "0000000b88000778000002012c012d"),
+     "0a8800077800" "02" "012c012d"),
     (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 65536)),
-     "0000001308000000070000780000020000012c00010000"),
-    (wire.CreditGrant(sender=7, credits=4), "000000058a00070004"),
-    (wire.CreditGrant(sender=65536, credits=4), "000000070a000100000004"),
+     "12080000000700007800" "02" "0000012c00010000"),
+    (wire.CreditGrant(sender=7, credits=4), "058a00070004"),
+    (wire.CreditGrant(sender=65536, credits=4), "070a000100000004"),
     (wire.ShardHello(shard_index=0, num_shards=2, token=42, ring_size=8192),
-     "0000000d0b000000020000002a00002000"),
+     "0d0b000000020000002a00002000"),
     (wire.RoutedFrame(src=7, dst=9, payload=_PING),  # src elided: the narrow ping spells it
-     "0000000f0c0200000009000000058600070001"),
+     "0c0c0200000009" "058600070001"),
+    # Entries verbatim, each behind its own prefix, after a varint count.
     (wire.FrameBatch(frames=(_PING, _CREDIT)),
-     "000000110d00020005860007000100058a00070004"),
+     "0e0d" "02" "058600070001" "058a00070004"),
     (wire.TelemetryFrame(shard=1, period=2, payload=b"{}"),
-     "000000090f0001000000027b7d"),
+     "090f0001000000027b7d"),
 ]
 
 #: The kinds that ship at one width only.
@@ -584,7 +771,7 @@ class TestGoldenVectors:
     """Byte-exact frames: a declarative codec must reproduce every one."""
 
     def test_every_kind_byte_has_a_vector(self):
-        kind_bytes = sorted(bytes.fromhex(hex_)[4] for _, hex_ in GOLDEN_VECTORS)
+        kind_bytes = sorted(bytes.fromhex(hex_)[1] for _, hex_ in GOLDEN_VECTORS)
         expected = sorted(
             [int(kind) for kind in wire.WireKind]
             + [kind | wire.NARROW for kind in wire.WireKind if kind not in ONE_WIDTH]
@@ -594,7 +781,7 @@ class TestGoldenVectors:
 
     @pytest.mark.parametrize(
         "msg, hex_", GOLDEN_VECTORS,
-        ids=[f"{type(m).__name__}-{h[8:10]}" for m, h in GOLDEN_VECTORS],
+        ids=[f"{type(m).__name__}-{h[2:4]}" for m, h in GOLDEN_VECTORS],
     )
     def test_encode_and_decode_match_the_vector(self, msg, hex_):
         frame = bytes.fromhex(hex_)

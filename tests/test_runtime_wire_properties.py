@@ -216,8 +216,23 @@ def wide_frame(msg) -> bytes:
     return wire._ENCODERS[type(msg)][0](msg)
 
 
+def varint(value: int) -> bytes:
+    """Minimal unsigned LEB128: seven bits per byte, low bits first."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
 def with_body(kind: int, body: bytes) -> bytes:
-    return (1 + len(body)).to_bytes(4, "big") + bytes([kind]) + body
+    return varint(1 + len(body)) + bytes([kind]) + body
+
+
+def kind_at(frame: bytes) -> int:
+    """Where a frame's kind byte sits, behind its varint prefix."""
+    return wire.prologue(frame)[0]
 
 
 class TestWidthProperty:
@@ -228,7 +243,7 @@ class TestWidthProperty:
     def test_narrow_form_is_chosen_exactly_when_every_integer_fits(self, msg):
         frame = wire.encode(msg)
         fits = all(0 <= value <= 0xFFFF for value in NARROWED[type(msg)](msg))
-        assert bool(frame[4] & wire.NARROW) == fits
+        assert bool(frame[kind_at(frame)] & wire.NARROW) == fits
         assert wire.decode(frame) == (msg, len(frame))
 
     @given(msg=peer_messages)
@@ -236,7 +251,7 @@ class TestWidthProperty:
     def test_the_wide_form_round_trips_and_is_never_shorter(self, msg):
         frame, wide = wire.encode(msg), wide_frame(msg)
         assert wire.decode(wide) == (msg, len(wide))
-        if frame[4] & wire.NARROW:
+        if frame[kind_at(frame)] & wire.NARROW:
             assert len(frame) < len(wide)
         else:
             assert frame == wide
@@ -245,14 +260,17 @@ class TestWidthProperty:
     @settings(max_examples=300, deadline=None)
     def test_a_narrow_kind_byte_on_a_wide_length_body_is_rejected(self, msg):
         frame, wide = wire.encode(msg), wide_frame(msg)
-        if frame[4] & wire.NARROW:
+        at, wide_at = kind_at(frame), kind_at(wide)
+        if frame[at] & wire.NARROW:
             # The narrow fields, padded out to the wide body's length.
-            padded = with_body(frame[4], frame[5:] + bytes(len(wide) - len(frame)))
+            padded = with_body(
+                frame[at], frame[at + 1:] + bytes(len(wide) - wide_at - len(frame) + at)
+            )
             with pytest.raises(wire.WireError):
                 wire.decode(padded)
         # The wide body itself under a narrow kind byte: never the message,
         # and always an error where the body length is fixed.
-        flipped = with_body(wide[4] | wire.NARROW, wide[5:])
+        flipped = with_body(wide[wide_at] | wire.NARROW, wide[wide_at + 1:])
         try:
             decoded, _ = wire.decode(flipped)
         except wire.WireError:
@@ -275,7 +293,7 @@ class TestWidthProperty:
         frame = wire.encode(routed)
         assert wire.decode(frame) == (routed, len(frame))
         if leading is not None:
-            elided = len(frame) == 4 + 6 + len(payload)
+            elided = wire.prologue(frame)[1] == 6 + len(payload)
             assert elided == (src == leading)
 
 
@@ -300,15 +318,16 @@ class TestPullListWidth:
             return msg, wire.encode(msg)
 
         narrow_msg, narrow = frame_of(pulls)
-        assert narrow[4] & wire.NARROW
+        assert narrow[kind_at(narrow)] & wire.NARROW
         traced = any(trace_id for _, trace_id in pulls)
         k = len(pulls)
-        assert len(narrow) == 10 + (2 * k if k > 1 else 0) + (8 * k if traced else 0)
+        # prefix, kind, header; a one-byte count and k - 1 ids; the traces
+        assert len(narrow) == 7 + (2 * k - 1 if k > 1 else 0) + (8 * k if traced else 0)
         assert wire.decode(narrow) == (narrow_msg, len(narrow))
         at = data.draw(st.integers(0, k), label="position of the wide id")
         pulls.insert(at, (wide_id, 0))
         msg, frame = frame_of(pulls)
-        assert not frame[4] & wire.NARROW
+        assert not frame[kind_at(frame)] & wire.NARROW
         assert frame == wide_frame(msg)
         assert wire.decode(frame) == (msg, len(frame))
         assert msg.pulls() == tuple(pulls)
@@ -362,6 +381,79 @@ class TestValueEquality:
             assert type(msg) is not type(other) or wire.encode(msg) != wire.encode(other)
 
 
+#: Run gaps and lengths that straddle the one-byte varint boundary.
+straddling = st.one_of(st.sampled_from((1, 126, 127, 128, 129, 255, 256)), st.integers(1, 300))
+
+
+@st.composite
+def straddling_deltas(draw):
+    """Deltas whose first run starts at offset >= 128 and whose gaps and
+    lengths straddle 127/128 (a gap of 0 joins two runs end to end)."""
+    offset = draw(st.integers(128, 400), label="first offset")
+    runs = []
+    for _ in range(draw(st.integers(1, 6), label="runs")):
+        length = draw(straddling, label="length")
+        runs.append((offset, length))
+        offset += length + draw(st.one_of(st.just(0), straddling), label="gap")
+    end = runs[-1][0] + runs[-1][1]
+    return wire.BufferMapDelta(
+        sender=draw(u32), seq=draw(u32), newest_id=draw(newest_ids), head_id=draw(u32),
+        capacity=end + draw(st.integers(0, 200), label="slack"), runs=tuple(runs),
+    )
+
+
+class TestVarintProperty:
+    """Varints: each value has one spelling, and the decoder takes no other."""
+
+    @given(delta=straddling_deltas())
+    @settings(max_examples=300, deadline=None)
+    def test_deltas_round_trip_with_each_gap_and_length_spelled_minimally(self, delta):
+        frame = wire.encode(delta)
+        assert wire.decode(frame) == (delta, len(frame))
+        values, end = [len(delta.runs)], 0
+        for start, length in delta.runs:
+            values += (start - end, length)
+            end = start + length
+        runs = b"".join(varint(value) for value in values)
+        assert frame.endswith(runs)
+        header = 10 if frame[kind_at(frame)] & wire.NARROW else 18
+        assert wire.prologue(frame)[1] == 1 + header + len(runs)
+
+    @given(msg=wire_messages, extra=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_the_decoder_accepts_only_the_minimal_prefix(self, msg, extra):
+        """``encode(decode(f)) == f`` for every spelling ``f`` of a frame's
+        length the decoder accepts: the minimal one is the only one."""
+        frame = wire.encode(msg)
+        start, length = wire.prologue(frame)
+        assert wire.encode(wire.decode(frame)[0]) == frame
+        spelled = bytearray(frame[:start])
+        for _ in range(extra):  # the same value, one more (zero) group each time
+            spelled[-1] |= 0x80
+            spelled.append(0)
+        respelled = bytes(spelled) + frame[start:]
+        for reader in (wire.decode, wire.decode_frame, wire.FrameDecoder().feed):
+            with pytest.raises(wire.WireError):
+                reader(respelled)
+
+    @given(msgs=st.lists(_batchable_messages, min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_batch_accepts_only_minimal_entry_prefixes(self, msgs, data):
+        frames = [wire.encode(m) for m in msgs]
+        batch = wire.encode(wire.FrameBatch(frames=tuple(frames)))
+        assert wire.encode(wire.decode(batch)[0]) == batch
+        victim = data.draw(st.integers(0, len(frames) - 1), label="victim entry")
+        start, length = wire.prologue(frames[victim])
+        spelled = bytearray(varint(length))
+        spelled[-1] |= 0x80
+        frames[victim] = bytes(spelled) + b"\x00" + frames[victim][start:]
+        respelled = with_body(wire.WireKind.BATCH, varint(len(frames)) + b"".join(frames))
+        with pytest.raises(wire.WireError):
+            wire.decode(respelled)
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(respelled)
+
+
 class TestGarbageResilience:
     @given(garbage=st.binary(max_size=4096))
     @settings(max_examples=300, deadline=None)
@@ -374,7 +466,7 @@ class TestGarbageResilience:
         for msg in messages:
             assert wire.encode(msg)  # whatever decoded is a valid message
         # partial trailing bytes stay bounded by one frame
-        assert decoder.pending_bytes <= wire.MAX_FRAME_PAYLOAD + 4
+        assert decoder.pending_bytes <= wire.MAX_PREFIX + wire.MAX_FRAME_PAYLOAD
 
     @given(garbage=st.binary(max_size=512), msg=wire_messages)
     @settings(max_examples=150, deadline=None)
@@ -397,7 +489,7 @@ class TestGarbageResilience:
             decoder.feed(prefix)
         except wire.WireError:
             return
-        assert decoder.pending_bytes <= wire.MAX_FRAME_PAYLOAD + 4
+        assert decoder.pending_bytes <= wire.MAX_PREFIX + wire.MAX_FRAME_PAYLOAD
 
 
 class TestTruncationProperty:
@@ -514,9 +606,8 @@ class TestFrameBatchProperty:
         legit = wire.encode(
             wire.FrameBatch(frames=tuple(wire.encode(m) for m in inner))
         )
-        entry = legit[4:]  # kind + body of the inner batch
-        body = (1).to_bytes(2, "big") + len(entry).to_bytes(2, "big") + entry
-        frame = (1 + len(body)).to_bytes(4, "big") + bytes([wire.WireKind.BATCH]) + body
+        body = varint(1) + legit  # one entry: the inner batch, verbatim
+        frame = with_body(wire.WireKind.BATCH, body)
         with pytest.raises(wire.WireError):
             wire.decode(frame)
 
@@ -560,20 +651,18 @@ class TestFrameBatchProperty:
         victim = data.draw(st.integers(0, len(frames) - 1), label="victim entry")
         if damage == "unknown inner kind":
             broken = bytearray(frames[victim])
-            broken[4] = 0xEE
+            broken[kind_at(broken)] = 0xEE
             frames[victim] = bytes(broken)
-        entries = b"".join(len(f[4:]).to_bytes(2, "big") + f[4:] for f in frames)
+        entries = b"".join(frames)
         count = len(frames)
         if damage == "trailing byte":
             entries += b"\x00"
         elif damage == "truncated entry":
             entries = entries[:-1]
         elif damage == "nested":
-            inner = wire.encode(wire.FrameBatch(frames=(wire.encode(wire.Ping(1, 2)),)))
-            entries += len(inner[4:]).to_bytes(2, "big") + inner[4:]
+            entries += wire.encode(wire.FrameBatch(frames=(wire.encode(wire.Ping(1, 2)),)))
             count += 1
-        body = bytes([wire.WireKind.BATCH]) + count.to_bytes(2, "big") + entries
-        frame = len(body).to_bytes(4, "big") + body
+        frame = with_body(wire.WireKind.BATCH, varint(count) + entries)
         with pytest.raises(wire.WireError):
             wire.decode_frame(frame)
 

@@ -16,9 +16,14 @@ that moves any of them on purpose (a declared re-pin) commits a new row in
 the same change; anything else that moves them is a behaviour change nobody
 declared.  CPU-time metrics are not checked: they are host-dependent.
 
+With ``--matrix PATH`` it runs no workload and checks a
+``tools/quality_matrix.py --json PATH`` matrix instead: every cell's
+per-seed continuity, and every per-seed count the row's ``matrix`` records
+(wire and lookup counts of the runtime rows), must equal the row's.
+
 Usage::
 
-    python3 tools/check_fingerprints.py [--history BENCH_history.jsonl]
+    python3 tools/check_fingerprints.py [--history BENCH_history.jsonl] [--matrix PATH]
 
 Exit status: 0 equal, 1 a value differs, 2 a benchmark run failed.
 """
@@ -87,11 +92,51 @@ def mismatches(
     return problems
 
 
+def matrix_mismatches(recorded: Mapping, measured: Mapping) -> List[str]:
+    """Every per-seed value of the ``recorded`` matrix (a history row's
+    ``matrix``) that ``measured`` does not repeat exactly: each cell's
+    continuity and each count the row records (older rows record none)."""
+    problems = []
+    if measured.get("seeds") != recorded["seeds"]:
+        problems.append(f"matrix.seeds: history {recorded['seeds']!r}, "
+                        f"this tree {measured.get('seeds')!r}")
+    cells = measured.get("cells", {})
+    for name in sorted(set(cells) - set(recorded["cells"])):
+        problems.append(f"matrix[{name!r}]: not in the history row")
+    for name, cell in recorded["cells"].items():
+        for system, stats in cell.items():
+            if system == "delta":  # derived from the continuity means
+                continue
+            got = cells.get(name, {}).get(system, {})
+            checks = [("continuity", stats["by_seed"], got.get("by_seed"))]
+            checks += [
+                (count, value["by_seed"], got.get(count, {}).get("by_seed"))
+                for count, value in stats.items()
+                if isinstance(value, dict)
+            ]
+            problems += [
+                f"matrix[{name!r}].{system}.{what}: history {want!r}, this tree {have!r}"
+                for what, want, have in checks
+                if have != want
+            ]
+    return problems
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--history", type=Path, default=ROOT / "BENCH_history.jsonl")
+    parser.add_argument("--matrix", type=Path,
+                        help="check this quality matrix JSON instead of running the workloads")
     args = parser.parse_args(argv)
     row = last_row(args.history)
+    if args.matrix is not None:
+        measured = json.loads(args.matrix.read_text(encoding="utf-8"))
+        problems = matrix_mismatches(row["matrix"], measured)
+        for problem in problems:
+            print(f"check_fingerprints: {problem}", file=sys.stderr)
+        if not problems:
+            print(f"check_fingerprints: matrix equals row {row['commit']!r}")
+        return 1 if problems else 0
     try:
         measured = {workload: measure(workload) for workload in WORKLOADS}
     except RuntimeError as error:

@@ -7,7 +7,8 @@ discrete-event simulator (``sim``) or the virtual-clock live runtime
 seed of ``stable_continuity``, and for every (driver, peers, periods) the
 gap Δ = ContinuStreaming − CoolStreaming of the means, which is the paper's
 claim.  A runtime row also records, per seed and as a mean, the messages
-and bytes its runs put on the wire (the simulator sends no frames).  Both
+and bytes its runs put on the wire (the simulator sends no frames) and how
+its Algorithm 2 lookups ended, with the DHT walks they made.  Both
 drivers are deterministic for a seed, so a rerun repeats every number to
 the last digit.
 
@@ -35,6 +36,8 @@ from typing import Dict, List, Sequence, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.core.node import LOOKUP_COUNTERS  # noqa: E402
+
 SYSTEMS = ("continustreaming", "coolstreaming")
 
 #: One row of the grid: ``(driver, peers, periods)``.
@@ -43,7 +46,10 @@ Row = Tuple[str, int, int]
 GRID: List[Row] = [("sim", 200, 60), ("sim", 500, 40), ("runtime", 200, 40)]
 SEEDS = range(5)
 #: The wire counts a runtime cell records beside its continuity.
-COUNTS = ("messages_sent", "bytes_on_wire")
+WIRE_COUNTS = ("messages_sent", "bytes_on_wire")
+#: Everything a runtime cell records beside its continuity: the wire
+#: counts, the lookup outcomes and the lookups' DHT walks.
+COUNTS = WIRE_COUNTS + LOOKUP_COUNTERS
 
 
 def run_cell(
@@ -93,15 +99,16 @@ def matrix(rows: Sequence[Row], seeds: Sequence[int]) -> Dict:
 
 def render(result: Dict) -> List[str]:
     """The matrix as text lines, one per (row, system) plus each row's Δ;
-    a runtime row adds its mean counts."""
+    a runtime row adds its mean wire counts."""
     lines = [f"{'cell':<18} {'system':<18} {'mean':>8} {'worst':>8}  {'msgs':>9} {'bytes':>11}"]
     for name, entry in result["cells"].items():
         for system in SYSTEMS:
             stats = entry[system]
             line = f"{name:<18} {system:<18} {stats['mean']:8.4f} {stats['worst']:8.4f}"
-            if all(count in stats for count in COUNTS):
+            if all(count in stats for count in WIRE_COUNTS):
                 line += "  " + " ".join(
-                    f"{stats[count]['mean']:{width}.0f}" for count, width in zip(COUNTS, (9, 11))
+                    f"{stats[count]['mean']:{width}.0f}"
+                    for count, width in zip(WIRE_COUNTS, (9, 11))
                 )
             lines.append(line)
         lines.append(f"{name:<18} {'Δ continu - cool':<18} {entry['delta']:+8.4f}")
