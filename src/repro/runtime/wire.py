@@ -34,8 +34,15 @@ frames into one length-prefixed write without being charged itself, and
 :class:`BufferMapDelta` ships a buffer map as changed-bit runs against the
 sender's previous snapshot while the ledger still charges the full
 ``capacity + 20`` bits — physical bytes shrink, paper accounting does not
-move.  Encoding packs a short frame's one-byte length prefix, kind byte and
-fixed header with one precompiled :class:`struct.Struct`; decoding operates
+move.  Each frame kind's layout is one row of a table (*the table* below)
+from which both its encoder and its decoder are built, so both sides read
+one field order, one set of flag bits and one range check per field type.
+Decoding refuses what encoding cannot write: a flag bit the kind does not
+define (a *reserved* bit) or a field below its type's range is a
+:class:`WireError`, so ``encode(decode(f)) == f`` for every frame that
+decodes, save two spellings the encoder never writes and the decoder still
+reads: a wide frame whose fields would all fit narrow, and a routed frame
+that spells a source its payload already leads with.  Decoding operates
 on ``memoryview`` slices of the receive buffer so steady-state decode
 performs no intermediate payload copies.  Every reader of the layout finds
 the kind byte through one helper, :func:`prologue`.
@@ -49,10 +56,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import lru_cache
-from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from operator import attrgetter, itemgetter
+from typing import (
+    Any, Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.net.message import (
     PING_MESSAGE_BITS,
@@ -465,22 +475,15 @@ WireMessage = Union[
 
 # ====================================================================== encoding
 #
-# One precompiled Struct per kind and width packs a one-byte length
-# prefix, the kind byte and the fixed header in a single call; out-of-range
-# fields surface as ``struct.error``, which :func:`encode` re-raises as
-# :class:`WireError` (one translation for every kind).  Variable tails
-# (bitmaps, paths, run lists, batch entries) are appended with cached
-# per-count Structs (:data:`_IDS`) behind a varint count.  A frame whose
-# payload reaches 128 bytes is packed the same way and re-prefixed
-# (:func:`_long_frame`); no fixed-size frame ever does.
+# A kind's layout is its row in *the table* below, which builds the kind's
+# encoder per width; the envelopes are packed by hand.
 #
 # Every peer message has two widths: the *narrow* layout spells ids,
 # segment numbers, ``seq``, ``newest_id``/``head_id``, sizes and id lists in
 # 16 bits and sets :data:`NARROW` in the kind byte, the *wide* one in 32.
 # :func:`encode` packs narrow first and falls back to wide on
 # ``struct.error``, so a frame is narrow exactly when every integer fits.
-# Each coder is built per width by a factory over ``narrow`` (0 or 1).  A
-# narrow ``newest_id`` rides as ``newest_id + 1`` so the fresh-stream -1
+# A narrow ``newest_id`` rides as ``newest_id + 1`` so the fresh-stream -1
 # fits.  Widths and varints move byte counts only; the one choice that
 # reads a frame's length is the live peer's delta-or-full gossip, whose
 # receiver rebuilds the same map either way.
@@ -512,33 +515,6 @@ def _long_frame(length: int, head: bytes, tail: bytes) -> bytes:
     return b"".join((_varint(length), head[1:], tail))
 
 
-def _respell(head: bytes, length: int, count: int, tail: bytes) -> bytes:
-    """A frame whose ``head`` ends in a one-byte placeholder for ``count``
-    and whose ``length`` assumed it, once either outgrows one byte."""
-    count_varint = _varint(count)
-    return _long_frame(length + len(count_varint) - 1, head[:-1], count_varint + tail)
-
-
-def _layouts(wide: str, narrow: str) -> Tuple[tuple, tuple]:
-    """A kind's frame Structs and body Structs, each pair indexed by
-    ``narrow``; a frame Struct leads with a one-byte length and the kind
-    byte."""
-    bodies = (struct.Struct(">" + wide), struct.Struct(">" + narrow))
-    return tuple(struct.Struct(">BB" + body.format[1:]) for body in bodies), bodies
-
-
-# A header ending in a count packs the count's first varint byte: the
-# whole count below 128, a placeholder re-spelled by :func:`_respell` above.
-_BM_FRAME, _BM_BODY = _layouts("IiIHI", "HHHHH")  # sender, newest, head, cap, seq
-_MD_FRAME, _MD_BODY = _layouts("IIiIH", "HHHHH")  # sender, seq, newest, head, cap
-_PULL_FRAME, _PULL_BODY = _layouts("IIB", "HHB")  # sender, segment, flags
-_DATA_FRAME, _DATA_BODY = _layouts("IIIB", "HHHB")  # sender, segment, size_bits, flags
-_LOOKUP_FRAME, _LOOKUP_BODY = _layouts("IIIB", "HHHB")  # origin, key, segment, path len
-# responder, origin, key, segment, flags, rate, path len
-_RESP_FRAME, _RESP_BODY = _layouts("IIIIBfB", "HHHHBfB")
-_PROBE_FRAME, _PROBE_BODY = _layouts("II", "HH")  # sender, nonce
-_HANDOVER_FRAME, _HANDOVER_BODY = _layouts("IIB", "HHB")  # sender, segment_bits, count
-_CREDIT_FRAME, _CREDIT_BODY = _layouts("IH", "HH")  # sender, credits
 #: Optional trace-id tail on segment request/data/nack frames (flag bit
 #: 1): one u64 per segment the frame carries.  Physical-only: absent when
 #: no trace id is set, never ledger-charged (:mod:`repro.obs`
@@ -548,13 +524,9 @@ _TRACED_FLAG = 0x2
 #: Flag bit 2 of a request/nack frame: a varint count and the further
 #: segment ids (at the frame's width) follow the header.
 _LIST_FLAG = 0x4
-_HELLO_FRAME = struct.Struct(">BBHHII")
-_HELLO_BODY = struct.Struct(">HHII")
 _ROUTE_FRAME = struct.Struct(">BBBII")  # len, kind, flags, src, dst
 _ROUTE_E_FRAME = struct.Struct(">BBBI")  # len, kind, flags, dst (src in payload)
 _ROUTE_IDS = struct.Struct(">II")
-_TELEM_FRAME = struct.Struct(">BBHI")  # len, kind, shard, period
-_TELEM_BODY = struct.Struct(">HI")
 
 #: How far under :data:`MAX_FRAME_PAYLOAD` a frame's payload must stay for
 #: a :class:`RoutedFrame` to carry the frame: the envelope's kind, flags
@@ -566,228 +538,22 @@ _RF_DATA = 0x01
 _RF_SRC_ELIDED = 0x02
 
 
-@lru_cache(maxsize=512)
-def _ids_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}I`` Struct (wide paths, handover and pull id lists)."""
-    return struct.Struct(f">{count}I")
+def _counted(code: str, size: int) -> Callable[[int], struct.Struct]:
+    """A cache of ``>{count}{code}`` Structs by count."""
+    return lru_cache(maxsize=size)(lambda count: struct.Struct(f">{count}{code}"))
 
 
-@lru_cache(maxsize=64)
-def _traces_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}Q`` Struct (the trace tail of a pull list)."""
-    return struct.Struct(f">{count}Q")
-
-
-@lru_cache(maxsize=512)
-def _u16s_struct(count: int) -> struct.Struct:
-    """Cached ``>{count}H`` Struct (narrow id lists)."""
-    return struct.Struct(f">{count}H")
-
-
-#: The per-count Struct of a path / handover / pull id list, by width.
-_IDS = (_ids_struct, _u16s_struct)
-
-
-def _packer(frames: tuple, kind: int, narrow: int) -> Tuple[Callable[..., bytes], int, int]:
-    """What a per-width encoder closes over: its frame Struct's ``pack``,
-    the fixed payload length (kind byte + header) and the kind byte."""
-    return frames[narrow].pack, frames[narrow].size - 1, kind | NARROW * narrow
-
-
-def _run_varints(runs: Tuple[Tuple[int, int], ...], capacity: int) -> bytes:
-    """A delta's run list: the varint count, then (gap since the previous
-    run's end, length) per run.  Runs must be ascending, disjoint,
-    non-empty and inside the window."""
-    out = bytearray(_varint(len(runs)))
-    append = out.append
-    end = 0
-    for start, length in runs:
-        if start < end or length < 1:
-            raise WireError("delta runs must be non-empty, ascending and disjoint")
-        gap = start - end
-        if gap < 0x80 and length < 0x80:  # one byte each: most runs
-            append(gap)
-            append(length)
-        else:
-            out += _varint(gap)
-            out += _varint(length)
-        end = start + length
-    if end > capacity:
-        raise WireError(f"delta run ends at offset {end}, past capacity {capacity}")
-    return bytes(out)
-
-
-def _map_encoder(narrow: int) -> Callable[[BufferMapMsg], bytes]:
-    pack, fixed, kind = _packer(_BM_FRAME, WireKind.BUFFER_MAP, narrow)
-
-    def encode_map(msg: BufferMapMsg) -> bytes:
-        if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
-            raise WireError(f"newest_id out of range: {msg.newest_id}")
-        if msg.capacity < 1:
-            raise WireError("capacity must be >= 1")
-        nbytes = (msg.capacity + 7) // 8
-        if len(msg.bitmap) != nbytes:
-            raise WireError(
-                f"bitmap of capacity {msg.capacity} needs {nbytes} bytes, "
-                f"got {len(msg.bitmap)}"
-            )
-        length = fixed + nbytes
-        head = pack(
-            length & 0x7F, kind, msg.sender, msg.newest_id + narrow, msg.head_id, msg.capacity,
-            msg.seq,
-        )
-        return head + msg.bitmap if length < 0x80 else _long_frame(length, head, msg.bitmap)
-
-    return encode_map
-
-
-def _delta_encoder(narrow: int) -> Callable[[BufferMapDelta], bytes]:
-    pack, fixed, kind = _packer(_MD_FRAME, WireKind.MAP_DELTA, narrow)
-
-    def encode_delta(msg: BufferMapDelta) -> bytes:
-        if not (-1 <= msg.newest_id <= 0x7FFF_FFFF):
-            raise WireError(f"newest_id out of range: {msg.newest_id}")
-        if msg.capacity < 1:
-            raise WireError("capacity must be >= 1")
-        tail = _run_varints(msg.runs, msg.capacity)
-        length = fixed + len(tail)
-        head = pack(
-            length & 0x7F, kind, msg.sender, msg.seq, msg.newest_id + narrow, msg.head_id,
-            msg.capacity,
-        )
-        return head + tail if length < 0x80 else _long_frame(length, head, tail)
-
-    return encode_delta
-
-
-def _pull_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
-    """Encoder of a request-shaped frame (``SegmentRequest`` / ``SegmentNack``)."""
-    pack, fixed, kind = _packer(_PULL_FRAME, kind, narrow)
-    ids_struct = _IDS[narrow]
-
-    def encode_pull(msg: Union[SegmentRequest, SegmentNack]) -> bytes:
-        more = msg.more
-        if not (more or msg.trace_id):
-            return pack(fixed, kind, msg.sender, msg.segment_id, 1 if msg.prefetch else 0)
-        flags = 1 if msg.prefetch else 0
-        tail = b""
-        traces = (msg.trace_id,)
-        if more:
-            ids, more_traces = zip(*more)
-            flags |= _LIST_FLAG
-            tail = _varint(len(ids)) + ids_struct(len(ids)).pack(*ids)
-            traces += more_traces
-        if any(traces):
-            flags |= _TRACED_FLAG
-            tail += _traces_struct(len(traces)).pack(*traces)
-        length = fixed + len(tail)
-        head = pack(length & 0x7F, kind, msg.sender, msg.segment_id, flags)
-        return head + tail if length < 0x80 else _long_frame(length, head, tail)
-
-    return encode_pull
-
-
-def _data_encoder(narrow: int) -> Callable[[SegmentData], bytes]:
-    pack, fixed, kind = _packer(_DATA_FRAME, WireKind.SEGMENT_DATA, narrow)
-
-    def encode_data(msg: SegmentData) -> bytes:
-        if not msg.trace_id:
-            return pack(
-                fixed, kind, msg.sender, msg.segment_id, msg.size_bits, 1 if msg.prefetch else 0
-            )
-        head = pack(
-            fixed + _TRACE_TAIL.size, kind, msg.sender, msg.segment_id, msg.size_bits,
-            (1 if msg.prefetch else 0) | _TRACED_FLAG,
-        )
-        return head + _TRACE_TAIL.pack(msg.trace_id)
-
-    return encode_data
-
-
-def _lookup_encoder(narrow: int) -> Callable[[DhtLookup], bytes]:
-    pack, fixed, kind = _packer(_LOOKUP_FRAME, WireKind.DHT_LOOKUP, narrow)
-    ids_struct = _IDS[narrow]
-
-    def encode_lookup(msg: DhtLookup) -> bytes:
-        count = len(msg.path)
-        ids = ids_struct(count)
-        length = fixed + ids.size
-        head = pack(
-            length & 0x7F, kind, msg.origin, msg.target_key, msg.segment_id, count & 0x7F
-        )
-        if length < 0x80:
-            return head + ids.pack(*msg.path)
-        return _respell(head, length, count, ids.pack(*msg.path))
-
-    return encode_lookup
-
-
-def _response_encoder(narrow: int) -> Callable[[DhtResponse], bytes]:
-    pack, fixed, kind = _packer(_RESP_FRAME, WireKind.DHT_RESPONSE, narrow)
-    ids_struct = _IDS[narrow]
-
-    def encode_response(msg: DhtResponse) -> bytes:
-        count = len(msg.path)
-        ids = ids_struct(count)
-        length = fixed + ids.size
-        head = pack(
-            length & 0x7F, kind, msg.responder, msg.origin, msg.target_key, msg.segment_id,
-            1 if msg.has_data else 0, float(msg.rate), count & 0x7F,
-        )
-        if length < 0x80:
-            return head + ids.pack(*msg.path)
-        return _respell(head, length, count, ids.pack(*msg.path))
-
-    return encode_response
-
-
-def _probe_encoder(kind: WireKind, narrow: int) -> Callable[..., bytes]:
-    pack, fixed, kind = _packer(_PROBE_FRAME, kind, narrow)
-
-    def encode_probe(msg: Union[Ping, Pong]) -> bytes:
-        return pack(fixed, kind, msg.sender, msg.nonce)
-
-    return encode_probe
-
-
-def _handover_encoder(narrow: int) -> Callable[[Handover], bytes]:
-    pack, fixed, kind = _packer(_HANDOVER_FRAME, WireKind.HANDOVER, narrow)
-    ids_struct = _IDS[narrow]
-
-    def encode_handover(msg: Handover) -> bytes:
-        count = len(msg.segment_ids)
-        ids = ids_struct(count)
-        length = fixed + ids.size
-        head = pack(length & 0x7F, kind, msg.sender, msg.segment_bits, count & 0x7F)
-        if length < 0x80:
-            return head + ids.pack(*msg.segment_ids)
-        return _respell(head, length, count, ids.pack(*msg.segment_ids))
-
-    return encode_handover
-
-
-def _credit_encoder(narrow: int) -> Callable[[CreditGrant], bytes]:
-    pack, fixed, kind = _packer(_CREDIT_FRAME, WireKind.CREDIT, narrow)
-
-    def encode_credit(msg: CreditGrant) -> bytes:
-        if msg.credits < 1:
-            raise WireError(f"credit grant must carry >= 1 credit, got {msg.credits}")
-        return pack(fixed, kind, msg.sender, msg.credits)
-
-    return encode_credit
-
-
-def _enc_hello(msg: ShardHello) -> bytes:
-    if msg.num_shards < 1:
-        raise WireError(f"num_shards must be >= 1, got {msg.num_shards}")
-    return _HELLO_FRAME.pack(
-        1 + _HELLO_BODY.size,
-        WireKind.SHARD_HELLO,
-        msg.shard_index,
-        msg.num_shards,
-        msg.token,
-        msg.ring_size,
-    )
+#: The per-count Struct of a path / handover / pull id list, by width, and
+#: of a pull list's trace ids.
+_IDS = (_counted("I", 512), _counted("H", 512))
+_traces_struct = _counted("Q", 64)
+#: The ``pack`` of a one-byte count and that many ids, by width and count,
+#: with the count bound: the id list of almost every frame, packed in one
+#: call that allocates nothing but the result.
+_LISTS = tuple(
+    tuple(partial(struct.Struct(f">B{count}{code}").pack, count) for count in range(0x80))
+    for code in "IH"
+)
 
 
 def _sender_span(payload: Union[bytes, memoryview]) -> Optional[Tuple[int, int]]:
@@ -849,47 +615,18 @@ def _enc_batch(msg: FrameBatch) -> bytes:
     return _pack_batch(msg.frames)
 
 
-def _enc_telemetry(msg: TelemetryFrame) -> bytes:
-    length = 1 + _TELEM_BODY.size + len(msg.payload)
-    head = _TELEM_FRAME.pack(length & 0x7F, WireKind.TELEMETRY, msg.shard, msg.period)
-    return head + msg.payload if length < 0x80 else _long_frame(length, head, msg.payload)
-
-
-def _widths(factory: Callable[..., Callable], *args) -> Tuple[Callable, Callable]:
-    """The ``(wide, narrow)`` pair of coders a factory builds."""
-    return factory(*args, 0), factory(*args, 1)
-
-
-_ENCODERS: Dict[type, Tuple[Callable[..., bytes], Callable[..., bytes]]] = {
-    BufferMapMsg: _widths(_map_encoder),
-    BufferMapDelta: _widths(_delta_encoder),
-    SegmentRequest: _widths(_pull_encoder, WireKind.SEGMENT_REQUEST),
-    SegmentNack: _widths(_pull_encoder, WireKind.SEGMENT_NACK),
-    SegmentData: _widths(_data_encoder),
-    DhtLookup: _widths(_lookup_encoder),
-    DhtResponse: _widths(_response_encoder),
-    Ping: _widths(_probe_encoder, WireKind.PING),
-    Pong: _widths(_probe_encoder, WireKind.PONG),
-    Handover: _widths(_handover_encoder),
-    CreditGrant: _widths(_credit_encoder),
-    ShardHello: (_enc_hello,) * 2,
-    RoutedFrame: (_enc_route,) * 2,
-    FrameBatch: (_enc_batch,) * 2,
-    TelemetryFrame: (_enc_telemetry,) * 2,
-}
-
-
 def encode(msg: WireMessage) -> bytes:
     """Serialise one message into a length-prefixed frame, narrow when
     every integer field fits 16 bits, else wide."""
-    encoders = _ENCODERS.get(type(msg))
-    if encoders is None:
-        raise WireError(f"cannot encode {type(msg).__name__}")
     try:
-        return encoders[1](msg)
+        encoder = _NARROW[type(msg)]
+    except KeyError:
+        raise WireError(f"cannot encode {type(msg).__name__}") from None
+    try:
+        return encoder(msg)
     except struct.error:
         try:
-            return encoders[0](msg)
+            return _ENCODE[type(msg)][0](msg)
         except struct.error as exc:
             raise WireError(f"{type(msg).__name__} field out of range: {exc}") from exc
 
@@ -1022,10 +759,6 @@ def is_one_shot(frame: Union[bytes, bytearray, memoryview]) -> bool:
 
 
 # ====================================================================== decoding
-#
-# Each peer kind's decoder is built per width, like its encoder, and
-# registered under both kind bytes.  Every decoder checks the body length
-# exactly, so a narrow kind byte on a wide-length body is a WireError.
 def _varint_at(
     buf: Union[bytes, bytearray, memoryview], pos: int, end: int, what: str
 ) -> Tuple[int, int]:
@@ -1046,255 +779,12 @@ def _varint_at(
     raise WireError(f"{what} truncated")
 
 
-def _varints(raw: bytes, what: str) -> List[int]:
-    """Every varint in ``raw``, which must end with one: the rules of
-    :func:`_varint_at` in one pass (a delta's run list, read whole)."""
-    values: List[int] = []
-    append = values.append
-    value = shift = 0
-    for byte in raw:
-        if not shift and byte < 0x80:  # a one-byte varint: most of them
-            append(byte)
-        elif byte & 0x80:
-            value |= (byte & 0x7F) << shift
-            shift += 7
-            if shift == 7 * MAX_PREFIX:
-                raise WireError(f"{what} is longer than {MAX_PREFIX} bytes")
-        else:
-            if not byte:
-                raise WireError(f"{what} is not a minimal varint")
-            append(value | byte << shift)
-            value = shift = 0
-    if shift:
-        raise WireError(f"{what} truncated")
-    return values
-
-
-def _unpacker(bodies: tuple, narrow: int) -> Tuple[Callable[..., tuple], int]:
-    """What a per-width decoder closes over: its body Struct's
-    ``unpack_from`` and the body header size."""
-    return bodies[narrow].unpack_from, bodies[narrow].size
-
-
-def _map_decoder(narrow: int) -> Callable[[memoryview, int, int], BufferMapMsg]:
-    unpack, size = _unpacker(_BM_BODY, narrow)
-
-    def decode_map(view: memoryview, start: int, end: int) -> BufferMapMsg:
-        if end - start < size:
-            raise WireError("buffer-map body too short")
-        sender, newest, head, capacity, seq = unpack(view, start)
-        if capacity < 1:
-            raise WireError("capacity must be >= 1")
-        nbytes = (capacity + 7) // 8
-        if end - start - size != nbytes:
-            raise WireError(
-                f"bitmap of capacity {capacity} needs {nbytes} bytes, "
-                f"got {end - start - size}"
-            )
-        return BufferMapMsg(
-            sender, newest - narrow, head, capacity, bytes(view[start + size : end]), seq
-        )
-
-    return decode_map
-
-
-def _delta_decoder(narrow: int) -> Callable[[memoryview, int, int], BufferMapDelta]:
-    unpack, size = _unpacker(_MD_BODY, narrow)
-
-    def decode_delta(view: memoryview, start: int, end: int) -> BufferMapDelta:
-        if end - start <= size:
-            raise WireError("map-delta body too short")
-        sender, seq, newest, head, capacity = unpack(view, start)
-        if capacity < 1:
-            raise WireError("capacity must be >= 1")
-        values = bytes(view[start + size : end])
-        if not values.isascii():  # some varint is longer than one byte
-            values = _varints(values, "map-delta run")
-        count = values[0]
-        if len(values) != 1 + 2 * count:
-            raise WireError(
-                f"map-delta with {count} runs needs {2 * count} run varints, "
-                f"got {len(values) - 1}"
-            )
-        runs = []
-        offset = 0
-        for gap, length in zip(values[1::2], values[2::2]):
-            if length < 1:
-                raise WireError("delta run length must be >= 1")
-            offset += gap
-            runs.append((offset, length))
-            offset += length
-        if offset > capacity:
-            raise WireError(f"delta run ends at offset {offset}, past capacity {capacity}")
-        return BufferMapDelta(sender, seq, newest - narrow, head, capacity, tuple(runs))
-
-    return decode_delta
-
-
-def _trace_tail(
-    view: memoryview, start: int, end: int, body_size: int, flags: int, what: str
-) -> int:
-    """Validate the body length against flag bit 1, return the trace id."""
-    if not flags & _TRACED_FLAG:
-        if end - start != body_size:
-            raise WireError(f"{what} body size mismatch")
-        return 0
-    if end - start != body_size + _TRACE_TAIL.size:
-        raise WireError(f"{what} body size mismatch")
-    return _TRACE_TAIL.unpack_from(view, start + body_size)[0]
-
-
-def _pull_decoder(
-    cls: type, what: str, narrow: int
-) -> Callable[[memoryview, int, int], WireMessage]:
-    (unpack, size), ids_struct = _unpacker(_PULL_BODY, narrow), _IDS[narrow]
-    id_size = ids_struct(1).size
-    count_what = what + " id count"
-
-    def decode_pull(view: memoryview, start: int, end: int) -> WireMessage:
-        if end - start < size:
-            raise WireError(f"{what} body size mismatch")
-        sender, segment_id, flags = unpack(view, start)
-        if not flags & (_TRACED_FLAG | _LIST_FLAG):  # one untraced segment: most pulls
-            if end - start != size:
-                raise WireError(f"{what} body size mismatch")
-            return cls(sender, segment_id, bool(flags & 1))
-        if not flags & _LIST_FLAG:
-            trace_id = _trace_tail(view, start, end, size, flags, what)
-            return cls(sender, segment_id, bool(flags & 1), trace_id)
-        pos = start + size
-        count = view[pos] if pos < end else 0x80
-        if count < 0x80:
-            pos += 1
-        else:
-            count, pos = _varint_at(view, pos, end, count_what)
-        if count < 1:
-            raise WireError(f"{what} id list must hold at least one further id")
-        tail = _TRACE_TAIL.size * (count + 1) if flags & _TRACED_FLAG else 0
-        if end - pos != count * id_size + tail:
-            raise WireError(f"{what} body size mismatch")
-        more_ids = ids_struct(count).unpack_from(view, pos)
-        trace_ids = (
-            _traces_struct(count + 1).unpack_from(view, pos + count * id_size)
-            if tail
-            else (0,) * (count + 1)
-        )
-        return cls(
-            sender, segment_id, bool(flags & 1), trace_ids[0], tuple(zip(more_ids, trace_ids[1:]))
-        )
-
-    return decode_pull
-
-
-def _data_decoder(narrow: int) -> Callable[[memoryview, int, int], SegmentData]:
-    unpack, size = _unpacker(_DATA_BODY, narrow)
-
-    def decode_data(view: memoryview, start: int, end: int) -> SegmentData:
-        if end - start < size:
-            raise WireError("segment-data body size mismatch")
-        sender, segment_id, size_bits, flags = unpack(view, start)
-        trace_id = _trace_tail(view, start, end, size, flags, "segment-data")
-        return SegmentData(sender, segment_id, size_bits, bool(flags & 1), trace_id)
-
-    return decode_data
-
-
-def _dec_ids(
-    view: memoryview, pos: int, end: int, count: int, narrow: int, what: str
-) -> Tuple[int, ...]:
-    """Exactly ``count`` ids from ``pos`` to ``end``.  ``count`` is the
-    header's last byte; from 128 on it begins a longer varint, read here."""
-    if count >= 0x80:
-        count, pos = _varint_at(view, pos - 1, end, what + " length")
-    need = count * (4 - 2 * narrow)
-    if end - pos != need:
-        raise WireError(f"{what}: {count} ids need {need} bytes, got {end - pos}")
-    return _IDS[narrow](count).unpack_from(view, pos)
-
-
-def _lookup_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtLookup]:
-    unpack, size = _unpacker(_LOOKUP_BODY, narrow)
-
-    def decode_lookup(view: memoryview, start: int, end: int) -> DhtLookup:
-        if end - start < size:
-            raise WireError("dht-lookup body too short")
-        origin, key, segment_id, count = unpack(view, start)
-        path = _dec_ids(view, start + size, end, count, narrow, "dht-lookup path")
-        return DhtLookup(origin, key, segment_id, path)
-
-    return decode_lookup
-
-
-def _response_decoder(narrow: int) -> Callable[[memoryview, int, int], DhtResponse]:
-    unpack, size = _unpacker(_RESP_BODY, narrow)
-
-    def decode_response(view: memoryview, start: int, end: int) -> DhtResponse:
-        if end - start < size:
-            raise WireError("dht-response body too short")
-        responder, origin, key, segment_id, flags, rate, count = unpack(view, start)
-        path = _dec_ids(view, start + size, end, count, narrow, "dht-response path")
-        return DhtResponse(responder, origin, key, segment_id, bool(flags & 1), rate, path)
-
-    return decode_response
-
-
-def _probe_decoder(cls: type, narrow: int) -> Callable[[memoryview, int, int], WireMessage]:
-    unpack, size = _unpacker(_PROBE_BODY, narrow)
-
-    def decode_probe(view: memoryview, start: int, end: int) -> WireMessage:
-        if end - start != size:
-            raise WireError("ping/pong body size mismatch")
-        sender, nonce = unpack(view, start)
-        return cls(sender, nonce)
-
-    return decode_probe
-
-
-def _handover_decoder(narrow: int) -> Callable[[memoryview, int, int], Handover]:
-    unpack, size = _unpacker(_HANDOVER_BODY, narrow)
-
-    def decode_handover(view: memoryview, start: int, end: int) -> Handover:
-        if end - start < size:
-            raise WireError("handover body too short")
-        sender, segment_bits, count = unpack(view, start)
-        ids = _dec_ids(view, start + size, end, count, narrow, "handover ids")
-        return Handover(sender=sender, segment_bits=segment_bits, segment_ids=ids)
-
-    return decode_handover
-
-
-def _credit_decoder(narrow: int) -> Callable[[memoryview, int, int], CreditGrant]:
-    unpack, size = _unpacker(_CREDIT_BODY, narrow)
-
-    def decode_credit(view: memoryview, start: int, end: int) -> CreditGrant:
-        if end - start != size:
-            raise WireError("credit-grant body size mismatch")
-        sender, credits = unpack(view, start)
-        if credits < 1:
-            raise WireError("credit grant must carry >= 1 credit")
-        return CreditGrant(sender, credits)
-
-    return decode_credit
-
-
-def _dec_hello(view: memoryview, start: int, end: int) -> ShardHello:
-    if end - start != _HELLO_BODY.size:
-        raise WireError("shard-hello body size mismatch")
-    shard_index, num_shards, token, ring_size = _HELLO_BODY.unpack_from(view, start)
-    if num_shards < 1:
-        raise WireError("num_shards must be >= 1")
-    return ShardHello(
-        shard_index=shard_index,
-        num_shards=num_shards,
-        token=token,
-        ring_size=ring_size,
-    )
-
-
 def _dec_route(view: memoryview, start: int, end: int) -> RoutedFrame:
     if end - start < 5:
         raise WireError("routed-frame body too short")
     flags = view[start]
+    if flags & ~(_RF_DATA | _RF_SRC_ELIDED):
+        raise WireError(f"RoutedFrame sets undefined flag bits {flags:#04x}")
     if flags & _RF_SRC_ELIDED:
         (dst,) = _U32.unpack_from(view, start + 1)
         payload_start = start + 5
@@ -1360,62 +850,455 @@ def _dec_batch(view: memoryview, start: int, end: int) -> FrameBatch:
     return FrameBatch(tuple(bytes(view[first:stop]) for first, _, stop in spans))
 
 
-def _dec_telemetry(view: memoryview, start: int, end: int) -> TelemetryFrame:
-    if end - start < _TELEM_BODY.size:
-        raise WireError("telemetry body too short")
-    shard, period = _TELEM_BODY.unpack_from(view, start)
-    return TelemetryFrame(
-        shard=shard,
-        period=period,
-        payload=bytes(view[start + _TELEM_BODY.size : end]),
-    )
+# ===================================================================== the table
+#
+# A frame kind's layout is its row of :data:`_ROWS`: the kind byte and the
+# message class, the header fields in wire order with their types, the flag
+# bits the kind defines and the shape of its tail.  A :class:`_Layout` reads
+# one row at one width, and the row's tail shape in :data:`_TAILS` builds
+# the encoder and the decoder from that one reading, so both sides read one
+# field order, one set of flag bits and one range check per field type.  A
+# new kind is one row plus its golden vectors at both widths.
 
 
-_DECODERS: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
-    WireKind.SHARD_HELLO: _dec_hello,
-    WireKind.ROUTE: _dec_route,
-    WireKind.BATCH: _dec_batch,
-    WireKind.TELEMETRY: _dec_telemetry,
-}
-_DECODERS.update(
-    (kind | NARROW * narrow, decoder)
-    for kind, coders in {
-        WireKind.BUFFER_MAP: _widths(_map_decoder),
-        WireKind.SEGMENT_REQUEST: _widths(_pull_decoder, SegmentRequest, "segment-request"),
-        WireKind.SEGMENT_DATA: _widths(_data_decoder),
-        WireKind.DHT_LOOKUP: _widths(_lookup_decoder),
-        WireKind.DHT_RESPONSE: _widths(_response_decoder),
-        WireKind.PING: _widths(_probe_decoder, Ping),
-        WireKind.PONG: _widths(_probe_decoder, Pong),
-        WireKind.HANDOVER: _widths(_handover_decoder),
-        WireKind.SEGMENT_NACK: _widths(_pull_decoder, SegmentNack, "segment-nack"),
-        WireKind.CREDIT: _widths(_credit_decoder),
-        WireKind.MAP_DELTA: _widths(_delta_decoder),
-    }.items()
-    for narrow, decoder in enumerate(coders)
+class _Type(NamedTuple):
+    """A header field's type: its Struct code wide and narrow, what a
+    narrow frame adds, and the least legal value the code does not bound."""
+
+    wide: str
+    narrow: str
+    bias: int = 0
+    low: Optional[int] = None
+
+
+#: Ids, segment numbers, sequence numbers, sizes and nonces.
+_ID = _Type("I", "H")
+#: The live edge: ``-1`` until a segment is seen, so a narrow frame
+#: carries ``newest_id + 1``.
+_NEWEST = _Type("i", "H", bias=1, low=-1)
+#: A buffer window's slot count, which its tail checks: at least one slot,
+#: and a bitmap or delta runs inside the window.
+_CAPACITY = _Type("H", "H")
+#: Credits and a cluster's shard count.
+_POSITIVE = _Type("H", "H", low=1)
+#: A shard index.
+_U16 = _Type("H", "H")
+#: Bit 0 of the kind's flags byte (pre-fetch, has-data): ``?`` packs any
+#: value as 0 or 1 and unpacks a bool.
+_FLAG = _Type("?", "?")
+#: A DHT holder's upload rate.
+_F32 = _Type("f", "f")
+
+_FLAG_BIT = 0x1  # the row's _FLAG field in its flags byte
+
+
+class _Row(NamedTuple):
+    """One frame kind's layout (see the section comment).
+
+    ``header`` hands a message's header fields to ``pack`` in wire order,
+    as plain attribute reads (the field names are read off it too, see
+    :class:`_Names`); ``types`` gives each field's :class:`_Type`.
+    ``tail`` names the shape behind the header in :data:`_TAILS`, which
+    spells the message fields ``tail_fields``: ``None``; ``"bytes"`` (the
+    rest of the frame: a window's packed bits, sized by its capacity, or
+    an opaque payload); ``"runs"`` (a delta's varint run list); ``"ids"``
+    (a varint count and the ids at the frame's width); ``"pulls"``
+    (``trace_id`` and, where the row defines flag bit 2, ``more``: flag bit
+    1 adds one u64 trace id per segment, flag bit 2 a varint count and the
+    further segment ids), whose flags byte ends the header.  ``widths = 1``
+    ships the wide layout only."""
+
+    kind: WireKind
+    cls: type
+    header: Callable[[Callable[..., Any], Any], Any]
+    types: Tuple[_Type, ...]
+    flags: int = 0
+    tail: Optional[str] = None
+    tail_fields: Tuple[str, ...] = ()
+    widths: int = 2
+
+
+_PULL_FLAGS = _FLAG_BIT | _TRACED_FLAG | _LIST_FLAG
+
+_ROWS = (
+    _Row(WireKind.BUFFER_MAP, BufferMapMsg,
+         lambda pack, m: pack(m.sender, m.newest_id, m.head_id, m.capacity, m.seq),
+         (_ID, _NEWEST, _ID, _CAPACITY, _ID), tail="bytes", tail_fields=("bitmap",)),
+    _Row(WireKind.MAP_DELTA, BufferMapDelta,
+         lambda pack, m: pack(m.sender, m.seq, m.newest_id, m.head_id, m.capacity),
+         (_ID, _ID, _NEWEST, _ID, _CAPACITY), tail="runs", tail_fields=("runs",)),
+    _Row(WireKind.SEGMENT_REQUEST, SegmentRequest,
+         lambda pack, m: pack(m.sender, m.segment_id, m.prefetch),
+         (_ID, _ID, _FLAG), _PULL_FLAGS, "pulls", ("trace_id", "more")),
+    _Row(WireKind.SEGMENT_NACK, SegmentNack,
+         lambda pack, m: pack(m.sender, m.segment_id, m.prefetch),
+         (_ID, _ID, _FLAG), _PULL_FLAGS, "pulls", ("trace_id", "more")),
+    _Row(WireKind.SEGMENT_DATA, SegmentData,
+         lambda pack, m: pack(m.sender, m.segment_id, m.size_bits, m.prefetch),
+         (_ID, _ID, _ID, _FLAG), _FLAG_BIT | _TRACED_FLAG, "pulls", ("trace_id",)),
+    _Row(WireKind.DHT_LOOKUP, DhtLookup,
+         lambda pack, m: pack(m.origin, m.target_key, m.segment_id),
+         (_ID, _ID, _ID), tail="ids", tail_fields=("path",)),
+    _Row(WireKind.DHT_RESPONSE, DhtResponse,
+         lambda pack, m: pack(
+             m.responder, m.origin, m.target_key, m.segment_id, m.has_data, m.rate),
+         (_ID, _ID, _ID, _ID, _FLAG, _F32), _FLAG_BIT, "ids", ("path",)),
+    _Row(WireKind.PING, Ping, lambda pack, m: pack(m.sender, m.nonce), (_ID, _ID)),
+    _Row(WireKind.PONG, Pong, lambda pack, m: pack(m.sender, m.nonce), (_ID, _ID)),
+    _Row(WireKind.HANDOVER, Handover, lambda pack, m: pack(m.sender, m.segment_bits), (_ID, _ID),
+         tail="ids", tail_fields=("segment_ids",)),
+    _Row(WireKind.CREDIT, CreditGrant, lambda pack, m: pack(m.sender, m.credits), (_ID, _POSITIVE)),
+    _Row(WireKind.SHARD_HELLO, ShardHello,
+         lambda pack, m: pack(m.shard_index, m.num_shards, m.token, m.ring_size),
+         (_U16, _POSITIVE, _ID, _ID), widths=1),
+    _Row(WireKind.TELEMETRY, TelemetryFrame, lambda pack, m: pack(m.shard, m.period), (_U16, _ID),
+         tail="bytes", tail_fields=("payload",), widths=1),
 )
-_DECODERS = {int(kind): fn for kind, fn in _DECODERS.items()}
 
 
-def _frame_decoder(
-    view: memoryview, offset: int
-) -> Tuple[Callable[[memoryview, int, int], WireMessage], int, int]:
-    """Check the frame prologue at ``offset`` (length prefix, size bound,
-    completeness, kind); return its decoder and body ``(start, end)``."""
-    total = len(view)
-    length = view[offset] if offset < total else 0
-    if 0 < length < 0x80:  # a one-byte prefix: almost every frame
-        start = offset + 1
-    else:
-        start, length = prologue(view, offset)
-    if total - start < length:
-        raise TruncatedFrameError(
-            f"frame needs {length} payload bytes, have {total - start}"
+class _Names:
+    """Stands in for a message so a row's ``header`` spells the names of
+    the fields it reads: the field order is written once, in the row."""
+
+    def __getattr__(self, name: str) -> str:
+        return name
+
+
+def _spread(*values: Any) -> tuple:
+    """A ``pack`` for a row's ``header`` that returns what it is given."""
+    return values
+
+
+class _Layout:
+    """One row at one width, read once for both of its coders: the header
+    field ``names``, Struct ``codes`` and ``size``, the constructor over
+    wire-order values, the capacity field's index, and the offset of the
+    flags byte whose bits outside ``row.flags`` (``undefined``) decode
+    refuses."""
+
+    def __init__(self, row: _Row, narrow: int) -> None:
+        self.row, self.narrow, self.kind = row, narrow, row.kind | NARROW * narrow
+        self.names: Tuple[str, ...] = row.header(_spread, _Names())
+        if len(self.names) != len(row.types):
+            raise TypeError(f"the {row.cls.__name__} row needs one type per header field")
+        self.codes = "".join(kind.narrow if narrow else kind.wide for kind in row.types)
+        self.size = struct.calcsize(">" + self.codes)
+        self.make = _maker(row, [*self.names, *row.tail_fields])
+        self.bound_at = next((at for at, kind in enumerate(row.types) if kind is _CAPACITY), None)
+        flagged = _FLAG in row.types
+        self.flag_at = struct.calcsize(">" + self.codes[:self.codes.index("?")]) if flagged else 0
+        self.undefined = 0xFF & ~row.flags if flagged else 0
+
+
+def _maker(row: _Row, wire_order: List[str]) -> Callable[..., Any]:
+    """``row``'s constructor over its wire-order values (header, then tail)."""
+    names = [field.name for field in fields(row.cls)]
+    if sorted(wire_order) != sorted(names):
+        raise TypeError(f"the {row.cls.__name__} row must name each field once")
+    if wire_order == names:
+        return row.cls
+    pick = itemgetter(*(wire_order.index(name) for name in names))
+    return lambda *values: row.cls(*pick(values))
+
+
+def _fixer(lay: _Layout, to_wire: bool) -> Optional[Callable[[Sequence], Sequence]]:
+    """Check each header value against its type's ``low``, then shift it by
+    the width's bias onto the wire (``to_wire``) or off it; ``None`` where
+    no type asks for either."""
+    narrow, what = lay.narrow, lay.row.cls.__name__
+    # A narrow newest_id rides as newest_id + 1: its unsigned code is the check.
+    lows = tuple((at, kind.low + (0 if to_wire else kind.bias * narrow), name)
+                 for at, (name, kind) in enumerate(zip(lay.names, lay.row.types))
+                 if kind.low is not None and kind.low + kind.bias * narrow)
+    shifts = tuple((at, kind.bias if to_wire else -kind.bias)
+                   for at, kind in enumerate(lay.row.types) if kind.bias * narrow)
+    if not (lows or shifts):
+        return None
+
+    def fix(values: Sequence) -> Sequence:
+        for at, low, name in lows:
+            if values[at] < low:
+                raise WireError(f"{what}.{name} out of range: {values[at]}")
+        if shifts:
+            values = list(values)
+            for at, shift in shifts:
+                values[at] += shift
+        return values
+
+    return fix
+
+
+def _packs(lay: _Layout, codes: str = "") -> List[Callable[..., bytes]]:
+    """The header's ``pack`` behind a one-byte prefix and the kind byte, by
+    payload length (the prefix is a placeholder past 127, re-spelled by
+    :func:`_long_frame`), checking the header values first."""
+    pack, fix = struct.Struct(">BB" + (codes or lay.codes)).pack, _fixer(lay, True)
+    packs = [partial(pack, length, lay.kind) for length in range(0x80)]
+    return packs if fix is None else [_behind(fix, then) for then in packs]
+
+
+def _behind(fix: Callable[[Sequence], Sequence], then: Callable[..., Any]) -> Callable[..., Any]:
+    """``then`` over the values ``fix`` returns for the ones it is given."""
+    return lambda *values: then(*fix(values))
+
+
+# Each tail shape builds a row's encoder and decoder from its layout.  An
+# encoder has the row's ``header`` pack the header with one Struct; a value
+# past its code raises ``struct.error``, the cue for :func:`encode` to try
+# the wide layout.  The hot encoders allocate their frame's parts and
+# nothing else: no argument tuples or lists, no varargs call.  A decoder
+# checks the body length exactly (a narrow kind byte on a wide-length body
+# is a :class:`WireError`) and refuses flag bits the row does not define.
+def _fixed_encoder(lay: _Layout) -> Callable[[Any], bytes]:
+    return partial(lay.row.header, _packs(lay)[1 + lay.size])
+
+
+def _tailed_encoder(write: Callable[[Any, Optional[int], int], bytes], lay: _Layout) -> Callable:
+    """``lay``'s encoder for a tail written by ``write(value, capacity,
+    narrow)``; ``capacity`` is the header's (``None`` where the row has
+    none)."""
+    put, packs, fixed, narrow = lay.row.header, _packs(lay), 1 + lay.size, lay.narrow
+    tail_of = attrgetter(*lay.row.tail_fields)
+    capacity_of = attrgetter(lay.names[lay.bound_at]) if lay.bound_at is not None else None
+
+    def encode(msg: Any) -> bytes:
+        tail = write(tail_of(msg), capacity_of(msg) if capacity_of else None, narrow)
+        length = fixed + len(tail)
+        head = put(packs[length & 0x7F], msg)
+        return head + tail if length < 0x80 else _long_frame(length, head, tail)
+
+    return encode
+
+
+def _ids_encoder(lay: _Layout) -> Callable[[Any], bytes]:
+    """The ``"ids"`` shape's encoder: :func:`_tailed_encoder` with
+    :func:`_write_ids` inline, which the two most frequent routing kinds
+    ride on."""
+    put, packs, narrow = lay.row.header, _packs(lay), lay.narrow
+    ids_of, lists, width = attrgetter(*lay.row.tail_fields), _LISTS[narrow], 4 - 2 * narrow
+    fixed = 2 + lay.size  # the kind byte, the header and a one-byte count
+
+    def encode(msg: Any) -> bytes:
+        ids = ids_of(msg)
+        count = len(ids)
+        length = fixed + count * width
+        if length < 0x80:  # a one-byte count too: most lists
+            return put(packs[length], msg) + lists[count](*ids)
+        tail = _write_ids(ids, None, narrow)
+        length += len(tail) - 1 - count * width
+        return _long_frame(length, put(packs[length & 0x7F], msg), tail)
+
+    return encode
+
+
+def _decoder(read: Optional[Callable[..., Any]], lay: _Layout) -> Callable[..., Any]:
+    """``lay``'s decoder for a tail read by ``read(view, pos, end,
+    capacity, narrow)`` (``None``: the header is the whole body)."""
+    unpack, fix, make = struct.Struct(">" + lay.codes).unpack_from, _fixer(lay, False), lay.make
+    size, what, narrow, bound_at = lay.size, lay.row.cls.__name__, lay.narrow, lay.bound_at
+    flag_at, undefined = lay.flag_at, lay.undefined
+
+    def decode(view: memoryview, start: int, end: int) -> Any:
+        if end - start < size or read is None and end - start != size:
+            raise WireError(f"{what} body size mismatch")
+        if view[start + flag_at] & undefined:
+            raise WireError(f"{what} sets undefined flag bits {view[start + flag_at]:#04x}")
+        values = unpack(view, start)
+        if fix is not None:
+            values = fix(values)
+        if read is None:
+            return make(*values)
+        bound = None if bound_at is None else values[bound_at]
+        return make(*values, read(view, start + size, end, bound, narrow))
+
+    return decode
+
+
+def _window(capacity: int, end: int = 0) -> int:
+    """A buffer window's ``capacity``, which must hold a slot and a delta
+    run ending at ``end``."""
+    if capacity < 1:
+        raise WireError(f"capacity out of range: {capacity}")
+    if end > capacity:
+        raise WireError(f"delta run ends at offset {end}, past capacity {capacity}")
+    return capacity
+
+
+def _bitmap_size(capacity: Optional[int], size: int) -> None:
+    """A window's packed bits fill ``(capacity + 7) // 8`` bytes; an opaque
+    payload (no capacity) any size."""
+    if capacity is not None and size != (_window(capacity) + 7) // 8:
+        raise WireError(
+            f"bitmap of capacity {capacity} needs {(capacity + 7) // 8} bytes, got {size}"
         )
-    decoder = _DECODERS.get(view[start])
-    if decoder is None:
-        raise WireError(f"unknown wire kind {view[start]}")
-    return decoder, start + 1, start + length
+
+
+def _write_bytes(payload: bytes, capacity: Optional[int], narrow: int) -> bytes:
+    _bitmap_size(capacity, len(payload))
+    return payload
+
+
+def _read_bytes(
+    view: memoryview, pos: int, end: int, capacity: Optional[int], narrow: int
+) -> bytes:
+    _bitmap_size(capacity, end - pos)
+    return bytes(view[pos:end])
+
+
+def _write_runs(runs: Tuple[Tuple[int, int], ...], capacity: int, narrow: int) -> bytes:
+    """The varint run count, then (gap since the previous run's end,
+    length) per run; runs must be ascending, disjoint and non-empty."""
+    count = len(runs)
+    out = bytearray((count,) if count < 0x80 else _varint(count))
+    append = out.append
+    end = 0
+    for start, length in runs:
+        if start < end or length < 1:
+            raise WireError("delta runs must be non-empty, ascending and disjoint")
+        gap = start - end
+        if gap < 0x80 and length < 0x80:  # one byte each: most runs
+            append(gap)
+            append(length)
+        else:
+            out += _varint(gap)
+            out += _varint(length)
+        end = start + length
+    _window(capacity, end)
+    return bytes(out)
+
+
+def _read_runs(
+    view: memoryview, pos: int, end: int, capacity: int, narrow: int
+) -> Tuple[Tuple[int, int], ...]:
+    values: Sequence[int] = bytes(view[pos:end])
+    if not values.isascii():  # some varint is longer than one byte
+        values = []
+        while pos < end:
+            value, pos = _varint_at(view, pos, end, "map-delta run")
+            values.append(value)
+    if len(values) != 1 + 2 * (values[0] if values else 0):
+        raise WireError(f"map-delta runs: {len(values)} varints are not a count and its pairs")
+    runs = []
+    offset = 0
+    for gap, length in zip(values[1::2], values[2::2]):
+        if length < 1:
+            raise WireError("delta run length must be >= 1")
+        offset += gap
+        runs.append((offset, length))
+        offset += length
+    _window(capacity, offset)
+    return tuple(runs)
+
+
+def _write_ids(ids: Sequence[int], capacity: Optional[int], narrow: int) -> bytes:
+    count = len(ids)
+    if count < 0x80:
+        return _LISTS[narrow][count](*ids)
+    return _varint(count) + _IDS[narrow](count).pack(*ids)
+
+
+def _read_ids(
+    view: memoryview, pos: int, end: int, capacity: Optional[int], narrow: int
+) -> Tuple[int, ...]:
+    count = view[pos] if pos < end else 0x80
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint_at(view, pos, end, "id count")
+    if end - pos != count * (4 - 2 * narrow):
+        raise WireError(f"{count} ids do not fill {end - pos} bytes")
+    return _IDS[narrow](count).unpack_from(view, pos)
+
+
+def _pulls_encoder(lay: _Layout) -> Callable[[Any], bytes]:
+    put, narrow, lists, fixed = lay.row.header, lay.narrow, lay.row.flags & _LIST_FLAG, 1 + lay.size
+    pack = _packs(lay)[fixed]
+    flagged = _packs(lay, lay.codes.replace("?", "B"))  # the flags byte whole
+
+    def encode(msg: Any) -> bytes:
+        if not (lists and msg.more or msg.trace_id):  # one untraced segment: most pulls
+            return put(pack, msg)
+        trace_id, more = msg.trace_id, msg.more if lists else ()
+        *values, flag = put(_spread, msg)
+        flags, tail, traces = 1 if flag else 0, b"", (trace_id,)
+        if more:
+            ids, more_traces = zip(*more)
+            tail, traces = _write_ids(ids, None, narrow), traces + more_traces
+            flags |= _LIST_FLAG
+        if any(traces):
+            flags |= _TRACED_FLAG
+            tail += _traces_struct(len(traces)).pack(*traces)
+        length = fixed + len(tail)
+        head = flagged[length & 0x7F](*values, flags)
+        return head + tail if length < 0x80 else _long_frame(length, head, tail)
+
+    return encode
+
+
+def _pulls_decoder(lay: _Layout) -> Callable[[memoryview, int, int], Any]:
+    unpack, make = struct.Struct(">" + lay.codes).unpack_from, lay.make
+    before_flags = struct.Struct(">" + lay.codes[:-1]).unpack_from  # a pull's flags byte ends it
+    size, what, narrow, flag_at = lay.size, lay.row.cls.__name__, lay.narrow, lay.flag_at
+    undefined, lists, width = lay.undefined, lay.row.flags & _LIST_FLAG, 4 - 2 * lay.narrow
+
+    def decode(view: memoryview, start: int, end: int) -> Any:
+        if end - start < size:
+            raise WireError(f"{what} body size mismatch")
+        flags = view[start + flag_at]
+        if flags & undefined:
+            raise WireError(f"{what} sets undefined flag bits {flags:#04x}")
+        if not flags & (_TRACED_FLAG | _LIST_FLAG):  # one untraced segment: most pulls
+            if end - start != size:
+                raise WireError(f"{what} body size mismatch")
+            return make(*unpack(view, start))  # the flag field reads flags == 1
+        pos, count = start + size, 0
+        if flags & _LIST_FLAG:
+            count = view[pos] if pos < end else 0
+            if count < 0x80:
+                pos += 1
+            else:
+                count, pos = _varint_at(view, pos, end, f"{what} id count")
+            if count < 1:
+                raise WireError(f"{what} id list must hold at least one further id")
+        traces = _TRACE_TAIL.size * (count + 1) if flags & _TRACED_FLAG else 0
+        if end - pos != count * width + traces:
+            raise WireError(f"{what} body size mismatch")
+        trace_ids = (
+            _traces_struct(count + 1).unpack_from(view, end - traces)
+            if traces else (0,) * (count + 1)
+        )
+        prefetch = flags & _FLAG_BIT == _FLAG_BIT
+        if not lists:
+            return make(*before_flags(view, start), prefetch, trace_ids[0])
+        more = tuple(zip(_IDS[narrow](count).unpack_from(view, pos), trace_ids[1:]))
+        return make(*before_flags(view, start), prefetch, trace_ids[0], more)
+
+    return decode
+
+
+#: Each tail shape's encoder and decoder builders.
+_TAILS: Dict[Optional[str], Tuple[Callable[[_Layout], Callable], Callable[[_Layout], Callable]]] = {
+    None: (_fixed_encoder, partial(_decoder, None)),
+    "bytes": (partial(_tailed_encoder, _write_bytes), partial(_decoder, _read_bytes)),
+    "runs": (partial(_tailed_encoder, _write_runs), partial(_decoder, _read_runs)),
+    "ids": (_ids_encoder, partial(_decoder, _read_ids)),
+    "pulls": (_pulls_encoder, _pulls_decoder),
+}
+
+_LAYOUTS = [[_Layout(row, narrow) for narrow in range(row.widths)] for row in _ROWS]
+#: Each class's ``(wide, narrow)`` encoders and each kind byte's decoder.
+_ENCODE: Dict[type, Tuple[Callable[[Any], bytes], ...]] = {
+    RoutedFrame: (_enc_route,) * 2,
+    FrameBatch: (_enc_batch,) * 2,
+    **{lays[0].row.cls: tuple(_TAILS[lay.row.tail][0](lay) for lay in (lays[0], lays[-1]))
+       for lays in _LAYOUTS},
+}
+_NARROW = {cls: encoders[1] for cls, encoders in _ENCODE.items()}
+_DECODE: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
+    int(WireKind.ROUTE): _dec_route,
+    _BATCH: _dec_batch,
+    **{lay.kind: _TAILS[lay.row.tail][1](lay) for lays in _LAYOUTS for lay in lays},
+}
 
 
 def decode(
@@ -1432,8 +1315,19 @@ def decode(
         WireError: the frame is malformed (unknown kind, bad sizes).
     """
     view = buffer if type(buffer) is memoryview else memoryview(buffer)
-    decoder, start, end = _frame_decoder(view, offset)
-    return decoder(view, start, end), end
+    total = len(view)
+    length = view[offset] if offset < total else 0
+    if 0 < length < 0x80:  # a one-byte prefix: almost every frame
+        start = offset + 1
+    else:
+        start, length = prologue(view, offset)
+    if total - start < length:
+        raise TruncatedFrameError(f"frame needs {length} payload bytes, have {total - start}")
+    decoder = _DECODE.get(view[start])
+    if decoder is None:
+        raise WireError(f"unknown wire kind {view[start]}")
+    end = start + length
+    return decoder(view, start + 1, end), end
 
 
 def decode_frame(
@@ -1453,19 +1347,25 @@ def decode_frame(
     undecoded.
     """
     view = frame if type(frame) is memoryview else memoryview(frame)
-    decoder, start, end = _frame_decoder(view, 0)
+    start, length = prologue(view)
+    end = start + length
     if end != len(view):
-        raise WireError("decode_frame needs exactly one complete frame")
+        error = TruncatedFrameError if end > len(view) else WireError
+        raise error("decode_frame needs exactly one complete frame")
+    decoder = _DECODE.get(view[start])
+    if decoder is None:
+        raise WireError(f"unknown wire kind {view[start]}")
     if decoder is not _dec_batch:
-        if only is not None and view[start - 1] & ~NARROW not in only:
+        if only is not None and view[start] & ~NARROW not in only:
             return ()
-        return (decoder(view, start, end),)
+        return (decoder(view, start + 1, end),)
+    start += 1
     messages: List[WireMessage] = []
     for _, kind_at, stop in _batch_spans(view, start, end):
         kind = view[kind_at]
         if only is not None and kind & ~NARROW not in only:
             continue
-        decoder = _DECODERS.get(kind)
+        decoder = _DECODE.get(kind)
         if decoder is None:
             raise WireError(f"unknown wire kind {kind}")
         messages.append(decoder(view, kind_at + 1, stop))

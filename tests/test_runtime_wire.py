@@ -1,6 +1,9 @@
 """Exhaustive round-trip and robustness tests for the runtime wire codec."""
 
 import dataclasses
+import re
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -787,3 +790,336 @@ class TestGoldenVectors:
         frame = bytes.fromhex(hex_)
         assert wire.encode(msg) == frame
         assert wire.decode(frame) == (msg, len(frame))
+
+
+def ids_hex(ids, width: int) -> str:
+    """Ids spelled big-endian at ``width`` bytes each."""
+    return "".join(f"{i:0{2 * width}x}" for i in ids)
+
+
+#: Frames of 128 payload bytes or more (a two-byte prefix) for every
+#: variable-length peer kind at both widths, and for every kind with a count
+#: a frame whose count reaches 128 (a two-byte count varint).  Built from
+#: the documented layouts: prefix varint, kind byte, header, tail.
+LONG_VECTORS = [
+    # -- a 1000-slot bitmap: 125 bytes behind the header
+    (wire.BufferMapMsg(sender=7, newest_id=1300, head_id=100, capacity=1000,
+                       bitmap=b"\xa5" * 125, seq=9),
+     "8801" "81" "0007" "0515" "0064" "03e8" "0009" + "a5" * 125),
+    (wire.BufferMapMsg(sender=7, newest_id=70000, head_id=100, capacity=1000,
+                       bitmap=b"\xa5" * 125, seq=9),
+     "9001" "01" "00000007" "00011170" "00000064" "03e8" "00000009" + "a5" * 125),
+    # -- 60 one-bit runs one bit apart, then 130 of them (count 82 01)
+    (wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600,
+                         runs=tuple((2 * i + 1, 1) for i in range(60))),
+     "8401" "8e" "0007" "0004" "0079" "0028" "0258" "3c" + "0101" * 60),
+    (wire.BufferMapDelta(sender=7, seq=65536, newest_id=120, head_id=40, capacity=600,
+                         runs=tuple((2 * i + 1, 1) for i in range(60))),
+     "8c01" "0e" "00000007" "00010000" "00000078" "00000028" "0258" "3c" + "0101" * 60),
+    (wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600,
+                         runs=tuple((2 * i + 1, 1) for i in range(130))),
+     "9102" "8e" "0007" "0004" "0079" "0028" "0258" "8201" + "0101" * 130),
+    (wire.BufferMapDelta(sender=7, seq=65536, newest_id=120, head_id=40, capacity=600,
+                         runs=tuple((2 * i + 1, 1) for i in range(130))),
+     "9902" "0e" "00000007" "00010000" "00000078" "00000028" "0258" "8201" + "0101" * 130),
+    # -- pull lists: 61 further ids untraced, 13 segments traced, 130 further ids
+    (wire.SegmentRequest(sender=7, segment_id=300,
+                         more=tuple((sid, 0) for sid in range(301, 362))),
+     "8101" "82" "0007" "012c" "04" "3d" + ids_hex(range(301, 362), 2)),
+    (wire.SegmentRequest(sender=70000, segment_id=300,
+                         more=tuple((sid, 0) for sid in range(301, 362))),
+     "ff01" "02" "00011170" "0000012c" "04" "3d" + ids_hex(range(301, 362), 4)),
+    (wire.SegmentNack(sender=7, segment_id=300, trace_id=5,
+                      more=tuple((sid, 0) for sid in range(301, 313))),
+     "8701" "89" "0007" "012c" "06" "0c" + ids_hex(range(301, 313), 2)
+     + "0000000000000005" + "00" * 8 * 12),
+    (wire.SegmentNack(sender=70000, segment_id=300, trace_id=5,
+                      more=tuple((sid, 0) for sid in range(301, 313))),
+     "a301" "09" "00011170" "0000012c" "06" "0c" + ids_hex(range(301, 313), 4)
+     + "0000000000000005" + "00" * 8 * 12),
+    (wire.SegmentRequest(sender=7, segment_id=300,
+                         more=tuple((sid, 0) for sid in range(301, 431))),
+     "8c02" "82" "0007" "012c" "04" "8201" + ids_hex(range(301, 431), 2)),
+    (wire.SegmentNack(sender=70000, segment_id=300, trace_id=5,
+                      more=tuple((sid, 0) for sid in range(301, 431))),
+     "ac0c" "09" "00011170" "0000012c" "06" "8201" + ids_hex(range(301, 431), 4)
+     + "0000000000000005" + "00" * 8 * 130),
+    # -- DHT paths of 64 / 60 hops, then 130
+    (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=tuple(range(64))),
+     "8801" "84" "0007" "1000" "012c" "40" + ids_hex(range(64), 2)),
+    (wire.DhtLookup(origin=70000, target_key=4096, segment_id=300, path=tuple(range(64))),
+     "8e02" "04" "00011170" "00001000" "0000012c" "40" + ids_hex(range(64), 4)),
+    (wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=tuple(range(130))),
+     "8d02" "84" "0007" "1000" "012c" "8201" + ids_hex(range(130), 2)),
+    (wire.DhtLookup(origin=70000, target_key=4096, segment_id=300, path=tuple(range(130))),
+     "9704" "04" "00011170" "00001000" "0000012c" "8201" + ids_hex(range(130), 4)),
+    (wire.DhtResponse(responder=9, origin=7, target_key=4096, segment_id=300, has_data=True,
+                      rate=12.5, path=tuple(range(60))),
+     "8701" "85" "0009" "0007" "1000" "012c" "01" "41480000" "3c" + ids_hex(range(60), 2)),
+    (wire.DhtResponse(responder=70000, origin=7, target_key=4096, segment_id=300,
+                      has_data=True, rate=12.5, path=tuple(range(60))),
+     "8702" "05" "00011170" "00000007" "00001000" "0000012c" "01" "41480000" "3c"
+     + ids_hex(range(60), 4)),
+    (wire.DhtResponse(responder=9, origin=7, target_key=4096, segment_id=300, has_data=False,
+                      rate=12.5, path=tuple(range(130))),
+     "9402" "85" "0009" "0007" "1000" "012c" "00" "41480000" "8201" + ids_hex(range(130), 2)),
+    (wire.DhtResponse(responder=70000, origin=7, target_key=4096, segment_id=300,
+                      has_data=False, rate=12.5, path=tuple(range(130))),
+     "a004" "05" "00011170" "00000007" "00001000" "0000012c" "00" "41480000" "8201"
+     + ids_hex(range(130), 4)),
+    # -- handover stores of 100 ids, then 130
+    (wire.Handover(sender=7, segment_bits=30720, segment_ids=tuple(range(300, 400))),
+     "ce01" "88" "0007" "7800" "64" + ids_hex(range(300, 400), 2)),
+    (wire.Handover(sender=70000, segment_bits=30720, segment_ids=tuple(range(300, 400))),
+     "9a03" "08" "00011170" "00007800" "64" + ids_hex(range(300, 400), 4)),
+    (wire.Handover(sender=7, segment_bits=30720, segment_ids=tuple(range(300, 430))),
+     "8b02" "88" "0007" "7800" "8201" + ids_hex(range(300, 430), 2)),
+    (wire.Handover(sender=70000, segment_bits=30720, segment_ids=tuple(range(300, 430))),
+     "9304" "08" "00011170" "00007800" "8201" + ids_hex(range(300, 430), 4)),
+]
+
+
+class TestLongFrameVectors:
+    """Byte-exact frames past the one-byte prefix and the one-byte count."""
+
+    def test_every_variable_length_peer_kind_has_both_widths(self):
+        kinds = {bytes.fromhex(hex_)[2] for _, hex_ in LONG_VECTORS}
+        variable = {wire.WireKind.BUFFER_MAP, wire.WireKind.MAP_DELTA,
+                    wire.WireKind.SEGMENT_REQUEST, wire.WireKind.SEGMENT_NACK,
+                    wire.WireKind.DHT_LOOKUP, wire.WireKind.DHT_RESPONSE,
+                    wire.WireKind.HANDOVER}
+        assert kinds == {int(k) for k in variable} | {k | wire.NARROW for k in variable}
+
+    @pytest.mark.parametrize(
+        "msg, hex_", LONG_VECTORS,
+        ids=[f"{type(m).__name__}-{h[4:6]}-{len(h) // 2}B" for m, h in LONG_VECTORS],
+    )
+    def test_encode_and_decode_match_the_vector(self, msg, hex_):
+        frame = bytes.fromhex(hex_)
+        assert wire.prologue(frame) == (2, len(frame) - 2)
+        assert wire.encode(msg) == frame
+        assert wire.decode(frame) == (msg, len(frame))
+        assert wire.decode_frame(frame) == (msg,)
+
+
+RUNTIME_DOC = Path(__file__).resolve().parents[1] / "docs" / "runtime.md"
+
+
+def doc_table(header: str):
+    """The body rows of the docs/runtime.md table under ``header``, as cells."""
+    lines = RUNTIME_DOC.read_text(encoding="utf-8").splitlines()
+    at = lines.index(header) + 2  # skip the |---| rule
+    rows = []
+    while at < len(lines) and lines[at].startswith("|"):
+        rows.append([cell.strip() for cell in lines[at].strip("|").split("|")])
+        at += 1
+    return rows
+
+
+#: A lead id that keeps a frame narrow or forces it wide.
+LEADS = {"wide": 70000, "narrow": 7}
+
+
+def _deltas(lead, r):
+    return wire.BufferMapDelta(sender=lead, seq=4, newest_id=120, head_id=40, capacity=600,
+                               runs=tuple((3 * i + 1, 1) for i in range(r)))
+
+
+def _pulls(cls, lead, k):
+    return cls(sender=lead, segment_id=300, more=tuple((301 + i, 0) for i in range(k - 1)))
+
+
+#: The message(s) each row of the frame-size table describes, per width,
+#: for one value of the row's variable (*r* runs, *n* hops, *k* segments).
+SIZE_ROWS = {
+    "`BufferMapMsg` (600 slots)": lambda lead, _: [wire.BufferMapMsg.from_buffer_map(
+        lead, 650, BufferMap(head_id=50, capacity=600, bits=(1 << 600) - 1), seq=3)],
+    "`BufferMapDelta` (*r* runs)": lambda lead, r: [_deltas(lead, r)],
+    "`SegmentRequest` / `SegmentNack`, one segment":
+        lambda lead, _: [_pulls(cls, lead, 1) for cls in (wire.SegmentRequest, wire.SegmentNack)],
+    "`SegmentRequest` / `SegmentNack`, *k* ≥ 2 segments":
+        lambda lead, k: [_pulls(cls, lead, k) for cls in (wire.SegmentRequest, wire.SegmentNack)],
+    "`SegmentData`": lambda lead, _: [wire.SegmentData(sender=lead, segment_id=300,
+                                                        size_bits=30720, prefetch=True)],
+    "`DhtLookup` (*n* hops)": lambda lead, n: [wire.DhtLookup(
+        origin=lead, target_key=4096, segment_id=300, path=tuple(range(n)))],
+    "`DhtResponse` (*n* hops)": lambda lead, n: [wire.DhtResponse(
+        responder=lead, origin=7, target_key=4096, segment_id=300, has_data=True, rate=1.5,
+        path=tuple(range(n)))],
+    "`Ping` / `Pong`": lambda lead, _: [wire.Ping(sender=lead, nonce=1),
+                                         wire.Pong(sender=lead, nonce=1)],
+    "`Handover` (*n* ids)": lambda lead, n: [wire.Handover(
+        sender=lead, segment_bits=30720, segment_ids=tuple(range(300, 300 + n)))],
+    "`CreditGrant`": lambda lead, _: [wire.CreditGrant(sender=lead, credits=4)],
+}
+#: The values each table variable is checked at.
+VARIABLE_VALUES = {"r": (0, 1, 3), "n": (1, 4), "k": (2, 3), None: (None,)}
+
+
+def doc_size(cell: str, value):
+    """Evaluate a size cell: ``95`` or ``21 + 2*r*`` (markdown italics)."""
+    match = re.fullmatch(r"(\d+)(?: \+ (\d+)\*([rnk])\*)?", cell)
+    assert match, f"unreadable size cell {cell!r}"
+    fixed, per, variable = match.groups()
+    return variable, int(fixed) + (int(per) * value if per else 0)
+
+
+#: One small (narrow) message of each class the kind table names.
+KIND_SAMPLES = {
+    "BufferMapMsg": GOLDEN_VECTORS[0][0],
+    "SegmentRequest": wire.SegmentRequest(sender=7, segment_id=300),
+    "SegmentData": wire.SegmentData(sender=7, segment_id=300, size_bits=30720),
+    "DhtLookup": wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7,)),
+    "DhtResponse": GOLDEN_VECTORS[12][0],
+    "Ping": wire.Ping(sender=7),
+    "Pong": wire.Pong(sender=7),
+    "Handover": wire.Handover(sender=7, segment_bits=8, segment_ids=(1,)),
+    "SegmentNack": wire.SegmentNack(sender=7, segment_id=300),
+    "CreditGrant": wire.CreditGrant(sender=7, credits=4),
+    "FrameBatch": wire.FrameBatch(frames=(_PING,)),
+    "BufferMapDelta": GOLDEN_VECTORS[2][0],
+}
+
+
+class TestDocTables:
+    """docs/runtime.md's wire tables read what the codec writes."""
+
+    def test_every_frame_size_row_matches_the_encoder(self):
+        rows = doc_table("| message | wide B | narrow B |")
+        assert {row[0] for row in rows} == set(SIZE_ROWS)
+        for label, wide_cell, narrow_cell in rows:
+            for width, cell in (("wide", wide_cell), ("narrow", narrow_cell)):
+                variable, _ = doc_size(cell, 0)
+                for value in VARIABLE_VALUES[variable]:
+                    expected = doc_size(cell, value)[1]
+                    for msg in SIZE_ROWS[label](LEADS[width], value):
+                        frame = wire.encode(msg)
+                        narrow = frame[wire.prologue(frame)[0]] & wire.NARROW
+                        assert bool(narrow) == (width == "narrow"), label
+                        assert len(frame) == expected, f"{label} {width} at {variable}={value}"
+
+    def test_every_kind_row_matches_wire_kind_and_narrow(self):
+        rows = doc_table("| kind (narrow) | message | body (*w* = u32 wide, u16 narrow) "
+                         "| accounted as |")
+        named = {}
+        for kinds, message, _body, _charge in rows:
+            match = re.fullmatch(r"(\d+)(?: \((\d+)\))?", kinds)
+            kind, narrow = int(match[1]), match[2] and int(match[2])
+            cls = message.strip("`")
+            frame = wire.encode(KIND_SAMPLES[cls])
+            assert type(wire.decode(frame)[0]).__name__ == cls
+            assert frame[wire.prologue(frame)[0]] == (narrow if narrow else kind), cls
+            assert kind in set(wire.WireKind)
+            if narrow:
+                assert narrow == kind | wire.NARROW
+            named[cls] = kind
+        assert set(named) == set(KIND_SAMPLES)
+
+
+#: Every kind with a flags byte, at each width: a frame, where its flags
+#: byte sits and the bits the kind defines.
+FLAGGED_FRAMES = [
+    ("SegmentRequest", "06820007012c01", 6, 0x07),
+    ("SegmentRequest-wide", "0a02000000070001000001", 10, 0x07),
+    ("SegmentNack", "0e890007012c020000000000000005", 6, 0x07),
+    ("SegmentNack-wide", "1209000111700000012c020000000000000005", 10, 0x07),
+    ("SegmentData", "08830007012c780000", 8, 0x03),
+    ("SegmentData-wide", "0e03000000070000012c0001000000", 14, 0x03),
+    ("DhtResponse", "1385000900071000012c0141480000" "02" "00070009", 10, 0x01),
+    ("DhtResponse-wide", "1f050001117000000007000010000000012c0141480000" "02" "0000000700000009",
+     18, 0x01),
+    ("RoutedFrame", "0c0c0200000009" "058600070001", 2, 0x03),
+]
+UNDEFINED_BITS = [
+    pytest.param(bytes.fromhex(hex_), at, 1 << bit, id=f"{name}-bit{bit}")
+    for name, hex_, at, defined in FLAGGED_FRAMES
+    for bit in range(8)
+    if not defined & 1 << bit
+]
+
+
+class TestReservedFlagBits:
+    """A flag bit a kind does not define is refused, never dropped."""
+
+    @pytest.mark.parametrize("frame, at, bit", UNDEFINED_BITS)
+    def test_an_undefined_bit_is_a_wire_error(self, frame, at, bit):
+        wire.decode(frame)  # the frame itself is fine
+        bad = bytearray(frame)
+        bad[at] |= bit
+        bad = bytes(bad)
+        for reader in (wire.decode, wire.decode_frame, wire.FrameDecoder().feed):
+            with pytest.raises(wire.WireError):
+                reader(bad)
+        batch = wire.encode(wire.FrameBatch(frames=(_PING, bad)))
+        with pytest.raises(wire.WireError):
+            wire.decode_frame(batch)
+
+    def test_the_reported_data_frame_no_longer_decodes_like_the_clean_one(self):
+        clean = bytes.fromhex("08830007012c780000")
+        assert wire.decode(clean)[0] == wire.SegmentData(7, 300, 30720)
+        with pytest.raises(wire.WireError):
+            wire.decode(bytes.fromhex("08830007012c780080"))
+
+    def test_the_defined_bits_still_decode(self):
+        for name, hex_, at, defined in FLAGGED_FRAMES:
+            frame = bytearray.fromhex(hex_)
+            frame[at] |= defined & 0x01  # bit 0 alone never changes the body length
+            msg, _ = wire.decode(bytes(frame))
+            assert wire.encode(msg) == bytes(frame), name
+
+    @pytest.mark.parametrize("lead", [7, 70000], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("make, field, odd, truth", [
+        (lambda s, f: wire.SegmentRequest(s, 300, prefetch=f), "prefetch", 2, True),
+        (lambda s, f: wire.SegmentRequest(s, 300, prefetch=f, trace_id=9), "prefetch", 2, True),
+        (lambda s, f: wire.SegmentNack(s, 300, prefetch=f, more=((301, 0),)), "prefetch", 2, True),
+        (lambda s, f: wire.SegmentData(s, 300, 30720, prefetch=f), "prefetch", 2, True),
+        (lambda s, f: wire.DhtResponse(s, 2, 3, 4, f, 1.0, (5,)), "has_data", None, False),
+    ], ids=["request", "traced-request", "nack-list", "data", "response"])
+    def test_a_flag_field_encodes_as_its_truth_value(self, lead, make, field, odd, truth):
+        frame = wire.encode(make(lead, odd))
+        assert frame == wire.encode(make(lead, truth))
+        assert getattr(wire.decode(frame)[0], field) is truth
+
+
+def with_field(hex_: str, at: int, code: str, value) -> bytes:
+    """The frame ``hex_`` with the field at byte ``at`` re-spelled."""
+    frame = bytearray.fromhex(hex_)
+    struct.pack_into(">" + code, frame, at, value)
+    return bytes(frame)
+
+
+class TestDecodeRanges:
+    """Decode refuses the values encode refuses, at either width."""
+
+    WIDE_MAP = GOLDEN_VECTORS[1][1]  # newest_id at bytes 6..10
+    WIDE_DELTA = GOLDEN_VECTORS[3][1]  # newest_id at bytes 10..14
+
+    @pytest.mark.parametrize("newest", [-2, -5, -9, -2**31])
+    @pytest.mark.parametrize("hex_, at", [(WIDE_MAP, 6), (WIDE_DELTA, 10)], ids=["map", "delta"])
+    def test_a_wide_newest_id_below_minus_one_is_refused(self, hex_, at, newest):
+        assert wire.decode(with_field(hex_, at, "i", -1))[0].newest_id == -1
+        bad = with_field(hex_, at, "i", newest)
+        for reader in (wire.decode, wire.decode_frame, wire.FrameDecoder().feed):
+            with pytest.raises(wire.WireError, match="newest_id out of range"):
+                reader(bad)
+        msg = wire.decode(with_field(hex_, at, "i", 0))[0]
+        with pytest.raises(wire.WireError, match="newest_id out of range"):
+            wire.encode(dataclasses.replace(msg, newest_id=newest))
+
+    @pytest.mark.parametrize("hex_, at, code", [
+        (GOLDEN_VECTORS[0][1], 8, "H"),  # narrow map capacity
+        (GOLDEN_VECTORS[1][1], 14, "H"),  # wide map capacity
+        (GOLDEN_VECTORS[2][1], 10, "H"),  # narrow delta capacity
+        ("058a00070004", 4, "H"),  # narrow credit grant
+        ("070a000100000004", 6, "H"),  # wide credit grant
+        ("0d0b000000020000002a00002000", 4, "H"),  # shard hello's shard count
+    ], ids=["map", "map-wide", "delta", "credit", "credit-wide", "hello"])
+    def test_a_zero_count_field_is_refused_at_both_ends(self, hex_, at, code):
+        bad = with_field(hex_, at, code, 0)
+        with pytest.raises(wire.WireError, match="out of range"):
+            wire.decode(bad)
+        msg = wire.decode(bytes.fromhex(hex_))[0]
+        name = next(f.name for f in dataclasses.fields(msg)
+                    if f.name in ("capacity", "credits", "num_shards"))
+        with pytest.raises(wire.WireError, match=f"{name} out of range"):
+            wire.encode(dataclasses.replace(msg, **{name: 0}))

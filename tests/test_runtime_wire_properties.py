@@ -213,7 +213,7 @@ FIXED_SIZE = (wire.SegmentData, wire.Ping, wire.Pong, wire.CreditGrant)
 
 def wide_frame(msg) -> bytes:
     """``msg`` in the wide layout, whether or not it would fit narrow."""
-    return wire._ENCODERS[type(msg)][0](msg)
+    return wire._ENCODE[type(msg)][0](msg)
 
 
 def varint(value: int) -> bytes:
@@ -381,6 +381,21 @@ class TestValueEquality:
             assert type(msg) is not type(other) or wire.encode(msg) != wire.encode(other)
 
 
+#: How many ids precede the flags byte, per kind with one.
+FLAGS_AFTER = {wire.SegmentRequest: 2, wire.SegmentNack: 2, wire.SegmentData: 3,
+               wire.DhtResponse: 4}
+flagged_messages = st.one_of(
+    st.builds(wire.SegmentRequest, sender=u32, segment_id=u32, prefetch=flags,
+              trace_id=trace_ids, more=more_pulls),
+    st.builds(wire.SegmentNack, sender=u32, segment_id=u32, prefetch=flags,
+              trace_id=trace_ids, more=more_pulls),
+    st.builds(wire.SegmentData, sender=u32, segment_id=u32, size_bits=u32, prefetch=flags,
+              trace_id=trace_ids),
+    st.builds(wire.DhtResponse, responder=u32, origin=u32, target_key=u32, segment_id=u32,
+              has_data=flags, rate=rates, path=paths),
+)
+
+
 #: Run gaps and lengths that straddle the one-byte varint boundary.
 straddling = st.one_of(st.sampled_from((1, 126, 127, 128, 129, 255, 256)), st.integers(1, 300))
 
@@ -435,6 +450,22 @@ class TestVarintProperty:
         for reader in (wire.decode, wire.decode_frame, wire.FrameDecoder().feed):
             with pytest.raises(wire.WireError):
                 reader(respelled)
+
+    @given(msg=flagged_messages, bit=st.integers(0, 7))
+    @settings(max_examples=400, deadline=None)
+    def test_a_frame_with_a_flipped_flag_bit_decodes_to_itself_or_not_at_all(self, msg, bit):
+        """``encode(decode(f)) == f`` for every frame ``f`` that decodes,
+        also once any bit of its flags byte is flipped: a bit the kind
+        does not define, or one that disagrees with the body, is refused."""
+        frame = bytearray(wire.encode(msg))
+        at = kind_at(frame)
+        width = 2 if frame[at] & wire.NARROW else 4
+        frame[at + 1 + FLAGS_AFTER[type(msg)] * width] ^= 1 << bit
+        try:
+            decoded, _ = wire.decode(bytes(frame))
+        except wire.WireError:
+            return
+        assert wire.encode(decoded) == bytes(frame)
 
     @given(msgs=st.lists(_batchable_messages, min_size=1, max_size=6), data=st.data())
     @settings(max_examples=200, deadline=None)
