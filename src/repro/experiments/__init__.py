@@ -1,11 +1,11 @@
 """Experiment harness: one module per table/figure of the paper's evaluation.
 
-Every experiment function takes a scale knob so it can run both at the
-paper's sizes (hundreds to thousands of nodes, 30+ rounds) and at a
-laptop-friendly scale for CI and the benchmark suite.  The
-``benchmarks/test_bench_fig*`` and ``test_bench_table_theory`` modules
-regenerate each figure/table at either scale (``CONTINU_BENCH_SCALE``)
-and assert the shape the paper reports.
+Each module's ``run_*`` function takes its sizes, rounds and seed as
+plain arguments and defaults to the paper's own sweep.  The two scales a
+figure runs at, ``small`` (laptop-sized) and ``paper``, are its row of
+:data:`repro.experiments.figures.FIGURES`.  The CLI's figure commands and
+``benchmarks/test_bench_figures.py`` both run that table; the benchmark
+asserts the shape the paper reports at ``CONTINU_BENCH_SCALE``.
 """
 
 from repro.experiments.fig3_dht import Fig3Point, run_fig3_dht

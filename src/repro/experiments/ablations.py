@@ -1,11 +1,10 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for ContinuStreaming's design choices.
 
 These are not figures from the paper; they quantify the contribution of the
 individual mechanisms ContinuStreaming layers on top of the CoolStreaming
 baseline:
 
 * scheduling policy — urgency+rarity (equations (1)-(3)) vs rarest-first;
-* the adaptive urgent ratio ``α`` vs a fixed one;
 * the number of backup replicas ``k`` (the analytic per-segment pre-fetch
   failure probability is ``(½)^k``);
 * the per-period pre-fetch cap ``l``;
@@ -17,7 +16,7 @@ baseline:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
 from repro.core.phases import Phase, ProtocolRegistry
@@ -32,14 +31,6 @@ class AblationPoint:
     stable_continuity: float
     prefetch_overhead: float
     control_overhead: float
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "stable_continuity": self.stable_continuity,
-            "prefetch_overhead": self.prefetch_overhead,
-            "control_overhead": self.control_overhead,
-        }
 
 
 def _run(
@@ -148,6 +139,23 @@ def run_prefetch_limit_ablation(
         _run(f"l={limit}", replace(config, prefetch_limit=limit), "continustreaming")
         for limit in limits
     ]
+
+
+def run_ablations(base_config: SystemConfig) -> Dict[str, List[AblationPoint]]:
+    """Every ablation sweep on one configuration, keyed by section title."""
+    return {
+        "priority / pre-fetch": run_priority_ablation(base_config),
+        "backup replicas k": run_replica_ablation((1, 2, 4), base_config),
+        "pre-fetch cap l": run_prefetch_limit_ablation((0, 5, 10), base_config),
+        "pipeline phases": run_phase_ablation(base_config),
+    }
+
+
+def format_ablations(sections: Dict[str, List[AblationPoint]]) -> str:
+    """Plain-text rendering of :func:`run_ablations`, one table per section."""
+    return "\n".join(
+        f"== {title} ==\n{format_ablation(points)}\n" for title, points in sections.items()
+    )
 
 
 def format_ablation(points: Sequence[AblationPoint]) -> str:

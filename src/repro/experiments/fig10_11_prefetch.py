@@ -24,9 +24,6 @@ from repro.core.system import StreamingSystem
 #: Overlay sizes of the paper's Figure 11 sweep.
 PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
 
-#: Scaled-down defaults for CI / benchmarks.
-SMALL_SIZES: Sequence[int] = (50, 100, 200)
-
 
 @dataclass(frozen=True)
 class PrefetchOverheadPoint:
@@ -35,13 +32,6 @@ class PrefetchOverheadPoint:
     num_nodes: int
     dynamic: bool
     prefetch_overhead: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.num_nodes,
-            "dynamic": self.dynamic,
-            "prefetch_overhead": self.prefetch_overhead,
-        }
 
 
 @dataclass(frozen=True)
@@ -102,6 +92,15 @@ def run_prefetch_overhead_scale(
                 )
             )
     return points
+
+
+def format_prefetch_track(tracks: Dict[str, PrefetchTrack]) -> str:
+    """Plain-text rendering of the Figure 10 data."""
+    return "\n".join(
+        f"{label}: stable pre-fetch overhead {track.stable_overhead:.4f}\n"
+        f"  track: [{', '.join(f'{value:.4f}' for value in track.overhead)}]"
+        for label, track in tracks.items()
+    )
 
 
 def format_prefetch_scale(points: Sequence[PrefetchOverheadPoint]) -> str:

@@ -21,9 +21,6 @@ from repro.dht.network import DhtNetwork
 #: Node counts used by the paper's sweep (n < N = 8192).
 PAPER_NODE_COUNTS: Sequence[int] = (500, 1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000)
 
-#: A scaled-down sweep for CI / benchmarks.
-SMALL_NODE_COUNTS: Sequence[int] = (100, 250, 500, 1000)
-
 
 @dataclass(frozen=True)
 class Fig3Point:

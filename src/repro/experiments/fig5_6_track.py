@@ -13,7 +13,7 @@ nodes and a single source:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.system import StreamingSystem
@@ -29,9 +29,6 @@ class TrackResult:
     continuity: tuple[float, ...]
     stable_continuity: float
     time_to_stable: Optional[float]
-
-    def as_series(self) -> Dict[str, List[float]]:
-        return {"time": list(self.times), "continuity": list(self.continuity)}
 
 
 def run_continuity_track(

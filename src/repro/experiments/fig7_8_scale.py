@@ -20,9 +20,6 @@ from repro.core.system import StreamingSystem
 #: Overlay sizes of the paper's sweep.
 PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
 
-#: A scaled-down sweep for CI / benchmarks.
-SMALL_SIZES: Sequence[int] = (50, 100, 200)
-
 
 @dataclass(frozen=True)
 class ScalePoint:
@@ -37,14 +34,6 @@ class ScalePoint:
     def delta(self) -> float:
         """The continuity increment brought by ContinuStreaming."""
         return self.continustreaming - self.coolstreaming
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.num_nodes,
-            "coolstreaming": self.coolstreaming,
-            "continustreaming": self.continustreaming,
-            "delta": self.delta,
-        }
 
 
 def run_scale_sweep(

@@ -23,9 +23,6 @@ PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
 #: Neighbour counts of the paper's sweep.
 PAPER_NEIGHBOR_COUNTS: Sequence[int] = (4, 5, 6)
 
-#: Scaled-down defaults for CI / benchmarks.
-SMALL_SIZES: Sequence[int] = (50, 100, 200)
-
 
 @dataclass(frozen=True)
 class ControlOverheadPoint:
@@ -35,14 +32,6 @@ class ControlOverheadPoint:
     connected_neighbors: int
     control_overhead: float
     analytic_estimate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.num_nodes,
-            "M": self.connected_neighbors,
-            "control_overhead": self.control_overhead,
-            "M/495": self.analytic_estimate,
-        }
 
 
 def run_control_overhead(

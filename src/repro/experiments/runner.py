@@ -41,9 +41,13 @@ Usage (installed as ``continustreaming-experiments``)::
         --telemetry-out telemetry.jsonl
     continustreaming-experiments obs --live --in telemetry.jsonl
 
-``--scale paper`` uses the paper's node counts (slow: thousands of nodes);
-``--scale small`` (default) uses laptop-friendly sizes that preserve the
-qualitative shape.
+The figure commands, ``fig3`` to ``ablations``, are the rows of
+:data:`repro.experiments.figures.FIGURES`; ``all`` runs every row in table
+order and none of the other commands.  ``--scale small`` (default) runs a
+row's small record, the one the benchmark suite checks; ``--scale paper``
+runs the paper's own sweep (slow: thousands of nodes).  ``--nodes``,
+``--sizes``, ``--rounds``, ``--lookups`` and ``--seed`` override the
+record's value wherever the figure takes one.
 """
 
 from __future__ import annotations
@@ -52,13 +56,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.core.config import SystemConfig
-from repro.experiments import fig3_dht, fig5_6_track, fig7_8_scale, fig9_control
-from repro.experiments import ablations as ablations_mod
-from repro.experiments import fig10_11_prefetch, table_theory
-
-#: Round count used when ``--rounds`` is not given.
-DEFAULT_ROUNDS = 30
+from repro.experiments.figures import FIGURES, SCALES, Figure
 
 
 def _obs_config(args: argparse.Namespace):
@@ -176,124 +174,6 @@ def _telemetry_lines(args: argparse.Namespace, health) -> List[str]:
             f"(exposition at {args.telemetry_out}.prom)"
         )
     return lines
-
-
-def _sizes_for(scale: str, paper: Sequence[int], small: Sequence[int]) -> List[int]:
-    return list(paper if scale == "paper" else small)
-
-
-def _default_nodes(scale: str) -> int:
-    return 1000 if scale == "paper" else 200
-
-
-def _rounds(args: argparse.Namespace) -> int:
-    return DEFAULT_ROUNDS if args.rounds is None else args.rounds
-
-
-def cmd_fig3(args: argparse.Namespace) -> str:
-    counts = args.sizes or _sizes_for(
-        args.scale, fig3_dht.PAPER_NODE_COUNTS, fig3_dht.SMALL_NODE_COUNTS
-    )
-    points = fig3_dht.run_fig3_dht(
-        node_counts=counts, lookups_per_size=args.lookups, seed=args.seed
-    )
-    return fig3_dht.format_fig3(points)
-
-
-def cmd_table(args: argparse.Namespace) -> str:
-    nodes = args.nodes or _default_nodes(args.scale)
-    config = SystemConfig(num_nodes=nodes, rounds=_rounds(args), seed=args.seed)
-    rows = table_theory.run_theory_table(config)
-    measured = table_theory.format_theory_table(rows)
-    reference = table_theory.format_theory_table(table_theory.paper_reference_rows())
-    return f"measured:\n{measured}\n\npaper reference:\n{reference}"
-
-
-def _track(args: argparse.Namespace, dynamic: bool) -> str:
-    nodes = args.nodes or _default_nodes(args.scale)
-    results = fig5_6_track.run_continuity_track(
-        num_nodes=nodes, rounds=_rounds(args), dynamic=dynamic, seed=args.seed
-    )
-    return fig5_6_track.format_track(results)
-
-
-def cmd_fig5(args: argparse.Namespace) -> str:
-    return _track(args, dynamic=False)
-
-
-def cmd_fig6(args: argparse.Namespace) -> str:
-    return _track(args, dynamic=True)
-
-
-def _scale_sweep(args: argparse.Namespace, dynamic: bool) -> str:
-    sizes = args.sizes or _sizes_for(
-        args.scale, fig7_8_scale.PAPER_SIZES, fig7_8_scale.SMALL_SIZES
-    )
-    points = fig7_8_scale.run_scale_sweep(
-        sizes=sizes, dynamic=dynamic, rounds=_rounds(args), seed=args.seed
-    )
-    return fig7_8_scale.format_scale_sweep(points)
-
-
-def cmd_fig7(args: argparse.Namespace) -> str:
-    return _scale_sweep(args, dynamic=False)
-
-
-def cmd_fig8(args: argparse.Namespace) -> str:
-    return _scale_sweep(args, dynamic=True)
-
-
-def cmd_fig9(args: argparse.Namespace) -> str:
-    sizes = args.sizes or _sizes_for(
-        args.scale, fig9_control.PAPER_SIZES, fig9_control.SMALL_SIZES
-    )
-    points = fig9_control.run_control_overhead(
-        sizes=sizes, rounds=_rounds(args), seed=args.seed
-    )
-    return fig9_control.format_control_overhead(points)
-
-
-def cmd_fig10(args: argparse.Namespace) -> str:
-    nodes = args.nodes or _default_nodes(args.scale)
-    tracks = fig10_11_prefetch.run_prefetch_overhead_track(
-        num_nodes=nodes, rounds=_rounds(args), seed=args.seed
-    )
-    lines = []
-    for label, track in tracks.items():
-        lines.append(
-            f"{label}: stable pre-fetch overhead {track.stable_overhead:.4f}"
-        )
-        lines.append(
-            "  track: [" + ", ".join(f"{value:.4f}" for value in track.overhead) + "]"
-        )
-    return "\n".join(lines)
-
-
-def cmd_fig11(args: argparse.Namespace) -> str:
-    sizes = args.sizes or _sizes_for(
-        args.scale, fig10_11_prefetch.PAPER_SIZES, fig10_11_prefetch.SMALL_SIZES
-    )
-    points = fig10_11_prefetch.run_prefetch_overhead_scale(
-        sizes=sizes, rounds=_rounds(args), seed=args.seed
-    )
-    return fig10_11_prefetch.format_prefetch_scale(points)
-
-
-def cmd_ablations(args: argparse.Namespace) -> str:
-    nodes = args.nodes or _default_nodes(args.scale)
-    config = SystemConfig(num_nodes=nodes, rounds=_rounds(args), seed=args.seed)
-    sections = [
-        ("priority / pre-fetch", ablations_mod.run_priority_ablation(config)),
-        ("backup replicas k", ablations_mod.run_replica_ablation(base_config=config)),
-        ("pre-fetch cap l", ablations_mod.run_prefetch_limit_ablation(base_config=config)),
-        ("pipeline phases", ablations_mod.run_phase_ablation(base_config=config)),
-    ]
-    lines = []
-    for title, points in sections:
-        lines.append(f"== {title} ==")
-        lines.append(ablations_mod.format_ablation(points))
-        lines.append("")
-    return "\n".join(lines)
 
 
 def cmd_campaign(args: argparse.Namespace) -> str:
@@ -616,25 +496,32 @@ def _parity_matrix(
     return out
 
 
+#: The commands that sweep grids or run live swarms; ``all`` runs none of them.
 COMMANDS = {
-    "fig3": cmd_fig3,
-    "table": cmd_table,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "fig8": cmd_fig8,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "ablations": cmd_ablations,
     "campaign": cmd_campaign,
     "runtime": cmd_runtime,
     "cluster": cmd_cluster,
     "obs": cmd_obs,
 }
 
-#: Commands that sweep grids or run live swarms; excluded from ``all``.
-_EXCLUDED_FROM_ALL = ("campaign", "runtime", "cluster", "obs")
+
+def _positive_int(text: str) -> int:
+    """argparse type of the size and count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _figure(row: Figure, args: argparse.Namespace) -> str:
+    """Run one figure row at ``--scale`` with the flags given laid over it."""
+    sizes = tuple(args.sizes) if args.sizes else None
+    params = row.resolve(args.scale, nodes=args.nodes, sizes=sizes, rounds=args.rounds,
+                         lookups=args.lookups, seed=args.seed)
+    return row.format(row.run(params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[*COMMANDS.keys(), "all"],
+        choices=[*(row.id for row in FIGURES), *COMMANDS, "all"],
         help="which experiment to run ('all' runs every figure/table experiment; "
         "campaigns run only when asked for explicitly)",
     )
@@ -653,17 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="sub-mode of a command; today only 'obs diff' takes one "
         "(compare two obs JSONL exports)",
     )
-    parser.add_argument("--scale", choices=("small", "paper"), default="small",
+    parser.add_argument("--scale", choices=SCALES, default="small",
                         help="node-count scale (default: small)")
-    parser.add_argument("--nodes", type=int, default=None,
+    parser.add_argument("--nodes", type=_positive_int, default=None,
                         help="override the overlay size for single-size experiments")
-    parser.add_argument("--sizes", type=int, nargs="*", default=None,
+    parser.add_argument("--sizes", type=_positive_int, nargs="*", default=None,
                         help="override the size sweep for sweep experiments")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help=f"scheduling periods to simulate (default: {DEFAULT_ROUNDS}; "
-                        "campaigns default to each scenario's own round count)")
-    parser.add_argument("--lookups", type=int, default=2000,
-                        help="random lookups per size for fig3 (default: 2000)")
+    parser.add_argument("--rounds", type=_positive_int, default=None,
+                        help="scheduling periods to simulate (default: the figure's own "
+                        "default; campaigns default to each scenario's own round count)")
+    parser.add_argument("--lookups", type=_positive_int, default=None,
+                        help="random lookups per size for fig3 (default: the figure's "
+                        "own default)")
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     campaign_group = parser.add_argument_group("campaign options")
     campaign_group.add_argument(
@@ -811,14 +699,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"the {args.experiment!r} command takes no sub-mode "
             f"(got {args.mode!r})"
         )
-    if args.experiment == "all":
-        # Campaigns and live swarms are opt-in, not part of "all".
-        names = [name for name in COMMANDS if name not in _EXCLUDED_FROM_ALL]
-    else:
-        names = [args.experiment]
+    figures = {row.id: row for row in FIGURES}
+    names = list(figures) if args.experiment == "all" else [args.experiment]
     for name in names:
         print(f"==== {name} ====")
-        print(COMMANDS[name](args))
+        print(_figure(figures[name], args) if name in figures else COMMANDS[name](args))
         print()
     return 0
 

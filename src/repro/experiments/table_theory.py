@@ -41,14 +41,6 @@ class TheoryRow:
     def delta(self) -> float:
         return self.pc_new - self.pc_old
 
-    def as_dict(self) -> dict:
-        return {
-            "environment": self.environment,
-            "PC_old": self.pc_old,
-            "PC_new": self.pc_new,
-            "delta": self.delta,
-        }
-
 
 def theoretical_rows(
     playback_rate: float = 10.0,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import runner as cli_runner
+from repro.experiments.figures import FIGURES
 from repro.scenarios import (
     CampaignRunner,
     CampaignSpec,
@@ -261,11 +263,29 @@ class TestCampaignCli:
         assert "seed=7" in output and "seed=8" in output
         assert "seed=0" not in output
 
-    def test_all_excludes_campaign_and_runtime(self):
-        assert "campaign" in cli_runner.COMMANDS
-        assert "runtime" in cli_runner.COMMANDS
-        assert "campaign" in cli_runner._EXCLUDED_FROM_ALL
-        assert "runtime" in cli_runner._EXCLUDED_FROM_ALL
+    def test_all_excludes_campaign_and_runtime(self, capsys, monkeypatch):
+        """``all`` runs exactly the figure table's rows, in table order, and
+        none of the live commands."""
+        ran = []
+        monkeypatch.setattr(cli_runner, "FIGURES", tuple(
+            replace(row, run=lambda params, name=row.id: ran.append(name), format=repr)
+            for row in FIGURES
+        ))
+
+        def refuse(args):
+            raise AssertionError(f"'all' ran the live {args.experiment} command")
+
+        monkeypatch.setattr(
+            cli_runner, "COMMANDS", {name: refuse for name in cli_runner.COMMANDS}
+        )
+        assert cli_runner.main(["all", "--nodes", "40"]) == 0
+        ids = [row.id for row in FIGURES]
+        assert ran == ids
+        headers = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("====")
+        ]
+        assert headers == [f"==== {name} ====" for name in ids]
+        assert not {"campaign", "runtime", "cluster", "obs"} & set(ids)
 
 
 class TestIncompleteCampaigns:

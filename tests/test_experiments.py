@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -18,9 +24,12 @@ from repro.experiments.fig7_8_scale import format_scale_sweep, run_scale_sweep
 from repro.experiments.fig9_control import format_control_overhead, run_control_overhead
 from repro.experiments.fig10_11_prefetch import (
     format_prefetch_scale,
+    format_prefetch_track,
     run_prefetch_overhead_scale,
     run_prefetch_overhead_track,
 )
+from repro.experiments import fig3_dht, fig7_8_scale, fig9_control, fig10_11_prefetch
+from repro.experiments.figures import FIGURES, Params
 from repro.experiments.runner import build_parser, main
 from repro.experiments.table_theory import (
     format_theory_table,
@@ -142,6 +151,9 @@ class TestOverheadExperiments:
         for track in tracks.values():
             assert len(track.overhead) == 10
             assert track.stable_overhead >= 0.0
+        text = format_prefetch_track(tracks)
+        assert text.splitlines()[0].startswith("static: stable pre-fetch overhead ")
+        assert text.splitlines()[3].startswith("  track: [")
 
     def test_prefetch_scale(self):
         points = run_prefetch_overhead_scale(sizes=[40], rounds=8, base_config=SMALL)
@@ -203,3 +215,87 @@ class TestRunnerCli:
         assert exit_code == 0
         captured = capsys.readouterr().out
         assert "fig3" in captured and "avg hops" in captured
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--nodes", "0"],
+            ["fig3", "--sizes", "60", "0"],
+            ["fig10", "--rounds", "0"],
+            ["fig3", "--lookups", "-1"],
+            ["runtime", "--rounds", "0"],
+        ],
+        ids=["nodes", "sizes", "rounds", "lookups", "runtime-rounds"],
+    )
+    def test_sizes_and_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[1]}: must be at least 1, got {argv[-1]}" in err
+        assert "Traceback" not in err
+
+
+REPO = Path(__file__).resolve().parents[1]
+BENCH = REPO / "benchmarks" / "test_bench_figures.py"
+
+
+def _bench_checks():
+    spec = importlib.util.spec_from_file_location("bench_figures", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CHECKS
+
+
+class TestFigureTable:
+    """The figure table's shape; no row is run here."""
+
+    def test_ids_in_table_order(self):
+        assert [row.id for row in FIGURES] == [
+            "fig3", "table", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+            "ablations",
+        ]
+
+    def test_every_row_has_checks_and_every_check_a_row(self):
+        assert set(_bench_checks()) == {row.id for row in FIGURES}
+
+    def test_parser_choices_are_the_rows_the_live_commands_and_all(self):
+        (action,) = [a for a in build_parser()._actions if a.dest == "experiment"]
+        assert list(action.choices) == [
+            *(row.id for row in FIGURES), "campaign", "runtime", "cluster", "obs", "all"
+        ]
+
+    def test_paper_sizes_are_the_modules_paper_sweeps(self):
+        assert {row.id: row.paper.sizes for row in FIGURES if row.paper.sizes} == {
+            "fig3": fig3_dht.PAPER_NODE_COUNTS,
+            "fig7": fig7_8_scale.PAPER_SIZES,
+            "fig8": fig7_8_scale.PAPER_SIZES,
+            "fig9": fig9_control.PAPER_SIZES,
+            "fig11": fig10_11_prefetch.PAPER_SIZES,
+        }
+
+    def test_both_scales_take_the_same_parameters(self):
+        for row in FIGURES:
+            taken = [value is not None for value in vars(row.small).values()]
+            assert taken == [value is not None for value in vars(row.paper).values()], row.id
+
+    def test_resolve_overlays_only_what_the_figure_takes(self):
+        rows = {row.id: row for row in FIGURES}
+        given = dict(nodes=40, sizes=(40, 60), rounds=8, lookups=100, seed=3)
+        assert rows["fig3"].resolve("small", **given) == Params(
+            sizes=(40, 60), lookups=100, seed=3
+        )
+        assert rows["table"].resolve("paper", **given) == Params(nodes=40, rounds=8, seed=3)
+        assert rows["fig7"].resolve("paper", rounds=None) == rows["fig7"].paper
+        with pytest.raises(ValueError, match="scale"):
+            rows["fig5"].resolve("Paper")
+
+    def test_bench_refuses_an_unknown_scale(self):
+        env = dict(os.environ, CONTINU_BENCH_SCALE="Paper", PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", str(BENCH), "--collect-only", "-q",
+             "-p", "no:cacheprovider"],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "CONTINU_BENCH_SCALE must be one of small, paper, got 'Paper'" in proc.stdout
