@@ -256,8 +256,9 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
     defaults (50 peers × 20 rounds in-process vs 1000 × 30 on 4 shards)."""
     from repro.analysis.metrics import summarize_ledger
     from repro.obs import SloViolation
-    from repro.runtime import run, run_parity
+    from repro.runtime import run
     from repro.scenarios import load_scenarios
+    from repro.scenarios.cell import parity_pair, parity_text
 
     names = args.scenario or ["static"]
     parity = args.parity or args.parity_matrix
@@ -278,8 +279,8 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
     if args.parity_matrix:
         # The campaign-oriented --backend flag doubles as the matrix's
         # cluster axis (4 shards unless --shards says otherwise); matrix
-        # mode defaults to run_parity_matrix's own scale (120 nodes / 40
-        # rounds — what the nightly acceptance runs).
+        # mode defaults to 120 nodes / 40 rounds — what the nightly
+        # acceptance runs.
         if args.backend == "cluster" and args.shards is None:
             shards = 4
         return _parity_matrix(
@@ -297,9 +298,9 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
     try:
         (spec,) = load_scenarios(names)
         if args.parity:
-            report = run_parity(spec, num_nodes=nodes, rounds=rounds, seed=args.seed, options=options)
-            result = report.runtime_result
-            out = report.formatted()
+            pair = parity_pair(spec, nodes, rounds, args.seed, options)
+            result = pair[1].result
+            out = parity_text(pair)
         else:
             result = run(spec.scaled(num_nodes=nodes, rounds=rounds, seed=args.seed), options)
     except SloViolation as exc:
@@ -459,29 +460,28 @@ def _cmd_obs_diff(args: argparse.Namespace) -> str:
 def _parity_matrix(
     args: argparse.Namespace, names: List[str], nodes: int, rounds: int, options
 ) -> str:
-    """Run the sim-vs-live parity matrix over several scenarios."""
-    from repro.runtime.parity import PARITY_TOLERANCE, run_parity_matrix
+    """Run the sim-vs-live parity pairs of several scenarios."""
+    from repro.scenarios import builtin_names
+    from repro.scenarios.cell import PARITY_TOLERANCE, continuity_delta, parity_pair, parity_table
 
-    scenarios = None if args.scenario is None else names
-    tolerance = (
-        PARITY_TOLERANCE if args.tolerance is None else args.tolerance
-    )
-    matrix = run_parity_matrix(
-        scenarios=scenarios, num_nodes=nodes, rounds=rounds, seed=args.seed, options=options
-    )
-    out = matrix.formatted(tolerance)
-    failures = matrix.failures(tolerance)
+    tolerance = PARITY_TOLERANCE if args.tolerance is None else args.tolerance
+    pairs = [
+        parity_pair(name, nodes, rounds, args.seed, options)
+        for name in (builtin_names() if args.scenario is None else names)
+    ]
+    out = parity_table(pairs, tolerance)
+    failures = [pair for pair in pairs if continuity_delta(pair) > tolerance]
     if failures:
         print(out)
         raise SystemExit(
             f"parity matrix failed: {len(failures)} scenario(s) beyond "
             f"|Δ| ≤ {tolerance}: "
-            + ", ".join(f"{r.scenario} ({r.continuity_delta:.4f})" for r in failures)
+            + ", ".join(f"{pair[0].scenario} ({continuity_delta(pair):.4f})" for pair in failures)
         )
     if args.assert_continuity is not None:
         below = [
-            r for r in matrix.reports
-            if r.runtime_stable_continuity < args.assert_continuity
+            live for _, live in pairs
+            if live.metrics["stable_continuity"] < args.assert_continuity
         ]
         if below:
             print(out)
@@ -489,8 +489,7 @@ def _parity_matrix(
                 "parity matrix runtime continuity below "
                 f"{args.assert_continuity}: "
                 + ", ".join(
-                    f"{r.scenario} ({r.runtime_stable_continuity:.4f})"
-                    for r in below
+                    f"{r.scenario} ({r.metrics['stable_continuity']:.4f})" for r in below
                 )
             )
     return out

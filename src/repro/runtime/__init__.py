@@ -18,8 +18,7 @@ frames over in-process loopback transports:
   :class:`~repro.runtime.swarm.RunOptions` record every run option is
   declared in, and :func:`~repro.runtime.swarm.run`, the single entry;
 * :mod:`repro.runtime.slim` — the array-backed statistical tier a
-  hybrid-fidelity swarm holds around its live core;
-* :mod:`repro.runtime.parity` — the sim-vs-runtime parity harness.
+  hybrid-fidelity swarm holds around its live core.
 
 Deployment at scale lives in :mod:`repro.runtime.cluster`: the same
 swarm sharded across worker processes, cross-shard links on real TCP
@@ -29,13 +28,6 @@ sockets behind the same codec (``docs/cluster.md``); see
 
 from repro.runtime.clock import VirtualClockEventLoop, run_on_virtual_clock
 from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
-from repro.runtime.parity import (
-    PARITY_TOLERANCE,
-    ParityMatrix,
-    ParityReport,
-    run_parity,
-    run_parity_matrix,
-)
 from repro.runtime.slim import SlimTier, default_core_peers
 from repro.runtime.swarm import (
     CLOCKS,
@@ -92,9 +84,6 @@ __all__ = [
     "FrameDecoder",
     "Handover",
     "LiveSwarm",
-    "PARITY_TOLERANCE",
-    "ParityMatrix",
-    "ParityReport",
     "Ping",
     "Pong",
     "RunOptions",
@@ -119,6 +108,4 @@ __all__ = [
     "merge_results",
     "run",
     "run_on_virtual_clock",
-    "run_parity",
-    "run_parity_matrix",
 ]

@@ -39,14 +39,16 @@ placement, where every frame goes straight to the loopback link) — and
 the hybrid-fidelity bulk is an optional :class:`~repro.runtime.slim.
 SlimTier` the swarm holds and steps at each boundary.  Every run option
 is declared once, in :class:`RunOptions`; :func:`run` is the single
-entry the CLI, campaigns, the parity harness and the cluster workers go
-through, and :func:`merge_results` is the single place per-shard
-partials (one, for an in-process run) fold into a :class:`RuntimeResult`.
+entry the CLI, the cell runner (:mod:`repro.scenarios.cell`) and the
+cluster workers go through, and :func:`merge_results` is the single
+place per-shard partials (one, for an in-process run) fold into a
+:class:`RuntimeResult`.
 
 On the wall clock the runtime trades the simulator's determinism for real
 concurrency: two runs interleave differently, so results carry wall-clock
-noise — the parity harness (:mod:`repro.runtime.parity`) quantifies how
-close the two stay on the paper's metrics.  On the **virtual clock**
+noise — the sim-vs-live parity pairs
+(:func:`repro.scenarios.cell.parity_pair`) quantify how close the two
+stay on the paper's metrics.  On the **virtual clock**
 (``clock="virtual"``, the campaign backend) the same swarm executes as a
 deterministic timer sequence with zero wall waiting: identical spec and
 seed reproduce identical results, bit for bit.

@@ -9,6 +9,10 @@ This package is the layer every ablation and benchmark plugs into:
 * :mod:`~repro.scenarios.library` — six built-in named scenarios
   (``static``, ``paper-dynamic``, ``flash-crowd``, ``diurnal``,
   ``blackout``, ``hetero-swarm``);
+* :func:`~repro.scenarios.cell.run_cell` — one
+  :class:`~repro.scenarios.cell.Cell` into one versioned
+  :class:`~repro.scenarios.results.Record`, for campaigns, the quality
+  matrix and sim-vs-live parity pairs alike;
 * :class:`~repro.scenarios.campaign.CampaignRunner` — fans a scenario ×
   system × node-count × seed grid across ``multiprocessing`` workers with
   deterministic per-cell seeding;
@@ -19,20 +23,19 @@ See ``docs/scenarios.md`` for the spec schema and the campaign CLI.
 """
 
 from repro.scenarios.campaign import (
-    BACKENDS,
     CampaignRunner,
     CampaignSpec,
     cell_seed_for,
     run_campaign,
-    run_cell,
 )
+from repro.scenarios.cell import BACKENDS, Cell, run_cell
 from repro.scenarios.library import (
     BUILTIN_SCENARIOS,
     builtin_names,
     builtin_scenario,
 )
 from repro.scenarios.phases import LossyNetworkPhase
-from repro.scenarios.results import METRIC_NAMES, CellResult, ResultsStore
+from repro.scenarios.results import COUNT_NAMES, METRIC_NAMES, Record, ResultsStore
 from repro.scenarios.spec import ScenarioSpec, load_scenarios
 
 __all__ = [
@@ -46,9 +49,11 @@ __all__ = [
     "CampaignSpec",
     "CampaignRunner",
     "run_campaign",
-    "run_cell",
     "cell_seed_for",
-    "CellResult",
+    "Cell",
+    "run_cell",
+    "Record",
     "ResultsStore",
     "METRIC_NAMES",
+    "COUNT_NAMES",
 ]

@@ -1,7 +1,7 @@
 """The parallel campaign runner.
 
 A *campaign* fans a scenario × system × node-count × seed grid across
-``multiprocessing`` workers and collects every cell's metrics into a
+``multiprocessing`` workers and collects every cell's record into a
 :class:`~repro.scenarios.results.ResultsStore`.  The grid can run on
 either **backend**: the lock-step round simulator (``backend="sim"``) or
 live asyncio swarms on the deterministic virtual clock
@@ -29,25 +29,18 @@ from __future__ import annotations
 import multiprocessing
 import re
 import sys
-import time
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.scenarios.results import CellResult, ResultsStore
+from repro.scenarios import cell as cells
+from repro.scenarios.results import Record, ResultsStore
 from repro.scenarios.spec import ScenarioSpec, load_scenarios
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime imports this package's spec module
     from repro.runtime.swarm import RunOptions
-
-#: The engines a campaign can fan its grid over: the lock-step round
-#: simulator, live asyncio swarms on the deterministic virtual clock, or
-#: sharded multi-process cluster swarms over real TCP sockets (wall
-#: clock — throughput and scale, not bit-determinism; see
-#: ``docs/cluster.md``).
-BACKENDS = ("sim", "runtime", "cluster")
 
 
 def cell_seed_for(seed: int, scenario: str, num_nodes: int) -> int:
@@ -92,66 +85,25 @@ def run_cell(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Execute one campaign cell; top-level so worker processes can pickle it.
 
     The payload is self-contained: the scenario's dict form plus the cell
-    coordinates.  Returns the :meth:`CellResult.to_record` dict.
-
-    A ``"runtime"`` backend cell runs the identical spec as a live swarm
-    on the **virtual clock** (:mod:`repro.runtime.clock`), so the cell is
-    exactly as deterministic and machine-independent as a simulator cell:
-    the record depends only on the cell coordinates, with ``wall_time_s``
-    the single wall-clock-dependent field.  Both backends report the same
-    metric names (:data:`~repro.scenarios.results.METRIC_NAMES`), so the
-    JSONL schema and the summary structure are byte-compatible.
+    coordinates, with options already placed by backend
+    (:meth:`CampaignSpec.cell_options`).  It runs as one
+    :class:`~repro.scenarios.cell.Cell` at the derived ``cell_seed``,
+    exports the cell's obs plane, if any, to ``obs_dir``, and returns the
+    record's dict form carrying the sweep ``seed``.
     """
-    backend = payload.get("backend", "sim")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown campaign backend {backend!r}; known: {BACKENDS}")
-    spec = ScenarioSpec.from_dict(payload["scenario"]).scaled(
-        num_nodes=payload["num_nodes"],
-        rounds=payload["rounds"],
-        seed=payload["cell_seed"],
-        system=payload["system"],
-    )
-    start = time.perf_counter()
-    if backend == "sim":
-        result = spec.run()
-        joined = float(sum(r.nodes_joined for r in result.rounds))
-        left = float(sum(r.nodes_left for r in result.rounds))
-    else:
-        from repro.runtime.swarm import run
-
-        # The payload's options already carry the backend's placement and
-        # clock (see CampaignSpec.cell_options).
-        result = run(spec, payload.get("options"))
-        joined, left = float(result.peers_joined), float(result.peers_left)
-    wall_time = time.perf_counter() - start
+    spec = ScenarioSpec.from_dict(payload["scenario"])
+    record = cells.run_cell(cells.Cell(
+        spec, payload.get("backend", "sim"), payload["num_nodes"], payload["rounds"],
+        payload["system"], payload["cell_seed"], payload.get("options"),
+    ))
     obs_dir = payload.get("obs_dir")
-    if obs_dir and getattr(result, "obs", None):
+    if obs_dir and getattr(record.result, "obs", None):
         from repro.obs import write_obs_jsonl
 
         out_dir = Path(obs_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_obs_jsonl(out_dir / cell_obs_filename(payload), result.obs)
-    series = result.continuity_series()
-    metrics = {
-        "stable_continuity": float(result.stable_continuity()),
-        "mean_continuity": float(sum(series) / len(series)) if series else 0.0,
-        "final_continuity": float(series[-1]) if series else 0.0,
-        "prefetch_overhead": float(result.prefetch_overhead()),
-        "control_overhead": float(result.control_overhead()),
-        "nodes_joined": joined,
-        "nodes_left": left,
-    }
-    return CellResult(
-        scenario=payload["scenario"]["name"],
-        system=payload["system"],
-        num_nodes=payload["num_nodes"],
-        seed=payload["seed"],
-        cell_seed=payload["cell_seed"],
-        rounds=payload["rounds"],
-        backend=backend,
-        metrics=metrics,
-        wall_time_s=wall_time,
-    ).to_record()
+        write_obs_jsonl(out_dir / cell_obs_filename(payload), record.result.obs)
+    return replace(record, seed=payload["seed"]).to_dict()
 
 
 def _cell_coordinates(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
@@ -209,9 +161,9 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one scenario")
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
-        if self.backend not in BACKENDS:
+        if self.backend not in cells.BACKENDS:
             raise ValueError(
-                f"unknown campaign backend {self.backend!r}; known: {BACKENDS}"
+                f"unknown campaign backend {self.backend!r}; known: {cells.BACKENDS}"
             )
         options = self.cell_options()  # rejects options the backend cannot run
         if self.backend == "sim":
@@ -334,11 +286,11 @@ class CampaignRunner:
                 processes = min(self.workers, len(payloads))
                 with multiprocessing.get_context().Pool(processes=processes) as pool:
                     for record in pool.imap(run_cell, payloads):
-                        store.append(CellResult.from_record(record))
+                        store.append(Record.from_dict(record))
                         completed += 1
             else:
                 for payload in payloads:
-                    store.append(CellResult.from_record(run_cell(payload)))
+                    store.append(Record.from_dict(run_cell(payload)))
                     completed += 1
         except KeyboardInterrupt:
             store.mark_incomplete(

@@ -1,9 +1,11 @@
-"""The unified results store for scenario campaigns.
+"""The one record every cell run produces, and the store campaigns keep.
 
-Every campaign cell (scenario × system × node count × seed) produces one
-:class:`CellResult`; a :class:`ResultsStore` collects them, optionally
-streaming each as a JSONL line to disk, and aggregates per-group summary
-statistics (mean / std / min / max / 95% CI) over seeds.
+:func:`~repro.scenarios.cell.run_cell` turns one
+:class:`~repro.scenarios.cell.Cell` into one :class:`Record`: the quality
+matrix, the sim-vs-live parity pairs and campaign cells all read it.  A
+:class:`ResultsStore` collects a campaign's records, optionally streaming
+each as a JSONL line to disk, and aggregates per-group summary statistics
+(mean / std / min / max / 95% CI) over seeds.
 
 Wall-clock time is recorded per cell for capacity planning but kept *out*
 of the aggregated metric summary, so a campaign's summary is byte-identical
@@ -14,11 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.metrics import summarize_runs
+from repro.core.node import LOOKUP_COUNTERS
+
+#: The schema version a :class:`Record` writes.  A line without a
+#: ``version`` is a version-1 campaign record (``backend``, ``num_nodes``,
+#: ``rounds``, no ``counts``), which :meth:`Record.from_dict` still reads.
+RECORD_VERSION = 2
 
 #: The metric names every cell reports, in output order.
 METRIC_NAMES: Tuple[str, ...] = (
@@ -31,58 +39,59 @@ METRIC_NAMES: Tuple[str, ...] = (
     "nodes_left",
 )
 
+#: The exact counts a live cell reports beside its metrics: the frames and
+#: bytes it put on the wire, how its Algorithm 2 lookups ended and the DHT
+#: walks they made.  The simulator sends no frames and reports none.
+COUNT_NAMES: Tuple[str, ...] = ("messages_sent", "bytes_on_wire") + LOOKUP_COUNTERS
+
 
 @dataclass(frozen=True)
-class CellResult:
-    """The metrics of one campaign cell.
-
-    Attributes:
-        scenario: the scenario name the cell ran.
-        system: the protocol name.
-        num_nodes: the overlay size.
-        seed: the sweep seed the user asked for.
-        cell_seed: the derived root seed the simulation actually used.
-        rounds: scheduling periods simulated.
-        backend: which engine ran the cell — ``"sim"`` (the lock-step
-            round simulator), ``"runtime"`` (a live swarm on the
-            deterministic virtual clock) or ``"cluster"`` (a sharded
-            multi-process swarm over TCP; wall clock, so its metrics
-            carry scheduling noise).  All report the identical metric
-            schema (:data:`METRIC_NAMES`).
-        metrics: named scalar results (see :data:`METRIC_NAMES`).
-        wall_time_s: wall-clock seconds the cell took (not aggregated,
-            and the *only* machine-dependent field of a record — see
-            docs/scenarios.md on campaign determinism).
+class Record:
+    """What one :class:`~repro.scenarios.cell.Cell` measured: its coordinates,
+    the sweep ``seed`` and the ``cell_seed`` the run used (equal outside a
+    campaign, which derives one per cell), :data:`METRIC_NAMES` as floats,
+    a live run's :data:`COUNT_NAMES` as ints (``{}`` for the simulator),
+    and ``wall_time_s`` — not aggregated, and the *only* machine-dependent
+    field (see docs/scenarios.md).  ``result`` is the driver's own result
+    object for in-process callers (an obs export, postmortems); it is never
+    serialised or compared.
     """
 
     scenario: str
+    driver: str
+    nodes: int
+    periods: int
     system: str
-    num_nodes: int
     seed: int
     cell_seed: int
-    rounds: int
-    backend: str = "sim"
     metrics: Dict[str, float] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    version: int = RECORD_VERSION
+    result: Any = field(default=None, compare=False, repr=False)
 
     @property
     def group_key(self) -> str:
         """The aggregation group this cell belongs to."""
-        return f"{self.scenario}/{self.system}/n{self.num_nodes}"
+        return f"{self.scenario}/{self.system}/n{self.nodes}"
 
-    def to_record(self) -> Dict[str, Any]:
-        """JSON-safe dict form; inverse of :meth:`from_record`."""
-        return asdict(self)
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe dict form; inverse of :meth:`from_dict`."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "result"}
 
     @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "CellResult":
+    def from_dict(cls, record: Mapping[str, Any]) -> "Record":
         data = dict(record)
+        if "version" not in data:  # version 1
+            data.update(driver=data.pop("backend", "sim"), nodes=data.pop("num_nodes"),
+                        periods=data.pop("rounds"), version=RECORD_VERSION)
         data["metrics"] = {k: float(v) for k, v in dict(data["metrics"]).items()}
+        data["counts"] = {k: int(v) for k, v in dict(data.get("counts", {})).items()}
         return cls(**data)
 
 
 class ResultsStore:
-    """Collects campaign cell results and aggregates them.
+    """Collects campaign cell records and aggregates them.
 
     Args:
         path: optional JSONL file; when given, every appended cell is
@@ -93,7 +102,7 @@ class ResultsStore:
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._results: List[CellResult] = []
+        self._results: List[Record] = []
         self.incomplete_reason: Optional[str] = None
         self.missing_cells: List[Dict[str, Any]] = []
         if self.path is not None:
@@ -101,12 +110,12 @@ class ResultsStore:
             self.path.write_text("", encoding="utf-8")
 
     # ------------------------------------------------------------------ recording
-    def append(self, result: CellResult) -> None:
-        """Record one cell result (and stream it to the JSONL file)."""
-        self._results.append(result)
+    def append(self, record: Record) -> None:
+        """Keep one cell record (and stream it to the JSONL file)."""
+        self._results.append(record)
         if self.path is not None:
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
     @property
     def is_complete(self) -> bool:
@@ -137,12 +146,8 @@ class ResultsStore:
     def __len__(self) -> int:
         return len(self._results)
 
-    def __iter__(self) -> Iterator[CellResult]:
+    def __iter__(self) -> Iterator[Record]:
         return iter(self._results)
-
-    @property
-    def results(self) -> Tuple[CellResult, ...]:
-        return tuple(self._results)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ResultsStore":
@@ -157,7 +162,7 @@ class ResultsStore:
                 store.incomplete_reason = record["incomplete_reason"]
                 store.missing_cells = list(record.get("missing_cells", []))
                 continue
-            store._results.append(CellResult.from_record(record))
+            store._results.append(Record.from_dict(record))
         return store
 
     # ---------------------------------------------------------------- aggregation
@@ -173,7 +178,7 @@ class ResultsStore:
         the population std would understate the interval.  Groups and
         metrics are sorted, so equal inputs serialise byte-identically.
         """
-        groups: Dict[str, List[CellResult]] = {}
+        groups: Dict[str, List[Record]] = {}
         for result in self._results:
             groups.setdefault(result.group_key, []).append(result)
         summary: Dict[str, Dict[str, Dict[str, float]]] = {}

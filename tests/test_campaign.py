@@ -12,7 +12,7 @@ from repro.experiments.figures import FIGURES
 from repro.scenarios import (
     CampaignRunner,
     CampaignSpec,
-    CellResult,
+    Record,
     ResultsStore,
     ScenarioSpec,
     builtin_scenario,
@@ -42,7 +42,7 @@ def comparable_records(store: ResultsStore):
     """Record dicts with the wall-clock timing stripped."""
     records = []
     for result in store:
-        record = result.to_record()
+        record = result.to_dict()
         record.pop("wall_time_s")
         records.append(record)
     return records
@@ -164,14 +164,15 @@ class TestCampaignDeterminism:
 
 class TestResultsStore:
     @staticmethod
-    def make_result(seed: int, continuity: float) -> CellResult:
-        return CellResult(
+    def make_result(seed: int, continuity: float) -> Record:
+        return Record(
             scenario="static",
+            driver="sim",
+            nodes=30,
+            periods=4,
             system="continustreaming",
-            num_nodes=30,
             seed=seed,
             cell_seed=seed,
-            rounds=4,
             metrics={"stable_continuity": continuity},
             wall_time_s=0.5,
         )

@@ -17,13 +17,12 @@ from repro.runtime import RunOptions
 from repro.scenarios import (
     BACKENDS,
     CampaignSpec,
-    CellResult,
     METRIC_NAMES,
+    Record,
     builtin_scenario,
     run_campaign,
-    run_cell,
 )
-from repro.scenarios.campaign import cell_seed_for
+from repro.scenarios.campaign import cell_seed_for, run_cell
 
 #: The one record field excluded from the determinism guarantee (see the
 #: module docstring and docs/scenarios.md).
@@ -98,10 +97,10 @@ class TestSchemaCompatibility:
 
     def test_record_fields_identical_across_backends(self, paired_stores):
         sim_fields = {
-            frozenset(cell.to_record()) for cell in paired_stores["sim"]
+            frozenset(cell.to_dict()) for cell in paired_stores["sim"]
         }
         runtime_fields = {
-            frozenset(cell.to_record()) for cell in paired_stores["runtime"]
+            frozenset(cell.to_dict()) for cell in paired_stores["runtime"]
         }
         assert sim_fields == runtime_fields
 
@@ -115,11 +114,11 @@ class TestSchemaCompatibility:
 
     def test_cell_seeds_are_backend_independent(self, paired_stores):
         sim_seeds = {
-            (c.scenario, c.num_nodes, c.seed): c.cell_seed
+            (c.scenario, c.nodes, c.seed): c.cell_seed
             for c in paired_stores["sim"]
         }
         runtime_seeds = {
-            (c.scenario, c.num_nodes, c.seed): c.cell_seed
+            (c.scenario, c.nodes, c.seed): c.cell_seed
             for c in paired_stores["runtime"]
         }
         assert sim_seeds == runtime_seeds
@@ -128,12 +127,12 @@ class TestSchemaCompatibility:
 
     def test_backend_recorded_on_every_cell(self, paired_stores):
         for backend, store in paired_stores.items():
-            assert {cell.backend for cell in store} == {backend}
+            assert {cell.driver for cell in store} == {backend}
 
     def test_runtime_cells_actually_streamed(self, paired_stores):
         for cell in paired_stores["runtime"]:
             assert cell.metrics["stable_continuity"] > 0.5
-            assert cell.rounds == 6
+            assert cell.periods == 6
 
     def test_legacy_records_without_backend_still_load(self):
         record = {
@@ -141,8 +140,8 @@ class TestSchemaCompatibility:
             "num_nodes": 10, "seed": 0, "cell_seed": 1, "rounds": 2,
             "metrics": {"stable_continuity": 1.0}, "wall_time_s": 0.1,
         }
-        cell = CellResult.from_record(record)
-        assert cell.backend == "sim"
+        cell = Record.from_dict(record)
+        assert cell.driver == "sim"
 
 
 class TestRuntimeBackendDeterminism:
@@ -178,8 +177,9 @@ class TestRuntimeBackendDeterminism:
 
     def test_wall_time_is_the_only_machine_dependent_field(self):
         """The exclusion list documents itself: a cell record consists of
-        the coordinates, the backend, deterministic metrics — and the
-        wall-time field(s) listed in :data:`WALL_TIME_FIELDS`."""
+        its version, the coordinates (the driver among them), deterministic
+        metrics and counts — and the wall-time field(s) listed in
+        :data:`WALL_TIME_FIELDS`."""
         record = run_cell(
             {
                 "scenario": tiny_spec().to_dict(),
@@ -194,8 +194,8 @@ class TestRuntimeBackendDeterminism:
         assert set(WALL_TIME_FIELDS) <= set(record)
         deterministic_fields = set(stripped(record))
         assert deterministic_fields == {
-            "scenario", "system", "num_nodes", "seed", "cell_seed",
-            "rounds", "backend", "metrics",
+            "version", "scenario", "driver", "nodes", "periods", "system",
+            "seed", "cell_seed", "metrics", "counts",
         }
 
 
@@ -242,7 +242,7 @@ class TestClusterBackend:
         )
         assert store.is_complete
         (cell,) = list(store)
-        assert cell.backend == "cluster"
+        assert cell.driver == "cluster"
         assert set(cell.metrics) == set(METRIC_NAMES)
         assert cell.metrics["stable_continuity"] > 0.0
         assert cell.cell_seed == cell_seed_for(0, "static", 24)

@@ -201,3 +201,86 @@ def test_a_count_the_row_matrix_lacks_is_skipped(row):
             if isinstance(stats, dict) and "bytes_on_wire" in stats:
                 stats["bytes_on_wire"]["by_seed"][0] += 1
     assert checker.matrix_mismatches(older, measured) == []
+
+
+def _matrix_row(commit, means, note=""):
+    """A history row whose matrix holds ``{cell: {system: mean}}``, every
+    seed at the mean."""
+    return {
+        "commit": commit,
+        "note": note,
+        "matrix": {
+            "seeds": [0, 1, 2, 3, 4],
+            "cells": {
+                cell: {system: {"mean": mean, "worst": mean, "by_seed": [mean] * 5}
+                       for system, mean in systems.items()}
+                for cell, systems in means.items()
+            },
+        },
+    }
+
+
+def test_the_pr30_sim_500_drop_is_flagged():
+    older = _matrix_row("92c7e05", {"sim 500x40": {"continustreaming": 0.9317}})
+    newer = _matrix_row("PR30", {"sim 500x40": {"continustreaming": 0.9053}})
+    (problem,) = checker.matrix_drops(older, newer)
+    assert problem.startswith("matrix['sim 500x40'].continustreaming: row 'PR30' drops")
+    assert "0.9317 -> 0.9053" in problem
+
+
+def test_one_seed_dropping_past_its_bound_fails_on_its_own():
+    older = _matrix_row("a", {"runtime 200x40": {"coolstreaming": 0.90}})
+    newer = json.loads(json.dumps(older))
+    newer["matrix"]["cells"]["runtime 200x40"]["coolstreaming"]["by_seed"][2] = 0.86
+    assert len(checker.matrix_drops(older, newer)) == 1  # mean -0.008, seed 2 -0.04
+    newer["matrix"]["cells"]["runtime 200x40"]["coolstreaming"]["by_seed"][2] = 0.875
+    assert checker.matrix_drops(older, newer) == []  # mean -0.005, seed 2 -0.025
+
+
+def test_seeds_are_paired_by_value_not_position():
+    older = _matrix_row("a", {"sim 200x60": {"continustreaming": 0.95}})
+    older["matrix"]["cells"]["sim 200x60"]["continustreaming"]["by_seed"] = [0.95, 0.5]
+    older["matrix"]["seeds"] = [0, 1]
+    newer = _matrix_row("b", {"sim 200x60": {"continustreaming": 0.95}})
+    newer["matrix"]["seeds"] = [0]
+    newer["matrix"]["cells"]["sim 200x60"]["continustreaming"]["by_seed"] = [0.95]
+    assert checker.matrix_drops(older, newer) == []
+
+
+def test_a_rise_passes():
+    older = _matrix_row("a", {"sim 500x40": {"continustreaming": 0.6}})
+    newer = _matrix_row("b", {"sim 500x40": {"continustreaming": 0.95}})
+    assert checker.matrix_drops(older, newer) == []
+
+
+def test_a_declared_drop_passes_and_only_for_the_cell_it_names():
+    older = _matrix_row("a", {"sim 500x40": {"continustreaming": 0.9317, "coolstreaming": 0.9}})
+    newer = _matrix_row(
+        "b", {"sim 500x40": {"continustreaming": 0.9053, "coolstreaming": 0.8}},
+        note="re-pin; drop: sim 500x40/continustreaming (item 1)",
+    )
+    (problem,) = checker.matrix_drops(older, newer)
+    assert problem.startswith("matrix['sim 500x40'].coolstreaming:")
+
+
+def test_the_real_matrix_rows_pass():
+    matrices = [row for row in checker.rows(ROOT / "BENCH_history.jsonl") if "matrix" in row]
+    assert [row["commit"] for row in matrices][:4] == ["PR31", "PR32", "PR33", "PR34"]
+    for older, newer in zip(matrices, matrices[1:]):
+        assert checker.matrix_drops(older, newer) == []
+    assert checker.history_drops(ROOT / "BENCH_history.jsonl") == []
+
+
+def test_both_invocations_apply_the_rule(row, tmp_path, monkeypatch, capsys):
+    dropped = json.loads(json.dumps(row))
+    for cell in dropped["matrix"]["cells"].values():
+        cell["continustreaming"]["by_seed"][0] -= 0.05
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(row) + "\n" + json.dumps(dropped) + "\n")
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(dropped["matrix"]))
+    assert checker.main(["--history", str(history), "--matrix", str(matrix)]) == 1
+    assert "continustreaming: row" in capsys.readouterr().err
+    monkeypatch.setattr(checker, "measure", lambda workload: dict(row["workloads"][workload]))
+    assert checker.main(["--history", str(history)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == len(row["matrix"]["cells"])

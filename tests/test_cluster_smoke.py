@@ -35,10 +35,10 @@ from repro.runtime import (
     merge_results,
 )
 from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
-from repro.runtime.parity import run_parity
 from repro.runtime.swarm import shard_of
 from repro.streaming.playback import ContinuityTracker
 from repro.runtime.transport import TransportSummary
+from repro.scenarios.cell import continuity_delta, parity_pair, parity_text
 from repro.scenarios.library import builtin_scenario
 
 TIME_SCALE = float(os.environ.get("CONTINU_RUNTIME_TIME_SCALE", "0.5"))
@@ -307,21 +307,15 @@ class TestClusterParity:
     """Small-scale cluster-vs-sim parity (the ``--backend cluster`` axis)."""
 
     def test_cluster_matches_the_simulator_within_tolerance(self):
-        report = run_parity(
-            "static",
-            num_nodes=50,
-            rounds=20,
-            seed=0,
-            time_scale=SMALL_SCALE,
-            shards=2,
-        )
-        assert report.backend == "cluster"
-        assert report.sim_stable_continuity > 0.9
-        assert report.continuity_delta <= 0.03, report.formatted()
+        pair = parity_pair("static", 50, 20, 0, RunOptions(time_scale=SMALL_SCALE, shards=2))
+        sim, live = pair
+        assert live.driver == "cluster"
+        assert sim.metrics["stable_continuity"] > 0.9
+        assert continuity_delta(pair) <= 0.03, parity_text(pair)
 
     def test_virtual_clock_cannot_drive_the_cluster_side(self):
         with pytest.raises(ValueError, match="virtual clock"):
-            run_parity("static", num_nodes=10, rounds=2, shards=2, clock="virtual")
+            parity_pair("static", 10, 2, options=RunOptions(shards=2, clock="virtual"))
 
 
 class TestKillOneShard:

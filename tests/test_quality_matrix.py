@@ -9,6 +9,8 @@ from statistics import fmean
 
 import pytest
 
+from repro.scenarios import COUNT_NAMES, run_cell
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("quality_matrix", ROOT / "tools" / "quality_matrix.py")
 quality_matrix = importlib.util.module_from_spec(_spec)
@@ -31,9 +33,9 @@ def test_toy_matrix_has_mean_worst_and_delta_per_row():
         assert entry["delta"] == pytest.approx(expected)
     for system in quality_matrix.SYSTEMS:
         # Runtime rows record their wire counts per seed; the simulator sends none.
-        assert not set(quality_matrix.COUNTS) & set(result["cells"]["sim 20x8"][system])
+        assert not set(COUNT_NAMES) & set(result["cells"]["sim 20x8"][system])
         stats = result["cells"]["runtime 20x8"][system]
-        for count in quality_matrix.COUNTS:
+        for count in COUNT_NAMES:
             assert len(stats[count]["by_seed"]) == 2
             assert all(isinstance(value, int) and value >= 0 for value in stats[count]["by_seed"])
             assert stats[count]["mean"] == pytest.approx(fmean(stats[count]["by_seed"]))
@@ -48,14 +50,14 @@ def test_toy_matrix_has_mean_worst_and_delta_per_row():
     )
     assert all(
         lookups["coolstreaming"][count]["by_seed"] == [0, 0]
-        for count in quality_matrix.COUNTS if count not in quality_matrix.WIRE_COUNTS
+        for count in COUNT_NAMES if count not in quality_matrix.WIRE_COUNTS
     )
     lines = quality_matrix.render(result)
     assert sum("Δ continu - cool" in line for line in lines) == 2
 
 
 def test_the_runtime_counts_are_the_wire_and_lookup_counters():
-    assert quality_matrix.COUNTS == (
+    assert COUNT_NAMES == (
         "messages_sent", "bytes_on_wire",
         "lookups_located", "lookups_no_holder", "lookups_no_rate", "lookups_repeated",
         "lookup_walks",
@@ -63,6 +65,7 @@ def test_the_runtime_counts_are_the_wire_and_lookup_counters():
 
 
 def test_a_cell_repeats_exactly():
-    cell = ("runtime", 20, 8, "continustreaming", 3)
-    assert quality_matrix.run_cell(*cell) == quality_matrix.run_cell(*cell)
+    cell = quality_matrix.cell("runtime", 20, 8, "continustreaming", 3)
+    first, second = run_cell(cell), run_cell(cell)
+    assert (first.metrics, first.counts) == (second.metrics, second.counts)
 

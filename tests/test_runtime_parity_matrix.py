@@ -18,54 +18,52 @@ import os
 
 import pytest
 
-from repro.runtime.parity import (
-    PARITY_TOLERANCE,
-    ParityMatrix,
-    ParityReport,
-    run_parity_matrix,
-)
+from repro.runtime import RunOptions
+from repro.scenarios import Record
+from repro.scenarios.cell import PARITY_TOLERANCE, continuity_delta, parity_pair, parity_table
 
 SMOKE_SCENARIOS = ("static", "paper-dynamic")
+VIRTUAL = RunOptions(clock="virtual")
 
 
-def _report(scenario: str, sim: float, runtime: float) -> ParityReport:
-    return ParityReport(
-        scenario=scenario,
-        num_nodes=0,
-        rounds=0,
-        sim_stable_continuity=sim,
-        runtime_stable_continuity=runtime,
-        sim_prefetch_overhead=0.0,
-        runtime_prefetch_overhead=0.0,
-        sim_result=None,
-        runtime_result=None,
-    )
+def _pair(scenario: str, sim: float, live: float, driver: str = "runtime"):
+    def record(driver: str, continuity: float) -> Record:
+        return Record(scenario, driver, 0, 0, "continustreaming", 0, 0,
+                      metrics={"stable_continuity": continuity})
+
+    return record("sim", sim), record(driver, live)
+
+
+def _failures(pairs, tolerance=PARITY_TOLERANCE):
+    return [pair for pair in pairs if continuity_delta(pair) > tolerance]
 
 
 class TestParityMatrixHelpers:
     def test_failures_and_max_delta(self):
-        matrix = ParityMatrix(
-            reports=(
-                _report("good", 0.95, 0.96),
-                _report("bad", 0.95, 0.80),
-            )
-        )
-        assert matrix.max_delta == pytest.approx(0.15)
-        assert [r.scenario for r in matrix.failures(0.03)] == ["bad"]
-        assert matrix.failures(0.2) == []
+        pairs = [_pair("good", 0.95, 0.96), _pair("bad", 0.95, 0.80)]
+        assert max(map(continuity_delta, pairs)) == pytest.approx(0.15)
+        assert [sim.scenario for sim, _ in _failures(pairs, 0.03)] == ["bad"]
+        assert _failures(pairs, 0.2) == []
 
     def test_formatted_carries_verdicts(self):
-        matrix = ParityMatrix(
-            reports=(_report("good", 0.95, 0.96), _report("bad", 0.95, 0.80))
-        )
-        text = matrix.formatted(0.03)
+        text = parity_table([_pair("good", 0.95, 0.96), _pair("bad", 0.95, 0.80)], 0.03)
         assert "ok" in text and "FAIL" in text
         assert "max |Δ stable continuity|" in text
+        assert text.splitlines()[0].split()[:3] == ["scenario", "sim", "runtime"]
+
+    def test_a_cluster_matrix_labels_its_live_column_cluster(self):
+        text = parity_table([_pair("static", 0.95, 0.94, driver="cluster")], 0.03)
+        assert text.splitlines() == [
+            "scenario            sim  cluster      |Δ|  verdict",
+            "static           0.9500   0.9400   0.0100  ok",
+            "max |Δ stable continuity| = 0.0100 (tolerance 0.03)",
+        ]
 
     def test_empty_matrix_is_trivially_clean(self):
-        matrix = ParityMatrix(reports=())
-        assert matrix.max_delta == 0.0
-        assert matrix.failures() == []
+        assert _failures([]) == []
+        assert parity_table([]).splitlines()[-1] == (
+            f"max |Δ stable continuity| = 0.0000 (tolerance {PARITY_TOLERANCE})"
+        )
 
 
 @pytest.mark.slow
@@ -73,15 +71,13 @@ class TestParitySmoke:
     """The 2-scenario parity smoke that runs on every push."""
 
     def test_static_and_dynamic_parity_within_tolerance(self):
-        matrix = run_parity_matrix(
-            scenarios=list(SMOKE_SCENARIOS), num_nodes=80, rounds=30, seed=0
-        )
-        assert [r.scenario for r in matrix.reports] == list(SMOKE_SCENARIOS)
-        for report in matrix.reports:
+        pairs = [parity_pair(name, 80, 30, 0, VIRTUAL) for name in SMOKE_SCENARIOS]
+        assert [sim.scenario for sim, _ in pairs] == list(SMOKE_SCENARIOS)
+        for sim, live in pairs:
             # both engines must actually stream, not vacuously agree at 0
-            assert report.sim_stable_continuity > 0.5, report.formatted()
-            assert report.runtime_stable_continuity > 0.5, report.formatted()
-        assert matrix.failures(PARITY_TOLERANCE) == [], matrix.formatted()
+            assert sim.metrics["stable_continuity"] > 0.5, parity_table(pairs)
+            assert live.metrics["stable_continuity"] > 0.5, parity_table(pairs)
+        assert _failures(pairs) == [], parity_table(pairs)
 
 
 @pytest.mark.nightly
@@ -96,6 +92,6 @@ class TestParityFullMatrix:
     def test_every_builtin_scenario_within_tolerance(self):
         from repro.scenarios.library import builtin_names
 
-        matrix = run_parity_matrix()  # every built-in, n=120, rounds=40
-        assert [r.scenario for r in matrix.reports] == list(builtin_names())
-        assert matrix.failures(PARITY_TOLERANCE) == [], matrix.formatted()
+        pairs = [parity_pair(name, 120, 40, 0, VIRTUAL) for name in builtin_names()]
+        assert [sim.scenario for sim, _ in pairs] == list(builtin_names())
+        assert _failures(pairs) == [], parity_table(pairs)

@@ -12,8 +12,9 @@ import os
 import pytest
 
 from repro.net.message import MessageKind, MessageLedger
-from repro.runtime import LiveSwarm, run, run_parity, wire
+from repro.runtime import LiveSwarm, RunOptions, run, wire
 from repro.runtime import peer as peer_module
+from repro.scenarios.cell import continuity_delta, parity_pair, parity_text
 from repro.scenarios.library import builtin_scenario
 
 #: Wall seconds per simulated second for the tests in this module; CI can
@@ -174,9 +175,8 @@ class TestSimRuntimeParity:
     """The PR's acceptance bar, documented in docs/runtime.md."""
 
     def test_static_200_node_parity_within_two_points(self):
-        report = run_parity(
-            "static", num_nodes=200, rounds=60, seed=0, time_scale=TIME_SCALE
-        )
-        assert report.sim_stable_continuity > 0.95
-        assert report.runtime_stable_continuity > 0.95
-        assert report.continuity_delta <= 0.02, report.formatted()
+        pair = parity_pair("static", 200, 60, 0, RunOptions(time_scale=TIME_SCALE))
+        sim, live = pair
+        assert sim.metrics["stable_continuity"] > 0.95
+        assert live.metrics["stable_continuity"] > 0.95
+        assert continuity_delta(pair) <= 0.02, parity_text(pair)

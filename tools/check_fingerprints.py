@@ -21,6 +21,14 @@ With ``--matrix PATH`` it runs no workload and checks a
 per-seed continuity, and every per-seed count the row's ``matrix`` records
 (wire and lookup counts of the runtime rows), must equal the row's.
 
+Either way it also applies the quality matrix's fail rule to the history
+itself, which runs nothing: of the last two rows that carry a ``matrix``,
+paired by seed, a cell/system fails when its continuity mean drops by
+more than ``MEAN_DROP`` (0.01) or any one seed by more than ``SEED_DROP``
+(0.03).  Rises never fail.  A drop passes only when the newer row's
+``note`` declares it by naming the cell and system as
+``drop: <cell>/<system>``, e.g. ``drop: sim 500x40/continustreaming``.
+
 Usage::
 
     python3 tools/check_fingerprints.py [--history BENCH_history.jsonl] [--matrix PATH]
@@ -35,6 +43,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from statistics import fmean
 from typing import Dict, List, Mapping, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,12 +56,21 @@ COUNTS = (
     "dht.prefetched_segments",
     "scheduler.scheduled_segments",
 )
+#: The fail rule's bounds on a continuity drop: of a cell's mean, and of
+#: any one seed.
+MEAN_DROP = 0.01
+SEED_DROP = 0.03
+
+
+def rows(history: Path) -> List[Dict]:
+    """Every row of a JSON-lines history file, oldest first."""
+    lines = history.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def last_row(history: Path) -> Dict:
     """The newest row of a JSON-lines history file."""
-    lines = [line for line in history.read_text(encoding="utf-8").splitlines() if line.strip()]
-    return json.loads(lines[-1])
+    return rows(history)[-1]
 
 
 def measure(workload: str) -> Dict[str, float]:
@@ -122,6 +140,39 @@ def matrix_mismatches(recorded: Mapping, measured: Mapping) -> List[str]:
     return problems
 
 
+def matrix_drops(older: Mapping, newer: Mapping) -> List[str]:
+    """Every cell/system whose continuity drops past the fail rule from
+    ``older``'s matrix to ``newer``'s, paired by seed, unless ``newer``'s
+    note declares the drop."""
+    note = newer.get("note", "")
+    before_cells = older["matrix"]["cells"]
+    problems = []
+    for name, cell in newer["matrix"]["cells"].items():
+        for system, stats in cell.items():
+            if system == "delta" or system not in before_cells.get(name, {}):
+                continue
+            before = dict(zip(older["matrix"]["seeds"], before_cells[name][system]["by_seed"]))
+            after = dict(zip(newer["matrix"]["seeds"], stats["by_seed"]))
+            seeds = [seed for seed in after if seed in before]
+            if not seeds or f"drop: {name}/{system}" in note:
+                continue
+            old_mean = fmean(before[seed] for seed in seeds)
+            new_mean = fmean(after[seed] for seed in seeds)
+            worst = max(before[seed] - after[seed] for seed in seeds)
+            if old_mean - new_mean > MEAN_DROP or worst > SEED_DROP:
+                problems.append(
+                    f"matrix[{name!r}].{system}: row {newer.get('commit')!r} drops the mean "
+                    f"{old_mean:.4f} -> {new_mean:.4f}, a seed by up to {worst:.4f}, undeclared"
+                )
+    return problems
+
+
+def history_drops(history: Path) -> List[str]:
+    """The fail rule over the last two rows of ``history`` that carry a matrix."""
+    matrices = [row for row in rows(history) if "matrix" in row]
+    return matrix_drops(*matrices[-2:]) if len(matrices) > 1 else []
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--history", type=Path, default=ROOT / "BENCH_history.jsonl")
@@ -129,24 +180,23 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="check this quality matrix JSON instead of running the workloads")
     args = parser.parse_args(argv)
     row = last_row(args.history)
+    problems = history_drops(args.history)
     if args.matrix is not None:
         measured = json.loads(args.matrix.read_text(encoding="utf-8"))
-        problems = matrix_mismatches(row["matrix"], measured)
-        for problem in problems:
-            print(f"check_fingerprints: {problem}", file=sys.stderr)
-        if not problems:
-            print(f"check_fingerprints: matrix equals row {row['commit']!r}")
-        return 1 if problems else 0
-    try:
-        measured = {workload: measure(workload) for workload in WORKLOADS}
-    except RuntimeError as error:
-        print(f"check_fingerprints: {error}", file=sys.stderr)
-        return 2
-    problems = mismatches(row, measured, WORKLOADS)
+        problems += matrix_mismatches(row["matrix"], measured)
+        passed = f"matrix equals row {row['commit']!r}"
+    else:
+        try:
+            measured = {workload: measure(workload) for workload in WORKLOADS}
+        except RuntimeError as error:
+            print(f"check_fingerprints: {error}", file=sys.stderr)
+            return 2
+        problems += mismatches(row, measured, WORKLOADS)
+        passed = f"{', '.join(WORKLOADS)} equal row {row['commit']!r}"
     for problem in problems:
         print(f"check_fingerprints: {problem}", file=sys.stderr)
     if not problems:
-        print(f"check_fingerprints: {', '.join(WORKLOADS)} equal row {row['commit']!r}")
+        print(f"check_fingerprints: {passed}")
     return 1 if problems else 0
 
 

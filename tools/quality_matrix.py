@@ -1,16 +1,18 @@
 """Stable continuity as a seed × scale matrix, for both systems and both drivers.
 
-Each cell is one seeded run of the ``static`` scenario at one size, on the
-discrete-event simulator (``sim``) or the virtual-clock live runtime
-(``runtime``), for ContinuStreaming and for CoolStreaming.  For every
+Each cell is one :class:`repro.scenarios.Cell` — a seeded run of the
+``static`` scenario at one size, on the discrete-event simulator (``sim``)
+or the virtual-clock live runtime (``runtime``), for ContinuStreaming and
+for CoolStreaming — and the matrix reads the one record
+:func:`repro.scenarios.run_cell` makes of it.  For every
 (driver, peers, periods, system) the tool prints the mean and the worst
 seed of ``stable_continuity``, and for every (driver, peers, periods) the
 gap Δ = ContinuStreaming − CoolStreaming of the means, which is the paper's
-claim.  A runtime row also records, per seed and as a mean, the messages
-and bytes its runs put on the wire (the simulator sends no frames) and how
-its Algorithm 2 lookups ended, with the DHT walks they made.  Both
-drivers are deterministic for a seed, so a rerun repeats every number to
-the last digit.
+claim.  A runtime row also records, per seed and as a mean, the record's
+``counts``: the messages and bytes its runs put on the wire (the
+simulator sends no frames) and how its Algorithm 2 lookups ended, with
+the DHT walks they made.  Both drivers are deterministic for a seed, so
+a rerun repeats every number to the last digit.
 
 The grid is the continuity-at-scale check: simulator n = 200 × 60 and
 n = 500 × 40 periods, runtime n = 200 × 40, seeds 0–4: 30 runs, about
@@ -36,7 +38,8 @@ from typing import Dict, List, Sequence, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.core.node import LOOKUP_COUNTERS  # noqa: E402
+from repro.runtime import RunOptions  # noqa: E402
+from repro.scenarios import COUNT_NAMES, Cell, run_cell  # noqa: E402
 
 SYSTEMS = ("continustreaming", "coolstreaming")
 
@@ -45,28 +48,16 @@ Row = Tuple[str, int, int]
 
 GRID: List[Row] = [("sim", 200, 60), ("sim", 500, 40), ("runtime", 200, 40)]
 SEEDS = range(5)
-#: The wire counts a runtime cell records beside its continuity.
-WIRE_COUNTS = ("messages_sent", "bytes_on_wire")
-#: Everything a runtime cell records beside its continuity: the wire
-#: counts, the lookup outcomes and the lookups' DHT walks.
-COUNTS = WIRE_COUNTS + LOOKUP_COUNTERS
+#: The wire counts among a runtime cell's ``COUNT_NAMES``, which the text
+#: table prints.
+WIRE_COUNTS = COUNT_NAMES[:2]
 
 
-def run_cell(
-    driver: str, peers: int, periods: int, system: str, seed: int
-) -> Tuple[float, Dict[str, int]]:
-    """Stable continuity of one seeded ``static`` run, and for the runtime
-    its ``COUNTS`` (an empty dict for the simulator)."""
-    from repro.runtime import LiveSwarm
-    from repro.scenarios import builtin_scenario
-
-    spec = builtin_scenario("static").scaled(
-        num_nodes=peers, rounds=periods, seed=seed, system=system
-    )
-    if driver == "sim":
-        return spec.run().stable_continuity(), {}
-    result = LiveSwarm(spec, clock="virtual").run()
-    return result.stable_continuity(), {name: getattr(result, name) for name in COUNTS}
+def cell(driver: str, peers: int, periods: int, system: str, seed: int) -> Cell:
+    """One seeded ``static`` cell of the grid; a runtime cell runs in this
+    process on the virtual clock."""
+    options = RunOptions(clock="virtual") if driver == "runtime" else None
+    return Cell("static", driver, peers, periods, system, seed, options)
 
 
 def label(row: Row) -> str:
@@ -79,17 +70,15 @@ def matrix(rows: Sequence[Row], seeds: Sequence[int]) -> Dict:
     per-seed values of continuity (and of each runtime count, its mean and
     per-seed values), and per row ``delta`` (ContinuStreaming −
     CoolStreaming of the continuity means)."""
-    cells = [(*row, system, seed) for row in rows for system in SYSTEMS for seed in seeds]
-    by_cell = {cell: run_cell(*cell) for cell in cells}
     table: Dict[str, Dict] = {}
     for row in rows:
         entry: Dict = {}
         for system in SYSTEMS:
-            runs = [by_cell[(*row, system, seed)] for seed in seeds]
-            by_seed = [continuity for continuity, _ in runs]
+            records = [run_cell(cell(*row, system, seed)) for seed in seeds]
+            by_seed = [record.metrics["stable_continuity"] for record in records]
             stats = {"mean": fmean(by_seed), "worst": min(by_seed), "by_seed": by_seed}
-            for name in runs[0][1]:
-                values = [counts[name] for _, counts in runs]
+            for name in records[0].counts:
+                values = [record.counts[name] for record in records]
                 stats[name] = {"mean": fmean(values), "by_seed": values}
             entry[system] = stats
         entry["delta"] = entry["continustreaming"]["mean"] - entry["coolstreaming"]["mean"]
