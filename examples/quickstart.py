@@ -15,19 +15,18 @@ Run with::
 from __future__ import annotations
 
 from repro import StreamingSystem, SystemConfig
-from repro.core.phases import END, Phase, PhaseReport, ProtocolRegistry, RoundContext
+from repro.core.phases import Phase, PhaseReport, ProtocolRegistry, RoundContext
 
 
 class MetricsTapPhase(Phase):
-    """Custom end-of-round phase: tally pipeline counters as the run goes.
+    """Custom last phase: tally pipeline counters as the run goes.
 
     Any object implementing ``Phase.execute(ctx) -> PhaseReport`` can be
     spliced into the round pipeline via ``StreamingSystem(..., pipeline=...)``
     — no changes to the system or the registered protocols required.
     """
 
-    name = "metrics-tap"
-    timing = END  # run after playback/churn, when the counters are final
+    name = "metrics-tap"  # appended after playback/churn: the counters are final
 
     def __init__(self) -> None:
         self.scheduled = 0

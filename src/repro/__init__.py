@@ -8,7 +8,7 @@ from ``k`` backup holders before their playback deadline.
 The package is organised as:
 
 ``repro.sim``
-    Discrete-event simulation engine (event heap, clock, seeded RNG streams).
+    Seeded, named RNG streams: every run is reproducible from one integer.
 ``repro.net``
     Overlay topology, synthetic Gnutella-like trace generator, latency and
     bandwidth models, message cost accounting, churn.
@@ -24,7 +24,8 @@ The package is organised as:
     The paper's contribution: the ContinuStreaming node (urgency+rarity data
     scheduling, Urgent-Line prediction with adaptive alpha, on-demand DHT
     retrieval, VoD backup), the CoolStreaming baseline, and the
-    :class:`~repro.core.system.StreamingSystem` orchestration.
+    :class:`~repro.core.system.StreamingSystem` round loop, which runs one
+    scheduling period at a time through a pipeline of phases.
 ``repro.analysis``
     The Poisson playback-continuity theory of Section 5.1, gossip coverage
     formulas, the DHT routing-hop bound, and metric aggregation helpers.

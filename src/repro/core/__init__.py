@@ -21,9 +21,9 @@
   names to node factories and default pipelines.
 * :mod:`repro.core.overlay` — overlay construction and maintenance
   (topology, partnerships, DHT fingers, churn-time admission/removal).
-* :mod:`repro.core.system` — the thin facade tying protocol, overlay and
-  the discrete-event engine together, producing the metrics the paper
-  reports.
+* :mod:`repro.core.system` — the thin facade tying protocol and overlay
+  together: one loop over the phase pipeline per scheduling period,
+  producing the metrics the paper reports.
 """
 
 from repro.core.config import SystemConfig

@@ -1,18 +1,18 @@
 """The pluggable round pipeline.
 
 One scheduling period of a streaming protocol is a sequence of
-:class:`~repro.core.phases.base.Phase` objects executed against a shared
-:class:`~repro.core.phases.base.RoundContext`, driven by events on the
-discrete-event engine.  The numbered phases of the paper's round live here,
-one module each:
+:class:`~repro.core.phases.base.Phase` objects run once each, in pipeline
+order, against a shared :class:`~repro.core.phases.base.RoundContext`.  The
+numbered phases of the paper's round live here, one module each:
 
 1. :class:`SourceGenerationPhase` — the source emits this period's segments;
 2. :class:`BufferMapGossipPhase` — census, buffer-map snapshots, budgets;
 3. :class:`UrgentLinePredictionPhase` — eq. (4)/(8) missed-segment prediction;
 4. :class:`DataSchedulingPhase` — Algorithm 1 and the resulting transfers;
-5. :class:`OnDemandRetrievalPhase` — Algorithm 2 over the DHT, in parallel
-   with the scheduler, as delayed intra-round events (its ``Lookup`` is the
-   supplier rule the live runtime shares);
+5. :class:`OnDemandRetrievalPhase` — Algorithm 2 over the DHT, after the
+   scheduler in the same period; its fetches land at ``round_start +
+   t_fetch`` by arithmetic (its ``Lookup`` is the supplier rule the live
+   runtime shares);
 6. :class:`PlaybackPhase` — one period of media, continuity sampled;
 7. :class:`ChurnMaintenancePhase` — departures, arrivals, overlay repair.
 
@@ -22,7 +22,7 @@ with the :class:`~repro.core.phases.registry.ProtocolRegistry`; see
 ``docs/architecture.md`` for the full picture.
 """
 
-from repro.core.phases.base import END, START, Phase, PhaseReport, RoundContext
+from repro.core.phases.base import Phase, PhaseReport, RoundContext
 from repro.core.phases.churn import ChurnMaintenancePhase
 from repro.core.phases.gossip import BufferMapGossipPhase
 from repro.core.phases.ondemand import OnDemandRetrievalPhase
@@ -38,8 +38,6 @@ from repro.core.phases.scheduling import DataSchedulingPhase
 from repro.core.phases.source import SourceGenerationPhase
 
 __all__ = [
-    "START",
-    "END",
     "Phase",
     "PhaseReport",
     "RoundContext",

@@ -3,20 +3,18 @@
 
 A streaming protocol is a sequence of :class:`Phase` objects.  Every
 scheduling period the :class:`~repro.core.system.StreamingSystem` facade
-builds one :class:`RoundContext` — the shared, mutable per-round state that
-used to live in ``StreamingSystem`` attributes and ``step_round`` locals —
-and feeds it through the pipeline.  Phases communicate exclusively through
-the context: earlier phases fill in fields (buffer-map snapshots, bandwidth
-budgets, urgent-line predictions), later phases consume them and accumulate
-the outcome counters that become the round's
-:class:`~repro.core.system.RoundReport`.
+builds one :class:`RoundContext` — the shared, mutable per-round state —
+and runs every phase against it, once each, in pipeline order.  Phases
+communicate exclusively through the context: earlier phases fill in fields
+(buffer-map snapshots, bandwidth budgets, urgent-line predictions), later
+phases consume them and accumulate the outcome counters that become the
+round's :class:`~repro.core.system.RoundReport`.
 
-Two timing groups exist.  ``timing = "start"`` phases run when the round
-begins (simulated time ``round_start``); ``timing = "end"`` phases run when
-the period elapses (``round_start + period``).  Both groups execute in
-pipeline order within their group, driven by events on the discrete-event
-:class:`~repro.sim.engine.Simulator` — phases may schedule additional
-intra-round events (e.g. delayed DHT fetch completions) through ``ctx.sim``.
+A period has no event queue.  A phase that models something happening
+part-way through the period computes its time from ``ctx.round_start``
+(the DHT fetch of Algorithm 2 lands at ``round_start + t_fetch``); the
+period-end phases (playback, churn) simply come last in the pipeline and
+stamp their samples with :attr:`RoundContext.round_end`.
 """
 
 from __future__ import annotations
@@ -31,18 +29,12 @@ from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import LOOKUP_COUNTERS, StreamingNode
 from repro.net.message import MessageLedger
-from repro.sim.engine import Simulator
 from repro.streaming.buffermap import BufferMap
 from repro.streaming.playback import ContinuityTracker
-from repro.streaming.segment import Segment
 from repro.streaming.source import MediaSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.overlay import OverlayManager
-
-#: Phase timing groups: at the start of the period / when the period elapses.
-START = "start"
-END = "end"
 
 
 @dataclass
@@ -67,9 +59,9 @@ class RoundContext:
     block accumulates the outcome counters the facade turns into a
     :class:`~repro.core.system.RoundReport`.
 
-    Heavyweight collaborators (``sim``, ``tracker``, ``manager``) are
-    optional so unit tests can exercise a single phase against a minimal
-    synthetic context.
+    Heavyweight collaborators (``tracker``, ``manager``) are optional so
+    unit tests can exercise a single phase against a minimal synthetic
+    context.
     """
 
     config: SystemConfig
@@ -82,7 +74,6 @@ class RoundContext:
     nodes: Dict[int, StreamingNode]
     source: MediaSource
     source_id: int
-    sim: Optional[Simulator] = None
     tracker: Optional[ContinuityTracker] = None
     manager: Optional["OverlayManager"] = None
 
@@ -112,42 +103,30 @@ class RoundContext:
         """Simulated time at which the period elapses."""
         return self.round_start + self.period
 
-    def node(self, node_id: int) -> StreamingNode:
-        """Access a node by ring id."""
-        return self.nodes[node_id]
-
     def consider_backup(self, node: StreamingNode, segment_id: int) -> None:
         """Offer ``segment_id`` to ``node``'s VoD backup store (eq. (5)).
 
         CoolStreaming nodes have no backup store, so this is a no-op for
-        them; the segment payload is materialised from the source store when
-        available, otherwise synthesised at the configured size.
+        them.
         """
-        if not isinstance(node, ContinuStreamingNode):
-            return
-        segment = self.source.store.get(segment_id)
-        if segment is None:
-            segment = Segment(
-                segment_id=segment_id, size_bits=self.config.segment_bits
-            )
-        node.consider_backup(segment)
+        if isinstance(node, ContinuStreamingNode):
+            node.consider_backup(self.source.payload(segment_id))
 
 
 class Phase(abc.ABC):
     """One pluggable step of the round pipeline.
 
-    Subclasses set :attr:`name` (for reports) and :attr:`timing` (``"start"``
-    to run when the round begins, ``"end"`` to run when the period elapses)
-    and implement :meth:`execute`.  Phases must not carry *round-scoped*
-    state — everything a round produces or consumes lives on the
-    :class:`RoundContext`, so one instance can serve an entire run and be
-    inserted via ``StreamingSystem(config, pipeline=...)`` without subtle
-    re-entrancy.  Run-scoped accumulation (e.g. a metrics tap summing
-    counters across rounds) is fine.
+    Subclasses set :attr:`name` (for reports, and for splicing a phase in
+    by name) and implement :meth:`execute`; phases run in pipeline order.
+    Phases must not carry *round-scoped* state — everything a round
+    produces or consumes lives on the :class:`RoundContext`, so one
+    instance can serve an entire run and be inserted via
+    ``StreamingSystem(config, pipeline=...)`` without subtle re-entrancy.
+    Run-scoped accumulation (e.g. a metrics tap summing counters across
+    rounds) is fine.
     """
 
     name: str = "phase"
-    timing: str = START
 
     @abc.abstractmethod
     def execute(self, ctx: RoundContext) -> PhaseReport:
@@ -158,4 +137,4 @@ class Phase(abc.ABC):
         return PhaseReport(phase=self.name, details=dict(details))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r} timing={self.timing!r}>"
+        return f"<{type(self).__name__} name={self.name!r}>"

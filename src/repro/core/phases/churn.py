@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.phases.base import END, Phase, PhaseReport, RoundContext
+from repro.core.phases.base import Phase, PhaseReport, RoundContext
 
 
 class ChurnMaintenancePhase(Phase):
@@ -19,7 +19,6 @@ class ChurnMaintenancePhase(Phase):
     """
 
     name = "churn-maintenance"
-    timing = END
 
     def execute(self, ctx: RoundContext) -> PhaseReport:
         assert ctx.manager is not None, "churn maintenance needs an OverlayManager"

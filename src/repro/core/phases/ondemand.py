@@ -15,14 +15,13 @@ a lookup that walks all ``k`` keys.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import LOCATED, NO_HOLDER, NO_RATE, REPEATED
 from repro.core.phases.base import Phase, PhaseReport, RoundContext
 from repro.dht.hashing import backup_keys
 from repro.net.message import ROUTING_MESSAGE_BITS, MessageKind
-from repro.sim.engine import Simulator
 
 #: One holder's answer to one routing message: ``(holder, has_data, rate)``.
 Answer = Tuple[int, bool, float]
@@ -133,11 +132,12 @@ class Lookup:
 class OnDemandRetrievalPhase(Phase):
     """Locate and download the urgent segments gossip is about to miss.
 
-    The phase fires at the start of the period, in parallel with the data
-    scheduler; each triggered node's retrieval is an engine event at the
-    expected fetch-completion time ``t_fetch`` (eq. (7)), capped at the end
-    of the period, in a per-round random node order that the engine's
-    deterministic tie-breaking preserves.
+    The phase runs right after the data scheduler in the same period.  The
+    DHT lookups are in flight while gossip delivers, so the scheduler's
+    transfers are already in the buffers when a lookup closes; the fetch
+    itself is timed by arithmetic, landing at ``round_start + t_fetch``
+    (eq. (7)).  Triggered nodes retrieve one after another, in a per-round
+    random order.
 
     Per node, every missed segment is located first (ascending id), its
     backup keys walked in turn until :meth:`Lookup.probing` stops; then
@@ -156,16 +156,13 @@ class OnDemandRetrievalPhase(Phase):
         order = list(ctx.predictions)
         ctx.rng.shuffle(order)
         assert ctx.manager is not None, "on-demand retrieval needs an OverlayManager"
-        assert ctx.sim is not None, "on-demand retrieval runs on the event engine"
-        delay = min(ctx.manager.fetch_time_s, ctx.period)
         for nid in order:
-            ctx.sim.schedule_at(ctx.round_start + delay, self._retrieve_for_node, (ctx, nid))
+            self._retrieve_for_node(ctx, nid)
         return self.report(nodes_triggered=len(order))
 
     # ------------------------------------------------------------- internals
-    def _retrieve_for_node(self, sim: Simulator, payload: Any) -> None:
+    def _retrieve_for_node(self, ctx: RoundContext, nid: int) -> None:
         """Run Algorithm 2 for one triggered node and execute the downloads."""
-        ctx, nid = payload
         manager = ctx.manager
         assert manager is not None
         cfg = ctx.config

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.phases.base import END, Phase, PhaseReport, RoundContext
+from repro.core.phases.base import Phase, PhaseReport, RoundContext
 
 
 class PlaybackPhase(Phase):
@@ -17,7 +17,6 @@ class PlaybackPhase(Phase):
     """
 
     name = "playback"
-    timing = END
 
     def execute(self, ctx: RoundContext) -> PhaseReport:
         cfg = ctx.config

@@ -1,7 +1,7 @@
-"""The streaming-system facade: construction, clocking, results.
+"""The streaming-system facade: construction, the round loop, results.
 
 :class:`StreamingSystem` is a thin coordinator.  The heavy lifting lives in
-three places it composes:
+two places it composes:
 
 * the :class:`~repro.core.phases.registry.ProtocolRegistry` resolves the
   ``system`` name (``"continustreaming"``, ``"coolstreaming"``, or any
@@ -9,18 +9,17 @@ three places it composes:
   which :class:`~repro.core.phases.base.Phase` pipeline its rounds run;
 * the :class:`~repro.core.overlay.OverlayManager` builds and maintains the
   overlay — trace topology, latency/bandwidth models, Rendezvous Point,
-  partnerships, DHT fingers, churn-time admission/removal and repair;
-* the discrete-event :class:`~repro.sim.engine.Simulator` is the single
-  clock authority: every round is an event, start-of-period phases fire at
-  ``round_start``, end-of-period phases (playback, churn) fire when the
-  period elapses, and phases may schedule intra-round follow-up events such
-  as delayed DHT fetch completions.
+  partnerships, DHT fingers, churn-time admission/removal and repair.
 
-Each scheduling period, the facade builds one
-:class:`~repro.core.phases.base.RoundContext`, threads it through the
-pipeline, and turns the context's counters into a :class:`RoundReport`.
-Custom pipelines (ablations, metric taps) plug in via the ``pipeline=``
-argument without touching this module; see ``docs/architecture.md``.
+Time advances one scheduling period ``τ`` at a time.  :meth:`step_round`
+builds one :class:`~repro.core.phases.base.RoundContext` for the period
+starting at ``round_index · τ``, runs every phase of the pipeline against
+it in order, and folds the context's counters into a :class:`RoundReport`;
+:meth:`run` is that loop ``rounds`` times.  Times inside a period are
+arithmetic on ``ctx.round_start`` (a DHT fetch lands at ``round_start +
+t_fetch``), not scheduled events.  Custom pipelines (ablations, metric
+taps) plug in via the ``pipeline=`` argument without touching this module;
+see ``docs/architecture.md``.
 
 All randomness flows from the config seed through named
 :class:`~repro.sim.rng.RngStreams`, so a ContinuStreaming run and a
@@ -31,20 +30,13 @@ assignment and churn schedule — the comparison isolates the protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.node import StreamingNode
 from repro.core.overlay import OverlayManager
-from repro.core.phases import (
-    END,
-    START,
-    Phase,
-    ProtocolRegistry,
-    RoundContext,
-)
+from repro.core.phases import Phase, ProtocolRegistry, RoundContext
 from repro.net.message import MessageLedger, RoundTrafficLog
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.streaming.playback import ContinuityTracker
 from repro.streaming.source import MediaSource
@@ -128,10 +120,6 @@ class StreamingSystem:
             the hook experiments use to insert taps or ablate phases.
     """
 
-    #: The paper's two systems (kept for backwards compatibility; the
-    #: authoritative list is ``ProtocolRegistry.names()``).
-    SYSTEMS = ("continustreaming", "coolstreaming")
-
     def __init__(
         self,
         config: SystemConfig,
@@ -150,16 +138,8 @@ class StreamingSystem:
         self.pipeline: Tuple[Phase, ...] = tuple(
             pipeline if pipeline is not None else self.protocol.build_pipeline()
         )
-        for phase in self.pipeline:
-            if phase.timing not in (START, END):
-                raise ValueError(
-                    f"phase {phase.name!r} has invalid timing {phase.timing!r}; "
-                    f"expected {START!r} or {END!r}"
-                )
-        self.sim = Simulator()
         self.tracker = ContinuityTracker(round_duration=config.scheduling_period)
         self.traffic = RoundTrafficLog()
-        self.ledger = MessageLedger()
         self.reports: List[RoundReport] = []
         self.round_index = 0
 
@@ -169,11 +149,11 @@ class StreamingSystem:
         self.manager.build()
         return self
 
-    # ===================================================== facade / compatibility
+    # ===================================================================== facade
     @property
     def now(self) -> float:
-        """Current simulated time (the event engine is the clock authority)."""
-        return self.sim.now
+        """Simulated time: the start of the next period, ``round_index · τ``."""
+        return self.round_index * self.config.scheduling_period
 
     @property
     def nodes(self) -> Dict[int, StreamingNode]:
@@ -191,16 +171,6 @@ class StreamingSystem:
         return self.manager.ring
 
     @property
-    def overlay(self):
-        """The overlay topology graph."""
-        return self.manager.overlay
-
-    @property
-    def latency(self):
-        """The latency model (``None`` before :meth:`build`)."""
-        return self.manager.latency
-
-    @property
     def bandwidth(self):
         """The bandwidth model."""
         return self.manager.bandwidth
@@ -210,52 +180,16 @@ class StreamingSystem:
         """The churn process."""
         return self.manager.churn
 
-    @property
-    def rendezvous(self):
-        """The Rendezvous Point."""
-        return self.manager.rendezvous
-
-    @property
-    def overhearing(self):
-        """The overhearing-based peer-table maintenance service."""
-        return self.manager.overhearing
-
-    @property
-    def router(self):
-        """The greedy DHT router."""
-        return self.manager.router
-
-    @property
-    def hop_latency_s(self) -> float:
-        """Mean one-hop latency ``t_hop`` in seconds."""
-        return self.manager.hop_latency_s
-
-    @property
-    def fetch_time_s(self) -> float:
-        """Expected DHT fetch time ``t_fetch`` in seconds (eq. (7))."""
-        return self.manager.fetch_time_s
-
     def alive_node_ids(self, include_source: bool = True) -> List[int]:
         """Ids of the currently alive nodes."""
         return self.manager.alive_node_ids(include_source=include_source)
 
-    def node(self, node_id: int) -> StreamingNode:
-        """Access a node by ring id."""
-        return self.manager.nodes[node_id]
-
     # ===================================================================== rounds
     def run(self, rounds: Optional[int] = None) -> SimulationResult:
-        """Run the simulation for ``rounds`` periods (default: config.rounds).
-
-        Every round is an event on the discrete-event engine: the commit
-        event of round *i* schedules round *i + 1*, so a single
-        ``Simulator.run()`` drains the whole simulation.
-        """
+        """Run the simulation for ``rounds`` periods (default: config.rounds)."""
         self.build()
-        total = self.config.rounds if rounds is None else rounds
-        if total > 0:
-            self._schedule_round(self.sim.now, remaining=total)
-            self.sim.run()
+        for _ in range(self.config.rounds if rounds is None else rounds):
+            self.step_round()
         return SimulationResult(
             system=self.system,
             config=self.config,
@@ -265,53 +199,26 @@ class StreamingSystem:
         )
 
     def step_round(self) -> RoundReport:
-        """Advance the simulation by exactly one scheduling period."""
+        """Run one scheduling period: every phase in pipeline order."""
         self.build()
-        self._schedule_round(self.sim.now, remaining=1)
-        self.sim.run()
-        return self.reports[-1]
-
-    # ------------------------------------------------------------- event plumbing
-    def _schedule_round(self, round_start: float, remaining: int) -> None:
-        ctx = self._new_round_context(round_start)
-        self.sim.schedule_at(round_start, self._round_begin, (ctx, remaining))
-
-    def _new_round_context(self, round_start: float) -> RoundContext:
-        assert self.manager.source_id is not None, "build() must run first"
-        return RoundContext(
+        assert self.manager.source_id is not None
+        ctx = RoundContext(
             config=self.config,
             protocol=self.system,
             round_index=self.round_index,
-            round_start=round_start,
+            round_start=self.now,
             period=self.config.scheduling_period,
             rng=self.streams.get("round"),
             ledger=MessageLedger(),
             nodes=self.manager.nodes,
             source=self.source,
             source_id=self.manager.source_id,
-            sim=self.sim,
             tracker=self.tracker,
             manager=self.manager,
         )
-
-    def _round_begin(self, sim: Simulator, payload: Any) -> None:
-        """Start-of-period event: run the ``start`` phases, arm the commit."""
-        ctx, remaining = payload
         for phase in self.pipeline:
-            if phase.timing != END:
-                ctx.phase_reports.append(phase.execute(ctx))
-        # Scheduled after the start phases so intra-round follow-up events
-        # (e.g. DHT fetches landing exactly at period end) run first.
-        sim.schedule_at(ctx.round_end, self._round_commit, (ctx, remaining))
-
-    def _round_commit(self, sim: Simulator, payload: Any) -> None:
-        """End-of-period event: ``end`` phases, bookkeeping, next round."""
-        ctx, remaining = payload
-        for phase in self.pipeline:
-            if phase.timing == END:
-                ctx.phase_reports.append(phase.execute(ctx))
+            ctx.phase_reports.append(phase.execute(ctx))
         self.traffic.append(ctx.round_end, ctx.ledger)
-        self.ledger.merge(ctx.ledger)
         report = RoundReport(
             round_index=ctx.round_index,
             time=ctx.round_end,
@@ -327,8 +234,7 @@ class StreamingSystem:
         )
         self.reports.append(report)
         self.round_index += 1
-        if remaining > 1:
-            self._schedule_round(sim.now, remaining - 1)
+        return report
 
 
 def run_comparison(

@@ -1,7 +1,7 @@
 """The live asyncio runtime: real concurrent peers over a wire protocol.
 
-Where :mod:`repro.core.system` clocks the protocol in lock-step rounds on
-a discrete-event engine, this package runs the same protocol logic as a
+Where :mod:`repro.core.system` clocks the protocol in lock-step rounds,
+one pipeline pass per period, this package runs the same protocol logic as a
 swarm of independent asyncio tasks exchanging length-prefixed binary
 frames over in-process loopback transports:
 

@@ -457,7 +457,7 @@ class LivePeer:
         elif not msg.prefetch:
             self._delivered[msg.sender] = self._delivered.get(msg.sender, 0) + 1
         if accepted and isinstance(node, ContinuStreamingNode):
-            node.consider_backup(self.swarm.segment_payload(msg.segment_id))
+            node.consider_backup(self.swarm.source.payload(msg.segment_id))
 
     def _on_segment_nack(self, msg: wire.SegmentNack) -> None:
         """Reroute each refused pull to the best untried partner advertising it."""

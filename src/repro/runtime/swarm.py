@@ -85,7 +85,6 @@ from repro.runtime.transport import TransportConfig, TransportSummary
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.rng import derive_seed
 from repro.streaming.playback import ContinuityTracker
-from repro.streaming.segment import Segment
 
 #: Default wall seconds per simulated second.  0.1 compresses the paper's
 #: 1-second scheduling period to 100 ms — enough headroom for a few
@@ -565,13 +564,6 @@ class LiveSwarm:
         # raises sim_now()'s monotone floor, which later span timestamps see.
         self.sim_now()
         self.manager.overhearing.overhear_path(path, peer_table)
-
-    def segment_payload(self, segment_id: int) -> Segment:
-        """The segment object offered to a VoD backup store (eq. (5))."""
-        segment = self.source.store.get(segment_id)
-        if segment is None:
-            segment = Segment(segment_id=segment_id, size_bits=self.config.segment_bits)
-        return segment
 
     # ----------------------------------------------------------------- clocking
     def sim_now(self) -> float:

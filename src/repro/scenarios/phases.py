@@ -29,7 +29,6 @@ class LossyNetworkPhase(Phase):
     """
 
     name = "lossy-network"
-    timing = "start"
 
     def __init__(self, loss_rate: float) -> None:
         if not (0.0 <= loss_rate < 1.0):

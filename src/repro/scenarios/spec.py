@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SystemConfig
-from repro.core.phases import END, Phase, ProtocolRegistry
+from repro.core.phases import Phase, ProtocolRegistry
 from repro.core.system import SimulationResult, StreamingSystem
 from repro.net.bandwidth import BandwidthClass, ClassMixBandwidthModel
 from repro.net.churn import ChurnSchedule, ConstantChurn, schedule_from_dict
@@ -172,17 +172,13 @@ class ScenarioSpec:
         """The protocol's pipeline with scenario phases spliced in."""
         pipeline = list(ProtocolRegistry.get(self.system).build_pipeline())
         if self.loss_rate > 0.0:
+            # Throttle the budgets just before the scheduler spends them; a
+            # protocol without the standard scheduler gets it before playback.
+            names = [phase.name for phase in pipeline]
             index = next(
-                (i for i, phase in enumerate(pipeline) if phase.name == "data-scheduling"),
-                None,
+                (names.index(n) for n in ("data-scheduling", "playback") if n in names),
+                len(names),
             )
-            if index is None:
-                # Protocol without the standard scheduler: throttle budgets
-                # just before the first end-of-period phase.
-                index = next(
-                    (i for i, phase in enumerate(pipeline) if phase.timing == END),
-                    len(pipeline),
-                )
             pipeline.insert(index, LossyNetworkPhase(self.loss_rate))
         return tuple(pipeline)
 

@@ -1,20 +1,14 @@
-"""Discrete-event simulation engine used by every substrate.
+"""Seeded random-number streams shared by the simulator and the runtime.
 
-The engine is deliberately small: a binary-heap event queue keyed by
-``(time, sequence)`` plus helpers for deterministic, per-component random
-number streams.  The streaming system itself advances in *scheduling rounds*
-(period ``tau``) but message deliveries, DHT lookups and pre-fetches are
-scheduled as events with real latencies inside each round.
+Every stochastic component draws from its own named stream derived from a
+single root seed (:class:`RngStreams`), so a run is reproducible from one
+integer.  The simulator itself has no event engine: it advances one
+scheduling period at a time (:meth:`repro.core.system.StreamingSystem.step_round`).
 """
 
-from repro.sim.engine import Event, EventQueue, SimulationClock, Simulator
 from repro.sim.rng import RngStreams, spawn_generator
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationClock",
-    "Simulator",
     "RngStreams",
     "spawn_generator",
 ]

@@ -70,6 +70,14 @@ class MediaSource:
             new_segments.append(segment)
         return new_segments
 
+    def payload(self, segment_id: int) -> Segment:
+        """The segment object for ``segment_id``: the store's, when generated
+        here, else one synthesised at :attr:`segment_bits`."""
+        segment = self.store.get(segment_id)
+        if segment is None:
+            segment = Segment(segment_id=segment_id, size_bits=self.segment_bits)
+        return segment
+
     def has_segment(self, segment_id: int) -> bool:
         """True if the source has generated ``segment_id`` already."""
         return 0 <= segment_id <= self._generated_up_to

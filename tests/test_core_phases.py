@@ -19,7 +19,6 @@ from repro.core.node import StreamingNode
 from repro.core.overlay import OverlayManager
 from repro.core.scheduler import ScheduledRequest
 from repro.core.phases import (
-    END,
     BufferMapGossipPhase,
     ChurnMaintenancePhase,
     ContinuStreamingProtocol,
@@ -37,7 +36,6 @@ from repro.core.system import StreamingSystem
 from repro.dht.peer_table import NeighborEntry
 from repro.dht.ring import IdRing
 from repro.net.message import MessageKind, MessageLedger
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.streaming.source import MediaSource
 
@@ -101,6 +99,14 @@ def make_ctx(nodes: Dict[int, StreamingNode], source_id: int, **overrides) -> Ro
     )
     defaults.update(overrides)
     return RoundContext(**defaults)
+
+
+#: The two registered systems of the paper.
+SYSTEMS = ("continustreaming", "coolstreaming")
+
+
+def pipeline_names(system: str):
+    return [phase.name for phase in ProtocolRegistry.get(system).build_pipeline()]
 
 
 def partner(a: StreamingNode, b: StreamingNode) -> None:
@@ -292,29 +298,36 @@ class TestOnDemandRetrievalPhase:
         assert report.details["nodes_triggered"] == 0
         assert ctx.segments_prefetched == 0
 
-    def test_retrieval_rides_the_event_engine(self):
+    def test_retrieval_runs_after_the_scheduler_in_the_same_period(self):
         node, holder = make_node(2), make_node(3)
         partner(node, holder)  # node 3 holds every backup key node 2 walks
         node.buffer.add(5)  # the scheduler delivered it while the DHT looked
-        sim = Simulator()
-        ctx = self._manager_ctx({2: node, 3: holder}, sim=sim)
+        ctx = self._manager_ctx({2: node, 3: holder})
         ctx.predictions = {2: [5]}
-        OnDemandRetrievalPhase().execute(ctx)
-        assert node.stats.prefetch_repeated == 0  # nothing ran yet
-        assert len(sim.queue) == 1
-        sim.run()
+        report = OnDemandRetrievalPhase().execute(ctx)
+        assert report.details["nodes_triggered"] == 1
         assert node.stats.prefetch_repeated == 1
         assert ctx.segments_prefetched == 0
-        assert sim.now == pytest.approx(ctx.manager.fetch_time_s)
+
+    def test_fetch_lands_at_round_start_plus_fetch_time(self):
+        node, holder = make_node(2), make_node(3)
+        partner(node, holder)
+        holder.buffer.add(5)
+        ctx = self._manager_ctx({2: node, 3: holder}, round_start=7.0)
+        ctx.predictions = {2: [5]}
+        fetches = []
+        node.record_prefetch = lambda sid, arrival, deadline: fetches.append((sid, arrival))
+        OnDemandRetrievalPhase().execute(ctx)
+        assert 5 in node.buffer and ctx.segments_prefetched == 1
+        assert fetches == [(5, 7.0 + ctx.manager.fetch_time_s)]
 
     def test_segment_held_after_the_first_walk_is_charged_that_walk_only(self):
         node, holder = make_node(2), make_node(3)
         partner(node, holder)
         node.buffer.add(5)
-        ctx = self._manager_ctx({2: node, 3: holder}, sim=Simulator())
+        ctx = self._manager_ctx({2: node, 3: holder})
         ctx.predictions = {2: [5]}
         OnDemandRetrievalPhase().execute(ctx)
-        ctx.sim.run()
         # One walk 2 -> 3 and the reply: two routing messages, not 4 x 2.
         assert ctx.ledger.count_of(MessageKind.DHT_ROUTING) == 2
         assert (node.stats.lookup_walks, node.stats.lookups_repeated) == (1, 1)
@@ -322,10 +335,9 @@ class TestOnDemandRetrievalPhase:
 
     def test_keys_the_node_owns_itself_cost_nothing(self):
         node = make_node(2)  # alone: it owns every key, so nothing is sent
-        ctx = self._manager_ctx({2: node}, sim=Simulator())
+        ctx = self._manager_ctx({2: node})
         ctx.predictions = {2: [5]}
         OnDemandRetrievalPhase().execute(ctx)
-        ctx.sim.run()
         assert ctx.ledger.count_of(MessageKind.DHT_ROUTING) == 0
         assert node.stats.lookup_walks == node.stats.prefetch_repeated == 0
 
@@ -352,7 +364,10 @@ class TestPlaybackPhase:
         assert ctx.continuity == pytest.approx(0.0)
 
     def test_runs_at_period_end(self):
-        assert PlaybackPhase.timing == END
+        # Playback is the second-to-last phase of both registered pipelines,
+        # so it samples the period after every transfer and retrieval.
+        for system in SYSTEMS:
+            assert pipeline_names(system)[-2] == PlaybackPhase.name
 
 
 class TestChurnMaintenancePhase:
@@ -367,7 +382,9 @@ class TestChurnMaintenancePhase:
         assert node.alive
 
     def test_runs_at_period_end(self):
-        assert ChurnMaintenancePhase.timing == END
+        # Churn closes both registered pipelines, right after playback.
+        for system in SYSTEMS:
+            assert pipeline_names(system)[-2:] == ["playback", "churn-maintenance"]
 
 
 class TestPipelineHook:
@@ -376,7 +393,6 @@ class TestPipelineHook:
 
         class MetricsTapPhase(Phase):
             name = "metrics-tap"
-            timing = END
 
             def execute(self, ctx: RoundContext) -> PhaseReport:
                 taps.append((ctx.round_index, ctx.segments_scheduled))
@@ -402,17 +418,6 @@ class TestPipelineHook:
         totals = result.traffic.cumulative()
         assert totals.bits_of(MessageKind.DHT_ROUTING) == 0
         assert totals.bits_of(MessageKind.DATA_PREFETCH) == 0
-
-    def test_invalid_phase_timing_is_rejected(self, tiny_config):
-        class TypoTimingPhase(Phase):
-            name = "typo-timing"
-            timing = "End"  # not the END constant
-
-            def execute(self, ctx: RoundContext) -> PhaseReport:
-                return self.report()
-
-        with pytest.raises(ValueError, match="invalid timing"):
-            StreamingSystem(tiny_config, pipeline=[TypoTimingPhase()])
 
     def test_default_pipeline_comes_from_the_registry(self, tiny_config):
         conti = StreamingSystem(tiny_config, system="continustreaming")

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
+from repro.core.phases import Phase, PhaseReport, ProtocolRegistry, RoundContext
 from repro.core.system import StreamingSystem, run_comparison
 from repro.net.message import MessageKind
 
@@ -256,32 +257,49 @@ class TestNoReferenceCycles:
             gc.enable()
 
 
-class TestEventDrivenClock:
-    """The discrete-event engine is the single clock source during a run."""
+class TestRoundClock:
+    """Time advances one period per ``step_round``; nothing else moves it."""
 
-    def test_rounds_are_events_on_the_simulator(self, tiny_config):
+    def test_each_step_is_one_period(self, tiny_config):
         system = StreamingSystem(tiny_config).build()
-        assert system.sim.events_processed == 0
-        system.step_round()
-        # At least the round-begin and round-commit events fired.
-        assert system.sim.events_processed >= 2
-        assert system.now == system.sim.now
+        tau = tiny_config.scheduling_period
+        assert system.now == 0.0
+        first = system.step_round()
+        assert (system.round_index, system.now, first.time) == (1, tau, tau)
+        second = system.step_round()
+        assert (system.round_index, system.now, second.time) == (2, 2 * tau, 2 * tau)
 
-    def test_prefetch_fetches_run_as_intra_round_events(self, small_config):
-        system = StreamingSystem(small_config, system="continustreaming").build()
-        for _ in range(small_config.rounds):
-            system.step_round()
-        triggered = sum(r.prefetch_triggers for r in system.reports)
-        rounds = len(system.reports)
-        assert triggered > 0
-        # begin + commit per round, plus one event per triggered node.
-        assert system.sim.events_processed == 2 * rounds + triggered
+    def test_every_triggered_retrieval_runs_inside_its_round(self, small_config):
+        seen = []
 
-    def test_run_drains_the_event_queue(self, tiny_config):
-        system = StreamingSystem(tiny_config)
+        class PhaseOrderTap(Phase):
+            name = "phase-order-tap"
+
+            def execute(self, ctx: RoundContext) -> PhaseReport:
+                seen.append((ctx.prefetch_triggers, list(ctx.phase_reports)))
+                return self.report()
+
+        default = ProtocolRegistry.get("continustreaming").build_pipeline()
+        system = StreamingSystem(small_config, pipeline=[*default, PhaseOrderTap()])
         system.run()
-        assert len(system.sim.queue) == 0
+        assert sum(triggers for triggers, _ in seen) > 0
+        names = [phase.name for phase in default]
+        for triggers, reports in seen:
+            # Every phase ran once, in pipeline order, before the tap.
+            assert [report.phase for report in reports] == names
+            ondemand = reports[names.index("on-demand-retrieval")]
+            # One retrieval per triggered node, all within the period.
+            assert ondemand.details["nodes_triggered"] == triggers
+
+    def test_run_ends_at_the_configured_duration(self, tiny_config):
+        system = StreamingSystem(tiny_config)
+        result = system.run()
+        tau = tiny_config.scheduling_period
+        assert system.round_index == tiny_config.rounds
         assert system.now == pytest.approx(tiny_config.duration)
+        assert [r.time for r in result.rounds] == [
+            (i + 1) * tau for i in range(tiny_config.rounds)
+        ]
 
 
 class TestHeadlineComparison:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.phases import CoolStreamingProtocol, ProtocolRegistry
 from repro.core.phases.base import RoundContext
 from repro.net.bandwidth import BandwidthClass, ClassMixBandwidthModel
 from repro.net.churn import (
@@ -246,6 +249,52 @@ class TestScenarioSpec:
         rebuilt = ScenarioSpec.from_dict(payload)
         assert rebuilt == spec
         assert rebuilt.to_dict() == payload
+
+    @pytest.mark.parametrize("system", ["continustreaming", "coolstreaming"])
+    def test_loss_is_spliced_just_before_the_scheduler(self, system):
+        spec = builtin_scenario("hetero-swarm").scaled(system=system)
+        names = [phase.name for phase in spec.build_pipeline()]
+        assert names[names.index("lossy-network") + 1] == "data-scheduling"
+
+    def test_loss_without_a_scheduler_is_spliced_before_playback(self, monkeypatch):
+        monkeypatch.setattr(ProtocolRegistry, "_protocols", dict(ProtocolRegistry._protocols))
+
+        @ProtocolRegistry.register("no-scheduler")
+        class NoSchedulerProtocol(CoolStreamingProtocol):
+            def build_pipeline(self):
+                return tuple(
+                    phase for phase in super().build_pipeline()
+                    if phase.name != "data-scheduling"
+                )
+
+        spec = builtin_scenario("hetero-swarm").scaled(system="no-scheduler")
+        names = [phase.name for phase in spec.build_pipeline()]
+        assert names[-3:] == ["lossy-network", "playback", "churn-maintenance"]
+
+    def test_loss_with_neither_scheduler_nor_playback_goes_last(self, monkeypatch):
+        monkeypatch.setattr(ProtocolRegistry, "_protocols", dict(ProtocolRegistry._protocols))
+        kept = ("buffer-map-gossip", "churn-maintenance")
+
+        @ProtocolRegistry.register("gossip-only")
+        class GossipOnlyProtocol(CoolStreamingProtocol):
+            def build_pipeline(self):
+                return tuple(p for p in super().build_pipeline() if p.name in kept)
+
+        spec = builtin_scenario("hetero-swarm").scaled(system="gossip-only")
+        names = [phase.name for phase in spec.build_pipeline()]
+        assert names == [*kept, "lossy-network"]
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.02])
+    @pytest.mark.parametrize("system", ["continustreaming", "coolstreaming"])
+    def test_loss_is_the_only_phase_a_spec_adds(self, system, loss_rate):
+        spec = dataclasses.replace(
+            builtin_scenario("static").scaled(system=system), loss_rate=loss_rate
+        )
+        pipeline = spec.build_pipeline()
+        lossy = [phase for phase in pipeline if isinstance(phase, LossyNetworkPhase)]
+        protocol = ProtocolRegistry.get(system).build_pipeline()
+        assert [p.name for p in pipeline if p not in lossy] == [p.name for p in protocol]
+        assert [phase.loss_rate for phase in lossy] == ([loss_rate] if loss_rate else [])
 
     def test_file_round_trip_json(self, tmp_path):
         spec = builtin_scenario("flash-crowd")

@@ -52,6 +52,34 @@ class TestMediaSource:
         assert not source.has_segment(-1)
 
 
+class TestMediaSourcePayload:
+    """``payload`` is the one rule both drivers use for a segment object."""
+
+    @pytest.mark.parametrize("segment_id", [0, 7, 20])
+    def test_generated_segment_is_the_stores_own(self, segment_id):
+        source = MediaSource(playback_rate=10, segment_bits=12_345)
+        source.generate_until(2.0)
+        segment = source.payload(segment_id)
+        assert segment is source.store.get(segment_id)
+        assert segment.origin_time == pytest.approx(segment_id / 10)
+
+    @pytest.mark.parametrize("segment_id", [21, 10_000])
+    def test_ungenerated_segment_is_synthesised_at_segment_bits(self, segment_id):
+        source = MediaSource(playback_rate=10, segment_bits=12_345)
+        source.generate_until(2.0)
+        segment = source.payload(segment_id)
+        assert (segment.segment_id, segment.size_bits) == (segment_id, 12_345)
+
+    def test_payload_neither_generates_nor_stores(self):
+        source = MediaSource(playback_rate=10)
+        source.generate_until(1.0)
+        before = len(source.store)
+        source.payload(500)
+        assert len(source.store) == before
+        assert 500 not in source.store and not source.has_segment(500)
+        assert source.newest_segment_id == 10
+
+
 class TestPlaybackState:
     def _buffer_with(self, ids, capacity=100):
         buffer = SegmentBuffer(capacity=capacity)
