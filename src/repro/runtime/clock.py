@@ -10,8 +10,9 @@ wall-clock scheduling makes every run a different interleaving.
 ``loop.time()`` returns a **virtual** timestamp, and whenever nothing is
 ready to run the clock jumps straight to the next timer's due time.  The
 loop owns no selector and no file descriptor and makes no system call —
-the runtime does no real I/O on this clock (loopback transports are
-``call_later`` deliveries) — so the whole swarm executes as one
+the runtime does no real I/O on this clock (loopback deliveries are
+entries of the swarm's :class:`DeliveryQueue`, which the loop reads
+directly) — so the whole swarm executes as one
 deterministic callback sequence: same spec, same seed ⇒ same messages,
 same drops, same metrics, bit for bit.  Callbacks consume no virtual
 time, so a virtual-clock swarm can never overload its own schedule;
@@ -33,7 +34,8 @@ import logging
 from asyncio import events
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Deque, List
+from itertools import count
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: Timers due within this many seconds of ``now`` fire in the same pass
 #: (the monotonic clock resolution the stock loop uses on Linux).
@@ -81,6 +83,79 @@ def _stop_when_done(future: "asyncio.Future[Any]") -> None:
     future.get_loop().stop()
 
 
+class DeliveryQueue:
+    """A swarm's one queue of due work: ``(time, seq)`` entries run one
+    instant at a time.
+
+    An entry is ``callback(arg)`` due at loop time ``when``; ``seq`` is
+    the push order, so entries due at equal times run first in, first
+    out.  :meth:`run_due` pops every entry due before a horizon, runs each
+    in ``(time, seq)`` order, then calls ``after()`` once — the swarm
+    drains there every peer the instant's entries delivered to.
+
+    Nothing here allocates a loop handle per entry.  A
+    :class:`VirtualClockEventLoop` reads the queue's head itself when it
+    advances time and runs the due instant in its pass; any other loop
+    gets one timer, armed at the head and re-armed after each instant.
+    """
+
+    def __init__(self, after: Callable[[], None]) -> None:
+        self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
+        self._seq = count()
+        self._after = after
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The wall clock's one armed timer and its due time.  A push
+        #: earlier than ``_armed_at`` re-arms, so it is ``-inf`` whenever
+        #: no timer may be armed: unbound, on the virtual clock, and while
+        #: an instant runs (its pushes re-arm once, at the end).
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._armed_at = float("-inf")
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run this queue on ``loop`` (what is queued already included)."""
+        self._loop = loop
+        if isinstance(loop, VirtualClockEventLoop):
+            loop._queue = self
+            return
+        self._armed_at = float("inf")
+        if self._heap:
+            self._arm(self._heap[0][0])
+
+    def push(self, when: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """Queue ``callback(arg)`` at loop time ``when``."""
+        heappush(self._heap, (when, next(self._seq), callback, arg))
+        if when < self._armed_at:
+            self._arm(when)
+
+    def run_due(self, horizon: float) -> None:
+        """Run every entry due before ``horizon``, then ``after()``."""
+        heap = self._heap
+        while heap and heap[0][0] < horizon:
+            _, _, callback, arg = heappop(heap)
+            callback(arg)
+        self._after()
+
+    # ----------------------------------------------------------- the wall clock
+    def _arm(self, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._armed_at = when
+        self._timer = self._loop.call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        self._timer = None
+        self._armed_at = float("-inf")
+        try:
+            self.run_due(self._loop.time() + _RESOLUTION)
+        finally:
+            self._armed_at = float("inf")
+            if self._heap:
+                self._arm(self._heap[0][0])
+
+
 class VirtualClockEventLoop(asyncio.AbstractEventLoop):
     """An event loop whose clock is virtual time, not the wall.
 
@@ -105,6 +180,8 @@ class VirtualClockEventLoop(asyncio.AbstractEventLoop):
         self._stopping = False
         self._running = False
         self._closed = False
+        #: The bound swarm's :class:`DeliveryQueue`, read in every pass.
+        self._queue: Optional[DeliveryQueue] = None
 
     # ------------------------------------------------------------- scheduling
     def time(self) -> float:
@@ -144,7 +221,7 @@ class VirtualClockEventLoop(asyncio.AbstractEventLoop):
 
     # --------------------------------------------------------------- the pass
     def _run_once(self) -> None:
-        """One pass: the four steps of the ordering contract."""
+        """One pass: the five steps of the ordering contract."""
         scheduled = self._scheduled
         count = len(scheduled)
         if count > 100 and self._cancelled_timers / count > 0.5:
@@ -160,14 +237,22 @@ class VirtualClockEventLoop(asyncio.AbstractEventLoop):
                 heappop(scheduled).scheduled = False
 
         ready = self._ready
+        queue = self._queue
+        due = queue._heap if queue is not None else ()
         if not ready and not self._stopping:
-            if not scheduled:
+            if scheduled:
+                head = scheduled[0]
+                if due and due[0][0] < head:
+                    head = due[0][0]
+            elif due:
+                head = due[0][0]
+            else:
                 raise RuntimeError(
-                    "virtual clock stalled: no scheduled timers and no ready "
-                    "callbacks — every task is waiting on an event that "
-                    "nothing will set"
+                    "virtual clock stalled: no scheduled timers, no queued "
+                    "deliveries and no ready callbacks — every task is waiting "
+                    "on an event that nothing will set"
                 )
-            jump = scheduled[0] - self._now
+            jump = head - self._now
             if jump > _MAX_JUMP:
                 jump = _MAX_JUMP
             if jump > 0:
@@ -178,6 +263,9 @@ class VirtualClockEventLoop(asyncio.AbstractEventLoop):
             timer = heappop(scheduled)
             timer.scheduled = False
             ready.append(timer)
+
+        if due and due[0][0] < horizon:
+            queue.run_due(horizon)
 
         for _ in range(len(ready)):
             handle = ready.popleft()
@@ -272,6 +360,7 @@ def run_on_virtual_clock(coro) -> Any:
             # failed) run: dropped, not executed during the unwind.
             loop._ready.clear()
             loop._scheduled.clear()
+            loop._queue = None
             leftover = asyncio.all_tasks(loop)
             for task in leftover:
                 task.cancel()

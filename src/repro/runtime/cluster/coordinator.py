@@ -42,7 +42,7 @@ import secrets
 import sys
 import time
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import HealthEngine, ObsRecorder, SloViolation, TelemetryPlane
 from repro.runtime import wire
@@ -50,9 +50,14 @@ from repro.runtime.cluster.worker import run_shard_worker
 from repro.runtime.swarm import RunOptions, RuntimeResult, ShardResult, merge_results, run
 from repro.scenarios.spec import ScenarioSpec
 
-#: How far in the future the agreed start instant lies (covers the
-#: broadcast latency to every worker).
-START_MARGIN_S = 0.5
+#: The least lead the agreed start instant keeps over the ready barrier.
+#: Every shard must be running before a faster shard's first frames reach
+#: it: its mailbox thread hands ``start`` to its loop, which then starts
+#: every hosted peer's period task.  Measured from ``start`` off the pipe
+#: to every period task running: 2.3-5.0 ms per shard at 4 shards x 1000
+#: peers (~250 a shard, the largest nightly run), 0.8 ms for the hybrid
+#: 2 x 5050 run — on a 2-vCPU host, so the floor keeps a 20x margin.
+START_FLOOR_S = 0.1
 
 #: Budget for spawn → listen → mesh → ready.
 SETUP_TIMEOUT_S = 90.0
@@ -60,6 +65,18 @@ SETUP_TIMEOUT_S = 90.0
 #: ``multiprocessing`` start method: ``"spawn"`` keeps workers independent
 #: of the parent's threads and event loops.
 MP_CONTEXT = "spawn"
+
+
+def start_anchor(now: float, deliveries: Sequence[float]) -> float:
+    """The agreed start instant, derived from the ready barrier.
+
+    ``deliveries`` are the shards' measured control-pipe delivery times
+    (their ``ready`` reports' send-to-receive delays).  The ``start``
+    broadcast travels the same pipes the other way, so the anchor leads
+    ``now`` by the slowest of them plus :data:`START_FLOOR_S` — never
+    earlier than any measured delivery.
+    """
+    return now + max([0.0, *deliveries]) + START_FLOOR_S
 
 
 class _Channel:
@@ -71,6 +88,8 @@ class _Channel:
         self.process = process
         self.alive = True
         self.buffers: Dict[str, List[Tuple]] = {}
+        #: When the latest message of each tag came off the pipe.
+        self.received: Dict[str, float] = {}
         self.error: Optional[str] = None
 
     def take(self, tag: str) -> Optional[Tuple]:
@@ -160,6 +179,7 @@ class ClusterCoordinator:
                 self._on_telemetry(msg)
                 continue
             channel.buffers.setdefault(tag, []).append(msg)
+            channel.received[tag] = time.monotonic()
         # A worker that died without an EOF reaching us yet (kill -9 is
         # detected via EOF, but be defensive about half-dead processes).
         for channel in live:
@@ -245,8 +265,8 @@ class ClusterCoordinator:
                 process.start()
                 child_conn.close()
                 self.channels.append(_Channel(shard, parent_conn, process))
-            self._setup_barrier()
-            self._broadcast(("start", time.monotonic() + START_MARGIN_S))
+            deliveries = self._setup_barrier()
+            self._broadcast(("start", start_anchor(time.monotonic(), deliveries)))
             self.phase = "running"
             self._relay_lateness()
             results = self._collect_results()
@@ -274,7 +294,9 @@ class ClusterCoordinator:
             health=None if self.plane is None else self.plane.health.snapshot(),
         )
 
-    def _setup_barrier(self) -> None:
+    def _setup_barrier(self) -> List[float]:
+        """Spawn → listen → mesh → ready; returns each shard's measured
+        control-pipe delivery time of its ``ready`` report."""
         shards = self.options.shards
         listening = self._collect_tag("listening", SETUP_TIMEOUT_S)
         if len(listening) < shards:
@@ -285,6 +307,8 @@ class ClusterCoordinator:
         ready = self._collect_tag("ready", SETUP_TIMEOUT_S)
         if len(ready) < shards:
             raise RuntimeError(self._setup_failure("establish links", ready))
+        # Both ends read the same system-wide monotonic clock.
+        return [self.channels[shard].received["ready"] - msg[2] for shard, msg in ready.items()]
 
     def _setup_failure(self, what: str, got: Dict[int, Tuple]) -> str:
         missing = sorted(set(range(self.options.shards)) - set(got))

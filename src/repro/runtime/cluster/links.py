@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from collections import deque
 
 from repro.runtime import wire
+from repro.runtime.transport import Payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.swarm import LiveSwarm
@@ -57,6 +59,10 @@ class Link(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: A coalescing group: its ``(src, dst, data)`` key, birth time and frames.
+_Group = Tuple[Tuple[int, int, bool], float, List[bytes]]
+
+
 class LoopbackLink:
     """Delivers frames to peers hosted in this process.
 
@@ -71,85 +77,114 @@ class LoopbackLink:
     frame is applied as if delivered.
 
     Frames towards the same ``(src, dst, lane)`` that would flush in the
-    same instant coalesce into one :class:`~repro.runtime.wire.FrameBatch`
-    delivery: on the virtual clock only frames born at the same loop
-    time join a group (the batch's deadline is then bit-identical to
-    every member's own deadline, keeping parity runs exact); on the wall
-    clock a frame joins any still-pending group for its key (bounded
-    early delivery — real transports coalesce the same way).  Loss draws
-    stay per *logical* frame, before grouping.
+    same instant coalesce into one *group*, one entry of the swarm's
+    :class:`~repro.runtime.clock.DeliveryQueue`: on the virtual clock only
+    frames born at the same loop time join a group (its due time is then
+    bit-identical to every member's own, keeping parity runs exact); on
+    the wall clock a frame joins any still-pending group for its key
+    (bounded early delivery — real transports coalesce the same way).
+    Loss draws stay per *logical* frame, before grouping.  A group lands
+    in its receiver's inbox as the list of its frames, charged the bytes
+    :func:`~repro.runtime.wire.encode_batch` would ship for it; a batch
+    that crossed a socket lands as the bytes it arrived in.
 
     ``host`` is the owning swarm; the link reads its peer table, latency
-    model, loss stream and drop counters directly — it is the swarm's
-    delivery path, packaged so local and TCP links are interchangeable.
+    model, loss stream, delivery queue and drop counters directly — it is
+    the swarm's delivery path, packaged so local and TCP links are
+    interchangeable.
     """
 
     def __init__(self, host: "LiveSwarm") -> None:
         self.host = host
         #: Pending coalescing groups keyed by ``(src, dst, data)``: the
-        #: loop time the group was born at and its frames so far.
-        self._groups: Dict[Tuple[int, int, bool], Tuple[float, List[bytes]]] = {}
+        #: key, the loop time the group was born at and its frames so far.
+        self._groups: Dict[Tuple[int, int, bool], _Group] = {}
 
     def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
-        """Ship one frame with link latency (and loss, for data frames)."""
+        """Ship one loose frame with link latency (and loss, for data frames)."""
         host = self.host
-        is_batch = wire.is_batch(frame)
-        if data and host.loss_rng is not None and host.spec.loss_rate > 0.0:
-            if is_batch:
-                # A routed batch from a peer shard: the network loses
-                # *inner* frames independently, exactly as if they
-                # travelled loose.
-                frame = self._lose_from_batch(src, dst, frame)
-                if frame is None:
-                    return
-                is_batch = wire.is_batch(frame)
-            elif host.loss_rng.random() < host.spec.loss_rate:
-                host.messages_dropped += 1
-                self._refund_lost(src, dst)
+        if data and host.loss_rng is not None and host.loss_rng.random() < host.spec.loss_rate:
+            host.messages_dropped += 1
+            self._refund_lost(src, dst)
+            return
+        now = host.loop.time()
+        key = (src, dst, data)
+        group = self._groups.get(key)
+        if group is not None and (group[1] == now or host.clock != "virtual"):
+            group[2].append(frame)
+            return
+        group = (key, now, [frame])
+        if self._post(src, dst, now, self._land_group, group, 1):
+            self._groups[key] = group
+
+    def send_routed(self, src: int, dst: int, payload: bytes, data: bool) -> None:
+        """Ship one frame that crossed a socket: a loose frame travels like
+        a local one; a batch lands whole, as it arrived, after the network
+        has lost its data frames one by one."""
+        if not wire.is_batch(payload):
+            self.send(src, dst, payload, data)
+            return
+        if data and self.host.loss_rng is not None:
+            payload = self._lose_from_batch(src, dst, payload)
+            if payload is None:
                 return
+        land = partial(self._deliver_now, src, dst, payload)
+        self._post(src, dst, self.host.loop.time(), land, data, wire.frame_count(payload))
+
+    def _post(
+        self, src: int, dst: int, now: float, land: Callable[[Any], None], entry: Any, count: int
+    ) -> bool:
+        """Queue ``land(entry)`` one ``src`` → ``dst`` link latency after
+        ``now``; a receiver already gone drops the entry's ``count`` frames
+        instead."""
+        host = self.host
         peer = host.peers.get(dst)
         if peer is None or peer.stopped or not peer.node.alive:
-            host.messages_dropped += 1
-            return
-        loop = host.loop
-        if not is_batch:
-            now = loop.time()
-            key = (src, dst, data)
-            group = self._groups.get(key)
-            if group is not None and (group[0] == now or host.clock != "virtual"):
-                group[1].append(frame)
-                return
-            group = self._groups[key] = (now, [frame])
-            delivery = (self._flush_group, key, group)
-        else:
-            delivery = (self._deliver_now, src, dst, frame, data)
+            host.messages_dropped += count
+            return False
         delay = host.manager.latency_ms(src, dst) / 1000.0 * host.time_scale
-        loop.call_later(delay, *delivery)
+        host.queue.push(now + delay, land, entry)
+        return True
 
-    def _flush_group(
-        self, key: Tuple[int, int, bool], group: Tuple[float, List[bytes]]
-    ) -> None:
+    def _land_group(self, group: _Group) -> None:
+        key, _, frames = group
         if self._groups.get(key) is group:
             del self._groups[key]
         src, dst, data = key
-        for chunk in wire.encode_batch(group[1]):
+        count = len(frames)
+        if count == 1:
+            self._land(src, dst, frames, data, 1, len(frames[0]))
+            return
+        size = wire.batch_size(count, sum(map(len, frames)))
+        if size is not None:
+            self._land(src, dst, frames, data, count, size)
+            return
+        # Too big for one envelope: ship the chunks encode_batch makes.
+        for chunk in wire.encode_batch(frames):
             self._deliver_now(src, dst, chunk, data)
 
     def _deliver_now(self, src: int, dst: int, frame: bytes, data: bool) -> None:
+        """Land one physical frame (loose or a batch) in ``dst``'s inbox."""
+        self._land(src, dst, frame, data, wire.frame_count(frame), len(frame))
+
+    def _land(
+        self, src: int, dst: int, payload: Payload, data: bool, count: int, size: int
+    ) -> None:
+        """Put one inbox entry — ``count`` frames, ``size`` bytes on the
+        wire — on ``dst``'s lane."""
         host = self.host
-        count = wire.frame_count(frame)
         peer = host.peers.get(dst)
         if peer is None or peer.stopped or not peer.node.alive:
             host.messages_dropped += count
             return
-        host.bytes_on_wire += len(frame)
+        host.bytes_on_wire += size
         flows = host._flows
         if flows is not None:
             # Charged beside bytes_on_wire so the shard-pair matrix
             # reconciles with the physical byte counter by construction.
-            flows.record_physical(host.shard_of(src), host.shard_of(dst), len(frame), count)
-        if not peer.inbox.put(src, frame, control=not data, weight=count):
-            # The bounded lane shed the frame.  Flow-control state must
+            flows.record_physical(host.shard_of(src), host.shard_of(dst), size, count)
+        if not peer.inbox.put(src, payload, control=not data, weight=count):
+            # The bounded lane shed the entry.  Flow-control state must
             # survive the shed either way: a data frame's spent credit
             # comes home (the receiver counts it as consumed), and a shed
             # credit grant is applied as if delivered — otherwise the
@@ -158,16 +193,16 @@ class LoopbackLink:
             if data:
                 peer.note_shed_data(src, count)
             else:
-                peer.absorb_shed_control(frame)
+                peer.absorb_shed_control(payload)
 
     def _lose_from_batch(
         self, src: int, dst: int, frame: bytes
     ) -> Optional[bytes]:
         """Apply per-frame loss inside a routed data batch.
 
-        Returns the (possibly re-batched) survivors, or ``None`` when
-        the network ate every inner frame.  Each loss refunds its own
-        credit, exactly like a loose frame's loss would.
+        Returns the survivors (re-batched when more than one), or ``None``
+        when the network ate every inner frame.  Each loss refunds its
+        own credit, exactly like a loose frame's loss would.
         """
         host = self.host
         survivors = []

@@ -28,6 +28,7 @@ blocks on it.
 from __future__ import annotations
 
 import asyncio
+import time
 import traceback
 from typing import Any, Dict, Optional, Tuple
 
@@ -123,6 +124,8 @@ class ShardWorker:
         self.mail = _Mailbox(conn)
         self.swarm: Optional[LiveSwarm] = None
         self.hello: Optional[wire.ShardHello] = None
+        #: Set once every link to the other shards is up.
+        self._links_up = asyncio.Event()
 
     def _send(self, msg: Tuple) -> None:
         try:
@@ -166,6 +169,11 @@ class ShardWorker:
             writer.close()
             return
         self.swarm.links[hello.shard_index].attach(reader, writer, decoder, tuple(extras))
+        self._note_attached()
+
+    def _note_attached(self) -> None:
+        if all(link.is_up for link in self.swarm.links.values()):
+            self._links_up.set()
 
     async def _connect_links(self, ports: Dict[int, int]) -> None:
         assert self.swarm is not None and self.hello is not None
@@ -185,6 +193,7 @@ class ShardWorker:
                         timeout=self.link_config.handshake_timeout_s,
                     )
                     link.attach(reader, writer, decoder, tuple(backlog))
+                    self._note_attached()
                     break
                 except (ConnectionError, OSError, wire.WireError, asyncio.TimeoutError) as exc:
                     last_error = exc
@@ -193,13 +202,12 @@ class ShardWorker:
                 raise RuntimeError(
                     f"shard {self.shard_index} could not reach shard {other}: {last_error}"
                 )
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + SETUP_TIMEOUT_S
-        while any(not link.is_up for link in self.swarm.links.values()):
-            if loop.time() > deadline:
-                down = [s for s, link in self.swarm.links.items() if not link.is_up]
-                raise RuntimeError(f"links to shards {down} failed to establish")
-            await asyncio.sleep(0.02)
+        # The accepting side's links come up as the other shards dial in.
+        try:
+            await asyncio.wait_for(self._links_up.wait(), SETUP_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            down = [s for s, link in self.swarm.links.items() if not link.is_up]
+            raise RuntimeError(f"links to shards {down} failed to establish") from None
 
     # ------------------------------------------------------------- cluster control
     async def exchange_lateness(self, round_index: int, worst: float) -> float:
@@ -265,7 +273,9 @@ class ShardWorker:
         )
         _, ports = await self.mail.expect("peers", timeout=SETUP_TIMEOUT_S)
         await self._connect_links(ports)
-        self._send(("ready", self.shard_index))
+        # Sent with its send instant: the coordinator anchors the start on
+        # how long the control pipe took to deliver it.
+        self._send(("ready", self.shard_index, time.monotonic()))
         _, start_at = await self.mail.expect("start", timeout=SETUP_TIMEOUT_S)
         swarm.start_at = float(start_at)
         swarm.control = self

@@ -5,12 +5,14 @@ state machine (and its ContinuStreaming specialisation) to an event-driven
 life: instead of a global round barrier, each peer owns
 
 * a **bounded inbox** (:class:`~repro.runtime.transport.BoundedInbox`) of
-  raw wire frames — control frames on a priority lane ahead of segment
-  data — drained by a plain callback the inbox schedules with one
-  ``loop.call_soon`` per burst; frames decode in place (links deliver
-  complete frames, so no stream reassembly happens here; a
-  :class:`~repro.runtime.wire.FrameBatch` entry is unwrapped and each
-  inner message dispatched and credit-accounted individually);
+  wire frames — control frames on a priority lane ahead of segment data —
+  drained once at the end of every instant something landed in it (the
+  swarm's delivery queue, see :class:`~repro.runtime.clock.
+  DeliveryQueue`); frames decode in place (links deliver complete frames,
+  so no stream reassembly happens here: an in-process group arrives as the
+  list of its frames, a :class:`~repro.runtime.wire.FrameBatch` that
+  crossed a socket is unwrapped, and each message is dispatched and
+  credit-accounted individually);
 * a **credit-gated send window per link**
   (:class:`~repro.runtime.transport.SendWindowSet`): at most
   ``data_window`` unconsumed segments in flight towards any one receiver;
@@ -46,7 +48,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -101,6 +103,8 @@ class LivePeer:
         transport = swarm.transport
         self.transport_stats = TransportStats()
         self.inbox = BoundedInbox(transport.inbox_watermark, self.transport_stats)
+        # Files this peer for the drain that ends the current instant.
+        self.inbox.bind_ready(partial(swarm.landed.append, self))
         self.send_windows = SendWindowSet(transport, self.transport_stats)
         self._credit_ledger = CreditLedger(transport.credit_batch)
         self.neighbor_maps: Dict[int, BufferMap] = {}
@@ -157,14 +161,14 @@ class LivePeer:
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Arm the inbox drain and spawn the period task on the swarm's loop."""
-        loop = self.swarm.loop
-        self.inbox.bind_ready(partial(loop.call_soon, self._drain_inbox))
-        self._task = loop.create_task(self._period_loop(), name=f"peer-{self.peer_id}-tick")
+        """Spawn the period task on the swarm's loop."""
+        self._task = self.swarm.loop.create_task(
+            self._period_loop(), name=f"peer-{self.peer_id}-tick"
+        )
 
     async def stop(self) -> None:
-        """Cancel the period task and wait for it to unwind; a drain
-        still scheduled finds ``stopped`` set and drops its burst."""
+        """Cancel the period task and wait for it to unwind; a drain or
+        phase still queued finds ``stopped`` set and drops its work."""
         self.stopped = True
         task, self._task = self._task, None
         if task is not None:
@@ -240,12 +244,13 @@ class LivePeer:
 
     # ------------------------------------------------------------------ receiving
     def _drain_inbox(self) -> None:
-        """Decode and dispatch everything queued — the inbox's burst callback.
+        """Decode and dispatch everything queued, control lane first.
 
-        Runs one ``call_soon`` hop after the first frame of a burst
-        landed.  Inbox entries are complete frames (the links guarantee
-        it), so they decode directly — no stream reassembly buffer on
-        this path.  An exception from a handler is not caught here: it
+        The swarm calls it once at the end of each instant something
+        landed in.  Entries are complete frames (the links guarantee it),
+        so they decode directly: an in-process group frame by frame, a
+        socket's batch whole before any of it is dispatched.  An
+        exception from a handler is not caught here: it
         fails the run (see ``LiveSwarm.run_async``) instead of leaving
         this peer deaf.
         """
@@ -253,8 +258,13 @@ class LivePeer:
             return
         node = self.node
         handler_of = _DISPATCH.get
+        decode = wire.decode
         for src, chunk, was_control in self.inbox.take_batch():
-            for msg in wire.decode_frame(chunk):
+            if type(chunk) is list:
+                messages = [decode(frame)[0] for frame in chunk]
+            else:
+                messages = wire.decode_frame(chunk)
+            for msg in messages:
                 if node.alive:
                     # Anything unhandled (PONG liveness confirmations)
                     # is ignored.
@@ -307,7 +317,7 @@ class LivePeer:
         self.send_windows.reset(dst)
         self._map_synced.pop(dst, None)
 
-    def absorb_shed_control(self, frame: bytes) -> None:
+    def absorb_shed_control(self, frame: Union[bytes, List[bytes]]) -> None:
         """A control frame bound for this peer was shed at the inbox.
 
         Requests and probes are safe to lose (they repeat), but some
@@ -321,12 +331,14 @@ class LivePeer:
         deltas the links — see :data:`~repro.runtime.wire.ABSORBED_KINDS`).
         Those are applied as if delivered (the loopback stand-in for a
         real transport's reliable control channel); everything else just
-        stays dropped.  A shed :class:`~repro.runtime.wire.FrameBatch`
-        is unwrapped so any one-shot frames *inside* it survive too.
+        stays dropped.  A shed group (a list of frames) or
+        :class:`~repro.runtime.wire.FrameBatch` is unwrapped so any
+        one-shot frames *inside* it survive too.
         """
         # Shedding means overload: decode only the absorbed kinds.
-        for msg in wire.decode_frame(frame, only=wire.ABSORBED_KINDS):
-            _DISPATCH[type(msg)](self, msg)
+        for one in frame if type(frame) is list else (frame,):
+            for msg in wire.decode_frame(one, only=wire.ABSORBED_KINDS):
+                _DISPATCH[type(msg)](self, msg)
 
     def _grant_credits(self, src: int) -> None:
         self._emit_grant(src, self._credit_ledger.take(src))
@@ -642,7 +654,7 @@ class LivePeer:
             deadline = self.swarm.wall_deadline_of(tick)
             delay = deadline - loop.time()
             if delay > 0:
-                await asyncio.sleep(delay)
+                await self.swarm.boundary(tick)
                 if self.swarm.wall_deadline_of(tick) - loop.time() > 1e-9:
                     # The swarm dilated its schedule while we slept;
                     # re-align to the shifted boundary before ticking.
@@ -748,13 +760,11 @@ class LivePeer:
         self._timed("phase_gossip_s", self._gossip_buffer_map)
         loop = self.swarm.loop
         scaled = cfg.scheduling_period * self.swarm.time_scale
-        remaining = self.swarm.wall_deadline_of(tick + 1) - loop.time()
+        now = loop.time()
+        remaining = self.swarm.wall_deadline_of(tick + 1) - now
         self._period_span = max(min(scaled, remaining), 0.05 * scaled)
-        loop.call_later(
-            self.SCHEDULE_PHASE * self._period_span,
-            self._mid_period_when_ready,
-            tick,
-            0,
+        self.swarm.queue.push(
+            now + self.SCHEDULE_PHASE * self._period_span, self._mid_period_when_ready, (tick, 0)
         )
 
     def _map_quorum_met(self) -> bool:
@@ -765,7 +775,7 @@ class LivePeer:
         fresh = sum(1 for n in partners if n in self._maps_this_period)
         return fresh >= self.MAP_QUORUM * len(partners)
 
-    def _mid_period_when_ready(self, tick: int, rechecks: int) -> None:
+    def _mid_period_when_ready(self, phase: Tuple[int, int]) -> None:
         """Mid-period work, once this period's gossip has arrived: Algorithm 1
         scheduling, the lookup sweep and the urgent-line lookups.
 
@@ -777,18 +787,20 @@ class LivePeer:
         whose period has already closed (``tick`` is stale) abandons
         itself — the newer boundary scheduled its own chain, and running
         both would double-spend requests and supplier credits.
+
+        ``phase`` is ``(tick, rechecks)``: the period the chain belongs to
+        and the quorum re-checks it has made.
         """
+        tick, rechecks = phase
         node = self.node
         if self.stopped or not node.alive or tick != self._current_tick:
             return
         span = self._period_span
-        loop = self.swarm.loop
+        queue = self.swarm.queue
+        now = self.swarm.loop.time()
         if rechecks < self.MAX_RECHECKS and not self._map_quorum_met():
-            loop.call_later(
-                self.RECHECK_PHASE * span,
-                self._mid_period_when_ready,
-                tick,
-                rechecks + 1,
+            queue.push(
+                now + self.RECHECK_PHASE * span, self._mid_period_when_ready, (tick, rechecks + 1)
             )
             return
         self._timed("phase_schedule_s", self._schedule_requests)
@@ -799,11 +811,9 @@ class LivePeer:
                 if prediction.triggered:
                     for sid in prediction.missed_segment_ids:
                         self._start_lookup(sid)
-        loop.call_later(
-            (self.RESCUE_PHASE - self.SCHEDULE_PHASE) * span,
-            self._timed,
-            "phase_rescue_s",
-            self._rescue_pass,
+        queue.push(
+            now + (self.RESCUE_PHASE - self.SCHEDULE_PHASE) * span,
+            partial(self._timed, "phase_rescue_s", self._rescue_pass),
             tick,
         )
 

@@ -20,7 +20,9 @@
   delivery path itself is a :class:`~repro.runtime.cluster.links.
   LoopbackLink` — the same ``Link`` protocol the cluster runtime
   implements over TCP sockets, so the swarm's peers cannot tell an
-  in-process partner from a remote one (:mod:`repro.runtime.cluster`);
+  in-process partner from a remote one (:mod:`repro.runtime.cluster`) —
+  and its flush groups, like the peers' intra-period phases, are entries
+  of the swarm's one :class:`~repro.runtime.clock.DeliveryQueue`;
 * **live churn** — the scenario's churn schedule runs against the real
   swarm: departing peers are cancelled mid-flight (gracefully leaving ones
   ship their VoD backup over the wire first), joining peers are admitted
@@ -77,7 +79,7 @@ from repro.obs import (
     TelemetryPlane,
     merge_obs,
 )
-from repro.runtime.clock import run_on_virtual_clock
+from repro.runtime.clock import DeliveryQueue, run_on_virtual_clock
 from repro.runtime.cluster.links import LinkConfig, LoopbackLink, SocketLink, SocketLinkStats
 from repro.runtime.peer import LivePeer
 from repro.runtime.slim import MIN_CORE_PEERS, SlimTier, default_core_peers
@@ -444,6 +446,17 @@ class LiveSwarm:
         self.peers_left = 0
         #: Random stream deciding data-frame loss (``None`` = lossless).
         self.loss_rng: Optional[np.random.Generator] = None
+        #: Peers something landed for in the current instant, in landing
+        #: order (their inboxes' burst callbacks append them); drained
+        #: when the instant ends.
+        self.landed: List[LivePeer] = []
+        #: The one queue of in-process work: every loopback flush group
+        #: and every intra-period peer phase (docs/runtime.md → *The
+        #: virtual clock's ordering contract*).
+        self.queue = DeliveryQueue(after=self._drain_landed)
+        #: Peers waiting for a period boundary, by its deadline (see
+        #: :meth:`boundary`).
+        self._boundaries: Dict[float, List["asyncio.Future[None]"]] = {}
         #: The in-process delivery path: every frame's local tail.
         self.loopback = LoopbackLink(self)
         #: Socket links keyed by remote shard index (wired by the cluster
@@ -465,8 +478,8 @@ class LiveSwarm:
         #: The event loop driving this swarm, bound by :meth:`run_async`
         #: (a swarm poked by hand inside a running loop assigns it).
         self.loop: Optional[asyncio.AbstractEventLoop] = None
-        #: First exception a loop callback (an inbox drain, a period
-        #: timer) raised on the wall clock — re-raised at shutdown.
+        #: First exception a loop callback (a delivery-queue instant, a
+        #: period boundary) raised on the wall clock — re-raised at shutdown.
         self._callback_error: Optional[BaseException] = None
         self._built = False
         #: Coherent overload dilation: wall seconds added to every future
@@ -582,6 +595,35 @@ class LiveSwarm:
             + tick * self.config.scheduling_period * self.time_scale
         )
 
+    def boundary(self, tick: int) -> "asyncio.Future[None]":
+        """A future resolved at period boundary ``tick``'s (current)
+        deadline.
+
+        One loop timer per boundary wakes every peer waiting for it, in an
+        order drawn afresh for each boundary from the scenario's
+        ``runtime-ticks`` stream.  Peers tick on independent clocks, so no
+        peer should act first at every boundary: per-peer sleeps would tie
+        in the loop's timer heap, whose sift order (with no delivery
+        timers left in the heap to stir it) rotates the same sequence by
+        one place per period.  Each waiter has its own future, so
+        cancelling one peer cancels no other.
+        """
+        deadline = self.wall_deadline_of(tick)
+        waiters = self._boundaries.get(deadline)
+        if waiters is None:
+            waiters = self._boundaries[deadline] = []
+            self.loop.call_at(deadline, self._boundary_due, deadline)
+        waiter = self.loop.create_future()
+        waiters.append(waiter)
+        return waiter
+
+    def _boundary_due(self, deadline: float) -> None:
+        waiters = self._boundaries.pop(deadline)
+        for index in self.system.streams.get("runtime-ticks").permutation(len(waiters)):
+            waiter = waiters[index]
+            if not waiter.done():
+                waiter.set_result(None)
+
     def note_lateness(self, seconds: float) -> None:
         """A peer hit a period boundary ``seconds`` late.
 
@@ -673,6 +715,14 @@ class LiveSwarm:
                 return
         self.loopback.send(src, dst, frame, data)
 
+    def _drain_landed(self) -> None:
+        """The end of an instant: every peer something landed for drains
+        once, in the order its first entry landed."""
+        landed = self.landed
+        for peer in landed:
+            peer._drain_inbox()
+        landed.clear()
+
     def receive_routed(self, src: int, dst: int, payload: bytes, data: bool) -> None:
         """A peer frame arrived over a socket link: deliver it locally.
 
@@ -685,7 +735,7 @@ class LiveSwarm:
             self.misrouted_frames += 1
             self.messages_dropped += 1
             return
-        self.loopback.send(src, dst, payload, data)
+        self.loopback.send_routed(src, dst, payload, data)
 
     def note_undeliverable(self, src: int, dst: int, data: bool) -> None:
         """A socket link dropped an outbound frame (dead shard or shed).
@@ -791,6 +841,7 @@ class LiveSwarm:
         periods; returns this shard's partial (see :func:`merge_results`)."""
         self.build()
         self.loop = loop = asyncio.get_running_loop()
+        self.queue.bind(loop)
         # A callback that raises must fail the run, not leave one peer
         # deaf behind a log line.  The virtual-clock loop lets it
         # propagate out of ``run()`` by itself; the stock loop hands it

@@ -8,8 +8,8 @@ replaces that queue with explicit flow control:
 
 * :class:`TransportConfig` — the knobs: the per-peer inbox watermark, the
   per-link DATA credit window and the sender-side pending limit;
-* :class:`BoundedInbox` — a two-lane bounded receive queue, drained by a
-  callback its owner schedules once per burst.  **Control
+* :class:`BoundedInbox` — a two-lane bounded receive queue, drained by
+  its owner once per burst.  **Control
   frames (buffer maps, requests, PING/PONG, DHT, credits) ride a priority
   lane** that is always drained before segment data, so the gossip and
   membership planes never starve behind bulk transfer — the classic
@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,28 @@ class TransportSummary:
         )
 
 
+#: What an inbox entry carries: one complete frame (loose, or a batch
+#: that crossed a socket) or an in-process group as the list of its frames.
+Payload = Union[bytes, List[bytes]]
+
+
 class BoundedInbox:
     """A bounded, two-lane receive queue with control priority.
 
-    Frames arrive tagged ``control`` or ``data``; :meth:`take_batch`
+    Entries arrive tagged ``control`` or ``data``; :meth:`take_batch`
     always drains the control lane first, so buffer maps, credits and
     membership probes cross the swarm even when bulk segment data has
     filled the data lane.  Each lane holds at most ``watermark`` frames —
-    an arriving frame finding its lane full is *shed* (``put`` returns
+    an arriving entry finding its lane full is *shed* (``put`` returns
     ``False``) rather than queued, which together with the sender-side
-    credit window bounds the whole swarm's buffered memory.
+    credit window bounds the whole swarm's buffered memory.  An entry
+    weighs the logical frames it carries, so a group or batch of *k*
+    frames fills *k* watermark slots.
 
-    The consumer is a callback, not a task: the owner binds ``on_ready``
-    (:meth:`bind_ready`) and :meth:`put` calls it once per burst — when a
-    frame is queued and no drain is pending — so the owner can schedule
-    one ``loop.call_soon`` drain that empties the inbox with
-    :meth:`take_batch`.  Frames landing while that drain is pending ride
-    along with it; the next burst after the drain fires the callback
-    again.
+    The owner binds ``on_ready`` (:meth:`bind_ready`) and :meth:`put`
+    calls it once per burst — when an entry is queued and no drain is
+    pending; a live peer's swarm then drains it with :meth:`take_batch`
+    once every entry due at the current instant has landed.
     """
 
     def __init__(self, watermark: int, stats: TransportStats) -> None:
@@ -189,12 +193,10 @@ class BoundedInbox:
             raise ValueError("watermark must be >= 1")
         self.watermark = watermark
         self.stats = stats
-        #: (sender id, frame bytes, weight) per lane.  The weight is the
-        #: number of logical frames the entry carries (> 1 for a
-        #: :class:`~repro.runtime.wire.FrameBatch`), so a batched burst
-        #: counts against the watermark exactly like its loose frames.
-        self._control: Deque[Tuple[int, bytes, int]] = deque()
-        self._data: Deque[Tuple[int, bytes, int]] = deque()
+        #: ``(sender id, payload, was_control)`` per lane, emptied whole.
+        self._control: List[Tuple[int, Payload, bool]] = []
+        self._data: List[Tuple[int, Payload, bool]] = []
+        #: Logical frames queued per lane (the watermark's measure).
         self._control_depth = 0
         self._data_depth = 0
         self._on_ready: Optional[Callable[[], Any]] = None
@@ -211,24 +213,21 @@ class BoundedInbox:
             self._drain_pending = True
             on_ready()
 
-    def put(self, src: int, frame: bytes, control: bool, weight: int = 1) -> bool:
-        """Enqueue one frame; returns ``False`` if the lane shed it.
-
-        ``weight`` is the logical frame count of the entry (a batch of
-        *k* frames fills *k* watermark slots).
-        """
+    def put(self, src: int, frame: Payload, control: bool, weight: int = 1) -> bool:
+        """Enqueue one entry of ``weight`` logical frames; returns
+        ``False`` if its lane shed it."""
         stats = self.stats
         if control:
             if self._control_depth >= self.watermark:
                 stats.inbox_dropped_control += weight
                 return False
-            self._control.append((src, frame, weight))
+            self._control.append((src, frame, True))
             self._control_depth += weight
         else:
             if self._data_depth >= self.watermark:
                 stats.inbox_dropped_data += weight
                 return False
-            self._data.append((src, frame, weight))
+            self._data.append((src, frame, False))
             self._data_depth += weight
         depth = self._control_depth + self._data_depth
         if depth > stats.inbox_high_watermark:
@@ -238,16 +237,14 @@ class BoundedInbox:
             self._on_ready()
         return True
 
-    def take_batch(self) -> "list[Tuple[int, bytes, bool]]":
-        """Dequeue everything queued right now as ``(src, frame,
+    def take_batch(self) -> List[Tuple[int, Payload, bool]]:
+        """Dequeue everything queued right now as ``(src, payload,
         was_control)``, control lane first, and re-arm ``on_ready``."""
         self._drain_pending = False
-        batch = [(src, frame, True) for src, frame, _ in self._control]
-        self._control.clear()
-        self._control_depth = 0
-        batch.extend((src, frame, False) for src, frame, _ in self._data)
-        self._data.clear()
-        self._data_depth = 0
+        self._control_depth = self._data_depth = 0
+        batch = self._control + self._data
+        self._control = []
+        self._data = []
         return batch
 
 

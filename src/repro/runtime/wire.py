@@ -599,16 +599,20 @@ def _pack_batch(frames: Sequence[bytes]) -> bytes:
         if frame[kind_at] == _BATCH:
             raise WireError("frame batches must not nest")
         size += len(frame)
+    return b"".join((_batch_head(len(frames), size), *frames))
+
+
+def _batch_head(count: int, size: int) -> bytes:
+    """What a batch of ``count`` entries, ``size`` bytes in all, puts
+    before them: its length prefix, kind byte and count."""
     length = 2 + size  # the kind byte and a one-byte count
     if length < 0x80:
-        head = bytes((length, _BATCH, len(frames)))
-    else:
-        count = _varint(len(frames))
-        length += len(count) - 1
-        if length > MAX_FRAME_PAYLOAD:
-            raise WireError(f"frame payload too large: {length}")
-        head = _varint(length) + _BATCH_BYTE + count
-    return b"".join((head, *frames))
+        return bytes((length, _BATCH, count))
+    varint = _varint(count)
+    length += len(varint) - 1
+    if length > MAX_FRAME_PAYLOAD:
+        raise WireError(f"frame payload too large: {length}")
+    return _varint(length) + _BATCH_BYTE + varint
 
 
 def _enc_batch(msg: FrameBatch) -> bytes:
@@ -677,6 +681,16 @@ def encode_batch(
         group_len += size
     _flush()
     return out
+
+
+def batch_size(count: int, payload: int) -> Optional[int]:
+    """Bytes of the one envelope :func:`encode_batch` makes of ``count``
+    (> 1) loose frames of ``payload`` bytes in all, or ``None`` when they
+    need more than one — what a link charges for frames it hands over
+    unbatched.  (Every frame fits when all of them do.)"""
+    if payload + _BATCH_HEAD > MAX_FRAME_PAYLOAD:
+        return None
+    return len(_batch_head(count, payload)) + payload
 
 
 def prologue(

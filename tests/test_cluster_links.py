@@ -302,3 +302,21 @@ class TestShardHandshake:
             await server.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestStartAnchor:
+    """The coordinator's start instant comes from the ready barrier's
+    measured control-pipe deliveries, not from a fixed margin."""
+
+    @pytest.mark.parametrize(
+        "deliveries",
+        [[], [0.0], [0.0004, 0.0011], [0.3, 0.02, 0.7], [-0.001, 0.002]],
+    )
+    def test_the_anchor_is_never_earlier_than_a_measured_delivery(self, deliveries):
+        from repro.runtime.cluster.coordinator import START_FLOOR_S, start_anchor
+
+        now = 1234.5
+        anchor = start_anchor(now, deliveries)
+        assert all(anchor >= now + delivery for delivery in deliveries)
+        assert anchor >= now + START_FLOOR_S
+        assert anchor == now + max([0.0, *deliveries]) + START_FLOOR_S

@@ -108,8 +108,8 @@ def test_one_set_of_runtime_coordinates_gives_one_record():
     assert without_wall_time(through_campaign) == record
     assert without_wall_time(through_parity) == record
     golden = GOLDENS["static_20x8_seed3"]
-    assert record["counts"]["messages_sent"] == golden["messages_sent"] == 3466
-    assert record["counts"]["bytes_on_wire"] == golden["bytes_on_wire"] == 48281
+    assert record["counts"]["messages_sent"] == golden["messages_sent"] == 3457
+    assert record["counts"]["bytes_on_wire"] == golden["bytes_on_wire"] == 48235
     assert record["metrics"]["stable_continuity"] == golden["stable_continuity"]
     assert list(record["counts"]) == list(COUNT_NAMES)
     assert list(record["metrics"]) == list(METRIC_NAMES)

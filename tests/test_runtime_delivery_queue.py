@@ -1,0 +1,264 @@
+"""The swarm's one delivery queue and the order it hands work out in.
+
+Every in-process flush group and every intra-period peer phase is an entry
+``(time, seq)`` of :class:`~repro.runtime.clock.DeliveryQueue`.  One
+instant — every entry due within the clock's resolution — is handled in one
+pass: each due group lands in its receiver's inbox and each due phase runs,
+in ``(time, seq)`` order; then every peer that received something drains
+once, control lane first (docs/runtime.md → *The virtual clock's ordering
+contract*).
+"""
+
+from __future__ import annotations
+
+import asyncio
+import dataclasses
+import random
+
+import pytest
+
+from repro.runtime import LiveSwarm, wire
+from repro.runtime import peer as peer_module
+from repro.runtime.clock import DeliveryQueue, run_on_virtual_clock
+from repro.runtime.transport import TransportConfig
+from repro.scenarios import builtin_scenario
+
+
+def _swarm(nodes: int = 10, rounds: int = 2, **options) -> LiveSwarm:
+    spec = builtin_scenario("static").scaled(num_nodes=nodes, rounds=rounds, seed=0)
+    return LiveSwarm(spec, clock="virtual", **options).build()
+
+
+def _flat_latency(swarm: LiveSwarm, monkeypatch) -> None:
+    """Every pair 20 ms apart: what one pass sends lands at one instant."""
+    monkeypatch.setattr(swarm.manager, "latency_ms", lambda src, dst: 20.0)
+
+
+def _on_virtual_clock(swarm: LiveSwarm, body) -> None:
+    """Run ``body()`` on a fresh virtual loop with the swarm's queue bound,
+    then let every delivery it caused fall due."""
+
+    async def main():
+        swarm.loop = asyncio.get_running_loop()
+        swarm.queue.bind(swarm.loop)
+        body()
+        await asyncio.sleep(1.0)
+
+    run_on_virtual_clock(main())
+
+
+def _peers(swarm: LiveSwarm, count: int):
+    return [p for p in swarm.peers.values() if not p.is_source][:count]
+
+
+class TestOneInstantOnePass:
+    def test_every_group_lands_before_any_peer_drains(self, monkeypatch):
+        """At each instant of a whole run, every landing precedes every
+        drain, and exactly the peers that received something drain — once."""
+        swarm = _swarm(nodes=12, rounds=3)
+        _flat_latency(swarm, monkeypatch)
+        events = []
+        loop_time = lambda: swarm.loop.time()  # noqa: E731
+        land = swarm.loopback._land_group
+
+        def logged_land(group):
+            events.append((loop_time(), "land", group[0][1]))
+            land(group)
+
+        drain = peer_module.LivePeer._drain_inbox
+
+        def logged_drain(peer):
+            events.append((loop_time(), "drain", peer.peer_id))
+            drain(peer)
+
+        monkeypatch.setattr(swarm.loopback, "_land_group", logged_land)
+        monkeypatch.setattr(peer_module.LivePeer, "_drain_inbox", logged_drain)
+        swarm.run()
+        instants = {}
+        for when, what, peer_id in events:
+            instants.setdefault(when, []).append((what, peer_id))
+        crowded = 0
+        for when, seq in instants.items():
+            kinds = [what for what, _ in seq]
+            first_drain = kinds.index("drain") if "drain" in kinds else len(kinds)
+            assert "land" not in kinds[first_drain:], f"a group landed after a drain at {when}"
+            landed = {peer_id for what, peer_id in seq if what == "land"}
+            drained = [peer_id for what, peer_id in seq if what == "drain"]
+            assert sorted(drained) == sorted(landed)
+            crowded += kinds.count("land") > 1
+        assert crowded > 10  # instants where several groups land together
+
+    def test_each_peer_drains_its_control_lane_before_its_data_lane(self, monkeypatch):
+        swarm = _swarm()
+        _flat_latency(swarm, monkeypatch)
+        receiver, sender = _peers(swarm, 2)
+        handled = []
+        monkeypatch.setitem(
+            peer_module._DISPATCH, wire.SegmentData, lambda p, m: handled.append("data")
+        )
+        monkeypatch.setitem(peer_module._DISPATCH, wire.Ping, lambda p, m: handled.append("ping"))
+        data = wire.encode(wire.SegmentData(sender.peer_id, 1, 8))
+        ping = wire.encode(wire.Ping(sender=sender.peer_id, nonce=1))
+
+        def body():
+            swarm.deliver(sender.peer_id, receiver.peer_id, data, True)
+            swarm.deliver(sender.peer_id, receiver.peer_id, data, True)
+            swarm.deliver(sender.peer_id, receiver.peer_id, ping, False)
+
+        _on_virtual_clock(swarm, body)
+        assert handled == ["ping", "data", "data"]
+
+    def test_equal_times_pop_in_seq_order(self):
+        order = []
+        queue = DeliveryQueue(after=lambda: order.append("|"))
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.bind(loop)
+            now = loop.time()
+            for name, delay in [("a", 1.0), ("b", 0.5), ("c", 1.0), ("d", 0.5), ("e", 1.0)]:
+                queue.push(now + delay, order.append, name)
+            await asyncio.sleep(2.0)
+
+        run_on_virtual_clock(main())
+        assert order == ["b", "d", "|", "a", "c", "e", "|"]
+
+    def test_the_virtual_clock_jumps_to_the_queue_head(self):
+        seen = []
+        queue = DeliveryQueue(after=lambda: None)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.bind(loop)
+            queue.push(0.25, lambda _: seen.append(loop.time()), None)
+            queue.push(0.75, lambda _: seen.append(loop.time()), None)
+            await asyncio.sleep(1.0)
+
+        run_on_virtual_clock(main())
+        assert seen == [0.25, 0.75]
+
+    def test_the_wall_clock_runs_due_entries_in_order(self):
+        order = []
+        queue = DeliveryQueue(after=lambda: None)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.bind(loop)
+            now = loop.time()
+            for name, delay in [("late", 0.03), ("early", 0.01), ("mid", 0.02)]:
+                queue.push(now + delay, order.append, name)
+            await asyncio.sleep(0.1)
+
+        asyncio.run(main())
+        assert order == ["early", "mid", "late"]
+        assert len(queue) == 0
+
+
+class TestSheddingListEntries:
+    def test_watermark_one_sheds_a_group_and_refunds_its_credits(self, monkeypatch):
+        """With ``inbox_watermark=1`` the first group of an instant is
+        admitted whole and a second one on the same lane is shed whole —
+        every shed data frame's credit still comes home."""
+        swarm = _swarm(transport=TransportConfig(inbox_watermark=1))
+        _flat_latency(swarm, monkeypatch)
+        receiver, first, second = _peers(swarm, 3)
+
+        def body():
+            for sender in (first, second):
+                for sid in (1, 2):
+                    frame = wire.encode(wire.SegmentData(sender.peer_id, sid, 8))
+                    swarm.deliver(sender.peer_id, receiver.peer_id, frame, True)
+
+        _on_virtual_clock(swarm, body)
+        assert receiver.transport_stats.inbox_dropped_data == 2
+        assert swarm.messages_dropped == 2
+        assert receiver._credit_ledger.owed == {first.peer_id: 2, second.peer_id: 2}
+
+    def test_a_shed_control_group_still_applies_its_credit_grant(self, monkeypatch):
+        swarm = _swarm(transport=TransportConfig(inbox_watermark=1, data_window=1))
+        _flat_latency(swarm, monkeypatch)
+        receiver, granter, other = _peers(swarm, 3)
+        pending = wire.encode(wire.SegmentData(receiver.peer_id, 7, 8))
+        assert receiver.send_windows.acquire(granter.peer_id, (pending, None))
+        assert not receiver.send_windows.acquire(granter.peer_id, (pending, None))
+
+        def body():
+            ping = wire.encode(wire.Ping(sender=other.peer_id, nonce=1))
+            swarm.deliver(other.peer_id, receiver.peer_id, ping, False)
+            ping = wire.encode(wire.Ping(sender=granter.peer_id, nonce=2))
+            grant = wire.encode(wire.CreditGrant(sender=granter.peer_id, credits=1))
+            swarm.deliver(granter.peer_id, receiver.peer_id, ping, False)
+            swarm.deliver(granter.peer_id, receiver.peer_id, grant, False)
+
+        _on_virtual_clock(swarm, body)
+        assert receiver.transport_stats.inbox_dropped_control == 2
+        assert receiver.send_windows.pending_count() == 0
+
+
+class TestPhaseEntries:
+    def test_a_phase_entry_from_a_stale_tick_is_dropped(self, monkeypatch):
+        swarm = _swarm()
+        peer = _peers(swarm, 1)[0]
+        ran = []
+        monkeypatch.setattr(peer, "_schedule_requests", lambda: ran.append("schedule"))
+
+        def body():
+            peer._current_tick = 3
+            now = swarm.loop.time()
+            swarm.queue.push(now + 0.01, peer._mid_period_when_ready, (2, 0))
+
+        _on_virtual_clock(swarm, body)
+        assert ran == [] and len(swarm.queue) == 0
+        # the same entry for the open period runs, and chains its rescue
+        swarm = _swarm()
+        peer = _peers(swarm, 1)[0]
+        monkeypatch.setattr(peer, "_schedule_requests", lambda: ran.append("schedule"))
+        rescued = []
+        monkeypatch.setattr(peer, "_rescue_pass", rescued.append)
+
+        def fresh():
+            peer._current_tick = 3
+            now = swarm.loop.time()
+            swarm.queue.push(now + 0.01, peer._mid_period_when_ready, (3, peer.MAX_RECHECKS))
+
+        _on_virtual_clock(swarm, fresh)
+        assert ran == ["schedule"] and rescued == [3]
+
+
+def _run_facts(spec) -> tuple:
+    result = LiveSwarm(spec, clock="virtual").run()
+    return (
+        result.continuity_series(),
+        result.messages_sent,
+        result.messages_dropped,
+        result.bytes_on_wire,
+        result.transport.to_dict(),
+        {kind.value: count for kind, count in result.ledger.counts.items()},
+    )
+
+
+@pytest.mark.parametrize("scenario, loss", [("static", None), ("paper-dynamic", 0.02)])
+def test_same_seed_virtual_runs_are_identical(scenario, loss):
+    spec = builtin_scenario(scenario).scaled(num_nodes=30, rounds=8, seed=1)
+    if loss is not None:
+        spec = dataclasses.replace(spec, loss_rate=loss)
+    assert _run_facts(spec) == _run_facts(spec)
+
+
+def test_batch_size_is_what_encode_batch_ships():
+    """In-process groups are charged ``wire.batch_size`` bytes without
+    being batched: it must equal the one envelope ``encode_batch`` makes,
+    and say ``None`` exactly when ``encode_batch`` would need more."""
+    rng = random.Random(5)
+    for _ in range(300):
+        count = rng.choice([2, 3, 60, 130, 2000, 9000])
+        frames = [
+            wire.encode(wire.Ping(sender=rng.randrange(1 << rng.choice([8, 20])), nonce=n))
+            for n in range(count)
+        ]
+        chunks = wire.encode_batch(frames)
+        size = wire.batch_size(count, sum(map(len, frames)))
+        if len(chunks) == 1:
+            assert size == len(chunks[0])
+        else:
+            assert size is None
