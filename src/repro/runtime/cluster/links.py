@@ -5,7 +5,8 @@ Every frame a :class:`~repro.runtime.peer.LivePeer` ships leaves through a
 implementation carries the frame:
 
 * :class:`LoopbackLink` — the in-process path, hoisted out of
-  ``swarm.py``: model latency injected per pair, scenario ``loss_rate``
+  ``swarm.py``: the receiver gets the sender's message, charged its
+  frame's bytes; model latency injected per pair, scenario ``loss_rate``
   applied to data frames, bounded-inbox delivery with credit refunds for
   shed or lost frames.  A one-shard :class:`~repro.runtime.swarm.
   LiveSwarm` uses it for every pair; a cluster shard uses it for
@@ -48,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Link(Protocol):
-    """What a swarm needs from anything that carries frames to a peer."""
+    """What a swarm needs from anything that carries frames to another shard."""
 
     def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
         """Ship one encoded frame from ``src`` towards ``dst``."""
@@ -59,12 +60,13 @@ class Link(Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: A coalescing group: its ``(src, dst, data)`` key, birth time and frames.
-_Group = Tuple[Tuple[int, int, bool], float, List[bytes]]
+#: A coalescing group: its ``(src, dst, data)`` key, birth time, messages
+#: and their frames' bytes so far (a list: the last two grow).
+_Group = List[Any]
 
 
 class LoopbackLink:
-    """Delivers frames to peers hosted in this process.
+    """Delivers messages to peers hosted in this process.
 
     The single implementation of the runtime's delay/loss injection: the
     pairwise one-way latency of the scenario's
@@ -76,7 +78,9 @@ class LoopbackLink:
     frame's credit flows back to its sender, a shed one-shot control
     frame is applied as if delivered.
 
-    Frames towards the same ``(src, dst, lane)`` that would flush in the
+    A sender hands over each message together with the frame it encoded
+    for it: the message is what lands, the frame is what is charged.
+    Messages towards the same ``(src, dst, lane)`` that would flush in the
     same instant coalesce into one *group*, one entry of the swarm's
     :class:`~repro.runtime.clock.DeliveryQueue`: on the virtual clock only
     frames born at the same loop time join a group (its due time is then
@@ -84,9 +88,10 @@ class LoopbackLink:
     the wall clock a frame joins any still-pending group for its key
     (bounded early delivery — real transports coalesce the same way).
     Loss draws stay per *logical* frame, before grouping.  A group lands
-    in its receiver's inbox as the list of its frames, charged the bytes
-    :func:`~repro.runtime.wire.encode_batch` would ship for it; a batch
-    that crossed a socket lands as the bytes it arrived in.
+    in its receiver's inbox as the list of its messages, charged the
+    bytes :func:`~repro.runtime.wire.encode_batch` would ship for its
+    frames.  A frame that crossed a socket is decoded once, on arrival
+    (:meth:`send_routed`), and lands the same way.
 
     ``host`` is the owning swarm; the link reads its peer table, latency
     model, loss stream, delivery queue and drop counters directly — it is
@@ -96,40 +101,50 @@ class LoopbackLink:
 
     def __init__(self, host: "LiveSwarm") -> None:
         self.host = host
-        #: Pending coalescing groups keyed by ``(src, dst, data)``: the
-        #: key, the loop time the group was born at and its frames so far.
+        #: Pending coalescing groups keyed by ``(src, dst, data)``.
         self._groups: Dict[Tuple[int, int, bool], _Group] = {}
 
-    def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
-        """Ship one loose frame with link latency (and loss, for data frames)."""
+    def send(self, src: int, dst: int, msg: Any, frame: bytes, data: bool = False) -> None:
+        """Ship one message, charged as its loose ``frame``, with link
+        latency (and loss, for data frames)."""
         host = self.host
-        if data and host.loss_rng is not None and host.loss_rng.random() < host.spec.loss_rate:
-            host.messages_dropped += 1
-            self._refund_lost(src, dst)
+        if data and host.loss_rng is not None and self._lost(src, dst):
             return
         now = host.loop.time()
         key = (src, dst, data)
         group = self._groups.get(key)
         if group is not None and (group[1] == now or host.clock != "virtual"):
-            group[2].append(frame)
+            group[2].append(msg)
+            group[3] += len(frame)
             return
-        group = (key, now, [frame])
+        group = [key, now, [msg], len(frame)]
         if self._post(src, dst, now, self._land_group, group, 1):
             self._groups[key] = group
 
     def send_routed(self, src: int, dst: int, payload: bytes, data: bool) -> None:
-        """Ship one frame that crossed a socket: a loose frame travels like
-        a local one; a batch lands whole, as it arrived, after the network
-        has lost its data frames one by one."""
+        """Ship one frame that crossed a socket, decoded here, once: a
+        loose frame travels like a local one; a batch lands whole, as its
+        messages, after the network has lost its data frames one by one
+        (the survivors are charged as a batch — or loose frame — of their own)."""
         if not wire.is_batch(payload):
-            self.send(src, dst, payload, data)
+            self.send(src, dst, wire.decode(payload)[0], payload, data)
             return
-        if data and self.host.loss_rng is not None:
-            payload = self._lose_from_batch(src, dst, payload)
-            if payload is None:
+        host = self.host
+        if data and host.loss_rng is not None:
+            frames = [
+                frame for frame in wire.decode(payload)[0].frames
+                if not self._lost(src, dst)
+            ]
+            if not frames:
                 return
-        land = partial(self._deliver_now, src, dst, payload)
-        self._post(src, dst, self.host.loop.time(), land, data, wire.frame_count(payload))
+            messages = [wire.decode(frame)[0] for frame in frames]
+            size = len(frames[0]) if len(frames) == 1 else wire.batch_size(
+                len(frames), sum(map(len, frames))
+            )
+        else:
+            messages, size = wire.decode_frame(payload), len(payload)
+        land = partial(self._land, src, dst, messages, data)
+        self._post(src, dst, host.loop.time(), land, size, len(messages))
 
     def _post(
         self, src: int, dst: int, now: float, land: Callable[[Any], None], entry: Any, count: int
@@ -147,32 +162,29 @@ class LoopbackLink:
         return True
 
     def _land_group(self, group: _Group) -> None:
-        key, _, frames = group
+        key, _, messages, size = group
         if self._groups.get(key) is group:
             del self._groups[key]
         src, dst, data = key
-        count = len(frames)
-        if count == 1:
-            self._land(src, dst, frames, data, 1, len(frames[0]))
+        if len(messages) == 1:
+            self._land(src, dst, messages, data, size)
             return
-        size = wire.batch_size(count, sum(map(len, frames)))
-        if size is not None:
-            self._land(src, dst, frames, data, count, size)
+        batch = wire.batch_size(len(messages), size)
+        if batch is not None:
+            self._land(src, dst, messages, data, batch)
             return
-        # Too big for one envelope: ship the chunks encode_batch makes.
-        for chunk in wire.encode_batch(frames):
-            self._deliver_now(src, dst, chunk, data)
+        # Too big for one envelope: land the chunks encode_batch makes.
+        start = 0
+        for chunk in wire.encode_batch([wire.encode(msg) for msg in messages]):
+            stop = start + wire.frame_count(chunk)
+            self._land(src, dst, messages[start:stop], data, len(chunk))
+            start = stop
 
-    def _deliver_now(self, src: int, dst: int, frame: bytes, data: bool) -> None:
-        """Land one physical frame (loose or a batch) in ``dst``'s inbox."""
-        self._land(src, dst, frame, data, wire.frame_count(frame), len(frame))
-
-    def _land(
-        self, src: int, dst: int, payload: Payload, data: bool, count: int, size: int
-    ) -> None:
-        """Put one inbox entry — ``count`` frames, ``size`` bytes on the
-        wire — on ``dst``'s lane."""
+    def _land(self, src: int, dst: int, messages: Payload, data: bool, size: int) -> None:
+        """Put one inbox entry — its messages, ``size`` bytes on the wire
+        — on ``dst``'s lane."""
         host = self.host
+        count = len(messages)
         peer = host.peers.get(dst)
         if peer is None or peer.stopped or not peer.node.alive:
             host.messages_dropped += count
@@ -183,7 +195,7 @@ class LoopbackLink:
             # Charged beside bytes_on_wire so the shard-pair matrix
             # reconciles with the physical byte counter by construction.
             flows.record_physical(host.shard_of(src), host.shard_of(dst), size, count)
-        if not peer.inbox.put(src, payload, control=not data, weight=count):
+        if not peer.inbox.put(src, messages, control=not data, weight=count):
             # The bounded lane shed the entry.  Flow-control state must
             # survive the shed either way: a data frame's spent credit
             # comes home (the receiver counts it as consumed), and a shed
@@ -193,41 +205,24 @@ class LoopbackLink:
             if data:
                 peer.note_shed_data(src, count)
             else:
-                peer.absorb_shed_control(payload)
+                peer.absorb_shed_control(messages)
 
-    def _lose_from_batch(
-        self, src: int, dst: int, frame: bytes
-    ) -> Optional[bytes]:
-        """Apply per-frame loss inside a routed data batch.
+    def _lost(self, src: int, dst: int) -> bool:
+        """Draw whether the *network* drops one data frame.
 
-        Returns the survivors (re-batched when more than one), or ``None``
-        when the network ate every inner frame.  Each loss refunds its
-        own credit, exactly like a loose frame's loss would.
+        A dropped frame's credit still comes home: loss happens before the
+        receiver exists for this frame, so the receiving peer (if still
+        alive) refunds on the network's behalf — the loopback stand-in for
+        a transport-level retransmit/ack.
         """
         host = self.host
-        survivors = []
-        for inner in wire.decode(frame)[0].frames:
-            if host.loss_rng.random() < host.spec.loss_rate:
-                host.messages_dropped += 1
-                self._refund_lost(src, dst)
-            else:
-                survivors.append(bytes(inner))
-        if not survivors:
-            return None
-        if len(survivors) == 1:
-            return survivors[0]
-        return wire.encode(wire.FrameBatch(frames=tuple(survivors)))
-
-    def _refund_lost(self, src: int, dst: int) -> None:
-        """Return the credit of a data frame the *network* dropped.
-
-        Loss happens before the receiver exists for this frame, so the
-        receiving peer (if still alive) refunds on the network's behalf —
-        the loopback stand-in for a transport-level retransmit/ack.
-        """
-        peer = self.host.peers.get(dst)
+        if host.loss_rng.random() >= host.spec.loss_rate:
+            return False
+        host.messages_dropped += 1
+        peer = host.peers.get(dst)
         if peer is not None and not peer.stopped and peer.node.alive:
             peer.note_shed_data(src)
+        return True
 
     def close(self) -> None:
         """Nothing to tear down: loopback state lives in the peers."""

@@ -5,14 +5,13 @@ state machine (and its ContinuStreaming specialisation) to an event-driven
 life: instead of a global round barrier, each peer owns
 
 * a **bounded inbox** (:class:`~repro.runtime.transport.BoundedInbox`) of
-  wire frames — control frames on a priority lane ahead of segment data —
+  wire messages — control on a priority lane ahead of segment data —
   drained once at the end of every instant something landed in it (the
   swarm's delivery queue, see :class:`~repro.runtime.clock.
-  DeliveryQueue`); frames decode in place (links deliver complete frames,
-  so no stream reassembly happens here: an in-process group arrives as the
-  list of its frames, a :class:`~repro.runtime.wire.FrameBatch` that
-  crossed a socket is unwrapped, and each message is dispatched and
-  credit-accounted individually);
+  DeliveryQueue`); nothing decodes here: an entry is the list of messages
+  one group landed (a sender in this process hands over the message it
+  encoded, a frame that crossed a socket was decoded by the link), and
+  each message is dispatched and credit-accounted individually;
 * a **credit-gated send window per link**
   (:class:`~repro.runtime.transport.SendWindowSet`): at most
   ``data_window`` unconsumed segments in flight towards any one receiver;
@@ -48,7 +47,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
@@ -59,6 +58,7 @@ from repro.runtime import wire
 from repro.runtime.transport import (
     BoundedInbox,
     CreditLedger,
+    Payload,
     SendWindowSet,
     TransportStats,
 )
@@ -200,7 +200,7 @@ class LivePeer:
     # ------------------------------------------------------------------- sending
     def _send(self, dst: int, msg: wire.WireMessage) -> None:
         """Encode and ship one control message (never credit-gated)."""
-        self._ship(dst, wire.encode(msg), wire.ledger_entry(msg), False)
+        self._ship(dst, msg, wire.encode(msg), wire.ledger_entry(msg), False)
 
     def _send_segment(self, dst: int, msg: wire.SegmentData) -> None:
         """Encode and ship one segment, respecting the link's flow control.
@@ -212,7 +212,7 @@ class LivePeer:
         """
         entry = wire.ledger_entry(msg)
         frame = wire.encode(msg)
-        if not self.send_windows.acquire(dst, (frame, entry)):
+        if not self.send_windows.acquire(dst, (msg, frame, entry)):
             if msg.trace_id and self.obs.tracing:
                 # Credit-starved: parked in the pending queue; the
                 # deliver span's gap attributes the wait.
@@ -227,9 +227,10 @@ class LivePeer:
                     "ship", msg.trace_id, self.peer_id, msg.segment_id,
                     dst=dst, via_shard=via,
                 )
-        self._ship(dst, frame, entry, True)
+        self._ship(dst, msg, frame, entry, True)
 
-    def _ship(self, dst: int, frame: bytes, entry, data: bool) -> None:
+    def _ship(self, dst: int, msg: wire.WireMessage, frame: bytes, entry, data: bool) -> None:
+        """Charge and hand over one message with the frame encoded for it."""
         if data:
             # The uplink budget is spent when a segment actually leaves —
             # a frame parked in the pending queue (and possibly shed
@@ -240,30 +241,22 @@ class LivePeer:
             self.outbound_tokens -= 1.0
         if entry is not None:
             self.ledger.record(entry[0], entry[1])
-        self.swarm.deliver(self.peer_id, dst, frame, data)
+        self.swarm.deliver(self.peer_id, dst, msg, frame, data)
 
     # ------------------------------------------------------------------ receiving
     def _drain_inbox(self) -> None:
-        """Decode and dispatch everything queued, control lane first.
+        """Dispatch everything queued, control lane first.
 
         The swarm calls it once at the end of each instant something
-        landed in.  Entries are complete frames (the links guarantee it),
-        so they decode directly: an in-process group frame by frame, a
-        socket's batch whole before any of it is dispatched.  An
-        exception from a handler is not caught here: it
-        fails the run (see ``LiveSwarm.run_async``) instead of leaving
-        this peer deaf.
+        landed in.  Every entry is a list of messages.  An exception from
+        a handler is not caught here: it fails the run (see
+        ``LiveSwarm.run_async``) instead of leaving this peer deaf.
         """
         if self.stopped:
             return
         node = self.node
         handler_of = _DISPATCH.get
-        decode = wire.decode
-        for src, chunk, was_control in self.inbox.take_batch():
-            if type(chunk) is list:
-                messages = [decode(frame)[0] for frame in chunk]
-            else:
-                messages = wire.decode_frame(chunk)
+        for src, messages, was_control in self.inbox.take_batch():
             for msg in messages:
                 if node.alive:
                     # Anything unhandled (PONG liveness confirmations)
@@ -317,8 +310,8 @@ class LivePeer:
         self.send_windows.reset(dst)
         self._map_synced.pop(dst, None)
 
-    def absorb_shed_control(self, frame: Union[bytes, List[bytes]]) -> None:
-        """A control frame bound for this peer was shed at the inbox.
+    def absorb_shed_control(self, messages: Payload) -> None:
+        """Control messages bound for this peer were shed at the inbox.
 
         Requests and probes are safe to lose (they repeat), but some
         frames carry state that exists nowhere else: a :class:`~repro.
@@ -328,16 +321,13 @@ class LivePeer:
         Handover` (the gracefully leaving sender stops right after
         shipping its backup store), and the buffer-map gossip family
         (delta gossip is *stateful*: full maps are the chain anchors,
-        deltas the links — see :data:`~repro.runtime.wire.ABSORBED_KINDS`).
+        deltas the links — see :data:`~repro.runtime.wire.ABSORBED_TYPES`).
         Those are applied as if delivered (the loopback stand-in for a
         real transport's reliable control channel); everything else just
-        stays dropped.  A shed group (a list of frames) or
-        :class:`~repro.runtime.wire.FrameBatch` is unwrapped so any
-        one-shot frames *inside* it survive too.
+        stays dropped.
         """
-        # Shedding means overload: decode only the absorbed kinds.
-        for one in frame if type(frame) is list else (frame,):
-            for msg in wire.decode_frame(one, only=wire.ABSORBED_KINDS):
+        for msg in messages:
+            if type(msg) in wire.ABSORBED_TYPES:
                 _DISPATCH[type(msg)](self, msg)
 
     def _grant_credits(self, src: int) -> None:
@@ -384,12 +374,12 @@ class LivePeer:
         stats.map_fulls_sent += 1
         stats.gossip_bytes += len(frame)
         stats.gossip_bytes_full += len(frame)
-        self._ship(msg.sender, frame, wire.ledger_entry(reply), False)
+        self._ship(msg.sender, reply, frame, wire.ledger_entry(reply), False)
 
     def _on_credit(self, msg: wire.CreditGrant) -> None:
         """Returned link credits: ship the pending segments they unblock."""
-        for frame, entry in self.send_windows.grant(msg.sender, msg.credits):
-            self._ship(msg.sender, frame, entry, True)
+        for segment, frame, entry in self.send_windows.grant(msg.sender, msg.credits):
+            self._ship(msg.sender, segment, frame, entry, True)
 
     def _on_buffer_map(self, msg: wire.BufferMapMsg) -> None:
         self.neighbor_maps[msg.sender] = msg.buffer_map()
@@ -547,7 +537,7 @@ class LivePeer:
         self._send(msg.origin, wire.DhtResponse(
             responder=self.peer_id, origin=msg.origin, target_key=msg.target_key,
             segment_id=msg.segment_id, has_data=node.serves_segment(msg.segment_id),
-            rate=node.available_sending_rate(self.outbound_tokens), path=path,
+            rate=wire.f32(node.available_sending_rate(self.outbound_tokens)), path=path,
         ))
 
     def _on_dht_response(self, msg: wire.DhtResponse) -> None:
@@ -880,29 +870,28 @@ class LivePeer:
         )
         entry = wire.ledger_entry(full_msg)
         full_frame = wire.encode(full_msg)
-        delta_frame = None
+        delta = None
         prev_seq = -1
         if prev is not None:
             prev_seq, prev_map = prev
-            candidate = wire.encode(
-                wire.BufferMapDelta.from_maps(
-                    self.peer_id, seq, self.known_newest, bm, prev_map
-                )
+            delta_msg = wire.BufferMapDelta.from_maps(
+                self.peer_id, seq, self.known_newest, bm, prev_map
             )
-            if len(candidate) < len(full_frame):
-                delta_frame = candidate
+            delta_frame = wire.encode(delta_msg)
+            if len(delta_frame) < len(full_frame):
+                delta = (delta_msg, delta_frame)
         synced = self._map_synced
         for dst in targets:
-            if delta_frame is not None and synced.get(dst) == prev_seq:
-                frame = delta_frame
+            if delta is not None and synced.get(dst) == prev_seq:
+                msg, frame = delta
                 stats.map_deltas_sent += 1
             else:
-                frame = full_frame
+                msg, frame = full_msg, full_frame
                 stats.map_fulls_sent += 1
             stats.gossip_bytes += len(frame)
             stats.gossip_bytes_full += len(full_frame)
             synced[dst] = seq
-            self._ship(dst, frame, entry, False)
+            self._ship(dst, msg, frame, entry, False)
 
     def _schedule_requests(self) -> None:
         node = self.node
@@ -977,9 +966,9 @@ class LivePeer:
             self._send(dst, wire.SegmentRequest(self.peer_id, sid, prefetch, tid, tuple(more)))
 
 
-#: Inbox dispatch table, keyed by decoded message type.  PONG is
-#: deliberately absent — liveness confirmations need no handling — and
-#: FrameBatch never reaches here (the drain unwraps envelopes).
+#: Inbox dispatch table, keyed by message type.  PONG is deliberately
+#: absent — liveness confirmations need no handling — and FrameBatch never
+#: reaches here (a link unwraps what crossed a socket).
 _DISPATCH = {
     wire.BufferMapMsg: LivePeer._on_buffer_map,
     wire.BufferMapDelta: LivePeer._on_map_delta,

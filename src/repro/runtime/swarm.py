@@ -687,8 +687,9 @@ class LiveSwarm:
                     )
 
     # ---------------------------------------------------------------- transport
-    def deliver(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
-        """Ship one encoded frame from ``src`` to ``dst`` over its link.
+    def deliver(self, src: int, dst: int, msg: Any, frame: bytes, data: bool = False) -> None:
+        """Ship one message and its encoded frame from ``src`` to ``dst``
+        over its link.
 
         Frames to departed or unknown peers vanish (the network does not
         know who died); a configured ``loss_rate`` drops *data* frames at
@@ -700,8 +701,9 @@ class LiveSwarm:
         behind the bounded data lane, everything else rides the control
         priority lane (see :mod:`repro.runtime.transport`).  Delay/loss
         injection lives in :class:`~repro.runtime.cluster.links.
-        LoopbackLink`; a swarm with remote links hands frames for peers
-        hosted elsewhere to that shard's socket link instead.
+        LoopbackLink`, which lands the message itself and charges the
+        frame; a swarm with remote links hands the frame for a peer hosted
+        elsewhere to that shard's socket link instead.
         """
         flows = self._flows
         if flows is not None:
@@ -713,7 +715,7 @@ class LiveSwarm:
             if owner != self.shard_index:
                 links[owner].send(src, dst, frame, data)
                 return
-        self.loopback.send(src, dst, frame, data)
+        self.loopback.send(src, dst, msg, frame, data)
 
     def _drain_landed(self) -> None:
         """The end of an instant: every peer something landed for drains
@@ -726,10 +728,11 @@ class LiveSwarm:
     def receive_routed(self, src: int, dst: int, payload: bytes, data: bool) -> None:
         """A peer frame arrived over a socket link: deliver it locally.
 
-        The loopback link is the single local tail of every delivery —
-        loss injection (data frames), model latency and the bounded-inbox
-        credit refunds apply to a routed frame exactly as to a local one.
-        The originating shard already counted the send.
+        The loopback link is the single local tail of every delivery — it
+        decodes the frame, and loss injection (data frames), model latency
+        and the bounded-inbox credit refunds apply to a routed frame
+        exactly as to a local one.  The originating shard already counted
+        the send.
         """
         if not self.hosts(dst):
             self.misrouted_frames += 1

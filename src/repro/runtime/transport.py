@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -164,23 +164,23 @@ class TransportSummary:
         )
 
 
-#: What an inbox entry carries: one complete frame (loose, or a batch
-#: that crossed a socket) or an in-process group as the list of its frames.
-Payload = Union[bytes, List[bytes]]
+#: What an inbox entry carries: the wire messages of one landed group — as
+#: their senders built them, or as decoded on arrival from a socket.
+Payload = List[Any]
 
 
 class BoundedInbox:
     """A bounded, two-lane receive queue with control priority.
 
-    Entries arrive tagged ``control`` or ``data``; :meth:`take_batch`
-    always drains the control lane first, so buffer maps, credits and
-    membership probes cross the swarm even when bulk segment data has
-    filled the data lane.  Each lane holds at most ``watermark`` frames —
-    an arriving entry finding its lane full is *shed* (``put`` returns
-    ``False``) rather than queued, which together with the sender-side
-    credit window bounds the whole swarm's buffered memory.  An entry
-    weighs the logical frames it carries, so a group or batch of *k*
-    frames fills *k* watermark slots.
+    Entries (lists of messages) arrive tagged ``control`` or ``data``;
+    :meth:`take_batch` always drains the control lane first, so buffer
+    maps, credits and membership probes cross the swarm even when bulk
+    segment data has filled the data lane.  Each lane holds at most
+    ``watermark`` frames — an arriving entry finding its lane full is
+    *shed* (``put`` returns ``False``) rather than queued, which together
+    with the sender-side credit window bounds the whole swarm's buffered
+    memory.  An entry weighs the logical frames it carries, so a group
+    of *k* frames fills *k* watermark slots.
 
     The owner binds ``on_ready`` (:meth:`bind_ready`) and :meth:`put`
     calls it once per burst — when an entry is queued and no drain is
@@ -213,7 +213,7 @@ class BoundedInbox:
             self._drain_pending = True
             on_ready()
 
-    def put(self, src: int, frame: Payload, control: bool, weight: int = 1) -> bool:
+    def put(self, src: int, payload: Payload, control: bool, weight: int = 1) -> bool:
         """Enqueue one entry of ``weight`` logical frames; returns
         ``False`` if its lane shed it."""
         stats = self.stats
@@ -221,13 +221,13 @@ class BoundedInbox:
             if self._control_depth >= self.watermark:
                 stats.inbox_dropped_control += weight
                 return False
-            self._control.append((src, frame, True))
+            self._control.append((src, payload, True))
             self._control_depth += weight
         else:
             if self._data_depth >= self.watermark:
                 stats.inbox_dropped_data += weight
                 return False
-            self._data.append((src, frame, False))
+            self._data.append((src, payload, False))
             self._data_depth += weight
         depth = self._control_depth + self._data_depth
         if depth > stats.inbox_high_watermark:
@@ -264,8 +264,8 @@ class SendWindowSet:
     The gate only applies to segment data; control frames always pass.
     ``acquire`` spends a credit (or queues the item), ``grant`` returns
     credits and releases queued items in FIFO order.  Items are opaque to
-    the window (the peer queues ``(frame, ledger entry)`` pairs so shed
-    segments are never charged to the traffic ledger).
+    the window (the peer queues ``(message, frame, ledger entry)`` triples
+    so shed segments are never charged to the traffic ledger).
     """
 
     def __init__(self, config: TransportConfig, stats: TransportStats) -> None:

@@ -14,9 +14,12 @@ per byte, low bits first, bit 7 set on every byte but the last — of at most
 is a :class:`WireError`, so every message has exactly one encoding.
 A peer message whose integers all fit 16 bits ships *narrow*: bit 7 of
 the kind byte (:data:`NARROW`) set, ids and segment numbers in 16 bits
-(see *encoding* below).  Peers exchange these frames over in-process
-loopback transports (see :mod:`repro.runtime.swarm`); nothing in the codec
-assumes loopback, so the same frames can later travel over real sockets.
+(see *encoding* below).  A sender encodes every message once; a receiver
+in the same process is handed the message itself and charged the frame's
+bytes, and only a frame that crossed a socket (:mod:`repro.runtime.cluster`)
+is decoded.  The one field a frame stores with less precision than the
+message, :class:`DhtResponse` ``rate``, is built already rounded
+(:func:`f32`), so both receivers read the same value.
 
 Two sizes exist per message and must not be confused:
 
@@ -61,7 +64,7 @@ from enum import IntEnum
 from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from typing import (
-    Any, Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from repro.net.message import (
@@ -318,6 +321,16 @@ class DhtResponse:
     has_data: bool
     rate: float
     path: Tuple[int, ...]
+
+
+_FLOAT = struct.Struct(">f")
+
+
+def f32(value: float) -> float:
+    """``value`` as a frame carries it: rounded to an f32, the width of
+    :class:`DhtResponse` ``rate``.  A peer builds the message with it, so
+    a receiver in its own process reads what a socket's decoder would."""
+    return _FLOAT.unpack(_FLOAT.pack(value))[0]
 
 
 @dataclass(slots=True)
@@ -1308,6 +1321,8 @@ _ENCODE: Dict[type, Tuple[Callable[[Any], bytes], ...]] = {
        for lays in _LAYOUTS},
 }
 _NARROW = {cls: encoders[1] for cls, encoders in _ENCODE.items()}
+#: The message classes of :data:`ABSORBED_KINDS`.
+ABSORBED_TYPES = frozenset(row.cls for row in _ROWS if row.kind in ABSORBED_KINDS)
 _DECODE: Dict[int, Callable[[memoryview, int, int], WireMessage]] = {
     int(WireKind.ROUTE): _dec_route,
     _BATCH: _dec_batch,
@@ -1344,21 +1359,17 @@ def decode(
     return decoder(view, start + 1, end), end
 
 
-def decode_frame(
-    frame: Union[bytes, bytearray, memoryview], only: Optional[Container[int]] = None
-) -> Sequence[WireMessage]:
+def decode_frame(frame: Union[bytes, bytearray, memoryview]) -> Sequence[WireMessage]:
     """Every message one complete frame carries, in order: a
     :class:`FrameBatch`'s inner messages, or the frame's own.
 
-    The receive path's unwrap: callers never read the kind byte.  ``frame``
-    must be exactly one complete frame (what a link delivers).  A batch
-    envelope is validated whole, then the inner frames are decoded
+    The socket receive path's unwrap: callers never read the kind byte.
+    ``frame`` must be exactly one complete frame (what a link delivers).  A
+    batch envelope is validated whole, then the inner frames are decoded
     straight out of the same memory — no :class:`FrameBatch` object, no
     per-entry ``bytes`` copy.  All or nothing: a malformed envelope *or*
     inner frame raises :class:`WireError` before any message is returned,
-    so a caller dispatches none of a bad batch.  With ``only``
-    (:class:`WireKind` numbers), messages of any other kind are skipped
-    undecoded.
+    so a caller dispatches none of a bad batch.
     """
     view = frame if type(frame) is memoryview else memoryview(frame)
     start, length = prologue(view)
@@ -1370,18 +1381,12 @@ def decode_frame(
     if decoder is None:
         raise WireError(f"unknown wire kind {view[start]}")
     if decoder is not _dec_batch:
-        if only is not None and view[start] & ~NARROW not in only:
-            return ()
         return (decoder(view, start + 1, end),)
-    start += 1
     messages: List[WireMessage] = []
-    for _, kind_at, stop in _batch_spans(view, start, end):
-        kind = view[kind_at]
-        if only is not None and kind & ~NARROW not in only:
-            continue
-        decoder = _DECODE.get(kind)
+    for _, kind_at, stop in _batch_spans(view, start + 1, end):
+        decoder = _DECODE.get(view[kind_at])
         if decoder is None:
-            raise WireError(f"unknown wire kind {kind}")
+            raise WireError(f"unknown wire kind {view[kind_at]}")
         messages.append(decoder(view, kind_at + 1, stop))
     return messages
 

@@ -5,14 +5,17 @@ localhost TCP streams inside a single event loop (two fake hosts, one
 accepting side, one dialing side), so framing, the hello exchange, the
 bounded outbound queue and the disconnect → refund → reconnect →
 presume-dead ladder are all tested against genuine sockets — no mocks of
-the transport itself.
+the transport itself.  What a socket delivers is decoded once, on arrival
+at the receiving shard's :class:`~repro.runtime.cluster.links.LoopbackLink`
+(``TestRoutedArrivals``).
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
-from repro.runtime import wire
+from repro.runtime import LiveSwarm, wire
 from repro.runtime.cluster.links import (
     LinkConfig,
     SocketLink,
@@ -20,6 +23,9 @@ from repro.runtime.cluster.links import (
     read_handshake,
     validate_hello,
 )
+from repro.runtime.transport import TransportConfig
+from repro.scenarios import builtin_scenario
+from repro.streaming.buffermap import BufferMap
 
 HELLO_A = wire.ShardHello(shard_index=0, num_shards=2, token=42, ring_size=8192)
 HELLO_B = wire.ShardHello(shard_index=1, num_shards=2, token=42, ring_size=8192)
@@ -320,3 +326,107 @@ class TestStartAnchor:
         assert all(anchor >= now + delivery for delivery in deliveries)
         assert anchor >= now + START_FLOOR_S
         assert anchor == now + max([0.0, *deliveries]) + START_FLOOR_S
+
+
+class TestRoutedArrivals:
+    """A frame that crossed a socket is decoded once, on arrival at the
+    receiving shard's loopback link, and lands as messages."""
+
+    class _Draws:
+        """A loss stream that answers from a script."""
+
+        def __init__(self, draws):
+            self.draws = list(draws)
+
+        def random(self):
+            return self.draws.pop(0)
+
+    def _swarm(self, loss_rate=0.0, **transport_kw):
+        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=2)
+        swarm = LiveSwarm(
+            dataclasses.replace(spec, loss_rate=loss_rate),
+            transport=TransportConfig(**transport_kw),
+            clock="virtual",
+        ).build()
+        receiver, sender = [p for p in swarm.peers.values() if not p.is_source][:2]
+        # What lands is under test here, not what the receiver makes of it.
+        receiver._drain_inbox = lambda: None
+        landed = []
+        put = receiver.inbox.put
+
+        def tapped_put(src, payload, control, weight=1):
+            landed.append((src, list(payload), control, weight))
+            return put(src, payload, control, weight)
+
+        receiver.inbox.put = tapped_put
+        return swarm, receiver, sender, landed
+
+    @staticmethod
+    def _route(swarm, src, dst, payload, data):
+        """Hand ``payload`` to the receiving shard and let it land."""
+
+        async def main():
+            swarm.loop = asyncio.get_running_loop()
+            swarm.receive_routed(src, dst, payload, data)
+            swarm.queue.run_due(float("inf"))
+
+        asyncio.run(main())
+
+    def test_a_batch_under_loss_lands_its_survivors_charged_as_their_own_batch(self):
+        swarm, receiver, sender, landed = self._swarm(loss_rate=0.5)
+        segments = [wire.SegmentData(sender.peer_id, sid, 64) for sid in range(1, 6)]
+        frames = [wire.encode(msg) for msg in segments]
+        batch = wire.encode(wire.FrameBatch(frames=tuple(frames)))
+        # frames 0 and 3 are lost (a draw below the loss rate)
+        swarm.loss_rng = self._Draws([0.1, 0.9, 0.9, 0.2, 0.9])
+        self._route(swarm, sender.peer_id, receiver.peer_id, batch, True)
+        survivors = [segments[i] for i in (1, 2, 4)]
+        assert landed == [(sender.peer_id, survivors, False, 3)]
+        assert swarm.bytes_on_wire == len(
+            wire.encode(wire.FrameBatch(frames=tuple(frames[i] for i in (1, 2, 4))))
+        )
+        assert swarm.messages_dropped == 2
+        # each lost frame's credit came home on the network's behalf
+        assert receiver._credit_ledger.owed == {sender.peer_id: 2}
+
+    def test_a_lone_survivor_is_charged_as_a_loose_frame(self):
+        swarm, receiver, sender, landed = self._swarm(loss_rate=0.5)
+        segments = [wire.SegmentData(sender.peer_id, sid, 64) for sid in (1, 2)]
+        frames = [wire.encode(msg) for msg in segments]
+        swarm.loss_rng = self._Draws([0.9, 0.1])
+        batch = wire.encode(wire.FrameBatch(frames=tuple(frames)))
+        self._route(swarm, sender.peer_id, receiver.peer_id, batch, True)
+        assert landed == [(sender.peer_id, segments[:1], False, 1)]
+        assert swarm.bytes_on_wire == len(frames[0])
+
+    def test_a_loose_frame_lands_as_one_message_charged_its_length(self):
+        swarm, receiver, sender, landed = self._swarm()
+        ping = wire.Ping(sender=sender.peer_id, nonce=4)
+        self._route(swarm, sender.peer_id, receiver.peer_id, wire.encode(ping), False)
+        assert landed == [(sender.peer_id, [ping], True, 1)]
+        assert swarm.bytes_on_wire == len(wire.encode(ping))
+
+    def test_a_shed_control_batch_still_applies_credits_and_map_gossip(self):
+        swarm, receiver, sender, landed = self._swarm(inbox_watermark=1, data_window=1)
+        segment = wire.SegmentData(receiver.peer_id, 9, 64)
+        item = (segment, wire.encode(segment), None)
+        assert receiver.send_windows.acquire(sender.peer_id, item)
+        assert not receiver.send_windows.acquire(sender.peer_id, item)
+        # the control lane is full: whatever lands on it next is shed
+        assert receiver.inbox.put(sender.peer_id, [wire.Ping(sender.peer_id, 1)], True)
+        snapshot = BufferMap(head_id=0, capacity=600, bits=0b101)
+        gossip = wire.BufferMapMsg.from_buffer_map(sender.peer_id, 2, snapshot, seq=1)
+        batch = wire.encode(wire.FrameBatch(frames=(
+            wire.encode(wire.Ping(sender.peer_id, 2)),
+            wire.encode(wire.CreditGrant(sender=sender.peer_id, credits=1)),
+            wire.encode(gossip),
+        )))
+        sent = []
+        swarm.deliver = lambda src, dst, msg, frame, data=False: sent.append(msg)
+        self._route(swarm, sender.peer_id, receiver.peer_id, batch, False)
+        assert receiver.transport_stats.inbox_dropped_control == 3
+        # the grant released the parked segment; the ping went unanswered
+        assert receiver.send_windows.pending_count() == 0
+        assert sent == [segment]
+        assert receiver.neighbor_maps[sender.peer_id] == snapshot
+        assert receiver.known_newest == 2

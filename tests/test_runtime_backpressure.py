@@ -303,19 +303,21 @@ class TestSwarmBoundedness:
         peers = iter(swarm.peers.values())
         peer, other = next(peers), next(peers)
         # exhaust the window towards `other` and queue one pending frame
-        assert peer.send_windows.acquire(other.peer_id, (b"f1", None))
-        assert not peer.send_windows.acquire(other.peer_id, (b"f2", None))
+        segment = wire.SegmentData(sender=peer.peer_id, segment_id=1, size_bits=8)
+        item = (segment, wire.encode(segment), None)
+        assert peer.send_windows.acquire(other.peer_id, item)
+        assert not peer.send_windows.acquire(other.peer_id, item)
         assert peer.send_windows.pending_count() == 1
-        grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=1))
+        grant = wire.CreditGrant(sender=other.peer_id, credits=1)
 
         async def shed():
             swarm.loop = asyncio.get_running_loop()
-            peer.absorb_shed_control(grant)
+            peer.absorb_shed_control([grant])
 
         asyncio.run(shed())
         assert peer.send_windows.pending_count() == 0  # pending frame released
         # repeatable control frames shed silently, no state change
-        peer.absorb_shed_control(wire.encode(wire.Ping(sender=1, nonce=2)))
+        peer.absorb_shed_control([wire.Ping(sender=1, nonce=2)])
 
     def test_shed_handovers_are_still_applied(self):
         """A graceful-leave Handover shed at a full control lane must
@@ -328,26 +330,32 @@ class TestSwarmBoundedness:
             clock="virtual",
         ).build()
         peer = next(p for p in swarm.peers.values() if not p.is_source)
-        frame = wire.encode(
-            wire.Handover(
-                sender=1,
-                segment_bits=swarm.config.segment_bits,
-                segment_ids=(5, 6),
-            )
+        handover = wire.Handover(
+            sender=1,
+            segment_bits=swarm.config.segment_bits,
+            segment_ids=(5, 6),
         )
-        peer.absorb_shed_control(frame)
+        peer.absorb_shed_control([handover])
         assert peer.node.serves_segment(5)
         assert peer.node.serves_segment(6)
 
-    def test_shed_data_frames_refund_their_credits(self):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shed_data_frames_refund_their_credits(self, seed, monkeypatch):
         """Inbox overflow must not wedge the sender's window: with a
-         1-frame data lane, sheds are frequent, yet transfers continue
-        every period (credits flow back for shed frames)."""
-        result = LiveSwarm(
-            builtin_scenario("static").scaled(num_nodes=15, rounds=10),
+        1-frame data lane, sheds are frequent, yet transfers continue
+        every period (credits flow back for shed frames).
+
+        The overflow is built in, not left to tie order: every pair is
+        20 ms apart, so the segments one scheduling pass pulls from
+        several suppliers all land at one instant, and the lane admits
+        only the first supplier's group."""
+        swarm = LiveSwarm(
+            builtin_scenario("static").scaled(num_nodes=15, rounds=10, seed=seed),
             transport=TransportConfig(inbox_watermark=1, data_window=2),
             clock="virtual",
-        ).run()
+        ).build()
+        monkeypatch.setattr(swarm.manager, "latency_ms", lambda src, dst: 20.0)
+        result = swarm.run()
         assert result.transport.inbox_dropped_data > 0
         # deliveries keep happening in the stable phase despite the sheds
         assert result.stable_continuity() > 0.0

@@ -51,6 +51,11 @@ def _peers(swarm: LiveSwarm, count: int):
     return [p for p in swarm.peers.values() if not p.is_source][:count]
 
 
+def _deliver(swarm: LiveSwarm, sender, receiver, msg, data: bool) -> None:
+    """Ship ``msg`` with its frame, as a sending peer does."""
+    swarm.deliver(sender.peer_id, receiver.peer_id, msg, wire.encode(msg), data)
+
+
 class TestOneInstantOnePass:
     def test_every_group_lands_before_any_peer_drains(self, monkeypatch):
         """At each instant of a whole run, every landing precedes every
@@ -97,13 +102,13 @@ class TestOneInstantOnePass:
             peer_module._DISPATCH, wire.SegmentData, lambda p, m: handled.append("data")
         )
         monkeypatch.setitem(peer_module._DISPATCH, wire.Ping, lambda p, m: handled.append("ping"))
-        data = wire.encode(wire.SegmentData(sender.peer_id, 1, 8))
-        ping = wire.encode(wire.Ping(sender=sender.peer_id, nonce=1))
+        data = wire.SegmentData(sender.peer_id, 1, 8)
+        ping = wire.Ping(sender=sender.peer_id, nonce=1)
 
         def body():
-            swarm.deliver(sender.peer_id, receiver.peer_id, data, True)
-            swarm.deliver(sender.peer_id, receiver.peer_id, data, True)
-            swarm.deliver(sender.peer_id, receiver.peer_id, ping, False)
+            _deliver(swarm, sender, receiver, data, True)
+            _deliver(swarm, sender, receiver, data, True)
+            _deliver(swarm, sender, receiver, ping, False)
 
         _on_virtual_clock(swarm, body)
         assert handled == ["ping", "data", "data"]
@@ -166,8 +171,8 @@ class TestSheddingListEntries:
         def body():
             for sender in (first, second):
                 for sid in (1, 2):
-                    frame = wire.encode(wire.SegmentData(sender.peer_id, sid, 8))
-                    swarm.deliver(sender.peer_id, receiver.peer_id, frame, True)
+                    segment = wire.SegmentData(sender.peer_id, sid, 8)
+                    _deliver(swarm, sender, receiver, segment, True)
 
         _on_virtual_clock(swarm, body)
         assert receiver.transport_stats.inbox_dropped_data == 2
@@ -178,17 +183,16 @@ class TestSheddingListEntries:
         swarm = _swarm(transport=TransportConfig(inbox_watermark=1, data_window=1))
         _flat_latency(swarm, monkeypatch)
         receiver, granter, other = _peers(swarm, 3)
-        pending = wire.encode(wire.SegmentData(receiver.peer_id, 7, 8))
-        assert receiver.send_windows.acquire(granter.peer_id, (pending, None))
-        assert not receiver.send_windows.acquire(granter.peer_id, (pending, None))
+        segment = wire.SegmentData(receiver.peer_id, 7, 8)
+        pending = (segment, wire.encode(segment), None)
+        assert receiver.send_windows.acquire(granter.peer_id, pending)
+        assert not receiver.send_windows.acquire(granter.peer_id, pending)
 
         def body():
-            ping = wire.encode(wire.Ping(sender=other.peer_id, nonce=1))
-            swarm.deliver(other.peer_id, receiver.peer_id, ping, False)
-            ping = wire.encode(wire.Ping(sender=granter.peer_id, nonce=2))
-            grant = wire.encode(wire.CreditGrant(sender=granter.peer_id, credits=1))
-            swarm.deliver(granter.peer_id, receiver.peer_id, ping, False)
-            swarm.deliver(granter.peer_id, receiver.peer_id, grant, False)
+            _deliver(swarm, other, receiver, wire.Ping(sender=other.peer_id, nonce=1), False)
+            _deliver(swarm, granter, receiver, wire.Ping(sender=granter.peer_id, nonce=2), False)
+            grant = wire.CreditGrant(sender=granter.peer_id, credits=1)
+            _deliver(swarm, granter, receiver, grant, False)
 
         _on_virtual_clock(swarm, body)
         assert receiver.transport_stats.inbox_dropped_control == 2
@@ -262,3 +266,30 @@ def test_batch_size_is_what_encode_batch_ships():
             assert size == len(chunks[0])
         else:
             assert size is None
+
+
+def test_a_group_too_big_for_one_envelope_lands_as_encode_batchs_chunks(monkeypatch):
+    """Past :data:`wire.MAX_FRAME_PAYLOAD` a group lands as the envelopes
+    ``encode_batch`` would ship, each charged its own bytes, in order."""
+    swarm = _swarm()
+    _flat_latency(swarm, monkeypatch)
+    receiver, sender = _peers(swarm, 2)
+    handovers = [
+        wire.Handover(sender.peer_id, 8, tuple(range(n, n + 3000))) for n in range(12)
+    ]
+    chunks = wire.encode_batch([wire.encode(msg) for msg in handovers])
+    assert len(chunks) > 1
+    entries = []
+    monkeypatch.setattr(
+        receiver, "_drain_inbox", lambda: entries.extend(receiver.inbox.take_batch())
+    )
+
+    def body():
+        for msg in handovers:
+            _deliver(swarm, sender, receiver, msg, False)
+
+    _on_virtual_clock(swarm, body)
+    counts = [wire.frame_count(chunk) for chunk in chunks]
+    assert [len(messages) for _, messages, _ in entries] == counts
+    assert [msg for _, messages, _ in entries for msg in messages] == handovers
+    assert swarm.bytes_on_wire == sum(map(len, chunks))

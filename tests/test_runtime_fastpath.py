@@ -8,8 +8,8 @@ fast path must preserve and the savings it must deliver:
   (the tier-1 guard for the headline byte saving), and a broken delta
   chain heals through the PING resync — a partner's PING is answered
   with the gossiped snapshot, or the live map before the first gossip;
-* a shed data *batch* refunds every inner frame's credit, and a shed
-  control batch still applies the one-shot frames inside it;
+* a shed data group refunds every inner frame's credit, and a shed
+  control group still applies the one-shot messages inside it;
 * a pass sends one pull frame per supplier, a supplier serves a pull
   list in order and refuses the rest in one NACK, and a NACK list is
   rerouted id by id.
@@ -66,7 +66,7 @@ class TestPingResync:
         partner = next(iter(peer.node.neighbors))
         sent = []
         monkeypatch.setattr(
-            swarm, "deliver", lambda src, dst, frame, data=False: sent.append((dst, frame))
+            swarm, "deliver", lambda src, dst, msg, frame, data=False: sent.append((dst, frame))
         )
         return peer, partner, sent
 
@@ -127,9 +127,10 @@ class TestPullLists:
         )
         sent = []
 
-        def deliver(src, dst, frame, data=False):
+        def deliver(src, dst, msg, frame, data=False):
             assert src == peer.peer_id
-            sent.extend((dst, msg, data) for msg in wire.decode_frame(frame))
+            assert wire.decode_frame(frame) == (msg,)
+            sent.append((dst, msg, data))
 
         monkeypatch.setattr(swarm, "deliver", deliver)
         return peer, sent
@@ -215,68 +216,75 @@ class TestBatchShedding:
         peers = [p for p in swarm.peers.values() if not p.is_source]
         return swarm, peers[0], peers[1]
 
+    @staticmethod
+    def _pending(receiver, sender):
+        """A segment ``receiver`` would ship to ``sender``: a pending item."""
+        segment = wire.SegmentData(sender=receiver.peer_id, segment_id=1, size_bits=8)
+        return (segment, wire.encode(segment), None)
+
+    def _starve(self, receiver, other):
+        """Spend the one credit towards ``other`` and park a segment."""
+        assert receiver.send_windows.acquire(other.peer_id, self._pending(receiver, other))
+        assert not receiver.send_windows.acquire(other.peer_id, self._pending(receiver, other))
+        assert receiver.send_windows.pending_count() == 1
+
     def test_shed_data_batch_refunds_every_inner_credit(self):
-        """A data batch of k frames shed at a full lane refunds k
+        """A data group of k frames shed at a full lane refunds k
         credits — the weighted-inbox analogue of PR 4's refund rule."""
         swarm, receiver, sender = self._swarm_and_peers(inbox_watermark=1)
-        frame = wire.encode(
-            wire.SegmentData(sender=sender.peer_id, segment_id=1, size_bits=8)
-        )
+        msg = wire.SegmentData(sender=sender.peer_id, segment_id=1, size_bits=8)
+        frame = wire.encode(msg)
         batch = wire.encode(wire.FrameBatch(frames=(frame, frame, frame)))
 
         async def deliver():
-            # fill the data lane, then land a 3-frame batch on it
-            assert receiver.inbox.put(sender.peer_id, frame, control=False)
-            swarm.loopback._deliver_now(
-                sender.peer_id, receiver.peer_id, batch, data=True
-            )
+            # fill the data lane, then land a 3-frame group on it
+            assert receiver.inbox.put(sender.peer_id, [msg], control=False)
+            swarm.loopback._land(sender.peer_id, receiver.peer_id, [msg] * 3, True, len(batch))
 
         asyncio.run(deliver())
         stats = receiver.transport_stats
         assert stats.inbox_dropped_data == 3
         assert receiver._credit_ledger.owed.get(sender.peer_id, 0) == 3
+        assert swarm.bytes_on_wire == len(batch)
 
     def test_shed_control_batch_applies_one_shot_frames(self):
-        """A credit grant inside a shed control batch must still reach
+        """A credit grant inside a shed control group must still reach
         the window, exactly as it would travelling loose."""
         swarm, receiver, other = self._swarm_and_peers(data_window=1)
-        assert receiver.send_windows.acquire(other.peer_id, (b"f1", None))
-        assert not receiver.send_windows.acquire(other.peer_id, (b"f2", None))
-        assert receiver.send_windows.pending_count() == 1
-        grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=1))
-        ping = wire.encode(wire.Ping(sender=other.peer_id, nonce=9))
-        batch = wire.encode(wire.FrameBatch(frames=(ping, grant)))
+        self._starve(receiver, other)
+        grant = wire.CreditGrant(sender=other.peer_id, credits=1)
+        ping = wire.Ping(sender=other.peer_id, nonce=9)
 
         async def shed():
             swarm.loop = asyncio.get_running_loop()
-            receiver.absorb_shed_control(batch)
+            receiver.absorb_shed_control([ping, grant])
 
         asyncio.run(shed())
         assert receiver.send_windows.pending_count() == 0
 
     @pytest.mark.parametrize("batched", [False, True], ids=["loose", "batched"])
     def test_shed_narrow_credit_map_and_delta_are_absorbed(self, batched):
-        """Narrow frames (kind byte with the width bit) are absorbed like
-        wide ones: a credit reaches the window, a full map anchors the
-        sender's gossip chain and the delta after it applies."""
+        """Messages whose frames are narrow are absorbed like any other:
+        a credit reaches the window, a full map anchors the sender's
+        gossip chain and the delta after it applies — shed one per entry
+        or all in one group."""
         swarm, receiver, other = self._swarm_and_peers(data_window=1)
-        assert receiver.send_windows.acquire(other.peer_id, (b"f1", None))
-        assert not receiver.send_windows.acquire(other.peer_id, (b"f2", None))
+        self._starve(receiver, other)
         base = BufferMap(head_id=0, capacity=600, bits=0b1011)
         new = BufferMap(head_id=2, capacity=600, bits=0b1110)
-        frames = [
-            wire.encode(wire.CreditGrant(sender=other.peer_id, credits=1)),
-            wire.encode(wire.BufferMapMsg.from_buffer_map(other.peer_id, 5, base, seq=1)),
-            wire.encode(wire.BufferMapDelta.from_maps(other.peer_id, 2, 7, new, base)),
+        messages = [
+            wire.CreditGrant(sender=other.peer_id, credits=1),
+            wire.BufferMapMsg.from_buffer_map(other.peer_id, 5, base, seq=1),
+            wire.BufferMapDelta.from_maps(other.peer_id, 2, 7, new, base),
         ]
+        frames = [wire.encode(msg) for msg in messages]
         assert all(frame[wire.prologue(frame)[0]] & wire.NARROW for frame in frames)
-        if batched:
-            frames = [wire.encode(wire.FrameBatch(frames=tuple(frames)))]
+        entries = [messages] if batched else [[msg] for msg in messages]
 
         async def shed():
             swarm.loop = asyncio.get_running_loop()
-            for frame in frames:
-                receiver.absorb_shed_control(frame)
+            for entry in entries:
+                receiver.absorb_shed_control(entry)
 
         asyncio.run(shed())
         assert receiver.send_windows.pending_count() == 0
@@ -284,32 +292,36 @@ class TestBatchShedding:
         assert receiver.transport_stats.map_desyncs == 0
         assert receiver.known_newest == 7
 
-    def test_shed_control_decodes_only_the_one_shot_kinds(self):
-        """Shedding is the overload path: a kind byte that is not a
-        credit, handover or map is skipped without decoding its body —
-        here a body-less PING that ``decode`` itself would reject."""
+    def test_shed_control_applies_only_the_absorbed_kinds(self, monkeypatch):
+        """Shedding is the overload path: a shed PING is not answered and
+        a shed request is not served, while the credit beside them is
+        applied."""
         swarm, receiver, other = self._swarm_and_peers()
-        bad_ping = bytes([1, wire.WireKind.PING])  # a one-byte payload: the kind alone
-        with pytest.raises(wire.WireError):
-            wire.decode(bad_ping)
-        grant = wire.encode(wire.CreditGrant(sender=other.peer_id, credits=2))
-        batch = wire.encode(wire.FrameBatch(frames=(bad_ping, grant)))
+        handled = []
+        for kind in (wire.Ping, wire.SegmentRequest):
+            monkeypatch.setitem(
+                peer_module._DISPATCH, kind, lambda peer, msg: handled.append(msg)
+            )
         link = receiver.send_windows.link(other.peer_id)
-        assert receiver.send_windows.acquire(other.peer_id, (b"f1", None))
-        assert receiver.send_windows.acquire(other.peer_id, (b"f2", None))
+        assert receiver.send_windows.acquire(other.peer_id, self._pending(receiver, other))
+        assert receiver.send_windows.acquire(other.peer_id, self._pending(receiver, other))
         spent = link.credits
 
         async def shed():
             swarm.loop = asyncio.get_running_loop()
-            receiver.absorb_shed_control(bad_ping)
-            receiver.absorb_shed_control(batch)
+            receiver.absorb_shed_control([
+                wire.Ping(sender=other.peer_id, nonce=1),
+                wire.SegmentRequest(sender=other.peer_id, segment_id=3),
+                wire.CreditGrant(sender=other.peer_id, credits=2),
+            ])
 
         asyncio.run(shed())
+        assert handled == []
         assert link.credits == spent + 2
 
     def test_a_malformed_batch_dispatches_none_of_its_inner_frames(self, monkeypatch):
-        """The reader validates a whole batch before acting on any of it:
-        two good pings ahead of a corrupt entry are not answered."""
+        """A routed batch is decoded whole on arrival, before any of it
+        lands: two good pings ahead of a corrupt entry are not answered."""
         swarm, receiver, sender = self._swarm_and_peers()
         ping = wire.encode(wire.Ping(sender=sender.peer_id, nonce=1))
         batch = bytearray(wire.encode(wire.FrameBatch(frames=(ping, ping, ping))))
@@ -318,28 +330,28 @@ class TestBatchShedding:
         monkeypatch.setitem(
             peer_module._DISPATCH, wire.Ping, lambda peer, msg: handled.append(msg)
         )
-        receiver.inbox.put(sender.peer_id, bytes(batch), control=True, weight=3)
+
+        async def route(frame):
+            swarm.loop = asyncio.get_running_loop()
+            swarm.loopback.send_routed(sender.peer_id, receiver.peer_id, frame, False)
+            swarm.queue.run_due(float("inf"))
+
         with pytest.raises(wire.WireError):
-            receiver._drain_inbox()
-        assert handled == []
+            asyncio.run(route(bytes(batch)))
+        assert handled == [] and len(swarm.queue) == 0
         # the same batch, undamaged, dispatches all three
-        good = wire.encode(wire.FrameBatch(frames=(ping, ping, ping)))
-        receiver.inbox.put(sender.peer_id, good, control=True, weight=3)
-        receiver._drain_inbox()
+        asyncio.run(route(wire.encode(wire.FrameBatch(frames=(ping, ping, ping)))))
         assert handled == [wire.Ping(sender.peer_id, 1)] * 3
 
     def test_weighted_inbox_admits_then_bounds(self):
-        """Check-then-admit: a batch is admitted while the lane is under
-        the watermark (bounded overshoot by one batch), and blocks the
+        """Check-then-admit: a group is admitted while the lane is under
+        the watermark (bounded overshoot by one group), and blocks the
         lane for followers until drained."""
         swarm, receiver, sender = self._swarm_and_peers(inbox_watermark=2)
-        frame = wire.encode(
-            wire.SegmentData(sender=sender.peer_id, segment_id=1, size_bits=8)
-        )
-        batch = wire.encode(wire.FrameBatch(frames=(frame, frame, frame)))
+        msg = wire.SegmentData(sender=sender.peer_id, segment_id=1, size_bits=8)
         inbox = receiver.inbox
-        assert inbox.put(sender.peer_id, batch, control=False, weight=3)
+        assert inbox.put(sender.peer_id, [msg] * 3, control=False, weight=3)
         assert len(inbox) == 3
         # the lane is now over its watermark: loose followers shed
-        assert not inbox.put(sender.peer_id, frame, control=False)
+        assert not inbox.put(sender.peer_id, [msg], control=False)
         assert receiver.transport_stats.inbox_dropped_data == 1
