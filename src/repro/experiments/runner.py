@@ -586,8 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         "time with zero wall waiting")
     runtime_group.add_argument(
         "--fidelity", choices=("full", "hybrid"), default="full",
-        help="runtime fidelity tier: 'full' (default) runs every peer as a "
-        "live task; 'hybrid' runs a live core of --core-peers plus an "
+        help="runtime fidelity tier: 'full' (default) runs every peer "
+        "live; 'hybrid' runs a live core of --core-peers plus an "
         "array-backed slim statistical tier for the rest, scaling to "
         "six-figure swarms (runtime/campaign/cluster backends; see "
         "docs/runtime.md)")

@@ -347,9 +347,10 @@ def run_on_virtual_clock(coro) -> Any:
 
     The deterministic sibling of :func:`asyncio.run`: timers fire in
     due-time order with zero wall waiting.  Whatever the run leaves
-    behind — after a failure, every peer's period task — is cancelled and
-    unwound before the loop is closed, so repeated calls are independent
-    and an exception propagates without "task destroyed" noise.
+    behind — timers, queued deliveries and, after a failure, any task
+    still pending — is dropped or cancelled and unwound before the loop is
+    closed, so repeated calls are independent and an exception propagates
+    without "task destroyed" noise.
     """
     loop = VirtualClockEventLoop()
     try:

@@ -52,9 +52,10 @@ from repro.scenarios.spec import ScenarioSpec
 
 #: The least lead the agreed start instant keeps over the ready barrier.
 #: Every shard must be running before a faster shard's first frames reach
-#: it: its mailbox thread hands ``start`` to its loop, which then starts
-#: every hosted peer's period task.  Measured from ``start`` off the pipe
-#: to every period task running: 2.3-5.0 ms per shard at 4 shards x 1000
+#: it: its mailbox thread hands ``start`` to its loop, which then files
+#: every hosted peer for its first boundary.  Measured (while each peer
+#: was still its own task) from ``start`` off the pipe to every peer's
+#: first step: 2.3-5.0 ms per shard at 4 shards x 1000
 #: peers (~250 a shard, the largest nightly run), 0.8 ms for the hybrid
 #: 2 x 5050 run — on a 2-vCPU host, so the floor keeps a 20x margin.
 START_FLOOR_S = 0.1

@@ -1,4 +1,4 @@
-"""The live peer actor: one period task and one inbox callback per overlay node.
+"""The live peer: period-boundary and inbox callbacks for one overlay node.
 
 A :class:`LivePeer` adapts the passive :class:`~repro.core.node.StreamingNode`
 state machine (and its ContinuStreaming specialisation) to an event-driven
@@ -18,10 +18,12 @@ life: instead of a global round barrier, each peer owns
   further segments wait in a bounded pending queue until the receiver
   returns credits with :class:`~repro.runtime.wire.CreditGrant` control
   frames (batched as it consumes data, flushed at period boundaries);
-* a **period loop** that fires every scheduling period ``τ`` on the peer's
-  *own* clock (scaled by the swarm's time factor) and performs the same
-  work the round pipeline's phases do for it in the simulator — playback,
-  buffer-map gossip, data scheduling, urgent-line prediction — except that
+* a **period tick** (:meth:`LivePeer.tick`) that the swarm's boundary
+  timer calls once every scheduling period ``τ`` (scaled by the swarm's
+  time factor; peers tick in a drawn order, see :meth:`~repro.runtime.
+  swarm.LiveSwarm.file`) and that performs the same work the round
+  pipeline's phases do for it in the simulator — playback, buffer-map
+  gossip, data scheduling, urgent-line prediction — except that
   everything leaves the peer as serialized wire messages and everything
   arrives asynchronously whenever the (latency-delayed) transport delivers
   it;
@@ -42,7 +44,6 @@ DHT lookup frames hop by hop through the other peers.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import time
 from dataclasses import dataclass
@@ -78,7 +79,8 @@ class PlaybackSample:
 
 
 class LivePeer:
-    """One concurrently running overlay peer.
+    """One overlay peer: callbacks the swarm's boundary timer and delivery
+    queue call.
 
     Args:
         node: the protocol node (built by the
@@ -144,8 +146,6 @@ class LivePeer:
         self._dht_pending: Dict[int, Lookup] = {}
         self._prefetch_deadlines: Dict[int, float] = {}
         self._ping_nonce = itertools.count(1)
-        self._task: Optional[asyncio.Task] = None
-        self.ticks_run = 0
         self.stopped = False
         #: The swarm's observability plane (the no-op ``NULL_OBS`` when
         #: disabled — every instrumented site guards on ``obs.enabled`` /
@@ -157,23 +157,21 @@ class LivePeer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "source" if self.is_source else "peer"
-        return f"<LivePeer {role} id={self.peer_id} ticks={self.ticks_run}>"
+        return f"<LivePeer {role} id={self.peer_id} tick={self._current_tick}>"
 
     # ----------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Spawn the period task on the swarm's loop."""
-        self._task = self.swarm.loop.create_task(
-            self._period_loop(), name=f"peer-{self.peer_id}-tick"
-        )
+    def tick(self, tick: int) -> None:
+        """Period boundary ``tick``: close the previous period (unless
+        ``tick`` is this peer's first) and open the next one.  The swarm's
+        boundary timer calls it (:meth:`~repro.runtime.swarm.LiveSwarm.file`)."""
+        if tick > self.first_tick:
+            self._period_end(tick - 1)
+        self._period_start(tick)
 
-    async def stop(self) -> None:
-        """Cancel the period task and wait for it to unwind; a drain or
-        phase still queued finds ``stopped`` set and drops its work."""
+    def stop(self) -> None:
+        """Leave the swarm: a boundary, drain or phase still queued for
+        this peer finds ``stopped`` set and drops its work."""
         self.stopped = True
-        task, self._task = self._task, None
-        if task is not None:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
 
     def announce_join(self) -> None:
         """Membership traffic of a newly joined peer: PING every neighbour."""
@@ -591,7 +589,7 @@ class LivePeer:
                 pulls.append((supplier, segment_id))
         self._request(pulls, "prefetch", prefetch=True)
 
-    # ------------------------------------------------------------ the period loop
+    # ---------------------------------------------------------- the period work
     #: Fraction of a period after which scheduling runs, leaving link
     #: latency enough headroom for the boundary's buffer-map gossip to
     #: arrive first — the live analogue of the simulator's "scheduler sees
@@ -629,39 +627,6 @@ class LivePeer:
     #: requests and supplier credits).
     RECHECK_PHASE = 0.1
     MAX_RECHECKS = 5
-
-    async def _period_loop(self) -> None:
-        scaled = self.config.scheduling_period * self.swarm.time_scale
-        loop = self.swarm.loop
-        tick = self.first_tick
-        while not self.stopped:
-            # Deadlines come from the swarm's shared clock every
-            # iteration, so when the swarm dilates time under overload
-            # every peer shifts by the same amount and the overlay stays
-            # phase-aligned — drifting apart (each peer re-anchoring its
-            # own clock) is what used to collapse continuity at
-            # aggressive time scales.
-            deadline = self.swarm.wall_deadline_of(tick)
-            delay = deadline - loop.time()
-            if delay > 0:
-                await self.swarm.boundary(tick)
-                if self.swarm.wall_deadline_of(tick) - loop.time() > 1e-9:
-                    # The swarm dilated its schedule while we slept;
-                    # re-align to the shifted boundary before ticking.
-                    continue
-            else:
-                self.swarm.note_lateness(-delay)
-            if tick > self.first_tick:
-                self._period_end(tick - 1)
-            self._period_start(tick)
-            tick += 1
-            self.ticks_run += 1
-            # Guarantee a sliver of wall time before the next boundary so
-            # an overrunning peer still interleaves with frame delivery
-            # instead of ticking back-to-back.
-            next_deadline = self.swarm.wall_deadline_of(tick)
-            if next_deadline - loop.time() <= 0:
-                await asyncio.sleep(0.05 * scaled)
 
     def _period_end(self, tick: int) -> None:
         """Boundary work closing period ``tick``: playback and feedback."""

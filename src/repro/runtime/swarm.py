@@ -2,7 +2,9 @@
 
 :class:`LiveSwarm` turns a declarative
 :class:`~repro.scenarios.spec.ScenarioSpec` into a running swarm of
-:class:`~repro.runtime.peer.LivePeer` tasks:
+:class:`~repro.runtime.peer.LivePeer` callbacks — one loop timer per
+period boundary ticks every peer (:meth:`LiveSwarm.file`), and the churn
+controller is the run's one coroutine:
 
 * **construction reuse** — the spec builds the exact same
   :class:`~repro.core.system.StreamingSystem` the simulator would run, so
@@ -24,10 +26,10 @@
   and its flush groups, like the peers' intra-period phases, are entries
   of the swarm's one :class:`~repro.runtime.clock.DeliveryQueue`;
 * **live churn** — the scenario's churn schedule runs against the real
-  swarm: departing peers are cancelled mid-flight (gracefully leaving ones
+  swarm: departing peers are stopped mid-flight (gracefully leaving ones
   ship their VoD backup over the wire first), joining peers are admitted
-  through the Rendezvous Point and boot as new tasks announcing themselves
-  with PING/PONG membership traffic;
+  through the Rendezvous Point, announce themselves with PING/PONG
+  membership traffic and open their first period at once;
 * **metrics** — per-peer playback samples aggregate into the standard
   :class:`~repro.streaming.playback.ContinuityTracker` and per-peer
   :class:`~repro.net.message.MessageLedger` objects merge into a swarm
@@ -99,7 +101,7 @@ DEFAULT_TIME_SCALE = 0.1
 #: matrices and regression tests — same seed, same result, no waiting).
 CLOCKS = ("wall", "virtual")
 
-#: ``"full"`` runs every peer as a live task; ``"hybrid"`` hosts a
+#: ``"full"`` runs every peer live; ``"hybrid"`` hosts a
 #: full-fidelity core of ``core_peers`` live peers plus an array-backed
 #: statistical tier for the rest (:mod:`repro.runtime.slim`).
 FIDELITIES = ("full", "hybrid")
@@ -280,8 +282,9 @@ class RuntimeResult:
     transport: TransportSummary = field(default_factory=TransportSummary)
     #: Which clock drove the run (``"wall"`` or ``"virtual"``).
     clock: str = "wall"
-    #: Wall seconds the swarm stretched its schedule by under overload
-    #: (0.0 on the virtual clock — virtual time cannot be overloaded).
+    #: Wall seconds the swarm stretched its schedule by under overload.
+    #: Virtual time cannot be overloaded, but a joiner's first tick is
+    #: reported as lateness, so a virtual run with joiners dilates too.
     clock_dilation_s: float = 0.0
     #: Number of period boundaries at which the schedule was dilated.
     clock_dilations: int = 0
@@ -376,7 +379,7 @@ class ShardResult:
 
 
 class LiveSwarm:
-    """Runs one scenario as a swarm of concurrent asyncio peers.
+    """Runs one scenario as a swarm of live peers on one event loop.
 
     Args:
         spec: the declarative workload (size, churn, bandwidth mix, loss);
@@ -406,7 +409,7 @@ class LiveSwarm:
         self.shard_index = shard_index
         self.num_shards = options.shards
         core = options.core_peers
-        #: The *live* workload: a hybrid run's peers-as-tasks are its core.
+        #: The *live* workload: a hybrid run's live peers are its core.
         self.spec = spec if core is None else spec.scaled(num_nodes=core)
         self.rounds: int = options.rounds
         self.time_scale: float = options.time_scale
@@ -454,9 +457,9 @@ class LiveSwarm:
         #: and every intra-period peer phase (docs/runtime.md → *The
         #: virtual clock's ordering contract*).
         self.queue = DeliveryQueue(after=self._drain_landed)
-        #: Peers waiting for a period boundary, by its deadline (see
-        #: :meth:`boundary`).
-        self._boundaries: Dict[float, List["asyncio.Future[None]"]] = {}
+        #: ``(peer, tick)`` pairs waiting for a period boundary, by its
+        #: deadline, in filing order (see :meth:`file`).
+        self._boundaries: Dict[float, List[Tuple[LivePeer, int]]] = {}
         #: The in-process delivery path: every frame's local tail.
         self.loopback = LoopbackLink(self)
         #: Socket links keyed by remote shard index (wired by the cluster
@@ -595,34 +598,52 @@ class LiveSwarm:
             + tick * self.config.scheduling_period * self.time_scale
         )
 
-    def boundary(self, tick: int) -> "asyncio.Future[None]":
-        """A future resolved at period boundary ``tick``'s (current)
-        deadline.
-
-        One loop timer per boundary wakes every peer waiting for it, in an
-        order drawn afresh for each boundary from the scenario's
-        ``runtime-ticks`` stream.  Peers tick on independent clocks, so no
-        peer should act first at every boundary: per-peer sleeps would tie
-        in the loop's timer heap, whose sift order (with no delivery
-        timers left in the heap to stir it) rotates the same sequence by
-        one place per period.  Each waiter has its own future, so
-        cancelling one peer cancels no other.
-        """
+    def file(self, peer: LivePeer, tick: int) -> None:
+        """Have ``peer`` tick at period boundary ``tick``'s (current)
+        deadline: at its loop timer (:meth:`_boundary_due`), or at once,
+        reporting the lateness, if the deadline has passed."""
+        if peer.stopped:
+            return
+        loop = self.loop
         deadline = self.wall_deadline_of(tick)
-        waiters = self._boundaries.get(deadline)
-        if waiters is None:
-            waiters = self._boundaries[deadline] = []
-            self.loop.call_at(deadline, self._boundary_due, deadline)
-        waiter = self.loop.create_future()
-        waiters.append(waiter)
-        return waiter
+        delay = deadline - loop.time()
+        if delay > 0:
+            waiters = self._boundaries.get(deadline)
+            if waiters is None:
+                waiters = self._boundaries[deadline] = []
+                loop.call_at(deadline, self._boundary_due, deadline)
+            waiters.append((peer, tick))
+            return
+        self.note_lateness(-delay)
+        self._tick(peer, tick)
+
+    def _tick(self, peer: LivePeer, tick: int) -> None:
+        """Tick ``peer``, then file it for its next boundary — after a
+        sliver of wall time if that one has passed too, so an overrunning
+        peer still interleaves with frame delivery."""
+        peer.tick(tick)
+        tick += 1
+        if self.wall_deadline_of(tick) - self.loop.time() > 0:
+            self.file(peer, tick)
+            return
+        scaled = self.config.scheduling_period * self.time_scale
+        self.loop.call_later(0.05 * scaled, self.file, peer, tick)
 
     def _boundary_due(self, deadline: float) -> None:
+        """Tick the peers filed for ``deadline`` in an order drawn from
+        ``runtime-ticks`` (docs/runtime.md → *Period boundaries*): a
+        stopped peer keeps its slot but is skipped, and one whose boundary
+        moved under dilation re-files behind the shifted deadline's."""
         waiters = self._boundaries.pop(deadline)
+        loop = self.loop
         for index in self.system.streams.get("runtime-ticks").permutation(len(waiters)):
-            waiter = waiters[index]
-            if not waiter.done():
-                waiter.set_result(None)
+            peer, tick = waiters[index]
+            if peer.stopped:
+                continue
+            if self.wall_deadline_of(tick) - loop.time() > 1e-9:
+                self.file(peer, tick)
+            else:
+                self._tick(peer, tick)
 
     def note_lateness(self, seconds: float) -> None:
         """A peer hit a period boundary ``seconds`` late.
@@ -857,8 +878,6 @@ class LiveSwarm:
         # The wall stopwatch starts at the schedule anchor, so a shard
         # waiting out the coordinator's start margin does not count it.
         wall_start = time.perf_counter() + max(0.0, self._start_wall - loop.time())
-        for peer in self.peers.values():
-            peer.start()
         # The lag probe only makes sense on the wall clock (virtual time
         # cannot lag), and its extra timers would perturb the virtual
         # loop's deterministic callback order — obs-enabled virtual runs
@@ -869,6 +888,8 @@ class LiveSwarm:
             else None
         )
         try:
+            for peer in self.peers.values():
+                self.file(peer, 0)
             await self._churn_loop()
             if self._callback_error is not None:
                 raise self._callback_error
@@ -889,7 +910,7 @@ class LiveSwarm:
                     await probe
                 except asyncio.CancelledError:
                     pass
-            await self._shutdown()
+            self._shutdown()
             if self.clock != "virtual":
                 loop.set_exception_handler(outer_handler)
         wall_time = time.perf_counter() - wall_start
@@ -975,36 +996,13 @@ class LiveSwarm:
                 round_index, self.manager.alive_node_ids(), self.system.streams.get("churn")
             )
             for node_id in event.leaving:
-                await self._retire_peer(node_id, rng)
-            for _ in event.joining:
-                self._admit_peer(rng, round_index + 1)
+                self._retire_peer(node_id, rng)
+            joiners = [self._admit_peer(rng, round_index + 1) for _ in event.joining]
             if event.leaving or event.joining:
                 self.manager.repair_neighbors()
-        await self._await_completion(scaled)
-
-    async def _await_completion(self, scaled: float) -> None:
-        """Wait for every live peer to finish its ``rounds`` periods.
-
-        Peers read deadlines from the swarm's shared (possibly dilated)
-        clock, but a peer that woke just before a dilation step can trail
-        the controller by up to a period; shutting down on the
-        controller's schedule alone would truncate its samples.  Bounded
-        by twice the *dilated* run length so a wedged peer cannot hang
-        the swarm.
-        """
-        budget = 2.0 * (self.rounds * scaled + self.clock_dilation_s)
-        waited = 0.0
-        step = max(0.25 * scaled, 0.001)
-        while waited < budget:
-            lagging = [
-                peer
-                for peer in self.peers.values()
-                if peer.node.alive and peer.first_tick + peer.ticks_run <= self.rounds
-            ]
-            if not lagging:
-                return
-            await asyncio.sleep(step)
-            waited += step
+            for peer in joiners:
+                if peer is not None:
+                    self.file(peer, peer.first_tick)
 
     def _obs_snapshot(self, round_index: int) -> None:
         """Sample swarm-wide gauges into the per-period metric series."""
@@ -1095,7 +1093,7 @@ class LiveSwarm:
             }
         self.telemetry_sink(body)
 
-    async def _retire_peer(self, node_id: int, rng: np.random.Generator) -> None:
+    def _retire_peer(self, node_id: int, rng: np.random.Generator) -> None:
         node = self.manager.nodes.get(node_id)
         if node is None or not node.alive:
             return
@@ -1109,7 +1107,7 @@ class LiveSwarm:
         # The wire handover above replaces the manager's in-memory one.
         self.manager.remove_node(node_id, rng, graceful=graceful, handover=False)
         if peer is not None:
-            await peer.stop()
+            peer.stop()
             self.retired_peers.append(self.peers.pop(node_id))
             self.peers_left += 1
             self.obs.flight("peer_left", peer=node_id, graceful=graceful)
@@ -1119,20 +1117,23 @@ class LiveSwarm:
         for survivor in self.peers.values():
             survivor.reset_partner_link(node_id)
 
-    def _admit_peer(self, rng: np.random.Generator, first_tick: int) -> None:
+    def _admit_peer(self, rng: np.random.Generator, first_tick: int) -> Optional[LivePeer]:
+        """Admit one joiner; return its live peer if this shard hosts it."""
         ring_id = self.manager.admit_node(rng, now=self.sim_now())
         if not self.hosts(ring_id):
-            return
+            return None
         peer = LivePeer(self.manager.nodes[ring_id], self, first_tick=first_tick)
         self.peers[ring_id] = peer
-        peer.start()
         peer.announce_join()
         self.peers_joined += 1
         self.obs.flight("peer_joined", peer=ring_id)
+        return peer
 
-    async def _shutdown(self) -> None:
-        """Graceful shutdown: stop every task and wait for it to unwind."""
-        await asyncio.gather(*(peer.stop() for peer in self.peers.values()))
+    def _shutdown(self) -> None:
+        """Graceful shutdown: stop every peer (its pending boundary,
+        drains and phases then drop their work)."""
+        for peer in self.peers.values():
+            peer.stop()
 
     # ================================================================== collect
     def _period_playback_counts(self, tick: int, slim: bool = True) -> Tuple[int, int]:
@@ -1178,7 +1179,7 @@ class LiveSwarm:
         return started
 
     def peers_live(self) -> int:
-        """Currently-live peer count (live tasks plus the slim tier)."""
+        """Currently-live peer count (live peers plus the slim tier)."""
         return len(self.peers) + (0 if self.slim is None else self.slim.alive_count)
 
     def playback_samples(self) -> List[Tuple[int, int, int]]:

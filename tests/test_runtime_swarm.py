@@ -14,6 +14,7 @@ import pytest
 from repro.net.message import MessageKind, MessageLedger
 from repro.runtime import LiveSwarm, RunOptions, run, wire
 from repro.runtime import peer as peer_module
+from repro.runtime.clock import run_on_virtual_clock
 from repro.scenarios.cell import continuity_delta, parity_pair, parity_text
 from repro.scenarios.library import builtin_scenario
 
@@ -99,13 +100,36 @@ class TestLiveSwarmLifecycle:
         with pytest.raises(ValueError):
             LiveSwarm(spec, rounds=0)
 
-    def test_graceful_shutdown_leaves_no_running_tasks(self):
-        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=3)
-        swarm = LiveSwarm(spec, time_scale=SMALL_SCALE)
-        swarm.run()
-        for peer in swarm.peers.values():
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_graceful_shutdown_leaves_no_running_tasks(self, clock):
+        spec = builtin_scenario("paper-dynamic").scaled(num_nodes=20, rounds=5)
+        swarm = LiveSwarm(spec, clock=clock, time_scale=SMALL_SCALE)
+
+        async def run_and_list_leftovers():
+            await swarm.run_async()
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        runner = run_on_virtual_clock if clock == "virtual" else asyncio.run
+        assert runner(run_and_list_leftovers()) == set()
+        assert swarm.retired_peers, "the churn run should retire peers too"
+        for peer in list(swarm.peers.values()) + swarm.retired_peers:
             assert peer.stopped
-            assert peer._task is None
+
+    def test_a_virtual_run_holds_one_task_for_any_swarm_size(self, monkeypatch):
+        """Peers are callbacks of the swarm's boundary timer: at every
+        boundary the loop holds the run's one task (the churn driver),
+        whatever the swarm size."""
+        seen = {}
+        boundary_due = LiveSwarm._boundary_due
+
+        def counting(swarm, deadline):
+            seen.setdefault(swarm.spec.num_nodes, set()).add(len(asyncio.all_tasks(swarm.loop)))
+            boundary_due(swarm, deadline)
+
+        monkeypatch.setattr(LiveSwarm, "_boundary_due", counting)
+        for n in (10, 40):
+            run(builtin_scenario("paper-dynamic").scaled(num_nodes=n, rounds=6), clock="virtual")
+        assert seen[10] == seen[40] == {1}
 
     def test_build_is_idempotent_and_reuses_sim_construction(self):
         spec = builtin_scenario("static").scaled(num_nodes=12, rounds=2)
@@ -117,6 +141,35 @@ class TestLiveSwarmLifecycle:
         # identical overlay construction to the simulator's
         assert set(swarm.peers) == set(swarm.manager.nodes)
         assert swarm.manager.source_id in swarm.peers
+
+
+#: A joiner's first period opens at once, half a period after the boundary
+#: it joins at, and that tick is reported as boundary lateness: every run
+#: with joiners dilates its schedule, on the virtual clock too.  The fix
+#: moves same-seed series, so it lands with ROADMAP item 11(b).
+JOINER_LATENESS = pytest.mark.xfail(
+    strict=True, reason="a joiner's immediate first tick counts as boundary lateness"
+)
+
+
+class TestVirtualClockNeverDilates:
+    """Callbacks take no virtual time, so a virtual run cannot overload
+    its schedule: nothing should dilate it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "static",
+            "blackout",
+            "hetero-swarm",
+            pytest.param("paper-dynamic", marks=JOINER_LATENESS),
+            pytest.param("flash-crowd", marks=JOINER_LATENESS),
+            pytest.param("diurnal", marks=JOINER_LATENESS),
+        ],
+    )
+    def test_no_dilation(self, name):
+        spec = builtin_scenario(name).scaled(num_nodes=40, rounds=10)
+        assert run(spec, clock="virtual").clock_dilations == 0
 
 
 class TestHandlerFailuresAreLoud:
