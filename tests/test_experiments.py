@@ -238,6 +238,10 @@ class TestRunnerCli:
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH = REPO / "benchmarks" / "test_bench_figures.py"
+#: The printed output of every figure row at toy sizes (the CI figures smoke).
+FIGURES_GOLDEN = Path(__file__).parent / "data" / "figures_small.txt"
+FIGURES_SMOKE = ["all", "--nodes", "40", "--sizes", "40", "60", "--rounds", "8",
+                 "--lookups", "100"]
 
 
 def _bench_checks():
@@ -245,6 +249,18 @@ def _bench_checks():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.CHECKS
+
+
+class TestFigureGolden:
+    def test_every_figure_prints_its_pinned_output(self, capsys):
+        """Every figure row's printed table at toy sizes, byte for byte.
+
+        Re-capture ``tests/data/figures_small.txt`` only for an intended
+        behaviour change (``python -m repro.experiments.runner`` with the
+        flags of ``FIGURES_SMOKE``).
+        """
+        assert main(FIGURES_SMOKE) == 0
+        assert capsys.readouterr().out == FIGURES_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestFigureTable:
