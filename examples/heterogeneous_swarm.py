@@ -19,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import SystemConfig, playback_continuity_new, playback_continuity_old
+from repro import playback_continuity_new, playback_continuity_old
 from repro.experiments.table_theory import (
     format_theory_table,
     paper_reference_rows,
@@ -54,8 +54,7 @@ def main() -> None:
     print()
 
     # The paper's own uniform-heterogeneous environment for the theory table.
-    config = SystemConfig(num_nodes=200, rounds=30, seed=11)
-    rows = run_theory_table(config)
+    rows = run_theory_table(nodes=200, rounds=30, seed=11)
     print("Measured (200 nodes; PC_old = CoolStreaming, PC_new = ContinuStreaming):")
     print(format_theory_table(rows))
     print()

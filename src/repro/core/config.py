@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.net.churn import ChurnSchedule
+from repro.net.churn import ChurnSchedule, ConstantChurn
 from repro.streaming.segment import DEFAULT_SEGMENT_BITS
 
 
@@ -44,12 +44,9 @@ class SystemConfig:
         heterogeneous: draw per-node rates (True) or give everyone the mean.
         backup_replicas: ``k``, nodes each segment is backed up on.
         prefetch_limit: ``l``, maximum pre-fetches per node per period.
-        leave_fraction / join_fraction: churn per period (0.05 in the paper's
-            dynamic environments, 0 in static).
-        churn_schedule: optional time-varying churn profile (see
-            :mod:`repro.net.churn`); when set it drives the churn process
-            and the flat fractions above are ignored.  The scenario engine
-            fills this in for non-constant schedules.
+        churn_schedule: the per-period churn profile (see
+            :mod:`repro.net.churn`); ``None`` is a static membership, and
+            the paper's dynamic environments are ``ConstantChurn(0.05, 0.05)``.
         abrupt_leave_fraction: fraction of departures that are abrupt failures
             (no backup handover); the rest leave gracefully and hand their VoD
             backup to their counter-clockwise closest neighbour.
@@ -95,8 +92,6 @@ class SystemConfig:
     heterogeneous: bool = True
     backup_replicas: int = 4
     prefetch_limit: int = 5
-    leave_fraction: float = 0.0
-    join_fraction: float = 0.0
     churn_schedule: Optional[ChurnSchedule] = None
     abrupt_leave_fraction: float = 0.5
     segment_bits: int = DEFAULT_SEGMENT_BITS
@@ -125,11 +120,6 @@ class SystemConfig:
             raise ValueError("backup_replicas must be >= 1")
         if self.prefetch_limit < 0:
             raise ValueError("prefetch_limit must be >= 0")
-        if not (0 <= self.leave_fraction < 1) or not (0 <= self.join_fraction <= 1):
-            raise ValueError(
-                "invalid churn fractions: need 0 <= leave_fraction < 1 and "
-                "0 <= join_fraction <= 1"
-            )
         if not (0.0 <= self.abrupt_leave_fraction <= 1.0):
             raise ValueError("abrupt_leave_fraction must be in [0, 1]")
         if self.rounds < 1:
@@ -159,14 +149,8 @@ class SystemConfig:
 
     @property
     def is_dynamic(self) -> bool:
-        """True when churn is configured.
-
-        A schedule, when present, drives the churn process and the flat
-        fractions are ignored — so it alone decides.
-        """
-        if self.churn_schedule is not None:
-            return not self.churn_schedule.is_static
-        return self.leave_fraction > 0 or self.join_fraction > 0
+        """True when the churn schedule changes membership."""
+        return self.churn_schedule is not None and not self.churn_schedule.is_static
 
     @property
     def duration(self) -> float:
@@ -184,17 +168,12 @@ class SystemConfig:
 
     # ------------------------------------------------------------------ variants
     def static_variant(self) -> "SystemConfig":
-        """Copy of this config with churn (flat and scheduled) disabled."""
-        return replace(
-            self, leave_fraction=0.0, join_fraction=0.0, churn_schedule=None
-        )
+        """Copy of this config with churn disabled."""
+        return replace(self, churn_schedule=None)
 
     def dynamic_variant(self, fraction: float = 0.05) -> "SystemConfig":
         """Copy with the paper's 5 %-leave / 5 %-join churn (or ``fraction``)."""
-        return replace(
-            self, leave_fraction=fraction, join_fraction=fraction,
-            churn_schedule=None,
-        )
+        return replace(self, churn_schedule=ConstantChurn(fraction, fraction))
 
     def with_seed(self, seed: int) -> "SystemConfig":
         """Copy with a different root seed."""

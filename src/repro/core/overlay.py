@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
-from repro.dht.peer_table import NeighborEntry
+from repro.dht.peer_table import NeighborEntry, fill_fingers
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter
 from repro.membership.overhearing import OverhearingService
@@ -76,11 +76,7 @@ class OverlayManager:
             source_outbound=config.source_outbound,
         )
         self.latency: Optional[LatencyModel] = None
-        self.churn = ChurnProcess(
-            leave_fraction=config.leave_fraction,
-            join_fraction=config.join_fraction,
-            schedule=config.churn_schedule,
-        )
+        self.churn = ChurnProcess(schedule=config.churn_schedule)
         self.hop_latency_s = 0.05
         self.fetch_time_s = 0.4
         # The services call back through a weak proxy: bound methods of
@@ -248,33 +244,7 @@ class OverlayManager:
         ids = np.asarray(sorted(self.nodes), dtype=np.int64)
         rng = self.streams.get("dht-fingers")
         for node in self.nodes.values():
-            self.fill_fingers_for(node, ids, rng)
-
-    def fill_fingers_for(
-        self, node: StreamingNode, sorted_ids: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Populate ``node``'s DHT peer table from each ring-level interval."""
-        owner = node.node_id
-        for level in range(1, self.ring.bits + 1):
-            start, end = self.ring.level_interval(owner, level)
-            candidates = self._ids_in_interval(sorted_ids, start, end)
-            if candidates.size == 0:
-                continue
-            peer = int(candidates[int(rng.integers(candidates.size))])
-            if peer != owner:
-                node.peer_table.set_dht_peer(peer, self.latency_ms(owner, peer))
-
-    @staticmethod
-    def _ids_in_interval(sorted_ids: np.ndarray, start: int, end: int) -> np.ndarray:
-        if sorted_ids.size == 0 or start == end:
-            return np.empty(0, dtype=np.int64)
-        if start < end:
-            lo = np.searchsorted(sorted_ids, start, side="left")
-            hi = np.searchsorted(sorted_ids, end, side="left")
-            return sorted_ids[lo:hi]
-        lo = np.searchsorted(sorted_ids, start, side="left")
-        hi = np.searchsorted(sorted_ids, end, side="left")
-        return np.concatenate([sorted_ids[lo:], sorted_ids[:hi]])
+            fill_fingers(node.peer_table, ids, rng, self.latency_ms)
 
     # ================================================================ small helpers
     def latency_ms(self, a: int, b: int) -> float:
@@ -421,7 +391,7 @@ class OverlayManager:
         # DHT fingers for the newcomer (bootstrap + random fill).
         ids = np.asarray(alive + [ring_id], dtype=np.int64)
         ids.sort()
-        self.fill_fingers_for(node, ids, self.streams.get("dht-fingers"))
+        fill_fingers(node.peer_table, ids, self.streams.get("dht-fingers"), self.latency_ms)
         return ring_id
 
     def repair_neighbors(self) -> None:

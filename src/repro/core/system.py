@@ -236,12 +236,3 @@ class StreamingSystem:
         self.round_index += 1
         return report
 
-
-def run_comparison(
-    config: SystemConfig, systems: Sequence[str] = ("coolstreaming", "continustreaming")
-) -> Dict[str, SimulationResult]:
-    """Run both systems on the same seed/topology and return their results."""
-    results: Dict[str, SimulationResult] = {}
-    for system in systems:
-        results[system] = StreamingSystem(config, system=system).run()
-    return results

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.dht.peer_table import PeerTable
+from repro.dht.peer_table import PeerTable, fill_fingers
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter, RouteOutcome
 
@@ -114,30 +114,7 @@ class DhtNetwork:
         ids = np.asarray(self._sorted_ids, dtype=np.int64)
         if ids.size <= 1:
             return
-        owner = table.owner_id
-        for level in range(1, self.ring.bits + 1):
-            start, end = self.ring.level_interval(owner, level)
-            candidates = self._ids_in_interval(ids, start, end)
-            if candidates.size == 0:
-                continue
-            peer = int(candidates[int(self._rng.integers(candidates.size))])
-            if peer != owner:
-                table.set_dht_peer(peer, latency_ms=50.0)
-
-    def _ids_in_interval(
-        self, sorted_ids: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        """All joined ids inside the clockwise interval ``[start, end)``."""
-        if start == end:
-            return np.empty(0, dtype=np.int64)
-        if start < end:
-            lo = np.searchsorted(sorted_ids, start, side="left")
-            hi = np.searchsorted(sorted_ids, end, side="left")
-            return sorted_ids[lo:hi]
-        # Wrapping interval: [start, N) U [0, end)
-        lo = np.searchsorted(sorted_ids, start, side="left")
-        hi = np.searchsorted(sorted_ids, end, side="left")
-        return np.concatenate([sorted_ids[lo:], sorted_ids[:hi]])
+        fill_fingers(table, ids, self._rng, lambda owner, peer: 50.0)
 
     # ------------------------------------------------------------------ lookups
     def responsible_node(self, key: int) -> Optional[int]:

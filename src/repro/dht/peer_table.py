@@ -21,6 +21,8 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.dht.ring import IdRing
 
 
@@ -281,3 +283,38 @@ class PeerTable:
             + [(other.owner_id, 0.0)]
         )
         self.refresh_dht_peers_from_overheard()
+
+
+def fill_fingers(
+    table: PeerTable,
+    sorted_ids: np.ndarray,
+    rng: np.random.Generator,
+    latency_ms: Callable[[int, int], float],
+) -> None:
+    """Fill each level of ``table`` with a random id from its level interval.
+
+    ``sorted_ids`` is the joined population in ascending order; a level
+    whose interval holds no id stays empty.  ``latency_ms(owner, peer)``
+    prices each installed finger.
+    """
+    owner, ring = table.owner_id, table.ring
+    for level in range(1, ring.bits + 1):
+        start, end = ring.level_interval(owner, level)
+        candidates = _ids_in_interval(sorted_ids, start, end)
+        if candidates.size == 0:
+            continue
+        peer = int(candidates[int(rng.integers(candidates.size))])
+        if peer != owner:
+            table.set_dht_peer(peer, latency_ms(owner, peer))
+
+
+def _ids_in_interval(sorted_ids: np.ndarray, start: int, end: int) -> np.ndarray:
+    """All ids of ``sorted_ids`` inside the clockwise interval ``[start, end)``."""
+    if start == end:
+        return np.empty(0, dtype=np.int64)
+    lo = np.searchsorted(sorted_ids, start, side="left")
+    hi = np.searchsorted(sorted_ids, end, side="left")
+    if start < end:
+        return sorted_ids[lo:hi]
+    # Wrapping interval: [start, N) U [0, end)
+    return np.concatenate([sorted_ids[lo:], sorted_ids[:hi]])

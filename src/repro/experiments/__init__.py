@@ -1,7 +1,12 @@
 """Experiment harness: one module per table/figure of the paper's evaluation.
 
 Each module's ``run_*`` function takes its sizes, rounds and seed as
-plain arguments and defaults to the paper's own sweep.  The two scales a
+plain arguments and defaults to the paper's own sweep.  It names every
+simulation as a :class:`~repro.scenarios.cell.Cell` — the ``static`` or
+``paper-dynamic`` scenario, or a :class:`~repro.scenarios.spec.ScenarioSpec`
+whose ``config_overrides`` set Fig. 9's ``M`` or an ablated parameter — and
+runs it with :func:`~repro.scenarios.cell.run_cell`, the runner campaigns,
+parity and the quality matrix use too.  The two scales a
 figure runs at, ``small`` (laptop-sized) and ``paper``, are its row of
 :data:`repro.experiments.figures.FIGURES`.  The CLI's figure commands and
 ``benchmarks/test_bench_figures.py`` both run that table; the benchmark

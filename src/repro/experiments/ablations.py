@@ -8,19 +8,24 @@ baseline:
 * the number of backup replicas ``k`` (the analytic per-segment pre-fetch
   failure probability is ``(½)^k``);
 * the per-period pre-fetch cap ``l``;
-* whole pipeline phases — the ``pipeline=`` hook removes (or replaces) a
+* whole pipeline phases — the ``pipeline=`` hook removes a
   :class:`~repro.core.phases.base.Phase` structurally instead of tuning its
-  parameters to zero (:func:`run_phase_ablation`).
+  parameters to zero.
+
+Each row names a scenario and a system, like a
+:class:`~repro.scenarios.cell.Cell`; the tuned rows override one config
+field of the static scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.core.config import SystemConfig
 from repro.core.phases import Phase, ProtocolRegistry
 from repro.core.system import StreamingSystem
+from repro.scenarios.cell import Cell, run_cell
+from repro.scenarios.spec import ScenarioSpec, load_scenarios
 
 
 @dataclass(frozen=True)
@@ -33,19 +38,46 @@ class AblationPoint:
     control_overhead: float
 
 
-def _run(
-    name: str,
-    config: SystemConfig,
-    system: str,
-    pipeline: Optional[Sequence[Phase]] = None,
-) -> AblationPoint:
-    run = StreamingSystem(config, system=system, pipeline=pipeline).run()
-    return AblationPoint(
-        name=name,
-        stable_continuity=run.stable_continuity(),
-        prefetch_overhead=run.prefetch_overhead(),
-        control_overhead=run.control_overhead(),
-    )
+def _tuned(name: str, value: int) -> ScenarioSpec:
+    """The static scenario with config field ``name`` set to ``value``."""
+    return ScenarioSpec(f"static {name}={value}", config_overrides={name: value})
+
+
+#: One ablation row: its label, the scenario it runs, the system it runs,
+#: and the phases removed from that system's pipeline.
+Row = Tuple[str, Union[str, ScenarioSpec], str, Tuple[str, ...]]
+
+#: Every ablation sweep, keyed by section title.
+SECTIONS: Dict[str, Tuple[Row, ...]] = {
+    # Scheduling policy: the CoolStreaming baseline, ContinuStreaming with
+    # its pre-fetch disabled (scheduler-only effect), the full system.
+    "priority / pre-fetch": (
+        ("coolstreaming (rarest-first)", "static", "coolstreaming", ()),
+        ("continustreaming scheduler only (no pre-fetch)", _tuned("prefetch_limit", 0),
+         "continustreaming", ()),
+        ("continustreaming full", "static", "continustreaming", ()),
+    ),
+    "backup replicas k": tuple(
+        (f"k={k}", _tuned("backup_replicas", k), "continustreaming", ())
+        for k in (1, 2, 4)
+    ),
+    "pre-fetch cap l": tuple(
+        (f"l={limit}", _tuned("prefetch_limit", limit), "continustreaming", ())
+        for limit in (0, 5, 10)
+    ),
+    # Unlike ``l=0`` (which still runs the prediction machinery), these
+    # remove whole phases from the round pipeline: first the on-demand
+    # retrieval (predictions are made but never acted on), then the
+    # urgent-line prediction as well (pure gossip with ContinuStreaming's
+    # scheduler).
+    "pipeline phases": (
+        ("full pipeline", "static", "continustreaming", ()),
+        ("no on-demand retrieval phase", "static", "continustreaming",
+         ("on-demand-retrieval",)),
+        ("no prediction, no retrieval", "static", "continustreaming",
+         ("urgent-line-prediction", "on-demand-retrieval")),
+    ),
+}
 
 
 def _pipeline_without(system: str, *phase_names: str) -> List[Phase]:
@@ -65,89 +97,37 @@ def _pipeline_without(system: str, *phase_names: str) -> List[Phase]:
     return [phase for phase in default if phase.name not in phase_names]
 
 
-def run_phase_ablation(
-    base_config: Optional[SystemConfig] = None,
-) -> List[AblationPoint]:
-    """Structural pipeline ablation via the ``pipeline=`` hook.
-
-    Unlike :func:`run_prefetch_limit_ablation` (which tunes ``l`` to zero but
-    still runs the prediction machinery), this removes whole phases from the
-    round pipeline: first the on-demand retrieval (predictions are made but
-    never acted on), then the urgent-line prediction as well (pure gossip
-    with ContinuStreaming's scheduler).
-    """
-    config = base_config or SystemConfig(num_nodes=200, rounds=30)
-    return [
-        _run("full pipeline", config, "continustreaming"),
-        _run(
-            "no on-demand retrieval phase",
-            config,
-            "continustreaming",
-            pipeline=_pipeline_without("continustreaming", "on-demand-retrieval"),
-        ),
-        _run(
-            "no prediction, no retrieval",
-            config,
-            "continustreaming",
-            pipeline=_pipeline_without(
-                "continustreaming", "urgent-line-prediction", "on-demand-retrieval"
-            ),
-        ),
-    ]
+def _point(row: Row, nodes: int, rounds: int, seed: int) -> AblationPoint:
+    name, scenario, system, removed = row
+    if removed:
+        # A cell names a protocol, not a pipeline: a structural ablation
+        # runs the scenario's config through the ``pipeline=`` hook.
+        (spec,) = load_scenarios([scenario])
+        spec = spec.scaled(nodes, rounds, seed)
+        pipeline = _pipeline_without(system, *removed)
+        run = StreamingSystem(spec.to_config(), system=system, pipeline=pipeline).run()
+        metrics = {
+            "stable_continuity": run.stable_continuity(),
+            "prefetch_overhead": run.prefetch_overhead(),
+            "control_overhead": run.control_overhead(),
+        }
+    else:
+        metrics = run_cell(Cell(scenario, "sim", nodes, rounds, system, seed)).metrics
+    return AblationPoint(
+        name=name,
+        stable_continuity=metrics["stable_continuity"],
+        prefetch_overhead=metrics["prefetch_overhead"],
+        control_overhead=metrics["control_overhead"],
+    )
 
 
-def run_priority_ablation(
-    base_config: Optional[SystemConfig] = None,
-) -> List[AblationPoint]:
-    """Scheduling-policy ablation.
-
-    Compares the CoolStreaming baseline, ContinuStreaming with its pre-fetch
-    disabled (scheduler-only effect) and the full ContinuStreaming system, on
-    the same topology/seed.
-    """
-    config = base_config or SystemConfig(num_nodes=200, rounds=30)
-    return [
-        _run("coolstreaming (rarest-first)", config, "coolstreaming"),
-        _run(
-            "continustreaming scheduler only (no pre-fetch)",
-            replace(config, prefetch_limit=0),
-            "continustreaming",
-        ),
-        _run("continustreaming full", config, "continustreaming"),
-    ]
-
-
-def run_replica_ablation(
-    replica_counts: Sequence[int] = (1, 2, 4, 8),
-    base_config: Optional[SystemConfig] = None,
-) -> List[AblationPoint]:
-    """Backup-replica ablation: ``k`` vs continuity and overhead."""
-    config = base_config or SystemConfig(num_nodes=200, rounds=30)
-    return [
-        _run(f"k={k}", replace(config, backup_replicas=k), "continustreaming")
-        for k in replica_counts
-    ]
-
-
-def run_prefetch_limit_ablation(
-    limits: Sequence[int] = (0, 2, 5, 10),
-    base_config: Optional[SystemConfig] = None,
-) -> List[AblationPoint]:
-    """Pre-fetch cap ablation: ``l`` vs continuity and overhead."""
-    config = base_config or SystemConfig(num_nodes=200, rounds=30)
-    return [
-        _run(f"l={limit}", replace(config, prefetch_limit=limit), "continustreaming")
-        for limit in limits
-    ]
-
-
-def run_ablations(base_config: SystemConfig) -> Dict[str, List[AblationPoint]]:
-    """Every ablation sweep on one configuration, keyed by section title."""
+def run_ablations(
+    nodes: int = 200, rounds: int = 30, seed: int = 0
+) -> Dict[str, List[AblationPoint]]:
+    """Every ablation sweep of :data:`SECTIONS` at ``nodes`` × ``rounds``."""
     return {
-        "priority / pre-fetch": run_priority_ablation(base_config),
-        "backup replicas k": run_replica_ablation((1, 2, 4), base_config),
-        "pre-fetch cap l": run_prefetch_limit_ablation((0, 5, 10), base_config),
-        "pipeline phases": run_phase_ablation(base_config),
+        title: [_point(row, nodes, rounds, seed) for row in rows]
+        for title, rows in SECTIONS.items()
     }
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import stable_phase_mean
-from repro.core.config import SystemConfig
-from repro.core.system import StreamingSystem
+from repro.core.system import SimulationResult
+from repro.scenarios.cell import Cell, run_cell
 
 #: Overlay sizes of the paper's Figure 11 sweep.
 PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
@@ -44,19 +44,24 @@ class PrefetchTrack:
     stable_overhead: float
 
 
+def _continustreaming(
+    num_nodes: int, rounds: int, dynamic: bool, seed: int
+) -> SimulationResult:
+    """ContinuStreaming's run of one environment."""
+    scenario = "paper-dynamic" if dynamic else "static"
+    cell = Cell(scenario, "sim", num_nodes, rounds, "continustreaming", seed)
+    return run_cell(cell).result
+
+
 def run_prefetch_overhead_track(
     num_nodes: int = 1000,
     rounds: int = 30,
     seed: int = 0,
-    base_config: Optional[SystemConfig] = None,
 ) -> Dict[str, PrefetchTrack]:
     """Reproduce Figure 10: the static and dynamic per-round tracks."""
     results: Dict[str, PrefetchTrack] = {}
     for label, dynamic in (("static", False), ("dynamic", True)):
-        config = (base_config or SystemConfig(num_nodes=num_nodes, rounds=rounds,
-                                              seed=seed)).scaled(num_nodes, rounds)
-        config = config.dynamic_variant() if dynamic else config.static_variant()
-        run = StreamingSystem(config, system="continustreaming").run()
+        run = _continustreaming(num_nodes, rounds, dynamic, seed)
         series = run.prefetch_overhead_series()
         results[label] = PrefetchTrack(
             dynamic=dynamic,
@@ -71,27 +76,20 @@ def run_prefetch_overhead_scale(
     sizes: Optional[Sequence[int]] = None,
     rounds: int = 30,
     seed: int = 0,
-    base_config: Optional[SystemConfig] = None,
 ) -> List[PrefetchOverheadPoint]:
     """Reproduce Figure 11: stable-phase pre-fetch overhead vs overlay size."""
-    sweep = list(sizes or PAPER_SIZES)
-    points: List[PrefetchOverheadPoint] = []
-    for num_nodes in sweep:
-        for dynamic in (False, True):
-            config = (base_config or SystemConfig(num_nodes=num_nodes, rounds=rounds,
-                                                  seed=seed)).scaled(num_nodes, rounds)
-            config = config.dynamic_variant() if dynamic else config.static_variant()
-            run = StreamingSystem(config, system="continustreaming").run()
-            points.append(
-                PrefetchOverheadPoint(
-                    num_nodes=num_nodes,
-                    dynamic=dynamic,
-                    prefetch_overhead=stable_phase_mean(
-                        run.prefetch_overhead_series()
-                    ),
-                )
-            )
-    return points
+    return [
+        PrefetchOverheadPoint(
+            num_nodes=num_nodes,
+            dynamic=dynamic,
+            prefetch_overhead=stable_phase_mean(
+                _continustreaming(num_nodes, rounds, dynamic, seed)
+                .prefetch_overhead_series()
+            ),
+        )
+        for num_nodes in sizes or PAPER_SIZES
+        for dynamic in (False, True)
+    ]
 
 
 def format_prefetch_track(tracks: Dict[str, PrefetchTrack]) -> str:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.config import SystemConfig
-from repro.core.system import StreamingSystem
+from repro.scenarios.cell import Cell, run_cell
 
 
 @dataclass(frozen=True)
@@ -36,36 +35,27 @@ def run_continuity_track(
     rounds: int = 30,
     dynamic: bool = False,
     seed: int = 0,
-    base_config: Optional[SystemConfig] = None,
-    stable_threshold_ratio: float = 0.95,
 ) -> Dict[str, TrackResult]:
     """Reproduce Figure 5 (``dynamic=False``) or Figure 6 (``dynamic=True``).
 
     Returns a mapping ``{"coolstreaming": ..., "continustreaming": ...}``.
-    ``time_to_stable`` is the first time the track reaches
-    ``stable_threshold_ratio`` of its stable-phase value, which is how we
-    quantify the paper's "enters its stable phase in X seconds".
+    ``time_to_stable`` is the first time the track reaches 95 % of its
+    stable-phase value, which is how we quantify the paper's "enters its
+    stable phase in X seconds".
     """
-    config = base_config or SystemConfig(num_nodes=num_nodes, rounds=rounds, seed=seed)
-    if config.num_nodes != num_nodes or config.rounds != rounds:
-        config = config.scaled(num_nodes, rounds)
-    if dynamic:
-        config = config.dynamic_variant()
-    else:
-        config = config.static_variant()
-
+    scenario = "paper-dynamic" if dynamic else "static"
     results: Dict[str, TrackResult] = {}
     for system in ("coolstreaming", "continustreaming"):
-        run = StreamingSystem(config, system=system).run()
-        stable = run.stable_continuity()
-        threshold = stable * stable_threshold_ratio
+        record = run_cell(Cell(scenario, "sim", num_nodes, rounds, system, seed))
+        stable = record.metrics["stable_continuity"]
+        tracker = record.result.tracker
         results[system] = TrackResult(
             system=system,
             dynamic=dynamic,
-            times=tuple(run.tracker.times),
-            continuity=tuple(run.tracker.continuity),
+            times=tuple(tracker.times),
+            continuity=tuple(tracker.continuity),
             stable_continuity=stable,
-            time_to_stable=run.tracker.time_to_reach(threshold),
+            time_to_stable=tracker.time_to_reach(stable * 0.95),
         )
     return results
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.config import SystemConfig
-from repro.core.system import StreamingSystem
+from repro.scenarios.cell import Cell, run_cell
 
 #: Overlay sizes of the paper's sweep.
 PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
@@ -41,23 +40,21 @@ def run_scale_sweep(
     dynamic: bool = False,
     rounds: int = 40,
     seed: int = 0,
-    base_config: Optional[SystemConfig] = None,
 ) -> List[ScalePoint]:
     """Reproduce Figure 7 (``dynamic=False``) or Figure 8 (``dynamic=True``)."""
-    sweep = list(sizes or PAPER_SIZES)
+    scenario = "paper-dynamic" if dynamic else "static"
     points: List[ScalePoint] = []
-    for num_nodes in sweep:
-        config = (base_config or SystemConfig(num_nodes=num_nodes, rounds=rounds,
-                                              seed=seed)).scaled(num_nodes, rounds)
-        config = config.dynamic_variant() if dynamic else config.static_variant()
-        cool = StreamingSystem(config, system="coolstreaming").run()
-        conti = StreamingSystem(config, system="continustreaming").run()
+    for num_nodes in sizes or PAPER_SIZES:
+        cool, conti = (
+            run_cell(Cell(scenario, "sim", num_nodes, rounds, system, seed))
+            for system in ("coolstreaming", "continustreaming")
+        )
         points.append(
             ScalePoint(
                 num_nodes=num_nodes,
                 dynamic=dynamic,
-                coolstreaming=cool.stable_continuity(),
-                continustreaming=conti.stable_continuity(),
+                coolstreaming=cool.metrics["stable_continuity"],
+                continustreaming=conti.metrics["stable_continuity"],
             )
         )
     return points

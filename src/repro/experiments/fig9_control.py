@@ -10,12 +10,12 @@ slightly above the estimate because real continuity is below 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.theory import expected_control_overhead
-from repro.core.config import SystemConfig
-from repro.core.system import StreamingSystem
+from repro.scenarios.cell import Cell, run_cell
+from repro.scenarios.spec import ScenarioSpec
 
 #: Overlay sizes of the paper's sweep.
 PAPER_SIZES: Sequence[int] = (100, 500, 1000, 2000, 4000, 8000)
@@ -39,29 +39,30 @@ def run_control_overhead(
     neighbor_counts: Optional[Sequence[int]] = None,
     rounds: int = 30,
     seed: int = 0,
-    system: str = "continustreaming",
-    base_config: Optional[SystemConfig] = None,
 ) -> List[ControlOverheadPoint]:
     """Reproduce Figure 9.
 
     The paper notes the control overhead of ContinuStreaming and
-    CoolStreaming are essentially identical (same buffer-map exchange), so a
-    single system suffices; ``system`` selects which one to run.
+    CoolStreaming are essentially identical (same buffer-map exchange), so
+    ContinuStreaming alone is run, on the static scenario with ``M``
+    connected neighbours.
     """
-    sweep = list(sizes or PAPER_SIZES)
-    neighbor_sweep = list(neighbor_counts or PAPER_NEIGHBOR_COUNTS)
     points: List[ControlOverheadPoint] = []
-    for num_nodes in sweep:
-        for num_neighbors in neighbor_sweep:
-            config = (base_config or SystemConfig(num_nodes=num_nodes, rounds=rounds,
-                                                  seed=seed)).scaled(num_nodes, rounds)
-            config = replace(config, connected_neighbors=num_neighbors)
-            run = StreamingSystem(config, system=system).run()
+    for num_nodes in sizes or PAPER_SIZES:
+        for num_neighbors in neighbor_counts or PAPER_NEIGHBOR_COUNTS:
+            scenario = ScenarioSpec(
+                f"static connected_neighbors={num_neighbors}",
+                config_overrides={"connected_neighbors": num_neighbors},
+            )
+            record = run_cell(
+                Cell(scenario, "sim", num_nodes, rounds, "continustreaming", seed)
+            )
+            config = record.result.config
             points.append(
                 ControlOverheadPoint(
                     num_nodes=num_nodes,
                     connected_neighbors=num_neighbors,
-                    control_overhead=run.control_overhead(),
+                    control_overhead=record.metrics["control_overhead"],
                     analytic_estimate=expected_control_overhead(
                         num_neighbors,
                         buffer_capacity=config.buffer_capacity,

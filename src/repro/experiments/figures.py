@@ -6,7 +6,10 @@ the module's ``format_*`` and one :class:`Params` record per scale:
 ``small``, the laptop-sized record the benchmark suite checks, and
 ``paper``, the paper's own sweep (slow; unmeasured beyond n = 1000).
 The CLI's figure commands and ``benchmarks/test_bench_figures.py`` both
-run a row as :meth:`Figure.resolve` → ``run`` → ``format``.
+run a row as :meth:`Figure.resolve` → ``run`` → ``format``; every run
+function names each simulation as a :class:`~repro.scenarios.cell.Cell`
+(``static`` or ``paper-dynamic``, or a spec with config overrides) and
+measures it with :func:`~repro.scenarios.cell.run_cell`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core.config import SystemConfig
 from repro.experiments import ablations, fig3_dht, fig5_6_track, fig7_8_scale
 from repro.experiments import fig9_control, fig10_11_prefetch, table_theory
 
@@ -31,9 +33,6 @@ class Params:
     rounds: Optional[int] = None
     lookups: Optional[int] = None
     seed: int = 0
-
-    def config(self) -> SystemConfig:
-        return SystemConfig(num_nodes=self.nodes, rounds=self.rounds, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ FIGURES: Tuple[Figure, ...] = (
     ),
     Figure(
         "table",
-        lambda p: table_theory.run_theory_table(p.config()),
+        lambda p: table_theory.run_theory_table(p.nodes, p.rounds, p.seed),
         _format_table,
         small=Params(nodes=150, rounds=30),
         paper=Params(nodes=1000, rounds=40),
@@ -132,7 +131,7 @@ FIGURES: Tuple[Figure, ...] = (
     ),
     Figure(
         "ablations",
-        lambda p: ablations.run_ablations(p.config()),
+        lambda p: ablations.run_ablations(p.nodes, p.rounds, p.seed),
         ablations.format_ablations,
         small=Params(nodes=120, rounds=25),
         paper=Params(nodes=500, rounds=40),

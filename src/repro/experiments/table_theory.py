@@ -18,15 +18,16 @@ continuity increment brought by the DHT-assisted pre-fetch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.analysis.theory import (
     playback_continuity_new,
     playback_continuity_old,
 )
-from repro.core.config import SystemConfig
-from repro.core.system import StreamingSystem
+from repro.net.churn import ConstantChurn
+from repro.scenarios.cell import Cell, run_cell
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -63,69 +64,34 @@ def theoretical_rows(
     return rows
 
 
-def simulated_row(
-    environment: str,
-    config: SystemConfig,
-) -> TheoryRow:
-    """Run both systems on one environment and report PC_old / PC_new."""
-    old = StreamingSystem(config, system="coolstreaming").run()
-    new = StreamingSystem(config, system="continustreaming").run()
-    return TheoryRow(
-        environment=environment,
-        pc_old=old.stable_continuity(),
-        pc_new=new.stable_continuity(),
+#: The simulated environments: uniform or drawn bandwidth, static or the
+#: paper's 5 %-out / 5 %-in churn.
+ENVIRONMENTS = tuple(
+    ScenarioSpec(
+        f"{bandwidth} {churn}",
+        churn=ConstantChurn(0.05, 0.05) if churn == "dynamic" else None,
+        config_overrides={"heterogeneous": bandwidth == "heterogeneous"},
     )
+    for bandwidth in ("homogeneous", "heterogeneous")
+    for churn in ("static", "dynamic")
+)
 
 
-def run_theory_table(
-    base_config: Optional[SystemConfig] = None,
-    include_theory: bool = True,
-    churn_fraction: float = 0.05,
-) -> List[TheoryRow]:
-    """Reproduce the Section 5.1 table.
-
-    Args:
-        base_config: configuration of the simulated rows; defaults to 1000
-            nodes with the paper's parameters (pass a smaller ``num_nodes``
-            for a quick run).
-        include_theory: include the analytic λ = 15 / λ = 14 rows.
-        churn_fraction: per-round churn of the dynamic environments.
-    """
-    config = base_config or SystemConfig(num_nodes=1000, rounds=40)
-    rows: List[TheoryRow] = []
-    if include_theory:
-        rows.extend(
-            theoretical_rows(
-                playback_rate=config.playback_rate,
-                period=config.scheduling_period,
-                replicas=config.backup_replicas,
-                arrival_rates=(config.mean_inbound, config.mean_inbound - 1.0),
-            )
+def run_theory_table(nodes: int = 1000, rounds: int = 40, seed: int = 0) -> List[TheoryRow]:
+    """Reproduce the Section 5.1 table: the analytic λ = 15 / λ = 14 rows,
+    then each of :data:`ENVIRONMENTS` run at ``nodes`` × ``rounds`` with
+    CoolStreaming as ``PC_old`` and ContinuStreaming as ``PC_new``."""
+    rows = theoretical_rows()
+    for scenario in ENVIRONMENTS:
+        old, new = (
+            run_cell(Cell(scenario, "sim", nodes, rounds, system, seed))
+            for system in ("coolstreaming", "continustreaming")
         )
-    environments = [
-        ("homogeneous static", replace(config, heterogeneous=False)),
-        (
-            "homogeneous dynamic",
-            replace(
-                config,
-                heterogeneous=False,
-                leave_fraction=churn_fraction,
-                join_fraction=churn_fraction,
-            ),
-        ),
-        ("heterogeneous static", replace(config, heterogeneous=True)),
-        (
-            "heterogeneous dynamic",
-            replace(
-                config,
-                heterogeneous=True,
-                leave_fraction=churn_fraction,
-                join_fraction=churn_fraction,
-            ),
-        ),
-    ]
-    for name, env_config in environments:
-        rows.append(simulated_row(name, env_config))
+        rows.append(TheoryRow(
+            environment=scenario.name,
+            pc_old=old.metrics["stable_continuity"],
+            pc_new=new.metrics["stable_continuity"],
+        ))
     return rows
 
 

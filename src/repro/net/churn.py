@@ -314,43 +314,24 @@ class ChurnProcess:
     """Generates per-round join/leave decisions.
 
     Attributes:
-        leave_fraction: fraction of current (non-protected) nodes leaving per
-            round (paper: 0.05 in the dynamic environment, 0.0 in static).
-        join_fraction: fraction (of the current population) of new nodes
-            joining per round.
         protected: node ids that never leave (the media source).  Every
             protected id must be part of the population handed to
             :meth:`step`; a mismatch is reported as an error rather than
             silently shrinking the protected set.
         next_node_id: id to assign to the next joining node.
-        schedule: optional time-varying profile overriding the flat
-            fractions; the flat pair is equivalent to
-            ``ConstantChurn(leave_fraction, join_fraction)``.
+        schedule: the per-round (leave, join) fractions: the leaving share
+            of the current non-protected nodes and the joining share of the
+            current population.  ``None`` never changes membership.
     """
 
-    leave_fraction: float = 0.0
-    join_fraction: float = 0.0
     protected: Set[int] = field(default_factory=set)
     next_node_id: int = 0
     schedule: Optional[ChurnSchedule] = None
 
-    def __post_init__(self) -> None:
-        _check_fraction("leave_fraction", self.leave_fraction, upper_exclusive=True)
-        # Join is capped at 1.0 — at most a population doubling per round.
-        _check_fraction("join_fraction", self.join_fraction)
-
     @property
     def is_static(self) -> bool:
         """True when the process never changes membership."""
-        if self.schedule is not None:
-            return self.schedule.is_static
-        return self.leave_fraction == 0.0 and self.join_fraction == 0.0
-
-    def fractions_for(self, round_index: int) -> Tuple[float, float]:
-        """The (leave, join) fractions in force during ``round_index``."""
-        if self.schedule is not None:
-            return self.schedule.fractions(round_index)
-        return (self.leave_fraction, self.join_fraction)
+        return self.schedule is None or self.schedule.is_static
 
     def reserve_ids(self, existing_ids: Iterable[int]) -> None:
         """Make sure newly assigned ids never collide with existing ones."""
@@ -384,7 +365,7 @@ class ChurnProcess:
                 f"wired to a different overlay than the one it protects"
             )
 
-        leave_fraction, join_fraction = self.fractions_for(round_index)
+        leave_fraction, join_fraction = self.schedule.fractions(round_index)
         candidates = [n for n in current_nodes if n not in self.protected]
         n_leave = int(round(leave_fraction * len(current_nodes)))
         n_leave = min(n_leave, len(candidates))

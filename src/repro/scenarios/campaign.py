@@ -50,9 +50,9 @@ def cell_seed_for(seed: int, scenario: str, num_nodes: int) -> int:
     systems (or the simulator and the live runtime) sweeping the same
     (seed, scenario, node count) share a root seed and therefore see the
     same topology, bandwidth assignment and churn schedule — the paired
-    A/B methodology the rest of the repo uses (see ``run_comparison``), so
-    continuity deltas isolate the protocol (or engine) rather than
-    topology variance.
+    A/B methodology the figures use too (both systems run one scenario
+    from one seed), so continuity deltas isolate the protocol (or engine)
+    rather than topology variance.
     """
     return derive_seed(seed, f"campaign/{scenario}/n{num_nodes}")
 

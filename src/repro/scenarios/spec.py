@@ -31,15 +31,14 @@ from repro.core.config import SystemConfig
 from repro.core.phases import Phase, ProtocolRegistry
 from repro.core.system import SimulationResult, StreamingSystem
 from repro.net.bandwidth import BandwidthClass, ClassMixBandwidthModel
-from repro.net.churn import ChurnSchedule, ConstantChurn, schedule_from_dict
+from repro.net.churn import ChurnSchedule, schedule_from_dict
 from repro.scenarios.phases import LossyNetworkPhase
 
 #: ``SystemConfig`` fields the spec's own fields control; allowing them in
 #: ``config_overrides`` too would let :meth:`ScenarioSpec.to_config`
 #: silently overwrite a user's value.
 _RESERVED_OVERRIDE_KEYS = frozenset(
-    {"num_nodes", "rounds", "seed", "leave_fraction", "join_fraction",
-     "churn_schedule", "hop_latency_ms"}
+    {"num_nodes", "rounds", "seed", "churn_schedule", "hop_latency_ms"}
 )
 
 #: ``SystemConfig`` bandwidth fields that a ``bandwidth_classes`` mix
@@ -141,23 +140,16 @@ class ScenarioSpec:
     def to_config(self) -> SystemConfig:
         """The :class:`~repro.core.config.SystemConfig` this spec describes.
 
-        A :class:`~repro.net.churn.ConstantChurn` schedule maps onto the
-        config's flat ``leave_fraction``/``join_fraction`` (it *is* the flat
-        kind); every other schedule rides along as
-        ``SystemConfig.churn_schedule``, which the overlay's churn process
-        consults per round and ``config.is_dynamic`` accounts for.
+        The churn schedule rides along as ``SystemConfig.churn_schedule``,
+        which the overlay's churn process consults per round.
         """
         kwargs: Dict[str, Any] = dict(self.config_overrides)
         kwargs.update(
             num_nodes=self.num_nodes,
             rounds=self.rounds,
             seed=self.seed,
+            churn_schedule=self.churn,
         )
-        if isinstance(self.churn, ConstantChurn):
-            leave, join = self.churn.fractions(0)
-            kwargs.update(leave_fraction=leave, join_fraction=join)
-        elif self.churn is not None:
-            kwargs["churn_schedule"] = self.churn
         if self.hop_latency_ms is not None:
             kwargs["hop_latency_ms"] = self.hop_latency_ms
         try:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.config import PAPER_DEFAULTS, SystemConfig
+from repro.net.churn import ConstantChurn
 
 
 class TestDefaults:
@@ -41,7 +42,7 @@ class TestDefaults:
 
     def test_is_dynamic(self):
         assert not PAPER_DEFAULTS.is_dynamic
-        assert SystemConfig(num_nodes=10, leave_fraction=0.05).is_dynamic
+        assert SystemConfig(num_nodes=10, churn_schedule=ConstantChurn(0.05)).is_dynamic
 
 
 class TestValidation:
@@ -63,7 +64,7 @@ class TestValidation:
 
     def test_churn_bounds(self):
         with pytest.raises(ValueError):
-            SystemConfig(num_nodes=10, leave_fraction=1.0)
+            SystemConfig(num_nodes=10, churn_schedule=ConstantChurn(leave_fraction=1.0))
         with pytest.raises(ValueError):
             SystemConfig(num_nodes=10, abrupt_leave_fraction=1.5)
 
@@ -96,11 +97,14 @@ class TestDerivedFormulas:
 
 class TestVariants:
     def test_static_and_dynamic_variants(self):
-        cfg = SystemConfig(num_nodes=50, leave_fraction=0.05, join_fraction=0.05)
-        assert cfg.static_variant().leave_fraction == 0.0
+        cfg = SystemConfig(num_nodes=50, churn_schedule=ConstantChurn(0.05, 0.05))
+        assert cfg.static_variant().churn_schedule is None
+        assert not cfg.static_variant().is_dynamic
         dynamic = SystemConfig(num_nodes=50).dynamic_variant(0.1)
-        assert dynamic.leave_fraction == 0.1
-        assert dynamic.join_fraction == 0.1
+        assert dynamic.churn_schedule == ConstantChurn(0.1, 0.1)
+        assert SystemConfig(num_nodes=50).dynamic_variant().churn_schedule == (
+            ConstantChurn(0.05, 0.05)
+        )
 
     def test_with_seed_and_scaled(self):
         cfg = SystemConfig(num_nodes=50, rounds=10, seed=1)
@@ -112,4 +116,4 @@ class TestVariants:
     def test_variants_do_not_mutate_original(self):
         cfg = SystemConfig(num_nodes=50)
         cfg.dynamic_variant()
-        assert cfg.leave_fraction == 0.0
+        assert cfg.churn_schedule is None

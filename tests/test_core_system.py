@@ -11,8 +11,9 @@ import pytest
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
 from repro.core.phases import Phase, PhaseReport, ProtocolRegistry, RoundContext
-from repro.core.system import StreamingSystem, run_comparison
+from repro.core.system import StreamingSystem
 from repro.net.message import MessageKind
+from repro.scenarios.cell import Cell, run_cell
 
 
 class TestBuild:
@@ -304,10 +305,14 @@ class TestRoundClock:
 
 class TestHeadlineComparison:
     def test_continustreaming_beats_coolstreaming_static(self, small_config):
-        results = run_comparison(small_config)
-        cool = results["coolstreaming"].stable_continuity()
-        conti = results["continustreaming"].stable_continuity()
-        assert conti > cool
+        # The paired A/B: both systems on one scenario from one seed.
+        cool, conti = (
+            run_cell(Cell("static", "sim", small_config.num_nodes, small_config.rounds,
+                          system, small_config.seed))
+            for system in ("coolstreaming", "continustreaming")
+        )
+        assert cool.result.config == conti.result.config == small_config
+        assert conti.metrics["stable_continuity"] > cool.metrics["stable_continuity"]
 
     def test_prefetch_overhead_is_small(self, small_config):
         result = StreamingSystem(small_config, system="continustreaming").run()

@@ -10,14 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import SystemConfig
-from repro.experiments.ablations import (
-    format_ablation,
-    run_phase_ablation,
-    run_prefetch_limit_ablation,
-    run_priority_ablation,
-    run_replica_ablation,
-)
+from repro.experiments.ablations import format_ablation, format_ablations, run_ablations
 from repro.experiments.fig3_dht import format_fig3, run_fig3_dht
 from repro.experiments.fig5_6_track import format_track, run_continuity_track
 from repro.experiments.fig7_8_scale import format_scale_sweep, run_scale_sweep
@@ -36,12 +29,6 @@ from repro.experiments.table_theory import (
     paper_reference_rows,
     run_theory_table,
     theoretical_rows,
-)
-
-
-SMALL = SystemConfig(
-    num_nodes=40, rounds=10, buffer_capacity=200, scheduling_window=80,
-    playback_lag_segments=40, seed=2,
 )
 
 
@@ -69,7 +56,9 @@ class TestTheoryTable:
         assert by_env["theory λ=14"].pc_new == pytest.approx(0.9975, abs=2e-3)
 
     def test_simulated_rows_present(self):
-        rows = run_theory_table(SMALL, include_theory=False)
+        rows = run_theory_table(nodes=40, rounds=10, seed=2)
+        assert rows[:2] == theoretical_rows()
+        rows = rows[2:]
         assert [row.environment for row in rows] == [
             "homogeneous static",
             "homogeneous dynamic",
@@ -88,27 +77,25 @@ class TestTheoryTable:
 
 class TestTracks:
     def test_static_track(self):
-        results = run_continuity_track(num_nodes=40, rounds=10, seed=2,
-                                       base_config=SMALL)
+        results = run_continuity_track(num_nodes=40, rounds=10, seed=2)
         assert set(results) == {"coolstreaming", "continustreaming"}
         for result in results.values():
             assert len(result.continuity) == 10
             assert not result.dynamic
 
     def test_dynamic_track_flag(self):
-        results = run_continuity_track(num_nodes=40, rounds=8, dynamic=True,
-                                       base_config=SMALL)
+        results = run_continuity_track(num_nodes=40, rounds=8, dynamic=True, seed=2)
         assert all(result.dynamic for result in results.values())
 
     def test_formatting(self):
-        results = run_continuity_track(num_nodes=40, rounds=6, base_config=SMALL)
+        results = run_continuity_track(num_nodes=40, rounds=6, seed=2)
         text = format_track(results)
         assert "coolstreaming" in text and "track" in text
 
 
 class TestScaleSweeps:
     def test_scale_sweep_points(self):
-        points = run_scale_sweep(sizes=[40, 60], rounds=10, base_config=SMALL)
+        points = run_scale_sweep(sizes=[40, 60], rounds=10, seed=2)
         assert [point.num_nodes for point in points] == [40, 60]
         for point in points:
             assert 0.0 <= point.coolstreaming <= 1.0
@@ -118,21 +105,19 @@ class TestScaleSweeps:
             )
 
     def test_formatting(self):
-        points = run_scale_sweep(sizes=[40], rounds=8, base_config=SMALL)
+        points = run_scale_sweep(sizes=[40], rounds=8, seed=2)
         assert "ContinuStreaming" in format_scale_sweep(points)
 
 
 class TestOverheadExperiments:
     def test_control_overhead_points(self):
-        points = run_control_overhead(
-            sizes=[40], neighbor_counts=[4, 5], rounds=8, base_config=SMALL
-        )
+        points = run_control_overhead(sizes=[40], neighbor_counts=[4, 5], rounds=8, seed=2)
         assert len(points) == 2
         for point in points:
             assert point.control_overhead > 0
             # The analytic estimate uses the configured buffer size: with the
-            # test config's 200-slot buffer a map costs 220 bits per neighbour.
-            expected = 220 * point.connected_neighbors / (30 * 1024 * 10)
+            # default 600-slot buffer a map costs 620 bits per neighbour.
+            expected = 620 * point.connected_neighbors / (30 * 1024 * 10)
             assert point.analytic_estimate == pytest.approx(expected, rel=0.01)
             # Measured overhead is the same order of magnitude as the estimate
             # (it exceeds it when continuity is below 1.0, as the paper notes).
@@ -141,12 +126,11 @@ class TestOverheadExperiments:
         assert points[1].control_overhead > points[0].control_overhead
 
     def test_control_overhead_formatting(self):
-        points = run_control_overhead(sizes=[40], neighbor_counts=[5], rounds=6,
-                                      base_config=SMALL)
+        points = run_control_overhead(sizes=[40], neighbor_counts=[5], rounds=6, seed=2)
         assert "control overhead" in format_control_overhead(points)
 
     def test_prefetch_track(self):
-        tracks = run_prefetch_overhead_track(num_nodes=40, rounds=10, base_config=SMALL)
+        tracks = run_prefetch_overhead_track(num_nodes=40, rounds=10, seed=2)
         assert set(tracks) == {"static", "dynamic"}
         for track in tracks.values():
             assert len(track.overhead) == 10
@@ -156,29 +140,40 @@ class TestOverheadExperiments:
         assert text.splitlines()[3].startswith("  track: [")
 
     def test_prefetch_scale(self):
-        points = run_prefetch_overhead_scale(sizes=[40], rounds=8, base_config=SMALL)
+        points = run_prefetch_overhead_scale(sizes=[40], rounds=8, seed=2)
         assert len(points) == 2  # static + dynamic
         assert {point.dynamic for point in points} == {False, True}
         assert "pre-fetch overhead" in format_prefetch_scale(points)
 
 
+@pytest.fixture(scope="module")
+def ablations():
+    return run_ablations(nodes=40, rounds=10, seed=2)
+
+
 class TestAblations:
-    def test_priority_ablation_rows(self):
-        points = run_priority_ablation(SMALL)
+    def test_sections_in_order(self, ablations):
+        assert list(ablations) == [
+            "priority / pre-fetch", "backup replicas k", "pre-fetch cap l", "pipeline phases",
+        ]
+
+    def test_priority_ablation_rows(self, ablations):
+        points = ablations["priority / pre-fetch"]
         assert len(points) == 3
         assert points[0].name.startswith("coolstreaming")
         assert all(0.0 <= p.stable_continuity <= 1.0 for p in points)
 
-    def test_replica_ablation(self):
-        points = run_replica_ablation(replica_counts=(1, 4), base_config=SMALL)
-        assert [point.name for point in points] == ["k=1", "k=4"]
+    def test_replica_ablation(self, ablations):
+        points = ablations["backup replicas k"]
+        assert [point.name for point in points] == ["k=1", "k=2", "k=4"]
 
-    def test_prefetch_limit_ablation(self):
-        points = run_prefetch_limit_ablation(limits=(0, 5), base_config=SMALL)
+    def test_prefetch_limit_ablation(self, ablations):
+        points = ablations["pre-fetch cap l"]
+        assert points[0].name == "l=0"
         assert points[0].prefetch_overhead == 0.0
 
-    def test_phase_ablation_switches_off_prefetch_traffic(self):
-        points = run_phase_ablation(SMALL)
+    def test_phase_ablation_switches_off_prefetch_traffic(self, ablations):
+        points = ablations["pipeline phases"]
         assert [point.name for point in points] == [
             "full pipeline",
             "no on-demand retrieval phase",
@@ -194,9 +189,9 @@ class TestAblations:
         with pytest.raises(ValueError, match="cannot ablate"):
             _pipeline_without("continustreaming", "ondemand-retrieval")  # typo
 
-    def test_formatting(self):
-        text = format_ablation(run_replica_ablation(replica_counts=(1,), base_config=SMALL))
-        assert "k=1" in text
+    def test_formatting(self, ablations):
+        assert "k=1" in format_ablation(ablations["backup replicas k"])
+        assert format_ablations(ablations).startswith("== priority / pre-fetch ==\n")
 
 
 class TestRunnerCli:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.net.bandwidth import BandwidthModel, NodeBandwidth
-from repro.net.churn import ChurnEvent, ChurnProcess
+from repro.net.churn import ChurnEvent, ChurnProcess, ConstantChurn
 from repro.net.latency import LatencyModel
 from repro.net.message import (
     MessageKind,
@@ -225,18 +225,19 @@ class TestChurnProcess:
 
     def test_invalid_fractions(self):
         with pytest.raises(ValueError):
-            ChurnProcess(leave_fraction=1.0)
+            ChurnProcess(schedule=ConstantChurn(leave_fraction=1.0))
         with pytest.raises(ValueError):
-            ChurnProcess(join_fraction=-0.1)
+            ChurnProcess(schedule=ConstantChurn(join_fraction=-0.1))
 
     def test_join_fraction_upper_bound(self):
         with pytest.raises(ValueError, match="join_fraction"):
-            ChurnProcess(join_fraction=1.5)
+            ChurnProcess(schedule=ConstantChurn(join_fraction=1.5))
         # Exactly a population doubling per round is the permitted maximum.
-        assert ChurnProcess(join_fraction=1.0).join_fraction == 1.0
+        churn = ChurnProcess(schedule=ConstantChurn(join_fraction=1.0))
+        assert churn.schedule.fractions(0) == (0.0, 1.0)
 
     def test_protected_population_mismatch_rejected(self, rng):
-        churn = ChurnProcess(leave_fraction=0.1, protected={99})
+        churn = ChurnProcess(schedule=ConstantChurn(0.1), protected={99})
         with pytest.raises(ValueError, match="protected node ids \\[99\\]"):
             churn.step(0, [0, 1, 2, 3], rng)
 
@@ -247,20 +248,20 @@ class TestChurnProcess:
         assert churn.step(0, [0, 1, 2], rng).is_empty
 
     def test_leave_and_join_counts(self, rng):
-        churn = ChurnProcess(leave_fraction=0.1, join_fraction=0.1, next_node_id=1000)
+        churn = ChurnProcess(schedule=ConstantChurn(0.1, 0.1), next_node_id=1000)
         event = churn.step(0, list(range(100)), rng)
         assert len(event.leaving) == 10
         assert len(event.joining) == 10
         assert all(node >= 1000 for node in event.joining)
 
     def test_protected_nodes_never_leave(self, rng):
-        churn = ChurnProcess(leave_fraction=0.5, protected={0})
+        churn = ChurnProcess(schedule=ConstantChurn(0.5), protected={0})
         for _ in range(20):
             event = churn.step(0, [0, 1, 2, 3], rng)
             assert 0 not in event.leaving
 
     def test_join_ids_are_unique_across_rounds(self, rng):
-        churn = ChurnProcess(leave_fraction=0.05, join_fraction=0.05, next_node_id=50)
+        churn = ChurnProcess(schedule=ConstantChurn(0.05, 0.05), next_node_id=50)
         seen = set()
         for round_index in range(10):
             event = churn.step(round_index, list(range(40)), rng)
@@ -269,7 +270,7 @@ class TestChurnProcess:
                 seen.add(node)
 
     def test_reserve_ids(self, rng):
-        churn = ChurnProcess(join_fraction=0.5)
+        churn = ChurnProcess(schedule=ConstantChurn(join_fraction=0.5))
         churn.reserve_ids([5, 90, 12])
         event = churn.step(0, list(range(10)), rng)
         assert all(node >= 91 for node in event.joining)

@@ -325,15 +325,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="at least one class"):
             ScenarioSpec(name="x", bandwidth_classes=())
 
-    def test_static_schedule_with_flat_fractions_reports_static(self):
+    def test_static_schedule_reports_static(self):
         from repro.core.config import SystemConfig
 
-        config = SystemConfig(
-            num_nodes=10, leave_fraction=0.05, churn_schedule=ConstantChurn()
-        )
-        # The schedule drives churn and overrides the flat fractions, so it
-        # alone decides the environment label.
-        assert not config.is_dynamic
+        # A schedule that never changes membership is a static environment.
+        assert not SystemConfig(num_nodes=10, churn_schedule=ConstantChurn()).is_dynamic
 
     def test_misspelled_bandwidth_class_field_raises_value_error(self):
         with pytest.raises(ValueError, match="invalid bandwidth class"):
@@ -369,8 +365,14 @@ class TestScenarioSpec:
         # config_overrides would be silently overwritten by to_config.
         with pytest.raises(ValueError, match="num_nodes"):
             ScenarioSpec(name="x", config_overrides={"num_nodes": 500})
-        with pytest.raises(ValueError, match="leave_fraction"):
-            ScenarioSpec(name="x", config_overrides={"leave_fraction": 0.05})
+        with pytest.raises(ValueError, match="churn_schedule"):
+            ScenarioSpec(
+                name="x", config_overrides={"churn_schedule": ConstantChurn(0.05, 0.05)}
+            )
+        # Churn has one spelling: the flat fractions are no config field.
+        spec = ScenarioSpec(name="x", config_overrides={"leave_fraction": 0.05})
+        with pytest.raises(ValueError, match="invalid config_overrides"):
+            spec.to_config()
 
     def test_bandwidth_overrides_rejected_with_class_mix(self):
         # A class mix replaces the uniform draw, so uniform-bandwidth
@@ -393,19 +395,18 @@ class TestScenarioSpec:
         by_round = {rep.round_index: rep for rep in result.rounds}
         assert by_round[10].nodes_left >= 9  # 30% of 30
 
-    def test_constant_churn_maps_to_config_fractions(self):
-        spec = builtin_scenario("paper-dynamic")
-        config = spec.to_config()
-        assert config.leave_fraction == 0.05
-        assert config.join_fraction == 0.05
+    def test_constant_churn_rides_as_the_config_schedule(self):
+        config = builtin_scenario("paper-dynamic").to_config()
+        assert config.churn_schedule == ConstantChurn(0.05, 0.05)
+        assert config.is_dynamic
+        assert config == config.static_variant().dynamic_variant()
 
     def test_scheduled_churn_attached_to_process(self):
         spec = builtin_scenario("blackout").scaled(**TINY)
         system = spec.build_system()
         assert system.manager.churn.schedule is not None
         assert not system.manager.churn.is_static
-        # A schedule-driven run must report as dynamic even though the flat
-        # config fractions stay zero.
+        # A schedule-driven run reports as dynamic.
         assert system.config.is_dynamic
         assert spec.scaled(system="coolstreaming").to_config().is_dynamic
         assert not builtin_scenario("static").to_config().is_dynamic
