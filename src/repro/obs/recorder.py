@@ -43,7 +43,6 @@ class ObsConfig:
         tracing: sample segment journeys and piggyback trace ids on wire.
         trace_sample: sample one in every N originated requests
             (``1`` traces everything; the counter is deterministic).
-        series_window: per-metric ring length, in periods.
         flight_window: flight-recorder ring length, in events.
         span_limit: per-process span cap; excess increments
             ``spans_dropped`` instead of growing without bound.
@@ -54,28 +53,20 @@ class ObsConfig:
         telemetry_every: emit one telemetry frame every N periods.
         flows: account per-link / per-shard-pair traffic in a bounded
             :class:`~repro.obs.flows.FlowMatrix` (requires ``metrics``).
-        flow_top_links: how many heaviest directed peer links to keep
-            exactly; the rest fold into an aggregate tail.
         topo: take per-period overlay snapshots (partner graph, gossip
             coverage, partition count) via
             :class:`~repro.obs.topo.TopologyObserver` (requires ``metrics``).
-        topo_coverage_periods: a partner edge counts as *covered* when
-            the partner's newest buffer map arrived within this many
-            periods.
     """
 
     metrics: bool = True
     tracing: bool = True
     trace_sample: int = 16
-    series_window: int = 512
     flight_window: int = 256
     span_limit: int = 50_000
     telemetry: bool = True
     telemetry_every: int = 1
     flows: bool = True
-    flow_top_links: int = 32
     topo: bool = True
-    topo_coverage_periods: int = 3
 
     def __post_init__(self) -> None:
         if self.trace_sample < 1:
@@ -83,14 +74,6 @@ class ObsConfig:
         if self.telemetry_every < 1:
             raise ValueError(
                 f"telemetry_every must be >= 1, got {self.telemetry_every!r}"
-            )
-        if self.flow_top_links < 1:
-            raise ValueError(
-                f"flow_top_links must be >= 1, got {self.flow_top_links!r}"
-            )
-        if self.topo_coverage_periods < 1:
-            raise ValueError(
-                f"topo_coverage_periods must be >= 1, got {self.topo_coverage_periods!r}"
             )
 
 
@@ -151,16 +134,12 @@ class ObsRecorder:
         self.enabled = config.metrics
         self.tracing = config.tracing
         self.shard = shard
-        self.metrics = MetricsRegistry(window=config.series_window)
+        self.metrics = MetricsRegistry()
         self.flows: Optional[FlowMatrix] = (
-            FlowMatrix(top_links=config.flow_top_links)
-            if config.metrics and config.flows
-            else None
+            FlowMatrix() if config.metrics and config.flows else None
         )
         self.topo: Optional[TopologyObserver] = (
-            TopologyObserver(coverage_periods=config.topo_coverage_periods)
-            if config.metrics and config.topo
-            else None
+            TopologyObserver() if config.metrics and config.topo else None
         )
         self.spans: List[Dict[str, Any]] = []
         self.spans_dropped = 0

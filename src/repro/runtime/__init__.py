@@ -1,9 +1,12 @@
-"""The live asyncio runtime: real concurrent peers over a wire protocol.
+"""The live runtime: real concurrent peers over a wire protocol.
 
 Where :mod:`repro.core.system` clocks the protocol in lock-step rounds,
 one pipeline pass per period, this package runs the same protocol logic as a
-swarm of independent asyncio tasks exchanging length-prefixed binary
-frames over in-process loopback transports:
+swarm of independent peers exchanging length-prefixed binary frames over
+in-process loopback transports, every peer a set of callbacks of the
+swarm's one delivery queue (:mod:`repro.runtime.clock`) — on the wall clock
+the queue runs on an asyncio loop, on the virtual clock the swarm drains it
+itself, deterministically and with no event loop:
 
 * :mod:`repro.runtime.wire` — the codec for the full message vocabulary
   (buffer maps, segment transfers, DHT routing/lookup, membership
@@ -26,7 +29,6 @@ sockets behind the same codec (``docs/cluster.md``); see
 ``docs/runtime.md`` for the single-process runtime.
 """
 
-from repro.runtime.clock import VirtualClockEventLoop, run_on_virtual_clock
 from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
 from repro.runtime.slim import SlimTier, default_core_peers
 from repro.runtime.swarm import (
@@ -96,7 +98,6 @@ __all__ = [
     "TransportStats",
     "TransportSummary",
     "TruncatedFrameError",
-    "VirtualClockEventLoop",
     "WireError",
     "WireKind",
     "decode",
@@ -107,5 +108,4 @@ __all__ = [
     "ledger_entry",
     "merge_results",
     "run",
-    "run_on_virtual_clock",
 ]

@@ -110,7 +110,7 @@ class LoopbackLink:
         host = self.host
         if data and host.loss_rng is not None and self._lost(src, dst):
             return
-        now = host.loop.time()
+        now = host.queue.time()
         key = (src, dst, data)
         group = self._groups.get(key)
         if group is not None and (group[1] == now or host.clock != "virtual"):
@@ -144,7 +144,7 @@ class LoopbackLink:
         else:
             messages, size = wire.decode_frame(payload), len(payload)
         land = partial(self._land, src, dst, messages, data)
-        self._post(src, dst, host.loop.time(), land, size, len(messages))
+        self._post(src, dst, host.queue.time(), land, size, len(messages))
 
     def _post(
         self, src: int, dst: int, now: float, land: Callable[[Any], None], entry: Any, count: int

@@ -19,7 +19,7 @@ life: instead of a global round barrier, each peer owns
   returns credits with :class:`~repro.runtime.wire.CreditGrant` control
   frames (batched as it consumes data, flushed at period boundaries);
 * a **period tick** (:meth:`LivePeer.tick`) that the swarm's boundary
-  timer calls once every scheduling period ``τ`` (scaled by the swarm's
+  entry calls once every scheduling period ``τ`` (scaled by the swarm's
   time factor; peers tick in a drawn order, see :meth:`~repro.runtime.
   swarm.LiveSwarm.file`) and that performs the same work the round
   pipeline's phases do for it in the simulator — playback, buffer-map
@@ -79,8 +79,8 @@ class PlaybackSample:
 
 
 class LivePeer:
-    """One overlay peer: callbacks the swarm's boundary timer and delivery
-    queue call.
+    """One overlay peer: callbacks the swarm's delivery queue calls
+    (period boundaries, phases, the drain of what landed).
 
     Args:
         node: the protocol node (built by the
@@ -163,7 +163,7 @@ class LivePeer:
     def tick(self, tick: int) -> None:
         """Period boundary ``tick``: close the previous period (unless
         ``tick`` is this peer's first) and open the next one.  The swarm's
-        boundary timer calls it (:meth:`~repro.runtime.swarm.LiveSwarm.file`)."""
+        boundary entry calls it (:meth:`~repro.runtime.swarm.LiveSwarm.file`)."""
         if tick > self.first_tick:
             self._period_end(tick - 1)
         self._period_start(tick)
@@ -609,7 +609,7 @@ class LivePeer:
     #: arrived before the mid-period scheduling pass runs.  On a healthy
     #: swarm the maps cross well before the 40% mark and the pass runs at
     #: its nominal phase; on an overloaded event loop — where all peers'
-    #: boundary timers fire spread across real time and gossip drains
+    #: boundary entries run spread across real time and gossip drains
     #: slowly — the pass defers (re-checking each :data:`RECHECK_PHASE`)
     #: until the snapshots actually arrived, instead of scheduling
     #: against last period's stale maps.  This arrival-conditioned
@@ -713,9 +713,8 @@ class LivePeer:
         self._maps_this_period = set()
         self.outbound_tokens = node.outbound_rate * cfg.scheduling_period
         self._timed("phase_gossip_s", self._gossip_buffer_map)
-        loop = self.swarm.loop
         scaled = cfg.scheduling_period * self.swarm.time_scale
-        now = loop.time()
+        now = self.swarm.queue.time()
         remaining = self.swarm.wall_deadline_of(tick + 1) - now
         self._period_span = max(min(scaled, remaining), 0.05 * scaled)
         self.swarm.queue.push(
@@ -752,7 +751,7 @@ class LivePeer:
             return
         span = self._period_span
         queue = self.swarm.queue
-        now = self.swarm.loop.time()
+        now = queue.time()
         if rechecks < self.MAX_RECHECKS and not self._map_quorum_met():
             queue.push(
                 now + self.RECHECK_PHASE * span, self._mid_period_when_ready, (tick, rechecks + 1)

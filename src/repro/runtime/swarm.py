@@ -2,9 +2,10 @@
 
 :class:`LiveSwarm` turns a declarative
 :class:`~repro.scenarios.spec.ScenarioSpec` into a running swarm of
-:class:`~repro.runtime.peer.LivePeer` callbacks — one loop timer per
-period boundary ticks every peer (:meth:`LiveSwarm.file`), and the churn
-controller is the run's one coroutine:
+:class:`~repro.runtime.peer.LivePeer` callbacks driven by the swarm's one
+:class:`~repro.runtime.clock.DeliveryQueue` — one entry per period
+boundary ticks every peer filed for it (:meth:`LiveSwarm.file`), and one
+entry per period ends it (lateness, dilation, churn):
 
 * **construction reuse** — the spec builds the exact same
   :class:`~repro.core.system.StreamingSystem` the simulator would run, so
@@ -24,7 +25,7 @@ controller is the run's one coroutine:
   implements over TCP sockets, so the swarm's peers cannot tell an
   in-process partner from a remote one (:mod:`repro.runtime.cluster`) —
   and its flush groups, like the peers' intra-period phases, are entries
-  of the swarm's one :class:`~repro.runtime.clock.DeliveryQueue`;
+  of the same queue;
 * **live churn** — the scenario's churn schedule runs against the real
   swarm: departing peers are stopped mid-flight (gracefully leaving ones
   ship their VoD backup over the wire first), joining peers are admitted
@@ -53,9 +54,9 @@ concurrency: two runs interleave differently, so results carry wall-clock
 noise — the sim-vs-live parity pairs
 (:func:`repro.scenarios.cell.parity_pair`) quantify how close the two
 stay on the paper's metrics.  On the **virtual clock**
-(``clock="virtual"``, the campaign backend) the same swarm executes as a
-deterministic timer sequence with zero wall waiting: identical spec and
-seed reproduce identical results, bit for bit.
+(``clock="virtual"``, the campaign backend) :meth:`LiveSwarm.run` drains
+the queue itself, instant by instant, with no event loop and zero wall
+waiting: identical spec and seed reproduce identical results, bit for bit.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +83,7 @@ from repro.obs import (
     TelemetryPlane,
     merge_obs,
 )
-from repro.runtime.clock import DeliveryQueue, run_on_virtual_clock
+from repro.runtime.clock import DeliveryQueue
 from repro.runtime.cluster.links import LinkConfig, LoopbackLink, SocketLink, SocketLinkStats
 from repro.runtime.peer import LivePeer
 from repro.runtime.slim import MIN_CORE_PEERS, SlimTier, default_core_peers
@@ -95,10 +97,11 @@ from repro.streaming.playback import ContinuityTracker
 #: hundred peers' worth of frames per period on one event loop.
 DEFAULT_TIME_SCALE = 0.1
 
-#: The swarm's clock sources: ``"wall"`` runs on real time (overload and
-#: throughput are physical), ``"virtual"`` on the deterministic
-#: :class:`~repro.runtime.clock.VirtualClockEventLoop` (campaigns, parity
-#: matrices and regression tests — same seed, same result, no waiting).
+#: The swarm's clock sources: ``"wall"`` runs the delivery queue on an
+#: asyncio loop's real time (overload and throughput are physical),
+#: ``"virtual"`` drains it in virtual time with no event loop (campaigns,
+#: parity matrices and regression tests — same seed, same result, no
+#: waiting).
 CLOCKS = ("wall", "virtual")
 
 #: ``"full"`` runs every peer live; ``"hybrid"`` hosts a
@@ -162,8 +165,10 @@ class RunOptions:
             window); ``None`` uses the ``TransportConfig`` defaults.
         link: TCP link knobs of a sharded run (queue bound, reconnect
             budget); ``None`` uses the ``LinkConfig`` defaults.
-        clock: ``"wall"`` (real time) or ``"virtual"`` (deterministic
-            virtual time, no wall waiting — the campaign/parity backend).
+        clock: ``"wall"`` (real time, on an asyncio loop) or
+            ``"virtual"`` (deterministic virtual time: the swarm drains its
+            delivery queue itself, with no event loop and no wall waiting —
+            the campaign/parity backend).
         obs: observability plane config; ``None`` installs the no-op
             recorder, leaves ``RuntimeResult.obs`` as ``None`` and keeps
             the run bit-identical to an uninstrumented build.
@@ -453,9 +458,10 @@ class LiveSwarm:
         #: order (their inboxes' burst callbacks append them); drained
         #: when the instant ends.
         self.landed: List[LivePeer] = []
-        #: The one queue of in-process work: every loopback flush group
-        #: and every intra-period peer phase (docs/runtime.md → *The
-        #: virtual clock's ordering contract*).
+        #: The one queue of in-process work and the swarm's clock
+        #: (``queue.time()``): every loopback flush group, intra-period
+        #: peer phase, period boundary and end-of-period step
+        #: (docs/runtime.md → *The virtual clock's ordering contract*).
         self.queue = DeliveryQueue(after=self._drain_landed)
         #: ``(peer, tick)`` pairs waiting for a period boundary, by its
         #: deadline, in filing order (see :meth:`file`).
@@ -478,18 +484,22 @@ class LiveSwarm:
         #: every shard the same agreed start instant).
         self.start_at: Optional[float] = None
         self._start_wall = 0.0
-        #: The event loop driving this swarm, bound by :meth:`run_async`
-        #: (a swarm poked by hand inside a running loop assigns it).
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        #: First exception a loop callback (a delivery-queue instant, a
-        #: period boundary) raised on the wall clock — re-raised at shutdown.
+        #: The run is over: its last period's step ran (or, on the wall
+        #: clock, a callback failed).
+        self._ended = False
+        #: What a wall-clock :meth:`run_async` awaits: resolved when the
+        #: run ends.
+        self._ending: Optional[asyncio.Future] = None
+        #: First exception a loop callback (a delivery-queue instant, the
+        #: cluster's lateness exchange) raised on the wall clock — it ends
+        #: the run and is re-raised at shutdown.
         self._callback_error: Optional[BaseException] = None
         self._built = False
         #: Coherent overload dilation: wall seconds added to every future
         #: period deadline (swarm-wide, so peers stay phase-aligned).
         self._wall_offset = 0.0
         #: Worst period-boundary lateness peers reported since the last
-        #: churn-controller boundary (the dilation signal).
+        #: end-of-period step (the dilation signal).
         self._worst_lateness = 0.0
         #: Monotonicity floor for :meth:`sim_now` across dilation steps.
         self._sim_floor = 0.0
@@ -585,7 +595,7 @@ class LiveSwarm:
     def sim_now(self) -> float:
         """Current simulated time in seconds (dilation-adjusted wall time,
         un-scaled; monotone even across dilation steps)."""
-        now = (self.loop.time() - self._start_wall - self._wall_offset) / self.time_scale
+        now = (self.queue.time() - self._start_wall - self._wall_offset) / self.time_scale
         if now > self._sim_floor:
             self._sim_floor = now
         return max(0.0, self._sim_floor)
@@ -600,18 +610,17 @@ class LiveSwarm:
 
     def file(self, peer: LivePeer, tick: int) -> None:
         """Have ``peer`` tick at period boundary ``tick``'s (current)
-        deadline: at its loop timer (:meth:`_boundary_due`), or at once,
+        deadline: at its queue entry (:meth:`_boundary_due`), or at once,
         reporting the lateness, if the deadline has passed."""
         if peer.stopped:
             return
-        loop = self.loop
         deadline = self.wall_deadline_of(tick)
-        delay = deadline - loop.time()
+        delay = deadline - self.queue.time()
         if delay > 0:
             waiters = self._boundaries.get(deadline)
             if waiters is None:
                 waiters = self._boundaries[deadline] = []
-                loop.call_at(deadline, self._boundary_due, deadline)
+                self.queue.push(deadline, self._boundary_due, deadline)
             waiters.append((peer, tick))
             return
         self.note_lateness(-delay)
@@ -623,11 +632,12 @@ class LiveSwarm:
         peer still interleaves with frame delivery."""
         peer.tick(tick)
         tick += 1
-        if self.wall_deadline_of(tick) - self.loop.time() > 0:
+        queue = self.queue
+        if self.wall_deadline_of(tick) - queue.time() > 0:
             self.file(peer, tick)
             return
         scaled = self.config.scheduling_period * self.time_scale
-        self.loop.call_later(0.05 * scaled, self.file, peer, tick)
+        queue.push(queue.time() + 0.05 * scaled, partial(self.file, peer), tick)
 
     def _boundary_due(self, deadline: float) -> None:
         """Tick the peers filed for ``deadline`` in an order drawn from
@@ -635,12 +645,12 @@ class LiveSwarm:
         stopped peer keeps its slot but is skipped, and one whose boundary
         moved under dilation re-files behind the shifted deadline's."""
         waiters = self._boundaries.pop(deadline)
-        loop = self.loop
+        clock = self.queue.time
         for index in self.system.streams.get("runtime-ticks").permutation(len(waiters)):
             peer, tick = waiters[index]
             if peer.stopped:
                 continue
-            if self.wall_deadline_of(tick) - loop.time() > 1e-9:
+            if self.wall_deadline_of(tick) - clock() > 1e-9:
                 self.file(peer, tick)
             else:
                 self._tick(peer, tick)
@@ -648,9 +658,9 @@ class LiveSwarm:
     def note_lateness(self, seconds: float) -> None:
         """A peer hit a period boundary ``seconds`` late.
 
-        The worst lateness in each controller period becomes a *coherent*
-        schedule dilation: every future deadline (all peers, the churn
-        driver, the source) shifts by the same amount, so an overloaded
+        The worst lateness in each period becomes a *coherent* schedule
+        dilation at its end-of-period step: every future deadline (all
+        peers, the steps, the source) shifts by the same amount, so an overloaded
         event loop stretches wall time uniformly instead of letting peers'
         period clocks drift apart — the drift is what used to collapse
         continuity at aggressive ``time_scale`` settings (the 200-peer
@@ -831,12 +841,13 @@ class LiveSwarm:
     def run(self) -> RuntimeResult:
         """Build, run to completion in this process and return the result.
 
-        On the ``"virtual"`` clock the run executes on a deterministic
-        virtual-time event loop — no wall waiting, bit-identical results
-        for identical specs and seeds.  ``slo`` / ``telemetry_out``
-        attach a :class:`~repro.obs.TelemetryPlane` as the telemetry
-        sink: a breached SLO aborts the run with
-        :class:`~repro.obs.SloViolation`.
+        On the ``"virtual"`` clock this drains the delivery queue itself —
+        no event loop, no wall waiting, bit-identical results for
+        identical specs and seeds, from synchronous and asynchronous
+        callers alike; on the wall clock it runs :meth:`run_async` under
+        :func:`asyncio.run`.  ``slo`` / ``telemetry_out`` attach a
+        :class:`~repro.obs.TelemetryPlane` as the telemetry sink: a
+        breached SLO aborts the run with :class:`~repro.obs.SloViolation`.
         """
         if self.num_shards > 1:
             raise ValueError(
@@ -850,9 +861,11 @@ class LiveSwarm:
                 self.rounds, 1, self.obs, slo=options.slo, telemetry_out=options.telemetry_out
             )
             self.telemetry_sink = plane.sink
-        runner = run_on_virtual_clock if self.clock == "virtual" else asyncio.run
         try:
-            partial = runner(self.run_async())
+            if self.clock == "virtual":
+                partial = self._run_virtual()
+            else:
+                partial = asyncio.run(self.run_async())
         finally:
             if plane is not None:
                 plane.close()
@@ -860,39 +873,61 @@ class LiveSwarm:
             [partial], health=None if plane is None else plane.health.snapshot()
         )
 
+    def _run_virtual(self) -> ShardResult:
+        """The virtual clock: advance to the queue's head and run that
+        instant, until the last period's step ends the run."""
+        with self._running() as wall_start:
+            queue = self.queue
+            while not self._ended:
+                queue.advance()
+        return self._collect(time.perf_counter() - wall_start)
+
     async def run_async(self) -> ShardResult:
         """Boot every hosted peer, drive churn, stop after ``rounds``
-        periods; returns this shard's partial (see :func:`merge_results`)."""
-        self.build()
-        self.loop = loop = asyncio.get_running_loop()
+        periods; returns this shard's partial (see :func:`merge_results`).
+
+        On the wall clock the queue runs on the running loop; a virtual
+        swarm drains its queue without awaiting anything."""
+        if self.clock == "virtual":
+            return self._run_virtual()
+        loop = asyncio.get_running_loop()
         self.queue.bind(loop)
+        self._ending = loop.create_future()
         # A callback that raises must fail the run, not leave one peer
-        # deaf behind a log line.  The virtual-clock loop lets it
-        # propagate out of ``run()`` by itself; the stock loop hands it
-        # to this handler (chained in front of whatever the embedding
-        # application installed), and the first one is re-raised at shutdown.
-        if self.clock != "virtual":
-            outer_handler = loop.get_exception_handler()
-            loop.set_exception_handler(partial(self._note_callback_error, outer_handler))
-        self._start_wall = loop.time() if self.start_at is None else self.start_at
+        # deaf behind a log line: this handler (chained in front of
+        # whatever the embedding application installed) ends the run at
+        # the first one, which is re-raised at shutdown.
+        outer_handler = loop.get_exception_handler()
+        loop.set_exception_handler(partial(self._note_callback_error, outer_handler))
+        try:
+            with self._running() as wall_start:
+                if self.obs.enabled:
+                    # Virtual time cannot lag, so only the wall clock probes.
+                    self._probe_lag(None)
+                await self._ending
+                if self._callback_error is not None:
+                    raise self._callback_error
+        finally:
+            loop.set_exception_handler(outer_handler)
+        return self._collect(time.perf_counter() - wall_start)
+
+    @contextmanager
+    def _running(self) -> Iterator[float]:
+        """Start the run — anchor the schedule, file every peer for
+        boundary 0, queue the first period's step — and yield the wall
+        stopwatch's start; on the way out, stop every peer, dumping the
+        flight ring first if the run failed."""
+        self.build()
+        now = self.queue.time()
+        self._start_wall = now if self.start_at is None else self.start_at
         # The wall stopwatch starts at the schedule anchor, so a shard
         # waiting out the coordinator's start margin does not count it.
-        wall_start = time.perf_counter() + max(0.0, self._start_wall - loop.time())
-        # The lag probe only makes sense on the wall clock (virtual time
-        # cannot lag), and its extra timers would perturb the virtual
-        # loop's deterministic callback order — obs-enabled virtual runs
-        # must stay identical to disabled ones.
-        probe = (
-            loop.create_task(self._obs_lag_probe())
-            if self.obs.enabled and self.clock != "virtual"
-            else None
-        )
+        wall_start = time.perf_counter() + max(0.0, self._start_wall - now)
         try:
             for peer in self.peers.values():
                 self.file(peer, 0)
-            await self._churn_loop()
-            if self._callback_error is not None:
-                raise self._callback_error
+            self._queue_step(0)
+            yield wall_start
         except SloViolation as exc:
             # The HealthEngine already recorded the breach postmortem;
             # attach this swarm's obs export so the CLI can print it.
@@ -904,17 +939,14 @@ class LiveSwarm:
             self.obs.postmortem(f"unhandled exception: {exc!r}")
             raise
         finally:
-            if probe is not None:
-                probe.cancel()
-                try:
-                    await probe
-                except asyncio.CancelledError:
-                    pass
             self._shutdown()
-            if self.clock != "virtual":
-                loop.set_exception_handler(outer_handler)
-        wall_time = time.perf_counter() - wall_start
-        return self._collect(wall_time)
+
+    def _end(self) -> None:
+        """The run is over: the virtual drain stops after this instant,
+        and a wall-clock :meth:`run_async` resumes."""
+        self._ended = True
+        if self._ending is not None and not self._ending.done():
+            self._ending.set_result(None)
 
     def _note_callback_error(
         self,
@@ -922,76 +954,100 @@ class LiveSwarm:
         loop: asyncio.AbstractEventLoop,
         context: Dict[str, Any],
     ) -> None:
-        """Loop exception handler for the run: remember the first
-        exception raised by a *callback* (asyncio tags those with their
-        ``handle``), then report it the way the loop would have."""
+        """Loop exception handler for the run: the first exception raised
+        by a *callback* (asyncio tags those with their ``handle``) ends the
+        run; it is then reported the way the loop would have — except an
+        SLO abort, which is the run's verdict rather than a fault."""
         exc = context.get("exception")
         if exc is not None and "handle" in context and self._callback_error is None:
             self._callback_error = exc
+            self._end()
+        if isinstance(exc, SloViolation):
+            return
         if outer_handler is None:
             loop.default_exception_handler(context)
         else:
             outer_handler(loop, context)
 
-    async def _obs_lag_probe(self) -> None:
-        """Sample event-loop lag: how late a twice-per-period timer fires."""
-        loop = self.loop
-        interval = 0.5 * self.config.scheduling_period * self.time_scale
-        while True:
-            before = loop.time()
-            await asyncio.sleep(interval)
-            lag = loop.time() - before - interval
-            self.obs.observe("event_loop_lag_s", max(0.0, lag))
+    def _probe_lag(self, due: Optional[float]) -> None:
+        """Sample event-loop lag — how late this entry, queued twice per
+        period, runs — and queue the next sample."""
+        now = self.queue.time()
+        if due is not None:
+            self.obs.observe("event_loop_lag_s", max(0.0, now - due))
+        due = now + 0.5 * self.config.scheduling_period * self.time_scale
+        self.queue.push(due, self._probe_lag, due)
 
-    async def _churn_loop(self) -> None:
-        """Fire the churn schedule at every period boundary, then stop.
+    def _queue_step(self, round_index: int) -> None:
+        """Queue period ``round_index``'s step half a period (scaled) after
+        its closing boundary, so the peers' own ticks — playback, gossip —
+        come first, matching the simulator's end-of-period churn phase."""
+        scaled = self.config.scheduling_period * self.time_scale
+        self.queue.push(
+            self.wall_deadline_of(round_index + 1) + 0.5 * scaled, self._step, round_index
+        )
 
-        Runs slightly after each boundary (half a period, scaled) so the
-        peers' own period ticks — playback, gossip — happen first, matching
-        the simulator's end-of-period churn phase ordering.
+    def _step(self, round_index: int) -> None:
+        """Period ``round_index``'s step: fold the worst lateness seen
+        (peers' and this entry's own) into a coherent schedule dilation,
+        then sample and drive churn (:meth:`_finish_step`).
+
+        A cluster shard first exchanges its lateness with the other shards
+        through the coordinator, so every shard applies the same (maximal)
+        dilation at the same boundary and the overlay stays phase-aligned
+        *across* processes: the exchange — timeout fallback included — is
+        a task, and the step finishes when it returns, while the queue
+        keeps running.
         """
         scaled = self.config.scheduling_period * self.time_scale
+        deadline = self.wall_deadline_of(round_index + 1) + 0.5 * scaled
+        own_lateness = max(0.0, self.queue.time() - deadline)
+        worst = max(self._worst_lateness, own_lateness)
+        if self.control is None:
+            self._finish_step(round_index, own_lateness, worst)
+            return
+        exchange = asyncio.create_task(self.control.exchange_lateness(round_index, worst))
+        exchange.add_done_callback(partial(self._exchanged, round_index, own_lateness, worst))
+
+    def _exchanged(
+        self, round_index: int, own_lateness: float, worst: float, exchange: asyncio.Task
+    ) -> None:
+        if self._ended or exchange.cancelled():
+            return  # the run failed while the exchange was out
+        worst = max(worst, exchange.result())
+        self._worst_lateness = worst
+        self._finish_step(round_index, own_lateness, worst)
+
+    def _finish_step(self, round_index: int, own_lateness: float, worst: float) -> None:
+        """Dilate, step the slim tier, sample obs and telemetry, then fire
+        the churn schedule and queue the next period's step — or, after
+        the last period, end the run."""
+        if worst > self.worst_lateness_s:
+            self.worst_lateness_s = worst
+        self._maybe_dilate(own_lateness)
+        if self.slim is not None:
+            # The tier conditions on the live core's *own* counts for
+            # this period, never on its own output; stepped before the
+            # telemetry emit so the frame carries its fresh sample.
+            self.slim.step(
+                round_index,
+                *self._period_playback_counts(round_index, slim=False),
+                self._core_started(round_index),
+            )
+        if self.obs.enabled:
+            self._obs_snapshot(round_index)
+            if (
+                self.telemetry_sink is not None
+                and self._telemetry_on
+                and round_index % self._telemetry_every == 0
+            ):
+                self._emit_telemetry(round_index)
+        if round_index == self.rounds - 1:
+            self._end()
+            return
         churn = self.manager.churn
-        rng = self.system.streams.get("runtime-churn")
-        for round_index in range(self.rounds):
-            deadline = self.wall_deadline_of(round_index + 1) + 0.5 * scaled
-            delay = deadline - self.loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            # A busy loop wakes the controller late; fold the worst
-            # observed lateness (peers' and our own) into a coherent
-            # schedule dilation before driving this boundary's churn.  A
-            # cluster shard first exchanges its lateness with the other
-            # shards through the coordinator, so every shard applies the
-            # same (maximal) dilation at the same boundary and the overlay
-            # stays phase-aligned *across* processes.
-            own_lateness = max(0.0, self.loop.time() - deadline)
-            worst = max(self._worst_lateness, own_lateness)
-            if self.control is not None:
-                worst = max(worst, await self.control.exchange_lateness(round_index, worst))
-                self._worst_lateness = worst
-            if worst > self.worst_lateness_s:
-                self.worst_lateness_s = worst
-            self._maybe_dilate(own_lateness)
-            if self.slim is not None:
-                # The tier conditions on the live core's *own* counts for
-                # this period, never on its own output; stepped before the
-                # telemetry emit so the frame carries its fresh sample.
-                self.slim.step(
-                    round_index,
-                    *self._period_playback_counts(round_index, slim=False),
-                    self._core_started(round_index),
-                )
-            if self.obs.enabled:
-                self._obs_snapshot(round_index)
-                if (
-                    self.telemetry_sink is not None
-                    and self._telemetry_on
-                    and round_index % self._telemetry_every == 0
-                ):
-                    self._emit_telemetry(round_index)
-            if churn.is_static or round_index == self.rounds - 1:
-                continue
+        if not churn.is_static:
+            rng = self.system.streams.get("runtime-churn")
             event = churn.step(
                 round_index, self.manager.alive_node_ids(), self.system.streams.get("churn")
             )
@@ -1003,6 +1059,7 @@ class LiveSwarm:
             for peer in joiners:
                 if peer is not None:
                     self.file(peer, peer.first_tick)
+        self._queue_step(round_index + 1)
 
     def _obs_snapshot(self, round_index: int) -> None:
         """Sample swarm-wide gauges into the per-period metric series."""
@@ -1130,8 +1187,9 @@ class LiveSwarm:
         return peer
 
     def _shutdown(self) -> None:
-        """Graceful shutdown: stop every peer (its pending boundary,
-        drains and phases then drop their work)."""
+        """Graceful shutdown: drop whatever is still queued and stop every
+        peer (a frame arriving later over a socket finds it stopped)."""
+        self.queue.close()
         for peer in self.peers.values():
             peer.stop()
 

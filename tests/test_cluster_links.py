@@ -364,13 +364,8 @@ class TestRoutedArrivals:
     @staticmethod
     def _route(swarm, src, dst, payload, data):
         """Hand ``payload`` to the receiving shard and let it land."""
-
-        async def main():
-            swarm.loop = asyncio.get_running_loop()
-            swarm.receive_routed(src, dst, payload, data)
-            swarm.queue.run_due(float("inf"))
-
-        asyncio.run(main())
+        swarm.receive_routed(src, dst, payload, data)
+        swarm.queue.run_due(float("inf"))
 
     def test_a_batch_under_loss_lands_its_survivors_charged_as_their_own_batch(self):
         swarm, receiver, sender, landed = self._swarm(loss_rate=0.5)

@@ -682,3 +682,30 @@ class TestSwarmTelemetry:
         assert any(
             "SLO breach" in p["reason"] for p in exc.obs["postmortems"]
         ) or engine.breach is not None
+
+    def test_a_wall_clock_slo_abort_ends_the_run_quietly(self, caplog):
+        """On the wall clock the breach is raised inside a delivery-queue
+        entry: it must still end the run at once, carry the obs export,
+        and not be logged as a failing callback."""
+        import dataclasses
+
+        engine = HealthEngine(
+            slo=SloSpec.parse("continuity>=0.999:burn=1x:confirm=1"), grace=0
+        )
+        periods = []
+
+        def sink(body):
+            periods.append(body["period"])
+            engine.observe_frame(body)
+            if engine.breach is not None:
+                raise SloViolation(engine.breach)
+
+        spec = builtin_scenario("static").scaled(num_nodes=20, rounds=12, seed=1)
+        spec = dataclasses.replace(spec, loss_rate=0.4)
+        swarm = LiveSwarm(spec, time_scale=0.1, obs=ObsConfig(trace_sample=8))
+        swarm.telemetry_sink = sink
+        with pytest.raises(SloViolation) as excinfo:
+            swarm.run()
+        assert excinfo.value.obs is not None
+        assert len(periods) < 12 and periods[-1] == engine.breach.period
+        assert not [r for r in caplog.records if r.name == "asyncio"]

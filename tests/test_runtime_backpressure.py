@@ -9,7 +9,6 @@ stable continuity at the bench's swarm size and time scale must stay
 letting peers' clocks drift apart (see docs/runtime.md).
 """
 
-import asyncio
 import os
 
 import pytest
@@ -310,11 +309,7 @@ class TestSwarmBoundedness:
         assert peer.send_windows.pending_count() == 1
         grant = wire.CreditGrant(sender=other.peer_id, credits=1)
 
-        async def shed():
-            swarm.loop = asyncio.get_running_loop()
-            peer.absorb_shed_control([grant])
-
-        asyncio.run(shed())
+        peer.absorb_shed_control([grant])
         assert peer.send_windows.pending_count() == 0  # pending frame released
         # repeatable control frames shed silently, no state change
         peer.absorb_shed_control([wire.Ping(sender=1, nonce=2)])

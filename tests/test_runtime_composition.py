@@ -17,6 +17,7 @@ through :func:`repro.runtime.run` at toy scale and pin
   commands used to drop silently).
 """
 
+import asyncio
 import dataclasses
 
 import pytest
@@ -25,7 +26,6 @@ import repro.runtime
 from repro.experiments.runner import main
 from repro.obs import ObsConfig, SloSpec
 from repro.runtime import LiveSwarm, RunOptions, RuntimeResult, merge_results, run
-from repro.runtime.clock import run_on_virtual_clock
 from repro.scenarios.library import builtin_scenario
 
 NODES, ROUNDS, CORE = 24, 5, 8
@@ -108,7 +108,7 @@ class TestOneShardIsInProcess:
         spec = builtin_scenario("paper-dynamic").scaled(num_nodes=NODES, rounds=8, seed=3)
         result = LiveSwarm(spec, clock="virtual").run()
         assert result.peers_left > 0
-        partial = run_on_virtual_clock(LiveSwarm(spec, clock="virtual").run_async())
+        partial = asyncio.run(LiveSwarm(spec, clock="virtual").run_async())
         assert partial.shard_index == 0 and partial.hosted_peers == NODES
         assert partial.hosts_source and partial.socket == {}
         # a partial has no continuity of its own — that exists after the merge

@@ -1,25 +1,27 @@
 """The swarm's one delivery queue and the order it hands work out in.
 
-Every in-process flush group and every intra-period peer phase is an entry
-``(time, seq)`` of :class:`~repro.runtime.clock.DeliveryQueue`.  One
-instant — every entry due within the clock's resolution — is handled in one
-pass: each due group lands in its receiver's inbox and each due phase runs,
-in ``(time, seq)`` order; then every peer that received something drains
-once, control lane first (docs/runtime.md → *The virtual clock's ordering
-contract*).
+Every in-process flush group, intra-period peer phase, period boundary and
+end-of-period step is an entry ``(time, seq)`` of
+:class:`~repro.runtime.clock.DeliveryQueue`, and on the virtual clock the
+queue is the clock.  One instant — every entry due within the clock's
+resolution — is handled in one pass: each due entry runs in ``(time, seq)``
+order (a group lands in its receiver's inbox, a phase or boundary runs);
+then every peer that received something drains once, control lane first
+(docs/runtime.md → *The virtual clock's ordering contract*).
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from repro.runtime import LiveSwarm, wire
 from repro.runtime import peer as peer_module
-from repro.runtime.clock import DeliveryQueue, run_on_virtual_clock
+from repro.runtime.clock import DeliveryQueue
 from repro.runtime.transport import TransportConfig
 from repro.scenarios import builtin_scenario
 
@@ -34,17 +36,17 @@ def _flat_latency(swarm: LiveSwarm, monkeypatch) -> None:
     monkeypatch.setattr(swarm.manager, "latency_ms", lambda src, dst: 20.0)
 
 
+def _drain(queue: DeliveryQueue) -> None:
+    """Advance the virtual clock instant by instant until nothing is left."""
+    while queue:
+        queue.advance()
+
+
 def _on_virtual_clock(swarm: LiveSwarm, body) -> None:
-    """Run ``body()`` on a fresh virtual loop with the swarm's queue bound,
-    then let every delivery it caused fall due."""
-
-    async def main():
-        swarm.loop = asyncio.get_running_loop()
-        swarm.queue.bind(swarm.loop)
-        body()
-        await asyncio.sleep(1.0)
-
-    run_on_virtual_clock(main())
+    """Run ``body()`` at virtual time 0, then let every delivery it caused
+    fall due."""
+    body()
+    _drain(swarm.queue)
 
 
 def _peers(swarm: LiveSwarm, count: int):
@@ -63,7 +65,7 @@ class TestOneInstantOnePass:
         swarm = _swarm(nodes=12, rounds=3)
         _flat_latency(swarm, monkeypatch)
         events = []
-        loop_time = lambda: swarm.loop.time()  # noqa: E731
+        loop_time = swarm.queue.time
         land = swarm.loopback._land_group
 
         def logged_land(group):
@@ -116,31 +118,26 @@ class TestOneInstantOnePass:
     def test_equal_times_pop_in_seq_order(self):
         order = []
         queue = DeliveryQueue(after=lambda: order.append("|"))
-
-        async def main():
-            loop = asyncio.get_running_loop()
-            queue.bind(loop)
-            now = loop.time()
-            for name, delay in [("a", 1.0), ("b", 0.5), ("c", 1.0), ("d", 0.5), ("e", 1.0)]:
-                queue.push(now + delay, order.append, name)
-            await asyncio.sleep(2.0)
-
-        run_on_virtual_clock(main())
+        for name, delay in [("a", 1.0), ("b", 0.5), ("c", 1.0), ("d", 0.5), ("e", 1.0)]:
+            queue.push(delay, order.append, name)
+        _drain(queue)
         assert order == ["b", "d", "|", "a", "c", "e", "|"]
 
     def test_the_virtual_clock_jumps_to_the_queue_head(self):
         seen = []
         queue = DeliveryQueue(after=lambda: None)
-
-        async def main():
-            loop = asyncio.get_running_loop()
-            queue.bind(loop)
-            queue.push(0.25, lambda _: seen.append(loop.time()), None)
-            queue.push(0.75, lambda _: seen.append(loop.time()), None)
-            await asyncio.sleep(1.0)
-
-        run_on_virtual_clock(main())
+        queue.push(0.25, lambda _: seen.append(queue.time()), None)
+        queue.push(0.75, lambda _: seen.append(queue.time()), None)
+        _drain(queue)
         assert seen == [0.25, 0.75]
+
+    def test_an_entry_pushed_into_its_own_instant_runs_before_the_drain(self):
+        order = []
+        queue = DeliveryQueue(after=lambda: order.append("|"))
+        queue.push(0.5, lambda _: queue.push(queue.time(), order.append, "same"), None)
+        queue.push(0.5, order.append, "tied")
+        _drain(queue)
+        assert order == ["tied", "same", "|"]
 
     def test_the_wall_clock_runs_due_entries_in_order(self):
         order = []
@@ -157,6 +154,22 @@ class TestOneInstantOnePass:
         asyncio.run(main())
         assert order == ["early", "mid", "late"]
         assert len(queue) == 0
+
+    def test_close_drops_every_entry_and_disarms_the_wall_timer(self):
+        ran = []
+        queue = DeliveryQueue(after=lambda: None)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.bind(loop)
+            assert queue.time() == pytest.approx(loop.time(), abs=0.01)
+            queue.push(loop.time() + 0.01, ran.append, "dropped")
+            queue.close()
+            queue.push(loop.time() + 0.01, ran.append, "pushed after close")
+            await asyncio.sleep(0.05)
+
+        asyncio.run(main())
+        assert ran == [] and len(queue) == 1
 
 
 class TestSheddingListEntries:
@@ -208,7 +221,7 @@ class TestPhaseEntries:
 
         def body():
             peer._current_tick = 3
-            now = swarm.loop.time()
+            now = swarm.queue.time()
             swarm.queue.push(now + 0.01, peer._mid_period_when_ready, (2, 0))
 
         _on_virtual_clock(swarm, body)
@@ -222,7 +235,7 @@ class TestPhaseEntries:
 
         def fresh():
             peer._current_tick = 3
-            now = swarm.loop.time()
+            now = swarm.queue.time()
             swarm.queue.push(now + 0.01, peer._mid_period_when_ready, (3, peer.MAX_RECHECKS))
 
         _on_virtual_clock(swarm, fresh)
@@ -293,3 +306,72 @@ def test_a_group_too_big_for_one_envelope_lands_as_encode_batchs_chunks(monkeypa
     assert [len(messages) for _, messages, _ in entries] == counts
     assert [msg for _, messages, _ in entries for msg in messages] == handovers
     assert swarm.bytes_on_wire == sum(map(len, chunks))
+
+
+class TestTheQueueIsTheVirtualClock:
+    def test_a_virtual_run_inside_a_running_loop_equals_one_outside(self):
+        spec = builtin_scenario("paper-dynamic").scaled(num_nodes=20, rounds=6, seed=2)
+
+        async def inside():
+            return _run_facts(spec)
+
+        assert asyncio.run(inside()) == _run_facts(spec)
+
+    def test_boundaries_steps_and_groups_run_in_time_seq_order(self, monkeypatch):
+        """Every entry of a churning run — boundaries, end-of-period steps,
+        flush groups, phases — runs in ``(time, seq)`` order, and each
+        instant ends in exactly one drain of the landed peers."""
+        rounds = 6
+        spec = builtin_scenario("paper-dynamic").scaled(num_nodes=20, rounds=rounds, seed=0)
+        swarm = LiveSwarm(spec, clock="virtual")
+        queue = swarm.queue
+        log = []
+        push, after, seqs = queue.push, queue._after, itertools.count()
+
+        def logged_push(when, callback, arg):
+            seq = next(seqs)
+            name = getattr(callback, "func", callback).__name__
+
+            def logged(arg):
+                log.append((queue.time(), (when, seq), name))
+                callback(arg)
+
+            push(when, logged, arg)
+
+        def logged_after():
+            log.append((queue.time(), None, "drain"))
+            after()
+
+        monkeypatch.setattr(queue, "push", logged_push)
+        monkeypatch.setattr(queue, "_after", logged_after)
+        swarm.run()
+        entries = [key for _, key, name in log if name != "drain"]
+        assert entries == sorted(entries)
+        names = [name for _, _, name in log]
+        assert names.count("_step") == rounds
+        assert {"_boundary_due", "_land_group", "_mid_period_when_ready"} <= set(names)
+        # split at the drains: each instant is one clock reading, ends in
+        # its one drain, and the clock only moves forward between them
+        instants, current = [], []
+        for now, key, name in log:
+            current.append(now)
+            if name == "drain":
+                instants.append(current)
+                current = []
+        assert current == [] and all(len(set(instant)) == 1 for instant in instants)
+        times = [instant[0] for instant in instants]
+        assert times == sorted(set(times))
+
+    def test_a_queue_that_empties_before_the_last_period_stalls(self, monkeypatch):
+        def stop_everyone(swarm, round_index):
+            for peer in swarm.peers.values():
+                peer.stop()
+
+        monkeypatch.setattr(LiveSwarm, "_step", stop_everyone)
+        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=4, seed=0)
+        swarm = LiveSwarm(spec, clock="virtual")
+        with pytest.raises(RuntimeError, match="virtual clock stalled"):
+            swarm.run()
+        assert not swarm._ended
+        with pytest.raises(RuntimeError, match="virtual clock stalled"):
+            DeliveryQueue(after=lambda: None).advance()

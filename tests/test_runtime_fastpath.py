@@ -17,8 +17,6 @@ fast path must preserve and the savings it must deliver:
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.net.message import MessageKind
@@ -236,12 +234,9 @@ class TestBatchShedding:
         frame = wire.encode(msg)
         batch = wire.encode(wire.FrameBatch(frames=(frame, frame, frame)))
 
-        async def deliver():
-            # fill the data lane, then land a 3-frame group on it
-            assert receiver.inbox.put(sender.peer_id, [msg], control=False)
-            swarm.loopback._land(sender.peer_id, receiver.peer_id, [msg] * 3, True, len(batch))
-
-        asyncio.run(deliver())
+        # fill the data lane, then land a 3-frame group on it
+        assert receiver.inbox.put(sender.peer_id, [msg], control=False)
+        swarm.loopback._land(sender.peer_id, receiver.peer_id, [msg] * 3, True, len(batch))
         stats = receiver.transport_stats
         assert stats.inbox_dropped_data == 3
         assert receiver._credit_ledger.owed.get(sender.peer_id, 0) == 3
@@ -255,11 +250,7 @@ class TestBatchShedding:
         grant = wire.CreditGrant(sender=other.peer_id, credits=1)
         ping = wire.Ping(sender=other.peer_id, nonce=9)
 
-        async def shed():
-            swarm.loop = asyncio.get_running_loop()
-            receiver.absorb_shed_control([ping, grant])
-
-        asyncio.run(shed())
+        receiver.absorb_shed_control([ping, grant])
         assert receiver.send_windows.pending_count() == 0
 
     @pytest.mark.parametrize("batched", [False, True], ids=["loose", "batched"])
@@ -281,12 +272,8 @@ class TestBatchShedding:
         assert all(frame[wire.prologue(frame)[0]] & wire.NARROW for frame in frames)
         entries = [messages] if batched else [[msg] for msg in messages]
 
-        async def shed():
-            swarm.loop = asyncio.get_running_loop()
-            for entry in entries:
-                receiver.absorb_shed_control(entry)
-
-        asyncio.run(shed())
+        for entry in entries:
+            receiver.absorb_shed_control(entry)
         assert receiver.send_windows.pending_count() == 0
         assert receiver.neighbor_maps[other.peer_id] == new
         assert receiver.transport_stats.map_desyncs == 0
@@ -307,15 +294,11 @@ class TestBatchShedding:
         assert receiver.send_windows.acquire(other.peer_id, self._pending(receiver, other))
         spent = link.credits
 
-        async def shed():
-            swarm.loop = asyncio.get_running_loop()
-            receiver.absorb_shed_control([
-                wire.Ping(sender=other.peer_id, nonce=1),
-                wire.SegmentRequest(sender=other.peer_id, segment_id=3),
-                wire.CreditGrant(sender=other.peer_id, credits=2),
-            ])
-
-        asyncio.run(shed())
+        receiver.absorb_shed_control([
+            wire.Ping(sender=other.peer_id, nonce=1),
+            wire.SegmentRequest(sender=other.peer_id, segment_id=3),
+            wire.CreditGrant(sender=other.peer_id, credits=2),
+        ])
         assert handled == []
         assert link.credits == spent + 2
 
@@ -331,16 +314,15 @@ class TestBatchShedding:
             peer_module._DISPATCH, wire.Ping, lambda peer, msg: handled.append(msg)
         )
 
-        async def route(frame):
-            swarm.loop = asyncio.get_running_loop()
+        def route(frame):
             swarm.loopback.send_routed(sender.peer_id, receiver.peer_id, frame, False)
             swarm.queue.run_due(float("inf"))
 
         with pytest.raises(wire.WireError):
-            asyncio.run(route(bytes(batch)))
+            route(bytes(batch))
         assert handled == [] and len(swarm.queue) == 0
         # the same batch, undamaged, dispatches all three
-        asyncio.run(route(wire.encode(wire.FrameBatch(frames=(ping, ping, ping)))))
+        route(wire.encode(wire.FrameBatch(frames=(ping, ping, ping))))
         assert handled == [wire.Ping(sender.peer_id, 1)] * 3
 
     def test_weighted_inbox_admits_then_bounds(self):

@@ -7,14 +7,16 @@ slows the swarm clock down on busy machines.
 """
 
 import asyncio
+import gc
 import os
+import sys
 
 import pytest
 
 from repro.net.message import MessageKind, MessageLedger
+from repro.obs import ObsConfig
 from repro.runtime import LiveSwarm, RunOptions, run, wire
 from repro.runtime import peer as peer_module
-from repro.runtime.clock import run_on_virtual_clock
 from repro.scenarios.cell import continuity_delta, parity_pair, parity_text
 from repro.scenarios.library import builtin_scenario
 
@@ -109,27 +111,54 @@ class TestLiveSwarmLifecycle:
             await swarm.run_async()
             return asyncio.all_tasks() - {asyncio.current_task()}
 
-        runner = run_on_virtual_clock if clock == "virtual" else asyncio.run
-        assert runner(run_and_list_leftovers()) == set()
+        assert asyncio.run(run_and_list_leftovers()) == set()
         assert swarm.retired_peers, "the churn run should retire peers too"
         for peer in list(swarm.peers.values()) + swarm.retired_peers:
             assert peer.stopped
 
-    def test_a_virtual_run_holds_one_task_for_any_swarm_size(self, monkeypatch):
-        """Peers are callbacks of the swarm's boundary timer: at every
-        boundary the loop holds the run's one task (the churn driver),
-        whatever the swarm size."""
-        seen = {}
-        boundary_due = LiveSwarm._boundary_due
+    def test_a_virtual_run_creates_no_event_loop_and_no_task(self):
+        """Peers, boundaries and churn are entries of the swarm's delivery
+        queue, which the virtual clock drains itself: whatever the swarm
+        size, the run calls nothing in asyncio — no loop, no task, no
+        future."""
+        package = os.path.dirname(asyncio.__file__)
+        calls = []
 
-        def counting(swarm, deadline):
-            seen.setdefault(swarm.spec.num_nodes, set()).add(len(asyncio.all_tasks(swarm.loop)))
-            boundary_due(swarm, deadline)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                owner = getattr(arg, "__self__", None)
+                modules = {getattr(arg, "__module__", None), type(owner).__module__}
+                if modules & {"_asyncio", "asyncio"}:
+                    calls.append(arg.__name__)
 
-        monkeypatch.setattr(LiveSwarm, "_boundary_due", counting)
+        joined = {}
         for n in (10, 40):
-            run(builtin_scenario("paper-dynamic").scaled(num_nodes=n, rounds=6), clock="virtual")
-        assert seen[10] == seen[40] == {1}
+            spec = builtin_scenario("paper-dynamic").scaled(num_nodes=n, rounds=6)
+            # No finalizer of an earlier test's loop may run in between.
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                joined[n] = run(spec, clock="virtual").peers_joined
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+        assert calls == []
+        assert joined[40] > 0  # churn went through the same drain
+
+    def test_only_the_wall_clock_probes_loop_lag(self):
+        spec = builtin_scenario("static").scaled(num_nodes=12, rounds=4)
+        histograms = {
+            clock: run(spec, clock=clock, time_scale=SMALL_SCALE, obs=ObsConfig()).obs[
+                "metrics"
+            ]["histograms"]
+            for clock in ("wall", "virtual")
+        }
+        # two samples a period, the first half a period in
+        assert histograms["wall"]["event_loop_lag_s"]["count"] >= 6
+        assert "event_loop_lag_s" not in histograms["virtual"]
 
     def test_build_is_idempotent_and_reuses_sim_construction(self):
         spec = builtin_scenario("static").scaled(num_nodes=12, rounds=2)
@@ -197,6 +226,26 @@ class TestHandlerFailuresAreLoud:
         frames = [entry.name for entry in failure.traceback]
         assert "flaky" in frames
         assert all(peer.stopped for peer in swarm.peers.values())
+
+    def test_a_wall_clock_run_ends_at_its_first_callback_error(self, monkeypatch):
+        def broken(peer, msg):
+            raise RuntimeError("handler blew up")
+
+        monkeypatch.setitem(peer_module._DISPATCH, wire.SegmentRequest, broken)
+        steps = []
+        finish = LiveSwarm._finish_step
+
+        def counted(swarm, round_index, *rest):
+            steps.append(round_index)
+            finish(swarm, round_index, *rest)
+
+        monkeypatch.setattr(LiveSwarm, "_finish_step", counted)
+        spec = builtin_scenario("static").scaled(num_nodes=12, rounds=8)
+        swarm = LiveSwarm(spec, time_scale=SMALL_SCALE)
+        with pytest.raises(RuntimeError, match="handler blew up"):
+            swarm.run()
+        # the first pull raised in period 0 or 1; nothing ran the rest
+        assert len(steps) < 3 and swarm._ended
 
     def test_the_embedding_loops_exception_handler_is_chained_and_restored(
         self, monkeypatch
