@@ -576,10 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_group = parser.add_argument_group("runtime options")
     runtime_group.add_argument(
         "--time-scale", type=float, default=None, metavar="S",
-        help="wall seconds per simulated second for the live runtime "
+        help="wall seconds per simulated second on the wall clock "
         "(default: 0.1 in-process, sized on the peers per core when "
         "sharded; an overloaded wall-clock swarm stretches its "
-        "schedule coherently instead of collapsing)")
+        "schedule coherently instead of collapsing); a --clock virtual "
+        "run does not depend on it")
     runtime_group.add_argument(
         "--clock", choices=("wall", "virtual"), default="wall",
         help="runtime clock: real time (default) or deterministic virtual "

@@ -151,7 +151,6 @@ class ObsRecorder:
         self._trace_counter = 0
         self._span_seq = 0
         self._clock: Optional[Callable[[], float]] = None
-        self._last_t = 0.0
 
     # ------------------------------------------------------------------ wiring
     def bind_shard(self, shard: int) -> None:
@@ -162,15 +161,7 @@ class ObsRecorder:
         self._clock = clock
 
     def _now(self) -> float:
-        clock = self._clock
-        if clock is not None:
-            try:
-                self._last_t = clock()
-            except RuntimeError:
-                # sim_now needs a running loop; outside one (teardown,
-                # coordinator-side postmortems) reuse the last stamp.
-                pass
-        return self._last_t
+        return 0.0 if self._clock is None else self._clock()
 
     # ----------------------------------------------------------------- tracing
     def sample_trace(self, peer_id: int) -> int:

@@ -1,27 +1,26 @@
-"""The swarm's one queue of due work — and, on the virtual clock, its time.
+"""The swarm's one queue of due work — and its clock, in simulated seconds.
 
-Everything a live swarm does in process happens at a loop time: a
+Everything a live swarm does in process happens at a simulated time: a
 loopback flush group lands, a peer's intra-period phase runs, a period
 boundary ticks the peers filed for it, the end-of-period step folds
 lateness and drives churn.  Each is one ``(time, seq)`` entry of the
 swarm's :class:`DeliveryQueue`, and the queue runs them one *instant* at
-a time: every entry due within ``_RESOLUTION`` of the head, in
+a time: every entry due within ``_RESOLUTION`` of the instant's time, in
 ``(time, seq)`` order, then one drain of every peer something landed for.
 
-On the **virtual clock** the queue *is* the clock: :meth:`DeliveryQueue.
-advance` sets ``now`` to the head's due time and runs that instant, and
-the swarm repeats it until its last period's step ends the run.  No event
-loop is involved and nothing else runs, so the whole swarm is one
-deterministic sequence: same spec, same seed ⇒ same messages, same drops,
-same metrics, bit for bit.  Entries consume no virtual time, so a virtual
-swarm can never overload its own schedule; overload physics (and the
-throughput ceiling) only exist on the wall clock.
-
-On the **wall clock** the same queue runs on an asyncio loop
-(:meth:`DeliveryQueue.bind`): its clock is the loop's, and one timer,
-armed at the head and re-armed after each instant, runs what fell due.
-``docs/runtime.md`` → *The virtual clock's ordering contract* states the
-order every same-seed fingerprint depends on.
+Both clocks drain the queue the same way; they differ only in when the
+next instant runs.  On the **virtual clock** the queue *is* the clock:
+:meth:`DeliveryQueue.advance` sets ``now`` to the head's due time and
+runs that instant, and the swarm repeats it until its last period's step
+ends the run.  No event loop is involved and nothing else runs, so the
+whole swarm is one deterministic sequence: same spec, same seed ⇒ same
+messages, same drops, same metrics, bit for bit.  Entries consume no
+virtual time, so only the wall clock can overload.  There
+(:meth:`DeliveryQueue.pace`) time ``t`` falls due at the loop time
+``anchor + t·time_scale``, and :meth:`DeliveryQueue.advance_wall` is the
+virtual step plus a wait.  ``docs/runtime.md`` → *The virtual clock's
+ordering contract* states the order every same-seed fingerprint depends
+on.
 """
 
 from __future__ import annotations
@@ -31,17 +30,28 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, List, Optional, Tuple
 
-#: Entries due within this many seconds of an instant's time run in it
-#: (the monotonic clock resolution asyncio uses on Linux).
+#: Entries due within this many simulated seconds of an instant's time
+#: run in it.
 _RESOLUTION = 1e-9
+
+
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+def _stalled(clock: str) -> RuntimeError:
+    return RuntimeError(
+        f"{clock} clock stalled: the delivery queue emptied before the run's last period ended"
+    )
 
 
 class DeliveryQueue:
     """A swarm's one queue of due work: ``(time, seq)`` entries run one
     instant at a time.
 
-    An entry is ``callback(arg)`` due at clock time ``when``; ``seq`` is
-    the push order, so entries due at equal times run first in, first
+    An entry is ``callback(arg)`` due at simulated time ``when``; ``seq``
+    is the push order, so entries due at equal times run first in, first
     out.  :meth:`run_due` pops every entry due before a horizon —
     including those pushed while it runs — runs each in ``(time, seq)``
     order, then calls ``after()`` once: the swarm drains there every peer
@@ -55,26 +65,25 @@ class DeliveryQueue:
         self._after = after
         #: Virtual time: the due time of the instant running (or last run).
         self._now = 0.0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: The wall clock's one armed timer and its due time.  A push
-        #: earlier than ``_armed_at`` re-arms, so it is ``-inf`` whenever
-        #: no timer may be armed: unbound (the virtual clock), closed, and
-        #: while an instant runs (its pushes re-arm once, at the end).
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._armed_at = float("-inf")
+        #: While the wall pacer sleeps: the head time it sleeps towards
+        #: (``-inf`` otherwise, so a push never compares true) and the
+        #: future a push due earlier resolves to wake it.
+        self._sleep_until = float("-inf")
+        self._wake: Optional[asyncio.Future] = None
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def time(self) -> float:
-        """The swarm's clock: virtual ``now``, or the bound loop's time."""
+        """The swarm's clock in simulated seconds: virtual ``now``, or the
+        paced loop's time mapped back through the wall anchor."""
         return self._now
 
     def push(self, when: float, callback: Callable[[Any], None], arg: Any) -> None:
-        """Queue ``callback(arg)`` at clock time ``when``."""
+        """Queue ``callback(arg)`` at simulated time ``when``."""
         heappush(self._heap, (when, next(self._seq), callback, arg))
-        if when < self._armed_at:
-            self._arm(when)
+        if when < self._sleep_until:
+            _resolve(self._wake)
 
     def run_due(self, horizon: float) -> None:
         """Run every entry due before ``horizon``, then ``after()``."""
@@ -88,42 +97,43 @@ class DeliveryQueue:
         """The virtual clock's step: move ``now`` to the head's due time
         and run that instant."""
         if not self._heap:
-            raise RuntimeError(
-                "virtual clock stalled: the delivery queue emptied before the "
-                "run's last period ended"
-            )
+            raise _stalled("virtual")
         self._now = now = self._heap[0][0]
         self.run_due(now + _RESOLUTION)
 
-    def close(self) -> None:
-        """Drop every entry and disarm the timer: the run is over."""
-        self._heap.clear()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._armed_at = float("-inf")
-
-    # ----------------------------------------------------------- the wall clock
-    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Run this queue on ``loop``'s clock (what is queued already included)."""
+    def pace(self, loop: asyncio.AbstractEventLoop, anchor: float, time_scale: float) -> None:
+        """Run on the wall clock: simulated time ``t`` falls due at
+        ``loop``'s time ``anchor + t·time_scale``, and :meth:`time` reads
+        the loop's clock back in simulated seconds."""
         self._loop = loop
-        self.time = loop.time
-        self._armed_at = float("inf")
-        if self._heap:
-            self._arm(self._heap[0][0])
+        self._anchor = anchor
+        self._time_scale = time_scale
+        self.time = lambda: (loop.time() - anchor) / time_scale
 
-    def _arm(self, when: float) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._armed_at = when
-        self._timer = self._loop.call_at(when, self._fire)
+    async def advance_wall(self) -> None:
+        """The wall clock's step: sleep until the head's wall instant —
+        a push due earlier wakes it — or, if that instant has passed,
+        yield once; then run every entry due by now as one instant."""
+        if not self._heap:
+            raise _stalled("wall")
+        loop = self._loop
+        head = self._heap[0][0]
+        delay = self._anchor + head * self._time_scale - loop.time()
+        if delay > 0:
+            self._sleep_until = head
+            self._wake = wake = loop.create_future()
+            timer = loop.call_later(delay, _resolve, wake)
+            try:
+                await wake
+            finally:
+                timer.cancel()
+                self._sleep_until = float("-inf")
+        else:
+            await asyncio.sleep(0)
+        self.run_due(self.time() + _RESOLUTION)
 
-    def _fire(self) -> None:
-        self._timer = None
-        self._armed_at = float("-inf")
-        try:
-            self.run_due(self._loop.time() + _RESOLUTION)
-        finally:
-            self._armed_at = float("inf")
-            if self._heap:
-                self._arm(self._heap[0][0])
+    def close(self) -> None:
+        """Drop every entry and stop the clock: the run is over."""
+        self._heap.clear()
+        self._now = self.time()
+        self.__dict__.pop("time", None)

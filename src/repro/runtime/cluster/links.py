@@ -70,9 +70,9 @@ class LoopbackLink:
 
     The single implementation of the runtime's delay/loss injection: the
     pairwise one-way latency of the scenario's
-    :class:`~repro.net.latency.LatencyModel` (scaled by ``time_scale``)
-    is applied per frame, a configured ``loss_rate`` drops *data* frames
-    at random (control traffic never — matching
+    :class:`~repro.net.latency.LatencyModel` (in simulated seconds, like
+    every queue time) is applied per frame, a configured ``loss_rate``
+    drops *data* frames at random (control traffic never — matching
     :class:`~repro.scenarios.phases.LossyNetworkPhase` semantics), and
     flow-control state always survives a drop: a lost or shed data
     frame's credit flows back to its sender, a shed one-shot control
@@ -83,7 +83,7 @@ class LoopbackLink:
     Messages towards the same ``(src, dst, lane)`` that would flush in the
     same instant coalesce into one *group*, one entry of the swarm's
     :class:`~repro.runtime.clock.DeliveryQueue`: on the virtual clock only
-    frames born at the same loop time join a group (its due time is then
+    frames born at the same queue time join a group (its due time is then
     bit-identical to every member's own, keeping parity runs exact); on
     the wall clock a frame joins any still-pending group for its key
     (bounded early delivery — real transports coalesce the same way).
@@ -157,8 +157,7 @@ class LoopbackLink:
         if peer is None or peer.stopped or not peer.node.alive:
             host.messages_dropped += count
             return False
-        delay = host.manager.latency_ms(src, dst) / 1000.0 * host.time_scale
-        host.queue.push(now + delay, land, entry)
+        host.queue.push(now + host.manager.latency_ms(src, dst) / 1000.0, land, entry)
         return True
 
     def _land_group(self, group: _Group) -> None:

@@ -134,11 +134,11 @@ class LivePeer:
         #: mid-period/rescue callbacks from an earlier period abandon
         #: themselves when a newer boundary has passed.
         self._current_tick = -1
-        #: Wall length of the currently open period — normally the scaled
-        #: scheduling period, but shorter when the boundary ran late (a
-        #: joiner admitted mid-period, an overloaded loop): the intra-
-        #: period chain compresses into what actually remains.
-        self._period_span = self.config.scheduling_period * swarm.time_scale
+        #: Length of the currently open period — normally the scheduling
+        #: period, but shorter when the boundary ran late (a joiner
+        #: admitted mid-period, an overloaded loop): the intra-period
+        #: chain compresses into what actually remains.
+        self._period_span = self.config.scheduling_period
         self._delivered: Dict[int, int] = {}
         self._requested: set = set()
         self._nack_tried: Dict[int, set] = {}
@@ -713,10 +713,10 @@ class LivePeer:
         self._maps_this_period = set()
         self.outbound_tokens = node.outbound_rate * cfg.scheduling_period
         self._timed("phase_gossip_s", self._gossip_buffer_map)
-        scaled = cfg.scheduling_period * self.swarm.time_scale
+        period = cfg.scheduling_period
         now = self.swarm.queue.time()
-        remaining = self.swarm.wall_deadline_of(tick + 1) - now
-        self._period_span = max(min(scaled, remaining), 0.05 * scaled)
+        remaining = self.swarm.deadline_of(tick + 1) - now
+        self._period_span = max(min(period, remaining), 0.05 * period)
         self.swarm.queue.push(
             now + self.SCHEDULE_PHASE * self._period_span, self._mid_period_when_ready, (tick, 0)
         )

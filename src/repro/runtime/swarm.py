@@ -16,8 +16,8 @@ entry per period ends it (lateness, dilation, churn):
 * **bounded loopback transport** — frames travel through per-peer
   *bounded* two-lane inboxes (control priority ahead of segment data, see
   :mod:`repro.runtime.transport`) with the pairwise one-way latency of
-  :class:`~repro.net.latency.LatencyModel` injected per link (scaled by
-  ``time_scale``); segment data is credit-gated per link, a scenario
+  :class:`~repro.net.latency.LatencyModel` injected per link, in
+  simulated seconds; segment data is credit-gated per link, a scenario
   ``loss_rate`` drops frames at the transport, and every queue has a
   configurable watermark — no load can grow memory without bound.  The
   delivery path itself is a :class:`~repro.runtime.cluster.links.
@@ -49,14 +49,16 @@ cluster workers go through, and :func:`merge_results` is the single
 place per-shard partials (one, for an in-process run) fold into a
 :class:`RuntimeResult`.
 
-On the wall clock the runtime trades the simulator's determinism for real
-concurrency: two runs interleave differently, so results carry wall-clock
-noise — the sim-vs-live parity pairs
-(:func:`repro.scenarios.cell.parity_pair`) quantify how close the two
-stay on the paper's metrics.  On the **virtual clock**
+Every time the swarm keeps (queue entries, deadlines, link delays,
+lateness) is in simulated seconds.  On the **virtual clock**
 (``clock="virtual"``, the campaign backend) :meth:`LiveSwarm.run` drains
-the queue itself, instant by instant, with no event loop and zero wall
-waiting: identical spec and seed reproduce identical results, bit for bit.
+the queue instant by instant with no event loop: identical spec and seed
+reproduce identical results, bit for bit, at any ``time_scale``.  On the
+**wall clock** :meth:`LiveSwarm.run_async` paces the same drain by the
+loop (``t`` runs at wall ``anchor + t·time_scale``) and trades that
+determinism for real concurrency: results carry wall-clock noise, and
+the sim-vs-live parity pairs (:func:`repro.scenarios.cell.parity_pair`)
+quantify how close the two stay on the paper's metrics.
 """
 
 from __future__ import annotations
@@ -92,12 +94,13 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sim.rng import derive_seed
 from repro.streaming.playback import ContinuityTracker
 
-#: Default wall seconds per simulated second.  0.1 compresses the paper's
-#: 1-second scheduling period to 100 ms — enough headroom for a few
-#: hundred peers' worth of frames per period on one event loop.
+#: Default wall seconds per simulated second on the wall clock.  0.1
+#: compresses the paper's 1-second scheduling period to 100 ms — enough
+#: headroom for a few hundred peers' worth of frames per period on one
+#: event loop.  A virtual run does not read it.
 DEFAULT_TIME_SCALE = 0.1
 
-#: The swarm's clock sources: ``"wall"`` runs the delivery queue on an
+#: The swarm's clock sources: ``"wall"`` paces the delivery queue by an
 #: asyncio loop's real time (overload and throughput are physical),
 #: ``"virtual"`` drains it in virtual time with no event loop (campaigns,
 #: parity matrices and regression tests — same seed, same result, no
@@ -155,12 +158,13 @@ class RunOptions:
             cluster coordinator over TCP (wall clock only — sockets are
             real I/O, which the virtual clock cannot jump over).
         rounds: scheduling periods to run; ``None`` uses the scenario's.
-        time_scale: wall seconds per simulated second; ``None`` picks
-            :data:`DEFAULT_TIME_SCALE` in-process and
+        time_scale: wall seconds per simulated second — it paces the
+            wall clock only, and a virtual result does not depend on it;
+            ``None`` picks :data:`DEFAULT_TIME_SCALE` in-process and
             :func:`adaptive_time_scale` (sized on the *live* peers) for a
             sharded run.  Smaller runs faster but leaves less wall time
             per period; an overloaded wall-clock swarm *dilates* its
-            schedule coherently (:meth:`LiveSwarm.note_lateness`).
+            schedule coherently (:meth:`LiveSwarm._maybe_dilate`).
         transport: per-peer flow-control knobs (inbox watermark, credit
             window); ``None`` uses the ``TransportConfig`` defaults.
         link: TCP link knobs of a sharded run (queue bound, reconnect
@@ -287,9 +291,10 @@ class RuntimeResult:
     transport: TransportSummary = field(default_factory=TransportSummary)
     #: Which clock drove the run (``"wall"`` or ``"virtual"``).
     clock: str = "wall"
-    #: Wall seconds the swarm stretched its schedule by under overload.
-    #: Virtual time cannot be overloaded, but a joiner's first tick is
-    #: reported as lateness, so a virtual run with joiners dilates too.
+    #: Wall seconds the swarm stretched its schedule by under overload
+    #: (the simulated stretch times ``time_scale``).  Virtual time cannot
+    #: be overloaded, but a joiner's first tick is reported as lateness,
+    #: so a virtual run with joiners dilates too.
     clock_dilation_s: float = 0.0
     #: Number of period boundaries at which the schedule was dilated.
     clock_dilations: int = 0
@@ -479,32 +484,27 @@ class LiveSwarm:
         self.misrouted_frames = 0
         #: Worst (cluster-wide, when sharded) period lateness seen.
         self.worst_lateness_s = 0.0
-        #: Wall/loop time the schedule is anchored at; ``None`` anchors at
-        #: :meth:`run_async` entry (the cluster coordinator instead hands
-        #: every shard the same agreed start instant).
+        #: Loop time simulated time 0 falls at on the wall clock; ``None``
+        #: anchors at :meth:`run_async` entry (the cluster coordinator
+        #: instead hands every shard the same agreed start instant).
         self.start_at: Optional[float] = None
-        self._start_wall = 0.0
         #: The run is over: its last period's step ran (or, on the wall
-        #: clock, a callback failed).
+        #: clock, the pacing loop stopped at an error).
         self._ended = False
-        #: What a wall-clock :meth:`run_async` awaits: resolved when the
-        #: run ends.
-        self._ending: Optional[asyncio.Future] = None
-        #: First exception a loop callback (a delivery-queue instant, the
-        #: cluster's lateness exchange) raised on the wall clock — it ends
-        #: the run and is re-raised at shutdown.
-        self._callback_error: Optional[BaseException] = None
+        #: The sharded lateness exchange in flight, if any.
+        self._exchange: Optional[asyncio.Task] = None
         self._built = False
-        #: Coherent overload dilation: wall seconds added to every future
-        #: period deadline (swarm-wide, so peers stay phase-aligned).
-        self._wall_offset = 0.0
-        #: Worst period-boundary lateness peers reported since the last
-        #: end-of-period step (the dilation signal).
+        #: Coherent overload dilation: simulated seconds added to every
+        #: future period deadline (swarm-wide, so peers stay phase-aligned).
+        self._offset = 0.0
+        #: Worst period-boundary lateness (simulated seconds) peers
+        #: reported since the last end-of-period step (the dilation signal).
         self._worst_lateness = 0.0
         #: Monotonicity floor for :meth:`sim_now` across dilation steps.
         self._sim_floor = 0.0
-        #: Adaptive wall-seconds-per-period multiple (AIMD-controlled).
+        #: Adaptive period stretch, a multiple of τ (AIMD-controlled).
         self._stretch = 1.0
+        #: Wall seconds the schedule was stretched by (reported unit).
         self.clock_dilation_s = 0.0
         self.clock_dilations = 0
         #: The observability plane (:mod:`repro.obs`): the no-op
@@ -593,20 +593,18 @@ class LiveSwarm:
 
     # ----------------------------------------------------------------- clocking
     def sim_now(self) -> float:
-        """Current simulated time in seconds (dilation-adjusted wall time,
-        un-scaled; monotone even across dilation steps)."""
-        now = (self.queue.time() - self._start_wall - self._wall_offset) / self.time_scale
+        """Current protocol time in simulated seconds: the queue's clock
+        less the dilation offset, never negative and monotone even across
+        dilation steps."""
+        now = self.queue.time() - self._offset
         if now > self._sim_floor:
             self._sim_floor = now
-        return max(0.0, self._sim_floor)
+        return self._sim_floor
 
-    def wall_deadline_of(self, tick: int) -> float:
-        """Wall-clock loop time of period boundary ``tick`` (incl. dilation)."""
-        return (
-            self._start_wall
-            + self._wall_offset
-            + tick * self.config.scheduling_period * self.time_scale
-        )
+    def deadline_of(self, tick: int) -> float:
+        """Queue time of period boundary ``tick``: ``tick·τ`` plus the
+        dilation offset."""
+        return tick * self.config.scheduling_period + self._offset
 
     def file(self, peer: LivePeer, tick: int) -> None:
         """Have ``peer`` tick at period boundary ``tick``'s (current)
@@ -614,7 +612,7 @@ class LiveSwarm:
         reporting the lateness, if the deadline has passed."""
         if peer.stopped:
             return
-        deadline = self.wall_deadline_of(tick)
+        deadline = self.deadline_of(tick)
         delay = deadline - self.queue.time()
         if delay > 0:
             waiters = self._boundaries.get(deadline)
@@ -623,21 +621,24 @@ class LiveSwarm:
                 self.queue.push(deadline, self._boundary_due, deadline)
             waiters.append((peer, tick))
             return
-        self.note_lateness(-delay)
+        # A boundary hit late: the period's worst becomes its dilation.
+        if -delay > self._worst_lateness:
+            self._worst_lateness = -delay
         self._tick(peer, tick)
 
     def _tick(self, peer: LivePeer, tick: int) -> None:
         """Tick ``peer``, then file it for its next boundary — after a
-        sliver of wall time if that one has passed too, so an overrunning
+        sliver of a period if that one has passed too, so an overrunning
         peer still interleaves with frame delivery."""
         peer.tick(tick)
         tick += 1
         queue = self.queue
-        if self.wall_deadline_of(tick) - queue.time() > 0:
+        if self.deadline_of(tick) - queue.time() > 0:
             self.file(peer, tick)
             return
-        scaled = self.config.scheduling_period * self.time_scale
-        queue.push(queue.time() + 0.05 * scaled, partial(self.file, peer), tick)
+        queue.push(
+            queue.time() + 0.05 * self.config.scheduling_period, partial(self.file, peer), tick
+        )
 
     def _boundary_due(self, deadline: float) -> None:
         """Tick the peers filed for ``deadline`` in an order drawn from
@@ -650,36 +651,29 @@ class LiveSwarm:
             peer, tick = waiters[index]
             if peer.stopped:
                 continue
-            if self.wall_deadline_of(tick) - clock() > 1e-9:
+            if self.deadline_of(tick) - clock() > 1e-9:
                 self.file(peer, tick)
             else:
                 self._tick(peer, tick)
 
-    def note_lateness(self, seconds: float) -> None:
-        """A peer hit a period boundary ``seconds`` late.
-
-        The worst lateness in each period becomes a *coherent* schedule
-        dilation at its end-of-period step: every future deadline (all
-        peers, the steps, the source) shifts by the same amount, so an overloaded
-        event loop stretches wall time uniformly instead of letting peers'
-        period clocks drift apart — the drift is what used to collapse
-        continuity at aggressive ``time_scale`` settings (the 200-peer
-        anomaly ``tests/test_runtime_backpressure.py`` pins fixed).
-        """
-        if seconds > self._worst_lateness:
-            self._worst_lateness = seconds
-
-    #: Bounds of the adaptive schedule stretch (wall seconds per nominal
-    #: period, as a multiple).  The ceiling caps how slow an overloaded
-    #: swarm is allowed to run; past it the run is simply degraded (and
-    #: says so in the stall metrics) rather than stretching forever.
+    #: Bounds of the adaptive schedule stretch (a multiple of τ).  The
+    #: ceiling caps how slow an overloaded swarm is allowed to run; past
+    #: it the run is simply degraded (and says so in the stall metrics)
+    #: rather than stretching forever.
     MAX_STRETCH = 16.0
 
-    def _maybe_dilate(self, own_lateness: float) -> None:
-        """Adapt the per-period schedule stretch to the observed lateness.
+    def _maybe_dilate(self, worst: float) -> None:
+        """Adapt the per-period schedule stretch to the period's worst
+        boundary lateness, in simulated seconds.
 
-        AIMD on a *persistent* stretch factor: lateness pushes the factor
-        up by the missed fraction of a period, slack decays it
+        The stretch is a *coherent* dilation: every future deadline (all
+        peers, the steps, the source) shifts by the same amount, so an
+        overloaded event loop stretches the schedule uniformly instead of
+        letting peers' period clocks drift apart — the drift is what used
+        to collapse continuity at aggressive ``time_scale`` settings (the
+        200-peer anomaly ``tests/test_runtime_backpressure.py`` pins
+        fixed).  AIMD on a *persistent* stretch factor: lateness pushes
+        the factor up by the missed fraction of a period, slack decays it
         multiplicatively back towards 1.  A one-off offset per late round
         would limit-cycle (stretch, on-time round, no stretch, late
         round, ...); a converged persistent stretch keeps the event loop
@@ -687,21 +681,20 @@ class LiveSwarm:
         effective period and the within-period request → NACK → reroute
         dynamics complete, like they do on an unloaded clock.
         """
-        scaled = self.config.scheduling_period * self.time_scale
-        worst = max(self._worst_lateness, own_lateness)
+        period = self.config.scheduling_period
         self._worst_lateness = 0.0
-        if worst > 0.1 * scaled:
+        if worst > 0.1 * period:
             # Half-gain additive increase: converges on the minimal
             # sustainable stretch instead of overshooting to a crawl
             # (empirically ~2× better throughput at equal continuity
             # than full-gain, see docs/runtime.md).
-            self._stretch = min(self.MAX_STRETCH, self._stretch + 0.5 * worst / scaled)
+            self._stretch = min(self.MAX_STRETCH, self._stretch + 0.5 * worst / period)
         else:
             self._stretch = max(1.0, 0.85 * self._stretch)
-        extra = (self._stretch - 1.0) * scaled
+        extra = (self._stretch - 1.0) * period
         if extra > 0.0:
-            self._wall_offset += extra
-            self.clock_dilation_s += extra
+            self._offset += extra
+            self.clock_dilation_s += extra * self.time_scale
             self.clock_dilations += 1
             obs = self.obs
             if obs.enabled:
@@ -886,47 +879,45 @@ class LiveSwarm:
         """Boot every hosted peer, drive churn, stop after ``rounds``
         periods; returns this shard's partial (see :func:`merge_results`).
 
-        On the wall clock the queue runs on the running loop; a virtual
-        swarm drains its queue without awaiting anything."""
+        On the wall clock this is the virtual drain paced by the running
+        loop (:meth:`DeliveryQueue.advance_wall`): an instant's error
+        propagates to the caller, and the loop's exception handler is
+        never touched.  A virtual swarm drains its queue without awaiting
+        anything."""
         if self.clock == "virtual":
             return self._run_virtual()
         loop = asyncio.get_running_loop()
-        self.queue.bind(loop)
-        self._ending = loop.create_future()
-        # A callback that raises must fail the run, not leave one peer
-        # deaf behind a log line: this handler (chained in front of
-        # whatever the embedding application installed) ends the run at
-        # the first one, which is re-raised at shutdown.
-        outer_handler = loop.get_exception_handler()
-        loop.set_exception_handler(partial(self._note_callback_error, outer_handler))
-        try:
-            with self._running() as wall_start:
-                if self.obs.enabled:
-                    # Virtual time cannot lag, so only the wall clock probes.
-                    self._probe_lag(None)
-                await self._ending
-                if self._callback_error is not None:
-                    raise self._callback_error
-        finally:
-            loop.set_exception_handler(outer_handler)
+        anchor = loop.time() if self.start_at is None else self.start_at
+        queue = self.queue
+        queue.pace(loop, anchor, self.time_scale)
+        # The wall stopwatch starts at the schedule anchor, so a shard
+        # waiting out the coordinator's start margin does not count it.
+        with self._running(max(0.0, anchor - loop.time())) as wall_start:
+            if self.obs.enabled:
+                # Virtual time cannot lag, so only the wall clock probes.
+                self._probe_lag(None)
+            try:
+                while not self._ended:
+                    if self._exchange is not None and not queue:
+                        # Only the lateness exchange can refill the queue.
+                        await asyncio.wait((self._exchange,))
+                    await queue.advance_wall()
+            finally:
+                self._ended = True
         return self._collect(time.perf_counter() - wall_start)
 
     @contextmanager
-    def _running(self) -> Iterator[float]:
-        """Start the run — anchor the schedule, file every peer for
-        boundary 0, queue the first period's step — and yield the wall
-        stopwatch's start; on the way out, stop every peer, dumping the
-        flight ring first if the run failed."""
+    def _running(self, lead: float = 0.0) -> Iterator[float]:
+        """Start the run — file every peer for boundary 0, queue the
+        first period's step — and yield the wall stopwatch's start,
+        ``lead`` wall seconds from now; on the way out, stop every peer,
+        dumping the flight ring first if the run failed."""
         self.build()
-        now = self.queue.time()
-        self._start_wall = now if self.start_at is None else self.start_at
-        # The wall stopwatch starts at the schedule anchor, so a shard
-        # waiting out the coordinator's start margin does not count it.
-        wall_start = time.perf_counter() + max(0.0, self._start_wall - now)
+        wall_start = time.perf_counter() + lead
         try:
             for peer in self.peers.values():
                 self.file(peer, 0)
-            self._queue_step(0)
+            self.queue.push(self._step_due(0), self._step, 0)
             yield wall_start
         except SloViolation as exc:
             # The HealthEngine already recorded the breach postmortem;
@@ -941,51 +932,20 @@ class LiveSwarm:
         finally:
             self._shutdown()
 
-    def _end(self) -> None:
-        """The run is over: the virtual drain stops after this instant,
-        and a wall-clock :meth:`run_async` resumes."""
-        self._ended = True
-        if self._ending is not None and not self._ending.done():
-            self._ending.set_result(None)
-
-    def _note_callback_error(
-        self,
-        outer_handler: Optional[Callable[..., object]],
-        loop: asyncio.AbstractEventLoop,
-        context: Dict[str, Any],
-    ) -> None:
-        """Loop exception handler for the run: the first exception raised
-        by a *callback* (asyncio tags those with their ``handle``) ends the
-        run; it is then reported the way the loop would have — except an
-        SLO abort, which is the run's verdict rather than a fault."""
-        exc = context.get("exception")
-        if exc is not None and "handle" in context and self._callback_error is None:
-            self._callback_error = exc
-            self._end()
-        if isinstance(exc, SloViolation):
-            return
-        if outer_handler is None:
-            loop.default_exception_handler(context)
-        else:
-            outer_handler(loop, context)
-
     def _probe_lag(self, due: Optional[float]) -> None:
-        """Sample event-loop lag — how late this entry, queued twice per
-        period, runs — and queue the next sample."""
+        """Sample event-loop lag — how many wall seconds late this entry,
+        queued twice per period, runs — and queue the next sample."""
         now = self.queue.time()
         if due is not None:
-            self.obs.observe("event_loop_lag_s", max(0.0, now - due))
-        due = now + 0.5 * self.config.scheduling_period * self.time_scale
+            self.obs.observe("event_loop_lag_s", max(0.0, now - due) * self.time_scale)
+        due = now + 0.5 * self.config.scheduling_period
         self.queue.push(due, self._probe_lag, due)
 
-    def _queue_step(self, round_index: int) -> None:
-        """Queue period ``round_index``'s step half a period (scaled) after
-        its closing boundary, so the peers' own ticks — playback, gossip —
+    def _step_due(self, round_index: int) -> float:
+        """Period ``round_index``'s step falls half a period after its
+        closing boundary, so the peers' own ticks — playback, gossip —
         come first, matching the simulator's end-of-period churn phase."""
-        scaled = self.config.scheduling_period * self.time_scale
-        self.queue.push(
-            self.wall_deadline_of(round_index + 1) + 0.5 * scaled, self._step, round_index
-        )
+        return self.deadline_of(round_index + 1) + 0.5 * self.config.scheduling_period
 
     def _step(self, round_index: int) -> None:
         """Period ``round_index``'s step: fold the worst lateness seen
@@ -997,34 +957,30 @@ class LiveSwarm:
         dilation at the same boundary and the overlay stays phase-aligned
         *across* processes: the exchange — timeout fallback included — is
         a task, and the step finishes when it returns, while the queue
-        keeps running.
+        keeps running; its done-callback queues the rest of the step as an
+        entry due at once, so it runs inside an instant like every other
+        callback.
         """
-        scaled = self.config.scheduling_period * self.time_scale
-        deadline = self.wall_deadline_of(round_index + 1) + 0.5 * scaled
-        own_lateness = max(0.0, self.queue.time() - deadline)
+        own_lateness = max(0.0, self.queue.time() - self._step_due(round_index))
         worst = max(self._worst_lateness, own_lateness)
         if self.control is None:
-            self._finish_step(round_index, own_lateness, worst)
+            self._finish_step(round_index, worst)
             return
         exchange = asyncio.create_task(self.control.exchange_lateness(round_index, worst))
-        exchange.add_done_callback(partial(self._exchanged, round_index, own_lateness, worst))
+        rest = partial(self._exchanged, round_index, worst)
+        exchange.add_done_callback(lambda task: self.queue.push(self.queue.time(), rest, task))
+        self._exchange = exchange
 
-    def _exchanged(
-        self, round_index: int, own_lateness: float, worst: float, exchange: asyncio.Task
-    ) -> None:
-        if self._ended or exchange.cancelled():
-            return  # the run failed while the exchange was out
-        worst = max(worst, exchange.result())
-        self._worst_lateness = worst
-        self._finish_step(round_index, own_lateness, worst)
+    def _exchanged(self, round_index: int, worst: float, exchange: asyncio.Task) -> None:
+        self._exchange = None
+        self._finish_step(round_index, max(worst, exchange.result()))
 
-    def _finish_step(self, round_index: int, own_lateness: float, worst: float) -> None:
+    def _finish_step(self, round_index: int, worst: float) -> None:
         """Dilate, step the slim tier, sample obs and telemetry, then fire
         the churn schedule and queue the next period's step — or, after
         the last period, end the run."""
-        if worst > self.worst_lateness_s:
-            self.worst_lateness_s = worst
-        self._maybe_dilate(own_lateness)
+        self.worst_lateness_s = max(self.worst_lateness_s, worst * self.time_scale)
+        self._maybe_dilate(worst)
         if self.slim is not None:
             # The tier conditions on the live core's *own* counts for
             # this period, never on its own output; stepped before the
@@ -1043,7 +999,7 @@ class LiveSwarm:
             ):
                 self._emit_telemetry(round_index)
         if round_index == self.rounds - 1:
-            self._end()
+            self._ended = True
             return
         churn = self.manager.churn
         if not churn.is_static:
@@ -1059,7 +1015,7 @@ class LiveSwarm:
             for peer in joiners:
                 if peer is not None:
                     self.file(peer, peer.first_tick)
-        self._queue_step(round_index + 1)
+        self.queue.push(self._step_due(round_index + 1), self._step, round_index + 1)
 
     def _obs_snapshot(self, round_index: int) -> None:
         """Sample swarm-wide gauges into the per-period metric series."""

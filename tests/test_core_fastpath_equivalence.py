@@ -1548,9 +1548,13 @@ class TestGoldenFingerprints:
             "link_resets": 170,
         }
 
+    # Re-pinned once when the swarm began counting simulated seconds only:
+    # span timestamps used to be wall queue times divided back by
+    # ``time_scale`` (0.1), and now are the queue times themselves.  The
+    # new value is the old code's run at ``time_scale = 1.0``, bit for bit.
     def test_traced_runtime_paper_dynamic_with_loss_40x20(self):
         assert traced_runtime_fingerprint("paper-dynamic", 40, 0.02) == (
-            "ef01268883742fa9ffc8f76f6bcf56655c0090202b35555406349e0d25255714"
+            "16fcb51151752dac997d44cbce8d8f02dcf3e29f89c00b91d9f234d8d5a77656"
         )
 
     def test_traced_runtime_paper_dynamic_with_loss_40x20_bytes(self):

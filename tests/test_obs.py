@@ -138,6 +138,30 @@ class TestRecorder:
         assert len(out["spans"]) == 2
         assert out["spans_dropped"] == 3
 
+    def test_an_unbound_recorder_stamps_time_zero(self):
+        rec = ObsRecorder(ObsConfig())
+        rec.flight("coordinator_side")
+        assert rec.flight_since(0)[1][0]["t"] == 0.0
+
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_a_span_stamped_at_teardown_carries_the_swarms_last_time(self, clock):
+        """After the run the swarm's clock stands at its last instant — the
+        last period's step, half a period after its closing boundary — in
+        simulated seconds, whatever the time scale."""
+        rounds = 4
+        spec = builtin_scenario("static").scaled(num_nodes=12, rounds=rounds)
+        swarm = LiveSwarm(spec, clock=clock, time_scale=0.02, obs=ObsConfig(trace_sample=4))
+        swarm.run()
+        swarm.obs.span("teardown", 1, 0, 0)
+        swarm.obs.span("teardown", 2, 0, 0)
+        first, second = (span["t"] for span in swarm.obs.spans[-2:])
+        last_step = (rounds + 0.5) * swarm.config.scheduling_period
+        if clock == "virtual":
+            assert first == last_step
+        else:
+            assert first >= last_step
+        assert second == first
+
 
 class TestTraceSummary:
     def _spans(self):

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.obs import ObsConfig
 from repro.runtime import LiveSwarm, wire
 from repro.runtime import peer as peer_module
 from repro.runtime.clock import DeliveryQueue
@@ -145,31 +146,166 @@ class TestOneInstantOnePass:
 
         async def main():
             loop = asyncio.get_running_loop()
-            queue.bind(loop)
-            now = loop.time()
-            for name, delay in [("late", 0.03), ("early", 0.01), ("mid", 0.02)]:
-                queue.push(now + delay, order.append, name)
-            await asyncio.sleep(0.1)
+            anchor = loop.time()
+            queue.pace(loop, anchor, 0.1)  # 0.1 wall seconds per simulated second
+            for name, when in [("late", 0.3), ("early", 0.1), ("mid", 0.2)]:
+                queue.push(when, lambda name: order.append((name, loop.time() - anchor)), name)
+            while queue:
+                await queue.advance_wall()
 
         asyncio.run(main())
-        assert order == ["early", "mid", "late"]
+        assert [name for name, _ in order] == ["early", "mid", "late"]
+        # each ran no earlier than its wall instant, anchor + t·time_scale
+        for (_, wall), when in zip(order, (0.1, 0.2, 0.3)):
+            assert wall >= when * 0.1 - 1e-6
         assert len(queue) == 0
 
-    def test_close_drops_every_entry_and_disarms_the_wall_timer(self):
+    def test_close_drops_every_entry_and_a_sleeping_pacer_runs_nothing(self):
         ran = []
         queue = DeliveryQueue(after=lambda: None)
 
         async def main():
             loop = asyncio.get_running_loop()
-            queue.bind(loop)
-            assert queue.time() == pytest.approx(loop.time(), abs=0.01)
-            queue.push(loop.time() + 0.01, ran.append, "dropped")
+            queue.pace(loop, loop.time(), 0.01)
+            assert queue.time() == pytest.approx(0.0, abs=1.0)
+            queue.push(1.0, ran.append, "dropped")
+            pacer = asyncio.ensure_future(queue.advance_wall())
+            await asyncio.sleep(0)  # the pacer sleeps towards the entry
             queue.close()
-            queue.push(loop.time() + 0.01, ran.append, "pushed after close")
-            await asyncio.sleep(0.05)
+            queue.push(queue.time() + 1.0, ran.append, "pushed after close")
+            await asyncio.wait_for(pacer, 5.0)  # it wakes and finds nothing due
+            await asyncio.sleep(0.03)
 
         asyncio.run(main())
         assert ran == [] and len(queue) == 1
+
+
+class TestTheWallClockPacesTheQueue:
+    """On the wall clock the queue is drained exactly as on the virtual
+    one, paced by the loop: one coroutine sleeps until the head's wall
+    instant (an earlier push wakes it), then runs one instant."""
+
+    def test_a_frame_routed_in_lands_at_its_own_due_time(self):
+        """A push from outside any instant — a socket read — due before
+        the head the pacer sleeps towards wakes it: the frame lands at its
+        own due time, not at that head's."""
+        ran = []
+        queue = DeliveryQueue(after=lambda: None)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.pace(loop, loop.time(), 0.01)
+            queue.push(5.0, lambda _: ran.append(("head", queue.time())), None)
+
+            def routed_in():
+                due = queue.time() + 0.5
+                queue.push(due, lambda _: ran.append(("frame", queue.time(), due)), None)
+
+            loop.call_later(0.01, routed_in)
+            while queue:
+                await queue.advance_wall()
+
+        asyncio.run(main())
+        assert [entry[0] for entry in ran] == ["frame", "head"]
+        _, landed, due = ran[0]
+        assert due <= landed < 5.0
+
+    def test_overdue_entries_run_as_one_pass_with_one_drain(self):
+        order = []
+        queue = DeliveryQueue(after=lambda: order.append("|"))
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            queue.pace(loop, loop.time() - 1.0, 1.0)  # a second behind schedule
+            for name, when in [("c", 0.3), ("a", 0.1), ("b", 0.2)]:
+                queue.push(when, order.append, name)
+            queue.push(30.0, order.append, "future")
+            await queue.advance_wall()
+
+        asyncio.run(main())
+        assert order == ["a", "b", "c", "|"] and len(queue) == 1
+
+    def test_a_queue_that_empties_before_the_last_period_stalls(self, monkeypatch):
+        def stop_everyone(swarm, round_index):
+            for peer in swarm.peers.values():
+                peer.stop()
+
+        monkeypatch.setattr(LiveSwarm, "_step", stop_everyone)
+        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=4, seed=0)
+        swarm = LiveSwarm(spec, clock="wall", time_scale=0.01)
+        with pytest.raises(RuntimeError, match="wall clock stalled"):
+            swarm.run()
+        assert all(peer.stopped for peer in swarm.peers.values())
+
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_a_dilation_moves_only_deadlines_not_yet_reached(self, clock, monkeypatch):
+        """A forced dilation at period 1's step shifts every later
+        boundary by its extra simulated seconds; the entries already
+        queued keep their times, and no boundary ticks before its
+        deadline."""
+        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=5, seed=0)
+        swarm = LiveSwarm(spec, clock=clock, time_scale=0.02)
+        period = swarm.config.scheduling_period
+        seen = {}
+        dilate = LiveSwarm._maybe_dilate
+
+        def forced(swarm, worst):
+            if seen:
+                return dilate(swarm, worst)
+            queued = sorted((when, seq) for when, seq, _, _ in swarm.queue._heap)
+            before = swarm.deadline_of(3)
+            dilate(swarm, max(worst, 0.5 * period))
+            seen["extra"] = swarm.deadline_of(3) - before
+            seen["queued"] = queued == sorted(
+                (when, seq) for when, seq, _, _ in swarm.queue._heap
+            )
+            seen["now"] = swarm.queue.time()
+
+        ticks = []
+        tick = peer_module.LivePeer.tick
+
+        def logged(peer, k):
+            ticks.append((k, swarm.queue.time(), swarm.deadline_of(k)))
+            tick(peer, k)
+
+        monkeypatch.setattr(LiveSwarm, "_maybe_dilate", forced)
+        monkeypatch.setattr(peer_module.LivePeer, "tick", logged)
+        swarm.run()
+        assert seen["queued"] and seen["extra"] >= 0.25 * period - 1e-9
+        for k, when, deadline in ticks:
+            assert when >= deadline - 1e-9
+            if when < seen["now"]:
+                assert deadline == k * period
+            else:
+                assert deadline >= k * period + seen["extra"] - 1e-9
+            if clock == "virtual":
+                assert when == pytest.approx(deadline, abs=1e-9)
+        assert {k for k, _, _ in ticks} == set(range(6))  # boundary 5 closes period 4
+
+
+class TestOneClockUnit:
+    """The swarm counts simulated seconds; ``time_scale`` paces the wall
+    clock only, so a virtual run cannot depend on it."""
+
+    @pytest.mark.parametrize("scenario", ["flash-crowd", "static"])
+    def test_a_virtual_run_does_not_depend_on_time_scale(self, scenario):
+        spec = builtin_scenario(scenario).scaled(num_nodes=40, rounds=12, seed=0)
+        facts = []
+        for time_scale in (0.1, 0.37, 1.0):
+            result = LiveSwarm(
+                spec, clock="virtual", time_scale=time_scale, obs=ObsConfig(trace_sample=4)
+            ).run()
+            facts.append(
+                (
+                    result.continuity_series(),
+                    {kind.value: count for kind, count in result.ledger.counts.items()},
+                    {kind.value: bits for kind, bits in result.ledger.bits.items()},
+                    result.messages_sent,
+                    result.bytes_on_wire,
+                    result.obs["spans"],
+                )
+            )
+        assert facts[0] == facts[1] == facts[2]
 
 
 class TestSheddingListEntries:

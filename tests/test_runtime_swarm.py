@@ -247,10 +247,16 @@ class TestHandlerFailuresAreLoud:
         # the first pull raised in period 0 or 1; nothing ran the rest
         assert len(steps) < 3 and swarm._ended
 
-    def test_the_embedding_loops_exception_handler_is_chained_and_restored(
+    def test_a_handler_error_reaches_the_caller_and_the_loops_handler_is_untouched(
         self, monkeypatch
     ):
+        """The error leaves ``run_async`` by plain propagation: the
+        embedding loop's exception handler is never replaced (not even
+        while the run is going) and never sees the error."""
+        during = []
+
         def broken(peer, msg):
+            during.append(asyncio.get_running_loop().get_exception_handler())
             raise RuntimeError("handler blew up")
 
         monkeypatch.setitem(peer_module._DISPATCH, wire.SegmentRequest, broken)
@@ -258,7 +264,7 @@ class TestHandlerFailuresAreLoud:
         reported = []
 
         def outer_handler(loop, context):
-            reported.append(context["exception"])
+            reported.append(context.get("exception"))
 
         async def embed():
             loop = asyncio.get_running_loop()
@@ -269,7 +275,8 @@ class TestHandlerFailuresAreLoud:
             return failure.value
 
         raised = asyncio.run(embed())
-        assert reported and reported[0] is raised
+        assert isinstance(raised, RuntimeError)
+        assert during == [outer_handler] and reported == []
 
 
 @pytest.mark.slow
