@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0.1 in-process, sized on the peers per core when "
         "sharded; an overloaded wall-clock swarm stretches its "
         "schedule coherently instead of collapsing); a --clock virtual "
-        "run does not depend on it")
+        "run does not depend on it beyond its reported dilation seconds")
     runtime_group.add_argument(
         "--clock", choices=("wall", "virtual"), default="wall",
         help="runtime clock: real time (default) or deterministic virtual "

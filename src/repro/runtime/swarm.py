@@ -53,7 +53,8 @@ Every time the swarm keeps (queue entries, deadlines, link delays,
 lateness) is in simulated seconds.  On the **virtual clock**
 (``clock="virtual"``, the campaign backend) :meth:`LiveSwarm.run` drains
 the queue instant by instant with no event loop: identical spec and seed
-reproduce identical results, bit for bit, at any ``time_scale``.  On the
+reproduce identical results, bit for bit, at any ``time_scale`` (which
+only converts the wall-second dilation and lateness reports).  On the
 **wall clock** :meth:`LiveSwarm.run_async` paces the same drain by the
 loop (``t`` runs at wall ``anchor + t·time_scale``) and trades that
 determinism for real concurrency: results carry wall-clock noise, and
@@ -159,7 +160,7 @@ class RunOptions:
             real I/O, which the virtual clock cannot jump over).
         rounds: scheduling periods to run; ``None`` uses the scenario's.
         time_scale: wall seconds per simulated second — it paces the
-            wall clock only, and a virtual result does not depend on it;
+            wall clock and scales the wall-second reports, nothing else;
             ``None`` picks :data:`DEFAULT_TIME_SCALE` in-process and
             :func:`adaptive_time_scale` (sized on the *live* peers) for a
             sharded run.  Smaller runs faster but leaves less wall time
@@ -869,10 +870,11 @@ class LiveSwarm:
     def _run_virtual(self) -> ShardResult:
         """The virtual clock: advance to the queue's head and run that
         instant, until the last period's step ends the run."""
-        with self._running() as wall_start:
-            queue = self.queue
+        self.build()
+        wall_start = time.perf_counter()
+        with self._running():
             while not self._ended:
-                queue.advance()
+                self.queue.advance()
         return self._collect(time.perf_counter() - wall_start)
 
     async def run_async(self) -> ShardResult:
@@ -887,12 +889,14 @@ class LiveSwarm:
         if self.clock == "virtual":
             return self._run_virtual()
         loop = asyncio.get_running_loop()
+        self.build()
+        # Time 0 falls after the build (and a shard's start margin), where
+        # the wall stopwatch starts too: boundary 0 is not late by either.
         anchor = loop.time() if self.start_at is None else self.start_at
+        start = max(loop.time(), anchor)
         queue = self.queue
         queue.pace(loop, anchor, self.time_scale)
-        # The wall stopwatch starts at the schedule anchor, so a shard
-        # waiting out the coordinator's start margin does not count it.
-        with self._running(max(0.0, anchor - loop.time())) as wall_start:
+        with self._running():
             if self.obs.enabled:
                 # Virtual time cannot lag, so only the wall clock probes.
                 self._probe_lag(None)
@@ -904,21 +908,18 @@ class LiveSwarm:
                     await queue.advance_wall()
             finally:
                 self._ended = True
-        return self._collect(time.perf_counter() - wall_start)
+        return self._collect(loop.time() - start)
 
     @contextmanager
-    def _running(self, lead: float = 0.0) -> Iterator[float]:
-        """Start the run — file every peer for boundary 0, queue the
-        first period's step — and yield the wall stopwatch's start,
-        ``lead`` wall seconds from now; on the way out, stop every peer,
+    def _running(self) -> Iterator[None]:
+        """Start the built swarm — file every peer for boundary 0, queue
+        the first period's step — and, on the way out, stop every peer,
         dumping the flight ring first if the run failed."""
-        self.build()
-        wall_start = time.perf_counter() + lead
         try:
             for peer in self.peers.values():
                 self.file(peer, 0)
             self.queue.push(self._step_due(0), self._step, 0)
-            yield wall_start
+            yield
         except SloViolation as exc:
             # The HealthEngine already recorded the breach postmortem;
             # attach this swarm's obs export so the CLI can print it.

@@ -16,6 +16,7 @@ import asyncio
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -237,6 +238,34 @@ class TestTheWallClockPacesTheQueue:
             swarm.run()
         assert all(peer.stopped for peer in swarm.peers.values())
 
+    def test_a_slow_build_does_not_make_boundary_zero_late(self, monkeypatch):
+        """The wall clock anchors simulated time 0 after the swarm is
+        built: a build that takes three periods of wall time neither
+        makes boundary 0 late nor dilates the run."""
+        spec = builtin_scenario("static").scaled(num_nodes=10, rounds=3, seed=0)
+        swarm = LiveSwarm(spec, clock="wall", time_scale=0.2)
+        period = swarm.config.scheduling_period
+        build = swarm.system.build
+
+        def slow_build():
+            build()
+            time.sleep(3 * period * swarm.time_scale)
+
+        monkeypatch.setattr(swarm.system, "build", slow_build)
+        boundary_zero = []
+        file = LiveSwarm.file
+
+        def logged(swarm, peer, tick):
+            if tick == 0:
+                boundary_zero.append(swarm.queue.time() - swarm.deadline_of(0))
+            file(swarm, peer, tick)
+
+        monkeypatch.setattr(LiveSwarm, "file", logged)
+        partial = asyncio.run(swarm.run_async())
+        assert boundary_zero and max(boundary_zero) < 0.1 * period
+        assert partial.result.clock_dilations == 0
+        assert partial.worst_lateness_s < 0.1 * period * swarm.time_scale
+
     @pytest.mark.parametrize("clock", ["virtual", "wall"])
     def test_a_dilation_moves_only_deadlines_not_yet_reached(self, clock, monkeypatch):
         """A forced dilation at period 1's step shifts every later
@@ -285,27 +314,50 @@ class TestTheWallClockPacesTheQueue:
 
 class TestOneClockUnit:
     """The swarm counts simulated seconds; ``time_scale`` paces the wall
-    clock only, so a virtual run cannot depend on it."""
+    clock only, so nothing a virtual run decides depends on it."""
 
     @pytest.mark.parametrize("scenario", ["flash-crowd", "static"])
     def test_a_virtual_run_does_not_depend_on_time_scale(self, scenario):
+        """Every result field and obs record is equal at any
+        ``time_scale``.  The exceptions are what the host timed and the
+        wall-second reports (``clock_dilation_s``, ``worst_lateness_s``),
+        which are the simulated values times ``time_scale``."""
         spec = builtin_scenario(scenario).scaled(num_nodes=40, rounds=12, seed=0)
         facts = []
         for time_scale in (0.1, 0.37, 1.0):
-            result = LiveSwarm(
+            swarm = LiveSwarm(
                 spec, clock="virtual", time_scale=time_scale, obs=ObsConfig(trace_sample=4)
-            ).run()
-            facts.append(
-                (
-                    result.continuity_series(),
-                    {kind.value: count for kind, count in result.ledger.counts.items()},
-                    {kind.value: bits for kind, bits in result.ledger.bits.items()},
-                    result.messages_sent,
-                    result.bytes_on_wire,
-                    result.obs["spans"],
-                )
             )
+            result = swarm.run()
+
+            def in_sim_s(wall_s):
+                return round(wall_s / time_scale, 9)
+
+            fields = {
+                f.name: getattr(result, f.name)
+                for f in dataclasses.fields(result)
+                if f.name not in ("time_scale", "wall_time_s", "obs")
+            }
+            fields["clock_dilation_s"] = in_sim_s(result.clock_dilation_s)
+            fields["worst_lateness_s"] = in_sim_s(swarm.worst_lateness_s)
+            obs = dict(result.obs)
+            metrics = obs.pop("metrics")
+            gauges = dict(metrics["gauges"])
+            gauges["clock_dilation_s"] = in_sim_s(gauges["clock_dilation_s"])
+            # The host times the phases (``phase_*_s``), not the swarm.
+            series = {
+                name: points
+                for name, points in metrics["series"].items()
+                if not name.startswith("phase_")
+            }
+            series["clock_dilation_s"] = [
+                [k, in_sim_s(value)] for k, value in series["clock_dilation_s"]
+            ]
+            timed = {name: h["count"] for name, h in metrics["histograms"].items()}
+            facts.append((fields, metrics["counters"], gauges, series, timed, obs))
         assert facts[0] == facts[1] == facts[2]
+        if scenario == "flash-crowd":
+            assert facts[0][0]["clock_dilations"] > 0  # the scaled reports are live
 
 
 class TestSheddingListEntries:
