@@ -82,9 +82,9 @@ def _run_options(args: argparse.Namespace, command: str, shards: int):
     """The flags as the live runtime's one options record.
 
     Every combination the runtime cannot run (virtual clock on a sharded
-    run, ``--core-peers`` without ``--fidelity hybrid``, ...) is rejected
-    by the record itself, a malformed ``--slo`` by its parser; the CLI
-    only turns that ``ValueError`` into a one-line exit.
+    run, ``--slo`` without telemetry, ...) is rejected by the record
+    itself, a malformed ``--slo`` by its parser; the CLI only turns that
+    ``ValueError`` into a one-line exit.
     """
     from repro.obs import parse_slo
     from repro.runtime import RunOptions
@@ -97,26 +97,9 @@ def _run_options(args: argparse.Namespace, command: str, shards: int):
             obs=_obs_config(args),
             slo=parse_slo(args.slo),
             telemetry_out=args.telemetry_out,
-            fidelity=args.fidelity,
-            core_peers=args.core_peers,
         )
     except ValueError as exc:
         raise SystemExit(f"{command} error: {exc}") from exc
-
-
-def _fidelity_lines(result) -> List[str]:
-    """Summary line for a hybrid-fidelity run ('' for full fidelity)."""
-    fid = result.fidelity
-    if not fid:
-        return []
-    slim = int(fid.get("slim_peers", 0))
-    mem = int(fid.get("slim_memory_bytes", 0))
-    per_peer = f" ({mem / slim:.1f} B/slim peer)" if slim else ""
-    return [
-        f"  hybrid: {fid.get('core_peers', 0)} live core peers + "
-        f"{slim} slim peers of {fid.get('total_peers', 0)} total, "
-        f"slim tier {mem} B{per_peer}"
-    ]
 
 
 def _obs_lines(result, args: argparse.Namespace) -> List[str]:
@@ -268,12 +251,6 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
             "command (runtime --parity-matrix --shards N puts the cluster on "
             "the live side)"
         )
-    if parity and args.fidelity == "hybrid":
-        raise SystemExit(
-            "--fidelity hybrid does not combine with the parity harness "
-            "(parity pins the full runtime against the sim; hybrid parity "
-            "is pinned by tests/test_runtime_hybrid.py)"
-        )
     if args.shards is not None:
         shards = args.shards
     if args.parity_matrix:
@@ -351,7 +328,6 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
                 )
                 + "  (* hosts the source)"
             )
-        lines.extend(_fidelity_lines(result))
         lines.extend(_obs_lines(result, args))
         lines.extend(_telemetry_lines(args, result.health))
         out = "\n".join(lines)
@@ -585,17 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clock", choices=("wall", "virtual"), default="wall",
         help="runtime clock: real time (default) or deterministic virtual "
         "time with zero wall waiting")
-    runtime_group.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="runtime fidelity tier: 'full' (default) runs every peer "
-        "live; 'hybrid' runs a live core of --core-peers plus an "
-        "array-backed slim statistical tier for the rest, scaling to "
-        "six-figure swarms (runtime/campaign/cluster backends; see "
-        "docs/runtime.md)")
-    runtime_group.add_argument(
-        "--core-peers", type=int, default=None, metavar="N",
-        help="full-fidelity live peers in a --fidelity hybrid run "
-        "(default: 50, capped by the swarm size)")
     runtime_group.add_argument(
         "--parity", action="store_true",
         help="run the sim-vs-runtime parity harness instead of a single swarm")

@@ -19,9 +19,7 @@ itself, deterministically and with no event loop:
   the one swarm class (booting a scenario's peers, driving live churn,
   collecting continuity/overhead metrics), the
   :class:`~repro.runtime.swarm.RunOptions` record every run option is
-  declared in, and :func:`~repro.runtime.swarm.run`, the single entry;
-* :mod:`repro.runtime.slim` — the array-backed statistical tier a
-  hybrid-fidelity swarm holds around its live core.
+  declared in, and :func:`~repro.runtime.swarm.run`, the single entry.
 
 Deployment at scale lives in :mod:`repro.runtime.cluster`: the same
 swarm sharded across worker processes, cross-shard links on real TCP
@@ -30,7 +28,6 @@ sockets behind the same codec (``docs/cluster.md``); see
 """
 
 from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
-from repro.runtime.slim import SlimTier, default_core_peers
 from repro.runtime.swarm import (
     CLOCKS,
     DEFAULT_TIME_SCALE,
@@ -93,7 +90,6 @@ __all__ = [
     "SegmentData",
     "SegmentRequest",
     "ShardResult",
-    "SlimTier",
     "TransportConfig",
     "TransportStats",
     "TransportSummary",
@@ -101,7 +97,6 @@ __all__ = [
     "WireError",
     "WireKind",
     "decode",
-    "default_core_peers",
     "encode",
     "encode_batch",
     "frame_count",

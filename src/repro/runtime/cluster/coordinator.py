@@ -56,8 +56,8 @@ from repro.scenarios.spec import ScenarioSpec
 #: every hosted peer for its first boundary.  Measured (while each peer
 #: was still its own task) from ``start`` off the pipe to every peer's
 #: first step: 2.3-5.0 ms per shard at 4 shards x 1000
-#: peers (~250 a shard, the largest nightly run), 0.8 ms for the hybrid
-#: 2 x 5050 run — on a 2-vCPU host, so the floor keeps a 20x margin.
+#: peers (~250 a shard, the largest nightly run) on a 2-vCPU host, so the
+#: floor keeps a 20x margin.
 START_FLOOR_S = 0.1
 
 #: Budget for spawn → listen → mesh → ready.
@@ -111,8 +111,8 @@ class ClusterCoordinator:
 
     def __init__(self, spec: ScenarioSpec, options: RunOptions) -> None:
         self.spec = spec
-        #: Resolved once here, so every worker receives the same rounds,
-        #: clock compression and hybrid core size.
+        #: Resolved once here, so every worker receives the same rounds
+        #: and clock compression.
         self.options = options.resolved(spec)
         self.token = secrets.randbits(32)
         #: Live phase marker: ``"init" → "setup" → "running" → "done"``

@@ -41,13 +41,11 @@ There is **one** swarm class.  Where its peers live is plain data — a
 ``shard_index`` of ``num_shards`` ring ranges plus a ``links`` dict of
 socket links towards the other shards (empty for the default one-shard
 placement, where every frame goes straight to the loopback link) — and
-the hybrid-fidelity bulk is an optional :class:`~repro.runtime.slim.
-SlimTier` the swarm holds and steps at each boundary.  Every run option
-is declared once, in :class:`RunOptions`; :func:`run` is the single
-entry the CLI, the cell runner (:mod:`repro.scenarios.cell`) and the
-cluster workers go through, and :func:`merge_results` is the single
-place per-shard partials (one, for an in-process run) fold into a
-:class:`RuntimeResult`.
+every peer it hosts is a live peer.  Every run option is declared once,
+in :class:`RunOptions`; :func:`run` is the single entry the CLI, the cell
+runner (:mod:`repro.scenarios.cell`) and the cluster workers go through,
+and :func:`merge_results` is the single place per-shard partials (one,
+for an in-process run) fold into a :class:`RuntimeResult`.
 
 Every time the swarm keeps (queue entries, deadlines, link delays,
 lateness) is in simulated seconds.  On the **virtual clock**
@@ -89,10 +87,8 @@ from repro.obs import (
 from repro.runtime.clock import DeliveryQueue
 from repro.runtime.cluster.links import LinkConfig, LoopbackLink, SocketLink, SocketLinkStats
 from repro.runtime.peer import LivePeer
-from repro.runtime.slim import MIN_CORE_PEERS, SlimTier, default_core_peers
 from repro.runtime.transport import TransportConfig, TransportSummary
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.rng import derive_seed
 from repro.streaming.playback import ContinuityTracker
 
 #: Default wall seconds per simulated second on the wall clock.  0.1
@@ -107,11 +103,6 @@ DEFAULT_TIME_SCALE = 0.1
 #: parity matrices and regression tests — same seed, same result, no
 #: waiting).
 CLOCKS = ("wall", "virtual")
-
-#: ``"full"`` runs every peer live; ``"hybrid"`` hosts a
-#: full-fidelity core of ``core_peers`` live peers plus an array-backed
-#: statistical tier for the rest (:mod:`repro.runtime.slim`).
-FIDELITIES = ("full", "hybrid")
 
 
 def _available_cpus() -> int:
@@ -162,10 +153,10 @@ class RunOptions:
         time_scale: wall seconds per simulated second — it paces the
             wall clock and scales the wall-second reports, nothing else;
             ``None`` picks :data:`DEFAULT_TIME_SCALE` in-process and
-            :func:`adaptive_time_scale` (sized on the *live* peers) for a
-            sharded run.  Smaller runs faster but leaves less wall time
-            per period; an overloaded wall-clock swarm *dilates* its
-            schedule coherently (:meth:`LiveSwarm._maybe_dilate`).
+            :func:`adaptive_time_scale` (sized on the swarm) for a sharded
+            run.  Smaller runs faster but leaves less wall time per
+            period; an overloaded wall-clock swarm *dilates* its schedule
+            coherently (:meth:`LiveSwarm._maybe_dilate`).
         transport: per-peer flow-control knobs (inbox watermark, credit
             window); ``None`` uses the ``TransportConfig`` defaults.
         link: TCP link knobs of a sharded run (queue bound, reconnect
@@ -183,9 +174,6 @@ class RunOptions:
         telemetry_out: stream telemetry frames and alerts to this JSONL
             path (Prometheus exposition at ``<path>.prom``); requires
             telemetry.
-        fidelity: one of :data:`FIDELITIES`.
-        core_peers: live-core size of a hybrid run; ``None`` picks
-            :func:`~repro.runtime.slim.default_core_peers`.
     """
 
     shards: int = 1
@@ -197,8 +185,6 @@ class RunOptions:
     obs: Optional[ObsConfig] = None
     slo: Optional[SloSpec] = None
     telemetry_out: Optional[str] = None
-    fidelity: str = "full"
-    core_peers: Optional[int] = None
 
     @property
     def telemetry_on(self) -> bool:
@@ -224,15 +210,6 @@ class RunOptions:
                 "slo/telemetry_out need the telemetry stream: pass an ObsConfig "
                 "with metrics=True and telemetry=True"
             )
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
-        if self.core_peers is not None:
-            if self.fidelity != "hybrid":
-                raise ValueError("core_peers only applies to fidelity='hybrid'")
-            if self.core_peers < MIN_CORE_PEERS:
-                raise ValueError(
-                    f"core_peers must be >= {MIN_CORE_PEERS}, got {self.core_peers}"
-                )
 
     def resolved(self, spec: ScenarioSpec) -> "RunOptions":
         """This record with every ``None`` default filled from ``spec``.
@@ -240,23 +217,15 @@ class RunOptions:
         Idempotent, so the coordinator resolves once and every worker
         receives (and re-resolves to) the identical record.
         """
-        core = self.core_peers
-        if self.fidelity == "hybrid":
-            core = default_core_peers(spec.num_nodes) if core is None else core
-            if core > spec.num_nodes:
-                raise ValueError(
-                    f"core_peers ({core}) cannot exceed the swarm size ({spec.num_nodes})"
-                )
         time_scale = self.time_scale
         if time_scale is None:
-            # Only live peers cost loop cycles, so a hybrid run's clock is
-            # sized on its core, not on the population.
-            live = spec.num_nodes if core is None else core
             time_scale = (
-                DEFAULT_TIME_SCALE if self.shards == 1 else adaptive_time_scale(live, self.shards)
+                DEFAULT_TIME_SCALE
+                if self.shards == 1
+                else adaptive_time_scale(spec.num_nodes, self.shards)
             )
         rounds = spec.rounds if self.rounds is None else self.rounds
-        return replace(self, rounds=int(rounds), time_scale=float(time_scale), core_peers=core)
+        return replace(self, rounds=int(rounds), time_scale=float(time_scale))
 
 
 class ClusterControl(Protocol):
@@ -321,10 +290,6 @@ class RuntimeResult:
     #: run was started with an :class:`~repro.obs.ObsConfig`.  Plain dict
     #: so the result stays picklable.
     obs: Optional[Dict[str, Any]] = None
-    #: Hybrid-fidelity facts (``mode``, ``core_peers``, ``slim_peers``,
-    #: ``slim_memory_bytes``, ... — see :mod:`repro.runtime.slim`);
-    #: ``None`` for full-fidelity runs.  Plain dict: picklable.
-    fidelity: Optional[Dict[str, Any]] = None
     #: Run-level health verdict — a :meth:`~repro.obs.health.HealthEngine.
     #: snapshot` — when a telemetry consumer watched the run (``slo`` /
     #: ``telemetry_out``, or any sharded run with telemetry on).
@@ -419,9 +384,7 @@ class LiveSwarm:
         self.options = options
         self.shard_index = shard_index
         self.num_shards = options.shards
-        core = options.core_peers
-        #: The *live* workload: a hybrid run's live peers are its core.
-        self.spec = spec if core is None else spec.scaled(num_nodes=core)
+        self.spec = spec
         self.rounds: int = options.rounds
         self.time_scale: float = options.time_scale
         self.transport = options.transport if options.transport is not None else TransportConfig()
@@ -434,22 +397,6 @@ class LiveSwarm:
         #: urgent-line prediction + on-demand retrieval run only when the
         #: registered pipeline contains them (protocol-faithful adaptation).
         self.prediction_enabled = "urgent-line-prediction" in pipeline_names
-        #: The statistical bulk of a hybrid run (this shard's near-even
-        #: slice of it, on its own derived RNG stream), stepped at every
-        #: boundary; ``None`` at full fidelity.
-        self.slim: Optional[SlimTier] = None
-        if core is not None:
-            slim_total = spec.num_nodes - core
-            extra = 1 if shard_index < slim_total % self.num_shards else 0
-            self.slim = SlimTier(
-                count=slim_total // self.num_shards + extra,
-                config=self.config,
-                churn=spec.churn,
-                loss_rate=spec.loss_rate,
-                seed=derive_seed(spec.seed, f"slim-tier/{shard_index}"),
-            )
-        #: The whole population (live peers + every shard's slim slice).
-        self.total_peers = int(spec.num_nodes)
         self.peers: Dict[int, LivePeer] = {}
         self.retired_peers: List[LivePeer] = []
         self.messages_sent = 0
@@ -977,20 +924,11 @@ class LiveSwarm:
         self._finish_step(round_index, max(worst, exchange.result()))
 
     def _finish_step(self, round_index: int, worst: float) -> None:
-        """Dilate, step the slim tier, sample obs and telemetry, then fire
-        the churn schedule and queue the next period's step — or, after
-        the last period, end the run."""
+        """Dilate, sample obs and telemetry, then fire the churn schedule
+        and queue the next period's step — or, after the last period, end
+        the run."""
         self.worst_lateness_s = max(self.worst_lateness_s, worst * self.time_scale)
         self._maybe_dilate(worst)
-        if self.slim is not None:
-            # The tier conditions on the live core's *own* counts for
-            # this period, never on its own output; stepped before the
-            # telemetry emit so the frame carries its fresh sample.
-            self.slim.step(
-                round_index,
-                *self._period_playback_counts(round_index, slim=False),
-                self._core_started(round_index),
-            )
         if self.obs.enabled:
             self._obs_snapshot(round_index)
             if (
@@ -1151,14 +1089,12 @@ class LiveSwarm:
             peer.stop()
 
     # ================================================================== collect
-    def _period_playback_counts(self, tick: int, slim: bool = True) -> Tuple[int, int]:
+    def _period_playback_counts(self, tick: int) -> Tuple[int, int]:
         """``(playing, total)`` for one period over every hosted peer.
 
         The single aggregation point telemetry frames, playback samples
-        and the merged tracker all flow through: a hybrid swarm's slim
-        tier is added here (unless ``slim=False`` asks for the live core
-        alone), so every consumer (health engine, cockpit, campaign
-        stores) sees one population.
+        and the merged tracker all flow through, so every consumer
+        (health engine, cockpit, campaign stores) sees one population.
         """
         playing = total = 0
         for peer in list(self.peers.values()) + self.retired_peers:
@@ -1170,32 +1106,11 @@ class LiveSwarm:
             total += 1
             if sample.started and sample.continuous:
                 playing += 1
-        if slim and self.slim is not None:
-            slim_playing, slim_total = self.slim.sample_for(tick)
-            return playing + slim_playing, total + slim_total
         return playing, total
 
-    def _core_started(self, tick: int) -> int:
-        """Live core peers in the slim tier's *started* cohort for ``tick``:
-        boot peers, joiners past the tier's startup gate, and any peer
-        already playing (see :meth:`SlimTier.step`)."""
-        gate = self.slim.startup_rounds
-        started = 0
-        for peer in list(self.peers.values()) + self.retired_peers:
-            sample = None if peer.is_source else peer.playback_log.get(tick)
-            if sample is None:
-                continue
-            if (
-                peer.first_tick == 0
-                or tick >= peer.first_tick + gate
-                or (sample.started and sample.continuous)
-            ):
-                started += 1
-        return started
-
     def peers_live(self) -> int:
-        """Currently-live peer count (live peers plus the slim tier)."""
-        return len(self.peers) + (0 if self.slim is None else self.slim.alive_count)
+        """Currently-live peer count."""
+        return len(self.peers)
 
     def playback_samples(self) -> List[Tuple[int, int, int]]:
         """Per-tick ``(tick, playing, total)`` over every hosted peer.
@@ -1240,14 +1155,6 @@ class LiveSwarm:
             socket["misrouted_frames"] = self.misrouted_frames
             if obs is not None:
                 obs["socket_links"] = rows
-        fidelity = None
-        if self.slim is not None:
-            fidelity = {
-                "mode": "hybrid",
-                "core_peers": self.options.core_peers,
-                **self.slim.facts(),
-                "total_peers": self.total_peers,
-            }
         result = RuntimeResult(
             system=self.spec.system,
             config=self.config,
@@ -1267,7 +1174,6 @@ class LiveSwarm:
             clock_dilations=self.clock_dilations,
             bytes_on_wire=self.bytes_on_wire,
             obs=obs,
-            fidelity=fidelity,
             **{
                 name: sum(getattr(peer.node.stats, name) for peer in everyone)
                 for name in LOOKUP_COUNTERS
@@ -1305,8 +1211,7 @@ def merge_results(
     (ticks nobody sampled — a timed-out shutdown cut them off — are
     dropped rather than recorded as vacuous perfect rounds), ledgers
     merge like any concurrent accumulation, transport summaries aggregate
-    with the standard sum/max rules and a hybrid run's ``slim_*`` facts
-    sum over the shards' slices.  A sharded run (``shards > 1``) also
+    with the standard sum/max rules.  A sharded run (``shards > 1``) also
     gets the cluster-only facts (socket traffic, lost shards, per-shard
     rows) in ``RuntimeResult.cluster`` and an obs export merged across
     shards; ``extra_obs`` joins that merge (the coordinator's own
@@ -1334,7 +1239,6 @@ def merge_results(
     per_peer: Dict[int, MessageLedger] = {}
     for row in rows:
         per_peer.update(row.per_peer_ledgers)
-    fidelity = None if first.fidelity is None else dict(first.fidelity)
     cluster = None
     obs = first.obs
     if shards > 1:
@@ -1365,10 +1269,6 @@ def merge_results(
         if health is not None:
             cluster["health"] = health
         obs = merge_obs([row.obs for row in rows] + [extra_obs])
-        if fidelity is not None:
-            for key in fidelity:
-                if key.startswith("slim_"):
-                    fidelity[key] = sum(row.fidelity[key] for row in rows)
     return replace(
         first,
         tracker=tracker,
@@ -1380,7 +1280,6 @@ def merge_results(
         shards=shards,
         cluster=cluster,
         obs=obs,
-        fidelity=fidelity,
         health=health,
     )
 

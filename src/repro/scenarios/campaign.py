@@ -61,23 +61,15 @@ def cell_obs_filename(payload: Mapping[str, Any]) -> str:
     """The collision-free obs JSONL name of one grid cell.
 
     Every coordinate that distinguishes cells within a campaign —
-    scenario, system, node count, sweep seed, backend, and (for
-    non-default fidelity) the fidelity mode with its core size — lands
-    in the name, so no two cells of one grid (or of a sim/runtime or
-    hybrid/full re-run into the same directory) can overwrite each
-    other's export.  Full-fidelity names stay exactly as before, so
-    existing tooling keyed on them keeps resolving.
+    scenario, system, node count, sweep seed and backend — lands in the
+    name, so no two cells of one grid (or of a sim/runtime re-run into
+    the same directory) can overwrite each other's export.
     """
     raw = (
         f"{payload['scenario']['name']}_{payload['system']}"
         f"_n{payload['num_nodes']}_s{payload['seed']}"
         f"_{payload.get('backend', 'sim')}"
     )
-    options = payload.get("options")
-    if options is not None and options.fidelity != "full":
-        raw += f"_{options.fidelity}"
-        if options.core_peers is not None:
-            raw += f"-c{options.core_peers}"
     return f"obs_{re.sub(r'[^A-Za-z0-9._-]+', '-', raw)}.jsonl"
 
 
@@ -138,10 +130,10 @@ class CampaignSpec:
         options: how runtime/cluster-backend cells run — the live
             runtime's one :class:`~repro.runtime.swarm.RunOptions` record
             (picklable, so it ships in the cell payloads): period
-            compression, obs plane, hybrid fidelity, shard count.  The
-            backend fixes placement and clock (:meth:`cell_options`);
-            ``None`` is the default record.  The sim backend has no live
-            runtime: it rejects an obs plane or a hybrid tier.
+            compression, obs plane, shard count.  The backend fixes
+            placement and clock (:meth:`cell_options`); ``None`` is the
+            default record.  The sim backend has no live runtime: it
+            rejects an obs plane.
         obs_dir: directory for per-cell obs JSONL exports, named by
             :func:`cell_obs_filename` so grid cells never collide;
             requires ``options.obs``.
@@ -171,11 +163,6 @@ class CampaignSpec:
                 raise ValueError(
                     "the sim backend has no observability plane; obs campaigns "
                     "need --backend runtime or cluster"
-                )
-            if options.fidelity == "hybrid":
-                raise ValueError(
-                    "the sim backend has no hybrid tier; hybrid campaigns need "
-                    "--backend runtime or cluster"
                 )
         if self.obs_dir is not None and options.obs is None:
             raise ValueError("obs_dir needs an obs config")

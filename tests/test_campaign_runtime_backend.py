@@ -298,21 +298,15 @@ class TestCampaignObs:
         assert "/" not in hostile and " " not in hostile
         assert hostile.startswith("obs_") and hostile.endswith(".jsonl")
 
-    def test_hybrid_and_full_runs_of_the_same_cell_do_not_collide(self):
+    def test_the_runtime_cell_name_is_pinned_with_and_without_options(self):
         from repro.scenarios.campaign import cell_obs_filename
 
         cell = {"scenario": {"name": "static"}, "system": "continustreaming",
                 "num_nodes": 20, "seed": 0, "backend": "runtime"}
         full = cell_obs_filename(cell)
-        hybrid = cell_obs_filename(
-            {**cell, "options": RunOptions(fidelity="hybrid", core_peers=50)}
-        )
-        hybrid_default = cell_obs_filename({**cell, "options": RunOptions(fidelity="hybrid")})
-        assert len({full, hybrid, hybrid_default}) == 3, (full, hybrid, hybrid_default)
-        # The full-fidelity name is pinned: adding the fidelity knob must
-        # not rename every obs artifact ever written by earlier releases.
+        # The name is pinned: a run option must not rename every obs
+        # artifact ever written by earlier releases.
         assert full == "obs_static_continustreaming_n20_s0_runtime.jsonl"
-        assert hybrid == "obs_static_continustreaming_n20_s0_runtime_hybrid-c50.jsonl"
         assert cell_obs_filename({**cell, "options": RunOptions()}) == full
 
     def test_sim_backend_rejects_obs(self):

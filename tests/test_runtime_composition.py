@@ -1,13 +1,13 @@
 """The composition matrix through the one entry.
 
 There is one swarm class, one options record and one merge: placement
-(``shards``) and fidelity (``full`` / ``hybrid``) are values of
-:class:`RunOptions`, not classes.  These tests drive every combination
-through :func:`repro.runtime.run` at toy scale and pin
+(``shards``) is a value of :class:`RunOptions`, not a class.  These tests
+drive both placements through :func:`repro.runtime.run` at toy scale and
+pin
 
-* the result contract — every combination returns a
-  :class:`RuntimeResult` with the same populated fields, ``cluster`` set
-  iff the run was sharded and ``fidelity`` iff it was hybrid;
+* the result contract — both placements return a :class:`RuntimeResult`
+  with the same populated fields, ``cluster`` set iff the run was
+  sharded;
 * that in-process really is the one-shard case — default placement and an
   explicit ``shards=1`` are the same run, and the in-process result is the
   merge of its single partial;
@@ -28,14 +28,12 @@ from repro.obs import ObsConfig, SloSpec
 from repro.runtime import LiveSwarm, RunOptions, RuntimeResult, merge_results, run
 from repro.scenarios.library import builtin_scenario
 
-NODES, ROUNDS, CORE = 24, 5, 8
+NODES, ROUNDS = 24, 5
 
-#: name -> RunOptions fields; the four corners of placement × fidelity.
+#: name -> RunOptions fields; the two placements.
 MATRIX = {
     "in-process": dict(clock="virtual"),
-    "in-process-hybrid": dict(clock="virtual", fidelity="hybrid", core_peers=CORE),
     "2-shard": dict(shards=2, time_scale=0.25),
-    "2-shard-hybrid": dict(shards=2, time_scale=0.25, fidelity="hybrid", core_peers=CORE),
 }
 
 
@@ -54,7 +52,7 @@ def populated(result):
     return {
         f.name
         for f in dataclasses.fields(result)
-        if getattr(result, f.name) is not None and f.name not in ("cluster", "fidelity")
+        if getattr(result, f.name) is not None and f.name != "cluster"
     }
 
 
@@ -67,29 +65,18 @@ class TestCompositionMatrix:
         assert populated(result) == populated(results["in-process"])
         assert result.shards == options.shards
         assert (result.cluster is None) == (options.shards == 1)
-        assert (result.fidelity is None) == (options.fidelity == "full")
         assert len(result.continuity_series()) == ROUNDS
         assert result.rounds == ROUNDS and result.clock == options.clock
-        live = NODES if options.fidelity == "full" else CORE
-        assert len(result.per_peer_ledgers) == live
+        assert len(result.per_peer_ledgers) == NODES
         assert result.messages_sent > 0 and result.bytes_on_wire > 0
         assert result.ledger.total_count() > 0
 
     def test_sharded_corners_carry_the_cluster_facts(self, results):
-        for name in ("2-shard", "2-shard-hybrid"):
-            cluster = results[name].cluster
-            assert cluster["shards"] == 2 and cluster["shards_lost"] == 0
-            assert cluster["socket"]["frames_out"] > 0
-            assert [row["shard"] for row in cluster["per_shard"]] == [0, 1]
-            live = NODES if name == "2-shard" else CORE
-            assert sum(row["hosted_peers"] for row in cluster["per_shard"]) == live
-
-    def test_hybrid_corners_count_the_whole_population(self, results):
-        for name in ("in-process-hybrid", "2-shard-hybrid"):
-            fid = results[name].fidelity
-            assert fid["core_peers"] + fid["slim_peers"] == fid["total_peers"] == NODES
-            # merged samples span core + slim: every non-source peer is sampled
-            assert max(results[name].tracker.nodes_sampled) == NODES - 1
+        cluster = results["2-shard"].cluster
+        assert cluster["shards"] == 2 and cluster["shards_lost"] == 0
+        assert cluster["socket"]["frames_out"] > 0
+        assert [row["shard"] for row in cluster["per_shard"]] == [0, 1]
+        assert sum(row["hosted_peers"] for row in cluster["per_shard"]) == NODES
 
 
 class TestOneShardIsInProcess:
@@ -131,8 +118,6 @@ class TestOneShardIsInProcess:
 TELEMETRY_OFF = ObsConfig(telemetry=False)
 INVALID = {
     "virtual clock on a sharded run": dict(clock="virtual", shards=2),
-    "core_peers without hybrid": dict(core_peers=CORE),
-    "core_peers below the minimum": dict(fidelity="hybrid", core_peers=1),
     "slo without obs": dict(slo=SloSpec.parse("continuity>=0.9")),
     "slo with telemetry off": dict(slo=SloSpec.parse("continuity>=0.9"), obs=TELEMETRY_OFF),
     "telemetry_out without obs": dict(telemetry_out="t.jsonl"),
@@ -141,7 +126,6 @@ INVALID = {
     "negative time_scale": dict(time_scale=-1.0),
     "zero rounds": dict(rounds=0),
     "unknown clock": dict(clock="sundial"),
-    "unknown fidelity": dict(fidelity="cubist"),
 }
 
 
@@ -156,34 +140,28 @@ class TestTheRecordValidates:
         with pytest.raises(ValueError):
             LiveSwarm(toy_spec(), **INVALID[case])
 
-    def test_core_larger_than_the_swarm_is_rejected_against_the_spec(self):
-        options = RunOptions(fidelity="hybrid", core_peers=NODES + 1)
-        with pytest.raises(ValueError, match="cannot exceed"):
-            options.resolved(toy_spec())
-        with pytest.raises(ValueError, match="cannot exceed"):
-            run(toy_spec(), options)
-
     def test_resolved_fills_every_default_and_is_idempotent(self):
         spec = toy_spec()
-        resolved = RunOptions(fidelity="hybrid").resolved(spec)
-        assert (resolved.rounds, resolved.time_scale, resolved.core_peers) == (ROUNDS, 0.1, NODES)
+        resolved = RunOptions().resolved(spec)
+        assert (resolved.rounds, resolved.time_scale) == (ROUNDS, 0.1)
         assert resolved.resolved(spec) == resolved
-        # a sharded run sizes its clock on the live peers per core
+        # a sharded run sizes its clock on the peers per core
         assert RunOptions(shards=2).resolved(toy_spec(num_nodes=4000)).time_scale > 0.1
 
     def test_unknown_override_is_a_type_error_not_a_silent_knob(self):
         with pytest.raises(TypeError):
             run(toy_spec(), start_margin_s=1.0)
 
-    def test_the_record_has_eleven_fields(self):
+    def test_the_record_has_nine_fields(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == [
             "shards", "rounds", "time_scale", "transport", "link", "clock",
-            "obs", "slo", "telemetry_out", "fidelity", "core_peers",
+            "obs", "slo", "telemetry_out",
         ]
 
-    @pytest.mark.parametrize("field", ["batching", "delta_maps"])
+    @pytest.mark.parametrize("field", ["batching", "delta_maps", "fidelity", "core_peers"])
     def test_the_retired_wire_switches_are_type_errors_everywhere(self, field):
-        """The fast path is the only wire path: switching it off is not a knob."""
+        """The fast path is the only wire path and every runtime peer is
+        live: neither switching them off nor a fidelity tier is a knob."""
         with pytest.raises(TypeError):
             RunOptions(**{field: False})
         with pytest.raises(TypeError):
@@ -197,10 +175,6 @@ CLI_REJECTS = {
     "runtime --shards 2 --clock virtual": ["runtime", "--shards", "2", "--clock", "virtual"],
     "cluster --parity": ["cluster", "--parity"],
     "cluster --parity-matrix": ["cluster", "--parity-matrix"],
-    "runtime --core-peers without hybrid": ["runtime", "--core-peers", "8"],
-    "runtime core below minimum": ["runtime", "--fidelity", "hybrid", "--core-peers", "1"],
-    "runtime core above swarm": ["runtime", "--fidelity", "hybrid", "--core-peers", "99",
-                                 "--nodes", "20"],
     "cluster --shards 0": ["cluster", "--shards", "0"],
     "runtime --time-scale 0": ["runtime", "--time-scale", "0"],
     "runtime malformed --slo": ["runtime", "--slo", "continuity<<1"],
