@@ -2,8 +2,8 @@
 
 There is one swarm class, one options record and one merge: placement
 (``shards``) is a value of :class:`RunOptions`, not a class.  These tests
-drive both placements through :func:`repro.runtime.run` at toy scale and
-pin
+drive both placements (in-process on both clocks) through
+:func:`repro.runtime.run` at toy scale and pin
 
 * the result contract — both placements return a :class:`RuntimeResult`
   with the same populated fields, ``cluster`` set iff the run was
@@ -30,9 +30,10 @@ from repro.scenarios.library import builtin_scenario
 
 NODES, ROUNDS = 24, 5
 
-#: name -> RunOptions fields; the two placements.
+#: name -> RunOptions fields; the two placements, in-process on both clocks.
 MATRIX = {
     "in-process": dict(clock="virtual"),
+    "in-process-wall": dict(clock="wall"),
     "2-shard": dict(shards=2, time_scale=0.25),
 }
 
@@ -120,11 +121,16 @@ INVALID = {
     "virtual clock on a sharded run": dict(clock="virtual", shards=2),
     "slo without obs": dict(slo=SloSpec.parse("continuity>=0.9")),
     "slo with telemetry off": dict(slo=SloSpec.parse("continuity>=0.9"), obs=TELEMETRY_OFF),
+    "slo with metrics off": dict(slo=SloSpec.parse("continuity>=0.9"),
+                                 obs=ObsConfig(metrics=False)),
     "telemetry_out without obs": dict(telemetry_out="t.jsonl"),
+    "telemetry_out with telemetry off": dict(telemetry_out="t.jsonl", obs=TELEMETRY_OFF),
     "no shards": dict(shards=0),
+    "negative shards": dict(shards=-1),
     "zero time_scale": dict(time_scale=0.0),
     "negative time_scale": dict(time_scale=-1.0),
     "zero rounds": dict(rounds=0),
+    "negative rounds": dict(rounds=-2),
     "unknown clock": dict(clock="sundial"),
 }
 
@@ -198,6 +204,15 @@ class TestCliSurfacesTheRecord:
             main([command, flag])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["runtime", "cluster", "campaign"])
+    @pytest.mark.parametrize("flag, value", [("--fidelity", "hybrid"), ("--core-peers", "8")])
+    def test_retired_fidelity_flags_are_unknown_arguments(self, capsys, command, flag, value):
+        """Every runtime peer is live: there is no tier to pick or size."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, nodes, rounds, shards",
