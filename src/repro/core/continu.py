@@ -7,8 +7,9 @@ CoolStreaming-style gossip pull:
   scheduling policy of :class:`~repro.core.scheduler.DataScheduler`),
 * the :class:`~repro.core.urgent_line.UrgentLine` predictor with its
   adaptively tuned urgent ratio ``α``,
-* the :class:`~repro.core.backup.VodBackupStore` holding the segments this
-  node must back up for the DHT (equation (5)), and
+* the :class:`~repro.core.backup.VodBackupStore` holding the ids of the
+  segments this node must back up for the DHT (equation (5)) — a segment
+  is its id, ``segment_bits`` long — and
 * the bookkeeping that drives the on-demand retrieval (Algorithm 2): which
   segments were pre-fetched, whether they arrived overdue, and whether they
   later turned out to be *repeated* (also delivered by the scheduler).
@@ -16,13 +17,12 @@ CoolStreaming-style gossip pull:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.backup import VodBackupStore
 from repro.core.node import REPEATED, StreamingNode
 from repro.core.urgent_line import MissPrediction, UrgentLine
 from repro.dht.ring import IdRing
-from repro.streaming.segment import Segment
 
 
 class ContinuStreamingNode(StreamingNode):
@@ -102,10 +102,9 @@ class ContinuStreamingNode(StreamingNode):
         )
 
     # ------------------------------------------------------------------ backups
-    def consider_backup(self, segment: Segment) -> bool:
-        """Store ``segment`` in the VoD backup if equation (5) says so."""
-        successor = self.peer_table.closest_dht_peer()
-        return self.backup.maybe_store(segment, successor)
+    def consider_backup(self, segment_id: int) -> bool:
+        """Store ``segment_id`` in the VoD backup if equation (5) says so."""
+        return self.backup.maybe_store(segment_id, self.peer_table.closest_dht_peer())
 
     def serves_segment(self, segment_id: int) -> bool:
         """A backup holder answers from its VoD backup *or* its playback
@@ -182,10 +181,10 @@ class ContinuStreamingNode(StreamingNode):
         self.urgent_line.record_repeated(1)
 
     # ------------------------------------------------------------------ handover
-    def handover_backup(self) -> List[Segment]:
-        """Graceful-leave handover: the stored backups to pass counter-clockwise."""
+    def handover_backup(self) -> List[int]:
+        """Graceful-leave handover: the backed-up ids to pass counter-clockwise."""
         return self.backup.handover_contents()
 
-    def absorb_handover(self, segments: List[Segment]) -> int:
-        """Absorb the backup store of a departing predecessor."""
-        return self.backup.absorb_handover(segments)
+    def absorb_handover(self, segment_ids: Sequence[int]) -> int:
+        """Absorb the backup ids of a departing predecessor."""
+        return self.backup.absorb_handover(segment_ids)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
-from repro.dht.peer_table import NeighborEntry, fill_fingers
+from repro.dht.peer_table import fill_fingers
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter
 from repro.membership.overhearing import OverhearingService
@@ -107,10 +107,7 @@ class OverlayManager:
         trace = trace_gen.generate(cfg.num_nodes)
 
         # Ring ids come from the Rendezvous Point; trace index i -> ring id.
-        ring_ids: List[int] = []
-        for _ in range(cfg.num_nodes):
-            ticket = self.rendezvous.admit()
-            ring_ids.append(ticket.node_id)
+        ring_ids = [self.rendezvous.assign_id() for _ in range(cfg.num_nodes)]
         index_to_ring = {i: ring_ids[i] for i in range(cfg.num_nodes)}
 
         # Latency model keyed by ring id, ping times from the trace records.
@@ -205,16 +202,11 @@ class OverlayManager:
         if node_b.peer_table.neighbor_slots_free() == 0 and not allow_overflow:
             return False
         latency = self.latency_ms(a, b)
-        added_a = node_a.peer_table.add_neighbor(
-            NeighborEntry(peer_id=b, latency_ms=latency)
-        )
-        if not added_a:
+        if not node_a.peer_table.add_neighbor(b, latency):
             return False
         # Overflow path: the reciprocal entry is forced so the relation stays
         # symmetric even when b is already at capacity.
-        node_b.peer_table.add_neighbor(
-            NeighborEntry(peer_id=a, latency_ms=latency), allow_overflow=True
-        )
+        node_b.peer_table.add_neighbor(a, latency, allow_overflow=True)
         self.overlay.add_edge(a, b)
         # Optimistic rate priors: a TCP pull takes whatever the supplier's
         # uplink has to spare; contention is enforced by the per-period
@@ -229,19 +221,15 @@ class OverlayManager:
         if node_a is None or node_b is None or a == b:
             return
         latency = self.latency_ms(a, b)
-        if node_b.peer_table.add_neighbor(
-            NeighborEntry(peer_id=a, latency_ms=latency), allow_overflow=True
-        ):
+        if node_b.peer_table.add_neighbor(a, latency, allow_overflow=True):
             node_b.rate_controller.register_neighbor(a, node_a.outbound_rate, 1)
-        if node_a.peer_table.add_neighbor(
-            NeighborEntry(peer_id=b, latency_ms=latency), allow_overflow=True
-        ):
+        if node_a.peer_table.add_neighbor(b, latency, allow_overflow=True):
             node_a.rate_controller.register_neighbor(b, node_b.outbound_rate, 1)
         self.overlay.add_edge(a, b)
 
     def _build_all_fingers(self) -> None:
         """Fill every node's DHT peers with random nodes from each level interval."""
-        ids = np.asarray(sorted(self.nodes), dtype=np.int64)
+        ids = sorted(self.nodes)
         rng = self.streams.get("dht-fingers")
         for node in self.nodes.values():
             fill_fingers(node.peer_table, ids, rng, self.latency_ms)
@@ -351,8 +339,7 @@ class OverlayManager:
         if self.node_factory is None:
             raise RuntimeError("node_factory must be set before admit_node()")
         cfg = self.config
-        ticket = self.rendezvous.admit()
-        ring_id = ticket.node_id
+        ring_id, contacts = self.rendezvous.admit()
         # Synthetic ping time for the newcomer, same distribution as the trace.
         ping_ms = float(np.clip(rng.lognormal(np.log(100.0), 0.6), 5.0, 1500.0))
         if self.latency is not None:
@@ -367,7 +354,7 @@ class OverlayManager:
         # Contact the closest alive contacts (PING), adopt the nearest one's
         # peer table as a base, and wire up overlay edges.
         alive = self.alive_node_ids(include_source=True)
-        contacts = [c for c in ticket.contacts if self.is_alive(c)]
+        contacts = [c for c in contacts if self.is_alive(c)]
         if not contacts and alive:
             contacts = [alive[int(rng.integers(len(alive)))]]
         if contacts:
@@ -389,8 +376,7 @@ class OverlayManager:
                 node.rate_controller.register_neighbor(nbr, other.outbound_rate, 1)
             self.ensure_reciprocal(ring_id, nbr)
         # DHT fingers for the newcomer (bootstrap + random fill).
-        ids = np.asarray(alive + [ring_id], dtype=np.int64)
-        ids.sort()
+        ids = sorted(alive + [ring_id])
         fill_fingers(node.peer_table, ids, self.streams.get("dht-fingers"), self.latency_ms)
         return ring_id
 

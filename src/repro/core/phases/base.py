@@ -110,7 +110,7 @@ class RoundContext:
         them.
         """
         if isinstance(node, ContinuStreamingNode):
-            node.consider_backup(self.source.payload(segment_id))
+            node.consider_backup(segment_id)
 
 
 class Phase(abc.ABC):

@@ -16,12 +16,11 @@ class SourceGenerationPhase(Phase):
     name = "source-generation"
 
     def execute(self, ctx: RoundContext) -> PhaseReport:
-        generated = 0
-        source_node = ctx.nodes[ctx.source_id]
-        for segment in ctx.source.generate_until(ctx.round_end):
-            source_node.buffer.add(segment.segment_id)
-            generated += 1
+        generated = ctx.source.generate_until(ctx.round_end)
+        buffer = ctx.nodes[ctx.source_id].buffer
+        for segment_id in generated:
+            buffer.add(segment_id)
         ctx.newest_segment_id = ctx.source.newest_segment_id
         return self.report(
-            segments_generated=generated, newest_segment_id=ctx.newest_segment_id
+            segments_generated=len(generated), newest_segment_id=ctx.newest_segment_id
         )

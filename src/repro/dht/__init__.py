@@ -16,7 +16,7 @@ than adding spreads consecutive ids across the ring to balance load.
 
 from repro.dht.hashing import backup_keys, segment_hash
 from repro.dht.network import DhtNetwork, LookupResult
-from repro.dht.peer_table import DhtPeerEntry, NeighborEntry, PeerTable
+from repro.dht.peer_table import PeerTable
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter, RouteOutcome
 
@@ -25,8 +25,6 @@ __all__ = [
     "segment_hash",
     "backup_keys",
     "PeerTable",
-    "NeighborEntry",
-    "DhtPeerEntry",
     "GreedyRouter",
     "RouteOutcome",
     "DhtNetwork",

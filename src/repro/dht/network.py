@@ -111,10 +111,8 @@ class DhtNetwork:
 
     def _fill_fingers(self, table: PeerTable) -> None:
         """Fill each level with a random alive node from the level interval."""
-        ids = np.asarray(self._sorted_ids, dtype=np.int64)
-        if ids.size <= 1:
-            return
-        fill_fingers(table, ids, self._rng, lambda owner, peer: 50.0)
+        if len(self._sorted_ids) > 1:
+            fill_fingers(table, self._sorted_ids, self._rng, lambda owner, peer: 50.0)
 
     # ------------------------------------------------------------------ lookups
     def responsible_node(self, key: int) -> Optional[int]:

@@ -16,31 +16,15 @@ Every node keeps a Peer Table with three parts:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dht.ring import IdRing
-
-
-@dataclass(frozen=True)
-class NeighborEntry:
-    """A connected (gossip) neighbour row of the Peer Table."""
-
-    peer_id: int
-    latency_ms: float
-
-
-@dataclass(frozen=True)
-class DhtPeerEntry:
-    """A DHT peer row: the level-``i`` finger of the local node."""
-
-    level: int
-    peer_id: int
-    latency_ms: float
 
 
 @dataclass
@@ -63,10 +47,12 @@ class PeerTable:
     ring: IdRing
     max_neighbors: int = 5
     max_overheard: int = 20
-    _neighbors: Dict[int, NeighborEntry] = field(
+    #: connected neighbour id -> latency ms.
+    _neighbors: Dict[int, float] = field(
         default_factory=dict, init=False, repr=False
     )
-    _dht_peers: Dict[int, DhtPeerEntry] = field(  # level -> entry
+    #: level -> (DHT peer id, latency ms), the level-``i`` finger.
+    _dht_peers: Dict[int, Tuple[int, float]] = field(
         default_factory=dict, init=False, repr=False
     )
     #: peer id -> latency ms, oldest first (dicts keep insertion order).
@@ -79,13 +65,13 @@ class PeerTable:
     )
 
     @property
-    def neighbors(self) -> Mapping[int, NeighborEntry]:
-        """Read-only view of the connected neighbours (peer id -> entry)."""
+    def neighbors(self) -> Mapping[int, float]:
+        """Read-only view of the connected neighbours (peer id -> latency ms)."""
         return MappingProxyType(self._neighbors)
 
     @property
-    def dht_peers(self) -> Mapping[int, DhtPeerEntry]:
-        """Read-only view of the DHT peers (level -> entry)."""
+    def dht_peers(self) -> Mapping[int, Tuple[int, float]]:
+        """Read-only view of the DHT peers (level -> (peer id, latency ms))."""
         return MappingProxyType(self._dht_peers)
 
     @property
@@ -105,46 +91,46 @@ class PeerTable:
         """How many more connected neighbours can be added."""
         return max(0, self.max_neighbors - len(self._neighbors))
 
-    def add_neighbor(self, entry: NeighborEntry, *, allow_overflow: bool = False) -> bool:
+    def add_neighbor(
+        self, peer_id: int, latency_ms: float, *, allow_overflow: bool = False
+    ) -> bool:
         """Add a connected neighbour if it is new and there is a free slot.
 
         ``allow_overflow`` admits it past ``max_neighbors`` — the overlay uses
         that to keep partnerships symmetric when the other end is full.
         """
-        if entry.peer_id == self.owner_id or entry.peer_id in self._neighbors:
+        if peer_id == self.owner_id or peer_id in self._neighbors:
             return False
         if len(self._neighbors) >= self.max_neighbors and not allow_overflow:
             return False
-        self._neighbors[entry.peer_id] = entry
+        self._neighbors[peer_id] = latency_ms
         self._candidates = None
         return True
 
-    def remove_neighbor(self, peer_id: int) -> Optional[NeighborEntry]:
-        """Drop a connected neighbour (returns the removed entry, if any)."""
+    def remove_neighbor(self, peer_id: int) -> Optional[float]:
+        """Drop a connected neighbour (returns its latency, if it was one)."""
         removed = self._neighbors.pop(peer_id, None)
         if removed is not None:
             self._candidates = None
         return removed
 
-    def replace_neighbor(self, old_id: int, new_entry: NeighborEntry) -> bool:
+    def replace_neighbor(self, old_id: int, peer_id: int, latency_ms: float) -> bool:
         """Replace a failed/unproductive neighbour with a new one."""
-        if new_entry.peer_id == self.owner_id or new_entry.peer_id in self._neighbors:
+        if peer_id == self.owner_id or peer_id in self._neighbors:
             return False
         self.remove_neighbor(old_id)
-        return self.add_neighbor(new_entry)
+        return self.add_neighbor(peer_id, latency_ms)
 
     # ----------------------------------------------------------------- DHT peers
     def dht_peer_ids(self) -> List[int]:
         """Ids of the current DHT peers (ordered by level)."""
-        return [self._dht_peers[level].peer_id for level in sorted(self._dht_peers)]
+        return [self._dht_peers[level][0] for level in sorted(self._dht_peers)]
 
     def _install_dht_peer(self, level: int, peer_id: int, latency_ms: float) -> None:
         current = self._dht_peers.get(level)
-        if current is None or current.peer_id != peer_id:
+        if current is None or current[0] != peer_id:
             self._candidates = None  # a latency refresh keeps the id set
-        self._dht_peers[level] = DhtPeerEntry(
-            level=level, peer_id=peer_id, latency_ms=latency_ms
-        )
+        self._dht_peers[level] = (peer_id, latency_ms)
 
     def set_dht_peer(self, peer_id: int, latency_ms: float) -> Optional[int]:
         """Install ``peer_id`` as the DHT peer of its level.
@@ -163,7 +149,7 @@ class PeerTable:
 
     def remove_dht_peer(self, peer_id: int) -> None:
         """Forget every finger pointing at ``peer_id`` (after its failure)."""
-        stale = [lvl for lvl, entry in self._dht_peers.items() if entry.peer_id == peer_id]
+        stale = [lvl for lvl, (peer, _) in self._dht_peers.items() if peer == peer_id]
         for lvl in stale:
             del self._dht_peers[lvl]
         if stale:
@@ -182,7 +168,7 @@ class PeerTable:
         """
         if not self._dht_peers:
             return None
-        return self._dht_peers[min(self._dht_peers)].peer_id
+        return self._dht_peers[min(self._dht_peers)][0]
 
     def routing_candidates(self) -> Tuple[int, ...]:
         """All ids usable as next hops: DHT peers plus connected neighbours.
@@ -195,7 +181,7 @@ class PeerTable:
         """
         candidates = self._candidates
         if candidates is None:
-            ids = {entry.peer_id for entry in self._dht_peers.values()}
+            ids = {peer for peer, _ in self._dht_peers.values()}
             ids.update(self._neighbors)
             ids.discard(self.owner_id)
             candidates = self._candidates = tuple(sorted(ids))
@@ -239,9 +225,7 @@ class PeerTable:
         """Drop the nodes ``is_alive`` rejects from every part of the table."""
         for peer_id in [p for p in self._neighbors if not is_alive(p)]:
             self.remove_neighbor(peer_id)
-        dead_levels = [
-            lvl for lvl, entry in self._dht_peers.items() if not is_alive(entry.peer_id)
-        ]
+        dead_levels = [lvl for lvl, (peer, _) in self._dht_peers.items() if not is_alive(peer)]
         for lvl in dead_levels:
             del self._dht_peers[lvl]
         if dead_levels:
@@ -265,7 +249,7 @@ class PeerTable:
             if level < 1 or level > bits:
                 continue
             current = self._dht_peers.get(level)
-            if current is None or current.peer_id == peer_id:
+            if current is None or current[0] == peer_id:
                 self._install_dht_peer(level, peer_id, latency_ms)
                 updated += 1
         return updated
@@ -276,45 +260,35 @@ class PeerTable:
         The joining node copies the bootstrap node's DHT peers (re-levelled
         relative to itself) and treats its neighbours as overheard candidates.
         """
-        for entry in other._dht_peers.values():
-            self.set_dht_peer(entry.peer_id, entry.latency_ms)
-        self.record_overheard(
-            [(neigh.peer_id, neigh.latency_ms) for neigh in other._neighbors.values()]
-            + [(other.owner_id, 0.0)]
-        )
+        for peer_id, latency_ms in other._dht_peers.values():
+            self.set_dht_peer(peer_id, latency_ms)
+        self.record_overheard([*other._neighbors.items(), (other.owner_id, 0.0)])
         self.refresh_dht_peers_from_overheard()
 
 
 def fill_fingers(
     table: PeerTable,
-    sorted_ids: np.ndarray,
+    sorted_ids: Sequence[int],
     rng: np.random.Generator,
     latency_ms: Callable[[int, int], float],
 ) -> None:
     """Fill each level of ``table`` with a random id from its level interval.
 
     ``sorted_ids`` is the joined population in ascending order; a level
-    whose interval holds no id stays empty.  ``latency_ms(owner, peer)``
-    prices each installed finger.
+    whose interval holds no id stays empty, and every other level draws one
+    ``rng.integers(count)`` over the interval's ids in clockwise order.
+    ``latency_ms(owner, peer)`` prices each installed finger.
     """
-    owner, ring = table.owner_id, table.ring
+    owner, ring, total = table.owner_id, table.ring, len(sorted_ids)
     for level in range(1, ring.bits + 1):
         start, end = ring.level_interval(owner, level)
-        candidates = _ids_in_interval(sorted_ids, start, end)
-        if candidates.size == 0:
+        if start == end:
             continue
-        peer = int(candidates[int(rng.integers(candidates.size))])
+        lo, hi = bisect_left(sorted_ids, start), bisect_left(sorted_ids, end)
+        # A wrapping interval [start, N) ∪ [0, end) counts both pieces.
+        count = hi - lo if start < end else total - lo + hi
+        if count == 0:
+            continue
+        peer = sorted_ids[(lo + int(rng.integers(count))) % total]
         if peer != owner:
             table.set_dht_peer(peer, latency_ms(owner, peer))
-
-
-def _ids_in_interval(sorted_ids: np.ndarray, start: int, end: int) -> np.ndarray:
-    """All ids of ``sorted_ids`` inside the clockwise interval ``[start, end)``."""
-    if start == end:
-        return np.empty(0, dtype=np.int64)
-    lo = np.searchsorted(sorted_ids, start, side="left")
-    hi = np.searchsorted(sorted_ids, end, side="left")
-    if start < end:
-        return sorted_ids[lo:hi]
-    # Wrapping interval: [start, N) U [0, end)
-    return np.concatenate([sorted_ids[lo:], sorted_ids[:hi]])

@@ -9,6 +9,6 @@ entirely by *overhearing* routing messages that pass through the node.
 """
 
 from repro.membership.overhearing import OverhearingService
-from repro.membership.rendezvous import JoinTicket, RendezvousPoint
+from repro.membership.rendezvous import RendezvousPoint
 
-__all__ = ["RendezvousPoint", "JoinTicket", "OverhearingService"]
+__all__ = ["RendezvousPoint", "OverhearingService"]

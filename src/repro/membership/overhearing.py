@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.dht.peer_table import NeighborEntry, PeerTable
+from repro.dht.peer_table import PeerTable
 
 
 @dataclass
@@ -91,7 +91,7 @@ class OverhearingService:
         candidate = table.lowest_latency_overheard(exclude=banned)
         if candidate is None or not self.is_alive(candidate[0]):
             return None
-        if table.add_neighbor(NeighborEntry(*candidate)):
+        if table.add_neighbor(*candidate):
             return candidate[0]
         return None
 
@@ -113,10 +113,6 @@ class OverhearingService:
                 continue
             if not self.is_alive(peer_id):
                 continue
-            entry = NeighborEntry(
-                peer_id=peer_id,
-                latency_ms=self.latency_of(table.owner_id, peer_id),
-            )
-            if table.add_neighbor(entry):
+            if table.add_neighbor(peer_id, self.latency_of(table.owner_id, peer_id)):
                 added += 1
         return added

@@ -10,19 +10,11 @@ operate and is never on the data path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.dht.ring import IdRing
-
-
-@dataclass(frozen=True)
-class JoinTicket:
-    """What the RP hands a joining node: its id and a contact list."""
-
-    node_id: int
-    contacts: tuple[int, ...]
 
 
 @dataclass
@@ -73,9 +65,15 @@ class RendezvousPoint:
         )
         return others[:count]
 
-    def admit(self, requested_id: Optional[int] = None) -> JoinTicket:
-        """Admit a new node: assign an id and return close-id contacts."""
+    def assign_id(self, requested_id: Optional[int] = None) -> int:
+        """Register a new node and return its id (no contact list)."""
         node_id = self._allocate_id(requested_id)
-        contacts = self._closest_contacts(node_id, self.contact_list_size)
         self._known.add(node_id)
-        return JoinTicket(node_id=node_id, contacts=tuple(contacts))
+        return node_id
+
+    def admit(self, requested_id: Optional[int] = None) -> Tuple[int, Tuple[int, ...]]:
+        """Admit a joining node: ``(its id, close-id contacts)``."""
+        node_id = self._allocate_id(requested_id)
+        contacts = tuple(self._closest_contacts(node_id, self.contact_list_size))
+        self._known.add(node_id)
+        return node_id, contacts

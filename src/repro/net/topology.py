@@ -112,7 +112,11 @@ class OverlayTopology:
                 continue
             self.add_edge(v, w)
             added += 1
-            deficient = [u for u in deficient if self.degree(u) < max_possible]
+            # Only v and w gained an edge; one that just reached the target
+            # was deficient until now (degrees only grow).
+            for u in (v, w):
+                if self.degree(u) == max_possible:
+                    deficient.remove(u)
         return added
 
     def copy(self) -> "OverlayTopology":

@@ -64,7 +64,6 @@ from repro.runtime.transport import (
     TransportStats,
 )
 from repro.streaming.buffermap import BufferMap
-from repro.streaming.segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.swarm import LiveSwarm
@@ -185,13 +184,12 @@ class LivePeer:
         successor = self.swarm.successor_of(self.peer_id)
         if successor is None:
             return
-        segments = self.node.handover_backup()
         self._send(
             successor,
             wire.Handover(
                 sender=self.peer_id,
                 segment_bits=self.config.segment_bits,
-                segment_ids=tuple(seg.segment_id for seg in segments),
+                segment_ids=tuple(self.node.handover_backup()),
             ),
         )
 
@@ -457,7 +455,7 @@ class LivePeer:
         elif not msg.prefetch:
             self._delivered[msg.sender] = self._delivered.get(msg.sender, 0) + 1
         if accepted and isinstance(node, ContinuStreamingNode):
-            node.consider_backup(self.swarm.source.payload(msg.segment_id))
+            node.consider_backup(msg.segment_id)
 
     def _on_segment_nack(self, msg: wire.SegmentNack) -> None:
         """Reroute each refused pull to the best untried partner advertising it."""
@@ -493,15 +491,8 @@ class LivePeer:
         self._send_pulls(reroutes)
 
     def _on_handover(self, msg: wire.Handover) -> None:
-        node = self.node
-        if not isinstance(node, ContinuStreamingNode):
-            return
-        node.absorb_handover(
-            [
-                Segment(segment_id=sid, size_bits=msg.segment_bits)
-                for sid in msg.segment_ids
-            ]
-        )
+        if isinstance(self.node, ContinuStreamingNode):
+            self.node.absorb_handover(msg.segment_ids)
 
     # --------------------------------------------------------------- DHT routing
     def _closer_hop(self, target_key: int, exclude: Tuple[int, ...]) -> Optional[int]:
@@ -697,10 +688,10 @@ class LivePeer:
         self._current_tick = tick
         self._flush_credits()
         if self.is_source:
-            for segment in self.swarm.source.generate_until(
+            for segment_id in self.swarm.source.generate_until(
                 (tick + 1) * cfg.scheduling_period
             ):
-                node.buffer.add(segment.segment_id)
+                node.buffer.add(segment_id)
             self.known_newest = max(
                 self.known_newest, self.swarm.source.newest_segment_id
             )

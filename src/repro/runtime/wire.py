@@ -50,9 +50,10 @@ on ``memoryview`` slices of the receive buffer so steady-state decode
 performs no intermediate payload copies.  Every reader of the layout finds
 the kind byte through one helper, :func:`prologue`.
 
-Segment payloads are synthetic (the reproduction never ships real media),
-so a :class:`SegmentData` frame carries the declared payload size instead
-of the payload bytes; the ledger charges the declared size.
+A segment is its id (the reproduction never ships real media), so a
+:class:`SegmentData` frame carries the run's ``segment_bits`` instead of
+payload bytes; the ledger charges that size.  A :class:`Handover` frame
+carries it too, and its receiver ignores it.
 """
 
 from __future__ import annotations

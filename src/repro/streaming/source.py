@@ -3,14 +3,15 @@
 The source node generates ``p`` new segments per simulated second and serves
 them to its connected neighbours like any other supplier, except that it has
 zero inbound rate and a much larger outbound rate (``I = 100`` segments/s in
-the paper's setup).
+the paper's setup).  A generated segment is its id; every one is
+``segment_bits`` long.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.streaming.segment import DEFAULT_SEGMENT_BITS, Segment, SegmentStore
+from repro.streaming.segment import DEFAULT_SEGMENT_BITS
 
 
 class MediaSource:
@@ -18,7 +19,7 @@ class MediaSource:
 
     Attributes:
         playback_rate: segments generated per second (``p``).
-        segment_bits: payload size of each segment in bits.
+        segment_bits: size of every segment in bits.
     """
 
     def __init__(
@@ -32,7 +33,6 @@ class MediaSource:
         self.playback_rate = float(playback_rate)
         self.segment_bits = int(segment_bits)
         self.start_time = float(start_time)
-        self.store = SegmentStore()
         self._generated_up_to = -1  # highest segment id generated so far
 
     @property
@@ -50,33 +50,15 @@ class MediaSource:
             return 0
         return int((time - self.start_time) * self.playback_rate) + 1
 
-    def generate_until(self, time: float) -> List[Segment]:
+    def generate_until(self, time: float) -> List[int]:
         """Generate every segment whose origin time is ``<= time``.
 
-        Returns the newly generated segments in id order.  Idempotent: calling
-        twice with the same time generates nothing the second time.
+        Returns the new segment ids in order.  Idempotent: calling twice
+        with the same time generates nothing the second time.
         """
-        target = self.segments_available_at(time) - 1
-        new_segments: List[Segment] = []
-        while self._generated_up_to < target:
-            self._generated_up_to += 1
-            segment = Segment(
-                segment_id=self._generated_up_to,
-                size_bits=self.segment_bits,
-                origin_time=self.start_time
-                + self._generated_up_to / self.playback_rate,
-            )
-            self.store.add(segment)
-            new_segments.append(segment)
-        return new_segments
-
-    def payload(self, segment_id: int) -> Segment:
-        """The segment object for ``segment_id``: the store's, when generated
-        here, else one synthesised at :attr:`segment_bits`."""
-        segment = self.store.get(segment_id)
-        if segment is None:
-            segment = Segment(segment_id=segment_id, size_bits=self.segment_bits)
-        return segment
+        first = self._generated_up_to + 1
+        self._generated_up_to = max(self._generated_up_to, self.segments_available_at(time) - 1)
+        return list(range(first, self._generated_up_to + 1))
 
     def has_segment(self, segment_id: int) -> bool:
         """True if the source has generated ``segment_id`` already."""

@@ -46,7 +46,7 @@ from repro.core.scheduler import (
 )
 from repro.core.system import StreamingSystem
 from repro.dht.hashing import backup_keys, is_backup_responsible, segment_hash
-from repro.dht.peer_table import NeighborEntry, PeerTable
+from repro.dht.peer_table import PeerTable
 from repro.dht.ring import IdRing
 from repro.dht.routing import GreedyRouter, RouteOutcome, next_hop
 from repro.membership.overhearing import OverhearingService
@@ -546,7 +546,7 @@ def ref_is_responsible(
 
 
 def ref_routing_candidates(table: PeerTable) -> tuple:
-    ids = {entry.peer_id for entry in table.dht_peers.values()}
+    ids = {peer for peer, _ in table.dht_peers.values()}
     ids.update(table.neighbors)
     ids.discard(table.owner_id)
     return tuple(sorted(ids))
@@ -1144,17 +1144,17 @@ class TestPeerTableCaches:
             donor = PeerTable(owner_id=owner, ring=ring)
             donor.set_dht_peer(owner + 1, 1.0)
             donor.set_dht_peer(owner + 9, 1.0)
-            donor.add_neighbor(NeighborEntry(peer_id=owner + 3, latency_ms=1.0))
+            donor.add_neighbor(owner + 3, 1.0)
             donors.append(donor)
         for op in ops:
             table.routing_candidates()  # fill the cache the mutation must drop
             kind = op[0]
             if kind == "add":
-                table.add_neighbor(NeighborEntry(peer_id=op[1], latency_ms=1.0), allow_overflow=op[2])
+                table.add_neighbor(op[1], 1.0, allow_overflow=op[2])
             elif kind == "remove":
                 table.remove_neighbor(op[1])
             elif kind == "replace":
-                table.replace_neighbor(op[1], NeighborEntry(peer_id=op[2], latency_ms=1.0))
+                table.replace_neighbor(op[1], op[2], 1.0)
             elif kind == "set":
                 table.set_dht_peer(op[1], 1.0)
             elif kind == "unset":
@@ -1179,11 +1179,11 @@ class TestPeerTableCaches:
     def test_views_cannot_be_mutated_from_outside(self):
         table = PeerTable(owner_id=1, ring=IdRing(64))
         table.set_dht_peer(2, 1.0)
-        table.add_neighbor(NeighborEntry(peer_id=9, latency_ms=1.0))
+        table.add_neighbor(9, 1.0)
         with pytest.raises(TypeError):
             del table.dht_peers[1]  # type: ignore[misc]
         with pytest.raises(TypeError):
-            table.neighbors[3] = NeighborEntry(peer_id=3, latency_ms=1.0)  # type: ignore[index]
+            table.neighbors[3] = 1.0  # type: ignore[index]
         table.overheard[4] = 1.0  # a copy
         assert table.overheard == {}
 

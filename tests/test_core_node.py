@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.continu import ContinuStreamingNode
 from repro.core.node import StreamingNode
-from repro.dht.peer_table import NeighborEntry
 from repro.dht.ring import IdRing
 from repro.streaming.buffermap import BufferMap
-from repro.streaming.segment import Segment
 
 
 RING = IdRing(4096)
@@ -80,7 +78,7 @@ class TestBestPartnerFor:
         maps = {}
         for owner, is_partner, advertises, uplink in owners:
             if is_partner:
-                node.peer_table.add_neighbor(NeighborEntry(peer_id=owner, latency_ms=20.0))
+                node.peer_table.add_neighbor(owner, 20.0)
                 node.rate_controller.register_neighbor(owner, uplink, 1)
             maps[owner] = neighbor_map(0, [self.SEGMENT] if advertises else [1])
         chosen = node.best_partner_for(self.SEGMENT, maps, refused)
@@ -92,7 +90,7 @@ class TestBestPartnerFor:
     def test_first_of_equal_rates_in_map_order_wins(self):
         node = make_node()
         for owner in (30, 20, 10):
-            node.peer_table.add_neighbor(NeighborEntry(peer_id=owner, latency_ms=20.0))
+            node.peer_table.add_neighbor(owner, 20.0)
             node.rate_controller.register_neighbor(owner, 4.0, 1)
         maps = {owner: neighbor_map(0, [self.SEGMENT]) for owner in (30, 20, 10)}
         assert node.best_partner_for(self.SEGMENT, maps) == 30
@@ -255,11 +253,11 @@ class TestInterestWindowAndCandidates:
 
     def test_observe_deliveries_feeds_the_rate_estimate(self):
         node = make_node()
-        node.peer_table.add_neighbor(NeighborEntry(peer_id=7, latency_ms=5))
+        node.peer_table.add_neighbor(7, 5)
         node.rate_controller.register_neighbor(7, 15.0, 3)  # prior min(15, 15/3) = 5
         node.observe_deliveries({7: 9})
         assert node.rate_controller.rate_of(7) == pytest.approx(0.5 * 5.0 + 0.5 * 9.0)
-        assert node.peer_table.neighbors[7] == NeighborEntry(peer_id=7, latency_ms=5)
+        assert node.peer_table.neighbors[7] == 5
 
 
 class TestContinuSpecifics:
@@ -287,7 +285,7 @@ class TestContinuSpecifics:
         node.peer_table.set_dht_peer(11, 1.0)  # successor = 11, owns only id 10
         stored = 0
         for segment_id in range(200):
-            if node.consider_backup(Segment(segment_id=segment_id)):
+            if node.consider_backup(segment_id):
                 stored += 1
         assert stored == len(node.backup)
         assert stored < 200  # responsibility is selective
@@ -295,7 +293,7 @@ class TestContinuSpecifics:
     def test_serves_segment_from_buffer_or_backup(self):
         node = make_node(ContinuStreamingNode)
         node.receive_segment(5)
-        node.backup.force_store(Segment(segment_id=9))
+        node.absorb_handover([9])
         assert node.serves_segment(5)
         assert node.serves_segment(9)
         assert not node.serves_segment(7)
@@ -345,7 +343,7 @@ class TestContinuSpecifics:
     def test_backup_handover_round_trip(self):
         leaver = make_node(ContinuStreamingNode, node_id=10)
         heir = make_node(ContinuStreamingNode, node_id=9)
-        leaver.backup.force_store(Segment(segment_id=77))
+        leaver.absorb_handover([77])
         assert heir.absorb_handover(leaver.handover_backup()) == 1
         assert heir.serves_segment(77)
 

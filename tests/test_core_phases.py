@@ -33,7 +33,6 @@ from repro.core.phases import (
     UrgentLinePredictionPhase,
 )
 from repro.core.system import StreamingSystem
-from repro.dht.peer_table import NeighborEntry
 from repro.dht.ring import IdRing
 from repro.net.message import MessageKind, MessageLedger
 from repro.sim.rng import RngStreams
@@ -111,8 +110,8 @@ def pipeline_names(system: str):
 
 def partner(a: StreamingNode, b: StreamingNode) -> None:
     """Minimal symmetric partnership for synthetic contexts."""
-    a.peer_table.add_neighbor(NeighborEntry(peer_id=b.node_id, latency_ms=20.0))
-    b.peer_table.add_neighbor(NeighborEntry(peer_id=a.node_id, latency_ms=20.0))
+    a.peer_table.add_neighbor(b.node_id, 20.0)
+    b.peer_table.add_neighbor(a.node_id, 20.0)
     a.rate_controller.register_neighbor(b.node_id, b.outbound_rate, 1)
     b.rate_controller.register_neighbor(a.node_id, a.outbound_rate, 1)
 

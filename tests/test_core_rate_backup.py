@@ -8,7 +8,6 @@ from repro.core.backup import VodBackupStore
 from repro.core.rate_controller import RateController
 from repro.dht.hashing import backup_keys
 from repro.dht.ring import IdRing
-from repro.streaming.segment import Segment
 
 
 class TestRateController:
@@ -106,30 +105,22 @@ class TestVodBackupStore:
         assert store.is_responsible(7, successor_id=100)
 
     def test_maybe_store_only_when_responsible(self, store):
-        segment = Segment(segment_id=7)
         keys = set(backup_keys(7, 4, 8192))
         if 100 not in keys:
-            assert not store.maybe_store(segment, successor_id=101)
+            assert not store.maybe_store(7, successor_id=101)
             assert len(store) == 0
-        assert store.maybe_store(segment, successor_id=None)
+        assert store.maybe_store(7, successor_id=None)
         assert 7 in store
 
     def test_maybe_store_idempotent(self, store):
-        segment = Segment(segment_id=3)
-        store.force_store(segment)
-        assert store.maybe_store(segment, successor_id=101)
+        store.absorb_handover([3])
+        assert store.maybe_store(3, successor_id=101)
         assert len(store) == 1
 
     def test_handover_and_absorb(self, store):
-        for sid in (1, 2, 3):
-            store.force_store(Segment(segment_id=sid))
+        store.absorb_handover((3, 1, 2))
         other = VodBackupStore(node_id=50, ring=IdRing(8192), replicas=4)
         absorbed = other.absorb_handover(store.handover_contents())
         assert absorbed == 3
         assert other.ids() == [1, 2, 3]
-
-    def test_get_and_total_bits(self, store):
-        store.force_store(Segment(segment_id=4, size_bits=100))
-        assert store.get(4).size_bits == 100
-        assert store.get(5) is None
-        assert store.total_bits() == 100
+        assert store.handover_contents() == [1, 2, 3]  # kept, sorted

@@ -64,9 +64,9 @@ class TestBuild:
         system = StreamingSystem(tiny_config).build()
         ring = system.ring
         for node in list(system.nodes.values())[:10]:
-            for level, entry in node.peer_table.dht_peers.items():
+            for level, (peer, _) in node.peer_table.dht_peers.items():
                 start, end = ring.level_interval(node.node_id, level)
-                assert ring.in_clockwise_interval(entry.peer_id, start, end)
+                assert ring.in_clockwise_interval(peer, start, end)
 
     def test_seed_pairing_gives_identical_topology(self, tiny_config):
         a = StreamingSystem(tiny_config, system="coolstreaming").build()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dht.peer_table import NeighborEntry, PeerTable
+from repro.dht.peer_table import PeerTable
 from repro.dht.ring import IdRing
 
 
@@ -15,46 +15,43 @@ def table(ring: IdRing) -> PeerTable:
 
 class TestConnectedNeighbors:
     def test_add_and_list(self, table):
-        assert table.add_neighbor(NeighborEntry(peer_id=7, latency_ms=10))
-        assert table.add_neighbor(NeighborEntry(peer_id=9, latency_ms=20))
+        assert table.add_neighbor(7, 10)
+        assert table.add_neighbor(9, 20)
         assert table.neighbor_ids() == [7, 9]
         assert table.has_neighbor(7)
 
     def test_capacity_enforced(self, table):
         for peer in (1, 2, 3):
-            assert table.add_neighbor(NeighborEntry(peer_id=peer, latency_ms=1))
+            assert table.add_neighbor(peer, 1)
         assert table.neighbor_slots_free() == 0
-        assert not table.add_neighbor(NeighborEntry(peer_id=4, latency_ms=1))
+        assert not table.add_neighbor(4, 1)
 
     def test_self_and_duplicates_rejected(self, table):
-        assert not table.add_neighbor(NeighborEntry(peer_id=100, latency_ms=1))
-        table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
-        assert not table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=2))
+        assert not table.add_neighbor(100, 1)
+        table.add_neighbor(5, 1)
+        assert not table.add_neighbor(5, 2)
 
     def test_remove(self, table):
-        table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
-        removed = table.remove_neighbor(5)
-        assert removed.peer_id == 5
+        table.add_neighbor(5, 1)
+        assert table.remove_neighbor(5) == 1
         assert table.remove_neighbor(5) is None
 
-    def test_neighbor_entry_is_id_and_latency(self, table):
-        table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
-        assert table.neighbors[5] == NeighborEntry(5, 1)
-        with pytest.raises(TypeError):
-            NeighborEntry(peer_id=6, latency_ms=1, recent_supply_rate=2.0)
+    def test_neighbor_row_is_its_latency(self, table):
+        table.add_neighbor(5, 1.5)
+        assert dict(table.neighbors) == {5: 1.5}
 
     def test_replace_neighbor(self, table):
-        table.add_neighbor(NeighborEntry(peer_id=5, latency_ms=1))
-        assert table.replace_neighbor(5, NeighborEntry(peer_id=8, latency_ms=2))
+        table.add_neighbor(5, 1)
+        assert table.replace_neighbor(5, 8, 2)
         assert table.neighbor_ids() == [8]
-        assert not table.replace_neighbor(8, NeighborEntry(peer_id=100, latency_ms=1))
+        assert not table.replace_neighbor(8, 100, 1)
 
 
 class TestDhtPeers:
     def test_set_dht_peer_assigns_level(self, table, ring):
         level = table.set_dht_peer(101, latency_ms=10)  # distance 1 -> level 1
         assert level == 1
-        assert table.dht_peers[1].peer_id == 101
+        assert table.dht_peers[1][0] == 101
 
     def test_set_dht_peer_rejects_self(self, table):
         assert table.set_dht_peer(100, latency_ms=1) is None
@@ -81,7 +78,7 @@ class TestDhtPeers:
         assert table.dht_peer_ids() == []
 
     def test_routing_candidates_union(self, table):
-        table.add_neighbor(NeighborEntry(peer_id=7, latency_ms=1))
+        table.add_neighbor(7, 1)
         table.set_dht_peer(101, 1)
         assert table.routing_candidates() == (7, 101)
 
@@ -119,18 +116,18 @@ class TestRefresh:
         table.record_overheard([(101, 1.0), (104, 1.0)])
         updated = table.refresh_dht_peers_from_overheard()
         assert updated == 2
-        assert table.dht_peers[1].peer_id == 101
-        assert table.dht_peers[3].peer_id == 104
+        assert table.dht_peers[1][0] == 101
+        assert table.dht_peers[3][0] == 104
 
     def test_refresh_does_not_replace_other_peer(self, table):
         table.set_dht_peer(102, 1)  # level 2
         table.record_overheard([(103, 1.0)])  # also level 2
         table.refresh_dht_peers_from_overheard()
-        assert table.dht_peers[2].peer_id == 102
+        assert table.dht_peers[2][0] == 102
 
     def test_adopt_base_table(self, ring):
         base = PeerTable(owner_id=10, ring=ring, max_neighbors=3)
-        base.add_neighbor(NeighborEntry(peer_id=20, latency_ms=5))
+        base.add_neighbor(20, 5)
         base.set_dht_peer(14, 1)
         newcomer = PeerTable(owner_id=500, ring=ring, max_neighbors=3)
         newcomer.adopt_base_table(base)

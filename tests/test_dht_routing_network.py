@@ -114,9 +114,9 @@ class TestDhtNetwork:
         ring = network.ring
         for node_id in network.node_ids()[:50]:
             table = network._tables[node_id]
-            for level, entry in table.dht_peers.items():
+            for level, (peer, _) in table.dht_peers.items():
                 start, end = ring.level_interval(node_id, level)
-                assert ring.in_clockwise_interval(entry.peer_id, start, end)
+                assert ring.in_clockwise_interval(peer, start, end)
 
     def test_responsible_node_is_counter_clockwise_closest(self):
         network = DhtNetwork(id_space=256, rng=np.random.default_rng(5))

@@ -24,7 +24,7 @@ class TestMediaSource:
         source = MediaSource(playback_rate=10)
         generated = source.generate_until(1.0)
         # Segments 0..10 exist at t=1.0 (id i is generated at i/10).
-        assert [s.segment_id for s in generated] == list(range(11))
+        assert generated == list(range(11))
         assert source.newest_segment_id == 10
 
     def test_generation_is_idempotent(self):
@@ -36,13 +36,12 @@ class TestMediaSource:
         source = MediaSource(playback_rate=10)
         source.generate_until(1.0)
         more = source.generate_until(2.0)
-        assert [s.segment_id for s in more] == list(range(11, 21))
+        assert more == list(range(11, 21))
 
-    def test_origin_times(self):
-        source = MediaSource(playback_rate=10)
-        segments = source.generate_until(0.5)
-        assert segments[0].origin_time == pytest.approx(0.0)
-        assert segments[5].origin_time == pytest.approx(0.5)
+    def test_segment_i_is_generated_at_i_over_p(self):
+        source = MediaSource(playback_rate=10, start_time=1.0)
+        assert source.generate_until(1.45) == [0, 1, 2, 3, 4]
+        assert source.generate_until(1.5) == [5]
 
     def test_has_segment(self):
         source = MediaSource(playback_rate=10)
@@ -50,34 +49,6 @@ class TestMediaSource:
         assert source.has_segment(10)
         assert not source.has_segment(11)
         assert not source.has_segment(-1)
-
-
-class TestMediaSourcePayload:
-    """``payload`` is the one rule both drivers use for a segment object."""
-
-    @pytest.mark.parametrize("segment_id", [0, 7, 20])
-    def test_generated_segment_is_the_stores_own(self, segment_id):
-        source = MediaSource(playback_rate=10, segment_bits=12_345)
-        source.generate_until(2.0)
-        segment = source.payload(segment_id)
-        assert segment is source.store.get(segment_id)
-        assert segment.origin_time == pytest.approx(segment_id / 10)
-
-    @pytest.mark.parametrize("segment_id", [21, 10_000])
-    def test_ungenerated_segment_is_synthesised_at_segment_bits(self, segment_id):
-        source = MediaSource(playback_rate=10, segment_bits=12_345)
-        source.generate_until(2.0)
-        segment = source.payload(segment_id)
-        assert (segment.segment_id, segment.size_bits) == (segment_id, 12_345)
-
-    def test_payload_neither_generates_nor_stores(self):
-        source = MediaSource(playback_rate=10)
-        source.generate_until(1.0)
-        before = len(source.store)
-        source.payload(500)
-        assert len(source.store) == before
-        assert 500 not in source.store and not source.has_segment(500)
-        assert source.newest_segment_id == 10
 
 
 class TestPlaybackState:
