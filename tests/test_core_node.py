@@ -336,6 +336,13 @@ class TestContinuSpecifics:
         # A passed segment is due immediately.
         assert node.deadline_of(0, now=4.0) == pytest.approx(4.0)
 
+    def test_deadline_scales_with_playback_rate(self):
+        node = make_node(ContinuStreamingNode, playback_rate=20.0)
+        node.buffer.update_from(range(0, 30))
+        node.maybe_start_playback(10, newest_available_id=100)
+        # 20 segments ahead at p = 20 segments/s -> 1 s from now.
+        assert node.deadline_of(20, now=4.0) == pytest.approx(5.0)
+
     def test_deadline_before_playback_started(self):
         node = make_node(ContinuStreamingNode)
         assert node.deadline_of(50, now=2.0) == pytest.approx(3.0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backup import VodBackupStore
 from repro.core.rate_controller import RateController
@@ -124,3 +126,34 @@ class TestVodBackupStore:
         assert absorbed == 3
         assert other.ids() == [1, 2, 3]
         assert store.handover_contents() == [1, 2, 3]  # kept, sorted
+
+    def test_ids_sorted(self, store):
+        store.absorb_handover((5, 1, 3))
+        assert store.ids() == [1, 3, 5]
+        assert len(store) == 3
+
+    def test_absorb_is_a_union(self, store):
+        assert store.absorb_handover([1, 2]) == 2
+        assert store.absorb_handover([2, 3]) == 2
+        assert store.ids() == [1, 2, 3]
+
+    def test_refused_segment_is_not_stored(self, store):
+        # Successor 101: the node owns the single ring id 100.
+        refused = next(
+            sid for sid in range(1000) if not store.is_responsible(sid, successor_id=101)
+        )
+        assert not store.maybe_store(refused, successor_id=101)
+        assert refused not in store and len(store) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        segment_id=st.integers(min_value=0, max_value=100_000),
+        successor_id=st.integers(min_value=0, max_value=8191),
+    )
+    def test_stored_iff_responsible(self, segment_id, successor_id):
+        """The responsibility check runs before anything is stored."""
+        store = VodBackupStore(node_id=100, ring=IdRing(8192), replicas=4)
+        responsible = store.is_responsible(segment_id, successor_id)
+        assert store.maybe_store(segment_id, successor_id) == responsible
+        assert (segment_id in store) == responsible
+        assert store.ids() == ([segment_id] if responsible else [])

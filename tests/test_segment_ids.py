@@ -86,3 +86,14 @@ class TestLiveHandover:
             )
         ]
         assert {3, 7, 9} <= set(sent[0][1].segment_ids)
+
+    @pytest.mark.parametrize("segment_bits", [1, 30 * 1024])
+    def test_receiver_absorbs_ids_whatever_segment_bits(self, segment_bits):
+        """The receiver keeps the ids; every segment is the run's
+        ``segment_bits`` long, so the frame's field is not read."""
+        swarm = self._swarm()
+        peer = next(p for p in swarm.peers.values() if not p.is_source)
+        peer._on_handover(
+            wire.Handover(sender=0, segment_bits=segment_bits, segment_ids=(70_001, 70_002))
+        )
+        assert {70_001, 70_002} <= peer.node.backup.store

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import SystemConfig
 from repro.streaming.buffer import SegmentBuffer
 from repro.streaming.playback import ContinuityTracker, PlaybackState
+from repro.streaming.segment import DEFAULT_SEGMENT_BITS
 from repro.streaming.source import MediaSource
 
 
@@ -49,6 +53,32 @@ class TestMediaSource:
         assert source.has_segment(10)
         assert not source.has_segment(11)
         assert not source.has_segment(-1)
+
+    def test_default_segment_is_30_kbit(self):
+        # Section 5.2: a 300 Kbps stream cut into 30 Kbit segments.
+        assert DEFAULT_SEGMENT_BITS == 30 * 1024
+        assert MediaSource().segment_bits == DEFAULT_SEGMENT_BITS
+        assert SystemConfig().segment_bits == DEFAULT_SEGMENT_BITS
+
+    def test_earlier_time_generates_nothing(self):
+        source = MediaSource(playback_rate=10)
+        source.generate_until(2.0)
+        assert source.generate_until(1.0) == []
+        assert source.newest_segment_id == 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.sampled_from([1.0, 2.5, 10.0, 30.0]),
+        times=st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=8),
+    )
+    def test_generation_is_gapless_over_any_times(self, rate, times):
+        source = MediaSource(playback_rate=rate)
+        generated = []
+        for time in times:
+            generated.extend(source.generate_until(time))
+        assert generated == list(range(source.newest_segment_id + 1))
+        expected = source.segments_available_at(max(times)) - 1 if times else -1
+        assert source.newest_segment_id == expected
 
 
 class TestPlaybackState:
