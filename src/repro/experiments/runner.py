@@ -36,10 +36,10 @@ Usage (installed as ``continustreaming-experiments``)::
     continustreaming-experiments obs --in obs.jsonl
     continustreaming-experiments campaign --backend runtime --obs --out results/
 
-    # live telemetry, SLO budgets and the cockpit:
+    # live telemetry, SLO budgets and the cockpit (one obs file):
     continustreaming-experiments cluster --shards 2 --slo "continuity>=0.9" \
-        --telemetry-out telemetry.jsonl
-    continustreaming-experiments obs --live --in telemetry.jsonl
+        --metrics-out obs.jsonl
+    continustreaming-experiments obs --live --in obs.jsonl
 
 The figure commands, ``fig3`` to ``ablations``, are the rows of
 :data:`repro.experiments.figures.FIGURES`; ``all`` runs every row in table
@@ -62,27 +62,25 @@ from repro.experiments.figures import FIGURES, SCALES, Figure
 def _obs_config(args: argparse.Namespace):
     """The observability plane requested by the flags (``None`` = off).
 
-    ``--metrics-out``, ``--slo`` and ``--telemetry-out`` all imply
-    ``--obs`` — asking for the artifact (or the SLO verdict) is asking
-    for the instrumentation.
+    ``--metrics-out`` and ``--slo`` both imply ``--obs`` — asking for
+    the artifact (or the SLO verdict) is asking for the instrumentation.
     """
-    if not (args.obs or args.metrics_out or args.slo or args.telemetry_out):
+    if not (args.obs or args.metrics_out or args.slo):
         return None
     from repro.obs import ObsConfig
 
     return ObsConfig(
         trace_sample=args.trace_sample,
-        telemetry_every=args.telemetry_every,
         flows=not args.no_flows,
         topo=not args.no_topo,
     )
 
 
-def _run_options(args: argparse.Namespace, command: str, shards: int):
+def _run_options(args: argparse.Namespace, command: str, shards: int, obs_out=None):
     """The flags as the live runtime's one options record.
 
     Every combination the runtime cannot run (virtual clock on a sharded
-    run, ``--slo`` without telemetry, ...) is rejected by the record
+    run, ``--slo`` without obs metrics, ...) is rejected by the record
     itself, a malformed ``--slo`` by its parser; the CLI only turns that
     ``ValueError`` into a one-line exit.
     """
@@ -96,19 +94,18 @@ def _run_options(args: argparse.Namespace, command: str, shards: int):
             clock=args.clock,
             obs=_obs_config(args),
             slo=parse_slo(args.slo),
-            telemetry_out=args.telemetry_out,
+            obs_out=obs_out,
         )
     except ValueError as exc:
         raise SystemExit(f"{command} error: {exc}") from exc
 
 
 def _obs_lines(result, args: argparse.Namespace) -> List[str]:
-    """Summary lines + JSONL export for an obs-enabled run."""
+    """Summary lines for an obs-enabled run (``result.health`` is a
+    :meth:`~repro.obs.health.HealthEngine.snapshot` dict, or ``None``)."""
     obs = result.obs
     if obs is None:
         return []
-    from repro.obs import write_obs_jsonl
-
     traces = obs.get("traces") or {}
     lines = [
         f"  obs: {len(obs.get('spans', []))} spans, "
@@ -116,9 +113,19 @@ def _obs_lines(result, args: argparse.Namespace) -> List[str]:
         f"({traces.get('played', 0)} played / {traces.get('missed', 0)} missed), "
         f"{len(obs.get('postmortems', []))} postmortems"
     ]
+    health = result.health
+    if health is not None:
+        slo = health.get("slo")
+        lines.append(
+            f"  health: {len(health.get('alerts', []))} alert(s), "
+            f"closed through period {health.get('closed_through', -1)}"
+            + (f", SLO '{slo}' ok" if slo else "")
+        )
     if args.metrics_out:
-        write_obs_jsonl(args.metrics_out, obs)
-        lines.append(f"  obs: metrics/trace JSONL written to {args.metrics_out}")
+        lines.append(
+            f"  obs: period records, alerts and export written to {args.metrics_out} "
+            f"(exposition at {args.metrics_out}.prom)"
+        )
     return lines
 
 
@@ -140,34 +147,15 @@ def _print_slo_breach(exc) -> None:
         print(postmortems, file=sys.stderr)
 
 
-def _telemetry_lines(args: argparse.Namespace, health) -> List[str]:
-    """Summary lines for the live telemetry plane (``health`` is a
-    :meth:`~repro.obs.health.HealthEngine.snapshot` dict, or ``None``)."""
-    lines = []
-    if health is not None:
-        slo = health.get("slo")
-        lines.append(
-            f"  health: {len(health.get('alerts', []))} alert(s), "
-            f"closed through period {health.get('closed_through', -1)}"
-            + (f", SLO '{slo}' ok" if slo else "")
-        )
-    if args.telemetry_out:
-        lines.append(
-            f"  telemetry: JSONL streamed to {args.telemetry_out} "
-            f"(exposition at {args.telemetry_out}.prom)"
-        )
-    return lines
-
-
 def cmd_campaign(args: argparse.Namespace) -> str:
     """Run a scenario × seed campaign across worker processes."""
     from repro.scenarios import builtin_names, run_campaign
 
     names = args.scenario or ["static", "paper-dynamic"]
-    if args.slo or args.telemetry_out:
+    if args.slo:
         raise SystemExit(
-            "campaign does not take --slo/--telemetry-out (they govern one "
-            "run; use the runtime or cluster command)"
+            "campaign does not take --slo (it governs one run; use the "
+            "runtime or cluster command)"
         )
     results_path = None
     summary_path = None
@@ -264,6 +252,8 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
             args, names, args.nodes or 120, args.rounds or 40,
             _run_options(args, command, shards),
         )
+    # The run streams its one obs file itself (a parity pair writes none).
+    options = _run_options(args, command, shards, None if args.parity else args.metrics_out)
     nodes = args.nodes or nodes
     rounds = args.rounds or rounds
     if len(names) > 1:
@@ -271,7 +261,6 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
             f"{command} runs one scenario per invocation, got {len(names)}: "
             f"{' '.join(names)} (campaigns sweep multiple scenarios)"
         )
-    options = _run_options(args, command, shards)
     try:
         (spec,) = load_scenarios(names)
         if args.parity:
@@ -329,7 +318,6 @@ def _cmd_swarm(args: argparse.Namespace, command: str, nodes: int, rounds: int, 
                 + "  (* hosts the source)"
             )
         lines.extend(_obs_lines(result, args))
-        lines.extend(_telemetry_lines(args, result.health))
         out = "\n".join(lines)
     if args.assert_continuity is not None and continuity < args.assert_continuity:
         print(out)
@@ -366,7 +354,7 @@ def cmd_obs(args: argparse.Namespace) -> str:
 
         if not args.obs_in:
             raise SystemExit(
-                "obs --live needs --in PATH (a telemetry JSONL from --telemetry-out)"
+                "obs --live needs --in PATH (an obs file written by --metrics-out)"
             )
         try:
             cockpit = run_live(args.obs_in, refresh_s=args.refresh, once=args.once)
@@ -583,8 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
         "flight recorder (see docs/observability.md)")
     obs_group.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the run's metrics/trace/flight JSONL to PATH "
-        "(implies --obs; render it later with the obs command)")
+        help="write the run's obs file to PATH: period records and alerts "
+        "streamed while the run is live, then traces, flight events and "
+        "the summary, with a Prometheus text exposition at PATH.prom "
+        "(implies --obs; render it with the obs command, live or after)")
     obs_group.add_argument(
         "--trace-sample", type=int, default=16, metavar="N",
         help="trace every Nth segment request per peer (default: 16; "
@@ -598,17 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. 'continuity>=0.95:burn=3x:grace=5' (implies --obs; see "
         "docs/observability.md on burn-rate semantics)")
     obs_group.add_argument(
-        "--telemetry-out", default=None, metavar="PATH",
-        help="stream live telemetry frames + alerts to PATH as JSONL, with "
-        "a Prometheus text exposition at PATH.prom (implies --obs; watch "
-        "it with 'obs --live --in PATH')")
-    obs_group.add_argument(
-        "--telemetry-every", type=int, default=1, metavar="N",
-        help="emit one telemetry frame every N scheduling periods "
-        "(default: 1)")
-    obs_group.add_argument(
         "--live", action="store_true",
-        help="with the obs command: tail a telemetry JSONL and render the "
+        help="with the obs command: tail an obs file and render the "
         "refreshing terminal cockpit instead of a static report")
     obs_group.add_argument(
         "--refresh", type=float, default=1.0, metavar="S",

@@ -1,7 +1,7 @@
 """Compare two obs JSONL exports: baseline vs candidate.
 
 ``continustreaming-experiments obs diff --baseline a.jsonl --in b.jsonl``
-loads both exports (:func:`~repro.obs.report.load_obs_jsonl`), runs
+loads both obs files (:func:`~repro.obs.record.load_obs_jsonl`), runs
 :func:`diff_obs` and prints :func:`render_diff`; ``--verdict-out``
 additionally writes the machine-readable verdict dict as JSON so CI can
 gate (or warn) on it without parsing terminal output.
@@ -25,6 +25,8 @@ by construction (this is pinned in the tests).
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.record import period_series
 
 __all__ = ["diff_obs", "render_diff"]
 
@@ -146,8 +148,8 @@ def diff_obs(
         )
 
     # ------------------------------------------------------------ series
-    base_series = (baseline.get("metrics") or {}).get("series", {})
-    cand_series = (candidate.get("metrics") or {}).get("series", {})
+    base_series = period_series(baseline.get("records") or ())
+    cand_series = period_series(candidate.get("records") or ())
     movers: List[Dict[str, Any]] = []
     for name in sorted(set(base_series) | set(cand_series)):
         b = _series_stats(base_series.get(name, ()))

@@ -14,8 +14,8 @@ Two accounting layers, both opt-in via :class:`~repro.obs.ObsConfig`:
   point ``bytes_on_wire`` is charged, so the pair matrix reconciles
   with the physical byte counter by construction.
 
-The matrix also produces incremental shard-pair deltas that ride the
-``TelemetryFrame`` body, giving the coordinator's ``HealthEngine`` and
+The shard-pair totals also ride every period record
+(:mod:`repro.obs.record`), giving the coordinator's ``HealthEngine`` and
 the live cockpit a cross-shard flow view while the run is in flight.
 
 Everything here is deterministic (insertion-ordered dicts, stable
@@ -37,7 +37,7 @@ _FRAMES, _BYTES, _DATA_FRAMES, _DATA_BYTES = range(4)
 class FlowMatrix:
     """Bounded directed-link and shard-pair traffic accounting."""
 
-    __slots__ = ("top_links", "links", "tail_links", "tail", "pairs", "_pair_sent")
+    __slots__ = ("top_links", "links", "tail_links", "tail", "pairs")
 
     def __init__(self, top_links: int = 32) -> None:
         if top_links < 1:
@@ -47,8 +47,6 @@ class FlowMatrix:
         self.tail_links = 0
         self.tail = [0, 0, 0, 0]
         self.pairs: Dict[Tuple[int, int], List[int]] = {}
-        # Shard-pair totals already shipped in a telemetry delta.
-        self._pair_sent: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     # -- recording (hot path: one dict hit + list adds) ----------------
 
@@ -85,19 +83,6 @@ class FlowMatrix:
             self.tail_links += 1
             for i in range(4):
                 self.tail[i] += row[i]
-
-    # -- telemetry deltas ----------------------------------------------
-
-    def pair_delta(self) -> List[List[int]]:
-        """Shard-pair ``[src, dst, frames, bytes]`` rows changed since last call."""
-        out: List[List[int]] = []
-        for key, row in self.pairs.items():
-            total = (row[0], row[1])
-            sent = self._pair_sent.get(key, (0, 0))
-            if total != sent:
-                out.append([key[0], key[1], total[0] - sent[0], total[1] - sent[1]])
-                self._pair_sent[key] = total
-        return out
 
     # -- export ---------------------------------------------------------
 

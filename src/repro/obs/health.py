@@ -1,6 +1,6 @@
 """Run-level health: SLO budgets, watchdogs, and typed alerts.
 
-The :class:`HealthEngine` folds the per-shard telemetry stream (see
+The :class:`HealthEngine` folds the per-shard period records (see
 ``docs/observability.md`` → *Live telemetry & SLOs*) into run-level
 health verdicts while the run is still going:
 
@@ -19,8 +19,8 @@ health verdicts while the run is still going:
   its ceiling), stalled telemetry (one shard stops reporting while the
   rest advance), and shard death (control channel lost mid-run).
 
-Alerts are plain frozen dataclasses so they serialise into the
-telemetry JSONL and the flight recorder without ceremony, and every
+Alerts are plain frozen dataclasses so they serialise into the obs
+file and the flight recorder without ceremony, and every
 alert is emitted at most once per episode so the feed stays readable.
 """
 
@@ -31,20 +31,9 @@ import re
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-__all__ = ["Alert", "SloSpec", "SloViolation", "HealthEngine", "parse_slo", "frame_shard"]
+from repro.obs.record import record_shard, sum_flows
 
-
-def frame_shard(body: Dict[str, Any]) -> Optional[int]:
-    """A telemetry frame's shard id, or ``None`` when it has no valid one.
-
-    Only a non-negative ``int`` counts (``bool`` is an ``int`` subclass and
-    does not): a torn or foreign frame must be rejected by every consumer,
-    not coerced onto shard 0 or 1 where it would pollute a real series.
-    """
-    shard = body.get("shard")
-    if isinstance(shard, bool) or not isinstance(shard, int) or shard < 0:
-        return None
-    return shard
+__all__ = ["Alert", "SloSpec", "SloViolation", "HealthEngine", "parse_slo"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +147,7 @@ def parse_slo(spec: Optional[str]) -> Optional[SloSpec]:
 
 
 class _ShardHealth:
-    """Mutable per-shard rollup the engine keeps between frames."""
+    """Mutable per-shard rollup the engine keeps between records."""
 
     __slots__ = (
         "last_period",
@@ -174,6 +163,7 @@ class _ShardHealth:
         "frames",
         "peers_live",
         "miss_causes",
+        "flows",
     )
 
     def __init__(self, window: int) -> None:
@@ -190,6 +180,7 @@ class _ShardHealth:
         self.frames = 0
         self.peers_live = 0
         self.miss_causes: Dict[str, int] = {}
+        self.flows: List[List[int]] = []
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -204,12 +195,14 @@ class _ShardHealth:
 
 
 class HealthEngine:
-    """Folds per-shard telemetry frames into run-level SLO verdicts.
+    """Folds per-shard period records into run-level SLO verdicts.
 
     The engine is transport-agnostic: the cluster coordinator feeds it
-    decoded :class:`~repro.runtime.wire.TelemetryFrame` bodies, a
-    single-process swarm feeds the same dicts straight from its
-    telemetry sink.  ``recorder`` (any obs-recorder duck type) receives
+    the records its shards ship over their control pipes, a
+    single-process swarm feeds them straight from its record sink.
+    Counters, miss causes and flows are cumulative in a record, so the
+    engine keeps each shard's latest and adds nothing up.  ``recorder``
+    (any obs-recorder duck type) receives
     one flight event per alert and the breach postmortem, so health
     history survives into the merged obs export.
     """
@@ -217,7 +210,7 @@ class HealthEngine:
     #: AIMD stretch levels that trip the dilation watchdog (MAX_STRETCH is 16).
     STRETCH_WARN = 4.0
     STRETCH_CRITICAL = 12.0
-    #: consecutive frames with stuck, non-decreasing pending credits.
+    #: consecutive records with stuck, non-decreasing pending credits.
     CREDIT_STREAK = 3
     #: periods a shard may lag the fleet before it counts as stalled.
     STALL_PERIODS = 3
@@ -251,25 +244,22 @@ class HealthEngine:
         self._closed_through = -1
         self._burn_streak = 0
         self._last_t = 0.0
-        #: frames dropped for lacking a valid integer shard id (torn or
-        #: foreign telemetry must not pollute shard 0's series).
+        #: records dropped for lacking a valid integer shard id (a torn or
+        #: foreign record must not pollute shard 0's series).
         self.rejected_frames = 0
-        #: cumulative cross-shard flow matrix folded from per-frame
-        #: deltas: ``(src_shard, dst_shard) -> [frames, bytes]``.
-        self.flow_pairs: Dict[Tuple[int, int], List[int]] = {}
         #: latest per-shard topology summary (coverage, components).
         self.topo: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------ intake
-    def observe_frame(self, body: Dict[str, Any]) -> None:
-        """Fold one telemetry frame body (a plain dict) into the rollup.
+    def observe_record(self, body: Dict[str, Any]) -> None:
+        """Fold one period record (a plain dict) into the rollup.
 
-        Frames without a valid shard id (:func:`frame_shard`) are
-        rejected (counted in :attr:`rejected_frames`) — a torn or
-        foreign frame must not pollute another shard's continuity series
-        or trip its watchdogs.
+        Records without a valid shard id
+        (:func:`~repro.obs.record.record_shard`) are rejected (counted in
+        :attr:`rejected_frames`) — a torn or foreign record must not
+        pollute another shard's continuity series or trip its watchdogs.
         """
-        shard = frame_shard(body)
+        shard = record_shard(body)
         if shard is None:
             self.rejected_frames += 1
             return
@@ -292,13 +282,8 @@ class HealthEngine:
         acc[0] += playing
         acc[1] += total
 
-        for cause, count in (body.get("miss_causes") or {}).items():
-            st.miss_causes[cause] = st.miss_causes.get(cause, 0) + int(count)
-
-        for src, dst, frames, nbytes in body.get("flows") or ():
-            acc = self.flow_pairs.setdefault((int(src), int(dst)), [0, 0])
-            acc[0] += int(frames)
-            acc[1] += int(nbytes)
+        st.miss_causes = dict(body.get("miss_causes") or {})
+        st.flows = list(body.get("flows") or ())
         topo = body.get("topo")
         if topo:
             self.topo[shard] = dict(topo)
@@ -498,7 +483,7 @@ class HealthEngine:
 
     # ----------------------------------------------------------------- export
     def snapshot(self) -> Dict[str, Any]:
-        """A plain JSON-friendly view for ``RuntimeResult.cluster['health']``."""
+        """A plain JSON-friendly view for ``RuntimeResult.health``."""
         return {
             "slo": self.slo.text if self.slo is not None else None,
             "grace": self.grace,
@@ -508,10 +493,7 @@ class HealthEngine:
             "closed_through": self._closed_through,
             "rejected_frames": self.rejected_frames,
             "dead_shards": sorted(self.dead_shards),
-            "flows": [
-                [src, dst, acc[0], acc[1]]
-                for (src, dst), acc in sorted(self.flow_pairs.items())
-            ],
+            "flows": sum_flows(st.flows for st in self.shards.values()),
             "topo": {shard: dict(t) for shard, t in sorted(self.topo.items())},
             "shards": {shard: st.to_dict() for shard, st in sorted(self.shards.items())},
         }

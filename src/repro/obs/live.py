@@ -1,22 +1,23 @@
-"""The live telemetry surface: the plane, streaming writers, the cockpit.
+"""The live side of the obs file: the run's plane, the writer, the cockpit.
 
 :class:`TelemetryPlane` is the one consumer a *run* attaches to its
-telemetry stream (health engine + writer + SLO abort).  Two more
-consumers sit on the stream (``docs/observability.md`` → *Live telemetry
-& SLOs*):
+stream of period records (:mod:`repro.obs.record`): health engine +
+writer + SLO abort.  Two more consumers read the same records
+(``docs/observability.md`` → *Live telemetry & SLOs*):
 
-* :class:`TelemetryWriter` — appends one JSON line per frame/alert to a
-  streaming JSONL file (flushed per record so ``tail -f`` and
-  ``obs --live`` see it immediately) and maintains a Prometheus-style
-  text exposition file next to it for external scrapers.
-* :class:`Cockpit` — folds frames and alerts into a refreshing terminal
-  dashboard: per-shard continuity sparklines, live gauges, the alert
-  feed, and the running miss-cause histogram.  ``obs --live`` drives it
-  from a telemetry JSONL (following appends like ``tail -f``); tests
-  drive it directly from captured frames.
+* :class:`TelemetryWriter` — appends one JSON line per period record or
+  alert to the run's obs file (flushed per line so ``tail -f`` and
+  ``obs --live`` see it immediately), appends the export records when
+  the run closes, and keeps a Prometheus-style text exposition file next
+  to it for external scrapers.
+* :class:`Cockpit` — renders a refreshing terminal dashboard from each
+  shard's latest record: per-shard continuity sparklines, live gauges,
+  the alert feed, miss causes and shard-pair flows.  ``obs --live``
+  drives it from an obs file (following appends like ``tail -f``);
+  tests drive it directly from captured records.
 
-Neither consumer touches protocol state: both read the same frame
-bodies the :class:`~repro.obs.health.HealthEngine` sees.
+Neither consumer touches protocol state, and neither adds anything up:
+a record's counters, miss causes and flows are already cumulative.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import sys
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Deque, Dict, IO, List, Optional, Union
 
-from repro.obs.health import Alert, HealthEngine, SloSpec, SloViolation, frame_shard
+from repro.obs.health import Alert, HealthEngine, SloSpec, SloViolation
+from repro.obs.record import export_lines, parse_lines, record_shard, sum_flows
 from repro.obs.report import _sparkline
 
-__all__ = ["TelemetryPlane", "TelemetryWriter", "Cockpit", "run_live", "load_telemetry_jsonl"]
+__all__ = ["TelemetryPlane", "TelemetryWriter", "Cockpit", "run_live"]
 
 
 def _prom_escape(value: str) -> str:
@@ -57,17 +59,20 @@ def _prom_name(name: str) -> str:
 
 
 class TelemetryWriter:
-    """Streams telemetry to JSONL and a Prometheus text exposition file.
+    """Streams an obs file and keeps its Prometheus text exposition.
 
-    The JSONL is append-only and flushed per record: each line is
-    ``{"type": "telemetry", ...frame body}`` or ``{"type": "alert",
-    ...alert fields}``.  The exposition file (``<path>.prom`` by
-    default) is atomically rewritten after every frame with the latest
-    gauge levels and cumulative counters per shard, in the standard
-    ``# TYPE`` / ``name{shard="N"} value`` text format.  A frame without
-    a valid shard id (:func:`~repro.obs.health.frame_shard`) is still
-    streamed to the JSONL but never folded into the exposition.
+    The file is append-only and flushed per line: ``{"type": "period",
+    ...record}`` or ``{"type": "alert", ...alert fields}`` while the run
+    is live, then the export lines at :meth:`close`.  The exposition file
+    (``<path>.prom`` by default) is atomically rewritten after every
+    record from each shard's latest one, in the standard ``# TYPE`` /
+    ``name{shard="N"} value`` text format.  A record without a valid
+    shard id (:func:`~repro.obs.record.record_shard`) is still streamed
+    but never enters the exposition.
     """
+
+    #: The exposition types of :meth:`_levels`' two halves.
+    KINDS = ("gauge", "counter")
 
     def __init__(
         self,
@@ -81,42 +86,18 @@ class TelemetryWriter:
         self.exposition_path = Path(exposition_path)
         self.namespace = _prom_name(namespace)
         self._fh: Optional[IO[str]] = open(self.path, "w", encoding="utf-8")
-        self._gauges: Dict[int, Dict[str, float]] = {}
-        self._counters: Dict[int, Dict[str, float]] = {}
+        self._latest: Dict[int, Dict[str, Any]] = {}
         self.frames = 0
         self.alerts = 0
 
     # ------------------------------------------------------------------ intake
-    def frame(self, body: Dict[str, Any]) -> None:
-        """Append one telemetry frame body and refresh the exposition."""
-        self._write_line({"type": "telemetry", **body})
-        shard = frame_shard(body)
+    def record(self, body: Dict[str, Any]) -> None:
+        """Append one period record and refresh the exposition."""
+        self._write_line({"type": "period", **body})
+        shard = record_shard(body)
         if shard is None:
             return
-        gauges = self._gauges.setdefault(shard, {})
-        # Names are sanitized at fold time, so two raw names colliding
-        # after sanitization merge here instead of producing duplicate
-        # sample lines in the exposition.
-        for name, value in (body.get("gauges") or {}).items():
-            gauges[_prom_name(name)] = float(value)
-        gauges["continuity"] = float(body.get("continuity", 1.0))
-        gauges["peers_live"] = float(body.get("peers_live", 0))
-        gauges["telemetry_period"] = float(body.get("period", 0))
-        topo = body.get("topo") or {}
-        if "coverage" in topo:
-            gauges["topo_gossip_coverage"] = float(topo["coverage"])
-        if "components" in topo:
-            gauges["topo_components"] = float(topo["components"])
-        counters = self._counters.setdefault(shard, {})
-        for name, delta in (body.get("counters") or {}).items():
-            key = _prom_name(name)
-            counters[key] = counters.get(key, 0.0) + float(delta)
-        for cause, count in (body.get("miss_causes") or {}).items():
-            key = _prom_name(f"miss_cause_{cause}")
-            counters[key] = counters.get(key, 0.0) + float(count)
-        for src, dst, _frames, nbytes in body.get("flows") or ():
-            key = _prom_name(f"flow_bytes_s{src}_s{dst}")
-            counters[key] = counters.get(key, 0.0) + float(nbytes)
+        self._latest[shard] = body
         self.frames += 1
         self._write_exposition()
 
@@ -136,20 +117,48 @@ class TelemetryWriter:
     def _format_number(self, value: float) -> str:
         return repr(int(value)) if float(value).is_integer() else repr(value)
 
+    @staticmethod
+    def _levels(body: Dict[str, Any]) -> "tuple[Dict[str, float], Dict[str, float]]":
+        """One record's ``(gauges, counters)`` under exposition names.
+
+        Names are sanitized here, so two raw names colliding after
+        sanitization merge (a gauge keeps the last, counters add) instead
+        of producing duplicate sample lines.
+        """
+        gauges: Dict[str, float] = {}
+        for name, value in (body.get("gauges") or {}).items():
+            gauges[_prom_name(name)] = float(value)
+        gauges["continuity"] = float(body.get("continuity", 1.0))
+        gauges["peers_live"] = float(body.get("peers_live", 0))
+        gauges["telemetry_period"] = float(body.get("period", 0))
+        topo = body.get("topo") or {}
+        if "coverage" in topo:
+            gauges["topo_gossip_coverage"] = float(topo["coverage"])
+        if "components" in topo:
+            gauges["topo_components"] = float(topo["components"])
+        counters: Dict[str, float] = {}
+        totals = [(name, value) for name, value in (body.get("counters") or {}).items()]
+        totals += [(f"miss_cause_{c}", n) for c, n in (body.get("miss_causes") or {}).items()]
+        totals += [(f"flow_bytes_s{s}_s{d}", b) for s, d, _f, b in body.get("flows") or ()]
+        for name, value in totals:
+            key = _prom_name(name)
+            counters[key] = counters.get(key, 0.0) + float(value)
+        return gauges, counters
+
     def _write_exposition(self) -> None:
+        levels = {shard: self._levels(body) for shard, body in sorted(self._latest.items())}
         lines: List[str] = []
-        names: Dict[str, str] = {}  # metric name -> prometheus type
-        for per_shard, kind in ((self._gauges, "gauge"), (self._counters, "counter")):
-            for metrics in per_shard.values():
-                for name in metrics:
-                    names.setdefault(name, kind)
-        for name in sorted(names):
-            kind = names[name]
+        kinds: Dict[str, int] = {}  # metric name -> index into KINDS (a gauge wins)
+        for at in range(len(self.KINDS)):
+            for pair in levels.values():
+                for name in pair[at]:
+                    kinds.setdefault(name, at)
+        for name in sorted(kinds):
+            at = kinds[name]
             full = f"{self.namespace}_{name}"
-            lines.append(f"# TYPE {full} {kind}")
-            source = self._gauges if kind == "gauge" else self._counters
-            for shard in sorted(source):
-                value = source[shard].get(name)
+            lines.append(f"# TYPE {full} {self.KINDS[at]}")
+            for shard, pair in levels.items():
+                value = pair[at].get(name)
                 if value is None:
                     continue
                 lines.append(
@@ -160,8 +169,12 @@ class TelemetryWriter:
         tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         tmp.replace(self.exposition_path)
 
-    def close(self) -> None:
+    def close(self, obs: Optional[Dict[str, Any]] = None) -> None:
+        """Append ``obs``'s export records (if given) and close (idempotent)."""
         if self._fh is not None:
+            if obs is not None:
+                for line in export_lines(obs, records=False):
+                    self._write_line(line)
             self._fh.close()
             self._fh = None
             self._write_exposition()
@@ -176,30 +189,28 @@ class TelemetryWriter:
 class _ShardView:
     """What the cockpit remembers about one shard."""
 
-    __slots__ = ("continuity", "last", "periods")
+    __slots__ = ("continuity", "last")
 
     def __init__(self, window: int) -> None:
         self.continuity: Deque[float] = deque(maxlen=window)
         self.last: Dict[str, Any] = {}
-        self.periods = 0
 
     def feed(self, body: Dict[str, Any]) -> None:
         self.continuity.append(float(body.get("continuity", 1.0)))
         self.last = body
-        self.periods += 1
 
 
 class TelemetryPlane:
-    """The consumer side of one run's telemetry stream.
+    """The consumer side of one run's stream of period records.
 
-    Folds every frame body into a :class:`~repro.obs.health.HealthEngine`,
-    streams frames and freshly raised alerts to a :class:`TelemetryWriter`
-    (with ``telemetry_out``) and, with an ``slo``, turns a confirmed
-    breach into :class:`~repro.obs.health.SloViolation`.  The in-process
-    swarm attaches :meth:`sink` directly and shares its own recorder, so
-    alerts and the breach postmortem land in the run's obs export; the
-    cluster coordinator feeds :meth:`frame` from its control pipes and
-    checks the SLO at its own barriers.
+    Folds every record into a :class:`~repro.obs.health.HealthEngine`,
+    streams records and freshly raised alerts to a
+    :class:`TelemetryWriter` (with ``obs_out``) and, with an ``slo``,
+    turns a confirmed breach into :class:`~repro.obs.health.SloViolation`.
+    The in-process swarm attaches :meth:`sink` directly and shares its own
+    recorder, so alerts and the breach postmortem land in the run's obs
+    export; the cluster coordinator feeds :meth:`record` from its control
+    pipes and checks the SLO at its own barriers.
 
     Args:
         rounds: the run's period count (sizes the default SLO grace: a
@@ -216,19 +227,19 @@ class TelemetryPlane:
         shards: int,
         recorder: Any,
         slo: Optional[SloSpec] = None,
-        telemetry_out: Optional[Union[str, Path]] = None,
+        obs_out: Optional[Union[str, Path]] = None,
     ) -> None:
         grace = slo.grace if slo is not None and slo.grace is not None else max(2, rounds // 3)
         self.health = HealthEngine(
             slo=slo, recorder=recorder, grace=grace, expected_shards=shards
         )
-        self.writer = TelemetryWriter(telemetry_out) if telemetry_out else None
+        self.writer = TelemetryWriter(obs_out) if obs_out else None
 
-    def frame(self, body: Dict[str, Any]) -> None:
-        """Fold one frame body into the health engine and the stream."""
-        self.health.observe_frame(body)
+    def record(self, body: Dict[str, Any]) -> None:
+        """Fold one period record into the health engine and the stream."""
+        self.health.observe_record(body)
         if self.writer is not None:
-            self.writer.frame(body)
+            self.writer.record(body)
         self.flush_alerts()
 
     def flush_alerts(self) -> None:
@@ -249,49 +260,40 @@ class TelemetryPlane:
             raise SloViolation(health.breach, obs=health.recorder.export())
 
     def sink(self, body: Dict[str, Any]) -> None:
-        """A swarm's ``telemetry_sink``: fold the frame, abort on breach."""
-        self.frame(body)
+        """A swarm's ``record_sink``: fold the record, abort on breach."""
+        self.record(body)
         self.check_slo()
 
-    def close(self) -> None:
-        """Flush pending alerts and close the stream (idempotent)."""
+    def close(self, obs: Optional[Dict[str, Any]] = None) -> None:
+        """Flush pending alerts, append ``obs``'s export records and close
+        the stream (idempotent)."""
         self.flush_alerts()
         if self.writer is not None:
-            self.writer.close()
+            self.writer.close(obs)
 
 
 class Cockpit:
-    """Folds the telemetry stream into a renderable dashboard state."""
+    """Renders each shard's latest period record as a dashboard."""
 
     def __init__(self, window: int = 32, alert_tail: int = 8) -> None:
         self.window = window
         self.shards: Dict[int, _ShardView] = {}
         self.alerts: Deque[Dict[str, Any]] = deque(maxlen=alert_tail)
         self.alert_count = 0
-        self.miss_causes: Dict[str, int] = {}
-        #: Cumulative shard-pair flow matrix folded from frame deltas:
-        #: ``(src_shard, dst_shard) -> [frames, bytes]``.
-        self.flow_pairs: Dict[Any, List[int]] = {}
         self.frames = 0
         self.skipped = 0
 
     # ------------------------------------------------------------------ intake
     def feed(self, body: Dict[str, Any]) -> None:
-        shard = frame_shard(body)
+        shard = record_shard(body)
         if shard is None:
-            # Torn or foreign frame: counted, never charged to a shard.
+            # Torn or foreign record: counted, never charged to a shard.
             self.skipped += 1
             return
         view = self.shards.get(shard)
         if view is None:
             view = self.shards[shard] = _ShardView(self.window)
         view.feed(body)
-        for cause, count in (body.get("miss_causes") or {}).items():
-            self.miss_causes[cause] = self.miss_causes.get(cause, 0) + int(count)
-        for src, dst, frames, nbytes in body.get("flows") or ():
-            acc = self.flow_pairs.setdefault((int(src), int(dst)), [0, 0])
-            acc[0] += int(frames)
-            acc[1] += int(nbytes)
         self.frames += 1
 
     def feed_alert(self, alert: Union[Alert, Dict[str, Any]]) -> None:
@@ -299,14 +301,18 @@ class Cockpit:
         self.alerts.append(fields)
         self.alert_count += 1
 
-    def feed_record(self, record: Dict[str, Any]) -> None:
-        """Dispatch one JSONL record (``type`` = telemetry | alert)."""
-        kind = record.get("type")
-        if kind == "telemetry":
+    def feed_record(self, record: Optional[Dict[str, Any]]) -> None:
+        """Dispatch one obs-file line: a period record or an alert.
+
+        The export lines a closed run appends are not the cockpit's and
+        pass silently; a torn line (``None``) is counted as skipped.
+        """
+        kind = None if record is None else record.get("type")
+        if kind == "period":
             self.feed(record)
         elif kind == "alert":
             self.feed_alert({k: v for k, v in record.items() if k != "type"})
-        else:
+        elif record is None:
             self.skipped += 1
 
     # ----------------------------------------------------------------- render
@@ -343,16 +349,21 @@ class Cockpit:
                     f"{s.get('bytes_out', 0)}B  in {s.get('frames_in', 0)}f/"
                     f"{s.get('bytes_in', 0)}B  resets {s.get('disconnects', 0)}{lost}"
                 )
-        if self.flow_pairs:
+        views = [self.shards[shard] for shard in sorted(self.shards)]
+        flows = sum_flows(view.last.get("flows") or () for view in views)
+        if flows:
             cells = "  ".join(
-                f"{src}→{dst} {acc[0]}f/{acc[1]}B"
-                for (src, dst), acc in sorted(self.flow_pairs.items())
+                f"{src}→{dst} {frames}f/{nbytes}B" for src, dst, frames, nbytes in flows
             )
             lines.append(f"  flows: {cells}")
-        if self.miss_causes:
+        miss_causes: Dict[str, int] = {}
+        for view in views:
+            for cause, count in (view.last.get("miss_causes") or {}).items():
+                miss_causes[cause] = miss_causes.get(cause, 0) + int(count)
+        if miss_causes:
             causes = ", ".join(
                 f"{cause}={count}"
-                for cause, count in sorted(self.miss_causes.items(), key=lambda kv: -kv[1])
+                for cause, count in sorted(miss_causes.items(), key=lambda kv: (-kv[1], kv[0]))
             )
             lines.append(f"  miss causes: {causes}")
         if self.alerts:
@@ -368,25 +379,6 @@ class Cockpit:
         return "\n".join(lines)
 
 
-def load_telemetry_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
-    """Yield telemetry/alert records from a streaming JSONL file.
-
-    Malformed or truncated lines (a writer mid-append, a killed run) are
-    skipped, matching the robustness contract of ``load_obs_jsonl``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                yield record
-
-
 def run_live(
     path: Union[str, Path],
     refresh_s: float = 1.0,
@@ -395,12 +387,12 @@ def run_live(
     out: Optional[IO[str]] = None,
     once: bool = False,
 ) -> Cockpit:
-    """Tail a telemetry JSONL and render the cockpit until the stream goes idle.
+    """Tail an obs file and render the cockpit until the stream goes idle.
 
     With ``once=True`` the file is read once and rendered once (used by
     tests and CI).  Otherwise the file is followed like ``tail -f``,
     redrawing every ``refresh_s`` seconds, and the loop exits after
-    ``max_idle_s`` seconds without a new record (or on Ctrl-C).
+    ``max_idle_s`` seconds without a new line (or on Ctrl-C).
     """
     out = out if out is not None else sys.stdout
     cockpit = Cockpit()
@@ -409,28 +401,16 @@ def run_live(
     clear = "\x1b[2J\x1b[H" if getattr(out, "isatty", lambda: False)() else ""
     with open(path, "r", encoding="utf-8") as fh:
         while True:
-            chunk = fh.read()
-            progressed = False
-            if chunk:
-                buffer += chunk
-                while "\n" in buffer:
-                    line, buffer = buffer.split("\n", 1)
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        cockpit.skipped += 1
-                        continue
-                    if isinstance(record, dict):
-                        cockpit.feed_record(record)
-                        progressed = True
+            buffer += fh.read()
+            # A trailing line without its newline may still be mid-append.
+            *lines, buffer = buffer.split("\n")
+            for record in parse_lines(lines):
+                cockpit.feed_record(record)
             out.write(clear + cockpit.render() + "\n")
             out.flush()
             if once or not follow:
                 break
-            idle = 0.0 if progressed else idle + refresh_s
+            idle = 0.0 if lines else idle + refresh_s
             if idle >= max_idle_s:
                 break
             try:

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, per-period series.
+"""The metrics registry: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` is the numeric half of the observability plane
 (``docs/observability.md``).  Instruments are created lazily on first
@@ -7,22 +7,18 @@ touch, so call sites never pre-declare anything:
 * **counters** — monotone totals (``inc``);
 * **gauges** — last-written level readings (``set_gauge``);
 * **histograms** — streaming min/max/sum/count summaries (``observe``),
-  with a per-period window that :meth:`snapshot` folds into the series
-  and resets;
-* **series** — per-period ring buffers ``(period, value)`` appended by
-  :meth:`snapshot`: each counter and gauge is sampled once per period,
-  each histogram contributes ``<name>_mean`` / ``<name>_max`` points for
-  the observations made *during* that period.
+  with a per-period window that :meth:`MetricsRegistry.drain_windows`
+  hands to the period record (:mod:`repro.obs.record`) and resets.
 
-Everything exports to plain JSON-friendly dicts (:meth:`to_dict`) so the
-registry can cross process boundaries inside a ``ShardResult`` and merge
-at the coordinator (:func:`merge_metrics` / :func:`merge_obs`).
+Per-period values live in the period records, not here.  Everything
+exports to plain JSON-friendly dicts (:meth:`to_dict`) so the registry
+can cross process boundaries inside a ``ShardResult`` and merge at the
+coordinator (:func:`merge_metrics` / :func:`merge_obs`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.flows import merge_flows
 from repro.obs.topo import merge_topo
@@ -123,14 +119,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Lazily created counters/gauges/histograms with ring-buffer series."""
+    """Lazily created counters, gauges and histograms."""
 
-    def __init__(self, window: int = 512) -> None:
-        self.window = max(1, int(window))
+    def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.series: Dict[str, Deque[Tuple[int, float]]] = {}
 
     # ------------------------------------------------------------ instruments
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -145,25 +139,14 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         hist.observe(value)
 
-    # -------------------------------------------------------------- snapshots
-    def _append(self, name: str, period: int, value: float) -> None:
-        ring = self.series.get(name)
-        if ring is None:
-            ring = self.series[name] = deque(maxlen=self.window)
-        ring.append((period, value))
-
-    def snapshot(self, period: int) -> None:
-        """Fold the current instrument values into the per-period series."""
-        for name, value in self.counters.items():
-            self._append(name, period, value)
-        for name, value in self.gauges.items():
-            self._append(name, period, value)
+    def drain_windows(self) -> Dict[str, List[float]]:
+        """``{name: [mean, max]}`` of this period's observations, then reset."""
+        windows: Dict[str, List[float]] = {}
         for name, hist in self.histograms.items():
             window = hist.drain_window()
             if window is not None:
-                mean, peak = window
-                self._append(f"{name}_mean", period, mean)
-                self._append(f"{name}_max", period, peak)
+                windows[name] = list(window)
+        return windows
 
     # ----------------------------------------------------------------- export
     def to_dict(self) -> Dict[str, Any]:
@@ -171,7 +154,6 @@ class MetricsRegistry:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "histograms": {name: h.to_dict() for name, h in self.histograms.items()},
-            "series": {name: [list(point) for point in ring] for name, ring in self.series.items()},
         }
 
 
@@ -180,14 +162,11 @@ def merge_metrics(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     Counters and gauges sum (gauges here are swarm-wide totals like inbox
     depth, so addition is the cross-shard meaning); histograms combine
-    their count/sum and take the min/max envelope; series sum values at
-    equal periods, so a two-shard ``messages_sent`` curve reads as the
-    cluster total.
+    their count/sum and take the min/max envelope.
     """
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     hists: Dict[str, Dict[str, float]] = {}
-    series: Dict[str, Dict[int, float]] = {}
     for part in parts:
         if not part:
             continue
@@ -210,10 +189,6 @@ def merge_metrics(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                         agg[f"_{q}_weighted"] = (
                             agg.get(f"_{q}_weighted", 0.0) + h[q] * h["count"]
                         )
-        for name, points in part.get("series", {}).items():
-            curve = series.setdefault(name, {})
-            for period, value in points:
-                curve[period] = curve.get(period, 0.0) + value
     for agg in hists.values():
         if not agg["count"]:
             agg["min"] = 0.0
@@ -222,14 +197,7 @@ def merge_metrics(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             weighted = agg.pop(f"_{q}_weighted", None)
             if weighted is not None and agg["count"]:
                 agg[q] = weighted / agg["count"]
-    return {
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": hists,
-        "series": {
-            name: [[p, v] for p, v in sorted(curve.items())] for name, curve in series.items()
-        },
-    }
+    return {"counters": counters, "gauges": gauges, "histograms": hists}
 
 
 def summarize_traces(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -294,9 +262,10 @@ def summarize_traces(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 def merge_obs(parts: List[Optional[Dict[str, Any]]], span_limit: int = 200_000) -> Optional[Dict[str, Any]]:
     """Merge per-shard ``ObsRecorder.export()`` dicts into one run view.
 
-    Spans and flight events concatenate and re-sort on their sim-time
-    stamps (each span already carries its ``shard`` tag), postmortems
-    concatenate, metrics merge via :func:`merge_metrics`, and the trace
+    Period records concatenate in ``(period, shard)`` order, spans and
+    flight events concatenate and re-sort on their sim-time stamps (each
+    span already carries its ``shard`` tag), postmortems concatenate,
+    metrics merge via :func:`merge_metrics`, and the trace
     summary is recomputed over the combined span stream so cross-shard
     journeys count once.  Returns ``None`` when no shard exported obs.
 
@@ -309,11 +278,13 @@ def merge_obs(parts: List[Optional[Dict[str, Any]]], span_limit: int = 200_000) 
     parts = [p for p in parts if p]
     if not parts:
         return None
+    records: List[Dict[str, Any]] = []
     spans: List[Dict[str, Any]] = []
     flight: List[Dict[str, Any]] = []
     postmortems: List[Dict[str, Any]] = []
     dropped = 0
     for part in parts:
+        records.extend(part.get("records", ()))
         spans.extend(part.get("spans", ()))
         flight.extend(part.get("flight", ()))
         postmortems.extend(part.get("postmortems", ()))
@@ -326,6 +297,7 @@ def merge_obs(parts: List[Optional[Dict[str, Any]]], span_limit: int = 200_000) 
     merged: Dict[str, Any] = {
         "shards": sorted({p.get("shard") for p in parts if p.get("shard") is not None}),
         "metrics": merge_metrics(p.get("metrics", {}) for p in parts),
+        "records": sorted(records, key=lambda r: (r["period"], r["shard"])),
         "spans": spans,
         "flight": flight,
         "postmortems": postmortems,

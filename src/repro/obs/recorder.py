@@ -8,10 +8,11 @@ Two implementations share one duck type:
   obs off is bit-identical to one with no obs code at all (pinned by
   ``tests/test_obs.py``).
 * :class:`ObsRecorder` — the live plane.  It owns the
-  :class:`~repro.obs.metrics.MetricsRegistry`, the sampled
-  segment-journey span log, the bounded flight-recorder ring of rare
-  structural events, and the postmortem dumps taken on stall detection,
-  shard death or unhandled exceptions.
+  :class:`~repro.obs.metrics.MetricsRegistry`, the period records
+  (:mod:`repro.obs.record`), the sampled segment-journey span log, the
+  bounded flight-recorder ring of rare structural events, and the
+  postmortem dumps taken on stall detection, shard death or unhandled
+  exceptions.
 
 Determinism: trace sampling is counter-based (every ``trace_sample``-th
 request), never an RNG draw, and trace ids are
@@ -39,18 +40,13 @@ class ObsConfig:
     """What to record, and how much of it to keep.
 
     Attributes:
-        metrics: keep the registry + per-period snapshots + flight ring.
+        metrics: keep the registry + per-period records + flight ring.
         tracing: sample segment journeys and piggyback trace ids on wire.
         trace_sample: sample one in every N originated requests
             (``1`` traces everything; the counter is deterministic).
         flight_window: flight-recorder ring length, in events.
         span_limit: per-process span cap; excess increments
             ``spans_dropped`` instead of growing without bound.
-        telemetry: stream live :class:`~repro.runtime.wire.TelemetryFrame`
-            bodies to whatever sink the runner attaches (the cluster
-            control pipe, ``--telemetry-out``, a ``HealthEngine``).  Off
-            costs nothing; on without a sink costs nothing either.
-        telemetry_every: emit one telemetry frame every N periods.
         flows: account per-link / per-shard-pair traffic in a bounded
             :class:`~repro.obs.flows.FlowMatrix` (requires ``metrics``).
         topo: take per-period overlay snapshots (partner graph, gossip
@@ -63,18 +59,12 @@ class ObsConfig:
     trace_sample: int = 16
     flight_window: int = 256
     span_limit: int = 50_000
-    telemetry: bool = True
-    telemetry_every: int = 1
     flows: bool = True
     topo: bool = True
 
     def __post_init__(self) -> None:
         if self.trace_sample < 1:
             raise ValueError(f"trace_sample must be >= 1, got {self.trace_sample!r}")
-        if self.telemetry_every < 1:
-            raise ValueError(
-                f"telemetry_every must be >= 1, got {self.telemetry_every!r}"
-            )
 
 
 class NullObs:
@@ -109,13 +99,7 @@ class NullObs:
     def flight(self, event: str, **fields: Any) -> None:
         pass
 
-    def flight_since(self, seen: int) -> "tuple[int, List[Dict[str, Any]]]":
-        return (0, [])
-
     def postmortem(self, reason: str) -> None:
-        pass
-
-    def snapshot(self, period: int) -> None:
         pass
 
     def export(self) -> Optional[Dict[str, Any]]:
@@ -129,6 +113,9 @@ NULL_OBS = NullObs()
 class ObsRecorder:
     """The live observability plane for one swarm (process)."""
 
+    #: Period records kept for the export (a streamed obs file has all).
+    RECORD_WINDOW = 512
+
     def __init__(self, config: ObsConfig, shard: Optional[int] = None) -> None:
         self.config = config
         self.enabled = config.metrics
@@ -141,10 +128,14 @@ class ObsRecorder:
         self.topo: Optional[TopologyObserver] = (
             TopologyObserver() if config.metrics and config.topo else None
         )
+        #: The period records (:func:`~repro.obs.record.build_record`),
+        #: the newest :data:`RECORD_WINDOW` of them.
+        self.records: Deque[Dict[str, Any]] = deque(maxlen=self.RECORD_WINDOW)
         self.spans: List[Dict[str, Any]] = []
         self.spans_dropped = 0
         self._flight: Deque[Dict[str, Any]] = deque(maxlen=config.flight_window)
         self.flight_total = 0
+        self._flight_seen = 0
         self.postmortems: List[Dict[str, Any]] = []
         self.miss_causes: Dict[str, int] = {}
         self._req_count = 0
@@ -160,7 +151,7 @@ class ObsRecorder:
         """Attach the swarm's sim-time clock (``LiveSwarm.sim_now``)."""
         self._clock = clock
 
-    def _now(self) -> float:
+    def now(self) -> float:
         return 0.0 if self._clock is None else self._clock()
 
     # ----------------------------------------------------------------- tracing
@@ -191,7 +182,7 @@ class ObsRecorder:
             "event": event,
             "peer": peer,
             "segment": segment,
-            "t": self._now(),
+            "t": self.now(),
             "seq": self._span_seq,
         }
         if self.shard is not None:
@@ -207,13 +198,10 @@ class ObsRecorder:
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
 
-    def snapshot(self, period: int) -> None:
-        self.metrics.snapshot(period)
-
     # ---------------------------------------------------------------- flight
     def flight(self, event: str, **fields: Any) -> None:
         """Append one rare structural event to the bounded flight ring."""
-        entry: Dict[str, Any] = {"event": event, "t": self._now()}
+        entry: Dict[str, Any] = {"event": event, "t": self.now()}
         if self.shard is not None:
             entry["shard"] = self.shard
         if fields:
@@ -221,25 +209,22 @@ class ObsRecorder:
         self._flight.append(entry)
         self.flight_total += 1
 
-    def flight_since(self, seen: int) -> "tuple[int, List[Dict[str, Any]]]":
-        """``(total, new_events)`` since a caller last saw ``seen`` events.
+    def new_flight(self) -> List[Dict[str, Any]]:
+        """Flight events appended since the last call (the period record's).
 
-        Feeds the telemetry stream's flight-recorder deltas: events that
-        already scrolled out of the bounded ring are simply gone (the
-        delta covers at most one ring's worth).
+        Events that already scrolled out of the bounded ring are simply
+        gone: a call returns at most one ring's worth.
         """
-        fresh = min(self.flight_total - seen, len(self._flight))
-        if fresh <= 0:
-            return (self.flight_total, [])
-        ring = list(self._flight)
-        return (self.flight_total, ring[-fresh:])
+        fresh = min(self.flight_total - self._flight_seen, len(self._flight))
+        self._flight_seen = self.flight_total
+        return list(self._flight)[-fresh:] if fresh > 0 else []
 
     def postmortem(self, reason: str) -> None:
         """Dump the flight ring: called on stall, shard death, crash."""
         self.postmortems.append(
             {
                 "reason": reason,
-                "t": self._now(),
+                "t": self.now(),
                 "shard": self.shard,
                 "events": list(self._flight),
             }
@@ -251,6 +236,7 @@ class ObsRecorder:
         out: Dict[str, Any] = {
             "shard": self.shard,
             "metrics": self.metrics.to_dict(),
+            "records": list(self.records),
             "spans": list(self.spans),
             "spans_dropped": self.spans_dropped,
             "flight": list(self._flight),

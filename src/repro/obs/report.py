@@ -1,143 +1,21 @@
-"""Export surfaces for the obs plane: JSONL files and terminal reports.
+"""Terminal reports of an obs export.
 
-``--metrics-out`` writes one run's obs export as a line-oriented JSONL
-stream (one typed record per line — ``meta``, ``metric``, ``span``,
-``flight``, ``flows``, ``topo``, ``socket_link``, ``postmortem``,
-``summary``) that tails cleanly and loads back with
-:func:`load_obs_jsonl`; ``continustreaming-experiments obs --in
-run.jsonl`` renders it with :func:`render_report`.
+:func:`render_report` renders an obs export — a run's
+``RuntimeResult.obs`` or an obs file loaded with
+:func:`~repro.obs.record.load_obs_jsonl` (``continustreaming-experiments
+obs --in run.jsonl``): per-period sparklines rebuilt from the period
+records, the summary, flows, topology, traces and postmortems.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import summarize_traces
+from repro.obs.record import period_series
 
-__all__ = [
-    "write_obs_jsonl",
-    "load_obs_jsonl",
-    "render_report",
-    "format_postmortems",
-]
+__all__ = ["render_report", "format_postmortems"]
 
 _SPARK = "▁▂▃▄▅▆▇█"
-
-
-def write_obs_jsonl(path: Union[str, Path], obs: Dict[str, Any]) -> Path:
-    """Write an obs export dict (``RuntimeResult.obs``) as typed JSONL."""
-    path = Path(path)
-    metrics = obs.get("metrics", {})
-    with path.open("w", encoding="utf-8") as fh:
-        meta = {
-            "type": "meta",
-            "shard": obs.get("shard"),
-            "shards": obs.get("shards"),
-            "spans_dropped": obs.get("spans_dropped", 0),
-        }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for name, points in sorted(metrics.get("series", {}).items()):
-            for period, value in points:
-                fh.write(
-                    json.dumps(
-                        {"type": "metric", "name": name, "period": period, "value": value},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        for span in obs.get("spans", ()):
-            fh.write(json.dumps({"type": "span", **span}, sort_keys=True) + "\n")
-        for event in obs.get("flight", ()):
-            fh.write(json.dumps({"type": "flight", **event}, sort_keys=True) + "\n")
-        if obs.get("flows"):
-            fh.write(json.dumps({"type": "flows", **obs["flows"]}, sort_keys=True) + "\n")
-        if obs.get("topo"):
-            fh.write(json.dumps({"type": "topo", **obs["topo"]}, sort_keys=True) + "\n")
-        for row in obs.get("socket_links", ()):
-            fh.write(json.dumps({"type": "socket_link", **row}, sort_keys=True) + "\n")
-        for dump in obs.get("postmortems", ()):
-            fh.write(json.dumps({"type": "postmortem", **dump}, sort_keys=True) + "\n")
-        summary = {
-            "type": "summary",
-            "counters": metrics.get("counters", {}),
-            "gauges": metrics.get("gauges", {}),
-            "histograms": metrics.get("histograms", {}),
-            "traces": obs.get("traces", {}),
-        }
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
-    return path
-
-
-def load_obs_jsonl(path: Union[str, Path]) -> Dict[str, Any]:
-    """Reconstruct an obs export dict from a :func:`write_obs_jsonl` file.
-
-    Robust by contract: empty files, truncated trailing lines (a writer
-    killed mid-append) and malformed records are *skipped*, not raised —
-    a partial export from a dead run must still render a report.  The
-    skip count surfaces as ``skipped_lines`` and in the report footer.
-    """
-    obs: Dict[str, Any] = {
-        "shard": None,
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}, "series": {}},
-        "spans": [],
-        "flight": [],
-        "postmortems": [],
-        "spans_dropped": 0,
-        "traces": {},
-        "skipped_lines": 0,
-    }
-    series: Dict[str, List[List[float]]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                obs["skipped_lines"] += 1
-                continue
-            if not isinstance(record, dict):
-                obs["skipped_lines"] += 1
-                continue
-            kind = record.pop("type", None)
-            if kind == "meta":
-                obs["shard"] = record.get("shard")
-                if record.get("shards") is not None:
-                    obs["shards"] = record["shards"]
-                obs["spans_dropped"] = record.get("spans_dropped", 0)
-            elif kind == "metric":
-                if "name" not in record or "period" not in record or "value" not in record:
-                    obs["skipped_lines"] += 1
-                    continue
-                series.setdefault(record["name"], []).append(
-                    [record["period"], record["value"]]
-                )
-            elif kind == "span":
-                obs["spans"].append(record)
-            elif kind == "flight":
-                obs["flight"].append(record)
-            elif kind == "flows":
-                obs["flows"] = record
-            elif kind == "topo":
-                obs["topo"] = record
-            elif kind == "socket_link":
-                obs.setdefault("socket_links", []).append(record)
-            elif kind == "postmortem":
-                obs["postmortems"].append(record)
-            elif kind == "summary":
-                obs["metrics"]["counters"] = record.get("counters", {})
-                obs["metrics"]["gauges"] = record.get("gauges", {})
-                obs["metrics"]["histograms"] = record.get("histograms", {})
-                obs["traces"] = record.get("traces", {})
-            else:
-                obs["skipped_lines"] += 1
-    obs["metrics"]["series"] = series
-    if not obs["traces"] and obs["spans"]:
-        obs["traces"] = summarize_traces(obs["spans"])
-    return obs
 
 
 def _sparkline(values: List[float], width: int = 32) -> str:
@@ -158,7 +36,7 @@ def render_report(obs: Dict[str, Any]) -> str:
     """A terminal report: metric sparklines, trace summary, postmortems."""
     lines: List[str] = []
     metrics = obs.get("metrics", {})
-    series = metrics.get("series", {})
+    series = period_series(obs.get("records") or ())
     if series:
         lines.append("timeseries (per period)")
         width = max(len(name) for name in series)

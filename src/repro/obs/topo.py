@@ -156,18 +156,6 @@ class TopologyObserver:
         self.last = snap
         return snap
 
-    def telemetry(self) -> Optional[Dict[str, Any]]:
-        """Compact per-period summary for the ``TelemetryFrame`` body."""
-        if self.last is None:
-            return None
-        s = self.last
-        return {
-            "coverage": round(s["coverage"], 4),
-            "components": s["components"],
-            "finger_health": round(s["finger_health"], 4),
-            "partner_pairs": s["partner_pairs"],
-        }
-
     def to_dict(self) -> Optional[Dict[str, Any]]:
         return self.last
 

@@ -9,11 +9,10 @@ knows whether its partner is local or remote, and there is no shard
 subclass: every worker runs the one swarm class with its placement
 (``shard_index`` of ``options.shards``) and a ``links`` dict filled in.
 
-* :mod:`~repro.runtime.cluster.links` — the :class:`Link` protocol with
-  its two interchangeable implementations: the in-process
-  :class:`LoopbackLink` (the single home of delay/loss injection, used
-  by every swarm) and the reconnecting, credit-refunding
-  :class:`SocketLink`;
+* :mod:`~repro.runtime.cluster.links` — the two interchangeable links:
+  the in-process :class:`LoopbackLink` (the single home of delay/loss
+  injection, used by every swarm) and the reconnecting,
+  credit-refunding :class:`SocketLink`;
 * :mod:`~repro.runtime.cluster.worker` — the shard worker process;
 * :mod:`~repro.runtime.cluster.coordinator` —
   :class:`ClusterCoordinator`, the control plane (spawn, start/stop
@@ -32,7 +31,6 @@ coordinator lifecycle and the failure semantics.
 """
 
 from repro.runtime.cluster.links import (
-    Link,
     LinkConfig,
     LoopbackLink,
     SocketLink,
@@ -41,7 +39,6 @@ from repro.runtime.cluster.links import (
 
 __all__ = [
     "ClusterCoordinator",
-    "Link",
     "LinkConfig",
     "LoopbackLink",
     "ShardWorker",

@@ -45,7 +45,6 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import HealthEngine, ObsRecorder, SloViolation, TelemetryPlane
-from repro.runtime import wire
 from repro.runtime.cluster.worker import run_shard_worker
 from repro.runtime.swarm import RunOptions, RuntimeResult, ShardResult, merge_results, run
 from repro.scenarios.spec import ScenarioSpec
@@ -122,11 +121,9 @@ class ClusterCoordinator:
         #: Per-shard facts reported at listen time (port, hosted peers,
         #: whether the shard hosts the source).
         self.shard_infos: Dict[int, Dict[str, Any]] = {}
-        #: Decoded telemetry frame bodies in arrival order (bounded ring;
-        #: the cockpit and tests read this).
-        self.telemetry_frames: List[Dict[str, Any]] = []
-        #: The telemetry consumer (``None`` with telemetry off), created at
-        #: :meth:`run`; :attr:`health` is its engine.
+        #: The consumer of the shards' period records (``None`` with obs
+        #: metrics off), created at :meth:`run`; :attr:`health` is its
+        #: engine.
         self.plane: Optional[TelemetryPlane] = None
         self._aborted = False
 
@@ -173,11 +170,12 @@ class ClusterCoordinator:
                 channel.error = msg[2]
                 self._mark_dead(channel)
                 continue
-            if tag == "telemetry":
+            if tag == "record":
                 # Handled inline rather than buffered: the health plane
-                # must see frames even while a barrier wait is draining
+                # must see records even while a barrier wait is draining
                 # some other tag.
-                self._on_telemetry(msg)
+                if self.plane is not None:
+                    self.plane.record(msg[2])
                 continue
             channel.buffers.setdefault(tag, []).append(msg)
             channel.received[tag] = time.monotonic()
@@ -189,25 +187,7 @@ class ClusterCoordinator:
             ):
                 self._mark_dead(channel)
 
-    # ------------------------------------------------------------- telemetry
-    #: retained decoded frames; a run is shards × rounds frames, this
-    #: caps pathological cases (tiny telemetry_every, huge round counts).
-    TELEMETRY_RETAIN = 4096
-
-    def _on_telemetry(self, msg: Tuple) -> None:
-        """Decode one shard's wire-encoded frame and feed the health plane."""
-        try:
-            frame, _ = wire.decode(msg[2])
-            body = frame.body()
-        except (wire.WireError, ValueError, AttributeError):
-            return  # a malformed frame must never take down the control loop
-        body["shard"] = frame.shard
-        self.telemetry_frames.append(body)
-        if len(self.telemetry_frames) > self.TELEMETRY_RETAIN:
-            del self.telemetry_frames[0]
-        if self.plane is not None:
-            self.plane.frame(body)
-
+    # ------------------------------------------------------------------- health
     def _check_slo(self) -> None:
         """Abort (raise :class:`SloViolation`) once the SLO budget breaches."""
         if self.plane is not None:
@@ -242,19 +222,20 @@ class ClusterCoordinator:
         ctx = multiprocessing.get_context(MP_CONTEXT)
         self.phase = "setup"
         health_obs: Optional[ObsRecorder] = None
-        if options.telemetry_on:
+        if options.obs is not None and options.obs.metrics:
             health_obs = ObsRecorder(options.obs)
             self.plane = plane = TelemetryPlane(
                 options.rounds,
                 options.shards,
                 health_obs,
                 slo=options.slo,
-                telemetry_out=options.telemetry_out,
+                obs_out=options.obs_out,
             )
-            # Alert flight events inherit the newest telemetry sim-time
+            # Alert flight events inherit the newest record's sim-time
             # stamp, so coordinator-side obs merges on the shards' clock.
             health_obs.bind_clock(lambda: plane.health._last_t)
         payload = {"spec": self.spec.to_dict(), "options": options, "token": self.token}
+        obs = None
         try:
             for shard in range(options.shards):
                 parent_conn, child_conn = ctx.Pipe()
@@ -272,28 +253,31 @@ class ClusterCoordinator:
             self._relay_lateness()
             results = self._collect_results()
             self._check_slo()
-        except SloViolation:
+            if not results:
+                errors = [c.error for c in self.channels if c.error]
+                detail = f":\n{errors[0]}" if errors else ""
+                raise RuntimeError(f"every cluster shard failed{detail}")
+            merged = merge_results(
+                list(results.values()),
+                shards=options.shards,
+                lost_shards=sorted(c.shard for c in self.channels if c.shard not in results),
+                extra_obs=None if health_obs is None else health_obs.export(),
+                health=None if self.plane is None else self.plane.health.snapshot(),
+            )
+            obs = merged.obs
+            return merged
+        except SloViolation as exc:
             # An SLO abort should not sit out the workers' remaining
             # rounds: shut them down on the short clock.
             self._aborted = True
+            obs = exc.obs
             raise
         finally:
             self.phase = "done"
             self._broadcast(("close",))
             self._shutdown_processes()
             if self.plane is not None:
-                self.plane.close()
-        if not results:
-            errors = [c.error for c in self.channels if c.error]
-            detail = f":\n{errors[0]}" if errors else ""
-            raise RuntimeError(f"every cluster shard failed{detail}")
-        return merge_results(
-            list(results.values()),
-            shards=options.shards,
-            lost_shards=sorted(c.shard for c in self.channels if c.shard not in results),
-            extra_obs=None if health_obs is None else health_obs.export(),
-            health=None if self.plane is None else self.plane.health.snapshot(),
-        )
+                self.plane.close(obs)
 
     def _setup_barrier(self) -> List[float]:
         """Spawn → listen → mesh → ready; returns each shard's measured

@@ -48,18 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.swarm import LiveSwarm
 
 
-class Link(Protocol):
-    """What a swarm needs from anything that carries frames to another shard."""
-
-    def send(self, src: int, dst: int, frame: bytes, data: bool = False) -> None:
-        """Ship one encoded frame from ``src`` towards ``dst``."""
-        ...  # pragma: no cover - protocol
-
-    def close(self) -> None:
-        """Tear the link down (idempotent)."""
-        ...  # pragma: no cover - protocol
-
-
 #: A coalescing group: its ``(src, dst, data)`` key, birth time, messages
 #: and their frames' bytes so far (a list: the last two grow).
 _Group = List[Any]

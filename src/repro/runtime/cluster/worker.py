@@ -230,21 +230,15 @@ class ShardWorker:
                 return float(value)
             # A stale broadcast from an earlier boundary: keep draining.
 
-    # -------------------------------------------------------------- telemetry
-    def _ship_telemetry(self, body: Dict[str, Any]) -> None:
-        """Push one telemetry frame to the coordinator over the control seam.
+    # ------------------------------------------------------------ obs records
+    def _ship_record(self, record: Dict[str, Any]) -> None:
+        """Push one period record to the coordinator over the control pipe.
 
-        The body is wire-encoded as an (uncharged)
-        :class:`~repro.runtime.wire.TelemetryFrame` so the stream speaks
-        the cluster's codec — a future multi-host control channel carries
-        the same bytes — and decoded coordinator-side into the
-        :class:`~repro.obs.health.HealthEngine`.  Best-effort like every
-        control send: a dead coordinator must not stall the swarm.
+        The pipe pickles the record dict as it is; the coordinator feeds
+        it to its :class:`~repro.obs.TelemetryPlane`.  Best-effort like
+        every control send: a dead coordinator must not stall the swarm.
         """
-        frame = wire.TelemetryFrame.from_body(
-            shard=self.shard_index, period=int(body.get("period", 0)), body=body
-        )
-        self._send(("telemetry", self.shard_index, wire.encode(frame)))
+        self._send(("record", self.shard_index, record))
 
     # ------------------------------------------------------------------------ run
     async def main(self) -> None:
@@ -279,7 +273,7 @@ class ShardWorker:
         _, start_at = await self.mail.expect("start", timeout=SETUP_TIMEOUT_S)
         swarm.start_at = float(start_at)
         swarm.control = self
-        swarm.telemetry_sink = self._ship_telemetry
+        swarm.record_sink = self._ship_record
         self._send(("result", self.shard_index, await swarm.run_async()))
         # Hold the links until every shard has finished (close barrier):
         # peers elsewhere may still be draining frames this shard relays.

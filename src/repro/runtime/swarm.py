@@ -21,9 +21,10 @@ entry per period ends it (lateness, dilation, churn):
   ``loss_rate`` drops frames at the transport, and every queue has a
   configurable watermark — no load can grow memory without bound.  The
   delivery path itself is a :class:`~repro.runtime.cluster.links.
-  LoopbackLink` — the same ``Link`` protocol the cluster runtime
-  implements over TCP sockets, so the swarm's peers cannot tell an
-  in-process partner from a remote one (:mod:`repro.runtime.cluster`) —
+  LoopbackLink`, interchangeable with the cluster runtime's TCP
+  :class:`~repro.runtime.cluster.links.SocketLink`, so the swarm's
+  peers cannot tell an in-process partner from a remote one
+  (:mod:`repro.runtime.cluster`) —
   and its flush groups, like the peers' intra-period phases, are entries
   of the same queue;
 * **live churn** — the scenario's churn schedule runs against the real
@@ -84,6 +85,7 @@ from repro.obs import (
     TelemetryPlane,
     merge_obs,
 )
+from repro.obs.record import build_record
 from repro.runtime.clock import DeliveryQueue
 from repro.runtime.cluster.links import LinkConfig, LoopbackLink, SocketLink, SocketLinkStats
 from repro.runtime.peer import LivePeer
@@ -169,11 +171,12 @@ class RunOptions:
             recorder, leaves ``RuntimeResult.obs`` as ``None`` and keeps
             the run bit-identical to an uninstrumented build.
         slo: abort the run early once this SLO's error budget burns too
-            fast (:mod:`repro.obs.health`); requires telemetry (``obs``
-            with ``metrics`` and ``telemetry`` on).
-        telemetry_out: stream telemetry frames and alerts to this JSONL
-            path (Prometheus exposition at ``<path>.prom``); requires
-            telemetry.
+            fast (:mod:`repro.obs.health`); requires the period records
+            (``obs`` with ``metrics`` on).
+        obs_out: the run's obs file: period records and alerts streamed
+            while the run is live, the export appended at close
+            (Prometheus exposition at ``<path>.prom``); requires the
+            period records.
     """
 
     shards: int = 1
@@ -184,12 +187,7 @@ class RunOptions:
     clock: str = "wall"
     obs: Optional[ObsConfig] = None
     slo: Optional[SloSpec] = None
-    telemetry_out: Optional[str] = None
-
-    @property
-    def telemetry_on(self) -> bool:
-        """Whether swarms emit :class:`~repro.runtime.wire.TelemetryFrame` bodies."""
-        return self.obs is not None and self.obs.metrics and self.obs.telemetry
+    obs_out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -205,10 +203,11 @@ class RunOptions:
                 "the virtual clock cannot drive a sharded run (sockets are real "
                 "I/O): use clock='wall' or shards=1"
             )
-        if (self.slo is not None or self.telemetry_out is not None) and not self.telemetry_on:
+        if (self.slo is not None or self.obs_out is not None) and not (
+            self.obs is not None and self.obs.metrics
+        ):
             raise ValueError(
-                "slo/telemetry_out need the telemetry stream: pass an ObsConfig "
-                "with metrics=True and telemetry=True"
+                "slo/obs_out need the period records: pass an ObsConfig with metrics=True"
             )
 
     def resolved(self, spec: ScenarioSpec) -> "RunOptions":
@@ -291,8 +290,8 @@ class RuntimeResult:
     #: so the result stays picklable.
     obs: Optional[Dict[str, Any]] = None
     #: Run-level health verdict — a :meth:`~repro.obs.health.HealthEngine.
-    #: snapshot` — when a telemetry consumer watched the run (``slo`` /
-    #: ``telemetry_out``, or any sharded run with telemetry on).
+    #: snapshot` — when a health engine watched the run (``slo`` /
+    #: ``obs_out``, or any sharded run with obs metrics on).
     health: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ metrics
@@ -469,17 +468,10 @@ class LiveSwarm:
         #: ``deliver``/link hot paths pay one load + ``is not None`` test.
         self._flows = self.obs.flows
         self._stall_dumped = False
-        #: Live telemetry (``docs/observability.md`` → *Live telemetry &
-        #: SLOs*): when obs is on and a sink is attached — the cluster
-        #: control pipe or a :class:`~repro.obs.TelemetryPlane` —
-        #: :meth:`_emit_telemetry` pushes one frame body per period.
-        #: No sink attached ⇒ the telemetry path costs nothing.
-        self.telemetry_sink: Optional[Callable[[Dict[str, Any]], None]] = None
-        self._telemetry_on = bool(options.telemetry_on)
-        self._telemetry_every = obs.telemetry_every if obs is not None else 1
-        self._telem_counters: Dict[str, float] = {}
-        self._telem_miss_causes: Dict[str, int] = {}
-        self._telem_flight_seen = 0
+        #: Where each period record goes besides the recorder
+        #: (``docs/observability.md`` → *Live telemetry & SLOs*): the
+        #: cluster control pipe or a :class:`~repro.obs.TelemetryPlane`.
+        self.record_sink: Optional[Callable[[Dict[str, Any]], None]] = None
 
     # ======================================================================= build
     def build(self) -> "LiveSwarm":
@@ -786,9 +778,11 @@ class LiveSwarm:
         no event loop, no wall waiting, bit-identical results for
         identical specs and seeds, from synchronous and asynchronous
         callers alike; on the wall clock it runs :meth:`run_async` under
-        :func:`asyncio.run`.  ``slo`` / ``telemetry_out`` attach a
-        :class:`~repro.obs.TelemetryPlane` as the telemetry sink: a
-        breached SLO aborts the run with :class:`~repro.obs.SloViolation`.
+        :func:`asyncio.run`.  ``slo`` / ``obs_out`` attach a
+        :class:`~repro.obs.TelemetryPlane` as the record sink: a
+        breached SLO aborts the run with :class:`~repro.obs.SloViolation`,
+        and the obs file gets the export (the one at abort time on a
+        breach) when the run closes.
         """
         if self.num_shards > 1:
             raise ValueError(
@@ -797,19 +791,24 @@ class LiveSwarm:
             )
         options = self.options
         plane = None
-        if options.slo is not None or options.telemetry_out is not None:
+        if options.slo is not None or options.obs_out is not None:
             plane = TelemetryPlane(
-                self.rounds, 1, self.obs, slo=options.slo, telemetry_out=options.telemetry_out
+                self.rounds, 1, self.obs, slo=options.slo, obs_out=options.obs_out
             )
-            self.telemetry_sink = plane.sink
+            self.record_sink = plane.sink
+        obs = None
         try:
             if self.clock == "virtual":
                 partial = self._run_virtual()
             else:
                 partial = asyncio.run(self.run_async())
+            obs = partial.result.obs
+        except SloViolation as exc:
+            obs = exc.obs
+            raise
         finally:
             if plane is not None:
-                plane.close()
+                plane.close(obs)
         return merge_results(
             [partial], health=None if plane is None else plane.health.snapshot()
         )
@@ -924,19 +923,13 @@ class LiveSwarm:
         self._finish_step(round_index, max(worst, exchange.result()))
 
     def _finish_step(self, round_index: int, worst: float) -> None:
-        """Dilate, sample obs and telemetry, then fire the churn schedule
-        and queue the next period's step — or, after the last period, end
-        the run."""
+        """Dilate, close the period's obs record, then fire the churn
+        schedule and queue the next period's step — or, after the last
+        period, end the run."""
         self.worst_lateness_s = max(self.worst_lateness_s, worst * self.time_scale)
         self._maybe_dilate(worst)
         if self.obs.enabled:
-            self._obs_snapshot(round_index)
-            if (
-                self.telemetry_sink is not None
-                and self._telemetry_on
-                and round_index % self._telemetry_every == 0
-            ):
-                self._emit_telemetry(round_index)
+            self._obs_record(round_index)
         if round_index == self.rounds - 1:
             self._ended = True
             return
@@ -956,8 +949,10 @@ class LiveSwarm:
                     self.file(peer, peer.first_tick)
         self.queue.push(self._step_due(round_index + 1), self._step, round_index + 1)
 
-    def _obs_snapshot(self, round_index: int) -> None:
-        """Sample swarm-wide gauges into the per-period metric series."""
+    def _obs_record(self, round_index: int) -> None:
+        """Sample swarm-wide gauges and close the period's record
+        (:func:`~repro.obs.record.build_record`), handing it to the
+        attached sink."""
         inbox_total = inbox_max = credit_pending = 0
         for peer in self.peers.values():
             depth = len(peer.inbox)
@@ -977,65 +972,16 @@ class LiveSwarm:
         topo = self.obs.topo
         if topo is not None:
             snap = topo.observe(self, round_index)
-            # Additive pieces ride the gauge series (gauges sum across
-            # shards in merge_metrics, so only counts go in — ratios are
-            # recomputed wherever they are displayed).
+            # Additive pieces ride the gauges (gauges sum across shards
+            # in merge_metrics and period_series, so only counts go in —
+            # ratios are recomputed wherever they are displayed).
             metrics.set_gauge("topo_partner_pairs", snap["partner_pairs"])
             metrics.set_gauge("topo_covered_pairs", snap["covered_pairs"])
             metrics.set_gauge("topo_finger_alive", snap["finger_alive"])
             metrics.set_gauge("topo_finger_total", snap["finger_total"])
-        self.obs.snapshot(round_index)
-
-    def _emit_telemetry(self, round_index: int) -> None:
-        """Build one telemetry frame body and hand it to the attached sink.
-
-        The body is the :class:`~repro.runtime.wire.TelemetryFrame`
-        payload schema: this period's continuity sample over hosted
-        peers, current gauge levels, counter *deltas* since the last
-        frame, new miss causes and new flight-recorder events.  Pure
-        observation — nothing here touches protocol state, so an
-        obs-enabled virtual run with a sink attached stays deterministic.
-        """
-        playing, total = self._period_playback_counts(round_index)
-        metrics = self.obs.metrics
-        counters: Dict[str, float] = {}
-        for name, value in metrics.counters.items():
-            delta = value - self._telem_counters.get(name, 0.0)
-            if delta:
-                counters[name] = delta
-            self._telem_counters[name] = value
-        miss_causes: Dict[str, int] = {}
-        for cause, count in self.obs.miss_causes.items():
-            delta = count - self._telem_miss_causes.get(cause, 0)
-            if delta:
-                miss_causes[cause] = delta
-            self._telem_miss_causes[cause] = count
-        self._telem_flight_seen, flight = self.obs.flight_since(self._telem_flight_seen)
-        body: Dict[str, Any] = {
-            "shard": self.shard_index,
-            "period": round_index,
-            "t": self.sim_now(),
-            "playing": playing,
-            "total": total,
-            "continuity": (playing / total) if total else 1.0,
-            "peers_live": self.peers_live(),
-            "gauges": dict(metrics.gauges),
-            "counters": counters,
-            "miss_causes": miss_causes,
-            "flight": flight,
-        }
-        flows = self._flows
-        if flows is not None:
-            pair_delta = flows.pair_delta()
-            if pair_delta:
-                body["flows"] = pair_delta
-        topo = self.obs.topo
-        if topo is not None:
-            topo_summary = topo.telemetry()
-            if topo_summary is not None:
-                body["topo"] = topo_summary
+        socket = None
         if self.links:
-            body["socket"] = {
+            socket = {
                 str(row["dst_shard"]): {
                     name: row[name]
                     for name in ("frames_out", "frames_in", "bytes_out", "bytes_in",
@@ -1043,7 +989,12 @@ class LiveSwarm:
                 }
                 for row in self.socket_links()
             }
-        self.telemetry_sink(body)
+        record = build_record(
+            self.obs, self.shard_index, round_index,
+            *self._period_playback_counts(round_index), self.peers_live(), socket,
+        )
+        if self.record_sink is not None:
+            self.record_sink(record)
 
     def _retire_peer(self, node_id: int, rng: np.random.Generator) -> None:
         node = self.manager.nodes.get(node_id)
@@ -1092,7 +1043,7 @@ class LiveSwarm:
     def _period_playback_counts(self, tick: int) -> Tuple[int, int]:
         """``(playing, total)`` for one period over every hosted peer.
 
-        The single aggregation point telemetry frames, playback samples
+        The single aggregation point period records, playback samples
         and the merged tracker all flow through, so every consumer
         (health engine, cockpit, campaign stores) sees one population.
         """
@@ -1129,7 +1080,7 @@ class LiveSwarm:
         Every :class:`~repro.runtime.cluster.links.SocketLinkStats` field
         per remote shard — link resets show up as the ``disconnects`` /
         ``reconnects`` pair.  Rows ride the obs export
-        (``obs["socket_links"]``) and, thinned, each telemetry frame.
+        (``obs["socket_links"]``) and, thinned, each period record.
         """
         return [
             {
@@ -1266,8 +1217,6 @@ def merge_results(
                 for p in partials
             ],
         }
-        if health is not None:
-            cluster["health"] = health
         obs = merge_obs([row.obs for row in rows] + [extra_obs])
     return replace(
         first,

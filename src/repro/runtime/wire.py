@@ -58,7 +58,6 @@ carries it too, and its receiver ignores it.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -114,7 +113,6 @@ class WireKind(IntEnum):
     ROUTE = 12
     BATCH = 13
     MAP_DELTA = 14
-    TELEMETRY = 15
 
 
 # ===================================================================== messages
@@ -436,38 +434,6 @@ class FrameBatch:
     frames: Tuple[bytes, ...]
 
 
-@dataclass(slots=True)
-class TelemetryFrame:
-    """One shard's live-telemetry push (observability plane, uncharged).
-
-    ``payload`` is an opaque UTF-8 JSON body — incremental metric
-    counters, gauge levels, per-period continuity and flight-recorder
-    deltas (see ``docs/observability.md`` → *Live telemetry & SLOs*).
-    The codec does not interpret it: the schema belongs to the obs
-    plane and may grow without a wire change.  Telemetry frames ride
-    the cluster control seam from each :class:`ShardWorker` to the
-    coordinator's :class:`~repro.obs.health.HealthEngine`; like every
-    observability byte they are physical-only and never touch the
-    paper-facing ledger (:func:`ledger_entry` returns ``None``).
-    """
-
-    shard: int
-    period: int
-    payload: bytes
-
-    def body(self) -> dict:
-        """Decode the JSON payload (the telemetry frame body dict)."""
-        return json.loads(self.payload.decode("utf-8"))
-
-    @classmethod
-    def from_body(cls, shard: int, period: int, body: dict) -> "TelemetryFrame":
-        return cls(
-            shard=shard,
-            period=period,
-            payload=json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8"),
-        )
-
-
 WireMessage = Union[
     BufferMapMsg,
     BufferMapDelta,
@@ -483,7 +449,6 @@ WireMessage = Union[
     ShardHello,
     RoutedFrame,
     FrameBatch,
-    TelemetryFrame,
 ]
 
 
@@ -979,8 +944,6 @@ _ROWS = (
     _Row(WireKind.SHARD_HELLO, ShardHello,
          lambda pack, m: pack(m.shard_index, m.num_shards, m.token, m.ring_size),
          (_U16, _POSITIVE, _ID, _ID), widths=1),
-    _Row(WireKind.TELEMETRY, TelemetryFrame, lambda pack, m: pack(m.shard, m.period), (_U16, _ID),
-         tail="bytes", tail_fields=("payload",), widths=1),
 )
 
 
@@ -1480,9 +1443,7 @@ def ledger_entry(msg: WireMessage) -> Optional[Tuple[MessageKind, float]]:
     *inner* frames were each charged once, at their originating peer,
     exactly as on the loopback transport.  The observability trace tail
     (:mod:`repro.obs`) of a segment frame is physical-only too: a
-    traced :class:`SegmentData` still charges its declared ``size_bits``,
-    and a :class:`TelemetryFrame` — pure observability, no protocol
-    effect — is never charged at all.
+    traced :class:`SegmentData` still charges its declared ``size_bits``.
     """
     kind = type(msg)
     if kind is SegmentData:
@@ -1515,5 +1476,4 @@ _FIXED_LEDGER_ENTRIES: Dict[type, Optional[Tuple[MessageKind, float]]] = {
     ShardHello: None,
     RoutedFrame: None,
     FrameBatch: None,
-    TelemetryFrame: None,
 }

@@ -269,7 +269,7 @@ class TestCampaignObs:
         ]
         for path in tmp_path.glob("obs_*.jsonl"):
             loaded = load_obs_jsonl(path)
-            assert loaded["metrics"]["series"], path
+            assert loaded["records"], path
         # ...and the grid results themselves are untouched by obs.
         for cell in store:
             assert cell.metrics["stable_continuity"] > 0.5

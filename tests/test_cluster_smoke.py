@@ -24,9 +24,11 @@ from repro.obs import (
     ObsConfig,
     SloSpec,
     SloViolation,
-    load_telemetry_jsonl,
+    load_obs_jsonl,
+    period_series,
     write_obs_jsonl,
 )
+from repro.obs.record import parse_lines
 from repro.runtime import (
     LiveSwarm,
     RunOptions,
@@ -196,7 +198,7 @@ class TestFourShardSmoke:
     def four_shard_result(self):
         spec = builtin_scenario("static").scaled(num_nodes=60, rounds=8)
         # Metrics only: the export carries the per-pair socket rows.
-        obs = ObsConfig(tracing=False, telemetry=False, flows=False, topo=False)
+        obs = ObsConfig(tracing=False, flows=False, topo=False)
         return run_cluster(spec, shards=4, rounds=8, time_scale=SMALL_SCALE, obs=obs)
 
     def test_no_shard_is_lost(self, four_shard_result):
@@ -271,7 +273,24 @@ class TestClusterObs:
         assert traced_obs["shards"] == [0, 1]
         # gauges sum across shards: the merged view reads as cluster totals
         assert traced_obs["metrics"]["gauges"].get("messages_sent", 0) > 0
-        assert "messages_sent" in traced_obs["metrics"]["series"]
+        assert "messages_sent" in period_series(traced_obs["records"])
+        assert {r["shard"] for r in traced_obs["records"]} == {0, 1}
+
+    def test_each_shards_last_record_matches_its_export(self, traced_obs):
+        """A record's counters, gauges and flows are cumulative: each
+        shard's last record holds its final totals, which the merge sums."""
+        last = {}
+        for record in traced_obs["records"]:
+            last[record["shard"]] = record
+        assert sorted(last) == [0, 1]
+        for name in ("counters", "gauges"):
+            summed = {}
+            for record in last.values():
+                for key, value in record[name].items():
+                    summed[key] = summed.get(key, 0) + value
+            assert summed == traced_obs["metrics"][name]
+        pairs = [row for record in last.values() for row in record["flows"]]
+        assert sorted(pairs) == traced_obs["flows"]["pairs"]
 
     def test_flow_pairs_reconcile_with_cluster_wire_bytes(
         self, traced_result, traced_obs
@@ -323,6 +342,7 @@ class TestKillOneShard:
 
     def test_surviving_shard_completes_with_credits_refunded(self, tmp_path):
         spec = builtin_scenario("static").scaled(num_nodes=30, rounds=12)
+        obs_path = tmp_path / "obs.jsonl"
         coordinator = ClusterCoordinator(
             spec,
             RunOptions(
@@ -333,6 +353,7 @@ class TestKillOneShard:
                     reconnect_attempts=1, reconnect_delay_s=0.1, reconnect_grace_s=0.5
                 ),
                 obs=ObsConfig(trace_sample=8),
+                obs_out=str(obs_path),
             ),
         )
         outcome = {}
@@ -403,10 +424,10 @@ class TestKillOneShard:
             '"type": "postmortem"' in line or '"type":"postmortem"' in line
             for line in artifact.read_text().splitlines()
         )
-        # The telemetry stream stayed consistent through the death: both
-        # shards fed frames, the survivor kept reporting past the
+        # The streamed obs file stayed consistent through the death: both
+        # shards fed records, the survivor kept reporting past the
         # victim's last period, and the cockpit renders the whole story.
-        frames = coordinator.telemetry_frames
+        frames = load_obs_jsonl(obs_path)["records"]
         shards_seen = {f["shard"] for f in frames}
         assert shards_seen == {0, 1}, frames
         victim_last = max(f["period"] for f in frames if f["shard"] == victim)
@@ -421,7 +442,7 @@ class TestKillOneShard:
         assert "shard 0" in rendered and "shard 1" in rendered
         assert "shard_dead" in rendered
         # ...and the run-level health verdict survives into the result.
-        health = result.cluster["health"]
+        health = result.health
         assert health["dead_shards"] == [victim]
         assert any(a["kind"] == "shard_dead" for a in health["alerts"])
 
@@ -434,7 +455,7 @@ class TestClusterSlo:
         # at well over 2x from the first scored period.
         spec = builtin_scenario("static").scaled(num_nodes=40, rounds=24, seed=5)
         spec = dataclasses.replace(spec, loss_rate=0.45)
-        telemetry_path = tmp_path / "telemetry.jsonl"
+        obs_path = tmp_path / "obs.jsonl"
         slo = SloSpec.parse("continuity>=0.95:burn=2x:grace=4")
         with pytest.raises(SloViolation) as excinfo:
             run_cluster(
@@ -444,7 +465,7 @@ class TestClusterSlo:
                 time_scale=SMALL_SCALE,
                 obs=ObsConfig(trace_sample=8),
                 slo=slo,
-                telemetry_out=str(telemetry_path),
+                obs_out=str(obs_path),
             )
         exc = excinfo.value
         assert exc.alert.kind == "continuity_burn"
@@ -459,11 +480,12 @@ class TestClusterSlo:
         assert any(
             "SLO breach" in dump["reason"] for dump in exc.obs["postmortems"]
         ), exc.obs["postmortems"]
-        # The streaming JSONL captured the run up to the abort: telemetry
-        # frames from both shards plus the breach alert, but nowhere near
-        # the full 24 periods x 2 shards.
-        records = list(load_telemetry_jsonl(telemetry_path))
-        frames = [r for r in records if r["type"] == "telemetry"]
+        # The obs file captured the run up to the abort: period records
+        # from both shards plus the breach alert, but nowhere near the
+        # full 24 periods x 2 shards.
+        with open(obs_path, encoding="utf-8") as fh:
+            records = list(parse_lines(fh))
+        frames = [r for r in records if r["type"] == "period"]
         alerts = [r for r in records if r["type"] == "alert"]
         assert {f["shard"] for f in frames} == {0, 1}
         assert len(frames) < 48
@@ -476,5 +498,5 @@ class TestClusterSlo:
         assert "continuity_burn" in rendered
         assert "shard 0" in rendered and "shard 1" in rendered
         # ...and the Prometheus exposition file is left for scrapers.
-        prom = telemetry_path.with_suffix(".jsonl.prom").read_text()
+        prom = obs_path.with_suffix(".jsonl.prom").read_text()
         assert "# TYPE continu_continuity gauge" in prom

@@ -27,49 +27,65 @@ from repro.obs import (
     merge_obs,
     render_report,
     summarize_traces,
+    period_series,
     write_obs_jsonl,
 )
+from repro.obs.record import build_record
 from repro.runtime import LiveSwarm
 from repro.scenarios.library import builtin_scenario
 
 
+def close_period(rec, period, shard=0):
+    """Close ``period`` on ``rec`` with an empty playback sample."""
+    return build_record(rec, shard, period, playing=0, total=0, peers_live=0)
+
+
 class TestMetricsRegistry:
-    def test_counters_gauges_and_series(self):
-        reg = MetricsRegistry()
-        reg.inc("requests")
-        reg.inc("requests", 2)
-        reg.set_gauge("depth", 7)
-        reg.snapshot(0)
-        reg.set_gauge("depth", 3)
-        reg.snapshot(1)
-        data = reg.to_dict()
+    def test_counters_and_gauges_reach_each_period_record(self):
+        rec = ObsRecorder(ObsConfig())
+        rec.inc("requests")
+        rec.inc("requests", 2)
+        rec.metrics.set_gauge("depth", 7)
+        close_period(rec, 0)
+        rec.metrics.set_gauge("depth", 3)
+        close_period(rec, 1)
+        data = rec.metrics.to_dict()
         assert data["counters"]["requests"] == 3
         assert data["gauges"]["depth"] == 3
-        assert data["series"]["requests"] == [[0, 3.0], [1, 3.0]]
-        assert data["series"]["depth"] == [[0, 7.0], [1, 3.0]]
+        series = period_series(rec.records)
+        assert series["requests"] == [[0, 3.0], [1, 3.0]]
+        assert series["depth"] == [[0, 7], [1, 3]]
 
-    def test_histogram_windows_reset_per_snapshot(self):
-        reg = MetricsRegistry()
-        reg.observe("lag", 0.1)
-        reg.observe("lag", 0.3)
-        reg.snapshot(0)
-        reg.observe("lag", 0.5)
-        reg.snapshot(1)
-        series = reg.to_dict()["series"]
+    def test_histogram_windows_reset_per_record(self):
+        rec = ObsRecorder(ObsConfig())
+        rec.observe("lag", 0.1)
+        rec.observe("lag", 0.3)
+        close_period(rec, 0)
+        rec.observe("lag", 0.5)
+        close_period(rec, 1)
+        close_period(rec, 2)
+        assert [r["hists"] for r in rec.records] == [
+            {"lag": [pytest.approx(0.2), pytest.approx(0.3)]},
+            {"lag": [pytest.approx(0.5), pytest.approx(0.5)]},
+            {},
+        ]
+        series = period_series(rec.records)
         assert series["lag_mean"] == [[0, pytest.approx(0.2)], [1, pytest.approx(0.5)]]
         assert series["lag_max"] == [[0, pytest.approx(0.3)], [1, pytest.approx(0.5)]]
-        hist = reg.to_dict()["histograms"]["lag"]
+        hist = rec.metrics.to_dict()["histograms"]["lag"]
         assert hist["count"] == 3
         assert hist["max"] == pytest.approx(0.5)
 
-    def test_series_window_is_bounded(self):
-        reg = MetricsRegistry(window=4)
-        for period in range(10):
-            reg.inc("ticks")
-            reg.snapshot(period)
-        series = reg.to_dict()["series"]["ticks"]
-        assert len(series) == 4
-        assert series[0][0] == 6
+    def test_record_window_is_bounded(self):
+        rec = ObsRecorder(ObsConfig())
+        extra = 6
+        for period in range(ObsRecorder.RECORD_WINDOW + extra):
+            rec.inc("ticks")
+            close_period(rec, period)
+        records = rec.export()["records"]
+        assert len(records) == ObsRecorder.RECORD_WINDOW
+        assert records[0]["period"] == extra
+        assert records[0]["counters"]["ticks"] == extra + 1
 
     def test_histogram_envelope_merge(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -82,18 +98,28 @@ class TestMetricsRegistry:
         assert merged["max"] == 3.0
         assert merged["sum"] == pytest.approx(6.0)
 
-    def test_merge_metrics_sums_counters_and_series(self):
+    def test_merge_metrics_sums_counters_and_gauges(self):
         parts = []
         for _ in range(2):
             reg = MetricsRegistry()
             reg.inc("sent", 5)
             reg.set_gauge("depth", 2)
-            reg.snapshot(0)
             parts.append(reg.to_dict())
         merged = merge_metrics(parts)
         assert merged["counters"]["sent"] == 10
         assert merged["gauges"]["depth"] == 4
-        assert merged["series"]["sent"] == [[0, 10.0]]
+
+    def test_merged_records_concatenate_and_their_series_sum(self):
+        parts = []
+        for shard in (1, 0):
+            rec = ObsRecorder(ObsConfig(), shard=shard)
+            for period in range(2):
+                rec.inc("sent", 5)
+                close_period(rec, period, shard)
+            parts.append(rec.export())
+        records = merge_obs(parts)["records"]
+        assert [(r["period"], r["shard"]) for r in records] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert period_series(records)["sent"] == [[0, 10.0], [1, 20.0]]
 
 
 class TestRecorder:
@@ -106,7 +132,6 @@ class TestRecorder:
         NULL_OBS.inc("x")
         NULL_OBS.flight("y")
         NULL_OBS.postmortem("z")
-        NULL_OBS.snapshot(0)
         assert NULL_OBS.export() is None
 
     def test_config_validates_sampling(self):
@@ -141,7 +166,7 @@ class TestRecorder:
     def test_an_unbound_recorder_stamps_time_zero(self):
         rec = ObsRecorder(ObsConfig())
         rec.flight("coordinator_side")
-        assert rec.flight_since(0)[1][0]["t"] == 0.0
+        assert rec.new_flight()[0]["t"] == 0.0
 
     @pytest.mark.parametrize("clock", ["virtual", "wall"])
     def test_a_span_stamped_at_teardown_carries_the_swarms_last_time(self, clock):
@@ -191,7 +216,7 @@ class TestTraceSummary:
         for shard in range(2):
             rec = ObsRecorder(ObsConfig(), shard=shard)
             rec.inc("sent", 10)
-            rec.snapshot(0)
+            close_period(rec, 0, shard)
             rec.span("request", trace=shard + 1, peer=shard, segment=1)
             parts.append(rec.export())
         merged = merge_obs(parts)
@@ -209,7 +234,7 @@ class TestJsonlArtifact:
         rec = ObsRecorder(ObsConfig())
         rec.inc("sent", 3)
         rec.observe("lag", 0.01)
-        rec.snapshot(0)
+        close_period(rec, 0)
         rec.span("request", trace=1, peer=4, segment=2, dst=9, cause="schedule")
         rec.span("deliver", trace=1, peer=4, segment=2, supplier=9)
         rec.span("play", trace=1, peer=4, segment=2)
@@ -220,7 +245,7 @@ class TestJsonlArtifact:
         write_obs_jsonl(path, obs)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert {line["type"] for line in lines} >= {
-            "meta", "metric", "span", "flight", "postmortem", "summary"
+            "meta", "period", "span", "flight", "postmortem", "summary"
         }
         loaded = load_obs_jsonl(path)
         assert loaded["traces"]["sampled"] == 1
@@ -467,10 +492,10 @@ class TestReportRobustness:
     def test_truncated_trailing_line_is_skipped_and_counted(self, tmp_path):
         rec = ObsRecorder(ObsConfig())
         rec.inc("sent", 3)
-        rec.snapshot(0)
+        close_period(rec, 0)
         path = write_obs_jsonl(tmp_path / "obs.jsonl", rec.export())
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"type": "metric", "name": "sent", "per')  # torn mid-append
+            fh.write('{"type": "period", "shard": 0, "per')  # torn mid-append
         loaded = load_obs_jsonl(path)
         assert loaded["skipped_lines"] == 1
         report = render_report(loaded)

@@ -79,14 +79,12 @@ class TestFlowMatrix:
         assert first == second
         assert len(fm.links) == 3  # live table untouched by export folding
 
-    def test_pair_delta_is_incremental(self):
+    def test_shard_pairs_accumulate_totals(self):
         fm = FlowMatrix()
         fm.record_physical(0, 1, 500, frames=3)
-        assert fm.pair_delta() == [[0, 1, 3, 500]]
-        assert fm.pair_delta() == []  # nothing new since last call
+        assert fm.to_dict()["pairs"] == [[0, 1, 3, 500]]
         fm.record_physical(0, 1, 100, frames=1)
         fm.record_physical(1, 0, 50, frames=1)
-        assert fm.pair_delta() == [[0, 1, 1, 100], [1, 0, 1, 50]]
         out = fm.to_dict()
         assert out["pairs"] == [[0, 1, 4, 600], [1, 0, 1, 50]]
 
@@ -133,7 +131,7 @@ class TestTopology:
     def test_observer_validates_coverage_periods(self):
         with pytest.raises(ValueError):
             TopologyObserver(coverage_periods=0)
-        assert TopologyObserver().telemetry() is None
+        assert TopologyObserver().last is None
 
     def test_merge_topo_unions_shards_and_detects_partitions(self):
         part_a = {
@@ -175,13 +173,21 @@ class TestTopology:
         assert sum(n for _, n in topo["out_degree_hist"]) == topo["nodes"]
 
 
+def continuity_records(*values):
+    """One shard's period records carrying a ``continuity`` gauge."""
+    return [
+        {"shard": 0, "period": period, "gauges": {"continuity": value}}
+        for period, value in enumerate(values)
+    ]
+
+
 class TestDiffObs:
     def _export(self, **over):
         base = {
             "metrics": {
                 "counters": {"messages_sent": 1000.0, "segments_dropped": 10.0},
-                "series": {"continuity": [[0, 0.9], [1, 0.95]]},
             },
+            "records": continuity_records(0.9, 0.95),
             "traces": {
                 "sampled": 100, "played": 95,
                 "request_to_deliver_s": {"p50": 0.5, "p95": 1.0},
@@ -232,7 +238,6 @@ class TestDiffObs:
         cand = self._export()
         cand["metrics"] = {
             "counters": {"messages_sent": 1020.0, "segments_dropped": 30.0},
-            "series": cand["metrics"]["series"],
         }
         diff = diff_obs(self._export(), cand)
         assert diff["ok"]
@@ -255,11 +260,7 @@ class TestDiffObs:
         assert "wire bytes" in report
 
     def test_series_movers_rank_by_relative_shift(self):
-        cand = self._export()
-        cand["metrics"] = {
-            "counters": dict(cand["metrics"]["counters"]),
-            "series": {"continuity": [[0, 0.45], [1, 0.475]]},
-        }
+        cand = self._export(records=continuity_records(0.45, 0.475))
         diff = diff_obs(self._export(), cand)
         movers = diff["series_movers"]
         assert movers[0]["name"] == "continuity"

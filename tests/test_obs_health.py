@@ -1,12 +1,12 @@
-"""Live telemetry and SLOs: health engine, writers, cockpit, swarm frames.
+"""Live telemetry and SLOs: health engine, writer, cockpit, swarm records.
 
 Covers the run-level health plane from ``docs/observability.md`` →
 *Live telemetry & SLOs*: ``--slo`` spec parsing, burn-rate breach
 timing (grace/confirm semantics), the watchdog alert catalog, the
-streaming :class:`TelemetryWriter` (JSONL + Prometheus exposition),
+streaming :class:`TelemetryWriter` (obs file + Prometheus exposition),
 the :class:`Cockpit` renderer, and the single-process
-:class:`LiveSwarm` telemetry source feeding the same stream the
-cluster coordinator consumes.
+:class:`LiveSwarm` period records feeding the same stream the cluster
+coordinator consumes.
 """
 
 import io
@@ -22,17 +22,22 @@ from repro.obs import (
     SloSpec,
     SloViolation,
     TelemetryWriter,
-    load_telemetry_jsonl,
     parse_slo,
     run_live,
 )
-from repro.obs.health import frame_shard
+from repro.obs.record import parse_lines, record_shard
 from repro.runtime import LiveSwarm
 from repro.scenarios.library import builtin_scenario
 
 
-def frame(shard=0, period=0, playing=10, total=10, t=None, gauges=None, **extra):
-    """One telemetry frame body in the schema ``LiveSwarm._emit_telemetry`` ships."""
+def read_lines(path):
+    """Every line of an obs file as a dict (``None`` for a torn one)."""
+    with open(path, encoding="utf-8") as fh:
+        return list(parse_lines(fh))
+
+
+def period_record(shard=0, period=0, playing=10, total=10, t=None, gauges=None, **extra):
+    """One period record in the schema ``repro.obs.record.build_record`` builds."""
     body = {
         "shard": shard,
         "period": period,
@@ -99,11 +104,11 @@ class TestBurnRateBreach:
         engine = HealthEngine(slo=self.SLO)
         # continuity 0.5 burns at 10x the budget — period 0 is grace,
         # periods 1 and 2 make the confirm=2 streak.
-        engine.observe_frame(frame(period=0, playing=5, total=10))
+        engine.observe_record(period_record(period=0, playing=5, total=10))
         assert engine.breach is None
-        engine.observe_frame(frame(period=1, playing=5, total=10))
+        engine.observe_record(period_record(period=1, playing=5, total=10))
         assert engine.breach is None, "one burning period is noise, not a breach"
-        engine.observe_frame(frame(period=2, playing=5, total=10))
+        engine.observe_record(period_record(period=2, playing=5, total=10))
         assert engine.breach is not None
         assert engine.breach.kind == "continuity_burn"
         assert engine.breach.severity == "critical"
@@ -112,26 +117,26 @@ class TestBurnRateBreach:
 
     def test_good_period_resets_the_streak(self):
         engine = HealthEngine(slo=self.SLO)
-        engine.observe_frame(frame(period=0, playing=5, total=10))
-        engine.observe_frame(frame(period=1, playing=5, total=10))
-        engine.observe_frame(frame(period=2, playing=10, total=10))  # recovers
-        engine.observe_frame(frame(period=3, playing=5, total=10))
+        engine.observe_record(period_record(period=0, playing=5, total=10))
+        engine.observe_record(period_record(period=1, playing=5, total=10))
+        engine.observe_record(period_record(period=2, playing=10, total=10))  # recovers
+        engine.observe_record(period_record(period=3, playing=5, total=10))
         assert engine.breach is None, "non-consecutive burn must not breach"
 
     def test_grace_periods_never_count(self):
         slo = SloSpec.parse("continuity>=0.95:burn=2x:confirm=1")
         engine = HealthEngine(slo=slo, grace=3)
         for period in range(3):
-            engine.observe_frame(frame(period=period, playing=0, total=10))
+            engine.observe_record(period_record(period=period, playing=0, total=10))
         assert engine.breach is None
-        engine.observe_frame(frame(period=3, playing=0, total=10))
+        engine.observe_record(period_record(period=3, playing=0, total=10))
         assert engine.breach is not None
         assert engine.breach.period == 3
 
     def test_no_slo_means_no_breach_ever(self):
         engine = HealthEngine()
         for period in range(6):
-            engine.observe_frame(frame(period=period, playing=0, total=10))
+            engine.observe_record(period_record(period=period, playing=0, total=10))
         assert engine.breach is None
         assert engine.alerts == []
 
@@ -147,7 +152,7 @@ class TestBurnRateBreach:
 
         engine = HealthEngine(slo=self.SLO, recorder=Recorder())
         for period in range(3):
-            engine.observe_frame(frame(period=period, playing=5, total=10))
+            engine.observe_record(period_record(period=period, playing=5, total=10))
         assert [e for e, _ in events] == ["alert"]
         assert events[0][1]["kind"] == "continuity_burn"
         assert len(postmortems) == 1
@@ -165,27 +170,27 @@ class TestBurnRateBreach:
 class TestPeriodClosing:
     def test_period_closes_only_when_every_known_shard_reported(self):
         engine = HealthEngine(expected_shards=2)
-        engine.observe_frame(frame(shard=0, period=0, playing=3, total=10))
+        engine.observe_record(period_record(shard=0, period=0, playing=3, total=10))
         assert engine._closed_through == -1, "shard 1 has not been heard from"
-        engine.observe_frame(frame(shard=1, period=0, playing=7, total=10))
+        engine.observe_record(period_record(shard=1, period=0, playing=7, total=10))
         assert engine._closed_through == 0
         # Run-level continuity sums playing/total across the fleet.
         period, continuity, _ = engine.continuity[-1]
         assert period == 0
         assert continuity == pytest.approx(0.5)
         # Period 1 stays open until the slower shard reports it too.
-        engine.observe_frame(frame(shard=0, period=1, playing=9, total=10))
+        engine.observe_record(period_record(shard=0, period=1, playing=9, total=10))
         assert engine._closed_through == 0, "shard 1 has not reported period 1"
-        engine.observe_frame(frame(shard=1, period=1, playing=7, total=10))
+        engine.observe_record(period_record(shard=1, period=1, playing=7, total=10))
         assert engine._closed_through == 1
         assert engine.continuity[-1][1] == pytest.approx(0.8)
 
     def test_dead_shard_unblocks_closing_on_the_survivors(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(shard=0, period=0))
-        engine.observe_frame(frame(shard=1, period=0))
-        engine.observe_frame(frame(shard=0, period=1))
-        engine.observe_frame(frame(shard=0, period=2))
+        engine.observe_record(period_record(shard=0, period=0))
+        engine.observe_record(period_record(shard=1, period=0))
+        engine.observe_record(period_record(shard=0, period=1))
+        engine.observe_record(period_record(shard=0, period=2))
         assert engine._closed_through == 0, "gated on shard 1"
         engine.mark_shard_dead(1)
         assert engine._closed_through == 2
@@ -193,7 +198,7 @@ class TestPeriodClosing:
 
     def test_empty_period_defaults_to_full_continuity(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(period=0, playing=0, total=0))
+        engine.observe_record(period_record(period=0, playing=0, total=0))
         _, continuity, burn = engine.continuity[-1]
         assert continuity == 1.0
         assert burn == 0.0
@@ -202,8 +207,8 @@ class TestPeriodClosing:
         # A shard killed before it ever reports must count toward the
         # expected fleet via dead_shards, or no period would ever close.
         engine = HealthEngine(expected_shards=2)
-        engine.observe_frame(frame(shard=0, period=0, playing=6, total=10))
-        engine.observe_frame(frame(shard=0, period=1, playing=8, total=10))
+        engine.observe_record(period_record(shard=0, period=0, playing=6, total=10))
+        engine.observe_record(period_record(shard=0, period=1, playing=8, total=10))
         assert engine._closed_through == -1, "shard 1 was never heard from"
         engine.mark_shard_dead(1, reason="SIGKILL before first frame")
         assert engine._closed_through == 1, "survivor's periods close now"
@@ -215,7 +220,7 @@ class TestPeriodClosing:
         assert len(dead) == 1
         assert dead[0].period is None, "no last period — it never reported"
         # Frames from the survivor keep closing periods afterwards.
-        engine.observe_frame(frame(shard=0, period=2, playing=10, total=10))
+        engine.observe_record(period_record(shard=0, period=2, playing=10, total=10))
         assert engine._closed_through == 2
 
 
@@ -225,17 +230,17 @@ class TestFrameRejection:
     @pytest.mark.parametrize(
         "body",
         [
-            frame(shard=None),
-            frame(shard="1"),
-            frame(shard=1.0),
-            frame(shard=True),
-            frame(shard=-1),
+            period_record(shard=None),
+            period_record(shard="1"),
+            period_record(shard=1.0),
+            period_record(shard=True),
+            period_record(shard=-1),
             {"period": 0, "playing": 5, "total": 10},  # no shard key at all
         ],
     )
     def test_invalid_shard_is_rejected_without_polluting_state(self, body):
         engine = HealthEngine()
-        engine.observe_frame(body)
+        engine.observe_record(body)
         assert engine.rejected_frames == 1
         assert engine.shards == {}, "no shard record was fabricated"
         assert engine._acc == {}, "no playback accumulated"
@@ -243,9 +248,9 @@ class TestFrameRejection:
 
     def test_rejection_counts_accumulate_and_valid_frames_still_land(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(shard=None, playing=0, total=10))
-        engine.observe_frame(frame(shard=0, period=0, playing=9, total=10))
-        engine.observe_frame(frame(shard="oops", period=0, playing=0, total=10))
+        engine.observe_record(period_record(shard=None, playing=0, total=10))
+        engine.observe_record(period_record(shard=0, period=0, playing=9, total=10))
+        engine.observe_record(period_record(shard="oops", period=0, playing=0, total=10))
         assert engine.rejected_frames == 2
         assert engine.shards[0].frames == 1
         # The rejected frames' zeros never reached the rollup.
@@ -253,8 +258,8 @@ class TestFrameRejection:
 
     def test_snapshot_surfaces_the_rejected_count(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(shard=None))
-        engine.observe_frame(frame(shard=0, period=0))
+        engine.observe_record(period_record(shard=None))
+        engine.observe_record(period_record(shard=0, period=0))
         snap = engine.snapshot()
         json.dumps(snap)
         assert snap["rejected_frames"] == 1
@@ -263,14 +268,14 @@ class TestFrameRejection:
 class TestWatchdogs:
     def test_dilation_stretch_warns_once_and_rearms(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(period=0, gauges={"dilation_stretch": 5.0}))
-        engine.observe_frame(frame(period=1, gauges={"dilation_stretch": 6.0}))
+        engine.observe_record(period_record(period=0, gauges={"dilation_stretch": 5.0}))
+        engine.observe_record(period_record(period=1, gauges={"dilation_stretch": 6.0}))
         stretch = [a for a in engine.alerts if a.kind == "dilation_stretch"]
         assert len(stretch) == 1, "one alert per episode"
         assert stretch[0].severity == "warn"
         # Recovery re-arms the watchdog; a new episode alerts again.
-        engine.observe_frame(frame(period=2, gauges={"dilation_stretch": 1.0}))
-        engine.observe_frame(frame(period=3, gauges={"dilation_stretch": 13.0}))
+        engine.observe_record(period_record(period=2, gauges={"dilation_stretch": 1.0}))
+        engine.observe_record(period_record(period=3, gauges={"dilation_stretch": 13.0}))
         stretch = [a for a in engine.alerts if a.kind == "dilation_stretch"]
         assert len(stretch) == 2
         assert stretch[1].severity == "critical"
@@ -278,30 +283,30 @@ class TestWatchdogs:
     def test_credit_starvation_needs_a_stuck_streak(self):
         engine = HealthEngine()
         for period in range(2):
-            engine.observe_frame(
-                frame(period=period, gauges={"credit_pending_total": 4.0})
+            engine.observe_record(
+                period_record(period=period, gauges={"credit_pending_total": 4.0})
             )
         assert not any(a.kind == "credit_starvation" for a in engine.alerts)
-        engine.observe_frame(frame(period=2, gauges={"credit_pending_total": 4.0}))
+        engine.observe_record(period_record(period=2, gauges={"credit_pending_total": 4.0}))
         starving = [a for a in engine.alerts if a.kind == "credit_starvation"]
         assert len(starving) == 1
         assert starving[0].severity == "warn"
         # Credits draining to zero ends the episode.
-        engine.observe_frame(frame(period=3, gauges={"credit_pending_total": 0.0}))
+        engine.observe_record(period_record(period=3, gauges={"credit_pending_total": 0.0}))
         assert engine.shards[0].credit_streak == 0
 
     def test_lagging_shard_trips_the_stall_watchdog(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(shard=1, period=0))
+        engine.observe_record(period_record(shard=1, period=0))
         for period in range(5):
-            engine.observe_frame(frame(shard=0, period=period))
+            engine.observe_record(period_record(shard=0, period=period))
         stalls = [a for a in engine.alerts if a.kind == "telemetry_stall"]
         assert len(stalls) == 1
         assert stalls[0].shard == 1
 
     def test_shard_dead_alerts_exactly_once(self):
         engine = HealthEngine()
-        engine.observe_frame(frame(shard=0, period=2))
+        engine.observe_record(period_record(shard=0, period=2))
         engine.mark_shard_dead(0, reason="SIGKILL")
         engine.mark_shard_dead(0)
         dead = [a for a in engine.alerts if a.kind == "shard_dead"]
@@ -320,7 +325,7 @@ class TestWatchdogs:
 
     def test_snapshot_is_json_friendly(self):
         engine = HealthEngine(slo=SloSpec.parse("continuity>=0.9"), grace=1)
-        engine.observe_frame(frame(period=0, gauges={"dilation_stretch": 5.0}))
+        engine.observe_record(period_record(period=0, gauges={"dilation_stretch": 5.0}))
         engine.mark_shard_dead(1)
         snap = engine.snapshot()
         json.dumps(snap)  # must serialise as-is
@@ -337,23 +342,26 @@ class TestTelemetryWriter:
     def test_jsonl_stream_and_exposition(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(path) as writer:
-            writer.frame(
-                frame(
+            writer.record(
+                period_record(
                     shard=0, period=0, playing=9, total=10,
                     gauges={"dilation_stretch": 1.0},
                     counters={"messages_sent": 5},
                     miss_causes={"delivered_late": 1},
                 )
             )
-            writer.frame(frame(shard=0, period=1, counters={"messages_sent": 7}))
-            writer.frame(frame(shard=1, period=1))
+            writer.record(
+                period_record(
+                    shard=0, period=1, counters={"messages_sent": 7},
+                    miss_causes={"delivered_late": 1},
+                )
+            )
+            writer.record(period_record(shard=1, period=1))
             writer.alert(
                 Alert(kind="shard_dead", severity="critical", message="gone", shard=1)
             )
-        records = list(load_telemetry_jsonl(path))
-        assert [r["type"] for r in records] == [
-            "telemetry", "telemetry", "telemetry", "alert",
-        ]
+        records = list(read_lines(path))
+        assert [r["type"] for r in records] == ["period", "period", "period", "alert"]
         assert records[0]["continuity"] == pytest.approx(0.9)
         assert records[3]["kind"] == "shard_dead"
 
@@ -361,8 +369,8 @@ class TestTelemetryWriter:
         assert writer.exposition_path.name == "telemetry.jsonl.prom"
         assert "# TYPE continu_continuity gauge" in prom
         assert 'continu_telemetry_period{shard="1"} 1' in prom
-        # Counters accumulate the per-frame deltas.
-        assert 'continu_messages_sent{shard="0"} 12' in prom
+        # Counters are cumulative in a record: the latest one's totals.
+        assert 'continu_messages_sent{shard="0"} 7' in prom
         assert "# TYPE continu_miss_cause_delivered_late counter" in prom
 
     def test_metric_names_are_sanitized_to_the_prom_charset(self, tmp_path):
@@ -372,8 +380,8 @@ class TestTelemetryWriter:
 
         path = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(path) as writer:
-            writer.frame(
-                frame(
+            writer.record(
+                period_record(
                     shard=0,
                     gauges={'weird "gauge"\nwith\\stuff': 1.5, "dotted.name-x": 2.0},
                     counters={"3starts_with_digit": 4.0},
@@ -396,7 +404,7 @@ class TestTelemetryWriter:
 
     def test_colliding_sanitized_names_merge_instead_of_duplicating(self, tmp_path):
         with TelemetryWriter(tmp_path / "t.jsonl") as writer:
-            writer.frame(frame(shard=0, counters={"a.b": 1.0, "a-b": 2.0}))
+            writer.record(period_record(shard=0, counters={"a.b": 1.0, "a-b": 2.0}))
         prom = writer.exposition_path.read_text()
         assert prom.count('continu_a_b{shard="0"}') == 1
         assert 'continu_a_b{shard="0"} 3' in prom
@@ -412,13 +420,13 @@ class TestTelemetryWriter:
         with TelemetryWriter(
             tmp_path / "t.jsonl", namespace='bad "ns"'
         ) as writer:
-            writer.frame(frame(shard=0))
+            writer.record(period_record(shard=0))
         prom = writer.exposition_path.read_text()
         assert "bad__ns__continuity" in prom
 
     def test_writer_counts_and_close_is_idempotent(self, tmp_path):
         writer = TelemetryWriter(tmp_path / "t.jsonl")
-        writer.frame(frame())
+        writer.record(period_record())
         writer.alert({"kind": "x", "severity": "warn", "message": "m"})
         writer.close()
         writer.close()
@@ -430,13 +438,13 @@ class TestCockpit:
     def feed_run(self, cockpit):
         for period in range(4):
             cockpit.feed(
-                frame(
+                period_record(
                     shard=0, period=period, playing=8 + period % 2, total=10,
                     gauges={"dilation_stretch": 2.0, "messages_sent": 40},
-                    miss_causes={"delivered_late": 1},
+                    miss_causes={"delivered_late": period + 1},
                 )
             )
-            cockpit.feed(frame(shard=1, period=period))
+            cockpit.feed(period_record(shard=1, period=period))
 
     def test_render_shows_every_shard_and_miss_causes(self):
         cockpit = Cockpit()
@@ -461,12 +469,14 @@ class TestCockpit:
         assert "[critical] continuity_burn @p3: budget burned" in text
         assert cockpit.alert_count == 1
 
-    def test_feed_record_dispatches_and_counts_unknown_types(self):
+    def test_feed_record_dispatches_and_counts_torn_lines(self):
         cockpit = Cockpit()
-        cockpit.feed_record({"type": "telemetry", **frame()})
+        cockpit.feed_record({"type": "period", **period_record()})
         cockpit.feed_record({"type": "alert", "kind": "x", "severity": "warn",
                              "message": "m"})
-        cockpit.feed_record({"type": "mystery"})
+        # The export lines a closed run appends are not the cockpit's.
+        cockpit.feed_record({"type": "summary", "counters": {}})
+        cockpit.feed_record(None)
         assert cockpit.frames == 1
         assert cockpit.alert_count == 1
         assert cockpit.skipped == 1
@@ -476,14 +486,14 @@ class TestRunLive:
     def test_once_renders_from_a_stream_with_garbage_lines(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         lines = [
-            json.dumps({"type": "telemetry", **frame(period=0)}),
+            json.dumps({"type": "period", **period_record(period=0)}),
             "{not json",
-            json.dumps({"type": "telemetry", **frame(period=1, playing=5)}),
+            json.dumps({"type": "period", **period_record(period=1, playing=5)}),
             json.dumps({
                 "type": "alert", "kind": "continuity_burn",
                 "severity": "critical", "message": "m", "period": 1,
             }),
-            '{"type": "telemetry", "period": 2, "contin',  # torn mid-append
+            '{"type": "period", "period": 2, "contin',  # torn mid-append
         ]
         path.write_text("\n".join(lines) + "\n")
         out = io.StringIO()
@@ -500,25 +510,25 @@ class TestFramesWithoutAValidShard:
     — never a crash, never coerced onto shard 0 (missing) or 1 (``True``)."""
 
     def bad_frames(self):
-        missing = frame(period=5, counters={"messages_sent": 100})
+        missing = period_record(period=5, counters={"messages_sent": 100})
         del missing["shard"]
         return [
-            frame(shard="abc", period=5, counters={"messages_sent": 100}),
-            frame(shard=True, period=5, counters={"messages_sent": 100}),
+            period_record(shard="abc", period=5, counters={"messages_sent": 100}),
+            period_record(shard=True, period=5, counters={"messages_sent": 100}),
             missing,
         ]
 
     def write_stream(self, path):
         with TelemetryWriter(path) as writer:
-            writer.frame(frame(shard=0, period=0, counters={"messages_sent": 2}))
+            writer.record(period_record(shard=0, period=0, counters={"messages_sent": 2}))
             for body in self.bad_frames():
-                writer.frame(body)
+                writer.record(body)
         return writer
 
     def test_writer_streams_them_but_leaves_them_out_of_the_exposition(self, tmp_path):
         writer = self.write_stream(tmp_path / "telemetry.jsonl")
-        records = list(load_telemetry_jsonl(writer.path))
-        assert [r["type"] for r in records] == ["telemetry"] * 4
+        records = list(read_lines(writer.path))
+        assert [r["type"] for r in records] == ["period"] * 4
         prom = writer.exposition_path.read_text()
         labels = {line.split("{", 1)[1].split("}", 1)[0]
                   for line in prom.splitlines() if line and not line.startswith("# ")}
@@ -528,9 +538,9 @@ class TestFramesWithoutAValidShard:
 
     def test_live_cockpit_counts_them_as_skipped(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
-        bodies = [frame(shard=0, period=0), *self.bad_frames()]
+        bodies = [period_record(shard=0, period=0), *self.bad_frames()]
         path.write_text("".join(
-            json.dumps({"type": "telemetry", **body}) + "\n" for body in bodies
+            json.dumps({"type": "period", **body}) + "\n" for body in bodies
         ))
         out = io.StringIO()
         cockpit = run_live(path, once=True, out=out)
@@ -542,7 +552,7 @@ class TestFramesWithoutAValidShard:
     def test_health_engine_rejects_them(self):
         engine = HealthEngine(expected_shards=1)
         for body in self.bad_frames():
-            engine.observe_frame(body)
+            engine.observe_record(body)
         assert engine.rejected_frames == 3
         assert engine.shards == {}
 
@@ -564,7 +574,7 @@ INVALID_SHARDS = {
 
 
 def frame_with_shard(shard, **kw):
-    body = frame(**kw)
+    body = period_record(**kw)
     if shard is _MISSING:
         del body["shard"]
     else:
@@ -572,16 +582,16 @@ def frame_with_shard(shard, **kw):
     return body
 
 
-class TestFrameShard:
-    """The one shard-id check every telemetry consumer goes through."""
+class TestRecordShard:
+    """The one shard-id check every period-record consumer goes through."""
 
     @pytest.mark.parametrize("shard", [0, 1, 3, 65535])
     def test_a_non_negative_int_is_the_shard(self, shard):
-        assert frame_shard(frame(shard=shard)) == shard
+        assert record_shard(period_record(shard=shard)) == shard
 
     @pytest.mark.parametrize("case", INVALID_SHARDS)
     def test_anything_else_is_no_shard(self, case):
-        assert frame_shard(frame_with_shard(INVALID_SHARDS[case])) is None
+        assert record_shard(frame_with_shard(INVALID_SHARDS[case])) is None
 
 
 class TestEveryConsumerRejectsAnInvalidShard:
@@ -593,15 +603,15 @@ class TestEveryConsumerRejectsAnInvalidShard:
         cockpit.feed(frame_with_shard(INVALID_SHARDS[case], miss_causes={"lost_or_queued": 2}))
         assert (cockpit.frames, cockpit.skipped) == (0, 1)
         assert cockpit.shards == {}
-        assert cockpit.miss_causes == {}
+        assert "miss causes" not in cockpit.render()
 
     @pytest.mark.parametrize("case", INVALID_SHARDS)
     def test_writer_leaves_it_out_of_the_exposition(self, tmp_path, case):
         with TelemetryWriter(tmp_path / "telemetry.jsonl") as writer:
-            writer.frame(frame(shard=1, counters={"messages_sent": 2}))
-            writer.frame(frame_with_shard(INVALID_SHARDS[case], counters={"messages_sent": 5}))
+            writer.record(period_record(shard=1, counters={"messages_sent": 2}))
+            writer.record(frame_with_shard(INVALID_SHARDS[case], counters={"messages_sent": 5}))
         assert writer.frames == 1
-        assert len(list(load_telemetry_jsonl(writer.path))) == 2
+        assert len(list(read_lines(writer.path))) == 2
         prom = writer.exposition_path.read_text()
         assert 'continu_messages_sent{shard="1"} 2' in prom
         samples = [line for line in prom.splitlines() if line and not line.startswith("# ")]
@@ -610,12 +620,12 @@ class TestEveryConsumerRejectsAnInvalidShard:
     @pytest.mark.parametrize("case", INVALID_SHARDS)
     def test_health_engine_rejects_it(self, case):
         engine = HealthEngine(expected_shards=1)
-        engine.observe_frame(frame_with_shard(INVALID_SHARDS[case], playing=0, total=10))
+        engine.observe_record(frame_with_shard(INVALID_SHARDS[case], playing=0, total=10))
         assert engine.rejected_frames == 1
         assert engine.shards == {}
 
 
-class TestSwarmTelemetry:
+class TestSwarmRecords:
     """The single-process LiveSwarm feeds the same stream the cluster does."""
 
     def run_with_sink(self, obs, rounds=8, sink=None, spec_seed=3):
@@ -624,32 +634,29 @@ class TestSwarmTelemetry:
         )
         swarm = LiveSwarm(spec, clock="virtual", obs=obs)
         frames = []
-        swarm.telemetry_sink = sink if sink is not None else frames.append
+        swarm.record_sink = sink if sink is not None else frames.append
         result = swarm.run()
         return result, frames
 
-    def test_one_frame_per_period_with_the_full_schema(self):
+    def test_one_record_per_period_with_the_full_schema(self):
         result, frames = self.run_with_sink(ObsConfig(trace_sample=4))
         assert [f["period"] for f in frames] == list(range(8))
         body = frames[-1]
         assert {
             "shard", "period", "t", "playing", "total", "continuity",
-            "peers_live", "gauges", "counters", "miss_causes", "flight",
+            "peers_live", "gauges", "counters", "miss_causes", "hists",
+            "flight", "flows", "topo",
         } <= set(body)
         assert 0.0 <= body["continuity"] <= 1.0
         assert body["gauges"]["peers_live"] == body["peers_live"]
         # The final frame's gauges reflect the run's end state.
         assert body["gauges"]["messages_sent"] == result.messages_sent
 
-    def test_telemetry_every_thins_the_stream(self):
-        _, frames = self.run_with_sink(ObsConfig(trace_sample=4, telemetry_every=3))
-        assert [f["period"] for f in frames] == [0, 3, 6]
-
-    def test_no_frames_without_obs_or_with_telemetry_off(self):
+    def test_no_records_without_obs_or_with_metrics_off(self):
         _, no_obs = self.run_with_sink(None)
-        _, telemetry_off = self.run_with_sink(ObsConfig(telemetry=False))
+        _, metrics_off = self.run_with_sink(ObsConfig(metrics=False))
         assert no_obs == []
-        assert telemetry_off == []
+        assert metrics_off == []
 
     def test_attached_sink_does_not_perturb_the_run(self):
         base, _ = self.run_with_sink(ObsConfig(trace_sample=4), sink=lambda body: None)
@@ -664,7 +671,7 @@ class TestSwarmTelemetry:
         )
 
         def sink(body):
-            engine.observe_frame(body)
+            engine.observe_record(body)
             if engine.breach is not None:
                 raise SloViolation(engine.breach)
 
@@ -673,7 +680,7 @@ class TestSwarmTelemetry:
 
         spec = dataclasses.replace(spec, loss_rate=0.4)
         swarm = LiveSwarm(spec, clock="virtual", obs=ObsConfig(trace_sample=8))
-        swarm.telemetry_sink = sink
+        swarm.record_sink = sink
         with pytest.raises(SloViolation) as excinfo:
             swarm.run()
         exc = excinfo.value
@@ -696,14 +703,14 @@ class TestSwarmTelemetry:
 
         def sink(body):
             periods.append(body["period"])
-            engine.observe_frame(body)
+            engine.observe_record(body)
             if engine.breach is not None:
                 raise SloViolation(engine.breach)
 
         spec = builtin_scenario("static").scaled(num_nodes=20, rounds=12, seed=1)
         spec = dataclasses.replace(spec, loss_rate=0.4)
         swarm = LiveSwarm(spec, time_scale=0.1, obs=ObsConfig(trace_sample=8))
-        swarm.telemetry_sink = sink
+        swarm.record_sink = sink
         with pytest.raises(SloViolation) as excinfo:
             swarm.run()
         assert excinfo.value.obs is not None

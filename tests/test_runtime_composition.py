@@ -116,15 +116,13 @@ class TestOneShardIsInProcess:
             LiveSwarm(toy_spec(), shards=2, shard_index=1).run()
 
 
-TELEMETRY_OFF = ObsConfig(telemetry=False)
+METRICS_OFF = ObsConfig(metrics=False)
 INVALID = {
     "virtual clock on a sharded run": dict(clock="virtual", shards=2),
     "slo without obs": dict(slo=SloSpec.parse("continuity>=0.9")),
-    "slo with telemetry off": dict(slo=SloSpec.parse("continuity>=0.9"), obs=TELEMETRY_OFF),
-    "slo with metrics off": dict(slo=SloSpec.parse("continuity>=0.9"),
-                                 obs=ObsConfig(metrics=False)),
-    "telemetry_out without obs": dict(telemetry_out="t.jsonl"),
-    "telemetry_out with telemetry off": dict(telemetry_out="t.jsonl", obs=TELEMETRY_OFF),
+    "slo with metrics off": dict(slo=SloSpec.parse("continuity>=0.9"), obs=METRICS_OFF),
+    "obs_out without obs": dict(obs_out="t.jsonl"),
+    "obs_out with metrics off": dict(obs_out="t.jsonl", obs=METRICS_OFF),
     "no shards": dict(shards=0),
     "negative shards": dict(shards=-1),
     "zero time_scale": dict(time_scale=0.0),
@@ -161,7 +159,7 @@ class TestTheRecordValidates:
     def test_the_record_has_nine_fields(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == [
             "shards", "rounds", "time_scale", "transport", "link", "clock",
-            "obs", "slo", "telemetry_out",
+            "obs", "slo", "obs_out",
         ]
 
     @pytest.mark.parametrize("field", ["batching", "delta_maps", "fidelity", "core_peers"])
@@ -209,6 +207,18 @@ class TestCliSurfacesTheRecord:
     @pytest.mark.parametrize("flag, value", [("--fidelity", "hybrid"), ("--core-peers", "8")])
     def test_retired_fidelity_flags_are_unknown_arguments(self, capsys, command, flag, value):
         """Every runtime peer is live: there is no tier to pick or size."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["runtime", "cluster", "campaign"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--telemetry-out", "t.jsonl"), ("--telemetry-every", "2")]
+    )
+    def test_retired_telemetry_flags_are_unknown_arguments(self, capsys, command, flag, value):
+        """``--metrics-out`` streams the one obs file: there is no second
+        stream to name or thin."""
         with pytest.raises(SystemExit) as excinfo:
             main([command, flag, value])
         assert excinfo.value.code == 2

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.obs import ObsConfig
+from repro.obs import ObsConfig, period_series
 from repro.runtime import LiveSwarm, wire
 from repro.runtime import peer as peer_module
 from repro.runtime.clock import DeliveryQueue
@@ -347,7 +347,7 @@ class TestOneClockUnit:
             # The host times the phases (``phase_*_s``), not the swarm.
             series = {
                 name: points
-                for name, points in metrics["series"].items()
+                for name, points in period_series(obs.pop("records")).items()
                 if not name.startswith("phase_")
             }
             series["clock_dilation_s"] = [

@@ -7,7 +7,7 @@ scenario:
 
 * determinism — the same seed gives bit-identical series, samples and
   counters;
-* one aggregation point — telemetry frames, playback samples and the
+* one aggregation point — period records, playback samples and the
   merged tracker agree period by period, and every sample stays within
   its population;
 * population accounting — every non-source peer is sampled, live-peer
@@ -41,10 +41,10 @@ def spec_for(name, **scaled):
 
 
 def observed_run(name):
-    """One virtual-clock run with a telemetry sink attached."""
+    """One virtual-clock run with a record sink attached."""
     swarm = LiveSwarm(spec_for(name), clock="virtual", obs=ObsConfig(trace_sample=8))
     frames = []
-    swarm.telemetry_sink = frames.append
+    swarm.record_sink = frames.append
     return swarm, swarm.run(), frames
 
 

@@ -105,13 +105,6 @@ def sample_messages():
         wire.BufferMapDelta(
             sender=3, seq=1, newest_id=-1, head_id=0, capacity=600, runs=(),
         ),
-        # -- observability plane: telemetry pushes (opaque JSON bodies)
-        wire.TelemetryFrame.from_body(
-            shard=0, period=3,
-            body={"continuity": 0.97, "playing": 29, "total": 30},
-        ),
-        wire.TelemetryFrame(shard=2**16 - 1, period=2**32 - 1, payload=b"{}"),
-        wire.TelemetryFrame(shard=1, period=0, payload=b""),
     ]
 
 
@@ -136,7 +129,6 @@ class TestRoundTrip:
             wire.WireKind.ROUTE: "RoutedFrame",
             wire.WireKind.BATCH: "FrameBatch",
             wire.WireKind.MAP_DELTA: "BufferMapDelta",
-            wire.WireKind.TELEMETRY: "TelemetryFrame",
         }
         assert set(by_kind) == set(wire.WireKind), "update the map for new kinds"
         assert covered == set(by_kind.values())
@@ -464,9 +456,10 @@ def non_minimal(value: int, size: int) -> bytes:
     return bytes(spelled)
 
 
-def telemetry_of_payload(length: int) -> wire.TelemetryFrame:
-    """A telemetry frame whose payload (kind byte + body) is ``length`` bytes."""
-    return wire.TelemetryFrame(shard=1, period=2, payload=b"x" * (length - 7))
+def routed_of_payload(length: int) -> wire.RoutedFrame:
+    """A routed frame whose payload (kind byte, wide header, opaque inner
+    bytes) is ``length`` bytes."""
+    return wire.RoutedFrame(src=70000, dst=2, payload=b"x" * (length - 10))
 
 
 #: A narrow map whose bitmap pushes its payload past 127 bytes.
@@ -484,7 +477,7 @@ class TestVarintFraming:
          (wire.MAX_FRAME_PAYLOAD, "808004")],
     )
     def test_the_prefix_grows_a_byte_at_each_boundary(self, length, prefix):
-        msg = telemetry_of_payload(length)
+        msg = routed_of_payload(length)
         frame = wire.encode(msg)
         assert frame.startswith(bytes.fromhex(prefix))
         assert len(frame) == len(prefix) // 2 + length
@@ -495,7 +488,7 @@ class TestVarintFraming:
 
     def test_one_byte_past_the_bound_is_refused_at_encode(self):
         with pytest.raises(wire.WireError):
-            wire.encode(telemetry_of_payload(wire.MAX_FRAME_PAYLOAD + 1))
+            wire.encode(routed_of_payload(wire.MAX_FRAME_PAYLOAD + 1))
 
     #: Spellings of a ping's payload length (6) that are not the one byte
     #: ``06``, and three-byte spellings that continue past the third byte.
@@ -560,7 +553,7 @@ class TestVarintFraming:
         assert decoder.pending_bytes == 0
 
     def test_a_stream_split_after_each_byte_of_a_three_byte_prefix(self):
-        msg = telemetry_of_payload(20000)
+        msg = routed_of_payload(20000)
         frame = wire.encode(msg)
         for cut in (1, 2, 3):
             decoder = wire.FrameDecoder()
@@ -613,7 +606,7 @@ class TestVarintFraming:
     def test_the_route_headroom_is_exact(self):
         limit = wire.MAX_FRAME_PAYLOAD - wire.ROUTE_HEADROOM
         for length, fits in ((limit, True), (limit + 1, False)):
-            inner = wire.encode(telemetry_of_payload(length))
+            inner = wire.encode(routed_of_payload(length))
             routed = wire.RoutedFrame(src=1, dst=2, payload=inner)
             if fits:
                 assert wire.prologue(wire.encode(routed))[1] == wire.MAX_FRAME_PAYLOAD
@@ -682,25 +675,6 @@ class TestLedgerAccounting:
         ) is None
         assert wire.ledger_entry(wire.RoutedFrame(src=1, dst=2, payload=b"x")) is None
 
-    def test_telemetry_frames_are_never_charged(self):
-        # The observability plane is physical-only: a telemetry push must
-        # not perturb the paper-facing ledger no matter how large its body.
-        small = wire.TelemetryFrame.from_body(shard=0, period=1, body={})
-        big = wire.TelemetryFrame.from_body(
-            shard=3, period=9,
-            body={"counters": {f"k{i}": i for i in range(200)}},
-        )
-        assert wire.ledger_entry(small) is None
-        assert wire.ledger_entry(big) is None
-
-    def test_telemetry_body_round_trips_through_the_codec(self):
-        body = {"continuity": 0.5, "miss_causes": {"deadline": 2}, "period": 7}
-        frame = wire.TelemetryFrame.from_body(shard=2, period=7, body=body)
-        decoded, _ = wire.decode(wire.encode(frame))
-        assert decoded.shard == 2
-        assert decoded.period == 7
-        assert decoded.body() == body
-
 
 # One vector per kind byte: every peer message at both widths (the wide one
 # pushed past 16 bits by one field), the four one-width kinds once.  Built
@@ -758,13 +732,10 @@ GOLDEN_VECTORS = [
     # Entries verbatim, each behind its own prefix, after a varint count.
     (wire.FrameBatch(frames=(_PING, _CREDIT)),
      "0e0d" "02" "058600070001" "058a00070004"),
-    (wire.TelemetryFrame(shard=1, period=2, payload=b"{}"),
-     "090f0001000000027b7d"),
 ]
 
 #: The kinds that ship at one width only.
-ONE_WIDTH = {wire.WireKind.SHARD_HELLO, wire.WireKind.ROUTE, wire.WireKind.BATCH,
-             wire.WireKind.TELEMETRY}
+ONE_WIDTH = {wire.WireKind.SHARD_HELLO, wire.WireKind.ROUTE, wire.WireKind.BATCH}
 
 
 class TestGoldenVectors:

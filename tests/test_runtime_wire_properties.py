@@ -180,14 +180,6 @@ wire_messages = st.one_of(
         data=flags,
     ),
     frame_batches(),
-    # Telemetry payloads are opaque bytes on the wire — arbitrary byte
-    # strings (not just valid JSON) must round-trip unchanged.
-    st.builds(
-        wire.TelemetryFrame,
-        shard=u16,
-        period=u32,
-        payload=st.binary(max_size=256),
-    ),
 )
 
 #: The fields a narrow frame spells in 16 bits, per kind (a narrow
