@@ -340,12 +340,10 @@ class Cockpit:
                 f"stretch {gauges.get('dilation_stretch', 1.0):.1f}x  "
                 f"msgs {int(gauges.get('messages_sent', 0))}{topo_bits}"
             )
-            socket = last.get("socket") or {}
-            for other in sorted(socket):
-                s = socket[other]
+            for s in last.get("socket") or ():
                 lost = "  LOST" if s.get("lost") else ""
                 lines.append(
-                    f"    socket →{other}  out {s.get('frames_out', 0)}f/"
+                    f"    socket →{s.get('dst_shard')}  out {s.get('frames_out', 0)}f/"
                     f"{s.get('bytes_out', 0)}B  in {s.get('frames_in', 0)}f/"
                     f"{s.get('bytes_in', 0)}B  resets {s.get('disconnects', 0)}{lost}"
                 )

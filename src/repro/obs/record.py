@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import summarize_traces
 
@@ -45,7 +45,7 @@ def build_record(
     playing: int,
     total: int,
     peers_live: int,
-    socket: Optional[Dict[str, Dict[str, int]]] = None,
+    socket: Sequence[Dict[str, int]] = (),
 ) -> Dict[str, Any]:
     """Close ``period`` on recorder ``obs``: build, keep and return its record.
 
@@ -78,7 +78,7 @@ def build_record(
             "partner_pairs": snap["partner_pairs"],
         }
     if socket:
-        record["socket"] = socket
+        record["socket"] = list(socket)
     obs.records.append(record)
     return record
 

@@ -979,19 +979,9 @@ class LiveSwarm:
             metrics.set_gauge("topo_covered_pairs", snap["covered_pairs"])
             metrics.set_gauge("topo_finger_alive", snap["finger_alive"])
             metrics.set_gauge("topo_finger_total", snap["finger_total"])
-        socket = None
-        if self.links:
-            socket = {
-                str(row["dst_shard"]): {
-                    name: row[name]
-                    for name in ("frames_out", "frames_in", "bytes_out", "bytes_in",
-                                 "disconnects", "reconnects", "lost")
-                }
-                for row in self.socket_links()
-            }
         record = build_record(
             self.obs, self.shard_index, round_index,
-            *self._period_playback_counts(round_index), self.peers_live(), socket,
+            *self._period_playback_counts(round_index), self.peers_live(), self.socket_links(),
         )
         if self.record_sink is not None:
             self.record_sink(record)
@@ -1080,7 +1070,7 @@ class LiveSwarm:
         Every :class:`~repro.runtime.cluster.links.SocketLinkStats` field
         per remote shard — link resets show up as the ``disconnects`` /
         ``reconnects`` pair.  Rows ride the obs export
-        (``obs["socket_links"]``) and, thinned, each period record.
+        (``obs["socket_links"]``) and each period record.
         """
         return [
             {
