@@ -188,7 +188,6 @@ class LivePeer:
             successor,
             wire.Handover(
                 sender=self.peer_id,
-                segment_bits=self.config.segment_bits,
                 segment_ids=tuple(self.node.handover_backup()),
             ),
         )

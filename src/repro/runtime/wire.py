@@ -53,7 +53,8 @@ the kind byte through one helper, :func:`prologue`.
 A segment is its id (the reproduction never ships real media), so a
 :class:`SegmentData` frame carries the run's ``segment_bits`` instead of
 payload bytes; the ledger charges that size.  A :class:`Handover` frame
-carries it too, and its receiver ignores it.
+carries only ids: its receiver knows every segment is ``segment_bits``
+long.
 """
 
 from __future__ import annotations
@@ -353,7 +354,6 @@ class Handover:
     """Graceful-leave handover of a VoD backup store to the successor."""
 
     sender: int
-    segment_bits: int
     segment_ids: Tuple[int, ...]
 
 
@@ -938,7 +938,7 @@ _ROWS = (
          (_ID, _ID, _ID, _ID, _FLAG, _F32), _FLAG_BIT, "ids", ("path",)),
     _Row(WireKind.PING, Ping, lambda pack, m: pack(m.sender, m.nonce), (_ID, _ID)),
     _Row(WireKind.PONG, Pong, lambda pack, m: pack(m.sender, m.nonce), (_ID, _ID)),
-    _Row(WireKind.HANDOVER, Handover, lambda pack, m: pack(m.sender, m.segment_bits), (_ID, _ID),
+    _Row(WireKind.HANDOVER, Handover, lambda pack, m: pack(m.sender), (_ID,),
          tail="ids", tail_fields=("segment_ids",)),
     _Row(WireKind.CREDIT, CreditGrant, lambda pack, m: pack(m.sender, m.credits), (_ID, _POSITIVE)),
     _Row(WireKind.SHARD_HELLO, ShardHello,

@@ -130,7 +130,7 @@ class TestSocketLinkTransport:
             # One-shot control state always queues, even past the limit.
             link.send(1, 2, CREDIT_FRAME, data=False)
             handover = wire.encode(
-                wire.Handover(sender=1, segment_bits=8, segment_ids=(1, 2))
+                wire.Handover(sender=1, segment_ids=(1, 2))
             )
             link.send(1, 2, handover, data=False)
             assert len(host.undeliverable) == 3
@@ -145,7 +145,7 @@ class TestSocketLinkTransport:
         queue past the limit exactly like a wide one."""
         one_shot = [
             wire.encode(wire.CreditGrant(sender=sender, credits=2)),
-            wire.encode(wire.Handover(sender=sender, segment_bits=8, segment_ids=(1, 2))),
+            wire.encode(wire.Handover(sender=sender, segment_ids=(1, 2))),
         ]
         assert all(
             bool(f[wire.prologue(f)[0]] & wire.NARROW) == (sender < 2**16) for f in one_shot

@@ -325,11 +325,7 @@ class TestSwarmBoundedness:
             clock="virtual",
         ).build()
         peer = next(p for p in swarm.peers.values() if not p.is_source)
-        handover = wire.Handover(
-            sender=1,
-            segment_bits=swarm.config.segment_bits,
-            segment_ids=(5, 6),
-        )
+        handover = wire.Handover(sender=1, segment_ids=(5, 6))
         peer.absorb_shed_control([handover])
         assert peer.node.serves_segment(5)
         assert peer.node.serves_segment(6)

@@ -476,7 +476,7 @@ def test_a_group_too_big_for_one_envelope_lands_as_encode_batchs_chunks(monkeypa
     _flat_latency(swarm, monkeypatch)
     receiver, sender = _peers(swarm, 2)
     handovers = [
-        wire.Handover(sender.peer_id, 8, tuple(range(n, n + 3000))) for n in range(12)
+        wire.Handover(sender.peer_id, tuple(range(n, n + 3000))) for n in range(12)
     ]
     chunks = wire.encode_batch([wire.encode(msg) for msg in handovers])
     assert len(chunks) > 1

@@ -64,9 +64,9 @@ def sample_messages():
         wire.Ping(sender=0, nonce=0),
         wire.Ping(sender=17, nonce=2**32 - 1),
         wire.Pong(sender=18, nonce=3),
-        wire.Handover(sender=4, segment_bits=30 * 1024, segment_ids=()),
+        wire.Handover(sender=4, segment_ids=()),
         wire.Handover(
-            sender=4, segment_bits=30 * 1024, segment_ids=tuple(range(100))
+            sender=4, segment_ids=tuple(range(100))
         ),
         # -- flow-control plane
         wire.CreditGrant(sender=0, credits=1),
@@ -521,7 +521,7 @@ class TestVarintFraming:
     def test_a_respelled_count_is_rejected(self, size):
         msgs = [
             wire.DhtLookup(origin=7, target_key=4096, segment_id=300, path=(7, 9)),
-            wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 301)),
+            wire.Handover(sender=7, segment_ids=(300, 301)),
             wire.BufferMapDelta(sender=7, seq=4, newest_id=120, head_id=40, capacity=600,
                                 runs=((0, 3), (17, 1))),
             wire.SegmentNack(sender=7, segment_id=300, more=((301, 0),)),
@@ -582,7 +582,7 @@ class TestVarintFraming:
         assert not wire.is_one_shot(batch)
         assert not wire.is_batch(long_map) and wire.frame_count(long_map) == 1
         handover = wire.encode(
-            wire.Handover(sender=7, segment_bits=8, segment_ids=tuple(range(100)))
+            wire.Handover(sender=7, segment_ids=tuple(range(100)))
         )
         assert wire.prologue(handover)[0] == 2
         assert wire.is_one_shot(handover) and not wire.is_batch(handover)
@@ -658,7 +658,7 @@ class TestLedgerAccounting:
         for msg in (
             wire.Ping(sender=1),
             wire.Pong(sender=1),
-            wire.Handover(sender=1, segment_bits=8, segment_ids=(1, 2)),
+            wire.Handover(sender=1, segment_ids=(1, 2)),
         ):
             assert wire.ledger_entry(msg) == (
                 MessageKind.MEMBERSHIP, float(PING_MESSAGE_BITS),
@@ -719,10 +719,10 @@ GOLDEN_VECTORS = [
     (wire.Ping(sender=7, nonce=65536), "09060000000700010000"),
     (wire.Pong(sender=9, nonce=1), "058700090001"),
     (wire.Pong(sender=70000, nonce=1), "09070001117000000001"),
-    (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 301)),
-     "0a8800077800" "02" "012c012d"),
-    (wire.Handover(sender=7, segment_bits=30720, segment_ids=(300, 65536)),
-     "12080000000700007800" "02" "0000012c00010000"),
+    (wire.Handover(sender=7, segment_ids=(300, 301)),
+     "08880007" "02" "012c012d"),
+    (wire.Handover(sender=7, segment_ids=(300, 65536)),
+     "0e0800000007" "02" "0000012c00010000"),
     (wire.CreditGrant(sender=7, credits=4), "058a00070004"),
     (wire.CreditGrant(sender=65536, credits=4), "070a000100000004"),
     (wire.ShardHello(shard_index=0, num_shards=2, token=42, ring_size=8192),
@@ -836,14 +836,14 @@ LONG_VECTORS = [
      "a004" "05" "00011170" "00000007" "00001000" "0000012c" "00" "41480000" "8201"
      + ids_hex(range(130), 4)),
     # -- handover stores of 100 ids, then 130
-    (wire.Handover(sender=7, segment_bits=30720, segment_ids=tuple(range(300, 400))),
-     "ce01" "88" "0007" "7800" "64" + ids_hex(range(300, 400), 2)),
-    (wire.Handover(sender=70000, segment_bits=30720, segment_ids=tuple(range(300, 400))),
-     "9a03" "08" "00011170" "00007800" "64" + ids_hex(range(300, 400), 4)),
-    (wire.Handover(sender=7, segment_bits=30720, segment_ids=tuple(range(300, 430))),
-     "8b02" "88" "0007" "7800" "8201" + ids_hex(range(300, 430), 2)),
-    (wire.Handover(sender=70000, segment_bits=30720, segment_ids=tuple(range(300, 430))),
-     "9304" "08" "00011170" "00007800" "8201" + ids_hex(range(300, 430), 4)),
+    (wire.Handover(sender=7, segment_ids=tuple(range(300, 400))),
+     "cc01" "88" "0007" "64" + ids_hex(range(300, 400), 2)),
+    (wire.Handover(sender=70000, segment_ids=tuple(range(300, 400))),
+     "9603" "08" "00011170" "64" + ids_hex(range(300, 400), 4)),
+    (wire.Handover(sender=7, segment_ids=tuple(range(300, 430))),
+     "8902" "88" "0007" "8201" + ids_hex(range(300, 430), 2)),
+    (wire.Handover(sender=70000, segment_ids=tuple(range(300, 430))),
+     "8f04" "08" "00011170" "8201" + ids_hex(range(300, 430), 4)),
 ]
 
 
@@ -917,7 +917,7 @@ SIZE_ROWS = {
     "`Ping` / `Pong`": lambda lead, _: [wire.Ping(sender=lead, nonce=1),
                                          wire.Pong(sender=lead, nonce=1)],
     "`Handover` (*n* ids)": lambda lead, n: [wire.Handover(
-        sender=lead, segment_bits=30720, segment_ids=tuple(range(300, 300 + n)))],
+        sender=lead, segment_ids=tuple(range(300, 300 + n)))],
     "`CreditGrant`": lambda lead, _: [wire.CreditGrant(sender=lead, credits=4)],
 }
 #: The values each table variable is checked at.
@@ -941,7 +941,7 @@ KIND_SAMPLES = {
     "DhtResponse": GOLDEN_VECTORS[12][0],
     "Ping": wire.Ping(sender=7),
     "Pong": wire.Pong(sender=7),
-    "Handover": wire.Handover(sender=7, segment_bits=8, segment_ids=(1,)),
+    "Handover": wire.Handover(sender=7, segment_ids=(1,)),
     "SegmentNack": wire.SegmentNack(sender=7, segment_id=300),
     "CreditGrant": wire.CreditGrant(sender=7, credits=4),
     "FrameBatch": wire.FrameBatch(frames=(_PING,)),

@@ -154,7 +154,6 @@ peer_messages = st.one_of(
     st.builds(
         wire.Handover,
         sender=u32,
-        segment_bits=u32,
         segment_ids=st.lists(u32, max_size=128).map(tuple),
     ),
     st.builds(wire.CreditGrant, sender=u32, credits=st.integers(1, 2**16 - 1)),
@@ -195,7 +194,7 @@ NARROWED = {
     wire.DhtResponse: lambda m: (m.responder, m.origin, m.target_key, m.segment_id, *m.path),
     wire.Ping: lambda m: (m.sender, m.nonce),
     wire.Pong: lambda m: (m.sender, m.nonce),
-    wire.Handover: lambda m: (m.sender, m.segment_bits, *m.segment_ids),
+    wire.Handover: lambda m: (m.sender, *m.segment_ids),
     wire.CreditGrant: lambda m: (m.sender,),
 }
 #: Kinds whose body length does not depend on the message's values (a
