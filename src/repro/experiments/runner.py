@@ -76,7 +76,9 @@ def _obs_config(args: argparse.Namespace):
     )
 
 
-def _run_options(args: argparse.Namespace, command: str, shards: int, obs_out=None):
+def _run_options(
+    args: argparse.Namespace, command: str, shards: int, obs_out: Optional[str] = None
+):
     """The flags as the live runtime's one options record.
 
     Every combination the runtime cannot run (virtual clock on a sharded

@@ -202,9 +202,9 @@ class HealthEngine:
     single-process swarm feeds them straight from its record sink.
     Counters, miss causes and flows are cumulative in a record, so the
     engine keeps each shard's latest and adds nothing up.  ``recorder``
-    (any obs-recorder duck type) receives
-    one flight event per alert and the breach postmortem, so health
-    history survives into the merged obs export.
+    (any obs-recorder duck type) receives one flight event per alert and
+    the breach postmortem, so health history survives into the merged
+    obs export.
     """
 
     #: AIMD stretch levels that trip the dilation watchdog (MAX_STRETCH is 16).
