@@ -1,9 +1,9 @@
-"""The cluster control plane: spawn, barrier, relay, merge.
+"""The cluster control plane: fork, barrier, relay, merge.
 
 :class:`ClusterCoordinator` turns one scenario into a multi-process
 swarm:
 
-* **spawn** — one worker process per shard
+* **fork** — one worker process per shard
   (:func:`~repro.runtime.cluster.worker.run_shard_worker`), each handed
   the spec, the resolved :class:`~repro.runtime.swarm.RunOptions`, its
   shard index and the run token over a control pipe;
@@ -59,12 +59,17 @@ from repro.scenarios.spec import ScenarioSpec
 #: floor keeps a 20x margin.
 START_FLOOR_S = 0.1
 
-#: Budget for spawn → listen → mesh → ready.
+#: Budget for fork → listen → mesh → ready.
 SETUP_TIMEOUT_S = 90.0
 
-#: ``multiprocessing`` start method: ``"spawn"`` keeps workers independent
-#: of the parent's threads and event loops.
-MP_CONTEXT = "spawn"
+#: ``multiprocessing`` start method.  A forked shard inherits the imported
+#: program and goes straight to building its swarm, where a spawned one
+#: re-imported it first (0.41-0.52 CPU-s a shard on a 2-vCPU host).  The
+#: fork also copies the coordinator's open pipe ends, which a shard closes
+#: first (:func:`~repro.runtime.cluster.worker.run_shard_worker`).  Not
+#: ``"forkserver"``: its workers are the server's children, so their CPU
+#: would leave the caller's ``RUSAGE_CHILDREN``.
+MP_CONTEXT = "fork"
 
 
 def start_anchor(now: float, deliveries: Sequence[float]) -> float:
@@ -217,7 +222,7 @@ class ClusterCoordinator:
 
     # ----------------------------------------------------------------------- run
     def run(self) -> RuntimeResult:
-        """Spawn the shards, drive the run, merge and return the result."""
+        """Fork the shards, drive the run, merge and return the result."""
         options = self.options
         ctx = multiprocessing.get_context(MP_CONTEXT)
         self.phase = "setup"
@@ -234,14 +239,17 @@ class ClusterCoordinator:
             # Alert flight events inherit the newest record's sim-time
             # stamp, so coordinator-side obs merges on the shards' clock.
             health_obs.bind_clock(lambda: plane.health._last_t)
-        payload = {"spec": self.spec.to_dict(), "options": options, "token": self.token}
+        payload = {"spec": self.spec, "options": options, "token": self.token}
         obs = None
         try:
             for shard in range(options.shards):
                 parent_conn, child_conn = ctx.Pipe()
+                # The coordinator's pipe ends this fork copies: the new
+                # shard's own and every earlier shard's.
+                inherited = [c.conn for c in self.channels] + [parent_conn]
                 process = ctx.Process(
                     target=run_shard_worker,
-                    args=(child_conn, dict(payload, shard_index=shard)),
+                    args=(child_conn, dict(payload, shard_index=shard), inherited),
                     name=f"continustreaming-shard-{shard}",
                 )
                 process.start()
@@ -280,7 +288,7 @@ class ClusterCoordinator:
                 self.plane.close(obs)
 
     def _setup_barrier(self) -> List[float]:
-        """Spawn → listen → mesh → ready; returns each shard's measured
+        """Fork → listen → mesh → ready; returns each shard's measured
         control-pipe delivery time of its ``ready`` report."""
         shards = self.options.shards
         listening = self._collect_tag("listening", SETUP_TIMEOUT_S)

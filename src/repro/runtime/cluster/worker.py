@@ -1,6 +1,6 @@
 """The shard worker process: one event loop, one ring-range of peers.
 
-Spawned by the :class:`~repro.runtime.cluster.coordinator.
+Forked by the :class:`~repro.runtime.cluster.coordinator.
 ClusterCoordinator`, a worker
 
 1. builds the full overlay from the scenario spec (deterministic — every
@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.runtime import wire
 from repro.runtime.cluster.links import (
@@ -115,7 +115,7 @@ class ShardWorker:
 
     def __init__(self, conn, payload: Dict[str, Any]) -> None:
         self.conn = conn
-        self.spec = ScenarioSpec.from_dict(payload["spec"])
+        self.spec: ScenarioSpec = payload["spec"]
         self.options: RunOptions = payload["options"]
         self.shard_index: int = payload["shard_index"]
         self.num_shards: int = self.options.shards
@@ -287,8 +287,17 @@ class ShardWorker:
         await server.wait_closed()
 
 
-def run_shard_worker(conn, payload: Dict[str, Any]) -> None:
-    """Process entry point (top-level so ``multiprocessing`` can spawn it)."""
+def run_shard_worker(conn, payload: Dict[str, Any], inherited: Sequence = ()) -> None:
+    """Process entry point of a forked shard.
+
+    ``inherited`` are the coordinator's ends of the control pipes, which
+    the fork copied into this process.  They are closed first: while any
+    process but the coordinator holds the far end of this shard's pipe,
+    the shard sees no EOF when the coordinator dies, and it would wait
+    out every ``dilate`` broadcast and the close barrier on timeouts.
+    """
+    for end in inherited:
+        end.close()
     try:
         asyncio.run(ShardWorker(conn, payload).main())
     except Exception:

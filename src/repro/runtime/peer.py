@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,14 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.swarm import LiveSwarm
 
 
-@dataclass
-class PlaybackSample:
-    """What one peer's playback did during one global period."""
-
-    started: bool
-    continuous: bool
-
-
 class LivePeer:
     """One overlay peer: callbacks the swarm's delivery queue calls
     (period boundaries, phases, the drain of what landed).
@@ -89,8 +80,8 @@ class LivePeer:
             shared latency/overhearing services.
         first_tick: global period index at which this peer starts living
             (0 for the boot population, the join period for churned-in
-            peers) — playback samples are keyed by global tick so the
-            swarm can aggregate continuity per period.
+            peers) — a peer tallies its playback under the global tick,
+            so the swarm counts continuity per period.
     """
 
     def __init__(self, node: StreamingNode, swarm: "LiveSwarm", first_tick: int = 0) -> None:
@@ -128,7 +119,6 @@ class LivePeer:
         self.known_newest: int = -1
         period = self.config.scheduling_period
         self.outbound_tokens: float = node.outbound_rate * period
-        self.playback_log: Dict[int, PlaybackSample] = {}
         #: The period currently open (set at each boundary); deferred
         #: mid-period/rescue callbacks from an earlier period abandon
         #: themselves when a newer boundary has passed.
@@ -633,9 +623,7 @@ class LivePeer:
             )
         continuous = node.playback.started and node.can_play_round()
         node.play_round(newest_available_id=self._newest_or_none())
-        self.playback_log[tick] = PlaybackSample(
-            started=node.playback.started, continuous=continuous
-        )
+        self.swarm.tally_playback(tick, continuous)
         node.observe_deliveries(self._delivered)
         self._delivered = {}
         if self._trace_live and self.obs.tracing:

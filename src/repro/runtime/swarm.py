@@ -398,6 +398,11 @@ class LiveSwarm:
         self.prediction_enabled = "urgent-line-prediction" in pipeline_names
         self.peers: Dict[int, LivePeer] = {}
         self.retired_peers: List[LivePeer] = []
+        #: Per tick, the hosted non-source peers that closed that period
+        #: and those of them that played it continuously
+        #: (:meth:`tally_playback`).
+        self._sampled: List[int] = [0] * self.rounds
+        self._playing: List[int] = [0] * self.rounds
         self.messages_sent = 0
         self.messages_dropped = 0
         #: Physical bytes shipped over links (post-batch/delta encoding).
@@ -981,7 +986,8 @@ class LiveSwarm:
             metrics.set_gauge("topo_finger_total", snap["finger_total"])
         record = build_record(
             self.obs, self.shard_index, round_index,
-            *self._period_playback_counts(round_index), self.peers_live(), self.socket_links(),
+            self._playing[round_index], self._sampled[round_index], self.peers_live(),
+            self.socket_links(),
         )
         if self.record_sink is not None:
             self.record_sink(record)
@@ -1030,24 +1036,20 @@ class LiveSwarm:
             peer.stop()
 
     # ================================================================== collect
-    def _period_playback_counts(self, tick: int) -> Tuple[int, int]:
-        """``(playing, total)`` for one period over every hosted peer.
+    def tally_playback(self, tick: int, continuous: bool) -> None:
+        """Count one hosted peer's close of period ``tick``.
 
-        The single aggregation point period records, playback samples
-        and the merged tracker all flow through, so every consumer
-        (health engine, cockpit, campaign stores) sees one population.
+        A peer calls it once per period it closes (its ticks run upward
+        one at a time, :meth:`LivePeer.tick`); the source closes none.  A
+        tick past the run's last is dropped, as no reader asks for it.
+        The tally is the single aggregation point period records,
+        playback samples and the merged tracker all read, so every
+        consumer (health engine, cockpit, campaign stores) sees one
+        population.
         """
-        playing = total = 0
-        for peer in list(self.peers.values()) + self.retired_peers:
-            if peer.is_source:
-                continue
-            sample = peer.playback_log.get(tick)
-            if sample is None:
-                continue
-            total += 1
-            if sample.started and sample.continuous:
-                playing += 1
-        return playing, total
+        if tick < self.rounds:
+            self._sampled[tick] += 1
+            self._playing[tick] += continuous
 
     def peers_live(self) -> int:
         """Currently-live peer count."""
@@ -1060,9 +1062,7 @@ class LiveSwarm:
         sums these across shards before applying the trailing-empty trim,
         so a shard that finished early cannot truncate the merged series.
         """
-        return [
-            (tick, *self._period_playback_counts(tick)) for tick in range(self.rounds)
-        ]
+        return list(zip(range(self.rounds), self._playing, self._sampled))
 
     def socket_links(self) -> List[Dict[str, int]]:
         """Per shard-pair socket-link stats rows (``src_shard`` is us).

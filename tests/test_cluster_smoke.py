@@ -5,18 +5,27 @@ localhost TCP reach stable continuity ≥ 0.9; a 4-shard run shows every
 ordered shard pair's socket carrying frames.  The kill test is the
 failure-semantics acceptance: SIGKILL one shard mid-run and the
 survivors refund their in-flight credits (``link_resets``), re-partner,
-and finish every round — no wedge, no hang.  ``CONTINU_RUNTIME_TIME_SCALE``
+and finish every round — no wedge, no hang.  The shard-process tests pin
+what a forked shard owes its caller: it exits with its own schedule when
+the coordinator is SIGKILLed, and it is the caller's child, reaped at the
+end of the run.  ``CONTINU_RUNTIME_TIME_SCALE``
 slows the swarm clock on busy machines, exactly as for the single-process
 runtime tests.
 """
 
 import dataclasses
+import multiprocessing
 import os
+import resource
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.config import SystemConfig
 from repro.net.message import MessageKind, MessageLedger
 from repro.obs import (
@@ -37,6 +46,7 @@ from repro.runtime import (
     merge_results,
 )
 from repro.runtime.cluster import ClusterCoordinator, LinkConfig, run_cluster
+from repro.runtime.cluster.coordinator import START_FLOOR_S
 from repro.runtime.swarm import shard_of
 from repro.streaming.playback import ContinuityTracker
 from repro.runtime.transport import TransportSummary
@@ -450,6 +460,104 @@ class TestKillOneShard:
         health = result.health
         assert health["dead_shards"] == [victim]
         assert any(a["kind"] == "shard_dead" for a in health["alerts"])
+
+
+#: A coordinator the orphan test SIGKILLs: it prints its shards' pids as
+#: the run enters ``phase == "running"`` (the relay loop starts), then
+#: drives the run, so no thread has to poll the phase.
+_ORPHANING_COORDINATOR = """
+from repro.runtime import RunOptions
+from repro.runtime.cluster import ClusterCoordinator
+from repro.scenarios.library import builtin_scenario
+
+relay = ClusterCoordinator._relay_lateness
+
+def announce(self):
+    assert self.phase == "running"
+    print(" ".join(str(c.process.pid) for c in self.channels), flush=True)
+    relay(self)
+
+ClusterCoordinator._relay_lateness = announce
+spec = builtin_scenario("static").scaled(num_nodes=30, rounds={rounds})
+ClusterCoordinator(spec, RunOptions(shards=3, rounds={rounds}, time_scale={scale})).run()
+"""
+
+
+def _process_gone(pid: int) -> bool:
+    """No such process, or a zombie nobody has reaped yet (an orphan's
+    new parent may be slow to, or never, reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+class TestShardProcesses:
+    """What a shard process inherits from, and owes to, its caller."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_an_orphaned_shard_ends_with_its_schedule(self, tmp_path):
+        """SIGKILL the coordinator once the run is live: every shard must
+        see its control pipe close, run out its own schedule without
+        waiting on the relay, and exit.  A shard that still holds the
+        coordinator's end of a pipe (its own, or an earlier shard's, as
+        a fork copies them) never sees that EOF and sits out every
+        relay and close timeout instead (> 120 s)."""
+        rounds, scale = 8, 0.2
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        script = _ORPHANING_COORDINATOR.format(rounds=rounds, scale=scale)
+        stderr = tmp_path / "coordinator.err"
+        with open(stderr, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script], env=env,
+                stdout=subprocess.PIPE, stderr=err, text=True,
+            )
+        pids = []
+        try:
+            line = proc.stdout.readline()
+            running_at = time.monotonic()
+            pids = [int(pid) for pid in line.split()]
+            assert len(pids) == 3, f"no run reached running:\n{stderr.read_text()}"
+            proc.kill()
+            proc.wait(timeout=10)
+            # The agreed start follows ``running`` by the floor plus a
+            # pipe delivery; then the schedule is ``rounds`` periods.
+            schedule = rounds * builtin_scenario("static").to_config().scheduling_period * scale
+            deadline = running_at + START_FLOOR_S + schedule + 2.0
+            while not all(_process_gone(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"shards {[p for p in pids if not _process_gone(p)]} outlived "
+                    f"the dead coordinator's {schedule:.1f} s schedule by 2 s"
+                )
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in pids:
+                if not _process_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+
+    def test_shards_are_the_callers_reaped_children(self):
+        """The shards run as direct children of the caller and are waited
+        for: their CPU lands in the caller's ``RUSAGE_CHILDREN``, which is
+        how the benchmark times a cluster run, and none outlives it."""
+        def children_cpu() -> float:
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        before = children_cpu()
+        spec = builtin_scenario("static").scaled(num_nodes=20, rounds=1)
+        result = run_cluster(spec, shards=2, rounds=1, time_scale=SMALL_SCALE)
+        assert result.shards == 2 and result.cluster["shards_lost"] == 0
+        assert children_cpu() > before
+        assert multiprocessing.active_children() == []
 
 
 class TestClusterSlo:

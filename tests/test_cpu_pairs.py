@@ -96,3 +96,42 @@ class TestClaimRule:
         assert "100 [99.25, 101]" in lines[1] and "110 [109.25, 111]" in lines[1]
         assert lines[1].endswith("10/10  gain")
         assert lines[2].endswith(" 0/10  no gain")
+
+
+class TestWorkloadList:
+    KNOWN = ["rt_static", "rt_churn", "cluster_2shard"]
+
+    def test_a_comma_separated_list_keeps_its_order(self):
+        assert cpu_pairs.parse_workloads("cluster_2shard, rt_static", self.KNOWN) == [
+            "cluster_2shard",
+            "rt_static",
+        ]
+        assert cpu_pairs.parse_workloads("rt_churn", self.KNOWN) == ["rt_churn"]
+
+    @pytest.mark.parametrize("text", ["rt_static,", "rt_static,rt_static", "rt_statics"])
+    def test_empty_repeated_or_unknown_names_are_refused(self, text):
+        with pytest.raises(ValueError):
+            cpu_pairs.parse_workloads(text, self.KNOWN)
+
+    def test_the_benchmark_declares_every_workload_the_list_may_name(self):
+        declared = cpu_pairs.benchmark_workloads(ROOT / "BENCHMARK.json")
+        assert {"rt_static", "cluster_2shard"} <= set(declared)
+
+    def test_pairs_interleave_the_workloads_and_alternate_the_first_side(self, monkeypatch):
+        calls = []
+
+        def run_once(tree, workload, seed, seconds):
+            calls.append((tree.name, workload))
+            return {"peer_periods_per_cpu_s": float(len(calls))}
+
+        monkeypatch.setattr(cpu_pairs, "run_once", run_once)
+        trees = {"base": Path("base"), "change": Path("change")}
+        runs = cpu_pairs.run_pairs(trees, ["rt_static", "rt_churn"], 2, 0, 5.0)
+        assert calls == [
+            ("base", "rt_static"), ("change", "rt_static"),
+            ("base", "rt_churn"), ("change", "rt_churn"),
+            ("change", "rt_static"), ("base", "rt_static"),
+            ("change", "rt_churn"), ("base", "rt_churn"),
+        ]
+        assert [r["peer_periods_per_cpu_s"] for r in runs["rt_churn"]["base"]] == [3.0, 8.0]
+        assert [r["peer_periods_per_cpu_s"] for r in runs["rt_churn"]["change"]] == [4.0, 7.0]

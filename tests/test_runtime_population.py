@@ -8,8 +8,9 @@ scenario:
 * determinism — the same seed gives bit-identical series, samples and
   counters;
 * one aggregation point — period records, playback samples and the
-  merged tracker agree period by period, and every sample stays within
-  its population;
+  merged tracker agree period by period, every sample stays within its
+  population, and the swarm's per-tick playback tally equals the
+  per-peer aggregation it replaced;
 * population accounting — every non-source peer is sampled, live-peer
   counts follow the joins and departures, and each peer that ever ran
   keeps its ledger;
@@ -115,6 +116,42 @@ class TestPopulationAccounting:
         swarm, result, _ = runs["paper-dynamic"]
         assert result.peers_joined > 0 and result.peers_left > 0
         assert all(total > 0 for total in result.tracker.nodes_sampled)
+
+
+#: ``(playing, total)`` per period of 40-peer x 16-period virtual runs,
+#: seed 3, as the per-peer aggregation counted them: every peer logged one
+#: sample per period it closed, and each read scanned the live and the
+#: retired peers, skipping the source.  The swarm's tally must agree.
+PER_PEER_SAMPLES = {
+    "paper-dynamic": [
+        (4, 39), (9, 39), (16, 39), (27, 39), (36, 39), (38, 39), (34, 39), (35, 39),
+        (33, 39), (36, 39), (36, 39), (36, 39), (37, 39), (38, 39), (37, 39), (36, 39),
+    ],
+    "flash-crowd": [
+        (4, 39), (9, 39), (17, 39), (29, 39), (32, 39), (36, 39), (40, 49), (35, 61),
+        (42, 76), (46, 71), (57, 66), (57, 62), (56, 58), (53, 54), (52, 54), (53, 54),
+    ],
+}
+
+
+class TestPlaybackTally:
+    @pytest.mark.parametrize("name", sorted(PER_PEER_SAMPLES))
+    def test_the_tally_equals_the_per_peer_aggregation(self, name):
+        rounds = len(PER_PEER_SAMPLES[name])
+        swarm = LiveSwarm(spec_for(name, rounds=rounds), clock="virtual")
+        result = swarm.run()
+        assert result.peers_joined > 0
+        samples = swarm.playback_samples()
+        assert [tick for tick, _, _ in samples] == list(range(rounds))
+        assert [tuple(s[1:]) for s in samples] == PER_PEER_SAMPLES[name]
+        # One sample per non-source peer per period it closed: every
+        # period from its first tick to the last one it opened.
+        closed = [0] * rounds
+        for peer in list(swarm.peers.values()) + swarm.retired_peers:
+            if not peer.is_source:
+                for tick in range(peer.first_tick, min(peer._current_tick, rounds)):
+                    closed[tick] += 1
+        assert [total for _, _, total in samples] == closed
 
 
 class TestPlacement:

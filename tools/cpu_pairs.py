@@ -1,4 +1,4 @@
-"""CPU claims through alternating pairs: a git ref against a change, one workload.
+"""CPU claims through alternating pairs: a git ref against a change, per workload.
 
 The host this project is measured on drifts 10–40 % between sets of runs,
 so a CPU-time claim compares parent and change only in pairs taken back to
@@ -10,10 +10,14 @@ back, alternating which side runs first.  This tool builds those pairs:
 2. it runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
    ``--pairs`` times in each tree, the parent first in even pairs and the
    change first in odd ones, and reads each run's contract line (the last
-   line of its output);
-3. for every end-to-end metric of ``BENCHMARK.json`` it prints each side's
-   median and quartiles, the ratio of the medians and the pairs the change
-   won (ties count for neither side), and the verdict of the claim rule:
+   line of its output).  ``--workload`` takes a comma-separated list: pair
+   *i* of every listed workload runs before pair *i + 1* of any, so one
+   session shows a claimed workload's gain beside the others' standing
+   still, under the same host drift;
+3. for every workload and every end-to-end metric of ``BENCHMARK.json`` it
+   prints each side's median and quartiles, the ratio of the medians and
+   the pairs the change won (ties count for neither side), and the verdict
+   of the claim rule:
    a **gain** needs wins in at least nine tenths of the pairs *and* a median
    better than the parent's by more than the distance between the parent's
    quartiles.
@@ -23,7 +27,7 @@ the system's temporary directory and are deleted at exit.
 
 Usage::
 
-    python3 tools/cpu_pairs.py BASE [--change REF] [--workload rt_static]
+    python3 tools/cpu_pairs.py BASE [--change REF] [--workload rt_static[,W2...]]
         [--seed 0] [--pairs 10] [--seconds 5]
 """
 
@@ -100,6 +104,26 @@ def end_to_end_metrics(benchmark: Path) -> Dict[str, bool]:
     return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
 
 
+def parse_workloads(text: str, known: Sequence[str]) -> List[str]:
+    """The workloads of a comma-separated ``--workload`` value, in order;
+    an empty, repeated or unknown name is a ``ValueError``."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names):
+        raise ValueError(f"empty workload name in {text!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"a workload is listed twice in {text!r}")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown workloads {unknown}; known: {', '.join(known)}")
+    return names
+
+
+def benchmark_workloads(benchmark: Path) -> List[str]:
+    """The workload names ``BENCHMARK.json`` declares."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return [w["name"] for w in spec["workloads"]]
+
+
 def export(ref: str, into: Path) -> Path:
     """``git archive`` of ``ref`` unpacked into ``into``."""
     into.mkdir(parents=True)
@@ -121,6 +145,33 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, 
     if done.returncode != 0:
         raise RuntimeError(f"bench/run.py failed in {tree}:\n{done.stderr[-2000:]}")
     return parse_metrics(done.stdout)
+
+
+Runs = Dict[str, Dict[str, List[Dict[str, float]]]]
+
+
+def run_pairs(
+    trees: Dict[str, Path], workloads: Sequence[str], pairs: int, seed: int, seconds: float
+) -> Runs:
+    """``{workload: {"base": [...], "change": [...]}}``: pair by pair, every
+    workload's runs, the base first in even pairs and the change first in
+    odd ones."""
+    runs: Runs = {w: {"base": [], "change": []} for w in workloads}
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for workload in workloads:
+            sides = runs[workload]
+            for side in order:
+                sides[side].append(run_once(trees[side], workload, seed, seconds))
+            print(
+                f"pair {pair + 1}/{pairs} {workload} ({order[0]} first): "
+                + ", ".join(
+                    f"{side} {fmt(sides[side][-1].get('peer_periods_per_cpu_s', float('nan')))}"
+                    for side in ("base", "change")
+                ),
+                file=sys.stderr,
+            )
+    return runs
 
 
 def fmt(value: float) -> str:
@@ -148,41 +199,39 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git ref of the parent side")
     parser.add_argument("--change", help="git ref of the change side (default: this checkout)")
-    parser.add_argument("--workload", default="rt_static")
+    parser.add_argument(
+        "--workload", default="rt_static", help="a workload, or a comma-separated list"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=5.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    try:
+        workloads = parse_workloads(args.workload, benchmark_workloads(ROOT / "BENCHMARK.json"))
+    except ValueError as exc:
+        parser.error(str(exc))
     directions = end_to_end_metrics(ROOT / "BENCHMARK.json")
-    runs: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="cpu-pairs-") as scratch:
         trees = {"base": export(args.base, Path(scratch) / "base")}
         trees["change"] = (
             export(args.change, Path(scratch) / "change") if args.change else ROOT
         )
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(run_once(trees[side], args.workload, args.seed, args.seconds))
-            print(
-                f"pair {pair + 1}/{args.pairs} ({order[0]} first): "
-                + ", ".join(
-                    f"{side} {fmt(runs[side][-1].get('peer_periods_per_cpu_s', float('nan')))}"
-                    for side in ("base", "change")
-                ),
-                file=sys.stderr,
-            )
-    summaries = [
-        summarize(name, higher, [r[name] for r in runs["base"]], [r[name] for r in runs["change"]])
-        for name, higher in directions.items()
-        if all(name in r for r in runs["base"] + runs["change"])
-    ]
+        runs = run_pairs(trees, workloads, args.pairs, args.seed, args.seconds)
     change = args.change or "this checkout"
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
-          f"base {args.base} vs change {change}")
-    print(report(summaries))
+    for index, workload in enumerate(workloads):
+        base, changed = runs[workload]["base"], runs[workload]["change"]
+        summaries = [
+            summarize(name, higher, [r[name] for r in base], [r[name] for r in changed])
+            for name, higher in directions.items()
+            if all(name in r for r in base + changed)
+        ]
+        if index:
+            print()
+        print(f"{workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
+              f"base {args.base} vs change {change}")
+        print(report(summaries))
     return 0
 
 
